@@ -79,10 +79,11 @@ fuzz-short:
 
 # Query hot-path micro-benchmarks (BM25, ANN, filter bitsets, query cache,
 # shard-count scaling, tracing overhead, ingest-while-query steady state,
-# admission-control overhead and the noisy-neighbor p99 delta) with
-# allocation stats, recorded as BENCH_query.json via cmd/benchjson.
+# admission-control overhead, the noisy-neighbor p99 delta and the
+# document-fetch RPCs one search costs on remote shards) with allocation
+# stats, recorded as BENCH_query.json via cmd/benchjson.
 bench:
-	$(GO) test -bench 'BenchmarkSearchText|BenchmarkSearchVector|BenchmarkFilterSet|BenchmarkQueryCache|BenchmarkTrace|BenchmarkIngest|BenchmarkTenant|BenchmarkSession|BenchmarkSSE' \
+	$(GO) test -bench 'BenchmarkSearchText|BenchmarkSearchVector|BenchmarkFilterSet|BenchmarkQueryCache|BenchmarkTrace|BenchmarkIngest|BenchmarkTenant|BenchmarkSession|BenchmarkSSE|BenchmarkFinalize' \
 		-benchmem -run '^$$' ./internal/index/ ./internal/search/ ./internal/shard/ ./internal/trace/ ./internal/tenant/ ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_query_baseline.json \
 			-note "SearchVector* run the int8 quantized arena: traversal orders candidates by int8 dot products, then every surviving candidate (<= ef) is rescored with exact float32 dots before final ranking, so reported latencies include the rescoring pass and scores match the *Float32 control benchmarks exactly." \

@@ -7,6 +7,7 @@
 package index
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -314,6 +315,30 @@ func (ix *Index) DocByID(id string) (Document, bool) {
 		return Document{}, false
 	}
 	return ix.docs[ord], true
+}
+
+// DocsByID implements Queryable: one lock acquisition for the whole batch. A
+// local index has no shards to lose and nothing to wait on, so the context
+// is unused and shardsDown is always 0.
+func (ix *Index) DocsByID(_ context.Context, ids []string) ([]Document, int) {
+	docs := make([]Document, len(ids))
+	ix.fillDocsByID(ids, docs)
+	return docs, 0
+}
+
+// fillDocsByID stores the live document for ids[i] in docs[i] wherever the
+// slot is still empty, under one read lock.
+func (ix *Index) fillDocsByID(ids []string, docs []Document) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	for i, id := range ids {
+		if docs[i].ID != "" {
+			continue
+		}
+		if ord, ok := ix.byID[id]; ok {
+			docs[i] = ix.docs[ord]
+		}
+	}
 }
 
 // Retrievable projects doc onto its retrievable fields (what a search

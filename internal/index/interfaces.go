@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"io"
 
 	"uniask/internal/textproc"
@@ -49,6 +50,13 @@ type Queryable interface {
 	SearchVector(field string, q vector.Vector, k int, filters []Filter) []Hit
 	VectorFields() []string
 	DocByID(id string) (Document, bool)
+	// DocsByID is the batched DocByID the query path materializes results
+	// through: docs is aligned with ids (duplicates included), and an id that
+	// is unknown or tombstoned yields the zero Document (empty ID). shardsDown
+	// counts shards of a distributed store that could not be reached, whose
+	// ids therefore also read as zero Documents; a single-process store always
+	// reports 0. The context bounds and traces the remote round trips.
+	DocsByID(ctx context.Context, ids []string) (docs []Document, shardsDown int)
 }
 
 // Publisher is implemented by stores with a deferred publication point (the

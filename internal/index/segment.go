@@ -504,6 +504,17 @@ func (s *Segmented) DocByID(id string) (Document, bool) {
 	return Document{}, false
 }
 
+// DocsByID implements Queryable over one snapshot of the parts. Parts are
+// visited in DocByID's order and only fill slots still empty, so each slot
+// holds exactly what DocByID would have returned for its id.
+func (s *Segmented) DocsByID(_ context.Context, ids []string) ([]Document, int) {
+	docs := make([]Document, len(ids))
+	for _, part := range s.parts() {
+		part.fillDocsByID(ids, docs)
+	}
+	return docs, 0
+}
+
 // Schema returns the shared part schema.
 func (s *Segmented) Schema() Schema { return s.cfg.Schema }
 

@@ -364,6 +364,24 @@ func (c *Client) DocByID(id string) (index.Document, bool) {
 	return *resp.Doc, true
 }
 
+// DocsByID implements shard.Backend: one RPC for the whole batch, on the
+// caller's context (request deadline and trace), still capped by CallTimeout
+// in do. A reply that does not align with ids is refused rather than
+// scattered into the wrong slots.
+func (c *Client) DocsByID(ctx context.Context, ids []string) ([]index.Document, error) {
+	if len(ids) == 0 {
+		return nil, nil
+	}
+	resp, err := c.call(ctx, &request{Op: opDocsByID, IDs: ids})
+	if err != nil {
+		return nil, err
+	}
+	if len(resp.Docs) != len(ids) {
+		return nil, fmt.Errorf("remote: %s docsByID: %d documents for %d ids", c.cfg.Addr, len(resp.Docs), len(ids))
+	}
+	return resp.Docs, nil
+}
+
 // ---- Backend: staleness signals and gauges ----
 
 // status fetches a fresh combined status and caches it as the last-known

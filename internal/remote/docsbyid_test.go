@@ -1,0 +1,281 @@
+package remote
+
+// The batched document fetch on the wire: it runs on the caller's context
+// (deadline, cancellation, trace), refuses malformed traffic in both
+// directions, and meets a shard server that predates the op as a shard
+// outage rather than an error.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"uniask/internal/embedding"
+	"uniask/internal/index"
+	"uniask/internal/rerank"
+	"uniask/internal/resilience"
+	"uniask/internal/search"
+	"uniask/internal/shard"
+	"uniask/internal/trace"
+)
+
+// startStub serves the wire protocol with a caller-supplied reply function,
+// standing in for shard servers that misbehave in ways the real one never
+// does. A nil reply leaves the RPC unanswered until the test ends.
+func startStub(t *testing.T, reply func(*request) *response) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+		wg    sync.WaitGroup
+	)
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		close(done)
+		ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	serve := func(conn net.Conn) {
+		defer conn.Close()
+		banner := make([]byte, len(Handshake))
+		if _, err := io.ReadFull(conn, banner); err != nil || string(banner) != Handshake {
+			return
+		}
+		if _, err := io.WriteString(conn, Handshake); err != nil {
+			return
+		}
+		for {
+			payload, err := ReadFrame(conn, 0)
+			if err != nil {
+				return
+			}
+			req, err := decodeRequest(payload)
+			if err != nil {
+				return
+			}
+			resp := reply(req)
+			if resp == nil {
+				<-done
+				return
+			}
+			out, err := encodeFrame(resp)
+			if err != nil || WriteFrame(conn, out) != nil {
+				return
+			}
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				serve(conn)
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestDocsByIDCarriesRequestContext: the batched fetch rides the caller's
+// context. Cancelling the request aborts a fetch stuck on a hung shard
+// server at once (not after CallTimeout), and the RPC's client span hangs
+// off the request's trace, whose id crosses the wire.
+func TestDocsByIDCarriesRequestContext(t *testing.T) {
+	arrived := make(chan string, 2) // one send per replica, never blocks the stub
+	addr := startStub(t, func(req *request) *response {
+		if req.Op == opDocsByID {
+			arrived <- req.TraceID
+			return nil
+		}
+		return &response{OK: true}
+	})
+	replicas := []*Client{
+		NewClient(ClientConfig{Addr: addr, Shard: 0, CallTimeout: time.Minute}),
+		NewClient(ClientConfig{Addr: addr, Shard: 0, CallTimeout: time.Minute}),
+	}
+	g := NewGroup(replicas, time.Hour) // no latency hedge: one RPC in flight
+	defer g.Close()
+
+	tracer := trace.New(trace.Config{})
+	ctx, treq := tracer.StartRequest(context.Background(), "ask")
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := g.DocsByID(ctx, []string{"kb00001#0", "kb00002#0"})
+		errc <- err
+	}()
+	if got := <-arrived; got != treq.TraceID() {
+		t.Errorf("shard server saw trace id %q, the request's is %q", got, treq.TraceID())
+	}
+	cancelled := time.Now()
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled fetch returned %v, want context.Canceled", err)
+		}
+		if waited := time.Since(cancelled); waited > 2*time.Second {
+			t.Errorf("cancelled fetch took %v to return", waited)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled fetch still blocked after 10s: the request context did not reach the RPC")
+	}
+
+	// The RPC's span was opened before the request reached the stub, so it
+	// is in the trace even if its goroutine is still unwinding.
+	treq.End()
+	td, ok := tracer.Store().Get(treq.TraceID())
+	if !ok {
+		t.Fatal("request trace was not retained")
+	}
+	// One replica, no hedge: the fetch is the trace's only remote.rpc span.
+	rpc, ok := td.SpanByName("remote.rpc")
+	if !ok {
+		t.Fatal("no remote.rpc span in the request's trace")
+	}
+	op := ""
+	for _, a := range rpc.Attrs {
+		if a.Key == "op" {
+			op = a.Value
+		}
+	}
+	if op != "docsByID" {
+		t.Errorf("remote.rpc span op = %q, want docsByID", op)
+	}
+	if rpc.Parent != treq.Root().SpanID {
+		t.Errorf("remote.rpc span parent = %d, want the request root %d", rpc.Parent, treq.Root().SpanID)
+	}
+}
+
+// TestDocsByIDRejectsMalformed: an empty batch is refused by the server and
+// a reply that does not line up with the ids is refused by the client, both
+// with errors that name the problem; neither panics or hands back documents
+// in the wrong slots.
+func TestDocsByIDRejectsMalformed(t *testing.T) {
+	ctx := context.Background()
+	srv := startServer(t, ServerConfig{Index: testConfig()})
+	c := NewClient(ClientConfig{Addr: srv.Addr(), Shard: 0})
+	defer c.Close()
+	if _, err := c.call(ctx, &request{Op: opDocsByID}); err == nil || !strings.Contains(err.Error(), "at least one id") {
+		t.Errorf("empty IDs: got %v, want the server's 'at least one id' refusal", err)
+	}
+	// The client itself never sends an empty batch.
+	if docs, err := c.DocsByID(ctx, nil); err != nil || len(docs) != 0 {
+		t.Errorf("DocsByID(nil) = %v, %v", docs, err)
+	}
+
+	short := NewClient(ClientConfig{Addr: startStub(t, func(*request) *response {
+		return &response{Docs: []index.Document{testDoc(1)}}
+	}), Shard: 0})
+	defer short.Close()
+	docs, err := short.DocsByID(ctx, []string{"kb00001#0", "kb00002#0"})
+	if err == nil || !strings.Contains(err.Error(), "1 documents for 2 ids") {
+		t.Errorf("short reply: got %v, want a length-mismatch error", err)
+	}
+	if docs != nil {
+		t.Errorf("short reply still returned documents: %v", docs)
+	}
+}
+
+// TestDocsByIDOldServerIsShardDown pins the mixed-version behaviour: a
+// shard server that predates opDocsByID answers "unknown op", and the
+// frontend treats that shard as down for the fetch — a degraded, uncached
+// result holding the other shards' hits, never an error — until the server
+// is upgraded. There is no per-id fallback.
+func TestDocsByIDOldServerIsShardDown(t *testing.T) {
+	cfg := testConfig()
+	current := startServer(t, ServerConfig{Index: cfg})
+	// The old server is a real one with the new op cut out of its dispatch.
+	var upgraded atomic.Bool
+	oldStore := NewServer(ServerConfig{Index: cfg})
+	oldAddr := startStub(t, func(req *request) *response {
+		if req.Op == opDocsByID && !upgraded.Load() {
+			return &response{Err: fmt.Sprintf("remote: unknown op %d", uint8(req.Op))}
+		}
+		return oldStore.handle(req)
+	})
+	const oldShard = 1
+	backends := make([]shard.Backend, 2)
+	for i, addr := range []string{current.Addr(), oldAddr} {
+		backends[i] = NewGroup([]*Client{NewClient(ClientConfig{
+			Addr: addr, Shard: i,
+			Breaker: resilience.NewBreaker(resilience.BreakerConfig{Name: "remote:" + addr}),
+		})}, 0)
+	}
+	facade := shard.NewWithBackends(shard.Config{Index: cfg}, backends)
+	defer facade.Close()
+
+	emb := embedding.NewSynth(8, nil)
+	var docs []index.Document
+	for i := 0; i < 40; i++ {
+		d := testDoc(i)
+		d.Vectors["titleVector"] = emb.Embed(d.Fields["title"])
+		d.Vectors["contentVector"] = emb.Embed(d.Fields["content"])
+		docs = append(docs, d)
+	}
+	if err := facade.AddBulk(docs); err != nil {
+		t.Fatal(err)
+	}
+	facade.Publish()
+	s := &search.Searcher{Index: facade, Embedder: emb, Reranker: rerank.New(), Cache: search.NewQueryCache(8)}
+	const query = "istruzioni operative conto corrente"
+	res, deg, err := s.SearchDegraded(context.Background(), query, search.Options{})
+	if err != nil {
+		t.Fatalf("search against an old shard server errored: %v", err)
+	}
+	if deg.ShardsDown != 1 {
+		t.Fatalf("old shard server not reported as a shard outage: %+v", deg)
+	}
+	if len(res) == 0 {
+		t.Fatal("the current shard's hits were lost too")
+	}
+	for _, r := range res {
+		if facade.ShardFor(r.ChunkID) == oldShard {
+			t.Fatalf("result %s came from the shard that cannot serve the fetch", r.ChunkID)
+		}
+	}
+	// "unknown op" is an application answer from a healthy endpoint: it
+	// must not open the endpoint's breaker and take the search legs down.
+	for _, st := range facade.Breakers() {
+		if st.State != "closed" {
+			t.Errorf("breaker %s is %s after unknown-op replies", st.Name, st.State)
+		}
+	}
+
+	// The shard server is upgraded: same query, full result, not a replay
+	// of the degraded one.
+	upgraded.Store(true)
+	full, deg, err := s.SearchDegraded(context.Background(), query, search.Options{})
+	if err != nil || deg.Degraded() {
+		t.Fatalf("after the upgrade: deg=%+v err=%v", deg, err)
+	}
+	if len(full) <= len(res) {
+		t.Fatalf("after the upgrade %d results, degraded run had %d", len(full), len(res))
+	}
+}

@@ -19,26 +19,32 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"uniask/internal/index"
 )
 
 func FuzzRemoteWire(f *testing.F) {
 	// Seeds: a tiny valid frame, a zero-length frame, a truncated header, a
 	// huge length prefix with no payload, a cap-boundary prefix, and real
-	// encoded request/response envelopes prefixed by their true length.
+	// encoded request/response envelopes prefixed by their true length
+	// (a search pair, and the batched document fetch whose reply carries
+	// zero Documents for the ids it did not find).
 	f.Add([]byte{0, 0, 0, 1, 'x'})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0, 0, 4, 1})
-	if payload, err := encodeFrame(&request{Op: opSearchText, Query: "blocco carta", N: 5}); err == nil {
-		var buf bytes.Buffer
-		WriteFrame(&buf, payload)
-		f.Add(buf.Bytes())
-	}
-	if payload, err := encodeFrame(&response{Err: "boom", OK: true}); err == nil {
-		var buf bytes.Buffer
-		WriteFrame(&buf, payload)
-		f.Add(buf.Bytes())
+	for _, envelope := range []any{
+		&request{Op: opSearchText, Query: "blocco carta", N: 5},
+		&response{Err: "boom", OK: true},
+		&request{Op: opDocsByID, Shard: 2, IDs: []string{"kb00001#0", "nope#0", "kb00001#0"}},
+		&response{Docs: []index.Document{testDoc(1), {}, testDoc(1)}},
+	} {
+		if payload, err := encodeFrame(envelope); err == nil {
+			var buf bytes.Buffer
+			WriteFrame(&buf, payload)
+			f.Add(buf.Bytes())
+		}
 	}
 
 	const frameCap = 1 << 10 // tiny cap so the fuzzer reaches the refusal path often

@@ -282,6 +282,13 @@ func (g *Group) DocByID(id string) (index.Document, bool) {
 	return out.doc, out.ok
 }
 
+// DocsByID implements shard.Backend.
+func (g *Group) DocsByID(ctx context.Context, ids []string) ([]index.Document, error) {
+	return hedged(ctx, g, func(ctx context.Context, c *Client) ([]index.Document, error) {
+		return c.DocsByID(ctx, ids)
+	})
+}
+
 // ---- Backend: staleness signals and gauges ----
 
 // maxStatus folds per-replica statuses with max: replicas receive the same

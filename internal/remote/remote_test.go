@@ -78,6 +78,11 @@ func TestClientMatchesLocal(t *testing.T) {
 	if err := local.Add(testDoc(40)); err != nil {
 		t.Fatal(err)
 	}
+	// Quiesce the build-time compactors before deleting, so both sides hold
+	// the same tombstones whatever the RPC latency gave the remote one time
+	// to merge (a compaction that drops a tombstone moves Epoch/StatsKey).
+	c.WaitCompaction()
+	local.WaitCompaction()
 	if got, want := c.Delete("kb00007#0"), local.Delete("kb00007#0"); got != want {
 		t.Fatalf("Delete: remote %v local %v", got, want)
 	}

@@ -293,6 +293,12 @@ func (s *Server) handle(req *request) (resp *response) {
 			return &response{OK: false}
 		}
 		return &response{OK: true, Doc: &doc}
+	case opDocsByID:
+		if len(req.IDs) == 0 {
+			return &response{Err: "remote: docsByID wants at least one id"}
+		}
+		docs, _ := st.DocsByID(context.Background(), req.IDs)
+		return &response{Docs: docs}
 	case opDoc:
 		if req.Ord < 0 || req.Ord >= st.Len() {
 			return &response{Err: fmt.Sprintf("remote: ordinal %d out of range", req.Ord)}

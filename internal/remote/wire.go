@@ -98,6 +98,7 @@ const (
 	opPublish
 	opWaitCompaction
 	opSnapshot
+	opDocsByID
 )
 
 func (o op) String() string {
@@ -138,6 +139,8 @@ func (o op) String() string {
 		return "waitCompaction"
 	case opSnapshot:
 		return "snapshot"
+	case opDocsByID:
+		return "docsByID"
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -165,6 +168,8 @@ type request struct {
 	Docs    []index.Document
 	ID      string
 	Ord     int
+	// IDs is the opDocsByID batch; the reply's Docs align with it.
+	IDs []string
 }
 
 // shardStatus is the combined gauge/staleness snapshot of one hosted shard,

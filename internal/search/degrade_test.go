@@ -8,11 +8,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"uniask/internal/embedding"
 	"uniask/internal/fusion"
+	"uniask/internal/index"
 	"uniask/internal/pipeline"
+	"uniask/internal/shard"
 	"uniask/internal/vector"
 )
 
@@ -264,5 +267,76 @@ func TestResilientEmbedderHealsTransientFailure(t *testing.T) {
 	}
 	if len(res) == 0 || res[0].ParentID != "d1" {
 		t.Fatalf("results = %+v", res)
+	}
+}
+
+// fetchOutageBackend serves searches normally but fails the batched
+// document fetch while down is set: a replica group that dies between the
+// retrieval legs and materialization.
+type fetchOutageBackend struct {
+	shard.Backend
+	down atomic.Bool
+}
+
+func (b *fetchOutageBackend) DocsByID(ctx context.Context, ids []string) ([]index.Document, error) {
+	if b.down.Load() {
+		return nil, errors.New("shard unreachable")
+	}
+	return b.Backend.DocsByID(ctx, ids)
+}
+
+// An outage that hits only the document fetch used to drop the dead shard's
+// hits silently and cache the shortened ranking as complete.
+func TestFetchOutageDegradesAndIsNotCached(t *testing.T) {
+	mono, _ := buildSearcher(t)
+	backends := make([]shard.Backend, 2)
+	flaky := make([]*fetchOutageBackend, len(backends))
+	for i := range backends {
+		flaky[i] = &fetchOutageBackend{Backend: shard.NewLocal(index.NewSegmented(index.Config{}, index.SegmentConfig{}))}
+		backends[i] = flaky[i]
+	}
+	facade := shard.NewWithBackends(shard.Config{}, backends)
+	docs, _ := mono.Index.DocsByID(context.Background(), []string{"d1#0", "d1#1", "d2#0", "d3#0", "d4#0"})
+	// The outage takes the shard that owns the query's best hit, so it
+	// visibly costs a result.
+	const query, best = "bloccare la carta di credito", "d1#0"
+	owner := flaky[facade.ShardFor(best)]
+	if err := facade.AddBulk(docs); err != nil {
+		t.Fatal(err)
+	}
+	facade.Publish()
+	s := &Searcher{Index: facade, Embedder: mono.Embedder, Reranker: mono.Reranker, Cache: NewQueryCache(8)}
+
+	owner.down.Store(true)
+	res, deg, err := s.SearchDegraded(context.Background(), query, Options{})
+	if err != nil {
+		t.Fatalf("fetch outage must degrade, not error: %v", err)
+	}
+	if deg.ShardsDown != 1 || !deg.Degraded() {
+		t.Fatalf("fetch outage not reported: %+v", deg)
+	}
+	for _, r := range res {
+		if facade.ShardFor(r.ChunkID) == facade.ShardFor(best) {
+			t.Fatalf("result %s came from the unreachable shard", r.ChunkID)
+		}
+	}
+
+	// The shard recovers: the query is recomputed in full, not replayed
+	// shortened from the cache.
+	owner.down.Store(false)
+	res, deg, err = s.SearchDegraded(context.Background(), query, Options{})
+	if err != nil || deg.Degraded() {
+		t.Fatalf("after recovery: deg=%+v err=%v", deg, err)
+	}
+	if len(res) == 0 || res[0].ChunkID != best {
+		t.Fatalf("after recovery the best hit is missing: %+v", res)
+	}
+	if st := s.Cache.Stats(); st.Hits != 0 {
+		t.Fatalf("degraded result was served from cache: %+v", st)
+	}
+
+	// A hit deleted between retrieval and the fetch stays a quiet skip.
+	if got, down := facade.DocsByID(context.Background(), []string{"d9#9", best}); down != 0 || got[0].ID != "" || got[1].ID != best {
+		t.Fatalf("unknown id: docs=%+v down=%d", got, down)
 	}
 }

@@ -421,7 +421,8 @@ func (s *Searcher) searchOnce(ctx context.Context, query string, qvec vector.Vec
 	if err != nil {
 		return nil, deg, err
 	}
-	res, err := s.finalize(ctx, query, qvec, fused, opts)
+	res, d, err := s.finalize(ctx, query, qvec, fused, opts)
+	deg.merge(d)
 	return res, deg, err
 }
 
@@ -594,16 +595,35 @@ func (s *Searcher) fuse(ctx context.Context, rankings []fusion.Ranking, opts Opt
 	return fused, nil
 }
 
-// finalize materializes results and applies semantic reranking: the final
-// score is the RRF score plus the reranker score, re-sorted.
-func (s *Searcher) finalize(ctx context.Context, query string, qvec vector.Vector, fused []fusion.Fused, opts Options) ([]Result, error) {
+// finalize materializes the fused hits and applies semantic reranking: the
+// final score is the RRF score plus the reranker score, re-sorted. The hits
+// are fetched once, in one batched read (on a sharded index: one round trip
+// per shard, under the request's deadline), and each hit's content vector
+// rides along into the rerank loop. An id the index no longer holds (deleted
+// since retrieval) is skipped quietly; a shard that cannot be reached for
+// the fetch is reported as Degradation.ShardsDown, because the ranking is
+// then missing that shard's hits and must not be cached as complete.
+func (s *Searcher) finalize(ctx context.Context, query string, qvec vector.Vector, fused []fusion.Fused, opts Options) ([]Result, Degradation, error) {
+	var deg Degradation
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, deg, err
+	}
+	ids := make([]string, len(fused))
+	for i, f := range fused {
+		ids[i] = f.ID
+	}
+	docs, down := s.Index.DocsByID(ctx, ids)
+	if err := ctx.Err(); err != nil {
+		return nil, deg, err
+	}
+	if down > 0 {
+		deg.ShardsDown = down
+		s.shed(ctx, "document fetch", down, fmt.Errorf("%d shard(s) unreachable", down))
 	}
 	results := make([]Result, 0, len(fused))
-	for _, f := range fused {
-		doc, ok := s.Index.DocByID(f.ID)
-		if !ok {
+	contentVecs := make([]vector.Vector, 0, len(fused))
+	for i, doc := range docs {
+		if doc.ID == "" {
 			continue
 		}
 		results = append(results, Result{
@@ -612,23 +632,23 @@ func (s *Searcher) finalize(ctx context.Context, query string, qvec vector.Vecto
 			Title:    doc.Fields["title"],
 			Content:  doc.Fields["content"],
 			Summary:  doc.Fields["summary"],
-			Score:    f.Score,
+			Score:    fused[i].Score,
 		})
+		contentVecs = append(contentVecs, doc.Vectors["contentVector"])
 	}
 	if s.Reranker == nil || opts.DisableSemanticRerank {
-		return results, nil
+		return results, deg, nil
 	}
 	err := pipeline.Run(ctx, s.obs(), pipeline.StageRerank, len(results), func(ctx context.Context) (int, error) {
 		for i := range results {
 			if err := ctx.Err(); err != nil {
 				return 0, err
 			}
-			doc, _ := s.Index.DocByID(results[i].ChunkID)
 			in := rerank.Input{
 				ID:            results[i].ChunkID,
 				Title:         results[i].Title,
 				Content:       results[i].Content,
-				ContentVector: doc.Vectors["contentVector"],
+				ContentVector: contentVecs[i],
 			}
 			results[i].Score += s.Reranker.Score(query, qvec, in)
 		}
@@ -636,9 +656,9 @@ func (s *Searcher) finalize(ctx context.Context, query string, qvec vector.Vecto
 		return len(results), nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, deg, err
 	}
-	return results, nil
+	return results, deg, nil
 }
 
 // searchQGA expands the query with a context-free LLM answer. When the
@@ -710,7 +730,8 @@ func (s *Searcher) searchMQ1(ctx context.Context, query string, opts Options) ([
 		return nil, deg, err
 	}
 	// vecs[0] is the original query's embedding — reused, not re-embedded.
-	res, err := s.finalize(ctx, query, vecs[0], fused, opts)
+	res, d, err := s.finalize(ctx, query, vecs[0], fused, opts)
+	deg.merge(d)
 	return res, deg, err
 }
 

@@ -235,7 +235,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /api/sessions", s.handleSessionCreate)
 	mux.HandleFunc("GET /api/sessions/{sid}", s.handleSessionGet)
 	mux.HandleFunc("POST /api/sessions/{sid}/ask", s.handleSessionAsk)
-	mux.HandleFunc("POST /api/sessions/{sid}/feedback", s.handleSessionFeedback)
+	mux.HandleFunc("POST /api/sessions/{sid}/feedback", s.withDeadline(s.handleSessionFeedback))
 	mux.HandleFunc("GET /api/dashboard", s.handleDashboard)
 	mux.HandleFunc("GET /api/traces", s.handleTraces)
 	mux.HandleFunc("GET /api/traces/{id}", s.handleTraceByID)
@@ -254,7 +254,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("POST /t/{tenant}/api/sessions", s.handleSessionCreate)
 		mux.HandleFunc("GET /t/{tenant}/api/sessions/{sid}", s.handleSessionGet)
 		mux.HandleFunc("POST /t/{tenant}/api/sessions/{sid}/ask", s.handleSessionAsk)
-		mux.HandleFunc("POST /t/{tenant}/api/sessions/{sid}/feedback", s.handleSessionFeedback)
+		mux.HandleFunc("POST /t/{tenant}/api/sessions/{sid}/feedback", s.withDeadline(s.handleSessionFeedback))
 		mux.HandleFunc("GET /t/{tenant}/api/dashboard", s.handleDashboard)
 		mux.HandleFunc("GET /t/{tenant}/api/traces", s.handleTraces)
 		mux.HandleFunc("GET /t/{tenant}/api/health", s.handleHealth)

@@ -534,30 +534,40 @@ func (s *Server) handleSessionFeedback(w http.ResponseWriter, r *http.Request) {
 	if queryText == "" {
 		queryText = turn.Question
 	}
+	// The clicked document and everything ranked above it, resolved in one
+	// batched read under the request's deadline.
+	inputs := clickInputs(q, turn.Documents[:clickedAt+1])
 	click := rerank.Click{
-		Query:    queryText,
-		QueryVec: q.eng.Embedder.Embed(queryText),
-		Clicked:  s.clickInput(q, turn.Documents[clickedAt]),
-	}
-	for _, d := range turn.Documents[:clickedAt] {
-		click.SkippedAbove = append(click.SkippedAbove, s.clickInput(q, d))
+		Query:        queryText,
+		QueryVec:     q.eng.Embedder.Embed(queryText),
+		Clicked:      inputs[clickedAt],
+		SkippedAbove: inputs[:clickedAt],
 	}
 	rr.Recalibrate(click)
 	st := rr.Stats()
 	writeJSON(w, sessionFeedbackResponse{Applied: true, Version: st.Version, Clicks: st.Clicks})
 }
 
-// clickInput resolves a cited turn document into the reranker's feature
-// input, re-reading the live chunk for its text and embedding. A chunk
-// deleted since the turn degrades to the title recorded at answer time.
-func (s *Server) clickInput(q queryGrant, d session.TurnDoc) rerank.Input {
-	in := rerank.Input{ID: d.ChunkID, Title: d.Title}
-	if doc, ok := q.eng.Index.DocByID(d.ChunkID); ok {
-		in.Title = doc.Fields["title"]
-		in.Content = doc.Fields["content"]
-		in.ContentVector = doc.Vectors["contentVector"]
+// clickInputs resolves cited turn documents into the reranker's feature
+// inputs, re-reading the live chunks for their text and embeddings. A chunk
+// deleted since the turn (or on a shard that cannot be reached right now)
+// degrades to the title recorded at answer time.
+func clickInputs(q queryGrant, cited []session.TurnDoc) []rerank.Input {
+	ids := make([]string, len(cited))
+	for i, d := range cited {
+		ids[i] = d.ChunkID
 	}
-	return in
+	docs, _ := q.eng.Index.DocsByID(q.ctx, ids)
+	inputs := make([]rerank.Input, len(cited))
+	for i, d := range cited {
+		inputs[i] = rerank.Input{ID: d.ChunkID, Title: d.Title}
+		if doc := docs[i]; doc.ID != "" {
+			inputs[i].Title = doc.Fields["title"]
+			inputs[i].Content = doc.Fields["content"]
+			inputs[i].ContentVector = doc.Vectors["contentVector"]
+		}
+	}
+	return inputs
 }
 
 // mustJSON marshals a payload that cannot fail (plain structs, no cycles).

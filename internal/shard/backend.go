@@ -36,6 +36,11 @@ type Backend interface {
 	SearchTextGlobal(ctx context.Context, query string, n int, opts index.TextOptions, stats *index.CorpusStats) ([]index.Hit, error)
 	SearchVectorUnit(ctx context.Context, field string, q vector.Vector, k int, filters []index.Filter) ([]index.Hit, error)
 	DocByID(id string) (index.Document, bool)
+	// DocsByID is the batched, deadline-carrying document read the facade
+	// issues once per shard per query: docs is aligned with ids, an unknown
+	// or tombstoned id yields the zero Document, and an error means the
+	// shard could not be asked at all.
+	DocsByID(ctx context.Context, ids []string) ([]index.Document, error)
 
 	// Staleness signals and gauges. These are read on the query hot path
 	// (cache keying) and by the dashboard; implementations must keep them
@@ -112,6 +117,15 @@ func (l *Local) SearchVectorUnit(ctx context.Context, field string, q vector.Vec
 		return nil, err
 	}
 	return l.Segmented.SearchVectorUnit(field, q, k, filters), nil
+}
+
+// DocsByID implements Backend.
+func (l *Local) DocsByID(ctx context.Context, ids []string) ([]index.Document, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	docs, _ := l.Segmented.DocsByID(ctx, ids)
+	return docs, nil
 }
 
 // Close implements Backend (a local shard holds no connections).

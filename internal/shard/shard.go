@@ -387,6 +387,58 @@ func (s *Sharded) DocByID(id string) (index.Document, bool) {
 	return s.shards[s.ShardFor(id)].DocByID(id)
 }
 
+// DocsByID implements index.Queryable: ids are grouped by owning shard and
+// every shard that owns at least one is asked exactly once, in parallel over
+// the same bounded fan-out as the search legs, so materializing a query's
+// results costs at most NumShards round trips however many hits it has. docs
+// is aligned with ids. A shard that cannot be reached leaves its slots zero
+// and is counted in shardsDown (the search layer reports it as a
+// Degradation); a cancelled caller is not an outage and reports 0.
+func (s *Sharded) DocsByID(ctx context.Context, ids []string) (docs []index.Document, shardsDown int) {
+	docs = make([]index.Document, len(ids))
+	// slots[i] lists the positions in ids that shard i owns.
+	slots := make([][]int, len(s.shards))
+	for pos, id := range ids {
+		i := s.ShardFor(id)
+		slots[i] = append(slots[i], pos)
+	}
+	type fetchOutcome struct {
+		docs []index.Document
+		err  error
+	}
+	perShard, err := pipeline.Map(ctx, s.cfg.Workers, len(s.shards),
+		func(ctx context.Context, i int) (fetchOutcome, error) {
+			if len(slots[i]) == 0 {
+				return fetchOutcome{}, nil
+			}
+			owned := make([]string, len(slots[i]))
+			for j, pos := range slots[i] {
+				owned[j] = ids[pos]
+			}
+			ctx, sp := trace.Start(ctx, "shard.fetch", trace.A("shard", strconv.Itoa(i)), trace.A("ids", strconv.Itoa(len(owned))))
+			got, err := s.shards[i].DocsByID(ctx, owned)
+			sp.SetError(err)
+			sp.End()
+			return fetchOutcome{docs: got, err: err}, nil
+		})
+	if err != nil || ctx.Err() != nil {
+		// Cancelled: any per-shard errors are the torn-down fan-out, not
+		// outages (see SearchTextPartial).
+		return docs, 0
+	}
+	for i, o := range perShard {
+		if o.err != nil {
+			shardsDown++
+			trace.AddEvent(ctx, "shard.down", trace.A("shard", strconv.Itoa(i)), trace.A("leg", "fetch"))
+			continue
+		}
+		for j, pos := range slots[i] {
+			docs[pos] = o.docs[j]
+		}
+	}
+	return docs, shardsDown
+}
+
 // Schema returns the shared shard schema.
 func (s *Sharded) Schema() index.Schema { return s.tmpl.Schema() }
 
