@@ -42,7 +42,8 @@ shardparity:
 # ..."), so godoc renders an operator-readable overview of each subsystem.
 # Then cmd/doccheck walks README.md, DESIGN.md, OPERATIONS.md and docs/*.md
 # and fails on dead intra-repo links (files moved or renamed without their
-# references following).
+# references following), and on any cmd/* or internal/* directory that
+# DESIGN.md §2 "Repository layout" does not list.
 doccheck:
 	@set -e; for d in internal/*/; do \
 		pkg=$$(basename $$d); \

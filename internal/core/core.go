@@ -399,8 +399,8 @@ func (e *Engine) CacheStats() (search.CacheStats, bool) {
 // latter by re-routing every live document), while a monolithic engine
 // accepts only single-file snapshots and rejects sharded containers with
 // index.ErrShardedSnapshot. The searcher is repointed and the query cache
-// purged — the fresh index restarts its epoch at zero, so stale entries
-// could otherwise look current.
+// purged — the restored index's stats key may collide with the old one's,
+// so stale entries could otherwise look current.
 func (e *Engine) LoadIndex(r io.Reader) error {
 	if len(e.cfg.RemoteShards) > 0 {
 		// Remote shards own their data; restore them with uniask-shard
@@ -536,9 +536,10 @@ type Response struct {
 	DegradedParts []string
 }
 
-// Search runs retrieval only, with the engine's default options.
-func (e *Engine) Search(ctx context.Context, query string) ([]search.Result, error) {
-	return e.Searcher.Search(ctx, query, e.cfg.SearchOptions)
+// Search runs retrieval only, with the engine's default options. Like Ask it
+// reports what was shed (shards down, vector legs) instead of hiding it.
+func (e *Engine) Search(ctx context.Context, query string) ([]search.Result, search.Degradation, error) {
+	return e.Searcher.SearchDegraded(ctx, query, e.cfg.SearchOptions)
 }
 
 // Ask runs the full user query flow of Figure 1 as an instrumented stage
@@ -652,11 +653,7 @@ func (e *Engine) AskConversational(ctx context.Context, question string, history
 	var ans generation.Answer
 	err = pipeline.Run(ctx, e.obs, pipeline.StageGeneration, len(chunks), func(ctx context.Context) (int, error) {
 		var err error
-		if ev.OnToken != nil {
-			ans, err = e.Generator.GenerateStream(ctx, retrieveQuery, chunks, ev.OnToken)
-		} else {
-			ans, err = e.Generator.Generate(ctx, retrieveQuery, chunks)
-		}
+		ans, err = e.Generator.GenerateStream(ctx, retrieveQuery, chunks, ev.OnToken)
 		return 1, err
 	})
 	if err != nil {

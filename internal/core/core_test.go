@@ -107,7 +107,7 @@ func TestAskContentFilterBlocksBeforeRetrieval(t *testing.T) {
 
 func TestSearchReturnsParentableResults(t *testing.T) {
 	e, c := engine(t)
-	results, err := e.Search(context.Background(), c.Docs[0].Title)
+	results, _, err := e.Search(context.Background(), c.Docs[0].Title)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSearchFindsTargetDocument(t *testing.T) {
 	e, c := engine(t)
 	// Query with a document's exact title: its parent must rank first.
 	d := c.Docs[5]
-	results, err := e.Search(context.Background(), d.Title)
+	results, _, err := e.Search(context.Background(), d.Title)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestPollerAppliesEditsAndDeletions(t *testing.T) {
 	if n, err := sync(); err != nil || n != 1 {
 		t.Fatalf("initial sync = %d, %v", n, err)
 	}
-	if res, _ := eng.Search(context.Background(), "unicaoriginale"); len(res) == 0 {
+	if res, _, _ := eng.Search(context.Background(), "unicaoriginale"); len(res) == 0 {
 		t.Fatal("initial content not indexed")
 	}
 
@@ -293,13 +293,13 @@ func TestPollerAppliesEditsAndDeletions(t *testing.T) {
 	if n, err := sync(); err != nil || n != 1 {
 		t.Fatalf("edit sync = %d, %v", n, err)
 	}
-	if res, _ := eng.Search(context.Background(), "unicanuova"); len(res) == 0 {
+	if res, _, _ := eng.Search(context.Background(), "unicanuova"); len(res) == 0 {
 		t.Fatal("edited content not searchable")
 	}
 	// Vector search still returns the nearest (new) chunk for any query —
 	// UniAsk always shows a document list — but no result may carry the
 	// stale text.
-	res, _ := eng.Search(context.Background(), "unicaoriginale")
+	res, _, _ := eng.Search(context.Background(), "unicaoriginale")
 	for _, r := range res {
 		if strings.Contains(r.Content, "unicaoriginale") {
 			t.Fatalf("stale content still searchable: %v", r)

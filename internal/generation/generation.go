@@ -57,44 +57,15 @@ type Generator struct {
 }
 
 // Generate builds the prompt for question over chunks and returns the
-// parsed answer. Chunks beyond M are dropped, matching the deployment.
+// parsed answer: GenerateStream with nobody listening.
 func (g *Generator) Generate(ctx context.Context, question string, chunks []RetrievedChunk) (Answer, error) {
-	m := g.M
-	if m <= 0 {
-		m = DefaultM
-	}
-	if len(chunks) > m {
-		chunks = chunks[:m]
-	}
-	ctxChunks := make([]llm.ContextChunk, len(chunks))
-	keyToID := make(map[string]string, len(chunks))
-	for i, ch := range chunks {
-		key := fmt.Sprintf("doc%d", i+1)
-		ctxChunks[i] = llm.ContextChunk{Key: key, Title: ch.Title, Content: ch.Content}
-		keyToID[key] = ch.ID
-	}
-	req := llm.BuildAnswerPrompt(question, ctxChunks)
-	req.MaxTokens = g.MaxTokens
-	resp, err := g.Client.Complete(ctx, req)
-	if err != nil {
-		if g.fallbackEligible(ctx, err) {
-			return Extractive(question, chunks), nil
-		}
-		return Answer{}, fmt.Errorf("generation: %w", err)
-	}
-	keys := ExtractCitationKeys(resp.Content)
-	ans := Answer{Text: resp.Content, CitedKeys: keys, Usage: resp}
-	for _, k := range keys {
-		if id, ok := keyToID[k]; ok {
-			ans.Citations = append(ans.Citations, id)
-		}
-	}
-	return ans, nil
+	return g.GenerateStream(ctx, question, chunks, nil)
 }
 
-// GenerateStream is the streaming variant of Generate: answer chunks are
-// delivered through emit as the LLM produces them, then the parsed answer
-// is returned whole. The fallback contract is wider than Generate's — a
+// GenerateStream builds the prompt for question over chunks (chunks beyond
+// M are dropped, matching the deployment), delivers answer chunks through
+// emit as the LLM produces them (nil emit = no streaming) and returns the
+// parsed answer whole. Once emit has run the fallback contract widens — a
 // stream that dies after its first byte cannot be retried (the consumer
 // has already rendered partial output), so any mid-stream failure with the
 // caller still waiting degrades to the extractive answer. The caller is

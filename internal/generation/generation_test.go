@@ -6,8 +6,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"uniask/internal/faulty"
 	"uniask/internal/llm"
+	"uniask/internal/resilience"
 )
 
 var chunks = []RetrievedChunk{
@@ -130,5 +133,42 @@ func TestCitationsOnlyResolveKnownKeys(t *testing.T) {
 	}
 	if len(ans.CitedKeys) != 2 {
 		t.Fatalf("cited keys = %v", ans.CitedKeys)
+	}
+}
+
+// TestGenerateIsGenerateStreamNilEmit pins the delegation: over the same
+// fault script (transient errors retried, a garbled completion, an exhausted
+// retry budget that degrades to the extractive answer), Generate and
+// GenerateStream with a nil emit return the same answers and errors and make
+// the same number of LLM attempts.
+func TestGenerateIsGenerateStreamNilEmit(t *testing.T) {
+	script := []faulty.Kind{
+		faulty.OK, faulty.Error, faulty.OK, faulty.Malformed,
+		faulty.Error, faulty.Error, faulty.Error, faulty.OK,
+	}
+	newGen := func() (*Generator, *faulty.Schedule) {
+		sched := faulty.Script(script...)
+		return &Generator{Client: &llm.ResilientClient{
+			Inner:  &faulty.Client{Inner: llm.NewSim(llm.DefaultBehavior()), Sched: sched},
+			Policy: resilience.Policy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond},
+		}}, sched
+	}
+	plain, plainSched := newGen()
+	stream, streamSched := newGen()
+	sawFallback := false
+	for i := 0; i < 5; i++ {
+		q := "Come posso bloccare la carta di credito?"
+		a, aerr := plain.Generate(context.Background(), q, chunks)
+		b, berr := stream.GenerateStream(context.Background(), q, chunks, nil)
+		if !reflect.DeepEqual(a, b) || (aerr == nil) != (berr == nil) {
+			t.Fatalf("call %d: Generate = (%+v, %v), GenerateStream(nil) = (%+v, %v)", i, a, aerr, b, berr)
+		}
+		if plainSched.Calls() != streamSched.Calls() {
+			t.Fatalf("call %d: %d attempts via Generate, %d via GenerateStream(nil)", i, plainSched.Calls(), streamSched.Calls())
+		}
+		sawFallback = sawFallback || a.Degraded
+	}
+	if !sawFallback {
+		t.Fatal("the script never exhausted the retry budget: the fallback contract went uncompared")
 	}
 }

@@ -77,7 +77,6 @@ func TestConcurrentSearchWithLiveWriter(t *testing.T) {
 	reader(func() {
 		ix.DocByID("c005#0")
 		ix.LiveLen()
-		ix.Epoch()
 		ix.Tombstones()
 	})
 
@@ -112,9 +111,6 @@ func TestConcurrentSearchWithLiveWriter(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if got := ix.Epoch(); got == 0 {
-		t.Fatal("epoch did not advance under writes")
-	}
 	if hits := ix.SearchText("procedura conto corrente", 10, TextOptions{}); len(hits) == 0 {
 		t.Fatal("no hits after concurrent mutation")
 	}
@@ -194,7 +190,6 @@ func TestSegmentedIngestWhileQuery(t *testing.T) {
 		seg.DocByID("g005#0")
 		seg.LiveLen()
 		seg.StatsKey()
-		seg.Epoch()
 		seg.SegmentStats()
 		seg.DeletesSince(0)
 	})

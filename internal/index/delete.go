@@ -7,8 +7,8 @@ package index
 // filtered out of every search result; its external id is freed for
 // re-insertion. Compact rebuilds reclaim the space. Tombstoning does not
 // touch the filter bitset cache — deletion is checked separately on the
-// query path — but it does bump the mutation epoch so query-result caches
-// invalidate.
+// query path — but it is recorded in the delete journal so query-result
+// caches evict the entries that surfaced the chunk.
 
 // Delete tombstones a chunk by external id. It reports whether the id was
 // present.
@@ -41,7 +41,6 @@ func (ix *Index) deleteLocked(chunkID string) bool {
 	} else {
 		ix.byParent[parent] = live
 	}
-	ix.epoch.Add(1)
 	// A tombstone does not move the stats key — BM25 statistics still count
 	// the chunk — but the delete journal lets caches evict exactly the
 	// entries that surfaced it.

@@ -110,13 +110,11 @@ type Config struct {
 // (SearchText, SearchVector, Doc, DocByID, ...) racing a single live writer
 // (Add, Delete, DeleteParent) — the 15-minute ingestion poller updating the
 // index under production query traffic. Readers take mu.RLock, writers take
-// mu.Lock, and every successful mutation bumps a monotonically increasing
-// epoch that callers (e.g. the search-layer query cache) use to detect
-// staleness without holding any lock.
+// mu.Lock. The staleness signals a query cache keys on — StatsKey and the
+// delete journal — are readable without holding any lock.
 type Index struct {
 	cfg      Config
 	mu       sync.RWMutex
-	epoch    atomic.Uint64
 	statsKey atomic.Uint64
 	journal  *DeleteJournal
 	docs     []Document
@@ -201,12 +199,6 @@ func New(cfg Config) *Index {
 	return ix
 }
 
-// Epoch returns the index mutation epoch: a counter bumped by every
-// successful Add/Delete. Readers snapshot it to detect concurrent mutation
-// (the search-layer query cache invalidates on epoch change). It is safe to
-// call without holding any lock.
-func (ix *Index) Epoch() uint64 { return ix.epoch.Load() }
-
 // StatsKey identifies the BM25 stats snapshot queries are currently scored
 // under. On a plain mutable index every Add changes the corpus statistics
 // immediately, so the key advances with each Add; Delete leaves it alone,
@@ -259,9 +251,8 @@ func (ix *Index) Add(doc Document) error {
 	}
 	// Bump before the first mutation: even a failed vector insert below has
 	// already changed index state, and a too-early bump only costs a cache
-	// miss while a missed bump would serve stale results. The stats key moves
-	// with it — on a mutable index every Add shifts the idf curve at once.
-	ix.epoch.Add(1)
+	// miss while a missed bump would serve stale results — on a mutable
+	// index every Add shifts the idf curve at once.
 	ix.statsKey.Add(1)
 	id := int32(len(ix.docs))
 	ix.docs = append(ix.docs, doc)

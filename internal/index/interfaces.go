@@ -15,31 +15,11 @@ import (
 // union, Repository. *Index satisfies all of them; the compile-time
 // assertions at the bottom keep that true.
 
-// Searcher is the per-shard query surface the sharded facade drives: plain
-// local search plus the two hooks that make cross-shard BM25 exact —
-// CollectStats exports a shard's corpus statistics and SearchTextGlobal
-// scores with the merged aggregate instead of local stats.
-type Searcher interface {
-	Epoch() uint64
-	SearchText(query string, n int, opts TextOptions) []Hit
-	SearchTextGlobal(query string, n int, opts TextOptions, stats *CorpusStats) []Hit
-	CollectStats(fields, terms []string) CorpusStats
-	SearchVector(field string, q vector.Vector, k int, filters []Filter) []Hit
-	// SearchVectorUnit is SearchVector for a query the caller already
-	// normalized to unit length — the facade normalizes once per request
-	// and fans the same unit vector out to every shard.
-	SearchVectorUnit(field string, q vector.Vector, k int, filters []Filter) []Hit
-	VectorFields() []string
-	SearchableFields() []string
-	DocByID(id string) (Document, bool)
-}
-
 // Queryable is the read surface the search layer needs: ranked retrieval,
 // result materialization, and the staleness signals its query cache keys on
 // — the stats snapshot key for score validity and the delete journal for
 // precise per-document eviction.
 type Queryable interface {
-	Epoch() uint64
 	// StatsKey identifies the BM25 stats snapshot in effect; it changes only
 	// when corpus statistics (and therefore every query's scores) change.
 	StatsKey() uint64
@@ -95,10 +75,7 @@ type Repository interface {
 	Save(w io.Writer) error
 }
 
-var (
-	_ Searcher   = (*Index)(nil)
-	_ Repository = (*Index)(nil)
-)
+var _ Repository = (*Index)(nil)
 
 // AddBulk indexes docs in order, stopping at the first error. On a
 // monolithic index it is a plain sequential loop; the sharded facade

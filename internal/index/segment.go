@@ -17,9 +17,8 @@ import (
 // Add/Delete while immutable sealed segments are searched read-only, and a
 // background compactor merges sealed segments off the query path. It
 // satisfies the same Repository surface as a plain *Index, so the search,
-// ingestion and persistence layers run on either interchangeably, and the
-// same Searcher surface, so the shard facade can hold one Segmented per
-// shard.
+// ingestion and persistence layers run on either interchangeably; the shard
+// facade holds one Segmented per shard.
 //
 // Search visibility is immediate: queries always see memtable documents,
 // scored with corpus statistics collected live across every part
@@ -57,7 +56,6 @@ type Segmented struct {
 	mem    *Index   // mutable memtable; always non-nil
 	sealed []*Index // immutable sealed segments, oldest first
 
-	epoch    atomic.Uint64
 	statsKey atomic.Uint64
 	journal  *DeleteJournal
 
@@ -129,10 +127,9 @@ func NewSegmented(cfg Config, scfg SegmentConfig) *Segmented {
 }
 
 // Compile-time checks: the segmented store is a drop-in Repository for the
-// engine and a drop-in Searcher for the shard facade.
+// engine.
 var (
 	_ Repository = (*Segmented)(nil)
-	_ Searcher   = (*Segmented)(nil)
 	_ Publisher  = (*Segmented)(nil)
 )
 
@@ -152,11 +149,6 @@ func (s *Segmented) partsLocked() []*Index {
 	out = append(out, s.mem)
 	return out
 }
-
-// Epoch returns the store mutation epoch: bumped by every Add and
-// successful Delete (matching a plain index) and by every stats-changing
-// compaction.
-func (s *Segmented) Epoch() uint64 { return s.epoch.Load() }
 
 // StatsKey identifies the published BM25 stats snapshot. Unlike a plain
 // index — where every Add moves the key because statistics shift
@@ -196,7 +188,6 @@ func (s *Segmented) Add(doc Document) error {
 		return err
 	}
 	s.assignSeq(doc.ID)
-	s.epoch.Add(1)
 	if max := s.scfg.memtableMax(); max > 0 && mem.Len() >= max {
 		s.seal()
 		s.maybeCompact()
@@ -237,7 +228,6 @@ func (s *Segmented) Delete(chunkID string) bool {
 	s.mu.RUnlock()
 	if ok {
 		s.journal.Record(chunkID)
-		s.epoch.Add(1)
 	}
 	return ok
 }
@@ -259,7 +249,6 @@ func (s *Segmented) DeleteParent(parentID string) int {
 	s.mu.RUnlock()
 	for _, id := range removed {
 		s.journal.Record(id)
-		s.epoch.Add(1)
 	}
 	return len(removed)
 }
@@ -446,7 +435,6 @@ func (s *Segmented) CompactOnce(ctx context.Context) (bool, error) {
 		// Dropping tombstones shrinks N, total lengths and document
 		// frequencies — a new published stats snapshot.
 		s.statsKey.Add(1)
-		s.epoch.Add(1)
 	}
 	return true, nil
 }

@@ -54,7 +54,7 @@ var segQueries = []string{
 
 // assertTextParity compares SearchText rankings (ids and scores; ordinals
 // are part-local by design) between two stores for every fixture query.
-func assertTextParity(t *testing.T, label string, mono, seg Searcher) {
+func assertTextParity(t *testing.T, label string, mono, seg Queryable) {
 	t.Helper()
 	for _, q := range segQueries {
 		want := mono.SearchText(q, 20, TextOptions{})
@@ -72,7 +72,7 @@ func assertTextParity(t *testing.T, label string, mono, seg Searcher) {
 }
 
 // assertVectorParity compares SearchVector rankings between two stores.
-func assertVectorParity(t *testing.T, label string, mono, seg Searcher, q vector.Vector) {
+func assertVectorParity(t *testing.T, label string, mono, seg Queryable, q vector.Vector) {
 	t.Helper()
 	want := mono.SearchVector("contentVector", q, 15, nil)
 	got := seg.SearchVector("contentVector", q, 15, nil)
@@ -263,27 +263,6 @@ func TestSegmentedStatsKeySemantics(t *testing.T) {
 	}
 	if merged && seg.StatsKey() != afterThird {
 		t.Fatalf("tombstone-free compaction rotated the stats key: %d -> %d", afterThird, seg.StatsKey())
-	}
-}
-
-// TestSegmentedEpochMatchesPlainIndex keeps the mutation epoch contract the
-// shard facade relies on: every Add and successful Delete bumps by one,
-// exactly like a plain index, regardless of seals in between.
-func TestSegmentedEpochMatchesPlainIndex(t *testing.T) {
-	plain := New(Config{})
-	seg := NewSegmented(Config{}, SegmentConfig{MemtableMaxDocs: 4, CompactionFanIn: -1})
-	for _, d := range segCorpus(10) {
-		if err := plain.Add(d); err != nil {
-			t.Fatal(err)
-		}
-		if err := seg.Add(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	plain.Delete("s003#0")
-	seg.Delete("s003#0")
-	if plain.Epoch() != seg.Epoch() {
-		t.Fatalf("segmented epoch %d, plain %d", seg.Epoch(), plain.Epoch())
 	}
 }
 

@@ -48,10 +48,10 @@ type segManifest struct {
 	// survives a save/load cycle.
 	NextSeq uint64
 	Seq     map[string]uint64
-	// StatsKey and Epoch carry the published-snapshot key and mutation
-	// epoch across restarts so monotonicity guarantees hold process-wide.
+	// StatsKey carries the published-snapshot key across restarts so its
+	// monotonicity holds process-wide. (Containers written before the
+	// mutation epoch was removed also carry an Epoch field; gob skips it.)
 	StatsKey uint64
-	Epoch    uint64
 }
 
 // segManifestVersion is the current container layout version.
@@ -122,7 +122,6 @@ func (s *Segmented) Save(w io.Writer) error {
 		NextSeq:  s.nextSeq,
 		Seq:      make(map[string]uint64, len(s.seq)),
 		StatsKey: s.statsKey.Load(),
-		Epoch:    s.epoch.Load(),
 	}
 	for id, sq := range s.seq {
 		m.Seq[id] = sq
@@ -215,7 +214,6 @@ func ReadSegmented(r io.Reader, cfg Config, scfg SegmentConfig) (*Segmented, err
 	}
 	s.nextSeq = m.NextSeq
 	s.statsKey.Store(m.StatsKey)
-	s.epoch.Store(m.Epoch)
 	return s, nil
 }
 

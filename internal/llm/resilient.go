@@ -42,40 +42,19 @@ type ResilientClient struct {
 	Breaker *resilience.Breaker
 }
 
-// Complete implements Client. On a traced request the whole call — every
-// retry attempt, breaker shed and breaker transition included — is one
-// "llm.complete" leaf span.
-func (c *ResilientClient) Complete(ctx context.Context, req Request) (resp Response, err error) {
-	ctx, sp := trace.Start(ctx, "llm.complete")
-	defer func() {
-		sp.SetError(err)
-		sp.End()
-	}()
-	p := c.Policy
-	if p.Classify == nil {
-		p.Classify = ClassifyLLMError
-	}
-	if c.Breaker == nil {
-		return resilience.DoValue(ctx, p, func(ctx context.Context) (Response, error) {
-			return c.Inner.Complete(ctx, req)
-		})
-	}
-	return resilience.DoValue(ctx, p, func(ctx context.Context) (Response, error) {
-		if err := c.Breaker.Allow(); err != nil {
-			trace.AddEvent(ctx, "breaker.shed", trace.A("breaker", c.Breaker.Name()))
-			return Response{}, err
-		}
-		resp, err := c.Inner.Complete(ctx, req)
-		c.Breaker.RecordCtx(ctx, err)
-		return resp, err
-	})
+// Complete implements Client: a stream nobody listens to.
+func (c *ResilientClient) Complete(ctx context.Context, req Request) (Response, error) {
+	return c.CompleteStream(ctx, req, nil)
 }
 
-// CompleteStream implements StreamClient. Retries apply only before the
-// first byte: once a chunk has been emitted downstream the consumer has
-// seen partial output, so a replay would duplicate it — any later failure
-// is marked terminal and surfaces to the caller, who degrades to the
-// extractive fallback instead. Breaker accounting matches Complete.
+// CompleteStream implements StreamClient, and is the one retry/breaker loop
+// (a nil emit is a plain completion). On a traced request the whole call —
+// every retry attempt, breaker shed and breaker transition included — is
+// one "llm.complete" leaf span. Retries apply only before the first byte:
+// once a chunk has been emitted downstream the consumer has seen partial
+// output, so a replay would duplicate it — any later failure is marked
+// terminal and surfaces to the caller, who degrades to the extractive
+// fallback instead.
 func (c *ResilientClient) CompleteStream(ctx context.Context, req Request, emit func(chunk string) error) (resp Response, err error) {
 	ctx, sp := trace.Start(ctx, "llm.complete")
 	defer func() {

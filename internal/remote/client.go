@@ -31,7 +31,7 @@ type ClientConfig struct {
 	// caller's per-shard context).
 	CallTimeout time.Duration
 	// StatusTimeout bounds the background status refresh that feeds
-	// Epoch/StatsKey/gauges (default 2s — these run on the query hot path
+	// StatsKey/gauges (default 2s — these run on the query hot path
 	// and must fail fast so the cached fallback kicks in).
 	StatusTimeout time.Duration
 	// MaxFrame caps response frames (0 = DefaultMaxFrame).
@@ -403,9 +403,9 @@ func (c *Client) status() (shardStatus, error) {
 }
 
 // statusOrCached fetches a fresh status, falling back to the cached
-// last-known one when the endpoint is unreachable. Epochs and stats keys
-// only ever grow on the server, so the cached fallback keeps the facade's
-// cache keys monotone through an outage.
+// last-known one when the endpoint is unreachable. Stats keys only ever grow
+// on the server, so the cached fallback keeps the facade's cache keys
+// monotone through an outage.
 func (c *Client) statusOrCached() shardStatus {
 	if st, err := c.status(); err == nil {
 		return st
@@ -414,9 +414,6 @@ func (c *Client) statusOrCached() shardStatus {
 	defer c.statusMu.Unlock()
 	return c.lastStatus
 }
-
-// Epoch implements shard.Backend.
-func (c *Client) Epoch() uint64 { return c.statusOrCached().Epoch }
 
 // StatsKey implements shard.Backend.
 func (c *Client) StatsKey() uint64 { return c.statusOrCached().StatsKey }

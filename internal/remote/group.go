@@ -291,34 +291,19 @@ func (g *Group) DocsByID(ctx context.Context, ids []string) ([]index.Document, e
 
 // ---- Backend: staleness signals and gauges ----
 
-// maxStatus folds per-replica statuses with max: replicas receive the same
-// writes, so a lagging or unreachable replica (serving its cached
-// last-known status) never drags a monotone signal backwards.
+// maxStatus reports the status of the replica on the newest stats snapshot:
+// replicas receive the same writes, so a lagging or unreachable replica
+// (serving its cached last-known status) never drags the stats key backwards.
 func (g *Group) maxStatus() shardStatus {
 	var out shardStatus
 	for i, c := range g.replicas {
 		st := c.statusOrCached()
-		if i == 0 || st.Epoch > out.Epoch || (st.Epoch == out.Epoch && st.StatsKey > out.StatsKey) {
-			epoch, key := maxU64(out.Epoch, st.Epoch), maxU64(out.StatsKey, st.StatsKey)
+		if i == 0 || st.StatsKey > out.StatsKey {
 			out = st
-			out.Epoch, out.StatsKey = epoch, key
-		} else {
-			out.Epoch = maxU64(out.Epoch, st.Epoch)
-			out.StatsKey = maxU64(out.StatsKey, st.StatsKey)
 		}
 	}
 	return out
 }
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Epoch implements shard.Backend.
-func (g *Group) Epoch() uint64 { return g.maxStatus().Epoch }
 
 // StatsKey implements shard.Backend.
 func (g *Group) StatsKey() uint64 { return g.maxStatus().StatsKey }

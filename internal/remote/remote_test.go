@@ -80,7 +80,7 @@ func TestClientMatchesLocal(t *testing.T) {
 	}
 	// Quiesce the build-time compactors before deleting, so both sides hold
 	// the same tombstones whatever the RPC latency gave the remote one time
-	// to merge (a compaction that drops a tombstone moves Epoch/StatsKey).
+	// to merge (a compaction that drops a tombstone moves StatsKey).
 	c.WaitCompaction()
 	local.WaitCompaction()
 	if got, want := c.Delete("kb00007#0"), local.Delete("kb00007#0"); got != want {
@@ -95,9 +95,6 @@ func TestClientMatchesLocal(t *testing.T) {
 	local.WaitCompaction()
 
 	// Staleness signals and gauges agree.
-	if got, want := c.Epoch(), local.Epoch(); got != want {
-		t.Errorf("Epoch: remote %d local %d", got, want)
-	}
 	if got, want := c.StatsKey(), local.StatsKey(); got != want {
 		t.Errorf("StatsKey: remote %d local %d", got, want)
 	}

@@ -309,7 +309,6 @@ func (s *Server) handle(req *request) (resp *response) {
 		return &response{Docs: st.LiveDocs()}
 	case opStatus:
 		return &response{Status: &shardStatus{
-			Epoch:      st.Epoch(),
 			StatsKey:   st.StatsKey(),
 			Len:        st.Len(),
 			LiveLen:    st.LiveLen(),

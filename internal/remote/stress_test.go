@@ -71,7 +71,6 @@ func TestStressRemoteIngestWhileQuery(t *testing.T) {
 				case 2:
 					// The staleness gauges the query cache keys on; they must
 					// stay readable (and monotonic per shard) mid-ingest.
-					_ = facade.Epoch()
 					_ = facade.StatsKey()
 					_ = facade.LiveLen()
 				case 3:

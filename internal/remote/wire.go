@@ -175,7 +175,6 @@ type request struct {
 // shardStatus is the combined gauge/staleness snapshot of one hosted shard,
 // fetched in a single RPC.
 type shardStatus struct {
-	Epoch      uint64
 	StatsKey   uint64
 	Len        int
 	LiveLen    int

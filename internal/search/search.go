@@ -231,7 +231,7 @@ func (s *Searcher) workers() int {
 }
 
 // Search retrieves the chunks most relevant to query. With a Cache set,
-// repeated queries at an unchanged index epoch are served from memory, and
+// repeated queries at an unchanged stats snapshot are served from memory, and
 // concurrent identical queries collapse into one execution.
 func (s *Searcher) Search(ctx context.Context, query string, opts Options) ([]Result, error) {
 	res, _, err := s.SearchDegraded(ctx, query, opts)
@@ -368,33 +368,24 @@ func (s *Searcher) shed(ctx context.Context, what string, n int, cause error) {
 	})
 }
 
-// ctxQueryable is the optional context-aware query surface. The sharded
-// facade implements it to emit per-shard fan-out spans; a plain
-// index.Queryable (the monolithic index) simply runs without them.
-type ctxQueryable interface {
-	SearchTextCtx(ctx context.Context, query string, n int, opts index.TextOptions) []index.Hit
-	SearchVectorCtx(ctx context.Context, field string, q vector.Vector, k int, filters []index.Filter) []index.Hit
-}
-
-// partialQueryable is the optional partial-result query surface. The
-// sharded facade implements it when shards can genuinely fail (remote
-// shards): the int reports how many shards were unreachable for the call,
-// which the searcher folds into Degradation.ShardsDown so callers see
-// partial results flagged as degraded rather than silently complete.
+// partialQueryable is the optional context-aware, partial-result query
+// surface. The sharded facade implements it to emit per-shard fan-out spans
+// under the request's trace and because its shards can genuinely fail
+// (remote shards): the int reports how many shards were unreachable for the
+// call, which the searcher folds into Degradation.ShardsDown so callers see
+// partial results flagged as degraded rather than silently complete. A
+// plain index.Queryable (a single local store) runs without either.
 type partialQueryable interface {
 	SearchTextPartial(ctx context.Context, query string, n int, opts index.TextOptions) ([]index.Hit, int)
 	SearchVectorPartial(ctx context.Context, field string, q vector.Vector, k int, filters []index.Filter) ([]index.Hit, int)
 }
 
-// searchText routes one BM25 leg through the richest surface the index
-// offers, reporting how many shards the leg lost (0 for local indexes,
+// searchText routes one BM25 leg through the richer surface when the index
+// offers it, reporting how many shards the leg lost (0 for local indexes,
 // which cannot lose any).
 func (s *Searcher) searchText(ctx context.Context, query string, n int, opts index.TextOptions) ([]index.Hit, int) {
 	if pq, ok := s.Index.(partialQueryable); ok {
 		return pq.SearchTextPartial(ctx, query, n, opts)
-	}
-	if cq, ok := s.Index.(ctxQueryable); ok {
-		return cq.SearchTextCtx(ctx, query, n, opts), 0
 	}
 	return s.Index.SearchText(query, n, opts), 0
 }
@@ -403,9 +394,6 @@ func (s *Searcher) searchText(ctx context.Context, query string, n int, opts ind
 func (s *Searcher) searchVector(ctx context.Context, field string, q vector.Vector, k int, filters []index.Filter) ([]index.Hit, int) {
 	if pq, ok := s.Index.(partialQueryable); ok {
 		return pq.SearchVectorPartial(ctx, field, q, k, filters)
-	}
-	if cq, ok := s.Index.(ctxQueryable); ok {
-		return cq.SearchVectorCtx(ctx, field, q, k, filters), 0
 	}
 	return s.Index.SearchVector(field, q, k, filters), 0
 }

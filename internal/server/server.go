@@ -122,8 +122,8 @@ type Server struct {
 	// passes through it before touching an engine and shed requests get
 	// 429 + Retry-After, never 5xx.
 	Admission *tenant.Controller
-	// Tracer is the shared tracer in multi-tenant mode (every tenant
-	// engine aliases it, so one store answers /api/traces across tenants).
+	// Tracer is the tracer whose store answers /api/traces: the engine's,
+	// or in multi-tenant mode the shared one every tenant engine aliases.
 	Tracer *trace.Tracer
 
 	mu       sync.Mutex
@@ -140,6 +140,7 @@ type Server struct {
 func New(engine *core.Engine) *Server {
 	s := &Server{
 		Engine:   engine,
+		Tracer:   engine.Tracer,
 		Metrics:  monitor.New(),
 		Feedback: &FeedbackStore{},
 		Log:      eventlog.New(),
@@ -207,58 +208,59 @@ func (s *Server) withDeadline(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// unavailable reports whether err means the backend could not serve the
-// request right now — a deadline that fired or an open circuit — which maps
-// to 503 rather than 500.
-func unavailable(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, resilience.ErrBreakerOpen)
-}
-
-// queryErrorStatus maps an Ask/Search error to its HTTP status.
+// queryErrorStatus maps an Ask/Search error to its HTTP status: 503 when the
+// backend could not serve the request right now — a deadline that fired or
+// an open circuit — 500 otherwise.
 func queryErrorStatus(err error) int {
-	if unavailable(err) {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, resilience.ErrBreakerOpen) {
 		return http.StatusServiceUnavailable
 	}
 	return http.StatusInternalServerError
 }
 
+// route is one row of the API table. Handler registers every row bare and,
+// in multi-tenant serving, once more under /t/{tenant}.
+type route struct {
+	method, path string
+	handler      http.HandlerFunc
+}
+
+// routes is the API surface, each path written once.
+func (s *Server) routes() []route {
+	return []route{
+		{"POST", "/api/login", s.handleLogin},
+		{"POST", "/api/ask", s.withDeadline(s.handleAsk)},
+		{"GET", "/api/search", s.withDeadline(s.handleSearch)},
+		{"POST", "/api/feedback", s.handleFeedback},
+		// Session routes: the ask stream is deliberately NOT wrapped in
+		// withDeadline — an SSE stream outlives any per-request deadline; the
+		// sse.Writer's per-write deadline bounds each frame instead.
+		{"POST", "/api/sessions", s.handleSessionCreate},
+		{"GET", "/api/sessions/{sid}", s.handleSessionGet},
+		{"POST", "/api/sessions/{sid}/ask", s.handleSessionAsk},
+		{"POST", "/api/sessions/{sid}/feedback", s.withDeadline(s.handleSessionFeedback)},
+		{"GET", "/api/dashboard", s.handleDashboard},
+		{"GET", "/api/traces", s.handleTraces},
+		{"GET", "/api/traces/{id}", s.handleTraceByID},
+		{"GET", "/api/health", s.handleHealth},
+	}
+}
+
 // Handler returns the HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /api/login", s.handleLogin)
-	mux.HandleFunc("POST /api/ask", s.withDeadline(s.handleAsk))
-	mux.HandleFunc("GET /api/search", s.withDeadline(s.handleSearch))
-	mux.HandleFunc("POST /api/feedback", s.handleFeedback)
-	// Session routes: the ask stream is deliberately NOT wrapped in
-	// withDeadline — an SSE stream outlives any per-request deadline; the
-	// sse.Writer's per-write deadline bounds each frame instead.
-	mux.HandleFunc("POST /api/sessions", s.handleSessionCreate)
-	mux.HandleFunc("GET /api/sessions/{sid}", s.handleSessionGet)
-	mux.HandleFunc("POST /api/sessions/{sid}/ask", s.handleSessionAsk)
-	mux.HandleFunc("POST /api/sessions/{sid}/feedback", s.withDeadline(s.handleSessionFeedback))
-	mux.HandleFunc("GET /api/dashboard", s.handleDashboard)
-	mux.HandleFunc("GET /api/traces", s.handleTraces)
-	mux.HandleFunc("GET /api/traces/{id}", s.handleTraceByID)
-	mux.HandleFunc("GET /api/health", s.handleHealth)
+	for _, rt := range s.routes() {
+		mux.HandleFunc(rt.method+" "+rt.path, rt.handler)
+		if s.Tenants != nil {
+			// Path-scoped alias: /t/{tenant}/api/... pins the tenant without a
+			// header, so per-tenant dashboards and traces are plain links.
+			mux.HandleFunc(rt.method+" /t/{tenant}"+rt.path, rt.handler)
+		}
+	}
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})
-	if s.Tenants != nil {
-		// Path-scoped aliases: /t/{tenant}/api/... pins the tenant without a
-		// header, so per-tenant dashboards and traces are plain links.
-		mux.HandleFunc("POST /t/{tenant}/api/login", s.handleLogin)
-		mux.HandleFunc("POST /t/{tenant}/api/ask", s.withDeadline(s.handleAsk))
-		mux.HandleFunc("GET /t/{tenant}/api/search", s.withDeadline(s.handleSearch))
-		mux.HandleFunc("POST /t/{tenant}/api/feedback", s.handleFeedback)
-		mux.HandleFunc("POST /t/{tenant}/api/sessions", s.handleSessionCreate)
-		mux.HandleFunc("GET /t/{tenant}/api/sessions/{sid}", s.handleSessionGet)
-		mux.HandleFunc("POST /t/{tenant}/api/sessions/{sid}/ask", s.handleSessionAsk)
-		mux.HandleFunc("POST /t/{tenant}/api/sessions/{sid}/feedback", s.withDeadline(s.handleSessionFeedback))
-		mux.HandleFunc("GET /t/{tenant}/api/dashboard", s.handleDashboard)
-		mux.HandleFunc("GET /t/{tenant}/api/traces", s.handleTraces)
-		mux.HandleFunc("GET /t/{tenant}/api/health", s.handleHealth)
-	}
 	// Profiling endpoints for live CPU/heap/goroutine capture against a
 	// running instance. Registered explicitly because this mux is not
 	// http.DefaultServeMux.
@@ -308,157 +310,6 @@ func (s *Server) auth(r *http.Request) string {
 	return s.sessions[token]
 }
 
-// askRequest is the question payload.
-type askRequest struct {
-	Question string `json:"question"`
-}
-
-// askResponse mirrors what the FrontEnd renders: the answer (or apology),
-// its validity, the guardrail outcome and the document list.
-type askResponse struct {
-	Answer      string        `json:"answer"`
-	AnswerValid bool          `json:"answerValid"`
-	Guardrail   string        `json:"guardrail"`
-	Citations   []string      `json:"citations,omitempty"`
-	Documents   []docResponse `json:"documents"`
-	// Degraded marks answers computed at reduced fidelity (shed vector
-	// legs, skipped expansion, extractive fallback); DegradedParts names
-	// what was shed.
-	Degraded      bool     `json:"degraded,omitempty"`
-	DegradedParts []string `json:"degradedParts,omitempty"`
-	// TraceID identifies this request's trace (also in X-Uniask-Trace-Id):
-	// GET /api/traces/{traceId} returns the full span tree.
-	TraceID string `json:"traceId,omitempty"`
-}
-
-type docResponse struct {
-	ID      string  `json:"id"`
-	Parent  string  `json:"parent"`
-	Title   string  `json:"title"`
-	Snippet string  `json:"snippet"`
-	Score   float64 `json:"score"`
-}
-
-func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
-	user := s.auth(r)
-	if user == "" {
-		httpError(w, http.StatusUnauthorized, "login required")
-		return
-	}
-	var req askRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || strings.TrimSpace(req.Question) == "" {
-		httpError(w, http.StatusBadRequest, "question required")
-		return
-	}
-	q, ok := s.queryContext(w, r)
-	if !ok {
-		return
-	}
-	ctx, treq := q.eng.Tracer.StartRequestRate(q.ctx, "ask", q.lim.TraceSampleRate)
-	defer treq.End()
-	if id := treq.TraceID(); id != "" {
-		w.Header().Set(TraceIDHeader, id)
-	}
-	treq.Root().SetAttr("user", user)
-	if q.tenant != "" {
-		treq.Root().SetAttr("tenant", q.tenant)
-	}
-	start := time.Now()
-	defer func() { q.release(time.Since(start)) }()
-	resp, err := q.eng.Ask(ctx, req.Question)
-	latency := time.Since(start)
-	if err != nil {
-		treq.Root().SetError(err)
-		s.Metrics.RecordQuery(user, latency, "", true)
-		s.Log.Append(eventlog.Event{At: time.Now(), Service: "backend", Type: "error", User: user})
-		httpErrorTraced(w, queryErrorStatus(err), "ask failed", treq.TraceID())
-		return
-	}
-	if resp.Degraded {
-		// A degraded answer marks the whole trace degraded, which tail
-		// sampling always retains.
-		treq.Root().SetStatus(trace.StatusDegraded)
-		treq.Root().SetAttr("degradedParts", strings.Join(resp.DegradedParts, ","))
-	}
-	s.Metrics.RecordQuery(user, latency, resp.Guardrail.String(), false)
-	s.Metrics.RecordDegraded(resp.DegradedParts)
-	s.Log.Append(eventlog.Event{
-		At: time.Now(), Service: "backend", Type: "query", User: user,
-		DurationMS: latency.Milliseconds(),
-		Fields: map[string]string{
-			"guardrail": resp.Guardrail.String(),
-			"valid":     strconv.FormatBool(resp.AnswerValid),
-		},
-	})
-	out := askResponse{
-		Answer:        resp.Answer,
-		AnswerValid:   resp.AnswerValid,
-		Guardrail:     resp.Guardrail.String(),
-		Citations:     resp.Citations,
-		Degraded:      resp.Degraded,
-		DegradedParts: resp.DegradedParts,
-		TraceID:       treq.TraceID(),
-	}
-	for i, d := range resp.Documents {
-		if i >= 10 {
-			break
-		}
-		out.Documents = append(out.Documents, docResponse{
-			ID: d.ChunkID, Parent: d.ParentID, Title: d.Title,
-			Snippet: snippet(d.Content, 160), Score: d.Score,
-		})
-	}
-	writeJSON(w, out)
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	user := s.auth(r)
-	if user == "" {
-		httpError(w, http.StatusUnauthorized, "login required")
-		return
-	}
-	query := r.URL.Query().Get("q")
-	if strings.TrimSpace(query) == "" {
-		httpError(w, http.StatusBadRequest, "q required")
-		return
-	}
-	q, ok := s.queryContext(w, r)
-	if !ok {
-		return
-	}
-	ctx, treq := q.eng.Tracer.StartRequestRate(q.ctx, "search", q.lim.TraceSampleRate)
-	defer treq.End()
-	if id := treq.TraceID(); id != "" {
-		w.Header().Set(TraceIDHeader, id)
-	}
-	treq.Root().SetAttr("user", user)
-	if q.tenant != "" {
-		treq.Root().SetAttr("tenant", q.tenant)
-	}
-	start := time.Now()
-	defer func() { q.release(time.Since(start)) }()
-	results, err := q.eng.Search(ctx, query)
-	latency := time.Since(start)
-	if err != nil {
-		treq.Root().SetError(err)
-		s.Metrics.RecordQuery(user, latency, "", true)
-		httpErrorTraced(w, queryErrorStatus(err), "search failed", treq.TraceID())
-		return
-	}
-	s.Metrics.RecordQuery(user, latency, "", false)
-	var out []docResponse
-	for i, d := range results {
-		if i >= 20 {
-			break
-		}
-		out = append(out, docResponse{
-			ID: d.ChunkID, Parent: d.ParentID, Title: d.Title,
-			Snippet: snippet(d.Content, 160), Score: d.Score,
-		})
-	}
-	writeJSON(w, out)
-}
-
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	user := s.auth(r)
 	if user == "" {
@@ -506,6 +357,19 @@ type traceSummary struct {
 	Spans    int    `json:"spans"`
 }
 
+// summarize builds a trace's listing row.
+func summarize(td *trace.TraceData) traceSummary {
+	return traceSummary{
+		TraceID:    td.TraceID,
+		Name:       td.Name,
+		Start:      td.Start,
+		DurationMS: float64(td.Duration) / float64(time.Millisecond),
+		Status:     td.Status.String(),
+		Retained:   td.Retained,
+		Spans:      len(td.Spans),
+	}
+}
+
 // defaultTraceListLimit caps an unfiltered /api/traces listing.
 const defaultTraceListLimit = 50
 
@@ -523,7 +387,7 @@ const defaultTraceListLimit = 50
 //	             conversation, in order
 //	limit        row cap (default 50)
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	store := s.traceStore()
+	store := s.Tracer.Store()
 	qp := r.URL.Query()
 
 	tq, err := trace.Parse(qp.Get("q"))
@@ -549,11 +413,12 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	stage := qp.Get("stage")
-	shardID := qp.Get("shard")
-	sessionID := qp.Get("session")
-	tenantID := qp.Get("tenant")
+	// Span-attribute filters: keep traces with a span carrying key=value
+	// (the per-shard fan-out spans carry shard=, root spans tenant= and
+	// session=).
+	attrs := map[string]string{"shard": qp.Get("shard"), "tenant": qp.Get("tenant"), "session": qp.Get("session")}
 	if id := r.PathValue("tenant"); id != "" {
-		tenantID = id
+		attrs["tenant"] = id
 	}
 	limit := defaultTraceListLimit
 	if v := qp.Get("limit"); v != "" {
@@ -577,36 +442,18 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 				return false
 			}
 		}
-		if shardID != "" && !traceTouchedShard(td, shardID) {
-			return false
-		}
-		if tenantID != "" && !traceHasAttr(td, "tenant", tenantID) {
-			return false
-		}
-		if sessionID != "" && !traceHasAttr(td, "session", sessionID) {
-			return false
+		for key, want := range attrs {
+			if want != "" && !traceHasAttr(td, key, want) {
+				return false
+			}
 		}
 		return tq.MatchTrace(td)
 	}
 	out := []traceSummary{}
 	for _, td := range store.List(filter, limit) {
-		out = append(out, traceSummary{
-			TraceID:    td.TraceID,
-			Name:       td.Name,
-			Start:      td.Start,
-			DurationMS: float64(td.Duration) / float64(time.Millisecond),
-			Status:     td.Status.String(),
-			Retained:   td.Retained,
-			Spans:      len(td.Spans),
-		})
+		out = append(out, summarize(td))
 	}
 	writeJSON(w, out)
-}
-
-// traceTouchedShard reports whether any span of the trace carries a
-// shard=<id> attribute (the per-shard fan-out spans do).
-func traceTouchedShard(td *trace.TraceData, id string) bool {
-	return traceHasAttr(td, "shard", id)
 }
 
 // traceHasAttr reports whether any span of the trace carries key=value.
@@ -628,24 +475,20 @@ type traceDetail struct {
 	Tree []*trace.Node `json:"tree"`
 }
 
+// handleTraceByID returns one trace's span tree. Under /t/{tenant}/ the
+// trace must belong to that tenant — the front door stamps tenant=<id> on
+// every root span, the same attribute the scoped listing filters on — or it
+// reads as not found, like any other id the caller cannot see.
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
-	td, ok := s.traceStore().Get(r.PathValue("id"))
+	td, ok := s.Tracer.Store().Get(r.PathValue("id"))
+	if id := r.PathValue("tenant"); ok && id != "" {
+		ok = traceHasAttr(td, "tenant", id)
+	}
 	if !ok {
 		httpError(w, http.StatusNotFound, "trace not found (evicted, unsampled, or never existed)")
 		return
 	}
-	writeJSON(w, traceDetail{
-		traceSummary: traceSummary{
-			TraceID:    td.TraceID,
-			Name:       td.Name,
-			Start:      td.Start,
-			DurationMS: float64(td.Duration) / float64(time.Millisecond),
-			Status:     td.Status.String(),
-			Retained:   td.Retained,
-			Spans:      len(td.Spans),
-		},
-		Tree: td.Tree(),
-	})
+	writeJSON(w, traceDetail{traceSummary: summarize(td), Tree: td.Tree()})
 }
 
 // healthResponse is the /api/health readiness payload.
@@ -666,18 +509,22 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	breakers := s.Engine.Breakers()
-	status := "ok"
-	code := http.StatusOK
+	status, code, _ := breakerHealth(breakers)
+	writeJSONStatus(w, code, healthResponse{Status: status, Breakers: breakers})
+}
+
+// breakerHealth is the one breaker fold: the readiness verdict and the
+// breakers that are open right now (half-open ones are probing their way
+// back and count as up).
+func breakerHealth(breakers []resilience.BreakerStatus) (status string, code int, open []resilience.BreakerStatus) {
+	status, code = "ok", http.StatusOK
 	for _, b := range breakers {
 		if b.State == "open" {
-			status = "degraded"
-			code = http.StatusServiceUnavailable
-			break
+			status, code = "degraded", http.StatusServiceUnavailable
+			open = append(open, b)
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(healthResponse{Status: status, Breakers: breakers})
+	return status, code, open
 }
 
 // Serve runs the server until ctx is cancelled.
@@ -700,23 +547,26 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func httpError(w http.ResponseWriter, code int, msg string) {
+// writeJSONStatus is writeJSON with an explicit HTTP status code.
+func writeJSONStatus(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	json.NewEncoder(w).Encode(v)
+}
+
+func httpError(w http.ResponseWriter, code int, msg string) {
+	httpErrorTraced(w, code, msg, "")
 }
 
 // httpErrorTraced is httpError plus the request's trace id, so a 500/503
 // body carries the handle for /api/traces/{id} — the error trace is always
 // tail-retained, so the id stays resolvable.
 func httpErrorTraced(w http.ResponseWriter, code int, msg, traceID string) {
-	if traceID == "" {
-		httpError(w, code, msg)
-		return
+	body := map[string]string{"error": msg}
+	if traceID != "" {
+		body["traceId"] = traceID
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg, "traceId": traceID})
+	writeJSONStatus(w, code, body)
 }
 
 // snippet truncates text on a word boundary.

@@ -5,16 +5,17 @@ package server
 // streams one turn — citations as soon as retrieval lands, answer tokens as
 // the LLM produces them, a terminal done event always — and
 // POST /api/sessions/{sid}/feedback folds a click on a cited document into
-// the engine's rerank weights. Session turns pass the same tenant front
-// door as one-shot asks (admission slot held for the stream's duration), so
-// a tenant's open streams count against its concurrency quota.
+// the engine's rerank weights. A session turn passes the same front door and
+// runs the same turn function as a one-shot ask (query.go); its admission
+// slot is held for the stream's duration, so a tenant's open streams count
+// against its concurrency quota.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
@@ -22,11 +23,8 @@ import (
 	"uniask/internal/eventlog"
 	"uniask/internal/monitor"
 	"uniask/internal/rerank"
-	"uniask/internal/search"
 	"uniask/internal/session"
 	"uniask/internal/sse"
-	"uniask/internal/tenant"
-	"uniask/internal/trace"
 )
 
 // DefaultSSEHeartbeat is how often an idle stream gets a keep-alive comment
@@ -41,9 +39,6 @@ func (s *Server) wireSessionMetrics() {
 		s.Sessions = session.NewStore(session.Config{})
 	}
 	s.Metrics.SetSessionSource(func() (monitor.SessionGauge, bool) {
-		if s.Sessions == nil {
-			return monitor.SessionGauge{}, false
-		}
 		st := s.Sessions.Stats()
 		return monitor.SessionGauge{
 			Live: st.Live, Turns: st.Turns,
@@ -78,32 +73,6 @@ func (s *Server) wireSessionMetrics() {
 		}
 		return out
 	})
-}
-
-// sessionTenant resolves the store-side tenant key for a session request:
-// the request's tenant in multi-tenant serving, "" otherwise. In
-// multi-tenant mode it validates the tenant and writes the error response
-// itself (ok=false).
-func (s *Server) sessionTenant(w http.ResponseWriter, r *http.Request) (string, bool) {
-	if s.Tenants == nil {
-		return "", true
-	}
-	id := s.requestTenant(r)
-	if id == "" {
-		httpError(w, http.StatusBadRequest, "tenant required ("+TenantHeader+" header or /t/{tenant}/api/... path)")
-		return "", false
-	}
-	if err := tenant.ValidateID(id); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return "", false
-	}
-	if !s.Tenants.AllowUnknown {
-		if ov := s.Tenants.Overrides(); ov == nil || !ov.Known(id) {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown tenant %q", id))
-			return "", false
-		}
-	}
-	return id, true
 }
 
 // tenantSessionCap resolves the per-tenant live-session cap for Create:
@@ -174,12 +143,7 @@ func sessionView(sess session.Session) sessionResponse {
 
 // handleSessionCreate opens a conversation: POST /api/sessions.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	user := s.auth(r)
-	if user == "" {
-		httpError(w, http.StatusUnauthorized, "login required")
-		return
-	}
-	tenantID, ok := s.sessionTenant(w, r)
+	user, tenantID, ok := s.identify(w, r, true, "")
 	if !ok {
 		return
 	}
@@ -205,12 +169,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionGet returns the session transcript: GET /api/sessions/{sid}.
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	user := s.auth(r)
-	if user == "" {
-		httpError(w, http.StatusUnauthorized, "login required")
-		return
-	}
-	tenantID, ok := s.sessionTenant(w, r)
+	_, tenantID, ok := s.identify(w, r, true, "")
 	if !ok {
 		return
 	}
@@ -278,47 +237,14 @@ type sseDone struct {
 // Comment frames (": hb") are heartbeats. The handler is registered
 // without withDeadline: a stream lives as long as the client reads it;
 // each individual write still carries the sse.Writer per-write deadline.
+// The turn itself is Server.turn, the same function a one-shot ask runs.
 func (s *Server) handleSessionAsk(w http.ResponseWriter, r *http.Request) {
-	user := s.auth(r)
-	if user == "" {
-		httpError(w, http.StatusUnauthorized, "login required")
-		return
-	}
 	var req askRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || strings.TrimSpace(req.Question) == "" {
-		httpError(w, http.StatusBadRequest, "question required")
-		return
-	}
-	tenantKey, ok := s.sessionTenant(w, r)
+	q, ok := s.enter(w, r, "session.turn", req.read(r), "question required")
 	if !ok {
 		return
 	}
-	// Resolve the session before admission so a bogus session ID cannot
-	// consume an admission slot.
-	sess, err := s.Sessions.Get(tenantKey, r.PathValue("sid"))
-	if err != nil {
-		sessionError(w, err)
-		return
-	}
-	q, ok := s.queryContext(w, r)
-	if !ok {
-		return
-	}
-	start := time.Now()
-	defer func() { q.release(time.Since(start)) }()
-
-	ctx, treq := q.eng.Tracer.StartRequestRate(q.ctx, "session.turn", q.lim.TraceSampleRate)
-	defer treq.End()
-	if id := treq.TraceID(); id != "" {
-		w.Header().Set(TraceIDHeader, id)
-	}
-	turnIndex := len(sess.Turns)
-	treq.Root().SetAttr("user", user)
-	treq.Root().SetAttr("session", sess.ID)
-	treq.Root().SetAttr("turn", strconv.Itoa(turnIndex))
-	if q.tenant != "" {
-		treq.Root().SetAttr("tenant", q.tenant)
-	}
+	defer q.close()
 
 	sw := sse.NewWriter(w, s.SSEWriteTimeout)
 	s.Sessions.StreamOpened()
@@ -349,111 +275,7 @@ func (s *Server) handleSessionAsk(w http.ResponseWriter, r *http.Request) {
 			}
 		}()
 	}
-
-	streamed := false
-	ev := core.StreamEvents{
-		OnCitations: func(results []search.Result) {
-			payload := sseCitations{Documents: []docResponse{}}
-			for i, d := range results {
-				if i >= 10 {
-					break
-				}
-				payload.Documents = append(payload.Documents, docResponse{
-					ID: d.ChunkID, Parent: d.ParentID, Title: d.Title,
-					Snippet: snippet(d.Content, 160), Score: d.Score,
-				})
-			}
-			sw.Event("citations", mustJSON(payload))
-		},
-		OnToken: func(chunk string) error {
-			streamed = true
-			return sw.Event("token", mustJSON(sseToken{Text: chunk}))
-		},
-	}
-
-	resp, err := q.eng.AskConversational(ctx, req.Question, sess.History(), ev)
-	latency := time.Since(start)
-	if r.Context().Err() != nil {
-		// The client went away mid-turn: nothing left to write to.
-		disconnected = true
-		treq.Root().SetError(r.Context().Err())
-		return
-	}
-	if err != nil {
-		// A hard engine error still terminates the stream with done — an
-		// SSE response never turns into a dangling connection or a late 5xx.
-		treq.Root().SetError(err)
-		s.Metrics.RecordQuery(user, latency, "", true)
-		s.Log.Append(eventlog.Event{At: time.Now(), Service: "backend", Type: "error", User: user})
-		sw.Event("done", mustJSON(sseDone{
-			Error: "ask failed", TraceID: treq.TraceID(), Turn: turnIndex,
-		}))
-		return
-	}
-	if resp.Degraded {
-		treq.Root().SetStatus(trace.StatusDegraded)
-		treq.Root().SetAttr("degradedParts", strings.Join(resp.DegradedParts, ","))
-	}
-	if degradedGeneration(resp.DegradedParts) && streamed {
-		// Mid-stream LLM death: the tokens already sent are a prefix of an
-		// answer that no longer exists. Tell the client to discard them and
-		// render the extractive fallback.
-		sw.Event("fallback", mustJSON(sseFallback{Answer: resp.Answer}))
-	}
-	s.Metrics.RecordQuery(user, latency, resp.Guardrail.String(), false)
-	s.Metrics.RecordDegraded(resp.DegradedParts)
-	s.Log.Append(eventlog.Event{
-		At: time.Now(), Service: "backend", Type: "query", User: user,
-		DurationMS: latency.Milliseconds(),
-		Fields: map[string]string{
-			"session":   sess.ID,
-			"guardrail": resp.Guardrail.String(),
-			"valid":     strconv.FormatBool(resp.AnswerValid),
-		},
-	})
-
-	turn := session.Turn{
-		Question:       req.Question,
-		RewrittenQuery: resp.RewrittenQuery,
-		Answer:         resp.Answer,
-		TraceID:        treq.TraceID(),
-		Degraded:       resp.Degraded,
-		DegradedParts:  resp.DegradedParts,
-	}
-	for i, d := range resp.Documents {
-		if i >= 10 {
-			break
-		}
-		turn.Documents = append(turn.Documents, session.TurnDoc{
-			ChunkID: d.ChunkID, ParentID: d.ParentID, Title: d.Title,
-		})
-	}
-	// The session may have expired or been evicted while the turn ran; the
-	// turn still completes for this client, the next one gets ErrNotFound.
-	s.Sessions.AppendTurn(tenantKey, sess.ID, turn)
-
-	sw.Event("done", mustJSON(sseDone{
-		Answer:         resp.Answer,
-		AnswerValid:    resp.AnswerValid,
-		Guardrail:      resp.Guardrail.String(),
-		RewrittenQuery: resp.RewrittenQuery,
-		Degraded:       resp.Degraded,
-		DegradedParts:  resp.DegradedParts,
-		TraceID:        treq.TraceID(),
-		Turn:           turnIndex,
-	}))
-}
-
-// degradedGeneration reports whether "generation" is among the degraded
-// parts — the marker that the streamed tokens were abandoned for the
-// extractive fallback.
-func degradedGeneration(parts []string) bool {
-	for _, p := range parts {
-		if p == "generation" {
-			return true
-		}
-	}
-	return false
+	disconnected = s.turn(w, r, q, req.Question, sw)
 }
 
 // sessionFeedbackRequest is the click payload: which turn, which cited
@@ -475,51 +297,31 @@ type sessionFeedbackResponse struct {
 // POST /api/sessions/{sid}/feedback. The click's positive example is the
 // opened document; the documents ranked above it are the negatives.
 func (s *Server) handleSessionFeedback(w http.ResponseWriter, r *http.Request) {
-	user := s.auth(r)
-	if user == "" {
-		httpError(w, http.StatusUnauthorized, "login required")
-		return
-	}
 	var req sessionFeedbackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || strings.TrimSpace(req.ChunkID) == "" {
-		httpError(w, http.StatusBadRequest, "turn and chunkId required")
-		return
-	}
-	tenantKey, ok := s.sessionTenant(w, r)
+	// A click passes the same front door as a query — it reads the index
+	// and moves the tenant's rerank weights — but is not one: it opens no
+	// trace and is counted as feedback, not by the query finish step.
+	valid := json.NewDecoder(r.Body).Decode(&req) == nil && strings.TrimSpace(req.ChunkID) != ""
+	q, ok := s.enter(w, r, "", valid, "turn and chunkId required")
 	if !ok {
 		return
 	}
-	sess, err := s.Sessions.Get(tenantKey, r.PathValue("sid"))
-	if err != nil {
-		sessionError(w, err)
-		return
-	}
+	defer q.close()
+	sess := q.sess
 	if req.Turn < 0 || req.Turn >= len(sess.Turns) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("turn %d out of range (session has %d)", req.Turn, len(sess.Turns)))
 		return
 	}
 	turn := sess.Turns[req.Turn]
-	clickedAt := -1
-	for i, d := range turn.Documents {
-		if d.ChunkID == req.ChunkID {
-			clickedAt = i
-			break
-		}
-	}
+	clickedAt := slices.IndexFunc(turn.Documents, func(d session.TurnDoc) bool { return d.ChunkID == req.ChunkID })
 	if clickedAt < 0 {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("chunk %q was not cited on turn %d", req.ChunkID, req.Turn))
 		return
 	}
-	q, ok := s.queryContext(w, r)
-	if !ok {
-		return
-	}
-	start := time.Now()
-	defer func() { q.release(time.Since(start)) }()
 
 	s.Metrics.RecordFeedback(true)
 	s.Log.Append(eventlog.Event{
-		At: time.Now(), Service: "backend", Type: "feedback", User: user,
+		At: time.Now(), Service: "backend", Type: "feedback", User: q.user,
 		Fields: map[string]string{"session": sess.ID, "chunk": req.ChunkID},
 	})
 
@@ -552,7 +354,7 @@ func (s *Server) handleSessionFeedback(w http.ResponseWriter, r *http.Request) {
 // inputs, re-reading the live chunks for their text and embeddings. A chunk
 // deleted since the turn (or on a shard that cannot be reached right now)
 // degrades to the title recorded at answer time.
-func clickInputs(q queryGrant, cited []session.TurnDoc) []rerank.Input {
+func clickInputs(q *query, cited []session.TurnDoc) []rerank.Input {
 	ids := make([]string, len(cited))
 	for i, d := range cited {
 		ids[i] = d.ChunkID

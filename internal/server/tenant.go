@@ -1,21 +1,17 @@
 package server
 
-// Multi-tenant serving mode: the tenant front door. One Server hosts many
-// banks' knowledge bases; every query names its tenant (header or path),
-// passes the admission controller (token bucket → per-tenant concurrency →
-// global slots with weighted fair queueing), and routes to that tenant's
-// engine from the registry. Shed requests are 429 + Retry-After by
-// construction — admission never answers 5xx. docs/MULTITENANCY.md is the
-// operator-facing description of this file's behavior.
+// Multi-tenant serving mode. One Server hosts many banks' knowledge bases;
+// every query names its tenant (header or path), passes the admission
+// controller (token bucket → per-tenant concurrency → global slots with
+// weighted fair queueing), and routes to that tenant's engine from the
+// registry — the tenant and admission steps of the front door (query.go).
+// Shed requests are 429 + Retry-After by construction — admission never
+// answers 5xx. docs/MULTITENANCY.md is the operator-facing description.
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
-	"time"
 
 	"uniask/internal/core"
 	"uniask/internal/eventlog"
@@ -106,75 +102,37 @@ func (s *Server) requestTenant(r *http.Request) string {
 	return r.Header.Get(TenantHeader)
 }
 
-// queryGrant is everything a query handler needs after the front door: the
-// engine to query, the tenant-tagged context, the tenant's effective limits
-// (for the per-request trace sample rate) and the admission release to call
-// with the request latency.
-type queryGrant struct {
-	eng     *core.Engine
-	ctx     context.Context
-	tenant  string
-	lim     tenant.Limits
-	release func(time.Duration)
-}
-
-// queryContext runs the tenant front door for one query request. In
-// single-tenant mode it is a pass-through to s.Engine. In multi-tenant mode
-// it resolves the tenant, runs admission, and resolves the tenant's engine;
-// on any refusal it writes the HTTP response itself and returns ok=false.
-// Shed traffic gets 429 with a Retry-After header — never 5xx.
-func (s *Server) queryContext(w http.ResponseWriter, r *http.Request) (queryGrant, bool) {
+// resolveTenant is the front door's tenant step: it names the request's
+// tenant and runs checkTenant on it. Single-tenant serving has no tenants
+// ("", true). On refusal it writes the response and returns ok=false.
+func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request) (string, bool) {
 	if s.Tenants == nil {
-		return queryGrant{eng: s.Engine, ctx: r.Context(), release: func(time.Duration) {}}, true
+		return "", true
 	}
 	id := s.requestTenant(r)
 	if id == "" {
 		httpError(w, http.StatusBadRequest, "tenant required ("+TenantHeader+" header or /t/{tenant}/api/... path)")
-		return queryGrant{}, false
+		return "", false
 	}
+	return id, s.checkTenant(w, id)
+}
+
+// checkTenant is the single tenant validation: a malformed id is a 400, a
+// tenant the registry does not know a 404 — refused before admission so a
+// stream of typoed or hostile tenant IDs cannot grow controller state. On
+// refusal it writes the response and returns false.
+func (s *Server) checkTenant(w http.ResponseWriter, id string) bool {
 	if err := tenant.ValidateID(id); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
-		return queryGrant{}, false
+		return false
 	}
-	// Refuse unknown tenants before admission so a stream of typoed or
-	// hostile tenant IDs cannot grow controller state.
 	if !s.Tenants.AllowUnknown {
 		if ov := s.Tenants.Overrides(); ov == nil || !ov.Known(id) {
 			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown tenant %q (add it to the overrides file to onboard)", id))
-			return queryGrant{}, false
+			return false
 		}
 	}
-	release := func(time.Duration) {}
-	if s.Admission != nil {
-		var rej *tenant.Rejection
-		release, rej = s.Admission.Admit(r.Context(), id)
-		if rej != nil {
-			writeRejection(w, rej)
-			return queryGrant{}, false
-		}
-	}
-	eng, err := s.Tenants.Engine(id)
-	if err != nil {
-		release(0)
-		switch {
-		case errors.Is(err, tenant.ErrUnknownTenant):
-			httpError(w, http.StatusNotFound, err.Error())
-		default:
-			httpError(w, http.StatusInternalServerError, "tenant engine unavailable: "+err.Error())
-		}
-		return queryGrant{}, false
-	}
-	var lim tenant.Limits
-	if ov := s.Tenants.Overrides(); ov != nil {
-		lim = ov.For(id)
-	}
-	return queryGrant{
-		eng:     eng,
-		ctx:     tenant.WithID(r.Context(), id),
-		tenant:  id,
-		lim:     lim,
-		release: release,
-	}, true
+	return true
 }
 
 // writeRejection maps a shed request to 429 Too Many Requests with a
@@ -191,15 +149,6 @@ func writeRejection(w http.ResponseWriter, rej *tenant.Rejection) {
 		rej.Tenant, rej.Class.String(), string(rej.Reason), rej.RetryAfter.Milliseconds())
 }
 
-// traceStore resolves the trace store: the shared tracer in multi-tenant
-// mode, the engine's tracer otherwise.
-func (s *Server) traceStore() *trace.Store {
-	if s.Tracer != nil {
-		return s.Tracer.Store()
-	}
-	return s.Engine.Tracer.Store()
-}
-
 // tenantDashboard is the per-tenant GET /api/dashboard view: the tenant's
 // admission/cache gauge row plus its engine's segment shape when the engine
 // is active. The noisy-neighbor runbook (docs/OPERATIONS.md) starts here.
@@ -211,8 +160,7 @@ type tenantDashboard struct {
 }
 
 func (s *Server) writeTenantDashboard(w http.ResponseWriter, snap monitor.Dashboard, id string) {
-	if err := tenant.ValidateID(id); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	if !s.checkTenant(w, id) {
 		return
 	}
 	out := tenantDashboard{Tenant: id}
@@ -248,33 +196,19 @@ func (s *Server) handleTenantHealth(w http.ResponseWriter, r *http.Request) {
 	id := s.requestTenant(r)
 	if id == "" {
 		// Unscoped probe: degraded if any active tenant's breaker is open.
-		status, code := "ok", http.StatusOK
 		active := s.Tenants.Active()
-		var breakers []resilience.BreakerStatus
+		var all []resilience.BreakerStatus
 		for _, tid := range active {
-			eng, ok := s.Tenants.EngineIfActive(tid)
-			if !ok {
-				continue
-			}
-			for _, b := range eng.Breakers() {
-				if b.State == "open" {
-					status, code = "degraded", http.StatusServiceUnavailable
-					breakers = append(breakers, b)
-				}
+			if eng, ok := s.Tenants.EngineIfActive(tid); ok {
+				all = append(all, eng.Breakers()...)
 			}
 		}
-		writeJSONStatus(w, code, tenantHealthResponse{Status: status, Active: len(active) > 0, Breakers: breakers, Tenants: len(active)})
+		status, code, open := breakerHealth(all)
+		writeJSONStatus(w, code, tenantHealthResponse{Status: status, Active: len(active) > 0, Breakers: open, Tenants: len(active)})
 		return
 	}
-	if err := tenant.ValidateID(id); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	if !s.checkTenant(w, id) {
 		return
-	}
-	if !s.Tenants.AllowUnknown {
-		if ov := s.Tenants.Overrides(); ov == nil || !ov.Known(id) {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown tenant %q", id))
-			return
-		}
 	}
 	resp := tenantHealthResponse{Status: "idle", Tenant: id}
 	if s.Admission != nil {
@@ -289,22 +223,8 @@ func (s *Server) handleTenantHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.Active = true
-	resp.Status = "ok"
-	code := http.StatusOK
 	resp.Breakers = eng.Breakers()
-	for _, b := range resp.Breakers {
-		if b.State == "open" {
-			resp.Status = "degraded"
-			code = http.StatusServiceUnavailable
-			break
-		}
-	}
+	var code int
+	resp.Status, code, _ = breakerHealth(resp.Breakers)
 	writeJSONStatus(w, code, resp)
-}
-
-// writeJSONStatus is writeJSON with an explicit HTTP status code.
-func writeJSONStatus(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
 }

@@ -264,11 +264,15 @@ func TestTenantCtxCarriesID(t *testing.T) {
 	})
 	srv := NewMultiTenant(reg, tenant.NewController(tenant.AdmissionConfig{}, ov), nil, nil)
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q, ok := srv.queryContext(w, r)
+		id, ok := srv.resolveTenant(w, r)
 		if !ok {
 			return
 		}
-		defer q.release(time.Millisecond)
+		q := &query{tenant: id, ctx: r.Context(), release: func(time.Duration) {}}
+		if !srv.admit(w, q) {
+			return
+		}
+		defer q.close()
 		seen <- tenant.FromContext(q.ctx)
 	}))
 	defer hs.Close()

@@ -46,7 +46,6 @@ type Backend interface {
 	// (cache keying) and by the dashboard; implementations must keep them
 	// cheap and non-blocking — the remote client serves cached last-known
 	// values when the endpoint is unreachable.
-	Epoch() uint64
 	StatsKey() uint64
 	Len() int
 	LiveLen() int

@@ -280,21 +280,6 @@ func (s *Sharded) HasParent(parentID string) bool {
 	return false
 }
 
-// Epoch returns the sum of the shard epochs. Every mutation bumps exactly
-// one shard, each shard's epoch is non-decreasing, and reads are atomic, so
-// the sum is monotonic and changes whenever any shard changes — the same
-// staleness contract the search-layer query cache relies on with a
-// monolithic index (see search.QueryCache). Remote backends serve their
-// last-known epoch while unreachable, keeping the sum monotonic through an
-// outage.
-func (s *Sharded) Epoch() uint64 {
-	var e uint64
-	for _, sh := range s.shards {
-		e += sh.Epoch()
-	}
-	return e
-}
-
 // StatsKey returns the sum of the shard stats snapshot keys. Each shard's
 // key is non-decreasing and rotates only when that shard publishes new BM25
 // statistics (memtable seal, tombstone-dropping compaction), so the sum
@@ -479,21 +464,16 @@ func (s *Sharded) record(shard int, start time.Time, err error) {
 // ranking under the canonical (score desc, id asc) order — is
 // deterministic.
 func (s *Sharded) SearchText(query string, n int, opts index.TextOptions) []index.Hit {
-	return s.SearchTextCtx(context.Background(), query, n, opts)
-}
-
-// SearchTextCtx is SearchText with context propagation: on a traced request
-// each shard's scoring wave emits one child "shard.search" span carrying the
-// shard id and the leg kind, so a fetched trace shows the fan-out shape and
-// which shard dominated the leg's latency.
-func (s *Sharded) SearchTextCtx(ctx context.Context, query string, n int, opts index.TextOptions) []index.Hit {
-	hits, _ := s.SearchTextPartial(ctx, query, n, opts)
+	hits, _ := s.SearchTextPartial(context.Background(), query, n, opts)
 	return hits
 }
 
-// SearchTextPartial is SearchTextCtx plus the outage report: the second
-// return value counts shards that were unreachable and therefore absent
-// from the merged ranking. Zero means the ranking is complete (and
+// SearchTextPartial is SearchText with context propagation and the outage
+// report. On a traced request each shard's scoring wave emits one child
+// "shard.search" span carrying the shard id and the leg kind, so a fetched
+// trace shows the fan-out shape and which shard dominated the leg's
+// latency. The second return value counts shards that were unreachable and
+// therefore absent from the merged ranking. Zero means the ranking is complete (and
 // byte-identical to the monolithic index); a positive count means partial
 // results, which the search layer reports as a Degradation. A shard that
 // fails its statistics wave is excluded from the scoring wave too: scoring
@@ -620,18 +600,13 @@ func mergeText(perShard [][]index.Hit, n int) []index.Hit {
 // score break on the global arrival sequence, which reproduces the
 // insertion-ordinal tiebreak of a monolithic exhaustive index.
 func (s *Sharded) SearchVector(field string, q vector.Vector, k int, filters []index.Filter) []index.Hit {
-	return s.SearchVectorCtx(context.Background(), field, q, k, filters)
-}
-
-// SearchVectorCtx is SearchVector with context propagation: each shard's ANN
-// probe becomes a child "shard.search" span on a traced request.
-func (s *Sharded) SearchVectorCtx(ctx context.Context, field string, q vector.Vector, k int, filters []index.Filter) []index.Hit {
-	hits, _ := s.SearchVectorPartial(ctx, field, q, k, filters)
+	hits, _ := s.SearchVectorPartial(context.Background(), field, q, k, filters)
 	return hits
 }
 
-// SearchVectorPartial is SearchVectorCtx plus the outage report (see
-// SearchTextPartial).
+// SearchVectorPartial is SearchVector with context propagation — each
+// shard's ANN probe becomes a child "shard.search" span on a traced request
+// — and the outage report (see SearchTextPartial).
 func (s *Sharded) SearchVectorPartial(ctx context.Context, field string, q vector.Vector, k int, filters []index.Filter) ([]index.Hit, int) {
 	// Normalize once per request; every shard (and every segment part below
 	// it) receives the same unit query instead of re-normalizing its own copy.

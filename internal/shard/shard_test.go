@@ -97,26 +97,6 @@ func TestDeleteRoutesAndParentFansOut(t *testing.T) {
 	}
 }
 
-func TestEpochIsMonotonicAcrossShards(t *testing.T) {
-	s := shard.New(shard.Config{Shards: 4})
-	last := s.Epoch()
-	for i := 0; i < 12; i++ {
-		id := fmt.Sprintf("e%02d#0", i)
-		if err := s.Add(doc(id, fmt.Sprintf("e%02d", i), "t", "c")); err != nil {
-			t.Fatal(err)
-		}
-		if e := s.Epoch(); e <= last {
-			t.Fatalf("epoch %d did not advance past %d after Add", e, last)
-		} else {
-			last = e
-		}
-	}
-	s.Delete("e03#0")
-	if e := s.Epoch(); e <= last {
-		t.Fatalf("epoch %d did not advance past %d after Delete", e, last)
-	}
-}
-
 func TestAddBulkMatchesSequentialAdds(t *testing.T) {
 	docs := make([]index.Document, 30)
 	for i := range docs {
@@ -188,8 +168,5 @@ func TestSingleShardFacadeMatchesIndex(t *testing.T) {
 	b := fmt.Sprintf("%#v", facade.SearchText("contenuto carta", 5, index.TextOptions{}))
 	if a != b {
 		t.Fatalf("single-shard facade diverged:\nindex:  %s\nfacade: %s", a, b)
-	}
-	if plain.Epoch() != facade.Epoch() {
-		t.Fatalf("epochs diverged: index=%d facade=%d", plain.Epoch(), facade.Epoch())
 	}
 }

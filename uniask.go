@@ -220,7 +220,8 @@ func (s *System) Ask(ctx context.Context, question string) (Response, error) {
 
 // Search runs retrieval only and returns the ranked chunks.
 func (s *System) Search(ctx context.Context, query string) ([]Result, error) {
-	return s.engine.Search(ctx, query)
+	results, _, err := s.engine.Search(ctx, query)
+	return results, err
 }
 
 // SearchWith runs retrieval with explicit options (modes, expansions,
