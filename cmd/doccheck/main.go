@@ -6,16 +6,17 @@
 // not heading presence.
 //
 // For a file named DESIGN.md it also checks the "Repository layout" section
-// against the tree: every directory under cmd/ and internal/ (next to the
-// file) must be listed there, so the package map cannot fall behind the
-// packages.
+// against the tree, both ways: every directory under cmd/ and internal/
+// (next to the file) must be listed there, and every directory listed there
+// must exist, so the package map can neither fall behind the packages nor
+// keep one that was deleted.
 //
 // Usage:
 //
 //	doccheck README.md DESIGN.md docs/*.md
 //
 // Exit status is nonzero if any link is dead or any package directory is
-// unlisted, listing every offender.
+// unlisted or listed but gone, listing every offender.
 // `make doccheck` runs it over README.md, DESIGN.md, OPERATIONS.md and
 // docs/*.md.
 package main
@@ -25,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 )
 
@@ -60,14 +62,18 @@ func main() {
 			}
 		}
 		if filepath.Base(path) == "DESIGN.md" {
-			for _, dir := range unlistedPackages(base, string(data)) {
+			unlisted, gone := layoutDrift(base, string(data))
+			for _, dir := range unlisted {
 				fmt.Fprintf(os.Stderr, "doccheck: %s: %s is missing from the Repository layout section\n", path, dir)
-				dead++
 			}
+			for _, dir := range gone {
+				fmt.Fprintf(os.Stderr, "doccheck: %s: the Repository layout section lists %s, which does not exist\n", path, dir)
+			}
+			dead += len(unlisted) + len(gone)
 		}
 	}
 	if dead > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d dead intra-repo link(s) or unlisted package(s)\n", dead)
+		fmt.Fprintf(os.Stderr, "doccheck: %d dead intra-repo link(s), unlisted or vanished package(s)\n", dead)
 		os.Exit(1)
 	}
 	fmt.Printf("doccheck: %d intra-repo links resolve\n", checked)
@@ -76,11 +82,12 @@ func main() {
 // layoutHeading opens the section of DESIGN.md that maps the repository.
 const layoutHeading = "Repository layout"
 
-// unlistedPackages returns the cmd/* and internal/* directories under root
-// that the layout section of doc does not name. The section is a tree with
-// one directory per line as "name/": top-level directories indented two
-// spaces, their children deeper; it ends at the next "## " heading.
-func unlistedPackages(root, doc string) []string {
+// layoutDrift compares the cmd/* and internal/* directories under root with
+// the ones the layout section of doc names: unlisted exist but are not
+// named, gone are named but do not exist. The section is a tree with one
+// directory per line as "name/": top-level directories indented two spaces,
+// their children deeper; it ends at the next "## " heading.
+func layoutDrift(root, doc string) (unlisted, gone []string) {
 	listed := map[string]bool{}
 	inSection, parent := false, ""
 	for _, line := range strings.Split(doc, "\n") {
@@ -94,23 +101,31 @@ func unlistedPackages(root, doc string) []string {
 		}
 		if indent := len(line) - len(strings.TrimLeft(line, " ")); indent <= 2 {
 			parent = fields[0]
-		} else {
+		} else if parent == "cmd/" || parent == "internal/" {
 			listed[parent+strings.TrimSuffix(fields[0], "/")] = true
 		}
 	}
-	var missing []string
 	for _, parent := range []string{"cmd", "internal"} {
 		entries, err := os.ReadDir(filepath.Join(root, parent))
 		if err != nil {
 			continue
 		}
 		for _, e := range entries {
-			if dir := parent + "/" + e.Name(); e.IsDir() && !listed[dir] {
-				missing = append(missing, dir)
+			if !e.IsDir() {
+				continue
 			}
+			dir := parent + "/" + e.Name()
+			if !listed[dir] {
+				unlisted = append(unlisted, dir)
+			}
+			delete(listed, dir)
 		}
 	}
-	return missing
+	for dir := range listed {
+		gone = append(gone, dir)
+	}
+	sort.Strings(gone)
+	return unlisted, gone
 }
 
 // skipLink reports whether the target is outside this checker's scope:

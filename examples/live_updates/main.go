@@ -63,7 +63,7 @@ func main() {
 
 	fmt.Println("\nT+15m: the editors change the toll-free number")
 	kbase.pages["pg1"] = page("Blocco carta di credito", "Per bloccare la carta chiamare il NUOVO numero verde 800-999.")
-	clk.Advance(15 * time.Minute)
+	clk.Advance(ingest.DefaultPollInterval)
 	if _, err := sync(); err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func main() {
 	fmt.Println("\nT+30m: the bonifico page is retired, a new one appears")
 	delete(kbase.pages, "pg2")
 	kbase.pages["pg3"] = page("Bonifico istantaneo", "Il bonifico istantaneo è accreditato in dieci secondi.")
-	clk.Advance(15 * time.Minute)
+	clk.Advance(ingest.DefaultPollInterval)
 	if _, err := sync(); err != nil {
 		log.Fatal(err)
 	}

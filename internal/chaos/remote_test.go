@@ -26,7 +26,6 @@ import (
 	"uniask/internal/ingest"
 	"uniask/internal/kb"
 	"uniask/internal/llm"
-	"uniask/internal/queue"
 	"uniask/internal/remote"
 	"uniask/internal/rerank"
 	"uniask/internal/resilience"
@@ -95,24 +94,11 @@ func loadRemoteCluster(t *testing.T, c *remoteCluster, seed int64) (*search.Sear
 	for i, d := range corpus.Docs {
 		pages[i] = ingest.Page{ID: d.ID, HTML: d.HTML}
 	}
-	q := queue.New[ingest.Extracted]()
-	ing := &ingest.Ingester{Source: pages, Out: q}
-	if _, err := ing.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
-	q.Close()
-	var docs []ingest.Extracted
-	for {
-		doc, ok := q.TryDequeue()
-		if !ok {
-			break
-		}
-		docs = append(docs, doc)
-	}
+	docs := (&ingest.Ingester{Source: pages}).Changes()
 	emb := embedding.NewSynth(64, corpus.Lexicon())
 	client := llm.NewSim(llm.DefaultBehavior())
 	in := indexer.New(c.facade, emb, client, indexer.Config{})
-	if _, err := in.IndexBatch(context.Background(), docs, 4); err != nil {
+	if _, err := in.Index(context.Background(), docs); err != nil {
 		t.Fatal(err)
 	}
 	c.facade.Publish()

@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -29,7 +28,6 @@ import (
 	"uniask/internal/kb"
 	"uniask/internal/llm"
 	"uniask/internal/pipeline"
-	"uniask/internal/queue"
 	"uniask/internal/remote"
 	"uniask/internal/rerank"
 	"uniask/internal/resilience"
@@ -461,8 +459,8 @@ func (e *Engine) SetObserver(obs pipeline.Observer) {
 }
 
 // BuildFromCorpus creates an engine and indexes a generated corpus through
-// the full ingestion pipeline (HTML extraction → queue → chunking →
-// enrichment → index).
+// the full ingestion pipeline (HTML extraction → chunking → enrichment →
+// index).
 func BuildFromCorpus(ctx context.Context, corpus *kb.Corpus, cfg Config) (*Engine, error) {
 	if cfg.Lexicon == nil {
 		cfg.Lexicon = corpus.Lexicon()
@@ -474,35 +472,15 @@ func BuildFromCorpus(ctx context.Context, corpus *kb.Corpus, cfg Config) (*Engin
 	return eng, nil
 }
 
-// IndexCorpus runs the ingestion + indexing flow over every corpus page,
-// using the parallel bulk path: extraction and embedding fan out over
-// workers while the index is fed sequentially (the insert order — and so
-// the HNSW graph — is identical to a one-at-a-time load).
+// IndexCorpus runs the ingestion + indexing flow over every corpus page: it
+// is the first pass of a poller over the corpus as a static source.
 func (e *Engine) IndexCorpus(ctx context.Context, corpus *kb.Corpus) error {
 	pages := make(ingest.StaticSource, len(corpus.Docs))
 	for i, d := range corpus.Docs {
 		pages[i] = ingest.Page{ID: d.ID, HTML: d.HTML}
 	}
-	q := queue.New[ingest.Extracted]()
-	ing := &ingest.Ingester{Source: pages, Out: q}
-	if _, err := ing.SyncOnce(); err != nil {
-		return fmt.Errorf("core: ingest: %w", err)
-	}
-	q.Close()
-	docs := make([]ingest.Extracted, 0, len(corpus.Docs))
-	for {
-		doc, ok := q.TryDequeue()
-		if !ok {
-			break
-		}
-		docs = append(docs, doc)
-	}
-	in := indexer.New(e.Index, e.Embedder, e.Client, e.cfg.Indexer)
-	if _, err := in.IndexBatch(ctx, docs, runtime.NumCPU()); err != nil {
-		return fmt.Errorf("core: index: %w", err)
-	}
-	e.Publish()
-	return nil
+	_, err := e.NewPoller(ctx, pages)()
+	return err
 }
 
 // Response is the outcome of one Ask call.
@@ -707,39 +685,38 @@ func (e *Engine) Retriever(ctx context.Context, opts search.Options) func(string
 }
 
 // NewPoller returns a function that performs one §3 polling pass over the
-// knowledge-base source: new and modified pages are re-extracted, chunked
-// and indexed in place; vanished pages are tombstoned. The returned
-// function reports how many pages changed. State (content fingerprints)
-// persists across calls, exactly like the 15-minute cron ingester.
+// knowledge-base source, the only way documents reach the index: new and
+// modified pages are extracted, prepared (chunked, enriched, embedded) in
+// parallel and indexed in listing order; vanished pages are tombstoned. The
+// returned function reports how many pages it applied. State (content
+// fingerprints) persists across calls, exactly like the 15-minute cron
+// ingester.
+//
+// A pass that fails has applied the pages listed before the failing one and
+// nothing after it. A page's fingerprint is committed only once the page is
+// indexed, so the failing page and the rest are offered again by the next
+// pass, and an edit whose preparation failed keeps its indexed version.
 //
 // Every pass runs under ctx, so a poller wired to the server's context
 // stops indexing as soon as the server shuts down.
 func (e *Engine) NewPoller(ctx context.Context, src ingest.Source) func() (int, error) {
-	q := queue.New[ingest.Extracted]()
-	ing := &ingest.Ingester{Source: src, Out: q}
+	ing := &ingest.Ingester{Source: src}
 	in := indexer.New(e.Index, e.Embedder, e.Client, e.cfg.Indexer)
 	return func() (int, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		changed, err := ing.SyncOnce()
-		if err != nil {
-			return 0, fmt.Errorf("core: poll: %w", err)
-		}
-		for {
-			doc, ok := q.TryDequeue()
-			if !ok {
-				break
-			}
-			if _, err := in.IndexDocument(ctx, doc); err != nil {
-				return changed, fmt.Errorf("core: poll index: %w", err)
-			}
-		}
-		if changed > 0 {
+		changes := ing.Changes()
+		applied, err := in.Index(ctx, changes)
+		ing.Commit(changes[:applied])
+		if applied > 0 {
 			// End-of-cycle publication: the pass's adds and deletes become a
 			// new stats snapshot, exactly one cache rotation per poll.
 			e.Publish()
 		}
-		return changed, nil
+		if err != nil {
+			return applied, fmt.Errorf("core: poll: %w", err)
+		}
+		return applied, nil
 	}
 }

@@ -3,13 +3,19 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"uniask/internal/faulty"
 	"uniask/internal/guardrails"
+	"uniask/internal/index"
+	"uniask/internal/indexer"
 	"uniask/internal/ingest"
 	"uniask/internal/kb"
+	"uniask/internal/llm"
 	"uniask/internal/pipeline"
 	"uniask/internal/search"
 )
@@ -313,5 +319,109 @@ func TestPollerAppliesEditsAndDeletions(t *testing.T) {
 	}
 	if eng.Index.HasParent("p1") {
 		t.Fatal("deleted page still live")
+	}
+}
+
+// failingLLMEngine enriches every page with an LLM summary and scripts the
+// outcome of each summary call.
+func failingLLMEngine(script ...faulty.Kind) *Engine {
+	return New(Config{
+		Indexer:    indexer.Config{EnrichSummary: true},
+		Resilience: ResilienceConfig{Disable: true},
+		LLMMiddleware: func(c llm.Client) llm.Client {
+			return &faulty.Client{Inner: c, Sched: faulty.Script(script...)}
+		},
+	})
+}
+
+func htmlPage(body string) string {
+	return "<html><head><title>Pagina uno</title></head><body><p>" + body + "</p></body></html>"
+}
+
+// TestFailedPassReoffersThePage: a page whose indexing failed is offered
+// again by the next pass instead of waiting for a second edit.
+func TestFailedPassReoffersThePage(t *testing.T) {
+	eng := failingLLMEngine(faulty.Error)
+	src := &mutableSource{pages: []ingest.Page{{ID: "p1", HTML: htmlPage("Contenuto con parola unicaoriginale.")}}}
+	sync := eng.NewPoller(context.Background(), src)
+
+	if _, err := sync(); !errors.Is(err, faulty.ErrInjected) {
+		t.Fatalf("pass 1 err = %v; want the injected LLM error", err)
+	}
+	if eng.Index.HasParent("p1") {
+		t.Fatal("pass 1 indexed a page whose enrichment failed")
+	}
+	if n, err := sync(); err != nil || n != 1 {
+		t.Fatalf("pass 2 = %d, %v; want the page retried", n, err)
+	}
+	if len(eng.Index.SearchText("unicaoriginale", 5, index.TextOptions{})) == 0 {
+		t.Fatal("retried page not searchable")
+	}
+	if n, err := sync(); err != nil || n != 0 {
+		t.Fatalf("pass 3 = %d, %v; want nothing left to do", n, err)
+	}
+}
+
+// TestFailedEnrichmentKeepsLiveVersion: an edit whose LLM enrichment fails
+// leaves the previous version of the page searchable.
+func TestFailedEnrichmentKeepsLiveVersion(t *testing.T) {
+	eng := failingLLMEngine(faulty.OK, faulty.Error)
+	src := &mutableSource{pages: []ingest.Page{{ID: "p1", HTML: htmlPage("Contenuto con parola unicaoriginale.")}}}
+	sync := eng.NewPoller(context.Background(), src)
+	if n, err := sync(); err != nil || n != 1 {
+		t.Fatalf("initial pass = %d, %v", n, err)
+	}
+
+	src.pages[0].HTML = htmlPage("Contenuto con parola unicanuova.")
+	if _, err := sync(); !errors.Is(err, faulty.ErrInjected) {
+		t.Fatalf("edit pass err = %v; want the injected LLM error", err)
+	}
+	if len(eng.Index.SearchText("unicaoriginale", 5, index.TextOptions{})) == 0 {
+		t.Fatal("failed enrichment removed the live version of the page")
+	}
+	if n, err := sync(); err != nil || n != 1 {
+		t.Fatalf("retry pass = %d, %v", n, err)
+	}
+	if len(eng.Index.SearchText("unicanuova", 5, index.TextOptions{})) == 0 ||
+		len(eng.Index.SearchText("unicaoriginale", 5, index.TextOptions{})) != 0 {
+		t.Fatal("retry did not replace the page")
+	}
+}
+
+// TestIndexCorpusIsFirstPollerPass: a bulk load and the first pass of a
+// poller over the same pages are one path, so they leave the same store.
+func TestIndexCorpusIsFirstPollerPass(t *testing.T) {
+	corpus := kb.Generate(kb.GenConfig{Docs: 120, Seed: 5})
+	pages := make(ingest.StaticSource, len(corpus.Docs))
+	for i, d := range corpus.Docs {
+		pages[i] = ingest.Page{ID: d.ID, HTML: d.HTML}
+	}
+	cfg := Config{Lexicon: corpus.Lexicon(), MemtableMaxDocs: 32, CompactionFanIn: -1}
+	ctx := context.Background()
+
+	bulk, polled := New(cfg), New(cfg)
+	if err := bulk.IndexCorpus(ctx, corpus); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := polled.NewPoller(ctx, pages)(); err != nil || n != len(pages) {
+		t.Fatalf("first pass = %d, %v", n, err)
+	}
+
+	if a, b := bulk.Index.LiveDocs(), polled.Index.LiveDocs(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("live documents differ: %d vs %d", len(a), len(b))
+	}
+	sa, sb := bulk.SegmentStats(), polled.SegmentStats()
+	if !reflect.DeepEqual(sa, sb) || sa[0].Seals < 2 {
+		t.Fatalf("segment stats differ or the store never sealed:\n%+v\n%+v", sa, sb)
+	}
+	for _, q := range corpus.HumanDataset(10, 3).Queries {
+		ra, _, errA := bulk.Search(ctx, q.Text)
+		rb, _, errB := polled.Search(ctx, q.Text)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if fmt.Sprintf("%#v", ra) != fmt.Sprintf("%#v", rb) {
+			t.Fatalf("rankings differ for %q", q.Text)
+		}
 	}
 }

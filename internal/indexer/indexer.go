@@ -1,5 +1,5 @@
 // Package indexer implements UniAsk's indexing service (§3): it consumes
-// documents posted by the ingester, splits them into chunks with the
+// the change set of an ingester pass, splits the pages into chunks with the
 // HTML-paragraph strategy, populates chunk metadata (including the
 // LLM-generated summary and keyword list the paper adds), computes the
 // title and content embeddings, and feeds the search index.
@@ -8,6 +8,7 @@ package indexer
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -16,7 +17,6 @@ import (
 	"uniask/internal/index"
 	"uniask/internal/ingest"
 	"uniask/internal/llm"
-	"uniask/internal/queue"
 	"uniask/internal/vector"
 )
 
@@ -68,85 +68,6 @@ func New(ix index.Writer, emb embedding.Embedder, client llm.Client, cfg Config)
 	}
 }
 
-// IndexDocument chunks and indexes one extracted document. A deletion
-// message tombstones the document's chunks; a re-ingested (modified)
-// document replaces its previous chunks. It returns the number of chunks
-// added.
-func (in *Indexer) IndexDocument(ctx context.Context, doc ingest.Extracted) (int, error) {
-	if doc.Deleted {
-		in.index.DeleteParent(doc.ID)
-		return 0, nil
-	}
-	if in.index.HasParent(doc.ID) {
-		// Modified page: drop the stale chunks before indexing the new ones.
-		in.index.DeleteParent(doc.ID)
-	}
-	chunks := in.splitter.SplitDocument(doc.Doc)
-	if len(chunks) == 0 {
-		return 0, nil
-	}
-
-	summary := ""
-	if in.cfg.EnrichSummary {
-		resp, err := in.client.Complete(ctx, llm.BuildSummaryPrompt(doc.Title, doc.Doc.Text()))
-		if err != nil {
-			return 0, fmt.Errorf("indexer: summary for %s: %w", doc.ID, err)
-		}
-		summary = resp.Content
-	}
-	kwTitle := ""
-	if in.cfg.KeywordsFromTitle {
-		resp, err := in.client.Complete(ctx, llm.BuildKeywordsPrompt(doc.Title, ""))
-		if err != nil {
-			return 0, fmt.Errorf("indexer: title keywords for %s: %w", doc.ID, err)
-		}
-		kwTitle = resp.Content
-	}
-
-	titleVec := in.embedder.Embed(doc.Title)
-	added := 0
-	for _, ch := range chunks {
-		kwTC := ""
-		if in.cfg.KeywordsFromTitleContent {
-			resp, err := in.client.Complete(ctx, llm.BuildKeywordsPrompt(doc.Title, ch.Text))
-			if err != nil {
-				return added, fmt.Errorf("indexer: content keywords for %s: %w", doc.ID, err)
-			}
-			kwTC = resp.Content
-		}
-		fields := map[string]string{
-			"title":   doc.Title,
-			"content": ch.Text,
-			"domain":  doc.Domain,
-			"section": doc.Section,
-			"topic":   doc.Topic,
-		}
-		if summary != "" {
-			fields["summary"] = summary
-		}
-		if kwTitle != "" {
-			fields["kwTitle"] = kwTitle
-		}
-		if kwTC != "" {
-			fields["kwTitleContent"] = kwTC
-		}
-		err := in.index.Add(index.Document{
-			ID:       chunkID(doc.ID, ch.Ordinal),
-			ParentID: doc.ID,
-			Fields:   fields,
-			Vectors: map[string]vector.Vector{
-				"titleVector":   titleVec,
-				"contentVector": in.embedder.Embed(ch.Text),
-			},
-		})
-		if err != nil {
-			return added, fmt.Errorf("indexer: add %s: %w", doc.ID, err)
-		}
-		added++
-	}
-	return added, nil
-}
-
 // chunkID derives the chunk identifier from the parent document id.
 func chunkID(docID string, ordinal int) string {
 	return fmt.Sprintf("%s#%d", docID, ordinal)
@@ -158,26 +79,6 @@ func ParentOf(chunkID string) string {
 		return chunkID[:i]
 	}
 	return chunkID
-}
-
-// Run consumes the ingestion queue until it is closed and drained or ctx is
-// cancelled. It returns the total number of chunks indexed.
-func (in *Indexer) Run(ctx context.Context, q *queue.Queue[ingest.Extracted]) (int, error) {
-	total := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return total, err
-		}
-		doc, ok := q.Dequeue()
-		if !ok {
-			return total, nil
-		}
-		n, err := in.IndexDocument(ctx, doc)
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
 }
 
 // batchItem carries one document's precomputed artifacts from the parallel
@@ -193,11 +94,15 @@ type batchItem struct {
 	err     error
 }
 
-// IndexBatch indexes many documents, running the CPU-heavy per-document
-// work — chunking, LLM enrichment, embedding — on parallel workers while
-// feeding the index in document order. It returns the total number of
-// chunks added. Bulk loads of the 59k-document corpus are several times
-// faster than the one-at-a-time path.
+// Index applies one change set to the index, in order: a deletion
+// tombstones the page's chunks, a modified page replaces its previous
+// chunks, a new page is added. The CPU- and LLM-heavy per-page work
+// (chunking, enrichment, embedding) runs on parallel workers before anything
+// is written, so a page whose preparation fails keeps its indexed version.
+//
+// It returns how many leading docs were applied in full. On error the rest
+// were not: pages of a failed bulk write may be partly indexed, and offering
+// docs[applied:] again replaces them.
 //
 // Runs of pure additions (no deletions, no replacements of already-indexed
 // parents) feed the index through AddBulk, which a sharded index turns into
@@ -205,14 +110,11 @@ type batchItem struct {
 // sequential path so replacement semantics stay exact. Either way the
 // per-index insertion order is identical to a one-at-a-time loop, so
 // insertion-order-sensitive structures (the HNSW graphs) are deterministic.
-func (in *Indexer) IndexBatch(ctx context.Context, docs []ingest.Extracted, workers int) (int, error) {
-	if workers <= 0 {
-		workers = 4
-	}
+func (in *Indexer) Index(ctx context.Context, docs []ingest.Extracted) (applied int, err error) {
 	jobs := make(chan int)
 	items := make([]batchItem, len(docs))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := min(len(docs), runtime.GOMAXPROCS(0)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -227,7 +129,6 @@ func (in *Indexer) IndexBatch(ctx context.Context, docs []ingest.Extracted, work
 	close(jobs)
 	wg.Wait()
 
-	total := 0
 	var pending []index.Document
 	pendingParents := make(map[string]bool)
 	flush := func() error {
@@ -235,9 +136,9 @@ func (in *Indexer) IndexBatch(ctx context.Context, docs []ingest.Extracted, work
 			return nil
 		}
 		if err := in.index.AddBulk(pending); err != nil {
-			return err
+			return fmt.Errorf("indexer: add: %w", err)
 		}
-		total += len(pending)
+		applied += len(pendingParents) // one entry per pending page
 		pending = nil
 		pendingParents = make(map[string]bool)
 		return nil
@@ -246,33 +147,36 @@ func (in *Indexer) IndexBatch(ctx context.Context, docs []ingest.Extracted, work
 		it := &items[i]
 		if it.err != nil {
 			if err := flush(); err != nil {
-				return total, err
+				return applied, err
 			}
-			return total, it.err
+			return applied, it.err
 		}
 		// Deletions, replacements of indexed parents, and replacements of
 		// parents still sitting in the pending bulk all need the sequential
 		// delete-then-add path.
 		if it.doc.Deleted || pendingParents[it.doc.ID] || in.index.HasParent(it.doc.ID) {
 			if err := flush(); err != nil {
-				return total, err
+				return applied, err
 			}
-			n, err := in.feed(it)
-			if err != nil {
-				return total, err
+			if err := in.feed(it); err != nil {
+				return applied, err
 			}
-			total += n
+			applied++
 			continue
 		}
 		pending = append(pending, in.chunkDocs(it)...)
 		pendingParents[it.doc.ID] = true
 	}
-	return total, flush()
+	return applied, flush()
 }
 
 // prepare runs the parallelizable stage for one document.
 func (in *Indexer) prepare(ctx context.Context, doc ingest.Extracted) batchItem {
 	it := batchItem{doc: doc}
+	if err := ctx.Err(); err != nil {
+		it.err = err
+		return it
+	}
 	if doc.Deleted {
 		return it
 	}
@@ -314,22 +218,20 @@ func (in *Indexer) prepare(ctx context.Context, doc ingest.Extracted) batchItem 
 }
 
 // feed applies one prepared document to the index (single-threaded).
-func (in *Indexer) feed(it *batchItem) (int, error) {
+func (in *Indexer) feed(it *batchItem) error {
 	if it.doc.Deleted {
 		in.index.DeleteParent(it.doc.ID)
-		return 0, nil
+		return nil
 	}
 	if in.index.HasParent(it.doc.ID) {
 		in.index.DeleteParent(it.doc.ID)
 	}
-	added := 0
 	for _, d := range in.chunkDocs(it) {
 		if err := in.index.Add(d); err != nil {
-			return added, fmt.Errorf("indexer: add %s: %w", it.doc.ID, err)
+			return fmt.Errorf("indexer: add %s: %w", it.doc.ID, err)
 		}
-		added++
 	}
-	return added, nil
+	return nil
 }
 
 // chunkDocs builds the index documents of one prepared item.

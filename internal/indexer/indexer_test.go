@@ -2,6 +2,8 @@ package indexer
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,7 +12,6 @@ import (
 	"uniask/internal/ingest"
 	"uniask/internal/kb"
 	"uniask/internal/llm"
-	"uniask/internal/queue"
 )
 
 func testSetup(cfg Config) (*Indexer, *index.Index) {
@@ -21,11 +22,20 @@ func testSetup(cfg Config) (*Indexer, *index.Index) {
 }
 
 func extractedPage(id, html string) ingest.Extracted {
-	src := ingest.StaticSource{{ID: id, HTML: html}}
-	q := queue.New[ingest.Extracted]()
-	(&ingest.Ingester{Source: src, Out: q}).SyncOnce()
-	msg, _ := q.TryDequeue()
-	return msg
+	return extractAll(ingest.StaticSource{{ID: id, HTML: html}})[0]
+}
+
+// extractAll is the change set of a first pass over pages: every page.
+func extractAll(pages ingest.StaticSource) []ingest.Extracted {
+	return (&ingest.Ingester{Source: pages}).Changes()
+}
+
+func corpusPages(corpus *kb.Corpus) ingest.StaticSource {
+	var pages ingest.StaticSource
+	for _, d := range corpus.Docs {
+		pages = append(pages, ingest.Page{ID: d.ID, HTML: d.HTML})
+	}
+	return pages
 }
 
 const page = `<html><head><title>Blocco carta di credito</title>
@@ -35,14 +45,14 @@ const page = `<html><head><title>Blocco carta di credito</title>
 <p>Il servizio è attivo tutti i giorni della settimana.</p>
 </body></html>`
 
-func TestIndexDocumentBasic(t *testing.T) {
+func TestIndexBasic(t *testing.T) {
 	in, ix := testSetup(Config{EnrichSummary: true})
-	n, err := in.IndexDocument(context.Background(), extractedPage("kb00001", page))
+	n, err := in.Index(context.Background(), []ingest.Extracted{extractedPage("kb00001", page)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 || ix.Len() != n {
-		t.Fatalf("chunks = %d, index len = %d", n, ix.Len())
+	if n != 1 || ix.Len() == 0 {
+		t.Fatalf("applied = %d, index len = %d", n, ix.Len())
 	}
 	doc, ok := ix.DocByID("kb00001#0")
 	if !ok {
@@ -67,7 +77,7 @@ func TestIndexDocumentBasic(t *testing.T) {
 
 func TestKeywordEnrichmentFields(t *testing.T) {
 	in, ix := testSetup(Config{KeywordsFromTitle: true, KeywordsFromTitleContent: true})
-	if _, err := in.IndexDocument(context.Background(), extractedPage("kb1", page)); err != nil {
+	if _, err := in.Index(context.Background(), []ingest.Extracted{extractedPage("kb1", page)}); err != nil {
 		t.Fatal(err)
 	}
 	doc, _ := ix.DocByID("kb1#0")
@@ -81,8 +91,8 @@ func TestKeywordEnrichmentFields(t *testing.T) {
 
 func TestDeletedDocumentAcknowledged(t *testing.T) {
 	in, ix := testSetup(Config{})
-	n, err := in.IndexDocument(context.Background(), ingest.Extracted{ID: "gone", Deleted: true})
-	if err != nil || n != 0 || ix.Len() != 0 {
+	n, err := in.Index(context.Background(), []ingest.Extracted{{ID: "gone", Deleted: true}})
+	if err != nil || n != 1 || ix.Len() != 0 {
 		t.Fatalf("deletion handling: n=%d err=%v len=%d", n, err, ix.Len())
 	}
 }
@@ -99,45 +109,41 @@ func TestChunkIDRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRunConsumesQueue(t *testing.T) {
+// TestIndexConsumesChangeSet: a whole change set is applied in one call, and
+// a cancelled context stops the call before it writes.
+func TestIndexConsumesChangeSet(t *testing.T) {
 	in, ix := testSetup(Config{})
-	q := queue.New[ingest.Extracted]()
-	q.Publish(extractedPage("kb1", page))
-	q.Publish(extractedPage("kb2", page))
-	q.Close()
-	total, err := in.Run(context.Background(), q)
+	docs := []ingest.Extracted{extractedPage("kb1", page), extractedPage("kb2", page)}
+	applied, err := in.Index(context.Background(), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total == 0 || ix.Len() != total {
-		t.Fatalf("total = %d, index len = %d", total, ix.Len())
+	if applied != 2 || !ix.HasParent("kb1") || !ix.HasParent("kb2") {
+		t.Fatalf("applied = %d, index len = %d", applied, ix.Len())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := ix.Len()
+	applied, err = in.Index(ctx, []ingest.Extracted{extractedPage("kb3", page), {ID: "kb1", Deleted: true}})
+	if !errors.Is(err, context.Canceled) || applied != 0 || ix.Len() != before || !ix.HasParent("kb1") {
+		t.Fatalf("cancelled call: applied=%d err=%v len %d -> %d", applied, err, before, ix.Len())
 	}
 }
 
 func TestEndToEndCorpusIndexing(t *testing.T) {
-	// Full pipeline over a small generated corpus: kb -> ingest -> queue ->
-	// indexer -> index.
+	// Full pipeline over a small generated corpus: kb -> ingest -> indexer
+	// -> index.
 	corpus := kb.Generate(kb.GenConfig{Docs: 50, Seed: 3})
-	var pages ingest.StaticSource
-	for _, d := range corpus.Docs {
-		pages = append(pages, ingest.Page{ID: d.ID, HTML: d.HTML})
-	}
-	q := queue.New[ingest.Extracted]()
-	ing := &ingest.Ingester{Source: pages, Out: q}
-	if _, err := ing.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
-	q.Close()
-
 	ix := index.New(index.Config{Schema: Schema()})
 	emb := embedding.NewSynth(64, corpus.Lexicon())
 	in := New(ix, emb, llm.NewSim(llm.DefaultBehavior()), Config{EnrichSummary: true})
-	total, err := in.Run(context.Background(), q)
+	applied, err := in.Index(context.Background(), extractAll(corpusPages(corpus)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total < 50 {
-		t.Fatalf("indexed %d chunks from 50 docs", total)
+	if applied != 50 || ix.Len() < 50 {
+		t.Fatalf("applied %d docs, indexed %d chunks from 50 docs", applied, ix.Len())
 	}
 	// Every corpus doc must have at least chunk #0 indexed with its title.
 	for _, d := range corpus.Docs {
@@ -163,7 +169,7 @@ func TestLiveUpdateFlow(t *testing.T) {
 
 	// Initial version.
 	v1 := extractedPage("kb9", page)
-	if _, err := in.IndexDocument(ctx, v1); err != nil {
+	if _, err := in.Index(ctx, []ingest.Extracted{v1}); err != nil {
 		t.Fatal(err)
 	}
 	before := ix.LiveLen()
@@ -174,7 +180,7 @@ func TestLiveUpdateFlow(t *testing.T) {
 <p>La nuova procedura prevede il blocco immediato tramite app mobile certificata.</p>
 </body></html>`
 	v2 := extractedPage("kb9", pageV2)
-	if _, err := in.IndexDocument(ctx, v2); err != nil {
+	if _, err := in.Index(ctx, []ingest.Extracted{v2}); err != nil {
 		t.Fatal(err)
 	}
 	hits := ix.SearchText("app mobile certificata", 5, index.TextOptions{})
@@ -192,7 +198,7 @@ func TestLiveUpdateFlow(t *testing.T) {
 	}
 
 	// Deletion.
-	if _, err := in.IndexDocument(ctx, ingest.Extracted{ID: "kb9", Deleted: true}); err != nil {
+	if _, err := in.Index(ctx, []ingest.Extracted{{ID: "kb9", Deleted: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if ix.HasParent("kb9") {
@@ -200,61 +206,55 @@ func TestLiveUpdateFlow(t *testing.T) {
 	}
 }
 
-// TestIndexBatchEquivalence: the parallel bulk path must produce the same
-// index contents as the sequential path.
+// TestIndexBatchEquivalence: one call with every document (parallel
+// prepare, bulk adds) must leave the store exactly as one call per document
+// does, down to the insertion order and the segment layout, which the
+// benchmark's pinned ranking digests rest on. The change set carries an
+// edit and a deletion so both feed paths run.
 func TestIndexBatchEquivalence(t *testing.T) {
 	corpus := kb.Generate(kb.GenConfig{Docs: 40, Seed: 9})
-	var extracted []ingest.Extracted
-	for _, d := range corpus.Docs {
-		extracted = append(extracted, extractedPage(d.ID, d.HTML))
-	}
+	pages := corpusPages(corpus)
+	extracted := extractAll(pages)
+	extracted = append(extracted,
+		extractedPage(pages[3].ID, pages[7].HTML),
+		ingest.Extracted{ID: pages[5].ID, Deleted: true})
 
-	seqIdx, batchIdx := index.New(index.Config{Schema: Schema()}), index.New(index.Config{Schema: Schema()})
+	newStore := func() *index.Segmented {
+		return index.NewSegmented(index.Config{Schema: Schema()},
+			index.SegmentConfig{MemtableMaxDocs: 16, CompactionFanIn: -1})
+	}
+	seqIdx, batchIdx := newStore(), newStore()
 	emb := embedding.NewSynth(64, corpus.Lexicon())
 	client := llm.NewSim(llm.DefaultBehavior())
 	seq := New(seqIdx, emb, client, Config{EnrichSummary: true})
 	bat := New(batchIdx, emb, client, Config{EnrichSummary: true})
 
 	ctx := context.Background()
-	seqTotal := 0
-	for _, e := range extracted {
-		n, err := seq.IndexDocument(ctx, e)
-		if err != nil {
-			t.Fatal(err)
+	for i := range extracted {
+		if n, err := seq.Index(ctx, extracted[i:i+1]); err != nil || n != 1 {
+			t.Fatalf("doc %d: applied %d, %v", i, n, err)
 		}
-		seqTotal += n
 	}
-	batTotal, err := bat.IndexBatch(ctx, extracted, 4)
-	if err != nil {
-		t.Fatal(err)
+	if n, err := bat.Index(ctx, extracted); err != nil || n != len(extracted) {
+		t.Fatalf("batch: applied %d of %d, %v", n, len(extracted), err)
 	}
-	if seqTotal != batTotal {
-		t.Fatalf("chunk counts differ: %d vs %d", seqTotal, batTotal)
+
+	if a, b := seqIdx.LiveDocs(), batchIdx.LiveDocs(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("live documents differ: %d vs %d", len(a), len(b))
 	}
-	// Every chunk must exist in both with identical fields.
-	for _, d := range corpus.Docs {
-		a, okA := seqIdx.DocByID(d.ID + "#0")
-		b, okB := batchIdx.DocByID(d.ID + "#0")
-		if !okA || !okB {
-			t.Fatalf("doc %s missing: seq=%v batch=%v", d.ID, okA, okB)
-		}
-		for f, v := range a.Fields {
-			if b.Fields[f] != v {
-				t.Fatalf("doc %s field %s differs", d.ID, f)
-			}
-		}
+	sa, sb := seqIdx.SegmentStats(), batchIdx.SegmentStats()
+	if sa != sb {
+		t.Fatalf("segment stats differ:\n%+v\n%+v", sa, sb)
+	}
+	if sa.Seals < 2 || sa.Tombstones == 0 {
+		t.Fatalf("store did not seal or tombstone, the test checks nothing: %+v", sa)
 	}
 	// Search results must match.
 	q := corpus.Docs[0].Title
 	ha := seqIdx.SearchText(q, 5, index.TextOptions{})
 	hb := batchIdx.SearchText(q, 5, index.TextOptions{})
-	if len(ha) != len(hb) {
-		t.Fatalf("results differ: %d vs %d", len(ha), len(hb))
-	}
-	for i := range ha {
-		if ha[i].ID != hb[i].ID {
-			t.Fatalf("hit %d differs: %s vs %s", i, ha[i].ID, hb[i].ID)
-		}
+	if !reflect.DeepEqual(ha, hb) {
+		t.Fatalf("results differ:\n%+v\n%+v", ha, hb)
 	}
 }
 
@@ -262,13 +262,13 @@ func TestIndexBatchEquivalence(t *testing.T) {
 func TestIndexBatchHandlesDeletes(t *testing.T) {
 	in, ix := testSetup(Config{})
 	ctx := context.Background()
-	if _, err := in.IndexBatch(ctx, []ingest.Extracted{extractedPage("kbx", page)}, 2); err != nil {
+	if _, err := in.Index(ctx, []ingest.Extracted{extractedPage("kbx", page)}); err != nil {
 		t.Fatal(err)
 	}
 	if !ix.HasParent("kbx") {
 		t.Fatal("batch add failed")
 	}
-	if _, err := in.IndexBatch(ctx, []ingest.Extracted{{ID: "kbx", Deleted: true}}, 2); err != nil {
+	if _, err := in.Index(ctx, []ingest.Extracted{{ID: "kbx", Deleted: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if ix.HasParent("kbx") {

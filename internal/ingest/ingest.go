@@ -1,19 +1,18 @@
 // Package ingest implements UniAsk's ingestion service (§3): it extracts
 // text and metadata from each HTML document in the knowledge base and keeps
 // the downstream index updated by polling for modifications every 15
-// minutes (a cron-triggered serverless function in the deployment; a
-// clock-driven loop here). New or changed pages are posted to the message
-// queue consumed by the indexing service.
+// minutes (a cron-triggered serverless function in the deployment; whoever
+// owns the schedule calls the pass here). A pass turns the source's page
+// listing into the set of new, changed and vanished pages and hands it to
+// the indexing service directly.
 package ingest
 
 import (
-	"context"
 	"hash/fnv"
+	"sort"
 	"time"
 
 	"uniask/internal/htmlx"
-	"uniask/internal/queue"
-	"uniask/internal/vclock"
 )
 
 // Page is one raw knowledge-base page as served by the source system.
@@ -43,22 +42,20 @@ type Extracted struct {
 	Domain, Section, Topic string
 	// Deleted marks a page that disappeared from the source.
 	Deleted bool
+
+	// hash is the page fingerprint Commit records once the page is indexed.
+	hash uint64
 }
 
 // DefaultPollInterval is the paper's 15-minute modification polling period.
 const DefaultPollInterval = 15 * time.Minute
 
-// Ingester polls a Source and publishes changed documents.
+// Ingester detects changes in a Source between polling passes.
 type Ingester struct {
 	// Source is the KB backend.
 	Source Source
-	// Out receives one message per new/changed/deleted page.
-	Out *queue.Queue[Extracted]
-	// Clock drives polling (virtual in tests). Defaults to the real clock.
-	Clock vclock.Clock
-	// PollInterval defaults to DefaultPollInterval.
-	PollInterval time.Duration
 
+	// hashes fingerprints every page as the index last received it.
 	hashes map[string]uint64
 }
 
@@ -70,7 +67,7 @@ func hashPage(html string) uint64 {
 }
 
 // extract parses one page into an Extracted message.
-func extract(p Page) Extracted {
+func extract(p Page, hash uint64) Extracted {
 	doc := htmlx.Extract(p.HTML)
 	return Extracted{
 		ID:      p.ID,
@@ -79,61 +76,56 @@ func extract(p Page) Extracted {
 		Domain:  doc.Meta["domain"],
 		Section: doc.Meta["section"],
 		Topic:   doc.Meta["topic"],
+		hash:    hash,
 	}
 }
 
-// SyncOnce performs one polling pass: new and modified pages are extracted
-// and published; vanished pages are published as deletions. It returns the
-// number of messages published.
-func (ing *Ingester) SyncOnce() (int, error) {
+// Changes performs the detection half of one polling pass: it returns the
+// new and modified pages extracted, in listing order, followed by the
+// vanished pages as deletions, in id order. It is a pure function of the
+// committed fingerprints and the listing: a change keeps being returned
+// until Commit records that it reached the index.
+func (ing *Ingester) Changes() []Extracted {
+	var out []Extracted
+	listed := make(map[string]uint64)
+	for _, p := range ing.Source.Pages() {
+		h := hashPage(p.HTML)
+		// A page listed twice is compared against its earlier listing.
+		prev, seen := listed[p.ID]
+		if !seen {
+			prev, seen = ing.hashes[p.ID]
+		}
+		listed[p.ID] = h
+		if seen && prev == h {
+			continue
+		}
+		out = append(out, extract(p, h))
+	}
+	var gone []string
+	for id := range ing.hashes {
+		if _, ok := listed[id]; !ok {
+			gone = append(gone, id)
+		}
+	}
+	sort.Strings(gone)
+	for _, id := range gone {
+		out = append(out, Extracted{ID: id, Deleted: true})
+	}
+	return out
+}
+
+// Commit records that applied, changes returned by Changes, reached the
+// index: their fingerprints become the state the next pass compares
+// against, and vanished pages are forgotten.
+func (ing *Ingester) Commit(applied []Extracted) {
 	if ing.hashes == nil {
 		ing.hashes = make(map[string]uint64)
 	}
-	published := 0
-	current := make(map[string]bool)
-	for _, p := range ing.Source.Pages() {
-		current[p.ID] = true
-		h := hashPage(p.HTML)
-		if prev, seen := ing.hashes[p.ID]; seen && prev == h {
-			continue
-		}
-		ing.hashes[p.ID] = h
-		if err := ing.Out.Publish(extract(p)); err != nil {
-			return published, err
-		}
-		published++
-	}
-	for id := range ing.hashes {
-		if !current[id] {
-			delete(ing.hashes, id)
-			if err := ing.Out.Publish(Extracted{ID: id, Deleted: true}); err != nil {
-				return published, err
-			}
-			published++
-		}
-	}
-	return published, nil
-}
-
-// Run polls until ctx is cancelled. The first pass runs immediately; later
-// passes run every PollInterval on the configured clock.
-func (ing *Ingester) Run(ctx context.Context) error {
-	clock := ing.Clock
-	if clock == nil {
-		clock = vclock.Real{}
-	}
-	interval := ing.PollInterval
-	if interval <= 0 {
-		interval = DefaultPollInterval
-	}
-	for {
-		if _, err := ing.SyncOnce(); err != nil {
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-clock.After(interval):
+	for _, e := range applied {
+		if e.Deleted {
+			delete(ing.hashes, e.ID)
+		} else {
+			ing.hashes[e.ID] = e.hash
 		}
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"uniask/internal/ingest"
 	"uniask/internal/kb"
 	"uniask/internal/llm"
-	"uniask/internal/queue"
 	"uniask/internal/rerank"
 	"uniask/internal/search"
 	"uniask/internal/shard"
@@ -53,21 +52,7 @@ func extractCorpus(t testing.TB, corpus *kb.Corpus) []ingest.Extracted {
 	for i, d := range corpus.Docs {
 		pages[i] = ingest.Page{ID: d.ID, HTML: d.HTML}
 	}
-	q := queue.New[ingest.Extracted]()
-	ing := &ingest.Ingester{Source: pages, Out: q}
-	if _, err := ing.SyncOnce(); err != nil {
-		t.Fatal(err)
-	}
-	q.Close()
-	var docs []ingest.Extracted
-	for {
-		doc, ok := q.TryDequeue()
-		if !ok {
-			break
-		}
-		docs = append(docs, doc)
-	}
-	return docs
+	return (&ingest.Ingester{Source: pages}).Changes()
 }
 
 // buildSearcher indexes the extracted docs into repo and wraps it in the
@@ -75,7 +60,7 @@ func extractCorpus(t testing.TB, corpus *kb.Corpus) []ingest.Extracted {
 func buildSearcher(t testing.TB, repo index.Repository, docs []ingest.Extracted, emb embedding.Embedder, client llm.Client) *search.Searcher {
 	t.Helper()
 	in := indexer.New(repo, emb, client, indexer.Config{})
-	if _, err := in.IndexBatch(context.Background(), docs, 4); err != nil {
+	if _, err := in.Index(context.Background(), docs); err != nil {
 		t.Fatal(err)
 	}
 	return &search.Searcher{

@@ -1,8 +1,8 @@
 // Package vclock provides a clock abstraction with a real implementation
-// and a virtual (manually advanced) one. The ingestion service's 15-minute
-// polling cron and the 60-minute load test of Figure 2 run on the virtual
-// clock, so experiments that span hours of simulated time complete in
-// milliseconds and remain fully deterministic.
+// and a virtual (manually advanced) one. The 60-minute load test of Figure 2,
+// session expiry and retry back-off run on the virtual clock, so experiments
+// that span hours of simulated time complete in milliseconds and remain
+// fully deterministic.
 package vclock
 
 import (

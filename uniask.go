@@ -34,7 +34,6 @@ import (
 	"uniask/internal/kb"
 	"uniask/internal/llm"
 	"uniask/internal/pipeline"
-	"uniask/internal/queue"
 	"uniask/internal/search"
 	"uniask/internal/server"
 	"uniask/internal/tenant"
@@ -194,21 +193,12 @@ func (s *System) IndexCorpus(ctx context.Context, corpus *Corpus) error {
 	return s.engine.IndexCorpus(ctx, corpus)
 }
 
-// IndexHTML ingests and indexes a single HTML page under the given id,
-// exercising the same extraction/chunking/enrichment path as bulk loads.
+// IndexHTML ingests and indexes a single HTML page under the given id: one
+// poller pass over a one-page source, so it runs the same extraction,
+// chunking and enrichment, under the same configuration, as bulk loads.
 func (s *System) IndexHTML(ctx context.Context, id, html string) error {
-	q := queue.New[ingest.Extracted]()
-	ing := &ingest.Ingester{Source: ingest.StaticSource{{ID: id, HTML: html}}, Out: q}
-	if _, err := ing.SyncOnce(); err != nil {
-		return err
-	}
-	q.Close()
-	in := indexer.New(s.engine.Index, s.engine.Embedder, s.engine.Client, indexer.Config{})
-	if _, err := in.Run(ctx, q); err != nil {
-		return err
-	}
-	s.engine.Publish()
-	return nil
+	_, err := s.engine.NewPoller(ctx, ingest.StaticSource{{ID: id, HTML: html}})()
+	return err
 }
 
 // Ask runs the full RAG query flow: content filter, hybrid retrieval with

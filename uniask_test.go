@@ -70,6 +70,37 @@ func TestIndexHTMLIncremental(t *testing.T) {
 	}
 }
 
+// TestIndexHTMLHonorsConfig: a single page goes through the same indexer
+// configuration as a bulk load.
+func TestIndexHTMLHonorsConfig(t *testing.T) {
+	var body strings.Builder
+	for i := 0; i < 12; i++ {
+		body.WriteString("<p>Il servizio speciale degli incrementi prevede una procedura dedicata con verifica dei dati anagrafici del cliente.</p>\n")
+	}
+	html := "<html><head><title>Pagina incrementale</title></head><body>" + body.String() + "</body></html>"
+	index := func(cfg uniask.Config) *uniask.System {
+		sys := uniask.New(cfg)
+		if err := sys.IndexHTML(context.Background(), "extra1", html); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+
+	sys := index(uniask.Config{EnrichSummary: true})
+	res, err := sys.Search(context.Background(), "servizio speciale incrementi")
+	if err != nil || len(res) == 0 {
+		t.Fatalf("results = %+v, %v", res, err)
+	}
+	if res[0].Summary == "" {
+		t.Fatal("EnrichSummary ignored: stored chunk has no summary")
+	}
+
+	whole, split := index(uniask.Config{}).IndexedChunks(), index(uniask.Config{ChunkTokens: 32}).IndexedChunks()
+	if split <= whole {
+		t.Fatalf("ChunkTokens ignored: %d chunks at 32 tokens, %d at the default", split, whole)
+	}
+}
+
 func TestGuardrailOnOffTopic(t *testing.T) {
 	sys, _ := newSystem(t)
 	resp, err := sys.Ask(context.Background(), "Qual è la ricetta della carbonara?")
