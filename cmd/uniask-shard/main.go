@@ -31,22 +31,27 @@ type options struct {
 	addr     string
 	snapshot string
 	shard    int
-	memtable int
-	fanIn    int
+	segment  index.SegmentConfig
 	maxFrame int
 }
 
+// bindFlags registers the binary's flags on fs, each writing into the
+// returned options.
+func bindFlags(fs *flag.FlagSet) *options {
+	opts := &options{}
+	fs.StringVar(&opts.addr, "addr", ":9701", "listen address")
+	fs.StringVar(&opts.snapshot, "snapshot", "", "segmented snapshot restored as shard -shard before serving")
+	fs.IntVar(&opts.shard, "shard", 0, "logical shard id the -snapshot restores into")
+	opts.segment.BindFlags(fs)
+	fs.IntVar(&opts.maxFrame, "max-frame", 0, "request frame cap in bytes (0 = 64 MiB)")
+	return opts
+}
+
 func main() {
-	var opts options
-	flag.StringVar(&opts.addr, "addr", ":9701", "listen address")
-	flag.StringVar(&opts.snapshot, "snapshot", "", "segmented snapshot restored as shard -shard before serving")
-	flag.IntVar(&opts.shard, "shard", 0, "logical shard id the -snapshot restores into")
-	flag.IntVar(&opts.memtable, "memtable-max-docs", 0, "chunks per memtable before auto-seal (0 = 1024, negative disables auto-seal)")
-	flag.IntVar(&opts.fanIn, "compaction-fanin", 0, "sealed segments merged per compaction (0 = 4, negative disables compaction)")
-	flag.IntVar(&opts.maxFrame, "max-frame", 0, "request frame cap in bytes (0 = 64 MiB)")
+	opts := bindFlags(flag.CommandLine)
 	flag.Parse()
 
-	srv, err := run(opts)
+	srv, err := run(*opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "uniask-shard:", err)
 		os.Exit(1)
@@ -65,11 +70,8 @@ func main() {
 // must analyze exactly like the frontend.
 func run(opts options) (*remote.Server, error) {
 	cfg := remote.ServerConfig{
-		Index: index.Config{Schema: indexer.Schema()},
-		Segment: index.SegmentConfig{
-			MemtableMaxDocs: opts.memtable,
-			CompactionFanIn: opts.fanIn,
-		},
+		Index:    index.Config{Schema: indexer.Schema()},
+		Segment:  opts.segment,
 		MaxFrame: opts.maxFrame,
 	}
 	srv := remote.NewServer(cfg)

@@ -2,11 +2,13 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"uniask/internal/flagdoc"
 	"uniask/internal/index"
 	"uniask/internal/indexer"
 	"uniask/internal/remote"
@@ -78,5 +80,19 @@ func TestRunBadSnapshot(t *testing.T) {
 	}
 	if _, err := run(options{addr: "127.0.0.1:0", snapshot: bad}); err == nil {
 		t.Fatal("corrupt snapshot accepted")
+	}
+}
+
+// TestFlagTableMatchesOperationsDoc fails when a flag has no row in
+// docs/OPERATIONS.md or a row names a flag that is gone.
+func TestFlagTableMatchesOperationsDoc(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("uniask-shard", flag.ContinueOnError)
+	bindFlags(fs)
+	for _, d := range flagdoc.Drift(fs, string(doc), "## Remote shard servers") {
+		t.Error(d)
 	}
 }

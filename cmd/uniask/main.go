@@ -33,162 +33,132 @@ import (
 	"uniask"
 	"uniask/internal/server"
 	"uniask/internal/session"
-	"uniask/internal/tenant"
 )
 
-func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		docs      = flag.Int("docs", 6000, "synthetic corpus size (paper: 59308)")
-		seed      = flag.Int64("seed", 1, "corpus generation seed")
-		workers   = flag.Int("workers", 0, "retrieval fan-out width (0 = one per CPU, 1 = sequential)")
-		shards    = flag.Int("shards", 1, "index shard count (1 = monolithic index)")
-		endpoints = flag.String("shard-endpoints", "", "comma-separated uniask-shard server addresses; when set, shards live on those servers (remote scatter-gather)")
-		replicas  = flag.Int("shard-replication", 2, "endpoints hosting each remote shard (with -shard-endpoints)")
-		memtable  = flag.Int("memtable-max-docs", 0, "chunks per memtable before auto-seal (0 = 1024, negative disables auto-seal)")
-		fanIn     = flag.Int("compaction-fanin", 0, "sealed segments merged per compaction (0 = 4, negative disables compaction)")
-		traceCap  = flag.Int("trace-capacity", 0, "trace store size (0 = 2048 retained traces, negative disables tracing)")
-		traceRate = flag.Float64("trace-sample", 0, "head-sampling rate in (0,1] (0 = trace every request)")
-		traceSlow = flag.Duration("trace-slow", 0, "always-retain latency threshold (0 = 250ms)")
-		noQuant   = flag.Bool("no-vector-quantization", false, "ANN search over full float32 vectors instead of the int8 quantized arena (recall debugging)")
+// options is everything the flags set: the one engine configuration both
+// serving modes are built from, and the values around it (corpus, listener,
+// tenancy, sessions).
+type options struct {
+	addr string
+	docs int
+	seed int64
+	// engine is the single-tenant engine's configuration and every tenant
+	// engine's base.
+	engine uniask.Config
+	// tenantsFile, when set, selects multi-tenant mode.
+	tenantsFile   string
+	tenantsReload time.Duration
+	cacheBudget   int
+	admission     uniask.AdmissionConfig
+	session       session.Config
+	sseHeartbeat  time.Duration
+}
 
-		tenantsFile   = flag.String("tenants", "", "tenant overrides JSON file; when set the server runs multi-tenant (see docs/MULTITENANCY.md)")
-		tenantsReload = flag.Duration("tenants-reload", 0, "overrides hot-reload poll interval (0 = 5s, negative disables)")
-		admCapacity   = flag.Int("admission-capacity", 0, "global concurrent query slots across tenants (0 = 64, negative = unlimited)")
-		admQueue      = flag.Int("admission-queue", 0, "per-class admission queue depth (0 = 64)")
-		admWait       = flag.Duration("admission-wait", 0, "max time a request queues for a slot before shedding (0 = 500ms)")
-		cacheBudget   = flag.Int("tenant-cache-budget", 0, "total query-cache entries across tenant partitions (0 = 4096)")
+// parseFlags registers the binary's flags on fs, each bound to the field
+// it configures, and parses args.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	o.engine.Indexer.EnrichSummary = true
+	var endpoints string
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.docs, "docs", 6000, "synthetic corpus size (paper: 59308)")
+	fs.Int64Var(&o.seed, "seed", 1, "corpus generation seed")
+	fs.IntVar(&o.engine.SearchWorkers, "workers", 0, "retrieval fan-out width (0 = one per CPU, 1 = sequential)")
+	fs.IntVar(&o.engine.ShardCount, "shards", 1, "index shard count (1 = monolithic index)")
+	fs.StringVar(&endpoints, "shard-endpoints", "", "comma-separated uniask-shard server addresses; when set, shards live on those servers (remote scatter-gather)")
+	fs.IntVar(&o.engine.RemoteReplication, "shard-replication", 2, "endpoints hosting each remote shard (with -shard-endpoints)")
+	o.engine.Segment.BindFlags(fs)
+	fs.IntVar(&o.engine.Trace.Capacity, "trace-capacity", 0, "trace store size (0 = 2048 retained traces, negative disables tracing)")
+	fs.Float64Var(&o.engine.Trace.SampleRate, "trace-sample", 0, "head-sampling rate in (0,1] (0 = trace every request)")
+	fs.DurationVar(&o.engine.Trace.SlowThreshold, "trace-slow", 0, "always-retain latency threshold (0 = 250ms)")
+	fs.BoolVar(&o.engine.DisableVectorQuantization, "no-vector-quantization", false, "ANN search over full float32 vectors instead of the int8 quantized arena (recall debugging)")
 
-		sessionTTL    = flag.Duration("session-ttl", 0, "idle conversational-session lifetime (0 = 30m, negative disables expiry)")
-		sessionBudget = flag.Int("session-budget", 0, "global live-session budget, LRU-evicted past it (0 = 1024)")
-		sseHeartbeat  = flag.Duration("sse-heartbeat", 0, "keep-alive comment interval on idle session streams (0 = 15s, negative disables)")
-	)
-	flag.Parse()
+	fs.StringVar(&o.tenantsFile, "tenants", "", "tenant overrides JSON file; when set the server runs multi-tenant (see docs/MULTITENANCY.md)")
+	fs.DurationVar(&o.tenantsReload, "tenants-reload", 0, "overrides hot-reload poll interval (0 = 5s, negative disables)")
+	fs.IntVar(&o.admission.Capacity, "admission-capacity", 0, "global concurrent query slots across tenants (0 = 64, negative = unlimited)")
+	fs.IntVar(&o.admission.QueueDepth, "admission-queue", 0, "per-class admission queue depth (0 = 64)")
+	fs.DurationVar(&o.admission.MaxWait, "admission-wait", 0, "max time a request queues for a slot before shedding (0 = 500ms)")
+	fs.IntVar(&o.cacheBudget, "tenant-cache-budget", 0, "total query-cache entries across tenant partitions (0 = 4096)")
 
-	if *tenantsFile != "" {
-		runMultiTenant(*addr, *tenantsFile, multiTenantOptions{
-			docs: *docs, seed: *seed,
-			reload:       *tenantsReload,
-			cacheBudget:  *cacheBudget,
-			sessionTTL:   *sessionTTL,
-			sessionMax:   *sessionBudget,
-			sseHeartbeat: *sseHeartbeat,
-			admission: tenant.AdmissionConfig{
-				Capacity: *admCapacity, QueueDepth: *admQueue, MaxWait: *admWait,
-			},
-			base: uniask.Config{
-				EnrichSummary:             true,
-				SearchWorkers:             *workers,
-				ShardCount:                *shards,
-				MemtableMaxDocs:           *memtable,
-				CompactionFanIn:           *fanIn,
-				TraceCapacity:             *traceCap,
-				TraceSampleRate:           *traceRate,
-				TraceSlowThreshold:        *traceSlow,
-				DisableVectorQuantization: *noQuant,
-			},
-		})
-		return
+	fs.DurationVar(&o.session.TTL, "session-ttl", 0, "idle conversational-session lifetime (0 = 30m, negative disables expiry)")
+	fs.IntVar(&o.session.MaxSessions, "session-budget", 0, "global live-session budget, LRU-evicted past it (0 = 1024)")
+	fs.DurationVar(&o.sseHeartbeat, "sse-heartbeat", 0, "keep-alive comment interval on idle session streams (0 = 15s, negative disables)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-
-	fmt.Fprintf(os.Stderr, "generating and indexing %d documents...\n", *docs)
-	start := time.Now()
-	var remoteShards []string
-	if *endpoints != "" {
-		for _, ep := range strings.Split(*endpoints, ",") {
-			if ep = strings.TrimSpace(ep); ep != "" {
-				remoteShards = append(remoteShards, ep)
-			}
+	for _, ep := range strings.Split(endpoints, ",") {
+		if ep = strings.TrimSpace(ep); ep != "" {
+			o.engine.RemoteShards = append(o.engine.RemoteShards, ep)
 		}
 	}
-	corpus := uniask.SyntheticCorpus(*docs, *seed)
-	sys, err := uniask.NewFromCorpus(context.Background(), corpus, uniask.Config{
-		EnrichSummary:             true,
-		SearchWorkers:             *workers,
-		ShardCount:                *shards,
-		RemoteShards:              remoteShards,
-		RemoteReplication:         *replicas,
-		MemtableMaxDocs:           *memtable,
-		CompactionFanIn:           *fanIn,
-		TraceCapacity:             *traceCap,
-		TraceSampleRate:           *traceRate,
-		TraceSlowThreshold:        *traceSlow,
-		DisableVectorQuantization: *noQuant,
-	})
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		os.Exit(2) // not reached: flag.CommandLine exits on a parse error itself
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	srv, err := newServer(ctx, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "setup failed:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "ready in %v: %d chunks indexed, serving on %s\n",
-		time.Since(start).Round(time.Millisecond), sys.IndexedChunks(), *addr)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	srv := sys.NewServer()
-	configureSessions(srv, *sessionTTL, *sessionBudget, *sseHeartbeat)
-	if err := srv.Serve(ctx, *addr); err != nil {
+	if err := srv.Serve(ctx, o.addr); err != nil {
 		fmt.Fprintln(os.Stderr, "server:", err)
 		os.Exit(1)
 	}
 }
 
-// configureSessions applies the conversational-session flags to a built
-// server (the session gauges read srv.Sessions at poll time, so swapping
-// the store after construction is safe).
-func configureSessions(srv *server.Server, ttl time.Duration, budget int, heartbeat time.Duration) {
-	if ttl != 0 || budget != 0 {
-		srv.Sessions = session.NewStore(session.Config{TTL: ttl, MaxSessions: budget})
+// newServer builds the server the options describe. Single-tenant mode
+// generates and indexes the corpus before returning; multi-tenant mode
+// gives each tenant in the overrides file its own synthetic knowledge base
+// (seeded from the tenant ID, so corpora are deterministic but distinct),
+// built lazily on the tenant's first request.
+func newServer(ctx context.Context, o *options) (*server.Server, error) {
+	var srv *server.Server
+	if o.tenantsFile != "" {
+		var err error
+		srv, err = uniask.NewMultiTenantServer(ctx, uniask.MultiTenantConfig{
+			Base:           o.engine,
+			OverridesPath:  o.tenantsFile,
+			ReloadInterval: o.tenantsReload,
+			CacheBudget:    o.cacheBudget,
+			Admission:      o.admission,
+			Corpus: func(id string) *uniask.Corpus {
+				fmt.Fprintf(os.Stderr, "onboarding tenant %q: generating and indexing %d documents...\n", id, o.docs)
+				return uniask.SyntheticCorpus(o.docs, o.seed^int64(tenantSeed(id)))
+			},
+			Log: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, format+"\n", args...)
+			},
+		})
+		if err != nil {
+			return nil, err
+		}
+		ids := srv.Tenants.Overrides().TenantIDs()
+		fmt.Fprintf(os.Stderr, "multi-tenant mode: %d tenants onboarded (%s), serving on %s\n",
+			len(ids), strings.Join(ids, ", "), o.addr)
+	} else {
+		fmt.Fprintf(os.Stderr, "generating and indexing %d documents...\n", o.docs)
+		start := time.Now()
+		sys, err := uniask.NewFromCorpus(ctx, uniask.SyntheticCorpus(o.docs, o.seed), o.engine)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "ready in %v: %d chunks indexed, serving on %s\n",
+			time.Since(start).Round(time.Millisecond), sys.IndexedChunks(), o.addr)
+		srv = sys.NewServer()
 	}
-	srv.SSEHeartbeat = heartbeat
-}
-
-// multiTenantOptions carries the multi-tenant flag set.
-type multiTenantOptions struct {
-	docs         int
-	seed         int64
-	reload       time.Duration
-	cacheBudget  int
-	sessionTTL   time.Duration
-	sessionMax   int
-	sseHeartbeat time.Duration
-	admission    tenant.AdmissionConfig
-	base         uniask.Config
-}
-
-// runMultiTenant serves in multi-tenant mode: each tenant in the overrides
-// file gets its own synthetic knowledge base (seeded from the tenant ID, so
-// corpora are deterministic but distinct), built lazily on the tenant's
-// first request.
-func runMultiTenant(addr, overridesPath string, opt multiTenantOptions) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	srv, err := uniask.NewMultiTenantServer(ctx, uniask.MultiTenantConfig{
-		Base:           opt.base,
-		OverridesPath:  overridesPath,
-		ReloadInterval: opt.reload,
-		CacheBudget:    opt.cacheBudget,
-		Admission:      opt.admission,
-		Corpus: func(id string) *uniask.Corpus {
-			fmt.Fprintf(os.Stderr, "onboarding tenant %q: generating and indexing %d documents...\n", id, opt.docs)
-			return uniask.SyntheticCorpus(opt.docs, opt.seed^int64(tenantSeed(id)))
-		},
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "setup failed:", err)
-		os.Exit(1)
+	// The session gauges read srv.Sessions at poll time, so swapping the
+	// store after construction is safe.
+	if o.session.TTL != 0 || o.session.MaxSessions != 0 {
+		srv.Sessions = session.NewStore(o.session)
 	}
-	configureSessions(srv, opt.sessionTTL, opt.sessionMax, opt.sseHeartbeat)
-	ids := srv.Tenants.Overrides().TenantIDs()
-	fmt.Fprintf(os.Stderr, "multi-tenant mode: %d tenants onboarded (%s), serving on %s\n",
-		len(ids), strings.Join(ids, ", "), addr)
-	if err := srv.Serve(ctx, addr); err != nil {
-		fmt.Fprintln(os.Stderr, "server:", err)
-		os.Exit(1)
-	}
+	srv.SSEHeartbeat = o.sseHeartbeat
+	return srv, nil
 }
 
 // tenantSeed derives a stable corpus seed from a tenant ID (FNV-1a).

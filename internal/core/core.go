@@ -17,7 +17,6 @@ import (
 	"io"
 	"strings"
 	"sync"
-	"time"
 
 	"uniask/internal/embedding"
 	"uniask/internal/generation"
@@ -57,15 +56,21 @@ type ResilienceConfig struct {
 	EmbedBreaker resilience.BreakerConfig
 }
 
-// Config assembles an engine.
+// Config assembles an engine; the public uniask.Config is this type. The
+// zero value reproduces the paper's deployed configuration: 512-token
+// chunks, m=4 context chunks, ROUGE-L guardrail threshold 0.15, hybrid
+// search with n=50/K=15/c=60 and semantic reranking. Knobs owned by another
+// package (Indexer, Guardrails, Segment, Trace) are carried as that
+// package's config struct, so each is declared and documented once.
 type Config struct {
 	// LLM is the chat-completion backend (defaults to the simulator with
 	// Table-5 calibration).
 	LLM llm.Client
 	// EmbeddingDim defaults to embedding.DefaultDim.
 	EmbeddingDim int
-	// Lexicon is the term→concept mapping for the synthetic embedder (use
-	// the corpus lexicon; nil is allowed).
+	// Lexicon is the term→concept mapping for the synthetic embedder and
+	// the simulator (nil is allowed). BuildFromCorpus and
+	// uniask.NewFromCorpus fill it from the corpus when unset.
 	Lexicon embedding.Lexicon
 	// Indexer configures chunking and metadata enrichment.
 	Indexer indexer.Config
@@ -76,9 +81,12 @@ type Config struct {
 	// SearchOptions is the default retrieval configuration (zero value =
 	// the deployed HSS configuration).
 	SearchOptions search.Options
-	// Observer receives per-stage pipeline reports (nil = discard).
+	// Observer receives per-stage pipeline reports (nil = discard). A
+	// server replaces it with its metrics registry (see SetObserver).
 	Observer pipeline.Observer
-	// SearchWorkers bounds the retrieval fan-out (0 = one per CPU).
+	// SearchWorkers bounds the retrieval fan-out: BM25 plus one ANN search
+	// per vector field, and the per-shard scatter (0 = one per CPU, 1 =
+	// fully sequential).
 	SearchWorkers int
 	// ShardCount splits the index into N hash-routed shards searched in
 	// parallel and merged deterministically (see internal/shard). 0 or 1
@@ -98,18 +106,9 @@ type Config struct {
 	// RemoteReplication is how many endpoints host each shard (default 2,
 	// clamped to len(RemoteShards)).
 	RemoteReplication int
-	// RemoteHedgeDelay tunes the replica groups' latency hedge (0 =
-	// remote.DefaultHedgeDelay).
-	RemoteHedgeDelay time.Duration
-	// MemtableMaxDocs seals a store's mutable memtable into an immutable
-	// segment once it holds this many chunks (0 =
-	// index.DefaultMemtableMaxDocs; negative disables auto-sealing, so only
-	// end-of-cycle publication seals).
-	MemtableMaxDocs int
-	// CompactionFanIn is how many adjacent sealed segments one background
-	// compaction merges (0 = index.DefaultCompactionFanIn; negative
-	// disables background compaction).
-	CompactionFanIn int
+	// Segment tunes every store's write path (memtable bound, compaction
+	// fan-in); with RemoteShards set the shard servers' own flags apply.
+	Segment index.SegmentConfig
 	// QueryCacheCapacity sizes the snapshot-keyed query-result cache
 	// (0 = search.DefaultQueryCacheCapacity; negative disables caching).
 	QueryCacheCapacity int
@@ -134,28 +133,43 @@ type Config struct {
 	// EmbedderMiddleware likewise wraps the query embedder before its
 	// resilience decorator.
 	EmbedderMiddleware func(embedding.CtxEmbedder) embedding.CtxEmbedder
-	// Tracer, when set, is used instead of constructing one from the
-	// Trace* knobs below. Multi-tenant serving shares one tracer (and so
-	// one /api/traces store) across every tenant engine; spans carry the
-	// tenant attribute so per-tenant slices stay queryable.
+	// Tracer, when set, is used instead of constructing one from Trace.
+	// Multi-tenant serving shares one tracer (and so one /api/traces store)
+	// across every tenant engine; spans carry the tenant attribute so
+	// per-tenant slices stay queryable.
 	Tracer *trace.Tracer
-	// TraceCapacity bounds the in-memory trace store (0 =
-	// trace.DefaultCapacity; negative disables tracing entirely — no tracer,
-	// no per-request spans).
-	TraceCapacity int
-	// TraceSampleRate is the head-sampling probability in (0, 1]; 0 means
-	// record every request. Sampled-out requests still get a trace ID (for
-	// the response header) but record no spans and cost no allocations on
-	// the query path.
-	TraceSampleRate float64
-	// TraceSlowThreshold is the duration at or above which a trace is
-	// tail-retained in the protected ring even under head sampling victory
-	// by healthy traffic (0 = trace.DefaultSlowThreshold; negative disables
-	// slow retention).
-	TraceSlowThreshold time.Duration
-	// TraceSeed makes trace-ID generation (and therefore head-sampling
-	// decisions) deterministic for tests (0 = a fixed default seed).
-	TraceSeed int64
+	// Trace configures the tracer behind /api/traces. The engine adds one
+	// rule to the package's own: a negative Trace.Capacity disables tracing
+	// entirely — no tracer, no per-request spans.
+	Trace trace.Config
+}
+
+// NewTracer returns the tracer an engine built from cfg records into: the
+// injected Tracer when set, nil when Trace.Capacity is negative, otherwise a
+// fresh one configured by Trace.
+func (cfg Config) NewTracer() *trace.Tracer {
+	switch {
+	case cfg.Tracer != nil:
+		return cfg.Tracer
+	case cfg.Trace.Capacity < 0:
+		return nil
+	}
+	return trace.New(cfg.Trace)
+}
+
+// storeConfig is the store configuration New builds and LoadIndex rebuilds:
+// a monolithic engine uses its Index and Segment halves, a sharded one the
+// whole value.
+func (cfg Config) storeConfig() shard.Config {
+	return shard.Config{
+		Shards: cfg.ShardCount,
+		Index: index.Config{
+			Schema:                    indexer.Schema(),
+			DisableVectorQuantization: cfg.DisableVectorQuantization,
+		},
+		Segment: cfg.Segment,
+		Workers: cfg.SearchWorkers,
+	}
 }
 
 // Engine is a fully assembled UniAsk instance.
@@ -179,7 +193,7 @@ type Engine struct {
 	EmbedBreaker *resilience.Breaker
 
 	// Tracer owns the per-request span recording and the bounded trace
-	// store behind /api/traces (nil when Config.TraceCapacity < 0; every
+	// store behind /api/traces (nil when Config.Trace.Capacity < 0; every
 	// trace method is nil-safe, so callers never guard).
 	Tracer *trace.Tracer
 
@@ -201,58 +215,30 @@ func New(cfg Config) *Engine {
 		cfg.M = generation.DefaultM
 	}
 	emb := embedding.NewSynth(cfg.EmbeddingDim, cfg.Lexicon)
-	segCfg := index.SegmentConfig{
-		MemtableMaxDocs: cfg.MemtableMaxDocs,
-		CompactionFanIn: cfg.CompactionFanIn,
-	}
-	var ix index.Repository
-	ixCfg := index.Config{
-		Schema:                    indexer.Schema(),
-		DisableVectorQuantization: cfg.DisableVectorQuantization,
-	}
 	eng := &Engine{
 		cfg:      cfg,
 		Embedder: emb,
+		Tracer:   cfg.NewTracer(),
 	}
-	if len(cfg.RemoteShards) > 0 {
-		shards := cfg.ShardCount
-		if shards < 1 {
-			shards = len(cfg.RemoteShards)
+	var ix index.Repository
+	store := cfg.storeConfig()
+	switch {
+	case len(cfg.RemoteShards) > 0:
+		if store.Shards < 1 {
+			store.Shards = len(cfg.RemoteShards)
 		}
-		backends := remote.Topology{
+		ix = shard.NewWithBackends(store, remote.Topology{
 			Endpoints:       cfg.RemoteShards,
-			Shards:          shards,
+			Shards:          store.Shards,
 			Replication:     cfg.RemoteReplication,
-			HedgeDelay:      cfg.RemoteHedgeDelay,
 			OnBreakerChange: eng.fireBreakerNotify,
-		}.Backends()
-		ix = shard.NewWithBackends(shard.Config{
-			Shards:  shards,
-			Index:   ixCfg,
-			Segment: segCfg,
-			Workers: cfg.SearchWorkers,
-		}, backends)
-	} else if cfg.ShardCount > 1 {
-		ix = shard.New(shard.Config{
-			Shards:  cfg.ShardCount,
-			Index:   ixCfg,
-			Segment: segCfg,
-			Workers: cfg.SearchWorkers,
-		})
-	} else {
-		ix = index.NewSegmented(ixCfg, segCfg)
+		}.Backends())
+	case store.Shards > 1:
+		ix = shard.New(store)
+	default:
+		ix = index.NewSegmented(store.Index, store.Segment)
 	}
 	eng.Index = ix
-	if cfg.Tracer != nil {
-		eng.Tracer = cfg.Tracer
-	} else if cfg.TraceCapacity >= 0 {
-		eng.Tracer = trace.New(trace.Config{
-			Capacity:      cfg.TraceCapacity,
-			SampleRate:    cfg.TraceSampleRate,
-			SlowThreshold: cfg.TraceSlowThreshold,
-			Seed:          cfg.TraceSeed,
-		})
-	}
 	eng.obs = eng.composeObserver(cfg.Observer)
 
 	// Assemble the LLM and query-embedder stacks: optional fault-injection
@@ -392,11 +378,12 @@ func (e *Engine) CacheStats() (search.CacheStats, bool) {
 }
 
 // LoadIndex replaces the engine's index with one restored from a snapshot,
-// honoring the engine's shard configuration: a sharded engine accepts both
-// the sharded container and legacy single-file snapshots (migrating the
-// latter by re-routing every live document), while a monolithic engine
-// accepts only single-file snapshots and rejects sharded containers with
-// index.ErrShardedSnapshot. The searcher is repointed and the query cache
+// honoring the engine's shard configuration: a sharded engine accepts the
+// sharded container and whatever a single-store engine wrote (the segmented
+// container or a legacy single-file snapshot, migrated by re-routing every
+// live document), while a single-store engine accepts those two and rejects
+// sharded containers with index.ErrShardedSnapshot. The store is rebuilt
+// with the configuration New used. The searcher is repointed and the query cache
 // purged — the restored index's stats key may collide with the old one's,
 // so stale entries could otherwise look current.
 func (e *Engine) LoadIndex(r io.Reader) error {
@@ -409,24 +396,10 @@ func (e *Engine) LoadIndex(r io.Reader) error {
 		ix  index.Repository
 		err error
 	)
-	segCfg := index.SegmentConfig{
-		MemtableMaxDocs: e.cfg.MemtableMaxDocs,
-		CompactionFanIn: e.cfg.CompactionFanIn,
-	}
-	ixCfg := index.Config{
-		Schema:                    indexer.Schema(),
-		DisableVectorQuantization: e.cfg.DisableVectorQuantization,
-	}
-	if e.cfg.ShardCount > 1 {
-		ix, err = shard.Load(r, shard.Config{
-			Shards:  e.cfg.ShardCount,
-			Index:   ixCfg,
-			Segment: segCfg,
-			Workers: e.cfg.SearchWorkers,
-		})
+	if store := e.cfg.storeConfig(); store.Shards > 1 {
+		ix, err = shard.Load(r, store)
 	} else {
-		ixCfg.Schema = nil
-		ix, err = index.ReadSegmented(r, ixCfg, segCfg)
+		ix, err = index.ReadSegmented(r, store.Index, store.Segment)
 	}
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -396,7 +397,7 @@ func TestIndexCorpusIsFirstPollerPass(t *testing.T) {
 	for i, d := range corpus.Docs {
 		pages[i] = ingest.Page{ID: d.ID, HTML: d.HTML}
 	}
-	cfg := Config{Lexicon: corpus.Lexicon(), MemtableMaxDocs: 32, CompactionFanIn: -1}
+	cfg := Config{Lexicon: corpus.Lexicon(), Segment: index.SegmentConfig{MemtableMaxDocs: 32, CompactionFanIn: -1}}
 	ctx := context.Background()
 
 	bulk, polled := New(cfg), New(cfg)
@@ -423,5 +424,70 @@ func TestIndexCorpusIsFirstPollerPass(t *testing.T) {
 		if fmt.Sprintf("%#v", ra) != fmt.Sprintf("%#v", rb) {
 			t.Fatalf("rankings differ for %q", q.Text)
 		}
+	}
+}
+
+// TestShardedEngineLoadsSingleStoreSnapshot is the 1 → N migration: what a
+// single-store engine saves (the segmented container) loads into a sharded
+// engine, every live document re-routed, text rankings unchanged.
+func TestShardedEngineLoadsSingleStoreSnapshot(t *testing.T) {
+	src, corpus := engine(t)
+	var snap bytes.Buffer
+	if err := src.Index.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	dst := New(Config{Lexicon: corpus.Lexicon(), ShardCount: 4})
+	if err := dst.LoadIndex(&snap); err != nil {
+		t.Fatalf("4-shard engine refused a single-store snapshot: %v", err)
+	}
+	if dst.Sharded() == nil || dst.Sharded().NumShards() != 4 {
+		t.Fatal("loaded index is not the 4-shard facade")
+	}
+	if got, want := dst.Index.LiveLen(), src.Index.LiveLen(); got != want {
+		t.Fatalf("live chunks = %d, want %d", got, want)
+	}
+	text := search.Options{Mode: search.TextOnly}
+	for _, q := range corpus.HumanDataset(6, 3).Queries {
+		want, errA := src.Searcher.Search(context.Background(), q.Text, text)
+		got, errB := dst.Searcher.Search(context.Background(), q.Text, text)
+		if errA != nil || errB != nil || len(want) == 0 {
+			t.Fatalf("search %q: %d results, %v, %v", q.Text, len(want), errA, errB)
+		}
+		if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
+			t.Fatalf("text ranking for %q differs after migration:\n got %#v\nwant %#v", q.Text, got, want)
+		}
+	}
+}
+
+// TestLoadIndexKeepsSegmentConfig: LoadIndex rebuilds the store from the
+// same configuration New used, so a 32-chunk memtable bound still seals at
+// 32 after a load (the default would wait for 1024).
+func TestLoadIndexKeepsSegmentConfig(t *testing.T) {
+	corpus := kb.Generate(kb.GenConfig{Docs: 40, Seed: 5})
+	cfg := Config{Lexicon: corpus.Lexicon(), Segment: index.SegmentConfig{MemtableMaxDocs: 32, CompactionFanIn: -1}}
+	src, err := BuildFromCorpus(context.Background(), corpus, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := src.Index.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	eng := New(cfg)
+	if err := eng.LoadIndex(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		if st := eng.SegmentStats()[0]; st.Seals != 0 || st.MemtableDocs != i {
+			t.Fatalf("after %d adds: %+v, want no seal yet", i, st)
+		}
+		id := fmt.Sprintf("extra%02d", i)
+		err := eng.Index.Add(index.Document{ID: id + "#0", ParentID: id, Fields: map[string]string{"content": "bonifico estero"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := eng.SegmentStats()[0]; st.Seals != 1 || st.MemtableDocs != 0 {
+		t.Fatalf("after 32 adds: %+v, want the memtable sealed once", st)
 	}
 }

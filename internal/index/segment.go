@@ -2,6 +2,7 @@ package index
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"sort"
 	"strconv"
@@ -83,6 +84,14 @@ type SegmentConfig struct {
 	// compaction merges; 0 means DefaultCompactionFanIn, negative disables
 	// background compaction (CompactOnce still works when called).
 	CompactionFanIn int
+}
+
+// BindFlags registers the two store flags on fs, writing straight into c —
+// the one spelling of their names, defaults and help text that uniask and
+// uniask-shard share.
+func (c *SegmentConfig) BindFlags(fs *flag.FlagSet) {
+	fs.IntVar(&c.MemtableMaxDocs, "memtable-max-docs", 0, "chunks per memtable before auto-seal (0 = 1024, negative disables auto-seal)")
+	fs.IntVar(&c.CompactionFanIn, "compaction-fanin", 0, "sealed segments merged per compaction (0 = 4, negative disables compaction)")
 }
 
 // DefaultMemtableMaxDocs bounds the memtable at 1024 chunks — small enough

@@ -29,7 +29,7 @@ func buildTracedServer(t *testing.T, llmSched, embSched *faulty.Schedule, cfg co
 	t.Helper()
 	c := kb.Generate(kb.GenConfig{Docs: 30, Seed: 5})
 	cfg.ShardCount = 2
-	cfg.TraceSeed = 42
+	cfg.Trace.Seed = 42
 	if llmSched != nil {
 		cfg.LLMMiddleware = func(inner llm.Client) llm.Client {
 			return &faulty.Client{Inner: inner, Sched: llmSched}
@@ -302,7 +302,9 @@ func TestErrorResponseCarriesTraceID(t *testing.T) {
 }
 
 func TestSampledOutRequestStillGetsID(t *testing.T) {
-	srv, _ := buildTracedServer(t, nil, nil, core.Config{TraceSampleRate: -1})
+	var sampledOut core.Config
+	sampledOut.Trace.SampleRate = -1
+	srv, _ := buildTracedServer(t, nil, nil, sampledOut)
 	token := login(t, srv.URL, "trace.off")
 	resp := authedReq(t, http.MethodPost, srv.URL+"/api/ask", token, map[string]string{"question": "Come blocco la carta?"})
 	defer resp.Body.Close()

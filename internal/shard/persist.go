@@ -102,17 +102,18 @@ func readSection(r io.Reader) (io.Reader, error) {
 	return io.LimitReader(r, int64(binary.BigEndian.Uint64(hdr[:]))), nil
 }
 
-// Load restores a facade with cfg.Shards shards from either snapshot
-// format:
+// Load restores a facade with cfg.Shards shards from any snapshot format:
 //
 //   - A sharded container with the same shard count loads each shard
 //     directly (no re-analysis, HNSW graphs restored from their streams).
-//   - A sharded container with a different shard count, or a legacy
-//     single-file snapshot written by index.Save, is migrated: every live
-//     document is re-added through the configured facade in its original
-//     arrival order, which re-routes it to its new shard and rebuilds the
-//     per-shard structures. Migration costs a re-index but keeps rankings
-//     deterministic, because per-shard insertion order is preserved.
+//   - A sharded container with a different shard count, or a single-store
+//     snapshot (the segmented container a monolithic engine saves, or a
+//     legacy single-file snapshot written by index.Save), is migrated: every
+//     live document is re-added through the configured facade in its
+//     original arrival order, which re-routes it to its new shard and
+//     rebuilds the per-shard structures. Migration costs a re-index but
+//     keeps rankings deterministic, because per-shard insertion order is
+//     preserved.
 func Load(r io.Reader, cfg Config) (*Sharded, error) {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
@@ -121,15 +122,16 @@ func Load(r io.Reader, cfg Config) (*Sharded, error) {
 	magic := index.ShardedSnapshotMagic
 	peek, err := br.Peek(len(magic))
 	if err != nil || string(peek) != magic {
-		// Legacy single-file snapshot: decode monolithically, then
-		// redistribute its live documents across the configured shards.
-		ix, err := index.Read(br, cfg.Index)
+		// Single-store snapshot (segmented container or legacy single
+		// file): decode it as one store, then redistribute its live
+		// documents across the configured shards.
+		ix, err := index.ReadSegmented(br, cfg.Index, cfg.Segment)
 		if err != nil {
-			return nil, fmt.Errorf("shard: load legacy single-file snapshot: %w", err)
+			return nil, fmt.Errorf("shard: load single-store snapshot: %w", err)
 		}
 		s := New(cfg)
 		if err := s.AddBulk(ix.LiveDocs()); err != nil {
-			return nil, fmt.Errorf("shard: migrate legacy snapshot: %w", err)
+			return nil, fmt.Errorf("shard: migrate single-store snapshot: %w", err)
 		}
 		return s, nil
 	}

@@ -54,58 +54,14 @@ type Limits struct {
 	// session.DefaultTenantSessions). Creating a session beyond the cap is
 	// rejected with 429, like any other quota.
 	MaxSessions int `json:"maxSessions"`
-	// Class is the tenant's priority class: "interactive" (default) or
-	// "best-effort". JSON field "class".
-	Class Class `json:"-"`
-}
-
-// limitsJSON is the wire form of Limits: Class travels as a string.
-type limitsJSON struct {
-	RateLimit       float64 `json:"rate"`
-	Burst           int     `json:"burst"`
-	MaxConcurrent   int     `json:"maxConcurrent"`
-	CacheShare      int     `json:"cacheShare"`
-	MaxFanout       int     `json:"maxFanout"`
-	TraceSampleRate float64 `json:"traceSampleRate"`
-	MaxSessions     int     `json:"maxSessions"`
-	Class           string  `json:"class"`
-}
-
-// UnmarshalJSON decodes Limits, rejecting unknown fields (a typoed key in
-// an overrides file must fail the reload loudly, not silently default).
-func (l *Limits) UnmarshalJSON(data []byte) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var w limitsJSON
-	if err := dec.Decode(&w); err != nil {
-		return err
-	}
-	class, err := ParseClass(w.Class)
-	if err != nil {
-		return err
-	}
-	*l = Limits{
-		RateLimit: w.RateLimit, Burst: w.Burst,
-		MaxConcurrent: w.MaxConcurrent, CacheShare: w.CacheShare,
-		MaxFanout: w.MaxFanout, TraceSampleRate: w.TraceSampleRate,
-		MaxSessions: w.MaxSessions, Class: class,
-	}
-	return nil
-}
-
-// MarshalJSON encodes Limits with the string class.
-func (l Limits) MarshalJSON() ([]byte, error) {
-	return json.Marshal(limitsJSON{
-		RateLimit: l.RateLimit, Burst: l.Burst,
-		MaxConcurrent: l.MaxConcurrent, CacheShare: l.CacheShare,
-		MaxFanout: l.MaxFanout, TraceSampleRate: l.TraceSampleRate,
-		MaxSessions: l.MaxSessions, Class: l.Class.String(),
-	})
+	// Class is the tenant's priority class: "interactive" (default, also
+	// when the key is absent) or "best-effort".
+	Class Class `json:"class"`
 }
 
 // overlay returns l with every zero field replaced by the default's value.
 // Class has no zero sentinel in the file (absent = interactive), so a
-// per-tenant entry always carries its own class — the decoder defaulted it.
+// per-tenant entry always carries its own class.
 func (l Limits) overlay(def Limits) Limits {
 	if l.RateLimit == 0 {
 		l.RateLimit = def.RateLimit

@@ -1,8 +1,10 @@
 package tenant
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -43,6 +45,18 @@ func TestParseFileOverlayAndClass(t *testing.T) {
 	}
 	if ids := ov.TenantIDs(); len(ids) != 2 || ids[0] != "banca-alfa" || ids[1] != "banca-batch" {
 		t.Fatalf("TenantIDs = %v", ids)
+	}
+	// The class travels as its name, so a marshalled file parses back.
+	data, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParseFile(data)
+	if err != nil {
+		t.Fatalf("ParseFile(json.Marshal(f)): %v\n%s", err, data)
+	}
+	if !strings.Contains(string(data), `"class":"best-effort"`) || !reflect.DeepEqual(back, f) {
+		t.Fatalf("round trip lost the file:\n got %+v\nwant %+v\nwire %s", back, f, data)
 	}
 }
 

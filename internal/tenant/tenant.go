@@ -115,6 +115,15 @@ func ParseClass(s string) (Class, error) {
 	return Interactive, fmt.Errorf("tenant: unknown class %q (want interactive or best-effort)", s)
 }
 
+// MarshalText and UnmarshalText make a Class travel as its config-file
+// spelling in JSON; an unknown name fails the decode.
+func (c Class) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+func (c *Class) UnmarshalText(text []byte) (err error) {
+	*c, err = ParseClass(string(text))
+	return err
+}
+
 // latencyWindow keeps the most recent request latencies of one tenant for
 // quantile gauges. Bounded, overwriting oldest; safe under the owner's lock.
 type latencyWindow struct {

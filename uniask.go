@@ -21,96 +21,27 @@ package uniask
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"uniask/internal/core"
-	"uniask/internal/embedding"
 	"uniask/internal/eventlog"
-	"uniask/internal/guardrails"
-	"uniask/internal/indexer"
 	"uniask/internal/ingest"
 	"uniask/internal/kb"
-	"uniask/internal/llm"
-	"uniask/internal/pipeline"
 	"uniask/internal/search"
 	"uniask/internal/server"
 	"uniask/internal/tenant"
 	"uniask/internal/trace"
 )
 
-// Config configures a System. The zero value reproduces the deployed
-// configuration of the paper: 512-token chunks, m=4 context chunks,
-// ROUGE-L guardrail threshold 0.15, hybrid search with n=50/K=15/c=60 and
-// semantic reranking.
-type Config struct {
-	// LLM is the chat-completion backend. Nil selects the built-in
-	// deterministic simulator.
-	LLM llm.Client
-	// Lexicon is the concept lexicon driving the synthetic embedder's (and
-	// simulator's) paraphrase understanding. NewFromCorpus fills it from
-	// the corpus automatically.
-	Lexicon embedding.Lexicon
-	// EmbeddingDim overrides the embedding dimensionality (default 256).
-	EmbeddingDim int
-	// ChunkTokens overrides the chunk-size target (default 512).
-	ChunkTokens int
-	// M overrides the number of context chunks given to the LLM (default 4).
-	M int
-	// RougeThreshold overrides the ROUGE-L guardrail threshold (default 0.15).
-	RougeThreshold float64
-	// EnrichSummary asks the LLM for a per-document summary at indexing
-	// time, stored as retrievable metadata.
-	EnrichSummary bool
-	// SearchOptions overrides the default retrieval configuration.
-	SearchOptions search.Options
-	// SearchWorkers bounds the concurrent retrieval fan-out (BM25 + one
-	// ANN search per vector field run in parallel; default: one worker
-	// per CPU). 1 forces fully sequential retrieval.
-	SearchWorkers int
-	// ShardCount splits the index into N hash-routed shards built and
-	// searched in parallel, with results merged into the exact ranking a
-	// monolithic index would return (see docs/OPERATIONS.md). 0 or 1 keeps
-	// the single monolithic index.
-	ShardCount int
-	// RemoteShards lists uniask-shard server endpoints (host:port). When
-	// non-empty the index shards live on those servers instead of
-	// in-process: each logical shard is replicated on RemoteReplication
-	// endpoints, reads hedge across replicas, and rankings stay
-	// byte-identical to the local topologies (see docs/OPERATIONS.md §
-	// remote shards). The servers must run the same schema configuration.
-	RemoteShards []string
-	// RemoteReplication is how many endpoints host each shard (default 2).
-	RemoteReplication int
-	// MemtableMaxDocs seals a store's mutable memtable into an immutable
-	// sealed segment once it holds this many chunks (0 = 1024; negative
-	// disables auto-sealing so only end-of-ingestion publication seals).
-	// See docs/OPERATIONS.md for sizing guidance.
-	MemtableMaxDocs int
-	// CompactionFanIn is how many adjacent sealed segments one background
-	// compaction merges (0 = 4; negative disables background compaction).
-	CompactionFanIn int
-	// DisableVectorQuantization makes ANN search traverse full float32
-	// vectors instead of the int8 quantized arena (exact traversal, ~4×
-	// the memory bandwidth). See docs/OPERATIONS.md.
-	DisableVectorQuantization bool
-	// Observer receives per-stage pipeline reports for every query
-	// (latency, sizes, errors). NewServer overrides it with the server's
-	// metrics registry; set it here for custom instrumentation.
-	Observer pipeline.Observer
-	// TraceCapacity bounds the in-memory trace store behind /api/traces
-	// (0 = the default 2048 retained traces; negative disables per-request
-	// tracing entirely).
-	TraceCapacity int
-	// TraceSampleRate is the head-sampling probability in (0, 1]; 0 records
-	// every request. Error, degraded and slow traces are tail-retained
-	// regardless of store pressure once sampled.
-	TraceSampleRate float64
-	// TraceSlowThreshold is the latency at which a trace counts as slow and
-	// is always retained (0 = 250ms; negative disables the slow rule).
-	TraceSlowThreshold time.Duration
-}
+// Config configures a System. It is the engine configuration itself, so
+// every knob is declared and documented once: on core.Config, or on the
+// config struct of the package that reads it (Indexer, Guardrails, Segment,
+// Trace), which core.Config carries by value. The zero value is the paper's
+// deployed configuration.
+type Config = core.Config
 
 // System is a fully assembled UniAsk instance.
 type System struct {
@@ -132,38 +63,10 @@ type Corpus = kb.Corpus
 // queue depths, class weights) — see MultiTenantConfig.Admission.
 type AdmissionConfig = tenant.AdmissionConfig
 
-// coreConfig lowers the public Config to the engine configuration — shared
-// by New and the multi-tenant per-tenant engine factory.
-func (cfg Config) coreConfig() core.Config {
-	return core.Config{
-		LLM:          cfg.LLM,
-		EmbeddingDim: cfg.EmbeddingDim,
-		Lexicon:      cfg.Lexicon,
-		Indexer: indexer.Config{
-			ChunkTokens:   cfg.ChunkTokens,
-			EnrichSummary: cfg.EnrichSummary,
-		},
-		Guardrails:                guardrails.Config{RougeThreshold: cfg.RougeThreshold},
-		M:                         cfg.M,
-		SearchOptions:             cfg.SearchOptions,
-		Observer:                  cfg.Observer,
-		SearchWorkers:             cfg.SearchWorkers,
-		ShardCount:                cfg.ShardCount,
-		RemoteShards:              cfg.RemoteShards,
-		RemoteReplication:         cfg.RemoteReplication,
-		MemtableMaxDocs:           cfg.MemtableMaxDocs,
-		CompactionFanIn:           cfg.CompactionFanIn,
-		DisableVectorQuantization: cfg.DisableVectorQuantization,
-		TraceCapacity:             cfg.TraceCapacity,
-		TraceSampleRate:           cfg.TraceSampleRate,
-		TraceSlowThreshold:        cfg.TraceSlowThreshold,
-	}
-}
-
 // New creates a System with an empty index. Feed it with IndexHTML or
 // IndexCorpus.
 func New(cfg Config) *System {
-	return &System{engine: core.New(cfg.coreConfig())}
+	return &System{engine: core.New(cfg)}
 }
 
 // NewFromCorpus creates a System and indexes the given corpus through the
@@ -276,20 +179,17 @@ const DefaultTenantCacheBudget = 4096
 // controller, shared tracer, partitioned query cache. The returned server
 // serves the same API as NewServer plus tenant routing (X-Uniask-Tenant
 // header or /t/{tenant}/api/... paths) and 429 + Retry-After shedding. The
-// overrides watcher runs until ctx is cancelled.
+// overrides watcher runs until ctx is cancelled. A Base with RemoteShards is
+// refused: tenant engines do not share shard servers.
 func NewMultiTenantServer(ctx context.Context, cfg MultiTenantConfig) (*server.Server, error) {
+	if len(cfg.Base.RemoteShards) > 0 {
+		return nil, errors.New("uniask: multi-tenant serving cannot use RemoteShards: every tenant engine would address the same shard ids on the same shard servers and mix the tenants' documents; serve tenants from in-process shards (ShardCount)")
+	}
 	ov, err := tenant.LoadOverrides(cfg.OverridesPath)
 	if err != nil {
 		return nil, err
 	}
-	var tracer *trace.Tracer
-	if cfg.Base.TraceCapacity >= 0 {
-		tracer = trace.New(trace.Config{
-			Capacity:      cfg.Base.TraceCapacity,
-			SampleRate:    cfg.Base.TraceSampleRate,
-			SlowThreshold: cfg.Base.TraceSlowThreshold,
-		})
-	}
+	tracer := cfg.Base.NewTracer()
 	budget := cfg.CacheBudget
 	if budget == 0 {
 		budget = DefaultTenantCacheBudget
@@ -333,7 +233,7 @@ func tenantFactory(ctx context.Context, base Config, pool *search.CachePool, tra
 		if cfg.Lexicon == nil && corpus != nil {
 			cfg.Lexicon = corpus.Lexicon()
 		}
-		eng, err := tenant.StandardFactory(cfg.coreConfig(), pool, tracer, onCreate)(id, lim)
+		eng, err := tenant.StandardFactory(cfg, pool, tracer, onCreate)(id, lim)
 		if err != nil {
 			return nil, err
 		}
@@ -348,12 +248,14 @@ func tenantFactory(ctx context.Context, base Config, pool *search.CachePool, tra
 
 // LoadIndex replaces the system's index with one previously written by
 // SaveIndex. The embedder configuration must match the one used when the
-// index was built. Segmented containers, PR-4 era sharded containers and
-// legacy single-file snapshots all load: a system configured with
-// ShardCount > 1 accepts snapshots written before sharding (or at a
-// different shard count), migrating them by re-routing every document; a
-// monolithic system adopts a legacy single-file snapshot as one sealed
-// segment and rejects sharded snapshots with a descriptive error.
+// index was built. Segmented containers, sharded containers and legacy
+// single-file snapshots all load: a system configured with ShardCount > 1
+// accepts what a single-store system saved (segmented container or legacy
+// single file) and sharded containers of any shard count, migrating by
+// re-routing every document when the layout differs; a single-store system
+// loads a segmented container directly, adopts a legacy single-file
+// snapshot as one sealed segment, and rejects sharded snapshots with a
+// descriptive error.
 func (s *System) LoadIndex(r io.Reader) error {
 	return s.engine.LoadIndex(r)
 }

@@ -3,10 +3,17 @@ package uniask_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"uniask"
+	"uniask/internal/chunker"
+	"uniask/internal/fusion"
+	"uniask/internal/guardrails"
+	"uniask/internal/index"
+	"uniask/internal/search"
+	"uniask/internal/trace"
 )
 
 func newSystem(t *testing.T) (*uniask.System, *uniask.Corpus) {
@@ -86,7 +93,11 @@ func TestIndexHTMLHonorsConfig(t *testing.T) {
 		return sys
 	}
 
-	sys := index(uniask.Config{EnrichSummary: true})
+	var enrich, small uniask.Config
+	enrich.Indexer.EnrichSummary = true
+	small.Indexer.ChunkTokens = 32
+
+	sys := index(enrich)
 	res, err := sys.Search(context.Background(), "servizio speciale incrementi")
 	if err != nil || len(res) == 0 {
 		t.Fatalf("results = %+v, %v", res, err)
@@ -95,7 +106,7 @@ func TestIndexHTMLHonorsConfig(t *testing.T) {
 		t.Fatal("EnrichSummary ignored: stored chunk has no summary")
 	}
 
-	whole, split := index(uniask.Config{}).IndexedChunks(), index(uniask.Config{ChunkTokens: 32}).IndexedChunks()
+	whole, split := index(uniask.Config{}).IndexedChunks(), index(small).IndexedChunks()
 	if split <= whole {
 		t.Fatalf("ChunkTokens ignored: %d chunks at 32 tokens, %d at the default", split, whole)
 	}
@@ -149,4 +160,61 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestZeroConfigIsThePaperDeployment pins the promise behind "the zero
+// Config is the deployed configuration" (§7): the defaults the zero value
+// resolves to are the paper's numbers, and a Config with every knob spelled
+// out at those numbers builds a system that behaves identically.
+func TestZeroConfigIsThePaperDeployment(t *testing.T) {
+	corpus := uniask.SyntheticCorpus(200, 7)
+	ctx := context.Background()
+	build := func(cfg uniask.Config) (*uniask.System, string) {
+		sys, err := uniask.NewFromCorpus(ctx, corpus, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		behaviour := fmt.Sprintf("chunks=%d\n", sys.IndexedChunks())
+		for _, q := range corpus.HumanDataset(5, 3).Queries {
+			res, err := sys.Search(ctx, q.Text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := sys.Ask(ctx, q.Text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			behaviour += fmt.Sprintf("%#v\n%q %v\n", res, resp.GeneratedAnswer, resp.Guardrail)
+		}
+		return sys, behaviour
+	}
+	zero, zeroBehaviour := build(uniask.Config{})
+
+	for _, row := range []struct {
+		knob      string
+		got, want any
+	}{
+		{"M", zero.Engine().Generator.M, 4},
+		{"RRF c", fusion.DefaultC, 60},
+		{"Indexer.ChunkTokens", chunker.DefaultChunkTokens, 512},
+		{"Guardrails.RougeThreshold", guardrails.DefaultRougeThreshold, 0.15},
+		{"Segment.MemtableMaxDocs", index.DefaultMemtableMaxDocs, 1024},
+		{"Segment.CompactionFanIn", index.DefaultCompactionFanIn, 4},
+		{"Trace.Capacity", trace.DefaultCapacity, 2048},
+	} {
+		if row.got != row.want {
+			t.Errorf("%s defaults to %v, the paper's deployment has %v", row.knob, row.got, row.want)
+		}
+	}
+
+	var paper uniask.Config
+	paper.SearchOptions = search.Options{TextN: 50, VectorK: 15, FinalN: 50, RRFC: 60}
+	paper.M = 4
+	paper.Indexer.ChunkTokens = 512
+	paper.Guardrails.RougeThreshold = 0.15
+	paper.Segment = index.SegmentConfig{MemtableMaxDocs: 1024, CompactionFanIn: 4}
+	paper.Trace.Capacity = 2048
+	if _, got := build(paper); got != zeroBehaviour {
+		t.Errorf("a Config spelling out n=50 K=15 c=60 m=4 chunk=512 rouge=0.15 behaves differently from the zero Config:\n got %s\nwant %s", got, zeroBehaviour)
+	}
 }
