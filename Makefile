@@ -67,7 +67,9 @@ chaos:
 # parser (raw LLM output), the TraceQL-lite query parser (the
 # /api/traces?q= input), the segment-container snapshot decoder (bytes
 # read back from disk) and the remote-shard wire frame/envelope decoders
-# (bytes read off the network). Seeds include the checked-in crasher corpora.
+# (bytes read off the network) — plus the compaction pick, a pure function
+# of the segment size list held to its specification on arbitrary lists.
+# Seeds include the checked-in crasher corpora.
 FUZZTIME ?= 5s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME) ./internal/textproc/
@@ -75,16 +77,18 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzExtractCitationKeys -fuzztime $(FUZZTIME) ./internal/generation/
 	$(GO) test -run '^$$' -fuzz FuzzTraceQL -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentedManifest -fuzztime $(FUZZTIME) ./internal/index/
+	$(GO) test -run '^$$' -fuzz FuzzCompactionPick -fuzztime $(FUZZTIME) ./internal/index/
 	$(GO) test -run '^$$' -fuzz FuzzRemoteWire -fuzztime $(FUZZTIME) ./internal/remote/
 	$(GO) test -run '^$$' -fuzz FuzzSSEParser -fuzztime $(FUZZTIME) ./internal/sse/
 
 # Query hot-path micro-benchmarks (BM25, ANN, filter bitsets, query cache,
 # shard-count scaling, tracing overhead, ingest-while-query steady state,
+# the compactor's counted write amplification under a trickle of edits,
 # admission-control overhead, the noisy-neighbor p99 delta and the
 # document-fetch RPCs one search costs on remote shards) with allocation
 # stats, recorded as BENCH_query.json via cmd/benchjson.
 bench:
-	$(GO) test -bench 'BenchmarkSearchText|BenchmarkSearchVector|BenchmarkFilterSet|BenchmarkQueryCache|BenchmarkTrace|BenchmarkIngest|BenchmarkTenant|BenchmarkSession|BenchmarkSSE|BenchmarkFinalize' \
+	$(GO) test -bench 'BenchmarkSearchText|BenchmarkSearchVector|BenchmarkFilterSet|BenchmarkQueryCache|BenchmarkTrace|BenchmarkIngest|BenchmarkCompaction|BenchmarkTenant|BenchmarkSession|BenchmarkSSE|BenchmarkFinalize' \
 		-benchmem -run '^$$' ./internal/index/ ./internal/search/ ./internal/shard/ ./internal/trace/ ./internal/tenant/ ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_query_baseline.json \
 			-note "SearchVector* run the int8 quantized arena: traversal orders candidates by int8 dot products, then every surviving candidate (<= ef) is rescored with exact float32 dots before final ranking, so reported latencies include the rescoring pass and scores match the *Float32 control benchmarks exactly." \

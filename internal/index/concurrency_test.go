@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -214,13 +215,17 @@ func TestSegmentedIngestWhileQuery(t *testing.T) {
 	wg.Wait()
 	seg.Publish()
 	seg.WaitCompaction()
-	// A sentinel document forces one final seal + merge so every tombstone
-	// is reclaimed and the reference below can replay exact statistics.
+	// A sentinel document forces one final seal; the full merge then
+	// reclaims every tombstone (the policy alone does so lazily) so the
+	// reference below can replay exact statistics.
 	if err := seg.Add(mkDoc(preload + 180)); err != nil {
 		t.Fatal(err)
 	}
 	seg.Publish()
 	seg.WaitCompaction()
+	if err := seg.CompactAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if got := seg.Tombstones(); got != 0 {
 		t.Fatalf("final compaction left %d tombstones", got)
 	}

@@ -102,6 +102,43 @@ func (ix *Index) Tombstones() int {
 	return len(ix.deleted)
 }
 
+// sizes reports the live and tombstoned chunk counts under one lock
+// acquisition; together they are Len.
+func (ix *Index) sizes() (live, tombstones int) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return len(ix.byID), len(ix.deleted)
+}
+
+// tombstonedIDs returns the external ids of the tombstoned chunks, in no
+// particular order.
+func (ix *Index) tombstonedIDs() []string {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	ids := make([]string, 0, len(ix.deleted))
+	for ord := range ix.deleted {
+		ids = append(ids, ix.docs[ord].ID)
+	}
+	return ids
+}
+
+// liveAndDead splits the index, under one lock acquisition, into its live
+// documents in insertion order (LiveDocs) and the ids of its tombstoned
+// chunks — what a merge re-adds and what it drops.
+func (ix *Index) liveAndDead() (live []Document, dead []string) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	live = make([]Document, 0, len(ix.byID))
+	for ord, doc := range ix.docs {
+		if ix.isDeleted(int32(ord)) {
+			dead = append(dead, doc.ID)
+		} else {
+			live = append(live, doc)
+		}
+	}
+	return live, dead
+}
+
 // isDeleted reports whether an ordinal is tombstoned; the caller must hold
 // ix.mu.
 func (ix *Index) isDeleted(ord int32) bool {

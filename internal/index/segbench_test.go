@@ -161,3 +161,44 @@ func BenchmarkIngestSegmented(b *testing.B) {
 	seg.WaitCompaction()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "docs/sec")
 }
+
+// BenchmarkCompactionTrickle measures what the compactor pays for a trickle
+// of page edits behind a bulk load: one 739-chunk segment, then 40 passes of
+// 5 added chunks and 4 deleted pages, each published and compacted before
+// the next (the ask_ingest writer's shape). ns/op is one whole trickle;
+// chunks-rewritten/op is the counted result — 200 chunks are sealed per op,
+// so rewritten ÷ 200 is the write amplification. Re-merging the big segment
+// every few passes costs ~45x; the size-tiered pick ~2x.
+func BenchmarkCompactionTrickle(b *testing.B) {
+	const bulk, passes, perPass, deletesPerPass = 739, 40, 5, 4
+	vecs := benchVecPool(256, 64, 11)
+	var rewritten uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		seg := NewSegmented(Config{}, SegmentConfig{})
+		for d := 0; d < bulk; d++ {
+			if err := seg.Add(benchSegDoc(d, vecs)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		seg.Publish()
+		seg.WaitCompaction()
+		b.StartTimer()
+		next := bulk
+		for p := 0; p < passes; p++ {
+			for k := 0; k < perPass; k++ {
+				if err := seg.Add(benchSegDoc(next, vecs)); err != nil {
+					b.Fatal(err)
+				}
+				next++
+			}
+			for k := 0; k < deletesPerPass; k++ {
+				seg.DeleteParent(fmt.Sprintf("w%06d", p*deletesPerPass+k))
+			}
+			seg.Publish()
+			seg.WaitCompaction()
+		}
+		rewritten += seg.SegmentStats().ChunksRewritten
+	}
+	b.ReportMetric(float64(rewritten)/float64(b.N), "chunks-rewritten/op")
+}

@@ -45,10 +45,10 @@ import (
 // part has its own internal lock. Sealing re-labels the memtable object in
 // place — no data is copied or rebuilt — so a search racing a seal sees the
 // same documents and statistics either way, and can never observe a
-// half-merged stats snapshot. The background compactor is the only code
-// that splices the sealed list, it runs at most once concurrently, and the
-// splice happens under the exclusive lock with deletes that arrived during
-// the merge re-applied first.
+// half-merged stats snapshot. Merges are the only code that splices the
+// sealed list, they run one at a time (mergeMu), and the splice happens
+// under the exclusive lock with deletes that arrived during the merge
+// re-applied first.
 type Segmented struct {
 	cfg  Config
 	scfg SegmentConfig
@@ -68,10 +68,13 @@ type Segmented struct {
 	seq     map[string]uint64
 	nextSeq uint64
 
-	seals       atomic.Uint64
-	compactions atomic.Uint64
-	compacting  atomic.Bool // single background compactor guard
-	wg          sync.WaitGroup
+	seals           atomic.Uint64
+	compactions     atomic.Uint64
+	chunksSealed    atomic.Uint64 // chunks that entered a sealed segment
+	chunksRewritten atomic.Uint64 // chunks re-added by merges
+	compacting      atomic.Bool   // single background compactor guard
+	mergeMu         sync.Mutex    // one merge (pick, rebuild, splice) at a time
+	wg              sync.WaitGroup
 }
 
 // SegmentConfig tunes the segmented store's write path.
@@ -185,14 +188,11 @@ func (s *Segmented) assignSeq(id string) {
 // Duplicate ids are rejected across every part, not just the memtable.
 func (s *Segmented) Add(doc Document) error {
 	s.mu.RLock()
-	for _, seg := range s.sealed {
-		if _, dup := seg.DocByID(doc.ID); dup {
-			s.mu.RUnlock()
-			return fmt.Errorf("%w: %s", ErrDuplicateID, doc.ID)
-		}
-	}
-	mem := s.mem
+	dup, mem := liveInAny(s.sealed, doc.ID), s.mem
 	s.mu.RUnlock()
+	if dup {
+		return fmt.Errorf("%w: %s", ErrDuplicateID, doc.ID)
+	}
 	if err := mem.Add(doc); err != nil {
 		return err
 	}
@@ -304,6 +304,7 @@ func (s *Segmented) seal() {
 		s.mu.Unlock()
 		return
 	}
+	s.chunksSealed.Add(uint64(s.mem.Len()))
 	s.sealed = append(s.sealed, s.mem)
 	s.mem = New(s.cfg)
 	s.mu.Unlock()
@@ -313,19 +314,84 @@ func (s *Segmented) seal() {
 	s.statsKey.Add(1)
 }
 
-// maybeCompact starts the background compactor when the sealed backlog
-// reaches the fan-in and no compactor is already running. At most one
-// compactor goroutine exists at a time; it keeps merging until the backlog
-// drops below the fan-in.
-func (s *Segmented) maybeCompact() {
-	fan := s.scfg.fanIn()
-	if fan <= 1 {
-		return
+// segSize is what the merge policy sees of one sealed segment.
+type segSize struct{ live, tombstones int }
+
+// sealedSizesLocked lists the sealed segments' sizes, oldest first, with
+// s.mu held.
+func (s *Segmented) sealedSizesLocked() []segSize {
+	sizes := make([]segSize, len(s.sealed))
+	for i, seg := range s.sealed {
+		sizes[i].live, sizes[i].tombstones = seg.sizes()
 	}
+	return sizes
+}
+
+// pickRun is the merge policy, a pure function of the sealed segments' sizes
+// (oldest first): among the runs of fan adjacent segments it returns the
+// start of the eligible one with the fewest live chunks, oldest on ties. A
+// run is eligible when rewriting its largest member is paid for by what the
+// merge gains:
+//
+//	largest.live <= (run's live - largest.live) + run's tombstones
+//
+// so every chunk a merge rewrites either lands in a segment at least twice
+// the live size of the one it left, or is matched by a tombstone the merge
+// reclaims. CompactOnce, maybeCompact and the Backlog gauge all ask this
+// one function whether a merge is owed.
+func pickRun(sizes []segSize, fan int) (start int, ok bool) {
+	if fan <= 1 {
+		return 0, false
+	}
+	bestLive := 0
+	for i := 0; i+fan <= len(sizes); i++ {
+		live, tombstones, largest := 0, 0, 0
+		for _, sz := range sizes[i : i+fan] {
+			live += sz.live
+			tombstones += sz.tombstones
+			largest = max(largest, sz.live)
+		}
+		if largest > live-largest+tombstones {
+			continue
+		}
+		if !ok || live < bestLive {
+			start, bestLive, ok = i, live, true
+		}
+	}
+	return start, ok
+}
+
+// mergesOwed plays the policy forward over a size list and counts the
+// merges CompactOnce would perform before the store is at rest.
+func mergesOwed(sizes []segSize, fan int) int {
+	sizes = append([]segSize(nil), sizes...)
+	owed := 0
+	for {
+		i, ok := pickRun(sizes, fan)
+		if !ok {
+			return owed
+		}
+		owed++
+		live := 0
+		for _, sz := range sizes[i : i+fan] {
+			live += sz.live
+		}
+		keep := 0
+		if live > 0 { // a run of nothing but tombstones merges to nothing
+			sizes[i], keep = segSize{live: live}, 1
+		}
+		sizes = append(sizes[:i+keep], sizes[i+fan:]...)
+	}
+}
+
+// maybeCompact starts the background compactor when the policy owes a merge
+// and no compactor is already running. At most one compactor goroutine
+// exists at a time; it keeps merging until the store is at rest.
+func (s *Segmented) maybeCompact() {
 	s.mu.RLock()
-	backlog := len(s.sealed)
+	_, owed := pickRun(s.sealedSizesLocked(), s.scfg.fanIn())
 	s.mu.RUnlock()
-	if backlog < fan {
+	if !owed {
 		return
 	}
 	if !s.compacting.CompareAndSwap(false, true) {
@@ -351,101 +417,166 @@ func (s *Segmented) WaitCompaction() { s.wg.Wait() }
 
 // CompactOnce merges one run of adjacent sealed segments into a single
 // segment, dropping tombstones. It reports whether a merge happened (false
-// when the backlog is below the fan-in). The merge is:
+// when the policy finds no run worth merging — the store is at rest, however
+// many segments it holds). The merge is:
 //
-//   - bounded: exactly fanIn adjacent segments, chosen as the run with the
-//     fewest total chunks (oldest run on ties) — the size-tiered policy
-//     that keeps merge work from re-processing big segments over and over;
+//   - size-tiered: exactly fanIn adjacent segments (adjacency keeps arrival
+//     order), chosen by pickRun: the run with the fewest live chunks among
+//     those whose largest member is no bigger than the rest of the run plus
+//     the tombstones the merge reclaims. A big segment is therefore never
+//     rewritten to absorb a trickle of small ones, and a page edit costs
+//     O(log N) rewritten chunks, not O(N);
+//   - lazy about reclamation, but bounded: the same inequality makes a run
+//     eligible again once tombstones outweigh its largest member's live
+//     chunks, so a segment is rewritten at the latest when it is more than
+//     half dead. Until then its tombstoned chunks keep counting toward N,
+//     average length and document frequency, exactly as they do on a
+//     monolithic index; the delete journal, not compaction, is what keeps
+//     results exact;
 //   - deterministic: documents re-add in arrival order (segment order,
 //     then ordinal order), so the merged segment's postings, ordinals and
 //     HNSW graphs are reproducible;
 //   - cancelable: ctx is checked between documents, and a canceled merge
 //     leaves the store untouched;
 //   - off the query path: the rebuild runs without store locks; only the
-//     final splice takes the write lock, after re-applying any delete that
-//     arrived mid-merge.
+//     final splice takes the write lock, and it re-applies deletes only
+//     from segments whose tombstone count moved during the rebuild.
 func (s *Segmented) CompactOnce(ctx context.Context) (bool, error) {
+	s.mergeMu.Lock()
+	defer s.mergeMu.Unlock()
 	fan := s.scfg.fanIn()
-	if fan <= 1 {
-		return false, nil
-	}
 	s.mu.RLock()
-	if len(s.sealed) < fan {
+	start, ok := pickRun(s.sealedSizesLocked(), fan)
+	if !ok {
 		s.mu.RUnlock()
 		return false, nil
 	}
-	// Pick the adjacent run with the fewest total chunks, oldest on ties.
-	best, bestSize := 0, -1
-	for i := 0; i+fan <= len(s.sealed); i++ {
-		size := 0
-		for _, seg := range s.sealed[i : i+fan] {
-			size += seg.Len()
-		}
-		if bestSize < 0 || size < bestSize {
-			best, bestSize = i, size
-		}
-	}
-	window := make([]*Index, fan)
-	copy(window, s.sealed[best:best+fan])
+	window := append([]*Index(nil), s.sealed[start:start+fan]...)
 	s.mu.RUnlock()
+	if err := s.merge(ctx, start, window); err != nil {
+		return false, err
+	}
+	return true, nil
+}
 
-	_, sp := trace.Start(ctx, "index.compact",
-		trace.A("segments", strconv.Itoa(fan)),
-		trace.A("chunks", strconv.Itoa(bestSize)))
-	defer sp.End()
+// CompactAll merges every sealed segment into one tombstone-free segment
+// regardless of the policy — the store's counterpart of (*Index).Compact,
+// for callers that need the fully reclaimed state (parity suites comparing
+// against a compacted monolithic index, an operator's offline rewrite). The
+// memtable is left alone; Publish first to include it.
+func (s *Segmented) CompactAll(ctx context.Context) error {
+	s.mergeMu.Lock()
+	defer s.mergeMu.Unlock()
+	s.mu.RLock()
+	window := append([]*Index(nil), s.sealed...)
+	s.mu.RUnlock()
+	if len(window) == 0 || len(window) == 1 && window[0].Tombstones() == 0 {
+		return nil
+	}
+	return s.merge(ctx, 0, window)
+}
 
-	merged := New(s.cfg)
+// merge rebuilds window — the sealed run at offset start — into one segment
+// and splices it in. The caller holds mergeMu, so the run can only have been
+// joined by newer segments behind it, never moved.
+func (s *Segmented) merge(ctx context.Context, start int, window []*Index) error {
 	sourceLen := 0
 	for _, seg := range window {
 		sourceLen += seg.Len()
-		for _, d := range seg.LiveDocs() {
+	}
+	_, sp := trace.Start(ctx, "index.compact",
+		trace.A("segments", strconv.Itoa(len(window))),
+		trace.A("chunks", strconv.Itoa(sourceLen)))
+	defer sp.End()
+
+	merged := New(s.cfg)
+	tombstones := make([]int, len(window)) // per segment, as rebuilt
+	var dropped []string
+	for i, seg := range window {
+		live, dead := seg.liveAndDead()
+		tombstones[i] = len(dead)
+		dropped = append(dropped, dead...)
+		for _, d := range live {
 			if err := ctx.Err(); err != nil {
 				sp.SetError(err)
-				return false, err
+				return err
 			}
 			if err := merged.Add(d); err != nil {
 				sp.SetError(err)
-				return false, fmt.Errorf("index: compact: %w", err)
+				return fmt.Errorf("index: compact: %w", err)
 			}
 		}
 	}
 
 	s.mu.Lock()
-	// Re-locate the window by identity: Publish may have appended newer
-	// segments behind it, but only this (single) compactor splices, so the
-	// run itself is still contiguous at the same offset.
-	if best+fan > len(s.sealed) || s.sealed[best] != window[0] {
+	if start+len(window) > len(s.sealed) || s.sealed[start] != window[0] {
 		s.mu.Unlock()
-		err := fmt.Errorf("index: compact: sealed run moved under single-compactor contract")
+		err := fmt.Errorf("index: compact: sealed run moved under the one-merge-at-a-time contract")
 		sp.SetError(err)
-		return false, err
+		return err
 	}
-	// Deletes that landed in the window during the merge are re-applied
-	// before the swap so no tombstone is lost.
-	liveNow := make(map[string]bool, merged.Len())
-	for _, seg := range window {
-		for _, d := range seg.LiveDocs() {
-			liveNow[d.ID] = true
+	// Deletes that landed in the window during the rebuild are re-applied
+	// before the swap so no tombstone is lost. A sealed segment's tombstone
+	// count only grows, so an unchanged count means nothing to re-apply —
+	// the common case, and the reason queries wait here for O(1), not O(N).
+	for i, seg := range window {
+		if seg.Tombstones() == tombstones[i] {
+			continue
+		}
+		for _, id := range seg.tombstonedIDs() {
+			// An id tombstoned here may live on in a newer segment of the
+			// run (an edit sealed in between); that copy stays.
+			if !liveInAny(window, id) {
+				merged.Delete(id)
+			}
 		}
 	}
-	for _, d := range merged.LiveDocs() {
-		if !liveNow[d.ID] {
-			merged.Delete(d.ID)
-		}
+	tail := s.sealed[start+len(window):]
+	if merged.Len() > 0 { // a run of nothing but tombstones merges to nothing
+		tail = append([]*Index{merged}, tail...)
 	}
-	dropped := sourceLen - merged.Len()
-	tail := append([]*Index{merged}, s.sealed[best+fan:]...)
-	s.sealed = append(s.sealed[:best], tail...)
+	s.sealed = append(s.sealed[:start], tail...)
 	s.mu.Unlock()
 
 	s.compactions.Add(1)
-	sp.SetAttr("dropped", strconv.Itoa(dropped))
-	if dropped > 0 {
+	s.chunksRewritten.Add(uint64(merged.Len()))
+	sp.SetAttr("dropped", strconv.Itoa(len(dropped)))
+	if len(dropped) > 0 {
+		s.forgetSeq(dropped)
 		// Dropping tombstones shrinks N, total lengths and document
 		// frequencies — a new published stats snapshot.
 		s.statsKey.Add(1)
 	}
-	return true, nil
+	return nil
+}
+
+// liveInAny reports whether any of parts holds id live.
+func liveInAny(parts []*Index, id string) bool {
+	for _, part := range parts {
+		if _, ok := part.DocByID(id); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// forgetSeq drops the arrival sequence of every id a merge just dropped the
+// last copy of. An id that is live again somewhere (an edited page re-adds
+// its chunk ids) keeps its entry — that is the sequence of the live copy.
+// The store read lock pins the parts while the sequence lock makes the
+// check-and-delete atomic against assignSeq, which Add calls after the
+// memtable insert.
+func (s *Segmented) forgetSeq(ids []string) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	parts := s.partsLocked()
+	s.seqMu.Lock()
+	defer s.seqMu.Unlock()
+	for _, id := range ids {
+		if !liveInAny(parts, id) {
+			delete(s.seq, id)
+		}
+	}
 }
 
 // Len counts chunks across all parts, including tombstones still held in
@@ -709,32 +840,41 @@ type SegmentStats struct {
 	Seals uint64
 	// Compactions counts completed merges since process start.
 	Compactions uint64
-	// Backlog is how far the sealed count exceeds the compaction trigger
-	// (0 when compaction is keeping up).
+	// Backlog is the number of merges the policy owes right now: positive
+	// exactly when CompactOnce would merge, 0 when the store is at rest —
+	// which it can be with more sealed segments than the fan-in. A value
+	// that keeps growing means ingest outruns the compactor.
 	Backlog int
 	// StatsKey is the current published stats snapshot key.
 	StatsKey uint64
 	// Docs/Live/Tombstones total the chunk counts across all parts.
 	Docs, Live, Tombstones int
+	// ChunksSealed counts the chunks memtable seals turned into segments
+	// since process start, ChunksRewritten the chunks merges re-added;
+	// their ratio is the store's write amplification.
+	ChunksSealed, ChunksRewritten uint64
 }
 
 // SegmentStats computes the gauge snapshot for the monitoring dashboard.
 func (s *Segmented) SegmentStats() SegmentStats {
 	s.mu.RLock()
-	mem, sealed := s.mem, len(s.sealed)
+	mem, sizes := s.mem, s.sealedSizesLocked()
 	s.mu.RUnlock()
 	st := SegmentStats{
-		MemtableDocs: mem.Len(),
-		Segments:     sealed,
-		Seals:        s.seals.Load(),
-		Compactions:  s.compactions.Load(),
-		StatsKey:     s.statsKey.Load(),
-		Docs:         s.Len(),
-		Live:         s.LiveLen(),
-		Tombstones:   s.Tombstones(),
+		Segments:        len(sizes),
+		Seals:           s.seals.Load(),
+		Compactions:     s.compactions.Load(),
+		Backlog:         mergesOwed(sizes, s.scfg.fanIn()),
+		StatsKey:        s.statsKey.Load(),
+		ChunksSealed:    s.chunksSealed.Load(),
+		ChunksRewritten: s.chunksRewritten.Load(),
 	}
-	if fan := s.scfg.fanIn(); fan > 1 && sealed >= fan {
-		st.Backlog = sealed - fan + 1
+	st.Live, st.Tombstones = mem.sizes()
+	st.MemtableDocs = st.Live + st.Tombstones
+	for _, sz := range sizes {
+		st.Live += sz.live
+		st.Tombstones += sz.tombstones
 	}
+	st.Docs = st.Live + st.Tombstones
 	return st
 }

@@ -145,8 +145,7 @@ func TestSegmentedParityAfterCompaction(t *testing.T) {
 	docs := segCorpus(48)
 	mono := New(exhaustiveCfg())
 	// Background compaction stays off during the build so the deletes land
-	// across six distinct sealed segments (48 docs / memtable of 8); the
-	// drain below then merges every segment at least once.
+	// across six distinct sealed segments (48 docs / memtable of 8).
 	seg := NewSegmented(exhaustiveCfg(), SegmentConfig{MemtableMaxDocs: 8, CompactionFanIn: -1})
 	for _, d := range docs {
 		if err := mono.Add(d); err != nil {
@@ -162,7 +161,9 @@ func TestSegmentedParityAfterCompaction(t *testing.T) {
 			t.Fatalf("delete %s failed", id)
 		}
 	}
-	// Drain the backlog synchronously until no merge is possible.
+	// Drain the backlog synchronously until the policy is at rest, then
+	// merge what it left: the policy reclaims lazily, Compact on the
+	// monolithic side does not.
 	seg.scfg.CompactionFanIn = 2
 	for {
 		merged, err := seg.CompactOnce(context.Background())
@@ -172,6 +173,9 @@ func TestSegmentedParityAfterCompaction(t *testing.T) {
 		if !merged {
 			break
 		}
+	}
+	if err := seg.CompactAll(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	compacted, err := mono.Compact()
 	if err != nil {
@@ -257,12 +261,14 @@ func TestSegmentedStatsKeySemantics(t *testing.T) {
 	seg.Publish()
 	seg.WaitCompaction()
 	afterThird := seg.StatsKey()
-	merged, err := seg.CompactOnce(context.Background())
-	if err != nil {
+	if err := seg.CompactAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if merged && seg.StatsKey() != afterThird {
-		t.Fatalf("tombstone-free compaction rotated the stats key: %d -> %d", afterThird, seg.StatsKey())
+	if st := seg.SegmentStats(); st.Segments != 1 || st.Compactions != 2 {
+		t.Fatalf("full merge of [8, 2] did not run: %+v", st)
+	}
+	if got := seg.StatsKey(); got != afterThird {
+		t.Fatalf("tombstone-free compaction rotated the stats key: %d -> %d", afterThird, got)
 	}
 }
 

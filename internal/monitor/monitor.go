@@ -140,14 +140,20 @@ type SegmentGauge struct {
 	Shard int
 	// MemtableDocs is the number of chunks absorbed but not yet sealed.
 	MemtableDocs int
-	// Segments is the current sealed-segment count; Backlog is how many of
-	// them exceed the compaction fan-in (0 = compactor keeping up).
+	// Segments is the current sealed-segment count; Backlog is how many
+	// merges the size-tiered policy owes right now (0 = at rest, which the
+	// store can be with more segments than the compaction fan-in).
 	Segments int
 	Backlog  int
 	// Seals and Compactions count lifetime memtable seals and completed
 	// background merges.
 	Seals       uint64
 	Compactions uint64
+	// ChunksSealed and ChunksRewritten count the chunks those seals turned
+	// into segments and the chunks those merges re-added; rewritten ÷
+	// sealed is the store's write amplification.
+	ChunksSealed    uint64
+	ChunksRewritten uint64
 	// StatsKey is the store's current published-stats snapshot key; it only
 	// moves when a publication changed global BM25 statistics.
 	StatsKey uint64
@@ -573,10 +579,15 @@ func (d Dashboard) String() string {
 		}
 	}
 	if len(d.Segments) > 0 {
-		fmt.Fprintf(&b, "  index segments:        (memtable / segments / backlog / seals / compactions)\n")
+		fmt.Fprintf(&b, "  index segments:        (memtable / segments / backlog / seals / compactions / rewritten÷sealed)\n")
 		for _, s := range d.Segments {
-			fmt.Fprintf(&b, "    shard %-6d %8d  %8d  %7d  %6d  %11d\n",
-				s.Shard, s.MemtableDocs, s.Segments, s.Backlog, s.Seals, s.Compactions)
+			amp := 0.0 // write amplification; nothing sealed yet reads 0
+			if s.ChunksSealed > 0 {
+				amp = float64(s.ChunksRewritten) / float64(s.ChunksSealed)
+			}
+			fmt.Fprintf(&b, "    shard %-6d %8d  %8d  %7d  %6d  %11d  %d/%d = %.2f\n",
+				s.Shard, s.MemtableDocs, s.Segments, s.Backlog, s.Seals, s.Compactions,
+				s.ChunksRewritten, s.ChunksSealed, amp)
 		}
 	}
 	if d.HasCache {

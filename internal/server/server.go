@@ -170,6 +170,7 @@ func New(engine *core.Engine) *Server {
 				Shard: i, MemtableDocs: st.MemtableDocs,
 				Segments: st.Segments, Backlog: st.Backlog,
 				Seals: st.Seals, Compactions: st.Compactions,
+				ChunksSealed: st.ChunksSealed, ChunksRewritten: st.ChunksRewritten,
 				StatsKey: st.StatsKey,
 			}
 		}

@@ -205,6 +205,10 @@ func TestDashboardReflectsTraffic(t *testing.T) {
 	if d.Queries == 0 || d.Users == 0 {
 		t.Fatalf("dashboard empty: %+v", d)
 	}
+	// The store's write-amplification counters reach the segment row.
+	if len(d.Segments) == 0 || d.Segments[0].ChunksSealed == 0 {
+		t.Fatalf("segment gauges lack the sealed-chunk counter: %+v", d.Segments)
+	}
 }
 
 // TestDashboardRecordsPipelineStages checks the acceptance criterion that

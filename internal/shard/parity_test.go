@@ -206,8 +206,8 @@ func TestShardParitySegmentedLifecycle(t *testing.T) {
 				Shards: shards,
 				Index:  exhaustiveConfig(),
 				// Memtable of 8 shatters every shard into many segments;
-				// fan-in 2 lets the background compactor merge all the way
-				// down once the deletes are published.
+				// fan-in 2 keeps the background compactor merging
+				// equal-sized neighbours during the build.
 				Segment: index.SegmentConfig{MemtableMaxDocs: 8, CompactionFanIn: 2},
 			})
 			s := buildSearcher(t, facade, docs, emb, client)
@@ -240,10 +240,10 @@ func TestShardParitySegmentedLifecycle(t *testing.T) {
 				}
 			}
 
-			// Publish the tombstoned state and let every shard compact to a
-			// single tombstone-free segment: the sentinels guarantee one
-			// fresh seal per shard, so every shard has at least two sealed
-			// segments and the drain merges all of them.
+			// Publish the tombstoned state (the sentinels guarantee one
+			// fresh seal per shard), let the policy settle, then fully
+			// merge every shard to a single tombstone-free segment, as
+			// Compact did on the monolithic side.
 			for _, d := range sentinels {
 				if err := facade.Add(d); err != nil {
 					t.Fatal(err)
@@ -251,8 +251,9 @@ func TestShardParitySegmentedLifecycle(t *testing.T) {
 			}
 			facade.Publish()
 			facade.WaitCompaction()
+			compactAllLocal(t, facade)
 			if got := facade.Tombstones(); got != 0 {
-				t.Fatalf("compaction left %d tombstones (fixture must give every shard >= 2 segments)", got)
+				t.Fatalf("full compaction left %d tombstones", got)
 			}
 			for vi, v := range variants {
 				for qi, q := range queries {

@@ -31,13 +31,28 @@ import (
 // loopback ports inside the test.
 func remoteCluster(t testing.TB, servers, shards, replication int, ixCfg index.Config, segCfg index.SegmentConfig) []shard.Backend {
 	t.Helper()
-	endpoints := make([]string, servers)
-	for i := range endpoints {
-		srv := remote.NewServer(remote.ServerConfig{Index: ixCfg, Segment: segCfg})
-		if err := srv.Start("127.0.0.1:0"); err != nil {
+	return remoteBackends(remoteServers(t, servers, ixCfg, segCfg), shards, replication)
+}
+
+// remoteServers starts n loopback shard servers, closed with the test.
+func remoteServers(t testing.TB, n int, ixCfg index.Config, segCfg index.SegmentConfig) []*remote.Server {
+	t.Helper()
+	srvs := make([]*remote.Server, n)
+	for i := range srvs {
+		srvs[i] = remote.NewServer(remote.ServerConfig{Index: ixCfg, Segment: segCfg})
+		if err := srvs[i].Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(srv.Close)
+		t.Cleanup(srvs[i].Close)
+	}
+	return srvs
+}
+
+// remoteBackends lays shards logical shards over srvs at the given
+// replication factor.
+func remoteBackends(srvs []*remote.Server, shards, replication int) []shard.Backend {
+	endpoints := make([]string, len(srvs))
+	for i, srv := range srvs {
 		endpoints[i] = srv.Addr()
 	}
 	return remote.Topology{
@@ -45,6 +60,31 @@ func remoteCluster(t testing.TB, servers, shards, replication int, ixCfg index.C
 		Shards:      shards,
 		Replication: replication,
 	}.Backends()
+}
+
+// compactAllLocal fully merges every in-process shard of facade: the
+// counterpart of (*index.Index).Compact on the monolithic side. The merge
+// policy alone reclaims lazily, so "tombstone-free" has to be asked for.
+func compactAllLocal(t testing.TB, facade *shard.Sharded) {
+	t.Helper()
+	for i := 0; i < facade.NumShards(); i++ {
+		if err := facade.Shard(i).CompactAll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// compactAllServers is compactAllLocal for every replica store hosted by
+// srvs.
+func compactAllServers(t testing.TB, srvs []*remote.Server) {
+	t.Helper()
+	for _, srv := range srvs {
+		for _, id := range srv.Shards() {
+			if err := srv.Store(id).CompactAll(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // TestShardParityRemoteThreeWay is the three-way lifecycle parity harness:
@@ -143,7 +183,8 @@ func TestShardParityRemoteThreeWay(t *testing.T) {
 			// configuration: the remote one scatter-gathers over three
 			// loopback shard servers at replication factor 2.
 			localFacade := shard.New(shard.Config{Shards: shards, Index: exhaustiveConfig(), Segment: segCfg})
-			backends := remoteCluster(t, 3, shards, 2, exhaustiveConfig(), segCfg)
+			srvs := remoteServers(t, 3, exhaustiveConfig(), segCfg)
+			backends := remoteBackends(srvs, shards, 2)
 			remoteFacade := shard.NewWithBackends(shard.Config{Shards: shards, Index: exhaustiveConfig(), Segment: segCfg}, backends)
 			defer remoteFacade.Close()
 
@@ -193,8 +234,13 @@ func TestShardParityRemoteThreeWay(t *testing.T) {
 			}
 			localFacade.Publish()
 			localFacade.WaitCompaction()
+			compactAllLocal(t, localFacade)
 			remoteFacade.Publish()
 			remoteFacade.WaitCompaction()
+			compactAllServers(t, srvs)
+			if got := localFacade.Tombstones(); got != 0 {
+				t.Fatalf("in-process compaction left %d tombstones", got)
+			}
 			if got := remoteFacade.Tombstones(); got != 0 {
 				t.Fatalf("remote compaction left %d tombstones", got)
 			}
