@@ -14,11 +14,12 @@
 //	curl -s -XPOST localhost:8080/api/ask -H "Authorization: Bearer $TOKEN" \
 //	     -d '{"question":"Come posso bloccare la carta di credito?"}' | jq .
 //
-// With -tenants the server runs in multi-tenant mode (docs/MULTITENANCY.md):
-// tenants listed in the overrides file each get their own knowledge base and
-// limits, requests name their tenant via the X-Uniask-Tenant header or
-// /t/{tenant}/api/... paths, and the admission front door sheds excess
-// traffic with 429 + Retry-After.
+// Without -tenants the server has one tenant, the default one, which every
+// request resolves to. With -tenants (docs/MULTITENANCY.md) the same server
+// hosts the tenants listed in the overrides file instead: each gets its own
+// knowledge base and limits, requests name their tenant via the
+// X-Uniask-Tenant header or /t/{tenant}/api/... paths, and the admission
+// front door sheds excess traffic with 429 + Retry-After.
 package main
 
 import (
@@ -35,17 +36,18 @@ import (
 	"uniask/internal/session"
 )
 
-// options is everything the flags set: the one engine configuration both
-// serving modes are built from, and the values around it (corpus, listener,
-// tenancy, sessions).
+// options is everything the flags set: the one engine configuration every
+// engine is built from, and the values around it (corpus, listener, tenancy,
+// sessions).
 type options struct {
 	addr string
 	docs int
 	seed int64
-	// engine is the single-tenant engine's configuration and every tenant
-	// engine's base.
+	// engine is the default tenant's engine configuration and every named
+	// tenant engine's base.
 	engine uniask.Config
-	// tenantsFile, when set, selects multi-tenant mode.
+	// tenantsFile, when set, names the tenants served instead of the default
+	// one.
 	tenantsFile   string
 	tenantsReload time.Duration
 	cacheBudget   int
@@ -73,7 +75,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.DurationVar(&o.engine.Trace.SlowThreshold, "trace-slow", 0, "always-retain latency threshold (0 = 250ms)")
 	fs.BoolVar(&o.engine.DisableVectorQuantization, "no-vector-quantization", false, "ANN search over full float32 vectors instead of the int8 quantized arena (recall debugging)")
 
-	fs.StringVar(&o.tenantsFile, "tenants", "", "tenant overrides JSON file; when set the server runs multi-tenant (see docs/MULTITENANCY.md)")
+	fs.StringVar(&o.tenantsFile, "tenants", "", "tenant overrides JSON file; when set the server hosts the tenants it lists (see docs/MULTITENANCY.md)")
 	fs.DurationVar(&o.tenantsReload, "tenants-reload", 0, "overrides hot-reload poll interval (0 = 5s, negative disables)")
 	fs.IntVar(&o.admission.Capacity, "admission-capacity", 0, "global concurrent query slots across tenants (0 = 64, negative = unlimited)")
 	fs.IntVar(&o.admission.QueueDepth, "admission-queue", 0, "per-class admission queue depth (0 = 64)")
@@ -112,11 +114,11 @@ func main() {
 	}
 }
 
-// newServer builds the server the options describe. Single-tenant mode
-// generates and indexes the corpus before returning; multi-tenant mode
-// gives each tenant in the overrides file its own synthetic knowledge base
-// (seeded from the tenant ID, so corpora are deterministic but distinct),
-// built lazily on the tenant's first request.
+// newServer builds the server the options describe. The default tenant's
+// corpus is generated and indexed before returning; with -tenants each tenant
+// in the overrides file gets its own synthetic knowledge base (seeded from
+// the tenant ID, so corpora are deterministic but distinct), built lazily on
+// the tenant's first request.
 func newServer(ctx context.Context, o *options) (*server.Server, error) {
 	var srv *server.Server
 	if o.tenantsFile != "" {
@@ -139,7 +141,7 @@ func newServer(ctx context.Context, o *options) (*server.Server, error) {
 			return nil, err
 		}
 		ids := srv.Tenants.Overrides().TenantIDs()
-		fmt.Fprintf(os.Stderr, "multi-tenant mode: %d tenants onboarded (%s), serving on %s\n",
+		fmt.Fprintf(os.Stderr, "%d tenants onboarded (%s), serving on %s\n",
 			len(ids), strings.Join(ids, ", "), o.addr)
 	} else {
 		fmt.Fprintf(os.Stderr, "generating and indexing %d documents...\n", o.docs)

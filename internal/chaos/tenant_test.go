@@ -53,13 +53,9 @@ func newNoisyNeighborServer(t *testing.T, seed int64) (*httptest.Server, *server
 	tracer := trace.New(trace.Config{Seed: seed})
 	pool := search.NewCachePool(0, 64)
 
-	var srv *server.Server
 	factory := func(id string, lim tenant.Limits) (*core.Engine, error) {
 		corpus := kb.Generate(kb.GenConfig{Docs: 60, Seed: seed + int64(len(id))})
-		eng, err := tenant.StandardFactory(core.Config{Lexicon: corpus.Lexicon()}, pool, tracer, func(_ string, eng *core.Engine) error {
-			srv.ObserveEngine(eng)
-			return nil
-		})(id, lim)
+		eng, err := tenant.StandardFactory(core.Config{Lexicon: corpus.Lexicon()}, pool, tracer)(id, lim)
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +66,7 @@ func newNoisyNeighborServer(t *testing.T, seed int64) (*httptest.Server, *server
 	}
 	reg := tenant.NewRegistry(ov, factory)
 	ctrl := tenant.NewController(tenant.AdmissionConfig{Capacity: 16}, ov)
-	srv = server.NewMultiTenant(reg, ctrl, tracer, pool)
+	srv := server.NewMultiTenant(reg, ctrl, tracer, pool)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	return hs, srv

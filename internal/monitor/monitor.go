@@ -108,8 +108,10 @@ func (m *Metrics) RecordDegraded(parts []string) {
 // ShardGauge is one index shard's dashboard row: size gauges plus the
 // shard-local query latency the facade records on every fan-out.
 type ShardGauge struct {
-	// Shard is the shard number.
-	Shard int
+	// Tenant is the tenant whose engine owns the shard ("" = the default
+	// tenant); Shard is the shard number within that engine.
+	Tenant string
+	Shard  int
 	// Docs counts chunks ever inserted (including tombstones), Live the
 	// searchable ones, Tombstones the deleted-but-unreclaimed ones.
 	Docs       int
@@ -124,8 +126,8 @@ type ShardGauge struct {
 }
 
 // SetShardSource installs a provider polled at Snapshot time for per-shard
-// gauges (nil when the engine runs a monolithic index). The server wires
-// the sharded facade's ShardStats here.
+// gauges (nil when no engine is sharded). The server wires every active
+// engine's sharded facade's ShardStats here.
 func (m *Metrics) SetShardSource(fn func() []ShardGauge) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -136,8 +138,10 @@ func (m *Metrics) SetShardSource(fn func() []ShardGauge) {
 // ingestion sits unpublished in the memtable, how many immutable segments
 // back queries, and how far the background compactor has to go.
 type SegmentGauge struct {
-	// Shard is the owning shard number (0 on a monolithic engine).
-	Shard int
+	// Tenant is the tenant whose engine owns the store ("" = the default
+	// tenant); Shard is the owning shard number (0 on a monolithic engine).
+	Tenant string
+	Shard  int
 	// MemtableDocs is the number of chunks absorbed but not yet sealed.
 	MemtableDocs int
 	// Segments is the current sealed-segment count; Backlog is how many
@@ -160,8 +164,8 @@ type SegmentGauge struct {
 }
 
 // SetSegmentSource installs a provider polled at Snapshot time for
-// per-store segment gauges. The server wires the engine's SegmentStats
-// here.
+// per-store segment gauges. The server wires every active engine's
+// SegmentStats here.
 func (m *Metrics) SetSegmentSource(fn func() []SegmentGauge) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -259,9 +263,9 @@ func (m *Metrics) SetSessionSource(fn func() (SessionGauge, bool)) {
 }
 
 // RerankGauge is one reranker's click-recalibration dashboard row (one per
-// tenant in multi-tenant serving, one total otherwise).
+// active tenant).
 type RerankGauge struct {
-	// Tenant is the owning tenant ("" on a single-tenant engine).
+	// Tenant is the owning tenant ("" = the default tenant).
 	Tenant string
 	// Clicks counts feedback events folded into the weights; Version is
 	// the current weight version (the query cache keys on it).
@@ -385,17 +389,18 @@ type Dashboard struct {
 	// BreakerTransitions counts its state changes.
 	Breakers           map[string]string
 	BreakerTransitions map[string]int
-	// Shards holds per-shard index gauges (nil on a monolithic index).
+	// Shards holds per-shard index gauges of the sharded engines (nil when
+	// every engine runs a monolithic index).
 	Shards []ShardGauge
-	// Segments holds per-store segmented-index gauges (one row per shard,
-	// one total on a monolithic engine).
+	// Segments holds per-store segmented-index gauges (per active tenant
+	// engine: one row per shard, one total on a monolithic engine).
 	Segments []SegmentGauge
-	// Cache holds the query-cache gauge; HasCache is false when caching is
-	// disabled or never wired.
+	// Cache holds the query-cache gauge, summed over the active engines;
+	// HasCache is false when caching is disabled or never wired.
 	Cache    CacheGauge
 	HasCache bool
-	// Tenants holds per-tenant admission gauges (nil outside multi-tenant
-	// serving).
+	// Tenants holds per-tenant admission gauges (nil without an admission
+	// controller).
 	Tenants []TenantGauge
 	// Sessions holds the conversational-layer gauge; HasSessions is false
 	// when no session store is wired.
@@ -574,8 +579,8 @@ func (d Dashboard) String() string {
 	if len(d.Shards) > 0 {
 		fmt.Fprintf(&b, "  index shards:          (docs / live / postings / queries / avg latency)\n")
 		for _, s := range d.Shards {
-			fmt.Fprintf(&b, "    shard %-6d %8d  %8d  %10d  %8d  %10v\n",
-				s.Shard, s.Docs, s.Live, s.Postings, s.Queries, s.AvgQueryLatency.Round(time.Microsecond))
+			fmt.Fprintf(&b, "    shard %-6d %8d  %8d  %10d  %8d  %10v%s\n",
+				s.Shard, s.Docs, s.Live, s.Postings, s.Queries, s.AvgQueryLatency.Round(time.Microsecond), tenantSuffix(s.Tenant))
 		}
 	}
 	if len(d.Segments) > 0 {
@@ -585,9 +590,9 @@ func (d Dashboard) String() string {
 			if s.ChunksSealed > 0 {
 				amp = float64(s.ChunksRewritten) / float64(s.ChunksSealed)
 			}
-			fmt.Fprintf(&b, "    shard %-6d %8d  %8d  %7d  %6d  %11d  %d/%d = %.2f\n",
+			fmt.Fprintf(&b, "    shard %-6d %8d  %8d  %7d  %6d  %11d  %d/%d = %.2f%s\n",
 				s.Shard, s.MemtableDocs, s.Segments, s.Backlog, s.Seals, s.Compactions,
-				s.ChunksRewritten, s.ChunksSealed, amp)
+				s.ChunksRewritten, s.ChunksSealed, amp, tenantSuffix(s.Tenant))
 		}
 	}
 	if d.HasCache {
@@ -624,6 +629,15 @@ func (d Dashboard) String() string {
 	}
 	b.WriteString(d.StagesString())
 	return b.String()
+}
+
+// tenantSuffix labels an index row with its tenant; the default tenant's
+// rows stay bare.
+func tenantSuffix(id string) string {
+	if id == "" {
+		return ""
+	}
+	return "  (" + id + ")"
 }
 
 // StagesString renders the per-stage pipeline section of the dashboard

@@ -7,10 +7,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,6 +23,7 @@ import (
 	"uniask/internal/core"
 	"uniask/internal/faulty"
 	"uniask/internal/resilience"
+	"uniask/internal/tenant"
 )
 
 // conversation opens a session under base (a server URL, optionally with a
@@ -43,20 +48,20 @@ func conversation(t *testing.T, base, token string) (sid, chunkID, traceID strin
 	return sid, cits.Documents[0].ID, parseDone(t, events).TraceID
 }
 
-// TestRouteTableAnswersBareAndScoped is generated from Server.routes(): on
-// a multi-tenant server every row must answer 2xx both bare (tenant in the
-// header) and under /t/{tenant}, so a route registered without its alias
-// cannot recur.
-func TestRouteTableAnswersBareAndScoped(t *testing.T) {
-	hs, srv := newTenantTestServer(t)
-	token := login(t, hs.URL, "mario")
-	const tenantID = "banca-alfa"
-	sid, chunkID, traceID := conversation(t, hs.URL+"/t/"+tenantID, token)
-	if _, ok := getTrace(t, hs.URL, traceID); !ok {
-		t.Fatalf("trace %s not retrievable", traceID)
-	}
+// serverShapes are the two registries one Server is built over: the one-bank
+// deployment, whose requests name no tenant, and two named tenants.
+var serverShapes = []struct {
+	name   string
+	build  func(*testing.T) (*httptest.Server, *Server)
+	tenant string
+}{
+	{"one tenant", setup, tenant.Default},
+	{"two tenants", newTenantTestServer, "banca-alfa"},
+}
 
-	bodies := map[string]string{
+// routeBodies holds a well-formed body for every row that reads one.
+func routeBodies(chunkID string) map[string]string {
+	return map[string]string{
 		"/api/login":                   `{"user":"mario"}`,
 		"/api/ask":                     `{"question":"Come apro un conto corrente?"}`,
 		"/api/feedback":                `{"query":"conto","rating":5}`,
@@ -64,31 +69,164 @@ func TestRouteTableAnswersBareAndScoped(t *testing.T) {
 		"/api/sessions/{sid}/ask":      `{"question":"E per un minorenne?"}`,
 		"/api/sessions/{sid}/feedback": `{"turn":0,"chunkId":"` + chunkID + `"}`,
 	}
-	fill := strings.NewReplacer("{sid}", sid, "{id}", traceID)
-	for _, rt := range srv.routes() {
-		for _, prefix := range []string{"", "/t/" + tenantID} {
-			url := hs.URL + prefix + fill.Replace(rt.path)
-			if rt.path == "/api/search" {
-				url += "?q=conto"
+}
+
+// doRoute sends the request for one table row under base (a server URL,
+// optionally with a /t/{tenant} prefix) and returns the status and body.
+func doRoute(t *testing.T, rt route, base string, fill *strings.Replacer, bodies map[string]string, token, tenantHeader string) (int, string) {
+	t.Helper()
+	url := base + fill.Replace(rt.path)
+	if rt.path == "/api/search" {
+		url += "?q=conto"
+	}
+	req, err := http.NewRequest(rt.method, url, strings.NewReader(bodies[rt.path]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if token != "" {
+		req.Header.Set("Authorization", "Bearer "+token)
+	}
+	if tenantHeader != "" {
+		req.Header.Set(TenantHeader, tenantHeader)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(msg)
+}
+
+// TestRouteTableAnswersBareAndScoped is generated from Server.routes(): on
+// either server shape every row must answer 2xx bare (a named tenant in the
+// header) and, for a named tenant, under /t/{tenant}, so a route registered
+// without its alias cannot recur.
+func TestRouteTableAnswersBareAndScoped(t *testing.T) {
+	for _, shape := range serverShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			hs, srv := shape.build(t)
+			token := login(t, hs.URL, "mario")
+			prefixes := []string{""}
+			if shape.tenant != tenant.Default {
+				prefixes = append(prefixes, "/t/"+shape.tenant)
 			}
-			req, err := http.NewRequest(rt.method, url, strings.NewReader(bodies[rt.path]))
-			if err != nil {
-				t.Fatal(err)
+			sid, chunkID, traceID := conversation(t, hs.URL+prefixes[len(prefixes)-1], token)
+			if _, ok := getTrace(t, hs.URL, traceID); !ok {
+				t.Fatalf("trace %s not retrievable", traceID)
 			}
-			req.Header.Set("Authorization", "Bearer "+token)
-			if prefix == "" {
-				req.Header.Set(TenantHeader, tenantID)
+			fill, bodies := strings.NewReplacer("{sid}", sid, "{id}", traceID), routeBodies(chunkID)
+			for _, rt := range srv.routes() {
+				for _, prefix := range prefixes {
+					header := shape.tenant // bare: the tenant, if named at all, goes in the header
+					if prefix != "" {
+						header = ""
+					}
+					if status, msg := doRoute(t, rt, hs.URL+prefix, fill, bodies, token, header); status/100 != 2 {
+						t.Errorf("%s %s%s = %d, want 2xx: %s", rt.method, prefix, rt.path, status, msg)
+					}
+				}
 			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
+		})
+	}
+}
+
+// publicRoutes are the rows that answer without a login: the login itself
+// and the operator's read-only views. Every other row must pass the front
+// door.
+var publicRoutes = []string{"/api/login", "/api/health", "/api/dashboard", "/api/traces", "/api/traces/{id}"}
+
+// TestEveryRowPassesTheFrontDoor is generated from Server.routes() too: on
+// either server shape every non-public row refuses an unauthenticated request
+// with 401 and a request naming a tenant the registry does not serve with the
+// unknown-tenant 404 — by path and by header — so a handler that skips
+// identify fails here.
+func TestEveryRowPassesTheFrontDoor(t *testing.T) {
+	fill, bodies := strings.NewReplacer("{sid}", "s-nonexistent", "{id}", "t-nonexistent"), routeBodies("c")
+	for _, shape := range serverShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			hs, srv := shape.build(t)
+			token := login(t, hs.URL, "mario")
+			for _, rt := range srv.routes() {
+				if slices.Contains(publicRoutes, rt.path) {
+					continue
+				}
+				for _, tc := range []struct {
+					name, prefix, token, header string
+					status                      int
+					body                        string
+				}{
+					{name: "no login", status: http.StatusUnauthorized, body: "login required"},
+					{name: "unknown tenant by path", prefix: "/t/banca-ignota", token: token, status: http.StatusNotFound, body: "unknown tenant"},
+					{name: "unknown tenant by header", header: "banca-ignota", token: token, status: http.StatusNotFound, body: "unknown tenant"},
+				} {
+					status, msg := doRoute(t, rt, hs.URL+tc.prefix, fill, bodies, tc.token, tc.header)
+					if status != tc.status || !strings.Contains(msg, tc.body) {
+						t.Errorf("%s, %s %s%s = %d %s, want %d %q", tc.name, rt.method, tc.prefix, rt.path, status, msg, tc.status, tc.body)
+					}
+				}
 			}
-			msg, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode/100 != 2 {
-				t.Errorf("%s %s%s = %d, want 2xx: %s", rt.method, prefix, rt.path, resp.StatusCode, msg)
-			}
+		})
+	}
+}
+
+// TestDefaultTenantFrontDoorIsFree pins what the one-bank deployment pays
+// for being a one-tenant registry: its tenant check, admission step, engine
+// lookup and limits lookups take no lock and allocate nothing, and its
+// sessions stay uncapped.
+func TestDefaultTenantFrontDoorIsFree(t *testing.T) {
+	_, api := setup(t)
+	w := httptest.NewRecorder()
+	q := &query{tenant: tenant.Default, ctx: context.Background(), release: func(time.Duration) {}}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if !api.checkTenant(w, q.tenant) || !api.admit(w, q) ||
+			api.Tenants.Limits(q.tenant).TraceSampleRate != 0 || api.tenantSessionCap(q.tenant) != 0 {
+			t.Fatal("the default tenant was refused, sampled or session-capped")
 		}
+	})
+	if allocs != 0 || q.eng != defaultEngine(t, api) || q.ctx != context.Background() {
+		t.Fatalf("default-tenant front door: %.0f allocs/request, engine %p, ctx %v — want 0, the adopted engine, the untouched context", allocs, q.eng, q.ctx)
+	}
+}
+
+// TestFeedbackIsTenantScoped: the feedback form passes the front door like
+// every other authenticated row, the stored entry carries its tenant, and a
+// tenant's ground-truth harvest holds its own links only.
+func TestFeedbackIsTenantScoped(t *testing.T) {
+	hs, srv := newTenantTestServer(t)
+	token := login(t, hs.URL, "mario")
+	post := func(prefix, body string) int {
+		t.Helper()
+		req, _ := http.NewRequest("POST", hs.URL+prefix+"/api/feedback", strings.NewReader(body))
+		req.Header.Set("Authorization", "Bearer "+token)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const form = `{"query":"come bloccare la carta?","rating":2,"links":["%s"]}`
+	for _, tc := range []struct {
+		prefix string
+		status int
+	}{
+		{"/t/banca-alfa", http.StatusCreated},
+		{"/t/banca-batch", http.StatusCreated},
+		{"/t/banca-ignota", http.StatusNotFound},
+		{"/t/BAD!!", http.StatusBadRequest},
+		{"", http.StatusBadRequest},
+	} {
+		if got := post(tc.prefix, fmt.Sprintf(form, "kb"+tc.prefix)); got != tc.status {
+			t.Errorf("POST %s/api/feedback = %d, want %d", tc.prefix, got, tc.status)
+		}
+	}
+	if all := srv.Feedback.All(); len(all) != 2 || all[0].Tenant != "banca-alfa" || all[1].Tenant != "banca-batch" {
+		t.Fatalf("stored feedback = %+v, want one entry per served tenant, each carrying it", all)
+	}
+	ds := srv.Feedback.HarvestGroundTruth("banca-alfa")
+	if len(ds.Queries) != 1 || !slices.Equal(ds.Queries[0].Relevant, []string{"kb/t/banca-alfa"}) {
+		t.Fatalf("banca-alfa harvest = %+v, want its own link only", ds.Queries)
 	}
 }
 

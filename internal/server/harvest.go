@@ -13,18 +13,19 @@ import (
 // accumulated feedback into an evaluation dataset for the next tuning
 // iteration.
 
-// HarvestGroundTruth builds a query dataset from feedback entries that
-// carry document links. Entries for the same query are merged (links
-// unioned); negative ratings are kept too — a user that links the right
-// document after a bad answer is exactly the signal the team mined.
-func (s *FeedbackStore) HarvestGroundTruth() kb.Dataset {
+// HarvestGroundTruth builds a query dataset from one tenant's feedback
+// entries that carry document links (document ids mean nothing outside
+// their tenant's knowledge base). Entries for the same query are merged
+// (links unioned); negative ratings are kept too — a user that links the
+// right document after a bad answer is exactly the signal the team mined.
+func (s *FeedbackStore) HarvestGroundTruth(tenantID string) kb.Dataset {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
 	byQuery := make(map[string]map[string]bool)
 	var order []string
 	for _, f := range s.items {
-		if f.Query == "" || len(f.Links) == 0 {
+		if f.Tenant != tenantID || f.Query == "" || len(f.Links) == 0 {
 			continue
 		}
 		set, ok := byQuery[f.Query]
@@ -65,15 +66,16 @@ func harvestID(i int) string {
 	return string(digits)
 }
 
-// NegativeFeedbackQueries returns the queries whose latest rating was
-// negative — the failure sample the team reviewed weekly during the pilots.
-func (s *FeedbackStore) NegativeFeedbackQueries() []string {
+// NegativeFeedbackQueries returns the tenant's queries whose latest rating
+// was negative — the failure sample the team reviewed weekly during the
+// pilots.
+func (s *FeedbackStore) NegativeFeedbackQueries(tenantID string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	latest := make(map[string]Feedback)
 	var order []string
 	for _, f := range s.items {
-		if f.Query == "" {
+		if f.Tenant != tenantID || f.Query == "" {
 			continue
 		}
 		if _, seen := latest[f.Query]; !seen {

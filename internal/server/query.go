@@ -38,8 +38,8 @@ func (s *Server) identify(w http.ResponseWriter, r *http.Request, valid bool, ba
 		httpError(w, http.StatusBadRequest, bad)
 		return "", "", false
 	}
-	tenantID, ok = s.resolveTenant(w, r)
-	return user, tenantID, ok
+	tenantID = requestTenant(r)
+	return user, tenantID, s.checkTenant(w, tenantID)
 }
 
 // query is one request past the front door: whom it acts for, the engine
@@ -47,7 +47,7 @@ func (s *Server) identify(w http.ResponseWriter, r *http.Request, valid bool, ba
 type query struct {
 	s       *Server
 	user    string
-	tenant  string           // "" in single-tenant serving
+	tenant  string           // tenant.Default when the request named none
 	sess    *session.Session // the conversation a /sessions/{sid}/ path names, else nil
 	eng     *core.Engine
 	ctx     context.Context // tenant-tagged and, when traced, carrying the root span
@@ -71,7 +71,7 @@ func (s *Server) enter(w http.ResponseWriter, r *http.Request, op string, valid 
 	if !ok {
 		return nil, false
 	}
-	q := &query{s: s, user: user, tenant: tenantID, eng: s.Engine, ctx: r.Context(), release: func(time.Duration) {}}
+	q := &query{s: s, user: user, tenant: tenantID, ctx: r.Context(), release: func(time.Duration) {}}
 	if sid := r.PathValue("sid"); sid != "" {
 		sess, err := s.Sessions.Get(tenantID, sid)
 		if err != nil {
@@ -80,20 +80,14 @@ func (s *Server) enter(w http.ResponseWriter, r *http.Request, op string, valid 
 		}
 		q.sess = &sess
 	}
-	var sampleRate float64
-	if s.Tenants != nil {
-		if !s.admit(w, q) {
-			return nil, false
-		}
-		if ov := s.Tenants.Overrides(); ov != nil {
-			sampleRate = ov.For(tenantID).TraceSampleRate
-		}
+	if !s.admit(w, q) {
+		return nil, false
 	}
 	q.start = time.Now()
 	if op == "" {
 		return q, true
 	}
-	q.ctx, q.treq = q.eng.Tracer.StartRequestRate(q.ctx, op, sampleRate)
+	q.ctx, q.treq = q.eng.Tracer.StartRequestRate(q.ctx, op, s.Tenants.Limits(tenantID).TraceSampleRate)
 	if id := q.treq.TraceID(); id != "" {
 		w.Header().Set(TraceIDHeader, id)
 	}
@@ -103,15 +97,17 @@ func (s *Server) enter(w http.ResponseWriter, r *http.Request, op string, valid 
 		root.SetAttr("session", q.sess.ID)
 		root.SetAttr("turn", strconv.Itoa(len(q.sess.Turns)))
 	}
-	if tenantID != "" {
+	if tenantID != tenant.Default {
 		root.SetAttr("tenant", tenantID)
 	}
 	return q, true
 }
 
-// admit is the multi-tenant middle of the front door: q.tenant takes an
-// admission slot (q.release), the registry resolves its engine (q.eng) and
-// the context is tagged with the tenant. On refusal it writes the response.
+// admit is the middle of the front door: q.tenant takes an admission slot
+// (q.release) when there is an admission controller, the registry resolves
+// its engine (q.eng) and the context is tagged with the tenant. For the
+// default tenant of a one-bank deployment that is no lock and no allocation.
+// On refusal it writes the response.
 func (s *Server) admit(w http.ResponseWriter, q *query) bool {
 	if s.Admission != nil {
 		release, rej := s.Admission.Admit(q.ctx, q.tenant)

@@ -78,7 +78,7 @@ func TestHealthReflectsBreakerState(t *testing.T) {
 	resp := authedReq(t, http.MethodPost, srv.URL+"/api/ask", token, map[string]string{"question": "Come blocco la carta?"})
 	resp.Body.Close()
 
-	if st := api.Engine.LLMBreaker.State(); st != resilience.Open {
+	if st := defaultEngine(t, api).LLMBreaker.State(); st != resilience.Open {
 		t.Fatalf("LLM breaker state = %v, want Open", st)
 	}
 	hr = getHealth(t, srv.URL)
@@ -111,7 +111,7 @@ func TestOpenBreakerServesExtractiveFallback(t *testing.T) {
 	// fire once the retry budget is exhausted).
 	resp := authedReq(t, http.MethodPost, srv.URL+"/api/ask", token, map[string]string{"question": "Come blocco la carta?"})
 	resp.Body.Close()
-	if st := api.Engine.LLMBreaker.State(); st != resilience.Open {
+	if st := defaultEngine(t, api).LLMBreaker.State(); st != resilience.Open {
 		t.Fatalf("breaker state = %v, want Open", st)
 	}
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,6 +39,9 @@ const TraceIDHeader = "X-Uniask-Trace-Id"
 type Feedback struct {
 	// User is the session user that submitted the feedback.
 	User string `json:"user"`
+	// Tenant is the tenant whose knowledge base the feedback is about
+	// (tenant.Default on a one-bank deployment).
+	Tenant string `json:"tenant,omitempty"`
 	// Query is the question the feedback refers to.
 	Query string `json:"query"`
 	// Helpful answers "Was the answer helpful?".
@@ -93,7 +97,6 @@ const DefaultRequestTimeout = 10 * time.Second
 
 // Server is the REST backend.
 type Server struct {
-	Engine   *core.Engine
 	Metrics  *monitor.Metrics
 	Feedback *FeedbackStore
 	// Log is the structured service log the §9 dashboard queries.
@@ -103,8 +106,8 @@ type Server struct {
 	// session streams are exempt — they use per-write deadlines instead.
 	RequestTimeout time.Duration
 
-	// Sessions is the conversational session store (created by New /
-	// NewMultiTenant; replace before serving to customize TTL or budget).
+	// Sessions is the conversational session store (created by the
+	// constructor; replace before serving to customize TTL or budget).
 	Sessions *session.Store
 	// SSEHeartbeat is the keep-alive comment interval on idle session
 	// streams (0 = DefaultSSEHeartbeat; negative disables heartbeats).
@@ -113,17 +116,16 @@ type Server struct {
 	// (0 = sse.DefaultWriteTimeout; negative disables it).
 	SSEWriteTimeout time.Duration
 
-	// Tenants, when set, switches the server to multi-tenant serving:
-	// Engine is nil, queries name a tenant (X-Uniask-Tenant header or
-	// /t/{tenant}/api/... path) and route to that tenant's engine. See
-	// NewMultiTenant.
+	// Tenants holds the engines the server routes to. A query names its
+	// tenant (X-Uniask-Tenant header or /t/{tenant}/api/... path) or, naming
+	// none, goes to the registry's default tenant — the only tenant of the
+	// server New builds, and one a NewMultiTenant registry does not have.
 	Tenants *tenant.Registry
-	// Admission is the multi-tenant front door; when set, every query
-	// passes through it before touching an engine and shed requests get
-	// 429 + Retry-After, never 5xx.
+	// Admission, when set, is passed by every query before it touches an
+	// engine; shed requests get 429 + Retry-After, never 5xx.
 	Admission *tenant.Controller
-	// Tracer is the tracer whose store answers /api/traces: the engine's,
-	// or in multi-tenant mode the shared one every tenant engine aliases.
+	// Tracer is the tracer whose store answers /api/traces: the one every
+	// engine of the registry records into.
 	Tracer *trace.Tracer
 
 	mu       sync.Mutex
@@ -131,63 +133,11 @@ type Server struct {
 	seq      int
 }
 
-// New creates a server over an engine. The server's metrics registry is
-// installed as the engine's pipeline observer, so every Ask/Search that
-// flows through the engine feeds the per-stage section of the Figure-3
-// dashboard (GET /api/dashboard), and as the engine's breaker-transition
-// hook, so the dashboard's breaker gauge tracks circuit state. On a sharded
-// engine the dashboard additionally carries per-shard index gauges.
+// New creates the server of a one-bank deployment: NewMultiTenant over the
+// registry whose only tenant is the default one, served by engine, with no
+// admission control.
 func New(engine *core.Engine) *Server {
-	s := &Server{
-		Engine:   engine,
-		Tracer:   engine.Tracer,
-		Metrics:  monitor.New(),
-		Feedback: &FeedbackStore{},
-		Log:      eventlog.New(),
-		sessions: make(map[string]string),
-	}
-	engine.SetObserver(s.Metrics)
-	engine.SetBreakerNotify(s.Metrics.RecordBreakerTransition)
-	if sh := engine.Sharded(); sh != nil {
-		s.Metrics.SetShardSource(func() []monitor.ShardGauge {
-			stats := sh.ShardStats()
-			out := make([]monitor.ShardGauge, len(stats))
-			for i, st := range stats {
-				out[i] = monitor.ShardGauge{
-					Shard: st.Shard, Docs: st.Docs, Live: st.Live,
-					Tombstones: st.Tombstones, Postings: st.Postings,
-					Queries: st.Queries, AvgQueryLatency: st.AvgQueryLatency,
-				}
-			}
-			return out
-		})
-	}
-	s.Metrics.SetSegmentSource(func() []monitor.SegmentGauge {
-		stats := engine.SegmentStats()
-		out := make([]monitor.SegmentGauge, len(stats))
-		for i, st := range stats {
-			out[i] = monitor.SegmentGauge{
-				Shard: i, MemtableDocs: st.MemtableDocs,
-				Segments: st.Segments, Backlog: st.Backlog,
-				Seals: st.Seals, Compactions: st.Compactions,
-				ChunksSealed: st.ChunksSealed, ChunksRewritten: st.ChunksRewritten,
-				StatsKey: st.StatsKey,
-			}
-		}
-		return out
-	})
-	s.Metrics.SetCacheSource(func() (monitor.CacheGauge, bool) {
-		cs, ok := engine.CacheStats()
-		if !ok {
-			return monitor.CacheGauge{}, false
-		}
-		return monitor.CacheGauge{
-			Hits: cs.Hits, Misses: cs.Misses, HitRate: cs.HitRate(),
-			Entries: cs.Entries, DeleteEvictions: cs.DeleteEvictions,
-		}, true
-	})
-	s.wireSessionMetrics()
-	return s
+	return NewMultiTenant(tenant.Single(engine), nil, engine.Tracer, nil)
 }
 
 // withDeadline bounds a query handler: the request context gets the
@@ -219,8 +169,8 @@ func queryErrorStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// route is one row of the API table. Handler registers every row bare and,
-// in multi-tenant serving, once more under /t/{tenant}.
+// route is one row of the API table. Handler registers every row bare and
+// once more under /t/{tenant}.
 type route struct {
 	method, path string
 	handler      http.HandlerFunc
@@ -252,11 +202,9 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range s.routes() {
 		mux.HandleFunc(rt.method+" "+rt.path, rt.handler)
-		if s.Tenants != nil {
-			// Path-scoped alias: /t/{tenant}/api/... pins the tenant without a
-			// header, so per-tenant dashboards and traces are plain links.
-			mux.HandleFunc(rt.method+" /t/{tenant}"+rt.path, rt.handler)
-		}
+		// Path-scoped alias: /t/{tenant}/api/... pins the tenant without a
+		// header, so per-tenant dashboards and traces are plain links.
+		mux.HandleFunc(rt.method+" /t/{tenant}"+rt.path, rt.handler)
 	}
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -312,18 +260,12 @@ func (s *Server) auth(r *http.Request) string {
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	user := s.auth(r)
-	if user == "" {
-		httpError(w, http.StatusUnauthorized, "login required")
-		return
-	}
 	var f Feedback
-	if err := json.NewDecoder(r.Body).Decode(&f); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid feedback")
+	user, tenantID, ok := s.identify(w, r, json.NewDecoder(r.Body).Decode(&f) == nil, "invalid feedback")
+	if !ok {
 		return
 	}
-	f.User = user
-	f.At = time.Now()
+	f.User, f.Tenant, f.At = user, tenantID, time.Now()
 	if err := s.Feedback.Add(f); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -338,7 +280,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	snap := s.Metrics.Snapshot()
-	if id := s.requestTenant(r); id != "" && s.Tenants != nil {
+	if id := requestTenant(r); id != tenant.Default {
 		s.writeTenantDashboard(w, snap, id)
 		return
 	}
@@ -494,38 +436,56 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 
 // healthResponse is the /api/health readiness payload.
 type healthResponse struct {
-	Status   string                     `json:"status"`
+	Status string `json:"status"`
+	// Tenant is the tenant a scoped probe asked about.
+	Tenant string `json:"tenant,omitempty"`
+	// Active says whether any engine in scope is built; Tenants counts them
+	// on the unscoped probe.
+	Active  bool `json:"active"`
+	Tenants int  `json:"tenants,omitempty"`
+	// Breakers lists every circuit breaker of the engines in scope, whatever
+	// its state.
 	Breakers []resilience.BreakerStatus `json:"breakers,omitempty"`
+	// Shed counts the requests admission refused the scoped tenant — the
+	// first thing the throttling runbook checks.
+	Shed uint64 `json:"shed"`
 }
 
-// handleHealth is the readiness probe: 200 while every circuit breaker is
-// closed (or half-open — the system is probing its way back), 503 while any
-// dependency's breaker is open and queries would be served degraded. In
-// multi-tenant serving a tenant-scoped request reports that tenant's engine
-// (and its current admission state); the unscoped probe aggregates across
-// active tenants.
+// handleHealth is the readiness probe: 200 while every circuit breaker in
+// scope is closed (or half-open — the system is probing its way back), 503
+// "degraded" while any is open and queries would be served degraded, and 200
+// "idle" while no engine in scope is built yet. Under /t/{tenant} (or the
+// tenant header) the scope is that tenant's engine; unscoped it is every
+// active tenant's — on a one-bank deployment its one engine.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if s.Tenants != nil {
-		s.handleTenantHealth(w, r)
-		return
+	id := requestTenant(r)
+	resp := healthResponse{Status: "idle", Tenant: id}
+	engines := s.Tenants.Active()
+	if id == tenant.Default {
+		resp.Tenants = len(engines)
+	} else {
+		if !s.checkTenant(w, id) {
+			return
+		}
+		if s.Admission != nil {
+			st, _ := s.Admission.StatsFor(id)
+			resp.Shed = st.Shed
+		}
+		engines = slices.DeleteFunc(engines, func(t tenant.ActiveTenant) bool { return t.ID != id })
 	}
-	breakers := s.Engine.Breakers()
-	status, code, _ := breakerHealth(breakers)
-	writeJSONStatus(w, code, healthResponse{Status: status, Breakers: breakers})
-}
-
-// breakerHealth is the one breaker fold: the readiness verdict and the
-// breakers that are open right now (half-open ones are probing their way
-// back and count as up).
-func breakerHealth(breakers []resilience.BreakerStatus) (status string, code int, open []resilience.BreakerStatus) {
-	status, code = "ok", http.StatusOK
-	for _, b := range breakers {
-		if b.State == "open" {
-			status, code = "degraded", http.StatusServiceUnavailable
-			open = append(open, b)
+	code := http.StatusOK
+	if resp.Active = len(engines) > 0; resp.Active {
+		resp.Status = "ok"
+	}
+	for _, t := range engines {
+		for _, b := range t.Engine.Breakers() {
+			resp.Breakers = append(resp.Breakers, b)
+			if b.State == "open" {
+				resp.Status, code = "degraded", http.StatusServiceUnavailable
+			}
 		}
 	}
-	return status, code, open
+	writeJSONStatus(w, code, resp)
 }
 
 // Serve runs the server until ctx is cancelled.

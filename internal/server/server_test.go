@@ -16,6 +16,7 @@ import (
 	"uniask/internal/kb"
 	"uniask/internal/monitor"
 	"uniask/internal/pipeline"
+	"uniask/internal/tenant"
 )
 
 var (
@@ -36,6 +37,16 @@ func setup(t *testing.T) (*httptest.Server, *Server) {
 		testSrv = httptest.NewServer(testAPI.Handler())
 	}
 	return testSrv, testAPI
+}
+
+// defaultEngine is the engine a one-tenant server serves.
+func defaultEngine(t testing.TB, api *Server) *core.Engine {
+	t.Helper()
+	eng, err := api.Tenants.Engine(tenant.Default)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
 }
 
 func login(t testing.TB, base, user string) string {
@@ -287,7 +298,7 @@ func TestHarvestGroundTruth(t *testing.T) {
 	store.Add(Feedback{User: "c", Query: "senza link", Rating: 3})
 	store.Add(Feedback{User: "d", Query: "bonifico estero", Rating: 5, Links: []string{"kb00009"}})
 
-	ds := store.HarvestGroundTruth()
+	ds := store.HarvestGroundTruth(tenant.Default)
 	if len(ds.Queries) != 2 {
 		t.Fatalf("harvested %d queries", len(ds.Queries))
 	}
@@ -309,7 +320,7 @@ func TestNegativeFeedbackQueries(t *testing.T) {
 	store.Add(Feedback{User: "b", Query: "q2", Rating: 5})
 	store.Add(Feedback{User: "c", Query: "q1", Rating: 4}) // latest for q1 is positive
 	store.Add(Feedback{User: "d", Query: "q3", Rating: 1})
-	neg := store.NegativeFeedbackQueries()
+	neg := store.NegativeFeedbackQueries(tenant.Default)
 	if len(neg) != 1 || neg[0] != "q3" {
 		t.Fatalf("negative = %v", neg)
 	}

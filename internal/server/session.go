@@ -19,7 +19,7 @@ import (
 	"strings"
 	"time"
 
-	"uniask/internal/core"
+	"uniask/internal/embedding"
 	"uniask/internal/eventlog"
 	"uniask/internal/monitor"
 	"uniask/internal/rerank"
@@ -31,63 +31,27 @@ import (
 // so intermediaries don't reap the connection between token bursts.
 const DefaultSSEHeartbeat = 15 * time.Second
 
-// wireSessionMetrics creates the server's session store and installs the
-// session and rerank-feedback dashboard gauges. Called by both New and
-// NewMultiTenant.
-func (s *Server) wireSessionMetrics() {
-	if s.Sessions == nil {
-		s.Sessions = session.NewStore(session.Config{})
-	}
-	s.Metrics.SetSessionSource(func() (monitor.SessionGauge, bool) {
-		st := s.Sessions.Stats()
-		return monitor.SessionGauge{
-			Live: st.Live, Turns: st.Turns,
-			Expired: st.Expired, Evicted: st.Evicted,
-			OpenStreams:   st.Streams.Open,
-			StreamsOpened: st.Streams.Opened,
-			StreamsClosed: st.Streams.Closed,
-			Heartbeats:    st.Streams.Heartbeats,
-			Disconnects:   st.Streams.Disconnects,
-		}, true
-	})
-	s.Metrics.SetRerankSource(func() []monitor.RerankGauge {
-		var out []monitor.RerankGauge
-		add := func(tenantID string, eng *core.Engine) {
-			if eng == nil || eng.Searcher == nil || eng.Searcher.Reranker == nil {
-				return
-			}
-			st := eng.Searcher.Reranker.Stats()
-			out = append(out, monitor.RerankGauge{
-				Tenant: tenantID, Clicks: st.Clicks,
-				Version: st.Version, Drift: st.Drift,
-			})
-		}
-		if s.Tenants != nil {
-			for _, id := range s.Tenants.Active() {
-				if eng, ok := s.Tenants.EngineIfActive(id); ok {
-					add(id, eng)
-				}
-			}
-		} else {
-			add("", s.Engine)
-		}
-		return out
-	})
+// sessionGauge is the dashboard's session row. It reads s.Sessions at poll
+// time, so swapping the store after construction is safe.
+func (s *Server) sessionGauge() (monitor.SessionGauge, bool) {
+	st := s.Sessions.Stats()
+	return monitor.SessionGauge{
+		Live: st.Live, Turns: st.Turns,
+		Expired: st.Expired, Evicted: st.Evicted,
+		OpenStreams:   st.Streams.Open,
+		StreamsOpened: st.Streams.Opened,
+		StreamsClosed: st.Streams.Closed,
+		Heartbeats:    st.Streams.Heartbeats,
+		Disconnects:   st.Streams.Disconnects,
+	}, true
 }
 
-// tenantSessionCap resolves the per-tenant live-session cap for Create:
-// the overrides' maxSessions when set, session.DefaultTenantSessions
-// otherwise; negative means uncapped (0 for the store). Single-tenant
-// serving has no per-tenant cap — the global LRU budget still bounds it.
+// tenantSessionCap resolves the per-tenant live-session cap for Create from
+// the tenant's limits: maxSessions when set, session.DefaultTenantSessions
+// otherwise; negative means uncapped (0 for the store), which is what the
+// default tenant's limits say — the global LRU budget still bounds it.
 func (s *Server) tenantSessionCap(tenantID string) int {
-	if s.Tenants == nil {
-		return 0
-	}
-	max := 0
-	if ov := s.Tenants.Overrides(); ov != nil {
-		max = ov.For(tenantID).MaxSessions
-	}
-	switch {
+	switch max := s.Tenants.Limits(tenantID).MaxSessions; {
 	case max == 0:
 		return session.DefaultTenantSessions
 	case max < 0:
@@ -337,11 +301,17 @@ func (s *Server) handleSessionFeedback(w http.ResponseWriter, r *http.Request) {
 		queryText = turn.Question
 	}
 	// The clicked document and everything ranked above it, resolved in one
-	// batched read under the request's deadline.
+	// batched read under the request's deadline; the query is embedded by the
+	// embedder queries use, under the same deadline. A shed embed leaves the
+	// vector nil: the click still counts, with semantic feature 0.
 	inputs := clickInputs(q, turn.Documents[:clickedAt+1])
+	queryVec, err := embedding.AsCtx(q.eng.Searcher.Embedder).EmbedCtx(q.ctx, queryText)
+	if err != nil {
+		queryVec = nil
+	}
 	click := rerank.Click{
 		Query:        queryText,
-		QueryVec:     q.eng.Embedder.Embed(queryText),
+		QueryVec:     queryVec,
 		Clicked:      inputs[clickedAt],
 		SkippedAbove: inputs[:clickedAt],
 	}

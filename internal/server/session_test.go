@@ -14,12 +14,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"uniask/internal/core"
+	"uniask/internal/embedding"
+	"uniask/internal/faulty"
 	"uniask/internal/kb"
+	"uniask/internal/resilience"
 	"uniask/internal/sse"
+	"uniask/internal/vector"
 )
 
 // createSession opens a conversation and returns its ID.
@@ -358,7 +363,7 @@ func TestSessionFeedbackRecalibrates(t *testing.T) {
 		t.Fatalf("want >= 2 citations, got %d", len(cits.Documents))
 	}
 
-	before := api.Engine.Searcher.Reranker.Stats()
+	before := defaultEngine(t, api).Searcher.Reranker.Stats()
 	// Click the second-ranked document: the first becomes a negative
 	// example, the clicked one positive.
 	resp := authedReq(t, http.MethodPost, srv.URL+"/api/sessions/"+sid+"/feedback", token,
@@ -376,7 +381,7 @@ func TestSessionFeedbackRecalibrates(t *testing.T) {
 	if !out.Applied {
 		t.Fatal("feedback not applied")
 	}
-	after := api.Engine.Searcher.Reranker.Stats()
+	after := defaultEngine(t, api).Searcher.Reranker.Stats()
 	if after.Version != before.Version+1 || after.Clicks != before.Clicks+1 {
 		t.Fatalf("stats before=%+v after=%+v", before, after)
 	}
@@ -391,6 +396,68 @@ func TestSessionFeedbackRecalibrates(t *testing.T) {
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("uncited click: status %d, want 400", resp2.StatusCode)
 	}
+}
+
+// TestSessionFeedbackEmbedsLikeAQuery: a click embeds its query with the
+// embedder queries use — middleware, retry budget and breaker included —
+// under the request's deadline. A failing embed is shed (semantic feature 0),
+// the click still lands; a hanging one is cut by RequestTimeout.
+func TestSessionFeedbackEmbedsLikeAQuery(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sched *faulty.Schedule
+	}{
+		{"embed fails", faulty.NewSchedule(1, 1.0, 0, 0, 0)},
+		{"embed hangs", faulty.NewSchedule(1, 0, 0, 1.0, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var broken atomic.Bool
+			srv, api := buildTracedServer(t, nil, nil, core.Config{
+				Resilience: core.ResilienceConfig{
+					EmbedPolicy: resilience.Policy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
+				},
+				EmbedderMiddleware: func(e embedding.CtxEmbedder) embedding.CtxEmbedder {
+					return switchEmbedder{CtxEmbedder: e, broken: &faulty.Embedder{Inner: e, Sched: tc.sched}, on: &broken}
+				},
+			})
+			api.RequestTimeout = 300 * time.Millisecond
+			token := login(t, srv.URL, "clicker")
+			sid, chunkID, _ := conversation(t, srv.URL, token)
+
+			broken.Store(true)
+			before := defaultEngine(t, api).Searcher.Reranker.Stats()
+			start := time.Now()
+			resp := authedReq(t, http.MethodPost, srv.URL+"/api/sessions/"+sid+"/feedback", token,
+				map[string]interface{}{"turn": 0, "chunkId": chunkID})
+			defer resp.Body.Close()
+			var out sessionFeedbackResponse
+			json.NewDecoder(resp.Body).Decode(&out)
+			if elapsed := time.Since(start); resp.StatusCode != http.StatusOK || !out.Applied || elapsed > 5*time.Second {
+				t.Fatalf("click with a broken embedder: status %d, %+v after %v — want 200 applied within the request deadline", resp.StatusCode, out, elapsed)
+			}
+			if tc.sched.Calls() == 0 {
+				t.Fatal("the click never reached the embedder middleware: it embedded with the raw embedder")
+			}
+			if after := defaultEngine(t, api).Searcher.Reranker.Stats(); after.Clicks != before.Clicks+1 {
+				t.Fatalf("clicks %d → %d, want the click counted", before.Clicks, after.Clicks)
+			}
+		})
+	}
+}
+
+// switchEmbedder is an embedder middleware that answers through broken once
+// on is set, so a test can serve a healthy turn and then fail the click.
+type switchEmbedder struct {
+	embedding.CtxEmbedder
+	broken embedding.CtxEmbedder
+	on     *atomic.Bool
+}
+
+func (s switchEmbedder) EmbedCtx(ctx context.Context, text string) (vector.Vector, error) {
+	if s.on.Load() {
+		return s.broken.EmbedCtx(ctx, text)
+	}
+	return s.CtxEmbedder.EmbedCtx(ctx, text)
 }
 
 func TestSessionNotFound(t *testing.T) {

@@ -1,14 +1,17 @@
 package server
 
-// Multi-tenant serving mode. One Server hosts many banks' knowledge bases;
-// every query names its tenant (header or path), passes the admission
-// controller (token bucket → per-tenant concurrency → global slots with
-// weighted fair queueing), and routes to that tenant's engine from the
-// registry — the tenant and admission steps of the front door (query.go).
-// Shed requests are 429 + Retry-After by construction — admission never
-// answers 5xx. docs/MULTITENANCY.md is the operator-facing description.
+// Tenancy. One Server hosts one engine per tenant, from a registry: every
+// query names its tenant (header or path) or, naming none, resolves to the
+// registry's default tenant; it passes the admission controller when there
+// is one (token bucket → per-tenant concurrency → global slots with
+// weighted fair queueing) and routes to that tenant's engine — the tenant
+// and admission steps of the front door (query.go). A one-bank deployment is
+// the registry with only the default tenant. Shed requests are 429 +
+// Retry-After by construction — admission never answers 5xx.
+// docs/MULTITENANCY.md is the operator-facing description.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -17,46 +20,105 @@ import (
 	"uniask/internal/eventlog"
 	"uniask/internal/index"
 	"uniask/internal/monitor"
-	"uniask/internal/resilience"
 	"uniask/internal/search"
+	"uniask/internal/session"
 	"uniask/internal/tenant"
 	"uniask/internal/trace"
 )
 
-// TenantHeader names the request's tenant in multi-tenant serving. The
-// /t/{tenant}/api/... path form takes precedence when both are present.
+// TenantHeader names the request's tenant. The /t/{tenant}/api/... path
+// form takes precedence when both are present.
 const TenantHeader = "X-Uniask-Tenant"
 
-// NewMultiTenant creates a server hosting one engine per tenant. The
-// registry builds tenant engines lazily (its factory should call
-// ObserveEngine so per-tenant engines feed the shared dashboard); ctrl is
-// the admission front door (nil = no admission control); tracer is the
-// shared trace store all tenant engines alias; pool, when non-nil,
-// contributes per-tenant cache-partition gauges to the dashboard.
+// NewMultiTenant creates a server over a registry of per-tenant engines. The
+// server's metrics registry becomes the pipeline observer and
+// breaker-transition hook of every engine the registry holds, now or once
+// built — installed once per engine, so an observer a caller composes on top
+// afterwards stays — and the dashboard's index, cache and rerank gauges
+// (GET /api/dashboard) read whichever engines are active when polled. ctrl
+// is the admission front door (nil = no admission control); tracer is the
+// trace store all engines record into; pool, when non-nil, contributes
+// per-tenant cache-partition gauges to the dashboard.
 func NewMultiTenant(reg *tenant.Registry, ctrl *tenant.Controller, tracer *trace.Tracer, pool *search.CachePool) *Server {
 	s := &Server{
 		Metrics:   monitor.New(),
 		Feedback:  &FeedbackStore{},
 		Log:       eventlog.New(),
+		Sessions:  session.NewStore(session.Config{}),
 		sessions:  make(map[string]string),
 		Tenants:   reg,
 		Admission: ctrl,
 		Tracer:    tracer,
 	}
+	reg.Observe(func(_ string, eng *core.Engine) {
+		eng.SetObserver(s.Metrics)
+		eng.SetBreakerNotify(s.Metrics.RecordBreakerTransition)
+	})
 	if ctrl != nil {
 		s.Metrics.SetTenantSource(func() []monitor.TenantGauge { return tenantGauges(ctrl, pool) })
 	}
-	s.wireSessionMetrics()
+	s.Metrics.SetSessionSource(s.sessionGauge)
+	s.Metrics.SetShardSource(func() (out []monitor.ShardGauge) {
+		for _, t := range reg.Active() {
+			if sh := t.Engine.Sharded(); sh != nil {
+				for _, st := range sh.ShardStats() {
+					out = append(out, monitor.ShardGauge{
+						Tenant: t.ID, Shard: st.Shard, Docs: st.Docs, Live: st.Live,
+						Tombstones: st.Tombstones, Postings: st.Postings,
+						Queries: st.Queries, AvgQueryLatency: st.AvgQueryLatency,
+					})
+				}
+			}
+		}
+		return out
+	})
+	s.Metrics.SetSegmentSource(func() (out []monitor.SegmentGauge) {
+		for _, t := range reg.Active() {
+			for i, st := range t.Engine.SegmentStats() {
+				out = append(out, monitor.SegmentGauge{
+					Tenant: t.ID, Shard: i, MemtableDocs: st.MemtableDocs,
+					Segments: st.Segments, Backlog: st.Backlog,
+					Seals: st.Seals, Compactions: st.Compactions,
+					ChunksSealed: st.ChunksSealed, ChunksRewritten: st.ChunksRewritten,
+					StatsKey: st.StatsKey,
+				})
+			}
+		}
+		return out
+	})
+	// The cache gauge is the sum over the active engines' caches; the
+	// per-tenant split is on the tenant rows.
+	s.Metrics.SetCacheSource(func() (monitor.CacheGauge, bool) {
+		var sum search.CacheStats
+		cached := false
+		for _, t := range reg.Active() {
+			if cs, ok := t.Engine.CacheStats(); ok {
+				cached = true
+				sum.Hits += cs.Hits
+				sum.Misses += cs.Misses
+				sum.Entries += cs.Entries
+				sum.DeleteEvictions += cs.DeleteEvictions
+			}
+		}
+		return monitor.CacheGauge{
+			Hits: sum.Hits, Misses: sum.Misses, HitRate: sum.HitRate(),
+			Entries: sum.Entries, DeleteEvictions: sum.DeleteEvictions,
+		}, cached
+	})
+	s.Metrics.SetRerankSource(func() (out []monitor.RerankGauge) {
+		for _, t := range reg.Active() {
+			if t.Engine.Searcher == nil || t.Engine.Searcher.Reranker == nil {
+				continue
+			}
+			st := t.Engine.Searcher.Reranker.Stats()
+			out = append(out, monitor.RerankGauge{
+				Tenant: t.ID, Clicks: st.Clicks,
+				Version: st.Version, Drift: st.Drift,
+			})
+		}
+		return out
+	})
 	return s
-}
-
-// ObserveEngine wires a tenant engine into the server's shared metrics —
-// pipeline observer and breaker hook — mirroring what New does for the
-// single engine. The registry factory's onCreate should call it, since
-// tenant engines are built after the server exists.
-func (s *Server) ObserveEngine(eng *core.Engine) {
-	eng.SetObserver(s.Metrics)
-	eng.SetBreakerNotify(s.Metrics.RecordBreakerTransition)
 }
 
 // tenantGauges joins the admission controller's stats with the cache
@@ -94,45 +156,32 @@ func tenantGauges(ctrl *tenant.Controller, pool *search.CachePool) []monitor.Ten
 }
 
 // requestTenant extracts the request's tenant ID: the /t/{tenant}/ path
-// segment wins, then the X-Uniask-Tenant header ("" when neither names one).
-func (s *Server) requestTenant(r *http.Request) string {
+// segment wins, then the X-Uniask-Tenant header (tenant.Default when neither
+// names one).
+func requestTenant(r *http.Request) string {
 	if id := r.PathValue("tenant"); id != "" {
 		return id
 	}
 	return r.Header.Get(TenantHeader)
 }
 
-// resolveTenant is the front door's tenant step: it names the request's
-// tenant and runs checkTenant on it. Single-tenant serving has no tenants
-// ("", true). On refusal it writes the response and returns ok=false.
-func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request) (string, bool) {
-	if s.Tenants == nil {
-		return "", true
-	}
-	id := s.requestTenant(r)
-	if id == "" {
-		httpError(w, http.StatusBadRequest, "tenant required ("+TenantHeader+" header or /t/{tenant}/api/... path)")
-		return "", false
-	}
-	return id, s.checkTenant(w, id)
-}
-
-// checkTenant is the single tenant validation: a malformed id is a 400, a
-// tenant the registry does not know a 404 — refused before admission so a
-// stream of typoed or hostile tenant IDs cannot grow controller state. On
-// refusal it writes the response and returns false.
+// checkTenant is the front door's tenant step, the registry's Check put on
+// the wire: no tenant named and no default one to fall back on is a 400, a
+// malformed id a 400, a tenant the registry does not serve a 404 — refused
+// before admission so a stream of typoed or hostile tenant IDs cannot grow
+// controller state. On refusal it writes the response and returns false.
 func (s *Server) checkTenant(w http.ResponseWriter, id string) bool {
-	if err := tenant.ValidateID(id); err != nil {
+	switch err := s.Tenants.Check(id); {
+	case err == nil:
+		return true
+	case errors.Is(err, tenant.ErrNoTenant):
+		httpError(w, http.StatusBadRequest, "tenant required ("+TenantHeader+" header or /t/{tenant}/api/... path)")
+	case errors.Is(err, tenant.ErrUnknownTenant):
+		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown tenant %q (add it to the overrides file to onboard)", id))
+	default:
 		httpError(w, http.StatusBadRequest, err.Error())
-		return false
 	}
-	if !s.Tenants.AllowUnknown {
-		if ov := s.Tenants.Overrides(); ov == nil || !ov.Known(id) {
-			httpError(w, http.StatusNotFound, fmt.Sprintf("unknown tenant %q (add it to the overrides file to onboard)", id))
-			return false
-		}
-	}
-	return true
+	return false
 }
 
 // writeRejection maps a shed request to 429 Too Many Requests with a
@@ -167,64 +216,14 @@ func (s *Server) writeTenantDashboard(w http.ResponseWriter, snap monitor.Dashbo
 	if g, ok := snap.TenantByID(id); ok {
 		out.Gauges = &g
 	}
-	if eng, ok := s.Tenants.EngineIfActive(id); ok {
-		out.Active = true
-		out.Segments = eng.SegmentStats()
+	for _, t := range s.Tenants.Active() {
+		if t.ID == id {
+			out.Active, out.Segments = true, t.Engine.SegmentStats()
+		}
 	}
 	if !out.Active && out.Gauges == nil {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("tenant %q has no activity (never admitted, engine not built)", id))
 		return
 	}
 	writeJSON(w, out)
-}
-
-// tenantHealthResponse is the multi-tenant /api/health payload. Scoped to a
-// tenant it reports that tenant's engine breakers and admission state;
-// unscoped it aggregates across active tenants.
-type tenantHealthResponse struct {
-	Status   string                     `json:"status"`
-	Tenant   string                     `json:"tenant,omitempty"`
-	Active   bool                       `json:"active"`
-	Breakers []resilience.BreakerStatus `json:"breakers,omitempty"`
-	// Shedding reports whether the tenant has shed requests recently (any
-	// rejection counted) — the first thing the throttling runbook checks.
-	Shed    uint64 `json:"shed"`
-	Tenants int    `json:"tenants,omitempty"`
-}
-
-func (s *Server) handleTenantHealth(w http.ResponseWriter, r *http.Request) {
-	id := s.requestTenant(r)
-	if id == "" {
-		// Unscoped probe: degraded if any active tenant's breaker is open.
-		active := s.Tenants.Active()
-		var all []resilience.BreakerStatus
-		for _, tid := range active {
-			if eng, ok := s.Tenants.EngineIfActive(tid); ok {
-				all = append(all, eng.Breakers()...)
-			}
-		}
-		status, code, open := breakerHealth(all)
-		writeJSONStatus(w, code, tenantHealthResponse{Status: status, Active: len(active) > 0, Breakers: open, Tenants: len(active)})
-		return
-	}
-	if !s.checkTenant(w, id) {
-		return
-	}
-	resp := tenantHealthResponse{Status: "idle", Tenant: id}
-	if s.Admission != nil {
-		if st, ok := s.Admission.StatsFor(id); ok {
-			resp.Shed = st.Shed
-		}
-	}
-	eng, ok := s.Tenants.EngineIfActive(id)
-	if !ok {
-		// Onboarded but never queried: healthy, just not built yet.
-		writeJSON(w, resp)
-		return
-	}
-	resp.Active = true
-	resp.Breakers = eng.Breakers()
-	var code int
-	resp.Status, code, _ = breakerHealth(resp.Breakers)
-	writeJSONStatus(w, code, resp)
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -35,14 +38,9 @@ func newTenantTestServer(t *testing.T) (*httptest.Server, *Server) {
 	tracer := trace.New(trace.Config{})
 	pool := search.NewCachePool(0, 64)
 
-	var srv *Server
 	factory := func(id string, lim tenant.Limits) (*core.Engine, error) {
 		corpus := kb.Generate(kb.GenConfig{Docs: 40, Seed: int64(len(id))})
-		base := core.Config{Lexicon: corpus.Lexicon()}
-		eng, err := tenant.StandardFactory(base, pool, tracer, func(_ string, eng *core.Engine) error {
-			srv.ObserveEngine(eng)
-			return nil
-		})(id, lim)
+		eng, err := tenant.StandardFactory(core.Config{Lexicon: corpus.Lexicon()}, pool, tracer)(id, lim)
 		if err != nil {
 			return nil, err
 		}
@@ -53,7 +51,7 @@ func newTenantTestServer(t *testing.T) (*httptest.Server, *Server) {
 	}
 	reg := tenant.NewRegistry(ov, factory)
 	ctrl := tenant.NewController(tenant.AdmissionConfig{Capacity: 16}, ov)
-	srv = NewMultiTenant(reg, ctrl, tracer, pool)
+	srv := NewMultiTenant(reg, ctrl, tracer, pool)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	return hs, srv
@@ -151,6 +149,41 @@ func TestTenantShedIs429WithRetryAfter(t *testing.T) {
 	}
 }
 
+// sortedKeys lists a decoded JSON object's field names.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// healthKeys fetches a health payload and returns its status, its top-level
+// field names, and per listed breaker "name" plus the breaker's field names.
+func healthKeys(t *testing.T, url string) (status string, fields, breakers []string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("%s: %v", url, err)
+	}
+	var rows []map[string]any
+	json.Unmarshal(body["breakers"], &rows)
+	for _, row := range rows {
+		breakers = append(breakers, fmt.Sprint(row["name"], sortedKeys(row)))
+	}
+	json.Unmarshal(body["status"], &status)
+	// The two fields that say which scope was asked, not what it found.
+	delete(body, "tenant")
+	delete(body, "tenants")
+	return status, sortedKeys(body), breakers
+}
+
 func TestTenantDashboardAndHealthViews(t *testing.T) {
 	hs, _ := newTenantTestServer(t)
 	token := login(t, hs.URL, "mario")
@@ -204,6 +237,70 @@ func TestTenantDashboardAndHealthViews(t *testing.T) {
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown tenant health = %d, want 404", hr.StatusCode)
+	}
+
+	// Parity with the one-tenant server. Once every tenant has served a
+	// query, the unscoped dashboard carries the index gauges New installs —
+	// segment rows with the write-amplification counters, labelled by tenant,
+	// and the cache gauge — under the same field names.
+	tenantSearch(t, hs.URL, token, "banca-batch", "conto").Body.Close()
+	one, _ := setup(t)
+	authedReq(t, http.MethodGet, one.URL+"/api/search?q=conto", login(t, one.URL, "mario"), nil).Body.Close()
+	fetch := func(url string) (top map[string]json.RawMessage, segments []map[string]any) {
+		t.Helper()
+		resp, err := http.Get(url + "/api/dashboard")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&top); err != nil {
+			t.Fatal(err)
+		}
+		json.Unmarshal(top["Segments"], &segments)
+		return top, segments
+	}
+	multi, multiSegs := fetch(hs.URL)
+	single, singleSegs := fetch(one.URL)
+	if len(multi) != len(single) {
+		t.Fatalf("dashboard fields: two tenants %d, one tenant %d", len(multi), len(single))
+	}
+	wantRow := []string{"Backlog", "ChunksRewritten", "ChunksSealed", "Compactions", "MemtableDocs",
+		"Seals", "Segments", "Shard", "StatsKey", "Tenant"}
+	if len(singleSegs) != 1 || singleSegs[0]["Tenant"] != "" || !slices.Equal(sortedKeys(singleSegs[0]), wantRow) {
+		t.Fatalf("one-tenant segment rows = %v, want one row of %v labelled with the default tenant", singleSegs, wantRow)
+	}
+	var owners []any
+	for _, row := range multiSegs {
+		owners = append(owners, row["Tenant"])
+		if !slices.Equal(sortedKeys(row), wantRow) || row["ChunksSealed"].(float64) == 0 {
+			t.Fatalf("two-tenant segment row = %v, want fields %v and chunks sealed", row, wantRow)
+		}
+	}
+	if fmt.Sprint(owners) != "[banca-alfa banca-batch]" {
+		t.Fatalf("segment rows owned by %v, want one per tenant", owners)
+	}
+	for name, top := range map[string]map[string]json.RawMessage{"two tenants": multi, "one tenant": single} {
+		var cache struct{ Hits, Misses uint64 }
+		json.Unmarshal(top["Cache"], &cache)
+		if string(top["HasCache"]) != "true" || cache.Hits+cache.Misses == 0 {
+			t.Fatalf("%s: HasCache = %s, cache = %+v, want a consulted cache", name, top["HasCache"], cache)
+		}
+	}
+
+	// One health payload: the same fields and the same breakers — all of
+	// them, not only the open ones — whichever way the probe is asked.
+	wantStatus, wantFields, wantBreakers := healthKeys(t, one.URL+"/api/health")
+	if wantStatus != "ok" || len(wantBreakers) == 0 {
+		t.Fatalf("one-tenant health = %q with breakers %v", wantStatus, wantBreakers)
+	}
+	for _, url := range []string{hs.URL + "/t/banca-alfa/api/health", hs.URL + "/api/health"} {
+		status, fields, breakers := healthKeys(t, url)
+		if url == hs.URL+"/api/health" {
+			breakers = breakers[:len(breakers)/2] // two tenants, each with the one-tenant set
+		}
+		if status != wantStatus || !slices.Equal(fields, wantFields) || !slices.Equal(breakers, wantBreakers) {
+			t.Fatalf("%s = %q %v %v, want %q %v %v", url, status, fields, breakers, wantStatus, wantFields, wantBreakers)
+		}
 	}
 }
 
@@ -264,8 +361,8 @@ func TestTenantCtxCarriesID(t *testing.T) {
 	})
 	srv := NewMultiTenant(reg, tenant.NewController(tenant.AdmissionConfig{}, ov), nil, nil)
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id, ok := srv.resolveTenant(w, r)
-		if !ok {
+		id := requestTenant(r)
+		if !srv.checkTenant(w, id) {
 			return
 		}
 		q := &query{tenant: id, ctx: r.Context(), release: func(time.Duration) {}}

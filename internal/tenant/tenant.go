@@ -18,7 +18,8 @@
 //     construction, never 5xx.
 //   - Registry maps tenant IDs to fully assembled per-tenant engines, each
 //     with its own index, searcher and query-cache partition, built lazily
-//     by the caller's factory.
+//     by the caller's factory. A one-bank deployment is the registry that
+//     holds one pre-built engine under the default tenant.
 //
 // The tenant ID travels on the request context (WithID/FromContext)
 // alongside the trace context, so spans, gauges and logs can attribute
@@ -33,18 +34,21 @@ import (
 	"time"
 )
 
-// Default is the tenant ID used when no tenant was specified — the
-// single-tenant deployments' implicit tenant, and the ID unaffiliated
-// requests are attributed to in multi-tenant mode when no header or path
-// names one.
-const Default = "default"
+// Default is the default tenant's ID: the tenant a request that names none
+// resolves to. A one-bank deployment serves it alone (Single); a registry
+// without a default tenant refuses such a request.
+const Default = ""
 
 // ctxKey carries the tenant ID on a request context.
 type ctxKey struct{}
 
 // WithID returns a context carrying the tenant ID, threaded through the
-// query path alongside the trace context.
+// query path alongside the trace context. The default tenant is what an
+// untagged context already reads as, so tagging with it returns ctx itself.
 func WithID(ctx context.Context, id string) context.Context {
+	if id == Default {
+		return ctx
+	}
 	return context.WithValue(ctx, ctxKey{}, id)
 }
 

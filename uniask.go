@@ -131,7 +131,7 @@ func (s *System) IndexedChunks() int { return s.engine.Index.Len() }
 func (s *System) Engine() *core.Engine { return s.engine }
 
 // NewServer wraps the system in the REST backend (login, ask, search,
-// feedback, dashboard endpoints).
+// feedback, dashboard endpoints), serving its engine as the default tenant.
 func (s *System) NewServer() *server.Server { return server.New(s.engine) }
 
 // SaveIndex serializes the system's index (documents, inverted postings,
@@ -180,10 +180,11 @@ const DefaultTenantCacheBudget = 4096
 // serves the same API as NewServer plus tenant routing (X-Uniask-Tenant
 // header or /t/{tenant}/api/... paths) and 429 + Retry-After shedding. The
 // overrides watcher runs until ctx is cancelled. A Base with RemoteShards is
-// refused: tenant engines do not share shard servers.
+// refused: shard servers hold one knowledge base, so only the default tenant
+// of a one-bank deployment (NewServer) may live on them.
 func NewMultiTenantServer(ctx context.Context, cfg MultiTenantConfig) (*server.Server, error) {
 	if len(cfg.Base.RemoteShards) > 0 {
-		return nil, errors.New("uniask: multi-tenant serving cannot use RemoteShards: every tenant engine would address the same shard ids on the same shard servers and mix the tenants' documents; serve tenants from in-process shards (ShardCount)")
+		return nil, errors.New("uniask: only the default tenant may use RemoteShards: every engine built from Base would address the same shard ids on the same shard servers and mix the tenants' documents; serve tenants from in-process shards (ShardCount)")
 	}
 	ov, err := tenant.LoadOverrides(cfg.OverridesPath)
 	if err != nil {
@@ -196,14 +197,8 @@ func NewMultiTenantServer(ctx context.Context, cfg MultiTenantConfig) (*server.S
 	}
 	pool := search.NewCachePool(budget, 0)
 
-	var srv *server.Server // captured by onCreate; assigned before first use
-	onCreate := func(id string, eng *core.Engine) error {
-		srv.ObserveEngine(eng)
-		return nil
-	}
-	reg := tenant.NewRegistry(ov, tenantFactory(ctx, cfg.Base, pool, tracer, cfg.Corpus, onCreate))
-	ctrl := tenant.NewController(cfg.Admission, ov)
-	srv = server.NewMultiTenant(reg, ctrl, tracer, pool)
+	reg := tenant.NewRegistry(ov, tenantFactory(ctx, cfg.Base, pool, tracer, cfg.Corpus))
+	srv := server.NewMultiTenant(reg, tenant.NewController(cfg.Admission, ov), tracer, pool)
 	ov.Log = func(format string, args ...any) {
 		srv.Log.Append(eventlog.Event{
 			At: time.Now(), Service: "tenant-overrides", Type: "reload",
@@ -223,7 +218,7 @@ func NewMultiTenantServer(ctx context.Context, cfg MultiTenantConfig) (*server.S
 // the tenant's limits, with the tenant corpus' lexicon when a corpus
 // provider is configured (so per-tenant synthetic embeddings stay coherent
 // with the tenant's own vocabulary), ingesting that corpus at onboarding.
-func tenantFactory(ctx context.Context, base Config, pool *search.CachePool, tracer *trace.Tracer, corpusFn func(string) *Corpus, onCreate func(string, *core.Engine) error) tenant.EngineFactory {
+func tenantFactory(ctx context.Context, base Config, pool *search.CachePool, tracer *trace.Tracer, corpusFn func(string) *Corpus) tenant.EngineFactory {
 	return func(id string, lim tenant.Limits) (*core.Engine, error) {
 		cfg := base
 		var corpus *Corpus
@@ -233,7 +228,7 @@ func tenantFactory(ctx context.Context, base Config, pool *search.CachePool, tra
 		if cfg.Lexicon == nil && corpus != nil {
 			cfg.Lexicon = corpus.Lexicon()
 		}
-		eng, err := tenant.StandardFactory(cfg, pool, tracer, onCreate)(id, lim)
+		eng, err := tenant.StandardFactory(cfg, pool, tracer)(id, lim)
 		if err != nil {
 			return nil, err
 		}

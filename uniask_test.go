@@ -13,6 +13,7 @@ import (
 	"uniask/internal/guardrails"
 	"uniask/internal/index"
 	"uniask/internal/search"
+	"uniask/internal/tenant"
 	"uniask/internal/trace"
 )
 
@@ -129,8 +130,8 @@ func TestGuardrailOnOffTopic(t *testing.T) {
 func TestNewServerServesTraffic(t *testing.T) {
 	sys, _ := newSystem(t)
 	srv := sys.NewServer()
-	if srv == nil || srv.Engine != sys.Engine() {
-		t.Fatal("server not wired to engine")
+	if eng, err := srv.Tenants.Engine(tenant.Default); err != nil || eng != sys.Engine() {
+		t.Fatalf("server not wired to engine: %v", err)
 	}
 }
 
