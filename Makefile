@@ -42,8 +42,11 @@ shardparity:
 # ..."), so godoc renders an operator-readable overview of each subsystem.
 # Then cmd/doccheck walks README.md, DESIGN.md, OPERATIONS.md and docs/*.md
 # and fails on dead intra-repo links (files moved or renamed without their
-# references following), and on any cmd/* or internal/* directory that
-# DESIGN.md §2 "Repository layout" does not list.
+# references following), on any cmd/* or internal/* directory that
+# DESIGN.md §2 "Repository layout" does not list, and on any
+# context.Background()/context.TODO() call in non-test internal/ code that
+# cmd/doccheck/detached_contexts.txt does not list with a reason (or a
+# listed one that is gone).
 doccheck:
 	@set -e; for d in internal/*/; do \
 		pkg=$$(basename $$d); \

@@ -11,18 +11,30 @@
 // must exist, so the package map can neither fall behind the packages nor
 // keep one that was deleted.
 //
+// Next to DESIGN.md it also runs the deadline audit: every
+// context.Background() / context.TODO() call in non-test code under
+// internal/ is a place where work detaches from its caller's deadline, and
+// each must be listed, with its reason, in cmd/doccheck/detached_contexts.txt.
+// The comparison is two-way: a new site fails, and so does a listed site
+// that no longer exists.
+//
 // Usage:
 //
 //	doccheck README.md DESIGN.md docs/*.md
 //
-// Exit status is nonzero if any link is dead or any package directory is
-// unlisted or listed but gone, listing every offender.
+// Exit status is nonzero if any link is dead, any package directory is
+// unlisted or listed but gone, or the detached-context list has drifted,
+// listing every offender.
 // `make doccheck` runs it over README.md, DESIGN.md, OPERATIONS.md and
 // docs/*.md.
 package main
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -69,11 +81,19 @@ func main() {
 			for _, dir := range gone {
 				fmt.Fprintf(os.Stderr, "doccheck: %s: the Repository layout section lists %s, which does not exist\n", path, dir)
 			}
-			dead += len(unlisted) + len(gone)
+			drift, err := contextDrift(base)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+				os.Exit(2)
+			}
+			for _, d := range drift {
+				fmt.Fprintf(os.Stderr, "doccheck: %s\n", d)
+			}
+			dead += len(unlisted) + len(gone) + len(drift)
 		}
 	}
 	if dead > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d dead intra-repo link(s), unlisted or vanished package(s)\n", dead)
+		fmt.Fprintf(os.Stderr, "doccheck: %d dead intra-repo link(s), unlisted or vanished package(s), drifted detached-context site(s)\n", dead)
 		os.Exit(1)
 	}
 	fmt.Printf("doccheck: %d intra-repo links resolve\n", checked)
@@ -126,6 +146,111 @@ func layoutDrift(root, doc string) (unlisted, gone []string) {
 	}
 	sort.Strings(gone)
 	return unlisted, gone
+}
+
+// contextAllowlist is the checked-in list of detached-context sites, relative
+// to the repository root: one "file:function reason" line per call.
+const contextAllowlist = "cmd/doccheck/detached_contexts.txt"
+
+// contextDrift compares the context.Background() / context.TODO() calls in
+// non-test Go files under root/internal with the allowlist, as multisets of
+// "file:function" sites, and returns one message per site that is not
+// allowlisted, per allowlisted site that is gone, and per line that gives no
+// reason.
+func contextDrift(root string) ([]string, error) {
+	found, err := detachedContexts(root)
+	if err != nil {
+		return nil, err
+	}
+	data, err := os.ReadFile(filepath.Join(root, contextAllowlist))
+	if err != nil {
+		return nil, err
+	}
+	var drift []string
+	allowed := map[string]int{}
+	for _, line := range strings.Split(string(data), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
+			continue
+		}
+		if len(fields) == 1 {
+			drift = append(drift, fmt.Sprintf("%s: %s gives no reason", contextAllowlist, fields[0]))
+		}
+		allowed[fields[0]]++
+	}
+	for _, site := range found {
+		if allowed[site] == 0 {
+			drift = append(drift, fmt.Sprintf("%s detaches from its caller's context and is not in %s", site, contextAllowlist))
+			continue
+		}
+		allowed[site]--
+	}
+	for site, n := range allowed {
+		if n > 0 {
+			drift = append(drift, fmt.Sprintf("%s lists %s, which no longer detaches a context", contextAllowlist, site))
+		}
+	}
+	sort.Strings(drift)
+	return drift, nil
+}
+
+// detachedContexts lists every context.Background() / context.TODO() call in
+// the non-test Go files under root/internal as "file:function" (the file
+// relative to root, methods as Recv.Name), once per call, sorted.
+func detachedContexts(root string) ([]string, error) {
+	var sites []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			name := "package scope"
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				name = funcName(fn)
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || (sel.Sel.Name != "Background" && sel.Sel.Name != "TODO") {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "context" {
+					sites = append(sites, filepath.ToSlash(rel)+":"+name)
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	sort.Strings(sites)
+	return sites, err
+}
+
+// funcName renders a function declaration as Name, or Recv.Name for a
+// method (the pointer dropped).
+func funcName(fn *ast.FuncDecl) string {
+	if fn.Recv != nil && len(fn.Recv.List) > 0 {
+		recv := fn.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		if id, ok := recv.(*ast.Ident); ok {
+			return id.Name + "." + fn.Name.Name
+		}
+	}
+	return fn.Name.Name
 }
 
 // skipLink reports whether the target is outside this checker's scope:

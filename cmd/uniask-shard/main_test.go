@@ -55,14 +55,15 @@ func TestRunSmoke(t *testing.T) {
 	defer srv.Close()
 
 	c := remote.NewClient(remote.ClientConfig{Addr: srv.Addr(), Shard: 3})
-	defer c.Close()
+	g := remote.NewGroup([]*remote.Client{c}, 0)
+	defer g.Close()
 	if err := c.Ping(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c.LiveLen(), store.LiveLen(); got != want {
+	if got, want := g.LiveLen(), store.LiveLen(); got != want {
 		t.Fatalf("restored shard holds %d live chunks, want %d", got, want)
 	}
-	hits, err := c.SearchText(context.Background(), "blocco carta", 5, index.TextOptions{})
+	hits, err := g.SearchText(context.Background(), "blocco carta", 5, index.TextOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,14 +4,13 @@ package embedding
 // API (text-embedding-ada-002 behind Azure OpenAI), so its calls can fail,
 // stall, or return garbage. CtxEmbedder is the remote-shaped interface the
 // query path consumes; Resilient decorates any CtxEmbedder with retries, a
-// circuit breaker, optional tail-latency hedging, and response validation
+// circuit breaker, and response validation
 // (a vector of the wrong dimensionality is an error, not a result — the
 // retry-with-verification stance of eSapiens' DEREK module).
 
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"uniask/internal/resilience"
 	"uniask/internal/trace"
@@ -59,16 +58,12 @@ type Resilient struct {
 	// Breaker, when set, sheds calls while the embedding dependency is
 	// down.
 	Breaker *resilience.Breaker
-	// HedgeDelay, when positive, races a second attempt against a primary
-	// that has not answered within the delay (embeddings are idempotent,
-	// so hedging is safe).
-	HedgeDelay time.Duration
 }
 
 // EmbedCtx implements CtxEmbedder: retries transient failures, validates
 // the dimensionality of every response, and trips/obeys the breaker. On a
 // traced request the call is one "embedding.embed" leaf span carrying the
-// retry, hedge and breaker events.
+// retry and breaker events.
 func (r *Resilient) EmbedCtx(ctx context.Context, text string) (v vector.Vector, err error) {
 	ctx, sp := trace.Start(ctx, "embedding.embed")
 	defer func() {
@@ -80,15 +75,7 @@ func (r *Resilient) EmbedCtx(ctx context.Context, text string) (v vector.Vector,
 
 func (r *Resilient) embedCtx(ctx context.Context, text string) (vector.Vector, error) {
 	attempt := func(ctx context.Context) (vector.Vector, error) {
-		op := func(ctx context.Context) (vector.Vector, error) {
-			if r.HedgeDelay > 0 {
-				return resilience.Hedge(ctx, r.Policy.Clock, r.HedgeDelay, func(ctx context.Context, _ int) (vector.Vector, error) {
-					return r.Inner.EmbedCtx(ctx, text)
-				})
-			}
-			return r.Inner.EmbedCtx(ctx, text)
-		}
-		v, err := op(ctx)
+		v, err := r.Inner.EmbedCtx(ctx, text)
 		if err != nil {
 			return nil, err
 		}

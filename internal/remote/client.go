@@ -9,14 +9,21 @@ import (
 	"sync"
 	"time"
 
-	"uniask/internal/index"
 	"uniask/internal/resilience"
-	"uniask/internal/shard"
 	"uniask/internal/trace"
-	"uniask/internal/vector"
 )
 
-// ClientConfig parameterizes one remote-shard client.
+// Transport constants. Every process runs these values: the status read
+// sits on the query hot path (StatsKey) and must fail fast so the cached
+// fallback kicks in; response frames are capped at DefaultMaxFrame.
+const (
+	defaultDialTimeout = 2 * time.Second
+	defaultCallTimeout = 30 * time.Second
+	statusTimeout      = 2 * time.Second
+	maxIdleConns       = 4
+)
+
+// ClientConfig parameterizes the transport to one endpoint.
 type ClientConfig struct {
 	// Addr is the shard server's host:port.
 	Addr string
@@ -30,14 +37,6 @@ type ClientConfig struct {
 	// snapshot transfers ride the same path; query deadlines come from the
 	// caller's per-shard context).
 	CallTimeout time.Duration
-	// StatusTimeout bounds the background status refresh that feeds
-	// StatsKey/gauges (default 2s — these run on the query hot path
-	// and must fail fast so the cached fallback kicks in).
-	StatusTimeout time.Duration
-	// MaxFrame caps response frames (0 = DefaultMaxFrame).
-	MaxFrame int
-	// MaxIdle caps pooled idle connections (default 4).
-	MaxIdle int
 	// Breaker guards the endpoint. It is shared by every client addressing
 	// the same endpoint (one breaker per remote endpoint, not per shard), so
 	// an unreachable server is shed for all shards placed on it at once.
@@ -46,11 +45,12 @@ type ClientConfig struct {
 	Breaker *resilience.Breaker
 }
 
-// Client speaks the wire protocol to one logical shard on one shard server
-// and implements the facade's per-shard Backend surface. Dialing is lazy:
-// constructing a client never touches the network, so a facade can boot
-// while its shard servers are still coming up. Safe for concurrent use; a
-// small connection pool backs concurrent RPCs.
+// Client is the transport to one logical shard on one shard server: the
+// RPC round trip, a small connection pool and the last-known status. It is
+// not a shard.Backend — a Group is, and a lone endpoint is a one-replica
+// Group. Dialing is lazy: constructing a client never touches the network,
+// so a facade can boot while its shard servers are still coming up. Safe
+// for concurrent use.
 type Client struct {
 	cfg ClientConfig
 
@@ -65,28 +65,17 @@ type Client struct {
 	lastStatus shardStatus
 }
 
-var _ shard.Backend = (*Client)(nil)
-
 // NewClient creates a client for one logical shard on addr. No connection
 // is opened until the first RPC.
 func NewClient(cfg ClientConfig) *Client {
 	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
+		cfg.DialTimeout = defaultDialTimeout
 	}
 	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 30 * time.Second
-	}
-	if cfg.StatusTimeout <= 0 {
-		cfg.StatusTimeout = 2 * time.Second
-	}
-	if cfg.MaxIdle <= 0 {
-		cfg.MaxIdle = 4
+		cfg.CallTimeout = defaultCallTimeout
 	}
 	return &Client{cfg: cfg}
 }
-
-// Addr reports the configured endpoint.
-func (c *Client) Addr() string { return c.cfg.Addr }
 
 // Close drains the connection pool. In-flight RPCs on checked-out
 // connections finish; their connections are not re-pooled.
@@ -105,7 +94,9 @@ func (c *Client) Close() error {
 // call runs one RPC: breaker admission, transport, breaker outcome, then
 // application-error unwrapping. The span is the client half of the
 // cross-process trace; the server stamps the propagated id on its own span.
-func (c *Client) call(ctx context.Context, req *request) (*response, error) {
+// The request arrives by value and is stamped here, so concurrent attempts
+// of one hedged read never share a mutable envelope.
+func (c *Client) call(ctx context.Context, req request) (*response, error) {
 	ctx, sp := trace.Start(ctx, "remote.rpc",
 		trace.A("endpoint", c.cfg.Addr),
 		trace.A("op", req.Op.String()),
@@ -120,7 +111,7 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 			return nil, err
 		}
 	}
-	resp, err := c.do(ctx, req)
+	resp, err := c.do(ctx, &req)
 	if b := c.cfg.Breaker; b != nil {
 		b.RecordCtx(ctx, err)
 	}
@@ -162,7 +153,7 @@ func (c *Client) do(ctx context.Context, req *request) (*response, error) {
 		if err := WriteFrame(conn, payload); err != nil {
 			return nil, err
 		}
-		raw, err := ReadFrame(conn, c.cfg.MaxFrame)
+		raw, err := ReadFrame(conn, DefaultMaxFrame)
 		if err != nil {
 			return nil, err
 		}
@@ -173,7 +164,7 @@ func (c *Client) do(ctx context.Context, req *request) (*response, error) {
 		conn.Close()
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			// The I/O error is just the poisoned deadline observed; report
-			// the cancellation itself (which the breaker ignores).
+			// the cancellation itself (which is neutral to the breaker).
 			err = ctxErr
 		}
 		return nil, fmt.Errorf("remote: %s %s: %w", c.cfg.Addr, req.Op, err)
@@ -212,7 +203,7 @@ func (c *Client) conn(ctx context.Context) (net.Conn, error) {
 // pool is full or the client is closed).
 func (c *Client) putConn(conn net.Conn) {
 	c.mu.Lock()
-	if c.closed || len(c.idle) >= c.cfg.MaxIdle {
+	if c.closed || len(c.idle) >= maxIdleConns {
 		c.mu.Unlock()
 		conn.Close()
 		return
@@ -246,250 +237,27 @@ func (c *Client) dial(ctx context.Context) (net.Conn, error) {
 	return conn, nil
 }
 
-// background returns the default context for RPCs whose Backend signature
-// carries none (writes, gauges, lifecycle).
-func (c *Client) background() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-}
-
-// ---- Backend: writes ----
-
-// Add implements shard.Backend.
-func (c *Client) Add(doc index.Document) error {
-	ctx, cancel := c.background()
+// status fetches the shard's combined staleness/gauge snapshot, falling
+// back to the last successfully fetched one when the endpoint is
+// unreachable. Stats keys only ever grow on the server, so the fallback
+// keeps the facade's cache keys monotone through an outage.
+func (c *Client) status() shardStatus {
+	// Detached: the gauge methods of the frozen shard.Backend interface
+	// (StatsKey, Len, ...) carry no caller context.
+	ctx, cancel := context.WithTimeout(context.Background(), statusTimeout)
 	defer cancel()
-	_, err := c.call(ctx, &request{Op: opAdd, Docs: []index.Document{doc}})
-	return err
-}
-
-// AddBulk implements shard.Backend.
-func (c *Client) AddBulk(docs []index.Document) error {
-	if len(docs) == 0 {
-		return nil
-	}
-	ctx, cancel := c.background()
-	defer cancel()
-	_, err := c.call(ctx, &request{Op: opAddBulk, Docs: docs})
-	return err
-}
-
-// Delete implements shard.Backend. An unreachable endpoint reports false
-// (nothing observably deleted).
-func (c *Client) Delete(chunkID string) bool {
-	ctx, cancel := c.background()
-	defer cancel()
-	resp, err := c.call(ctx, &request{Op: opDelete, ID: chunkID})
-	return err == nil && resp.OK
-}
-
-// DeleteParent implements shard.Backend.
-func (c *Client) DeleteParent(parentID string) int {
-	ctx, cancel := c.background()
-	defer cancel()
-	resp, err := c.call(ctx, &request{Op: opDeleteParent, ID: parentID})
-	if err != nil {
-		return 0
-	}
-	return resp.N
-}
-
-// ParentChunkIDs implements shard.Backend.
-func (c *Client) ParentChunkIDs(parentID string) []string {
-	ctx, cancel := c.background()
-	defer cancel()
-	resp, err := c.call(ctx, &request{Op: opParentChunkIDs, ID: parentID})
-	if err != nil {
-		return nil
-	}
-	return resp.IDs
-}
-
-// HasParent implements shard.Backend.
-func (c *Client) HasParent(parentID string) bool {
-	ctx, cancel := c.background()
-	defer cancel()
-	resp, err := c.call(ctx, &request{Op: opHasParent, ID: parentID})
-	return err == nil && resp.OK
-}
-
-// ---- Backend: queries ----
-
-// CollectStats implements shard.Backend.
-func (c *Client) CollectStats(ctx context.Context, fields, terms []string) (index.CorpusStats, error) {
-	resp, err := c.call(ctx, &request{Op: opCollectStats, Fields: fields, Terms: terms})
-	if err != nil {
-		return index.CorpusStats{}, err
-	}
-	if resp.Stats == nil {
-		return index.CorpusStats{}, fmt.Errorf("remote: %s: empty stats response", c.cfg.Addr)
-	}
-	return *resp.Stats, nil
-}
-
-// SearchText implements shard.Backend.
-func (c *Client) SearchText(ctx context.Context, query string, n int, opts index.TextOptions) ([]index.Hit, error) {
-	resp, err := c.call(ctx, &request{Op: opSearchText, Query: query, N: n, Opts: opts})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Hits, nil
-}
-
-// SearchTextGlobal implements shard.Backend.
-func (c *Client) SearchTextGlobal(ctx context.Context, query string, n int, opts index.TextOptions, stats *index.CorpusStats) ([]index.Hit, error) {
-	resp, err := c.call(ctx, &request{Op: opSearchTextGlobal, Query: query, N: n, Opts: opts, Stats: stats})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Hits, nil
-}
-
-// SearchVectorUnit implements shard.Backend.
-func (c *Client) SearchVectorUnit(ctx context.Context, field string, q vector.Vector, k int, filters []index.Filter) ([]index.Hit, error) {
-	resp, err := c.call(ctx, &request{Op: opSearchVector, Field: field, Vector: q, K: k, Filters: filters})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Hits, nil
-}
-
-// DocByID implements shard.Backend.
-func (c *Client) DocByID(id string) (index.Document, bool) {
-	ctx, cancel := c.background()
-	defer cancel()
-	resp, err := c.call(ctx, &request{Op: opDocByID, ID: id})
-	if err != nil || !resp.OK || resp.Doc == nil {
-		return index.Document{}, false
-	}
-	return *resp.Doc, true
-}
-
-// DocsByID implements shard.Backend: one RPC for the whole batch, on the
-// caller's context (request deadline and trace), still capped by CallTimeout
-// in do. A reply that does not align with ids is refused rather than
-// scattered into the wrong slots.
-func (c *Client) DocsByID(ctx context.Context, ids []string) ([]index.Document, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	resp, err := c.call(ctx, &request{Op: opDocsByID, IDs: ids})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Docs) != len(ids) {
-		return nil, fmt.Errorf("remote: %s docsByID: %d documents for %d ids", c.cfg.Addr, len(resp.Docs), len(ids))
-	}
-	return resp.Docs, nil
-}
-
-// ---- Backend: staleness signals and gauges ----
-
-// status fetches a fresh combined status and caches it as the last-known
-// good value.
-func (c *Client) status() (shardStatus, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.StatusTimeout)
-	defer cancel()
-	resp, err := c.call(ctx, &request{Op: opStatus})
-	if err != nil {
-		return shardStatus{}, err
-	}
-	if resp.Status == nil {
-		return shardStatus{}, fmt.Errorf("remote: %s: empty status response", c.cfg.Addr)
-	}
-	c.statusMu.Lock()
-	c.lastStatus = *resp.Status
-	c.statusMu.Unlock()
-	return *resp.Status, nil
-}
-
-// statusOrCached fetches a fresh status, falling back to the cached
-// last-known one when the endpoint is unreachable. Stats keys only ever grow
-// on the server, so the cached fallback keeps the facade's cache keys
-// monotone through an outage.
-func (c *Client) statusOrCached() shardStatus {
-	if st, err := c.status(); err == nil {
-		return st
-	}
+	resp, err := c.call(ctx, request{Op: opStatus})
 	c.statusMu.Lock()
 	defer c.statusMu.Unlock()
+	if err == nil && resp.Status != nil {
+		c.lastStatus = *resp.Status
+	}
 	return c.lastStatus
-}
-
-// StatsKey implements shard.Backend.
-func (c *Client) StatsKey() uint64 { return c.statusOrCached().StatsKey }
-
-// Len implements shard.Backend.
-func (c *Client) Len() int { return c.statusOrCached().Len }
-
-// LiveLen implements shard.Backend.
-func (c *Client) LiveLen() int { return c.statusOrCached().LiveLen }
-
-// Tombstones implements shard.Backend.
-func (c *Client) Tombstones() int { return c.statusOrCached().Tombstones }
-
-// Stats implements shard.Backend.
-func (c *Client) Stats() index.Stats { return c.statusOrCached().Stats }
-
-// SegmentStats implements shard.Backend.
-func (c *Client) SegmentStats() index.SegmentStats { return c.statusOrCached().Segments }
-
-// ---- Backend: lifecycle and bulk access ----
-
-// Doc implements shard.Backend. Ordinal access is a diagnostics/migration
-// path; an unreachable endpoint yields a zero document.
-func (c *Client) Doc(ord int) index.Document {
-	ctx, cancel := c.background()
-	defer cancel()
-	resp, err := c.call(ctx, &request{Op: opDoc, Ord: ord})
-	if err != nil || resp.Doc == nil {
-		return index.Document{}
-	}
-	return *resp.Doc
-}
-
-// LiveDocs implements shard.Backend.
-func (c *Client) LiveDocs() []index.Document {
-	ctx, cancel := c.background()
-	defer cancel()
-	resp, err := c.call(ctx, &request{Op: opLiveDocs})
-	if err != nil {
-		return nil
-	}
-	return resp.Docs
-}
-
-// Publish implements shard.Backend.
-func (c *Client) Publish() {
-	ctx, cancel := c.background()
-	defer cancel()
-	c.call(ctx, &request{Op: opPublish})
-}
-
-// WaitCompaction implements shard.Backend.
-func (c *Client) WaitCompaction() {
-	ctx, cancel := c.background()
-	defer cancel()
-	c.call(ctx, &request{Op: opWaitCompaction})
-}
-
-// Save implements shard.Backend: the server snapshots the shard and ships
-// the bytes back in one frame.
-func (c *Client) Save(w io.Writer) error {
-	ctx, cancel := c.background()
-	defer cancel()
-	resp, err := c.call(ctx, &request{Op: opSnapshot})
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(resp.Snapshot); err != nil {
-		return fmt.Errorf("remote: write snapshot: %w", err)
-	}
-	return nil
 }
 
 // Ping round-trips a no-op RPC (connectivity probes, smoke tests).
 func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.call(ctx, &request{Op: opPing})
+	_, err := c.call(ctx, request{Op: opPing})
 	return err
 }
 

@@ -173,6 +173,71 @@ func TestDocsByIDCarriesRequestContext(t *testing.T) {
 	}
 }
 
+// TestHedgeEventOnEscalation: a read that goes past its preferred replica
+// says so in the request's trace. The "hedge" event sits on the caller's
+// span, the parent of the attempts' remote.rpc spans, and names the
+// endpoint escalated to and whether a failure or the hedge delay caused it.
+func TestHedgeEventOnEscalation(t *testing.T) {
+	live := startServer(t, ServerConfig{Index: testConfig()})
+	deadSrv := startServer(t, ServerConfig{Index: testConfig()})
+	deadAddr := deadSrv.Addr()
+	deadSrv.Close()
+	hungAddr := startStub(t, func(*request) *response { return nil })
+
+	for _, tc := range []struct {
+		cause, preferred string
+		hedgeDelay       time.Duration
+	}{
+		{cause: "failure", preferred: deadAddr, hedgeDelay: time.Hour},
+		{cause: "delay", preferred: hungAddr, hedgeDelay: time.Millisecond},
+	} {
+		g := NewGroup([]*Client{
+			NewClient(ClientConfig{Addr: tc.preferred, Shard: 0, DialTimeout: 500 * time.Millisecond}),
+			NewClient(ClientConfig{Addr: live.Addr(), Shard: 0}),
+		}, tc.hedgeDelay)
+		tracer := trace.New(trace.Config{})
+		ctx, treq := tracer.StartRequest(context.Background(), "ask")
+		ctx, fetch := trace.Start(ctx, "shard.fetch")
+		// Two reads: the rotation prefers each replica once.
+		for i := 0; i < 2; i++ {
+			if _, err := g.SearchText(ctx, "conto", 5, index.TextOptions{}); err != nil {
+				t.Fatalf("%s: read did not fail over: %v", tc.cause, err)
+			}
+		}
+		fetch.End()
+		treq.End()
+		g.Close()
+		td, ok := tracer.Store().Get(treq.TraceID())
+		if !ok {
+			t.Fatalf("%s: request trace was not retained", tc.cause)
+		}
+		found := false
+		for _, sp := range td.Spans {
+			if sp.Name == "remote.rpc" && sp.Parent != fetch.SpanID {
+				t.Errorf("%s: remote.rpc span parent = %d, want the caller's span %d", tc.cause, sp.Parent, fetch.SpanID)
+			}
+			for _, ev := range sp.Events {
+				if ev.Name != "hedge" {
+					continue
+				}
+				if sp.SpanID != fetch.SpanID {
+					t.Errorf("%s: hedge event on span %q, want the caller's span", tc.cause, sp.Name)
+				}
+				attrs := map[string]string{}
+				for _, a := range ev.Attrs {
+					attrs[a.Key] = a.Value
+				}
+				if attrs["cause"] == tc.cause && attrs["endpoint"] == live.Addr() {
+					found = true
+				}
+			}
+		}
+		if !found {
+			t.Errorf("no hedge event with cause=%s endpoint=%s in the trace", tc.cause, live.Addr())
+		}
+	}
+}
+
 // TestDocsByIDRejectsMalformed: an empty batch is refused by the server and
 // a reply that does not line up with the ids is refused by the client, both
 // with errors that name the problem; neither panics or hands back documents
@@ -180,19 +245,19 @@ func TestDocsByIDCarriesRequestContext(t *testing.T) {
 func TestDocsByIDRejectsMalformed(t *testing.T) {
 	ctx := context.Background()
 	srv := startServer(t, ServerConfig{Index: testConfig()})
-	c := NewClient(ClientConfig{Addr: srv.Addr(), Shard: 0})
-	defer c.Close()
-	if _, err := c.call(ctx, &request{Op: opDocsByID}); err == nil || !strings.Contains(err.Error(), "at least one id") {
+	g := single(srv.Addr(), 0)
+	defer g.Close()
+	if _, err := g.Replicas()[0].call(ctx, request{Op: opDocsByID}); err == nil || !strings.Contains(err.Error(), "at least one id") {
 		t.Errorf("empty IDs: got %v, want the server's 'at least one id' refusal", err)
 	}
-	// The client itself never sends an empty batch.
-	if docs, err := c.DocsByID(ctx, nil); err != nil || len(docs) != 0 {
+	// The group itself never sends an empty batch.
+	if docs, err := g.DocsByID(ctx, nil); err != nil || len(docs) != 0 {
 		t.Errorf("DocsByID(nil) = %v, %v", docs, err)
 	}
 
-	short := NewClient(ClientConfig{Addr: startStub(t, func(*request) *response {
+	short := single(startStub(t, func(*request) *response {
 		return &response{Docs: []index.Document{testDoc(1)}}
-	}), Shard: 0})
+	}), 0)
 	defer short.Close()
 	docs, err := short.DocsByID(ctx, []string{"kb00001#0", "kb00002#0"})
 	if err == nil || !strings.Contains(err.Error(), "1 documents for 2 ids") {

@@ -3,6 +3,7 @@ package remote
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"sync/atomic"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"uniask/internal/index"
 	"uniask/internal/resilience"
 	"uniask/internal/shard"
+	"uniask/internal/trace"
 	"uniask/internal/vector"
 )
 
@@ -20,8 +22,10 @@ const DefaultHedgeDelay = 2 * time.Millisecond
 
 var errNoReplicas = errors.New("remote: no replicas configured")
 
-// Group fans one logical shard out over replica endpoints and implements
-// the facade's Backend surface:
+// Group fans one logical shard out over replica endpoints and is the
+// package's one implementation of the facade's Backend surface (a lone
+// endpoint is a one-replica group). Each method spells its RPC once, as a
+// request handed to read or write:
 //
 //   - Reads are hedged-failover: the group launches the preferred replica,
 //     arms a hedge timer, and launches the next replica on either a failure
@@ -35,9 +39,10 @@ var errNoReplicas = errors.New("remote: no replicas configured")
 //     attempted.
 //
 // Replica preference rotates per call (spreading load) and demotes
-// endpoints whose breaker is open, so a dead replica stops being the first
-// attempt after a few failures and recovers via the breaker's half-open
-// probe.
+// endpoints whose breaker is not closed, so a dead or hung replica stops
+// being the first attempt after a few failures and stays a last resort
+// until a probe it actually answers (a demoted read attempt, or the status
+// read every replica gets) closes its breaker.
 type Group struct {
 	replicas   []*Client
 	hedgeDelay time.Duration
@@ -66,47 +71,42 @@ func NewGroup(replicas []*Client, hedgeDelay time.Duration) *Group {
 func (g *Group) Replicas() []*Client { return g.replicas }
 
 // order returns the replica attempt order for one read: rotated by a
-// per-group counter for load spreading, with open-breaker endpoints
-// demoted to the back (they still get attempted — as last resorts — which
-// doubles as the half-open probe path).
+// per-group counter for load spreading, with endpoints whose breaker is not
+// closed demoted to the back (they still get attempted — as last resorts —
+// which doubles as the half-open probe path).
 func (g *Group) order() []*Client {
 	n := len(g.replicas)
 	start := int(g.next.Add(1)) % n
-	rotated := make([]*Client, 0, n)
-	for i := 0; i < n; i++ {
-		rotated = append(rotated, g.replicas[(start+i)%n])
-	}
-	if n == 1 {
-		return rotated
-	}
-	ordered := rotated[:0:0]
+	ordered := make([]*Client, 0, n)
 	var demoted []*Client
-	for _, c := range rotated {
-		if c.breakerState() == resilience.Open {
-			demoted = append(demoted, c)
-		} else {
+	for i := 0; i < n; i++ {
+		c := g.replicas[(start+i)%n]
+		if c.breakerState() == resilience.Closed {
 			ordered = append(ordered, c)
+		} else {
+			demoted = append(demoted, c)
 		}
 	}
 	return append(ordered, demoted...)
 }
 
-// hedged runs op against the group's replicas with hedged failover. It is
-// a package-level function because methods cannot introduce type
-// parameters.
-func hedged[T any](ctx context.Context, g *Group, op func(ctx context.Context, c *Client) (T, error)) (T, error) {
-	var zero T
-	order := g.order()
-	if len(order) == 1 {
-		return op(ctx, order[0])
+// read runs one RPC against the group's replicas with hedged failover and
+// returns the first healthy reply. Every attempt stamps its own copy of
+// req. An escalation past the preferred replica is recorded as a "hedge"
+// event on the caller's span (the parent of the attempts' remote.rpc
+// spans), with the endpoint escalated to and why.
+func (g *Group) read(ctx context.Context, req request) (*response, error) {
+	if len(g.replicas) == 1 {
+		return g.replicas[0].call(ctx, req)
 	}
+	order := g.order()
 	// Shared cancelable context: the first success reaps every loser (their
 	// blocked reads abort via the connection-deadline poison).
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
-		v   T
-		err error
+		resp *response
+		err  error
 	}
 	results := make(chan outcome, len(order))
 	launched, pending := 0, 0
@@ -114,10 +114,14 @@ func hedged[T any](ctx context.Context, g *Group, op func(ctx context.Context, c
 		c := order[launched]
 		launched++
 		pending++
-		go func() {
-			v, err := op(hctx, c)
-			results <- outcome{v: v, err: err}
-		}()
+		go func(req request) { // each attempt gets its own copy of the envelope
+			resp, err := c.call(hctx, req)
+			results <- outcome{resp: resp, err: err}
+		}(req)
+	}
+	escalate := func(cause string) {
+		trace.AddEvent(ctx, "hedge", trace.A("endpoint", order[launched].cfg.Addr), trace.A("cause", cause))
+		launch()
 	}
 	launch()
 	timer := time.NewTimer(g.hedgeDelay)
@@ -128,165 +132,223 @@ func hedged[T any](ctx context.Context, g *Group, op func(ctx context.Context, c
 		case out := <-results:
 			pending--
 			if out.err == nil {
-				return out.v, nil
+				return out.resp, nil
 			}
 			if firstErr == nil {
 				firstErr = out.err
 			}
 			if launched < len(order) {
-				launch() // failure: escalate to the next replica immediately
+				escalate("failure") // straight on to the next replica
 				continue
 			}
 			if pending == 0 {
-				return zero, firstErr // all replicas down → the shard is down
+				return nil, firstErr // all replicas down → the shard is down
 			}
 		case <-timer.C:
 			if launched < len(order) {
-				launch() // latency hedge: race the next replica
+				escalate("delay") // latency hedge: race the next replica
 				timer.Reset(g.hedgeDelay)
 			}
 		case <-ctx.Done():
-			return zero, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 }
 
-// fanout applies a write to every replica, returning the first error after
-// all were attempted (a partially failed write leaves the failing replica
-// behind; its breaker records nothing here — writes carry their error to
-// the ingest caller instead).
-func (g *Group) fanout(op func(c *Client) error) error {
+// background is the root context of every Backend method that has no
+// caller context to derive from: the frozen shard.Backend signatures of the
+// writes, the point reads and the lifecycle calls carry none. It is capped
+// by CallTimeout (replicas of one group share their configuration).
+func (g *Group) background() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.Background(), g.replicas[0].cfg.CallTimeout)
+}
+
+// readDetached is read for the Backend methods without a caller context.
+func (g *Group) readDetached(req request) (*response, error) {
+	ctx, cancel := g.background()
+	defer cancel()
+	return g.read(ctx, req)
+}
+
+// write applies one RPC to every replica in turn and returns the replies of
+// those that answered, plus the first error after all were attempted (a
+// partially failed write leaves the failing replica behind; the error
+// travels to the ingest caller).
+func (g *Group) write(req request) ([]*response, error) {
 	var first error
+	resps := make([]*response, 0, len(g.replicas))
 	for _, c := range g.replicas {
-		if err := op(c); err != nil && first == nil {
+		ctx, cancel := g.background()
+		resp, err := c.call(ctx, req)
+		cancel()
+		if err == nil {
+			resps = append(resps, resp)
+		} else if first == nil {
 			first = err
 		}
 	}
-	return first
+	return resps, first
 }
 
 // ---- Backend: writes ----
 
 // Add implements shard.Backend.
 func (g *Group) Add(doc index.Document) error {
-	return g.fanout(func(c *Client) error { return c.Add(doc) })
+	_, err := g.write(request{Op: opAdd, Docs: []index.Document{doc}})
+	return err
 }
 
 // AddBulk implements shard.Backend.
 func (g *Group) AddBulk(docs []index.Document) error {
-	return g.fanout(func(c *Client) error { return c.AddBulk(docs) })
+	if len(docs) == 0 {
+		return nil
+	}
+	_, err := g.write(request{Op: opAddBulk, Docs: docs})
+	return err
 }
 
-// Delete implements shard.Backend: true when any replica deleted the chunk.
+// Delete implements shard.Backend: true when any replica deleted the chunk
+// (an unreachable replica observably deleted nothing).
 func (g *Group) Delete(chunkID string) bool {
-	deleted := false
-	for _, c := range g.replicas {
-		if c.Delete(chunkID) {
-			deleted = true
+	resps, _ := g.write(request{Op: opDelete, ID: chunkID})
+	for _, resp := range resps {
+		if resp.OK {
+			return true
 		}
 	}
-	return deleted
+	return false
 }
 
 // DeleteParent implements shard.Backend: the max per-replica count (all
 // replicas hold the same chunks; max tolerates one being down).
 func (g *Group) DeleteParent(parentID string) int {
+	resps, _ := g.write(request{Op: opDeleteParent, ID: parentID})
 	n := 0
-	for _, c := range g.replicas {
-		if k := c.DeleteParent(parentID); k > n {
-			n = k
-		}
+	for _, resp := range resps {
+		n = max(n, resp.N)
 	}
 	return n
 }
 
-// ParentChunkIDs implements shard.Backend.
-func (g *Group) ParentChunkIDs(parentID string) []string {
-	ids, _ := hedged(context.Background(), g, func(ctx context.Context, c *Client) ([]string, error) {
-		ctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
-		defer cancel()
-		resp, err := c.call(ctx, &request{Op: opParentChunkIDs, ID: parentID})
-		if err != nil {
-			return nil, err
-		}
-		return resp.IDs, nil
-	})
-	return ids
-}
+// Publish implements shard.Backend (fans out so every replica seals its
+// memtable and stays byte-identical with its peers).
+func (g *Group) Publish() { g.write(request{Op: opPublish}) }
 
-// HasParent implements shard.Backend.
-func (g *Group) HasParent(parentID string) bool {
-	ok, _ := hedged(context.Background(), g, func(ctx context.Context, c *Client) (bool, error) {
-		ctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
-		defer cancel()
-		resp, err := c.call(ctx, &request{Op: opHasParent, ID: parentID})
-		if err != nil {
-			return false, err
-		}
-		return resp.OK, nil
-	})
-	return ok
-}
+// WaitCompaction implements shard.Backend.
+func (g *Group) WaitCompaction() { g.write(request{Op: opWaitCompaction}) }
 
-// ---- Backend: queries (hedged) ----
+// ---- Backend: reads (hedged) ----
 
 // CollectStats implements shard.Backend.
 func (g *Group) CollectStats(ctx context.Context, fields, terms []string) (index.CorpusStats, error) {
-	return hedged(ctx, g, func(ctx context.Context, c *Client) (index.CorpusStats, error) {
-		return c.CollectStats(ctx, fields, terms)
-	})
+	resp, err := g.read(ctx, request{Op: opCollectStats, Fields: fields, Terms: terms})
+	if err != nil {
+		return index.CorpusStats{}, err
+	}
+	if resp.Stats == nil {
+		return index.CorpusStats{}, errors.New("remote: collectStats: empty stats response")
+	}
+	return *resp.Stats, nil
+}
+
+// searchHits unwraps the reply of the three search RPCs.
+func searchHits(resp *response, err error) ([]index.Hit, error) {
+	if err != nil {
+		return nil, err
+	}
+	return resp.Hits, nil
 }
 
 // SearchText implements shard.Backend.
 func (g *Group) SearchText(ctx context.Context, query string, n int, opts index.TextOptions) ([]index.Hit, error) {
-	return hedged(ctx, g, func(ctx context.Context, c *Client) ([]index.Hit, error) {
-		return c.SearchText(ctx, query, n, opts)
-	})
+	return searchHits(g.read(ctx, request{Op: opSearchText, Query: query, N: n, Opts: opts}))
 }
 
 // SearchTextGlobal implements shard.Backend.
 func (g *Group) SearchTextGlobal(ctx context.Context, query string, n int, opts index.TextOptions, stats *index.CorpusStats) ([]index.Hit, error) {
-	return hedged(ctx, g, func(ctx context.Context, c *Client) ([]index.Hit, error) {
-		return c.SearchTextGlobal(ctx, query, n, opts, stats)
-	})
+	return searchHits(g.read(ctx, request{Op: opSearchTextGlobal, Query: query, N: n, Opts: opts, Stats: stats}))
 }
 
 // SearchVectorUnit implements shard.Backend.
 func (g *Group) SearchVectorUnit(ctx context.Context, field string, q vector.Vector, k int, filters []index.Filter) ([]index.Hit, error) {
-	return hedged(ctx, g, func(ctx context.Context, c *Client) ([]index.Hit, error) {
-		return c.SearchVectorUnit(ctx, field, q, k, filters)
-	})
+	return searchHits(g.read(ctx, request{Op: opSearchVector, Field: field, Vector: q, K: k, Filters: filters}))
+}
+
+// DocsByID implements shard.Backend: one RPC for the whole batch, on the
+// caller's context (request deadline and trace). A reply that does not
+// align with ids is refused rather than scattered into the wrong slots.
+func (g *Group) DocsByID(ctx context.Context, ids []string) ([]index.Document, error) {
+	if len(ids) == 0 {
+		return nil, nil
+	}
+	resp, err := g.read(ctx, request{Op: opDocsByID, IDs: ids})
+	if err != nil {
+		return nil, err
+	}
+	if len(resp.Docs) != len(ids) {
+		return nil, fmt.Errorf("remote: docsByID: %d documents for %d ids", len(resp.Docs), len(ids))
+	}
+	return resp.Docs, nil
+}
+
+// The reads below carry no caller context; an unreachable shard answers
+// like an empty one (no ids, no document), which is all their signatures
+// can say.
+
+// ParentChunkIDs implements shard.Backend.
+func (g *Group) ParentChunkIDs(parentID string) []string {
+	resp, err := g.readDetached(request{Op: opParentChunkIDs, ID: parentID})
+	if err != nil {
+		return nil
+	}
+	return resp.IDs
+}
+
+// HasParent implements shard.Backend.
+func (g *Group) HasParent(parentID string) bool {
+	resp, err := g.readDetached(request{Op: opHasParent, ID: parentID})
+	return err == nil && resp.OK
 }
 
 // DocByID implements shard.Backend.
 func (g *Group) DocByID(id string) (index.Document, bool) {
-	type docHit struct {
-		doc index.Document
-		ok  bool
-	}
-	out, err := hedged(context.Background(), g, func(ctx context.Context, c *Client) (docHit, error) {
-		ctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
-		defer cancel()
-		resp, err := c.call(ctx, &request{Op: opDocByID, ID: id})
-		if err != nil {
-			return docHit{}, err
-		}
-		if !resp.OK || resp.Doc == nil {
-			return docHit{}, nil
-		}
-		return docHit{doc: *resp.Doc, ok: true}, nil
-	})
-	if err != nil {
+	resp, err := g.readDetached(request{Op: opDocByID, ID: id})
+	if err != nil || !resp.OK || resp.Doc == nil {
 		return index.Document{}, false
 	}
-	return out.doc, out.ok
+	return *resp.Doc, true
 }
 
-// DocsByID implements shard.Backend.
-func (g *Group) DocsByID(ctx context.Context, ids []string) ([]index.Document, error) {
-	return hedged(ctx, g, func(ctx context.Context, c *Client) ([]index.Document, error) {
-		return c.DocsByID(ctx, ids)
-	})
+// Doc implements shard.Backend. Ordinal access is a diagnostics/migration
+// path.
+func (g *Group) Doc(ord int) index.Document {
+	resp, err := g.readDetached(request{Op: opDoc, Ord: ord})
+	if err != nil || resp.Doc == nil {
+		return index.Document{}
+	}
+	return *resp.Doc
+}
+
+// LiveDocs implements shard.Backend.
+func (g *Group) LiveDocs() []index.Document {
+	resp, err := g.readDetached(request{Op: opLiveDocs})
+	if err != nil {
+		return nil
+	}
+	return resp.Docs
+}
+
+// Save implements shard.Backend: a replica snapshots the shard and ships
+// the bytes back in one frame; the first to deliver wins.
+func (g *Group) Save(w io.Writer) error {
+	resp, err := g.readDetached(request{Op: opSnapshot})
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(resp.Snapshot); err != nil {
+		return fmt.Errorf("remote: write snapshot: %w", err)
+	}
+	return nil
 }
 
 // ---- Backend: staleness signals and gauges ----
@@ -297,7 +359,7 @@ func (g *Group) DocsByID(ctx context.Context, ids []string) ([]index.Document, e
 func (g *Group) maxStatus() shardStatus {
 	var out shardStatus
 	for i, c := range g.replicas {
-		st := c.statusOrCached()
+		st := c.status()
 		if i == 0 || st.StatsKey > out.StatsKey {
 			out = st
 		}
@@ -322,69 +384,6 @@ func (g *Group) Stats() index.Stats { return g.maxStatus().Stats }
 
 // SegmentStats implements shard.Backend.
 func (g *Group) SegmentStats() index.SegmentStats { return g.maxStatus().Segments }
-
-// ---- Backend: lifecycle and bulk access ----
-
-// Doc implements shard.Backend.
-func (g *Group) Doc(ord int) index.Document {
-	doc, _ := hedged(context.Background(), g, func(ctx context.Context, c *Client) (index.Document, error) {
-		ctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
-		defer cancel()
-		resp, err := c.call(ctx, &request{Op: opDoc, Ord: ord})
-		if err != nil {
-			return index.Document{}, err
-		}
-		if resp.Doc == nil {
-			return index.Document{}, nil
-		}
-		return *resp.Doc, nil
-	})
-	return doc
-}
-
-// LiveDocs implements shard.Backend.
-func (g *Group) LiveDocs() []index.Document {
-	docs, _ := hedged(context.Background(), g, func(ctx context.Context, c *Client) ([]index.Document, error) {
-		ctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
-		defer cancel()
-		resp, err := c.call(ctx, &request{Op: opLiveDocs})
-		if err != nil {
-			return nil, err
-		}
-		return resp.Docs, nil
-	})
-	return docs
-}
-
-// Publish implements shard.Backend (fans out so every replica seals its
-// memtable and stays byte-identical with its peers).
-func (g *Group) Publish() {
-	g.fanout(func(c *Client) error { c.Publish(); return nil })
-}
-
-// WaitCompaction implements shard.Backend.
-func (g *Group) WaitCompaction() {
-	g.fanout(func(c *Client) error { c.WaitCompaction(); return nil })
-}
-
-// Save implements shard.Backend: the first replica that delivers a
-// snapshot wins.
-func (g *Group) Save(w io.Writer) error {
-	snap, err := hedged(context.Background(), g, func(ctx context.Context, c *Client) ([]byte, error) {
-		ctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
-		defer cancel()
-		resp, err := c.call(ctx, &request{Op: opSnapshot})
-		if err != nil {
-			return nil, err
-		}
-		return resp.Snapshot, nil
-	})
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(snap)
-	return err
-}
 
 // Close implements shard.Backend.
 func (g *Group) Close() error {

@@ -1,6 +1,7 @@
 // Package remote distributes the sharded index across processes. A shard
 // server (cmd/uniask-shard) hosts segmented stores behind a length-prefixed
-// gob wire protocol; the client side implements the shard facade's Backend
+// gob wire protocol; on the client side a Client is the transport to one
+// endpoint and a Group of them implements the shard facade's Backend
 // surface, so internal/shard mixes in-process and remote shards without
 // knowing the difference — the two-wave global-BM25 protocol runs the same
 // RPCs either way and rankings stay byte-identical to a monolithic index at
@@ -9,7 +10,8 @@
 // Topology is the front door: given endpoint addresses, a shard count and a
 // replication factor, it derives a deterministic consistent-hash placement
 // (Placement), builds one replicated Group per logical shard, and guards
-// each endpoint with a single shared circuit breaker. Reads are hedged
+// each endpoint with a single shared circuit breaker (one per endpoint, so
+// an unreachable server is shed for all its shards at once). Reads are hedged
 // across replicas — one dead replica costs at most a hedge delay, not
 // availability — and a shard only counts as down when every replica of it
 // is unreachable, which the search layer then surfaces as a Degradation
@@ -17,11 +19,8 @@
 package remote
 
 import (
-	"time"
-
 	"uniask/internal/resilience"
 	"uniask/internal/shard"
-	"uniask/internal/vclock"
 )
 
 // Topology describes a remote shard cluster from the facade's point of
@@ -35,24 +34,6 @@ type Topology struct {
 	// Replication is how many distinct endpoints host each shard (default
 	// 2, clamped to len(Endpoints)).
 	Replication int
-	// HedgeDelay tunes the replica groups' latency hedge (default
-	// DefaultHedgeDelay).
-	HedgeDelay time.Duration
-
-	// Client knobs, applied to every endpoint client (zero values select
-	// the ClientConfig defaults).
-	DialTimeout   time.Duration
-	CallTimeout   time.Duration
-	StatusTimeout time.Duration
-	MaxFrame      int
-
-	// Breaker knobs. Each endpoint gets one breaker shared by every shard
-	// placed on it, so an unreachable server is shed for all its shards at
-	// once (zero values select the resilience defaults; Clock is for
-	// tests).
-	FailureThreshold int
-	Cooldown         time.Duration
-	Clock            vclock.Clock
 	// OnBreakerChange, when set, observes endpoint breaker transitions
 	// (wired to the monitor's gauges by the engine).
 	OnBreakerChange func(name string, from, to resilience.State)
@@ -74,11 +55,8 @@ func (t Topology) Backends() []shard.Backend {
 	breakers := make(map[string]*resilience.Breaker, len(t.Endpoints))
 	for _, ep := range t.Endpoints {
 		breakers[ep] = resilience.NewBreaker(resilience.BreakerConfig{
-			Name:             "remote:" + ep,
-			FailureThreshold: t.FailureThreshold,
-			Cooldown:         t.Cooldown,
-			Clock:            t.Clock,
-			OnStateChange:    t.OnBreakerChange,
+			Name:          "remote:" + ep,
+			OnStateChange: t.OnBreakerChange,
 		})
 	}
 	placement := Placement(t.Endpoints, t.Shards, rf)
@@ -86,17 +64,9 @@ func (t Topology) Backends() []shard.Backend {
 	for s, replicas := range placement {
 		clients := make([]*Client, len(replicas))
 		for i, ep := range replicas {
-			clients[i] = NewClient(ClientConfig{
-				Addr:          ep,
-				Shard:         s,
-				DialTimeout:   t.DialTimeout,
-				CallTimeout:   t.CallTimeout,
-				StatusTimeout: t.StatusTimeout,
-				MaxFrame:      t.MaxFrame,
-				Breaker:       breakers[ep],
-			})
+			clients[i] = NewClient(ClientConfig{Addr: ep, Shard: s, Breaker: breakers[ep]})
 		}
-		backends[s] = NewGroup(clients, t.HedgeDelay)
+		backends[s] = NewGroup(clients, 0)
 	}
 	return backends
 }

@@ -3,12 +3,17 @@ package remote
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"uniask/internal/index"
 	"uniask/internal/indexer"
+	"uniask/internal/resilience"
+	"uniask/internal/shard"
+	"uniask/internal/vclock"
 	"uniask/internal/vector"
 )
 
@@ -49,128 +54,185 @@ func startServer(t testing.TB, cfg ServerConfig) *Server {
 	return srv
 }
 
-// TestClientMatchesLocal drives the same writes and queries through a
-// remote client and a local segmented store and requires byte-identical
-// results: the wire layer must be a transparent transport, adding no
-// behavior of its own.
-func TestClientMatchesLocal(t *testing.T) {
+// single wraps one endpoint as the one-replica group that is the only way
+// to address it as a shard.Backend.
+func single(addr string, shard int) *Group {
+	return NewGroup([]*Client{NewClient(ClientConfig{Addr: addr, Shard: shard})}, 0)
+}
+
+// TestClientIsNotABackend: the transport to one endpoint is not a second
+// implementation of the facade's backend surface; only a Group is.
+func TestClientIsNotABackend(t *testing.T) {
+	if _, ok := any((*Client)(nil)).(shard.Backend); ok {
+		t.Fatal("*Client satisfies shard.Backend again; a lone endpoint is NewGroup([]*Client{c}, 0)")
+	}
+}
+
+// TestEveryOpRoundTrips walks the op constants and requires of each one a
+// name, a server-side dispatch case, and a round trip through a one-replica
+// group that returns what a local segmented store returns for the same
+// call: the wire layer must be a transparent transport, adding no behavior
+// of its own. Both stores first take the same writes; a case that writes
+// applies its write to both.
+func TestEveryOpRoundTrips(t *testing.T) {
 	cfg := testConfig()
 	seg := index.SegmentConfig{MemtableMaxDocs: 8, CompactionFanIn: 2}
 	srv := startServer(t, ServerConfig{Index: cfg, Segment: seg})
-	c := NewClient(ClientConfig{Addr: srv.Addr(), Shard: 3})
-	defer c.Close()
+	g := single(srv.Addr(), 3)
+	defer g.Close()
 	local := index.NewSegmented(cfg, seg)
-
 	ctx := context.Background()
+	// quiesce settles both compactors, so both sides hold the same
+	// tombstones whatever the RPC latency gave the remote one time to merge
+	// (a compaction that drops a tombstone moves StatsKey).
+	quiesce := func() {
+		srv.Store(3).WaitCompaction()
+		local.WaitCompaction()
+	}
+
 	var docs []index.Document
 	for i := 0; i < 40; i++ {
 		docs = append(docs, testDoc(i))
 	}
-	if err := c.AddBulk(docs); err != nil {
+	if err := g.AddBulk(docs); err != nil {
 		t.Fatal(err)
 	}
 	if err := local.AddBulk(docs); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add(testDoc(40)); err != nil {
-		t.Fatal(err)
-	}
-	if err := local.Add(testDoc(40)); err != nil {
-		t.Fatal(err)
-	}
-	// Quiesce the build-time compactors before deleting, so both sides hold
-	// the same tombstones whatever the RPC latency gave the remote one time
-	// to merge (a compaction that drops a tombstone moves StatsKey).
-	c.WaitCompaction()
-	local.WaitCompaction()
-	if got, want := c.Delete("kb00007#0"), local.Delete("kb00007#0"); got != want {
-		t.Fatalf("Delete: remote %v local %v", got, want)
-	}
-	if got, want := c.DeleteParent("kb00011"), local.DeleteParent("kb00011"); got != want {
-		t.Fatalf("DeleteParent: remote %v local %v", got, want)
-	}
-	c.Publish()
+	quiesce()
+	g.Delete("kb00007#0")
+	local.Delete("kb00007#0")
+	g.DeleteParent("kb00011")
+	local.DeleteParent("kb00011")
+	g.Publish()
 	local.Publish()
-	c.WaitCompaction()
-	local.WaitCompaction()
 
-	// Staleness signals and gauges agree.
-	if got, want := c.StatsKey(), local.StatsKey(); got != want {
-		t.Errorf("StatsKey: remote %d local %d", got, want)
-	}
-	if got, want := c.Len(), local.Len(); got != want {
-		t.Errorf("Len: remote %d local %d", got, want)
-	}
-	if got, want := c.LiveLen(), local.LiveLen(); got != want {
-		t.Errorf("LiveLen: remote %d local %d", got, want)
-	}
-	if got, want := c.Tombstones(), local.Tombstones(); got != want {
-		t.Errorf("Tombstones: remote %d local %d", got, want)
-	}
-
-	// Full-text, global-stats and vector paths are byte-identical.
-	for _, q := range []string{"istruzioni conto", "carte", "gestione operativa", ""} {
-		rh, err := c.SearchText(ctx, q, 10, index.TextOptions{})
-		if err != nil {
-			t.Fatalf("SearchText %q: %v", q, err)
+	ids := func(docs []index.Document) []string {
+		out := make([]string, len(docs))
+		for i, d := range docs {
+			out[i] = d.ID
 		}
-		lh := local.SearchText(q, 10, index.TextOptions{})
-		if got, want := fmt.Sprintf("%#v", rh), fmt.Sprintf("%#v", lh); got != want {
-			t.Errorf("SearchText %q: remote %s local %s", q, got, want)
-		}
-
-		stats, err := c.CollectStats(ctx, nil, nil)
-		if err != nil {
-			t.Fatalf("CollectStats: %v", err)
-		}
-		lstats := local.CollectStats(nil, nil)
-		rg, err := c.SearchTextGlobal(ctx, q, 10, index.TextOptions{}, &stats)
-		if err != nil {
-			t.Fatalf("SearchTextGlobal %q: %v", q, err)
-		}
-		lg := local.SearchTextGlobal(q, 10, index.TextOptions{}, &lstats)
-		if got, want := fmt.Sprintf("%#v", rg), fmt.Sprintf("%#v", lg); got != want {
-			t.Errorf("SearchTextGlobal %q: remote %s local %s", q, got, want)
-		}
+		return out
 	}
+	queries := []string{"istruzioni conto", "carte", "gestione operativa", ""}
 	qv := testDoc(3).Vectors["titleVector"]
-	rv, err := c.SearchVectorUnit(ctx, "titleVector", qv, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv := local.SearchVectorUnit("titleVector", qv, 5, nil)
-	if got, want := fmt.Sprintf("%#v", rv), fmt.Sprintf("%#v", lv); got != want {
-		t.Errorf("SearchVectorUnit: remote %s local %s", got, want)
+	lstats := local.CollectStats(nil, nil)
+	// One case per op: what the group answers, and what the local store
+	// answers to the same call.
+	cases := map[op]func() (remote, want any){
+		opPing: func() (any, any) { return g.Replicas()[0].Ping(ctx), error(nil) },
+		opCollectStats: func() (any, any) {
+			got, err := g.CollectStats(ctx, []string{"title"}, []string{"conto", "carte"})
+			return []any{got, err}, []any{local.CollectStats([]string{"title"}, []string{"conto", "carte"}), error(nil)}
+		},
+		opSearchText: func() (any, any) {
+			var got, want []any
+			for _, q := range queries {
+				hits, err := g.SearchText(ctx, q, 10, index.TextOptions{})
+				got = append(got, hits, err)
+				want = append(want, local.SearchText(q, 10, index.TextOptions{}), error(nil))
+			}
+			return got, want
+		},
+		opSearchTextGlobal: func() (any, any) {
+			var got, want []any
+			for _, q := range queries {
+				hits, err := g.SearchTextGlobal(ctx, q, 10, index.TextOptions{}, &lstats)
+				got = append(got, hits, err)
+				want = append(want, local.SearchTextGlobal(q, 10, index.TextOptions{}, &lstats), error(nil))
+			}
+			return got, want
+		},
+		opSearchVector: func() (any, any) {
+			got, err := g.SearchVectorUnit(ctx, "titleVector", qv, 5, nil)
+			return []any{got, err}, []any{local.SearchVectorUnit("titleVector", qv, 5, nil), error(nil)}
+		},
+		opAdd: func() (any, any) {
+			// The second add of the same id is refused on both sides.
+			got := []bool{g.Add(testDoc(40)) == nil, g.Add(testDoc(40)) == nil}
+			return got, []bool{local.Add(testDoc(40)) == nil, local.Add(testDoc(40)) == nil}
+		},
+		opAddBulk: func() (any, any) {
+			more := []index.Document{testDoc(41), testDoc(42), testDoc(43)}
+			return g.AddBulk(more) == nil, local.AddBulk(more) == nil
+		},
+		opDelete: func() (any, any) {
+			return []bool{g.Delete("kb00008#0"), g.Delete("kb00007#0")}, []bool{local.Delete("kb00008#0"), local.Delete("kb00007#0")}
+		},
+		opDeleteParent: func() (any, any) { return g.DeleteParent("kb00012"), local.DeleteParent("kb00012") },
+		opParentChunkIDs: func() (any, any) {
+			return [][]string{g.ParentChunkIDs("kb00005"), g.ParentChunkIDs("kb00011")},
+				[][]string{local.ParentChunkIDs("kb00005"), local.ParentChunkIDs("kb00011")}
+		},
+		opHasParent: func() (any, any) {
+			return []bool{g.HasParent("kb00005"), g.HasParent("kb00011")}, []bool{local.HasParent("kb00005"), local.HasParent("kb00011")}
+		},
+		opDocByID: func() (any, any) {
+			live, ok := g.DocByID("kb00005#0")
+			_, deleted := g.DocByID("kb00007#0")
+			wlive, wok := local.DocByID("kb00005#0")
+			_, wdeleted := local.DocByID("kb00007#0")
+			return []any{live, ok, deleted}, []any{wlive, wok, wdeleted}
+		},
+		opDoc:      func() (any, any) { return g.Doc(0), local.Doc(0) },
+		opLiveDocs: func() (any, any) { return ids(g.LiveDocs()), ids(local.LiveDocs()) },
+		opStatus: func() (any, any) {
+			return []any{g.StatsKey(), g.Len(), g.LiveLen(), g.Tombstones(), g.Stats()},
+				[]any{local.StatsKey(), local.Len(), local.LiveLen(), local.Tombstones(), local.Stats()}
+		},
+		opPublish: func() (any, any) {
+			before := local.StatsKey()
+			g.Publish()
+			local.Publish()
+			quiesce()
+			return g.StatsKey() > before, local.StatsKey() > before
+		},
+		opWaitCompaction: func() (any, any) {
+			g.WaitCompaction()
+			local.WaitCompaction()
+			return g.SegmentStats().Backlog, local.SegmentStats().Backlog
+		},
+		opSnapshot: func() (any, any) {
+			// The remote snapshot restores to the same corpus.
+			var snap bytes.Buffer
+			if err := g.Save(&snap); err != nil {
+				return err, nil
+			}
+			restored, err := index.ReadSegmented(&snap, cfg, seg)
+			if err != nil {
+				return err, nil
+			}
+			return ids(restored.LiveDocs()), ids(local.LiveDocs())
+		},
+		opDocsByID: func() (any, any) {
+			batch := []string{"kb00005#0", "kb00007#0", "kb00020#0", "missing"}
+			got, err := g.DocsByID(ctx, batch)
+			want, _ := local.DocsByID(ctx, batch)
+			return []any{got, err}, []any{want, error(nil)}
+		},
 	}
 
-	// Document access.
-	if doc, ok := c.DocByID("kb00005#0"); !ok || doc.ID != "kb00005#0" {
-		t.Errorf("DocByID: got %v %v", doc, ok)
-	}
-	if _, ok := c.DocByID("kb00007#0"); ok {
-		t.Error("DocByID returned a deleted chunk")
-	}
-	if got, want := len(c.LiveDocs()), local.LiveLen(); got != want {
-		t.Errorf("LiveDocs: %d docs, want %d", got, want)
-	}
-	if got, want := c.HasParent("kb00005"), true; got != want {
-		t.Errorf("HasParent: %v", got)
-	}
-	if ids := c.ParentChunkIDs("kb00005"); len(ids) == 0 {
-		t.Error("ParentChunkIDs empty")
-	}
-
-	// Snapshot round trip: the remote snapshot restores to the same corpus.
-	var snap bytes.Buffer
-	if err := c.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := index.ReadSegmented(&snap, cfg, seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := restored.LiveLen(), local.LiveLen(); got != want {
-		t.Errorf("restored snapshot holds %d live chunks, want %d", got, want)
+	// The dispatch probe runs against a server of its own: a bare request
+	// must be recognised, whatever else the handler then says about it.
+	probe := NewServer(ServerConfig{Index: cfg})
+	for o := opPing; o < opEnd; o++ {
+		if strings.HasPrefix(o.String(), "op(") {
+			t.Errorf("op %d has no name in String()", uint8(o))
+		}
+		if resp := probe.handle(&request{Op: o}); strings.Contains(resp.Err, "unknown op") {
+			t.Errorf("%s: Server.handle has no case: %s", o, resp.Err)
+		}
+		run, ok := cases[o]
+		if !ok {
+			t.Errorf("%s has no round-trip case", o)
+			continue
+		}
+		quiesce()
+		got, want := run()
+		if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
+			t.Errorf("%s: remote %s\nlocal  %s", o, g, w)
+		}
 	}
 }
 
@@ -178,18 +240,67 @@ func TestClientMatchesLocal(t *testing.T) {
 // logical shard id.
 func TestServerIsolatesShards(t *testing.T) {
 	srv := startServer(t, ServerConfig{Index: testConfig()})
-	c0 := NewClient(ClientConfig{Addr: srv.Addr(), Shard: 0})
-	c1 := NewClient(ClientConfig{Addr: srv.Addr(), Shard: 1})
-	defer c0.Close()
-	defer c1.Close()
-	if err := c0.Add(testDoc(1)); err != nil {
+	g0, g1 := single(srv.Addr(), 0), single(srv.Addr(), 1)
+	defer g0.Close()
+	defer g1.Close()
+	if err := g0.Add(testDoc(1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := c0.Len(); got != 1 {
+	if got := g0.Len(); got != 1 {
 		t.Fatalf("shard 0 holds %d docs, want 1", got)
 	}
-	if got := c1.Len(); got != 0 {
+	if got := g1.Len(); got != 0 {
 		t.Fatalf("shard 1 holds %d docs, want 0", got)
+	}
+}
+
+// TestOnlyWritesCreateStores: the shard id is unvalidated network input, so
+// pings and reads of ids the server does not host are answered as by an
+// empty shard and register nothing; the first write hosts the shard; a
+// negative id is refused without tripping the endpoint breaker.
+func TestOnlyWritesCreateStores(t *testing.T) {
+	srv := startServer(t, ServerConfig{Index: testConfig()})
+	ctx := context.Background()
+	for id := 0; id < 50; id++ {
+		g := single(srv.Addr(), id)
+		if err := g.Replicas()[0].Ping(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := g.Len(); got != 0 {
+			t.Fatalf("unhosted shard %d reports %d docs", id, got)
+		}
+		if hits, err := g.SearchText(ctx, "conto", 5, index.TextOptions{}); err != nil || len(hits) != 0 {
+			t.Fatalf("unhosted shard %d search: %v, %v", id, hits, err)
+		}
+		g.Publish()
+		g.Close()
+	}
+	if got := srv.Shards(); len(got) != 0 {
+		t.Fatalf("pings and reads left %d hosted stores: %v", len(got), got)
+	}
+	g := single(srv.Addr(), 17)
+	defer g.Close()
+	if err := g.AddBulk([]index.Document{testDoc(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Shards(); len(got) != 1 || got[0] != 17 {
+		t.Fatalf("after one AddBulk the server hosts %v, want [17]", got)
+	}
+
+	b := resilience.NewBreaker(resilience.BreakerConfig{Name: "remote:" + srv.Addr(), FailureThreshold: 1})
+	neg := NewClient(ClientConfig{Addr: srv.Addr(), Shard: -1, Breaker: b})
+	defer neg.Close()
+	if err := neg.Ping(ctx); err == nil || !strings.Contains(err.Error(), "negative shard id") {
+		t.Errorf("ping of shard -1: %v, want a negative-shard-id refusal", err)
+	}
+	if err := NewGroup([]*Client{neg}, 0).Add(testDoc(2)); err == nil {
+		t.Error("write to shard -1 accepted")
+	}
+	if b.State() != resilience.Closed {
+		t.Errorf("endpoint breaker is %s after application-level refusals", b.State())
+	}
+	if got := srv.Shards(); len(got) != 1 {
+		t.Errorf("negative shard id registered a store: %v", got)
 	}
 }
 
@@ -233,6 +344,57 @@ func TestGroupAllReplicasDown(t *testing.T) {
 	g := NewGroup([]*Client{dead}, time.Millisecond)
 	if _, err := g.SearchText(context.Background(), "x", 5, index.TextOptions{}); err == nil {
 		t.Fatal("want error when all replicas are down")
+	}
+}
+
+// TestCancelledProbeDoesNotHealHungReplica: an endpoint that handshakes and
+// then never answers has its breaker opened. After the cooldown a hedged
+// read launches it as the half-open probe, the healthy replica wins and the
+// probe is cancelled. The endpoint never answered a byte, so its breaker
+// must not close, and the group keeps it a last resort.
+func TestCancelledProbeDoesNotHealHungReplica(t *testing.T) {
+	probed := make(chan struct{}, 1)
+	hungAddr := startStub(t, func(*request) *response {
+		select {
+		case probed <- struct{}{}:
+		default:
+		}
+		return nil
+	})
+	// The healthy replica answers once the probe has reached the hung one,
+	// so the probe is in flight when it loses.
+	liveAddr := startStub(t, func(*request) *response {
+		<-probed
+		return &response{Hits: []index.Hit{{ID: "kb00001#0"}}}
+	})
+	clock := vclock.NewVirtual(time.Unix(0, 0))
+	b := resilience.NewBreaker(resilience.BreakerConfig{Name: "remote:" + hungAddr, FailureThreshold: 1, Cooldown: time.Minute, Clock: clock})
+	b.Do(func() error { return errors.New("status read timed out") })
+	clock.Advance(time.Minute)
+	hung := NewClient(ClientConfig{Addr: hungAddr, Shard: 0, Breaker: b})
+	g := NewGroup([]*Client{hung, NewClient(ClientConfig{Addr: liveAddr, Shard: 0})}, time.Millisecond)
+	defer g.Close()
+
+	if _, err := g.SearchText(context.Background(), "conto", 5, index.TextOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// The cancelled loser records its outcome while unwinding, after the
+	// read has returned: wait until it has given the probe slot back.
+	deadline := time.Now().Add(10 * time.Second)
+	for b.State() == resilience.HalfOpen && b.Allow() != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("the cancelled probe never recorded its outcome")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := b.State(); got != resilience.HalfOpen {
+		t.Fatalf("hung endpoint's breaker is %s after a cancelled probe, want half-open", got)
+	}
+	b.Record(context.Canceled) // hand back the slot the wait took
+	for i := 0; i < 4; i++ {
+		if order := g.order(); order[len(order)-1] != hung {
+			t.Fatalf("read %d prefers the hung replica again", i)
+		}
 	}
 }
 

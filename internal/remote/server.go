@@ -31,12 +31,12 @@ type ServerConfig struct {
 }
 
 // Server hosts one or more logical index shards behind the wire protocol.
-// Stores are created lazily on first reference, so placement is driven
-// entirely by the clients: whichever shard ids a facade routes here come
-// into existence here. Safe for concurrent use; each accepted connection
-// is served by its own goroutine against the shared stores (the segmented
-// store's reader/writer concurrency contract covers cross-connection
-// races).
+// Stores are created lazily by the first write, so placement is driven
+// entirely by the clients: whichever shard ids a facade routes documents to
+// come into existence here. A read never creates one. Safe for concurrent
+// use; each accepted connection is served by its own goroutine against the
+// shared stores (the segmented store's reader/writer concurrency contract
+// covers cross-connection races).
 type Server struct {
 	cfg ServerConfig
 
@@ -57,13 +57,21 @@ func NewServer(cfg ServerConfig) *Server {
 
 // Store returns the hosted store for a logical shard id, creating it on
 // first reference.
-func (s *Server) Store(shard int) *index.Segmented {
+func (s *Server) Store(shard int) *index.Segmented { return s.store(shard, true) }
+
+// store resolves a logical shard id. An id the server does not host gets a
+// fresh empty store, which is hosted from then on only when create is set;
+// otherwise it serves the one call and is dropped, so the caller is answered
+// exactly as by an empty shard and nothing is registered.
+func (s *Server) store(shard int, create bool) *index.Segmented {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.stores[shard]
 	if !ok {
 		st = index.NewSegmented(s.cfg.Index, s.cfg.Segment)
-		s.stores[shard] = st
+		if create {
+			s.stores[shard] = st
+		}
 	}
 	return st
 }
@@ -233,7 +241,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// handle dispatches one RPC against the target shard's store.
+// handle dispatches one RPC against the target shard's store. The shard id
+// is unvalidated network input: only a write (add, addBulk) may bring a
+// store into existence, and a negative id is refused — as an application
+// error, which leaves the caller's endpoint breaker alone.
 func (s *Server) handle(req *request) (resp *response) {
 	if s.cfg.Tracer != nil {
 		_, treq := s.cfg.Tracer.StartRequest(context.Background(), "remote."+req.Op.String())
@@ -249,10 +260,14 @@ func (s *Server) handle(req *request) (resp *response) {
 			resp = &response{Err: fmt.Sprintf("remote: %s panicked: %v", req.Op, p)}
 		}
 	}()
-	st := s.Store(req.Shard)
-	switch req.Op {
-	case opPing:
+	if req.Shard < 0 {
+		return &response{Err: fmt.Sprintf("remote: negative shard id %d", req.Shard)}
+	}
+	if req.Op == opPing {
 		return &response{OK: true}
+	}
+	st := s.store(req.Shard, req.Op == opAdd || req.Op == opAddBulk)
+	switch req.Op {
 	case opCollectStats:
 		cs := st.CollectStats(req.Fields, req.Terms)
 		return &response{Stats: &cs}

@@ -99,6 +99,9 @@ const (
 	opWaitCompaction
 	opSnapshot
 	opDocsByID
+	// opEnd is one past the last op. It is never sent; the op-table test
+	// walks [opPing, opEnd).
+	opEnd
 )
 
 func (o op) String() string {

@@ -58,8 +58,8 @@ type BreakerConfig struct {
 	// half-open circuit (default 1).
 	SuccessesToClose int
 	// IsFailure decides which errors count against the threshold (nil:
-	// every non-nil error except context cancellation; a cancelled caller
-	// says nothing about the dependency's health).
+	// every non-nil error). It is never asked about a cancelled call; see
+	// record.
 	IsFailure func(error) bool
 	// Clock drives the cooldown (nil = wall clock).
 	Clock vclock.Clock
@@ -96,9 +96,7 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 		cfg.Clock = vclock.Real{}
 	}
 	if cfg.IsFailure == nil {
-		cfg.IsFailure = func(err error) bool {
-			return err != nil && !errors.Is(err, context.Canceled)
-		}
+		cfg.IsFailure = func(err error) bool { return err != nil }
 	}
 	return &Breaker{cfg: cfg}
 }
@@ -199,8 +197,19 @@ func (b *Breaker) RecordCtx(ctx context.Context, err error) {
 }
 
 // record applies one admitted call's outcome and reports the state
-// transition it caused, if any.
+// transition it caused, if any. A cancelled call is neutral: the caller
+// gave up (or a hedge winner reaped it) before the dependency answered, so
+// it proves neither health nor a fault. It hands back the half-open probe
+// slot and moves nothing else — an unverified outcome must not close a
+// half-open circuit or reset a closed one's failure run.
 func (b *Breaker) record(err error) (from, to State, changed bool) {
+	if errors.Is(err, context.Canceled) {
+		b.mu.Lock()
+		b.probing = false
+		state := b.state
+		b.mu.Unlock()
+		return state, state, false
+	}
 	failed := b.cfg.IsFailure(err)
 	b.mu.Lock()
 	before := b.state

@@ -293,40 +293,40 @@ func TestBreakerIgnoresCancellation(t *testing.T) {
 	}
 }
 
-func TestHedgeFastPrimaryWins(t *testing.T) {
-	calls := 0
-	v, err := Hedge(context.Background(), nil, 50*time.Millisecond, func(ctx context.Context, attempt int) (int, error) {
-		calls++
-		return attempt, nil
-	})
-	if err != nil || v != 0 {
-		t.Fatalf("Hedge = %d, %v", v, err)
-	}
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1 (no hedge for a fast primary)", calls)
-	}
-}
+// TestBreakerCancellationIsNeutral: a cancelled call is not a verified
+// success either. It neither closes a half-open circuit nor resets a closed
+// one's failure run; it only hands the probe slot back.
+func TestBreakerCancellationIsNeutral(t *testing.T) {
+	cancelled := fmt.Errorf("rpc: %w", context.Canceled)
 
-func TestHedgeRescuesSlowPrimary(t *testing.T) {
-	v, err := Hedge(context.Background(), nil, time.Millisecond, func(ctx context.Context, attempt int) (int, error) {
-		if attempt == 0 {
-			<-ctx.Done() // primary hangs until the hedge wins and cancels it
-			return -1, ctx.Err()
-		}
-		return attempt, nil
-	})
-	if err != nil || v != 1 {
-		t.Fatalf("Hedge = %d, %v; want the hedged attempt's result", v, err)
+	clock := vclock.NewVirtual(time.Unix(0, 0))
+	b := NewBreaker(BreakerConfig{Name: "dep", FailureThreshold: 1, Cooldown: time.Second, Clock: clock})
+	b.Do(func() error { return errBoom })
+	clock.Advance(time.Second)
+	if err := b.Do(func() error { return cancelled }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled probe err = %v", err)
 	}
-}
+	if b.State() != HalfOpen {
+		t.Fatalf("state after a cancelled probe = %v, want HalfOpen", b.State())
+	}
+	if err := b.Allow(); err != nil {
+		t.Fatalf("the cancelled probe kept the probe slot: %v", err)
+	}
+	b.Record(nil)
+	if b.State() != Closed {
+		t.Fatalf("state after the answered probe = %v, want Closed", b.State())
+	}
 
-func TestHedgeRespectsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Hedge(ctx, nil, time.Millisecond, func(ctx context.Context, attempt int) (int, error) {
-		return 0, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
+	b = NewBreaker(BreakerConfig{Name: "dep", FailureThreshold: 5})
+	for i := 0; i < 4; i++ {
+		b.Do(func() error { return errBoom })
+	}
+	b.Do(func() error { return cancelled })
+	if got := b.Status().ConsecutiveFailures; got != 4 {
+		t.Fatalf("failure run after a cancellation = %d, want 4", got)
+	}
+	b.Do(func() error { return errBoom })
+	if b.State() != Open {
+		t.Fatalf("state after 4 failures, a cancellation and a failure = %v, want Open", b.State())
 	}
 }
