@@ -24,8 +24,10 @@ test:
 race:
 	$(GO) test -race -timeout 20m ./...
 
+# gofmt is part of vet: any file it would reformat fails the target.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: these files need formatting:"; echo "$$out"; exit 1; fi
 
 check: vet build race shardparity doccheck fuzz-short
 

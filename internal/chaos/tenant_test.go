@@ -145,11 +145,11 @@ func TestChaosNoisyNeighbor(t *testing.T) {
 	// while banca-buona keeps its sequential pace.
 	const floodTotal = 300
 	var (
-		mu                      sync.Mutex
-		abuserOK, abuser429     int
-		abuser5xx, abuserOther  int
-		noisy                   = make([]time.Duration, 0, wellBehaved)
-		goodRejected, good5xx   int
+		mu                     sync.Mutex
+		abuserOK, abuser429    int
+		abuser5xx, abuserOther int
+		noisy                  = make([]time.Duration, 0, wellBehaved)
+		goodRejected, good5xx  int
 	)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

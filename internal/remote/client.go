@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -55,7 +56,7 @@ type Client struct {
 	cfg ClientConfig
 
 	mu     sync.Mutex
-	idle   []net.Conn
+	idle   []*clientConn
 	closed bool
 
 	// Last successfully fetched status. Served when the endpoint is
@@ -125,16 +126,37 @@ func (c *Client) call(ctx context.Context, req request) (*response, error) {
 	return resp, nil
 }
 
-// do performs the transport round trip on a pooled connection. Any
-// transport error retires the connection (a half-written frame poisons the
-// stream); only clean round trips return to the pool.
+// clientConn is a connection and the codec that has spoken on it since
+// the handshake; they are pooled and retired together.
+type clientConn struct {
+	net.Conn
+	codec *codec
+}
+
+// roundTrip sends req as one frame and decodes the reply frame into resp.
+// It reports the larger of the two payloads.
+func (cc *clientConn) roundTrip(req *request, resp *response) (int, error) {
+	out, err := cc.codec.encode(req)
+	if err != nil {
+		return 0, err
+	}
+	if err := WriteFrame(cc, out); err != nil {
+		return 0, err
+	}
+	in, err := ReadFrame(cc, DefaultMaxFrame)
+	if err != nil {
+		return 0, err
+	}
+	return max(len(out), len(in)), cc.codec.decode(in, resp)
+}
+
+// do performs the transport round trip on a pooled connection. Any error
+// retires the connection (a half-written frame poisons the stream, and a
+// failed encode or decode leaves the codec's type state out of step with
+// the peer's); only clean round trips return to the pool.
 func (c *Client) do(ctx context.Context, req *request) (*response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	payload, err := encodeFrame(req)
-	if err != nil {
-		return nil, fmt.Errorf("remote: encode %s: %w", req.Op, err)
 	}
 	conn, err := c.conn(ctx)
 	if err != nil {
@@ -149,16 +171,8 @@ func (c *Client) do(ctx context.Context, req *request) (*response, error) {
 	// promptly — this is what lets hedged losers die as soon as a replica
 	// wins.
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
-	resp, err := func() (*response, error) {
-		if err := WriteFrame(conn, payload); err != nil {
-			return nil, err
-		}
-		raw, err := ReadFrame(conn, DefaultMaxFrame)
-		if err != nil {
-			return nil, err
-		}
-		return decodeResponse(raw)
-	}()
+	var resp response
+	largest, err := conn.roundTrip(req, &resp)
 	stopped := stop()
 	if err != nil {
 		conn.Close()
@@ -169,21 +183,22 @@ func (c *Client) do(ctx context.Context, req *request) (*response, error) {
 		}
 		return nil, fmt.Errorf("remote: %s %s: %w", c.cfg.Addr, req.Op, err)
 	}
-	if !stopped {
-		// The round trip finished, but cancellation fired while it was
-		// completing: the watcher may poison the deadline at any moment
-		// (stop does not wait for a started callback), so the connection
-		// must not reach the pool. The response itself is good.
+	if !stopped || largest > maxPooledFrame {
+		// The response is good, but the connection must not reach the pool:
+		// either cancellation fired while the round trip was completing (the
+		// watcher may poison the deadline at any moment; stop does not wait
+		// for a started callback), or its codecs now hold a large frame's
+		// buffers. The server drops its end when it reads EOF.
 		conn.Close()
-		return resp, nil
+		return &resp, nil
 	}
 	conn.SetDeadline(time.Time{})
 	c.putConn(conn)
-	return resp, nil
+	return &resp, nil
 }
 
 // conn checks out an idle connection or dials a new one.
-func (c *Client) conn(ctx context.Context) (net.Conn, error) {
+func (c *Client) conn(ctx context.Context) (*clientConn, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -201,7 +216,7 @@ func (c *Client) conn(ctx context.Context) (net.Conn, error) {
 
 // putConn returns a healthy connection to the pool (or closes it when the
 // pool is full or the client is closed).
-func (c *Client) putConn(conn net.Conn) {
+func (c *Client) putConn(conn *clientConn) {
 	c.mu.Lock()
 	if c.closed || len(c.idle) >= maxIdleConns {
 		c.mu.Unlock()
@@ -212,29 +227,53 @@ func (c *Client) putConn(conn net.Conn) {
 	c.mu.Unlock()
 }
 
-// dial opens a connection and exchanges the protocol handshake.
-func (c *Client) dial(ctx context.Context) (net.Conn, error) {
-	d := net.Dialer{Timeout: c.cfg.DialTimeout}
+// dial opens a connection and exchanges the protocol handshake. Connect
+// and handshake are bounded together by DialTimeout, or by the caller's
+// deadline when that is sooner, and cancelling ctx aborts either.
+func (c *Client) dial(ctx context.Context) (*clientConn, error) {
+	deadline := time.Now().Add(c.cfg.DialTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	d := net.Dialer{Deadline: deadline}
 	conn, err := d.DialContext(ctx, "tcp", c.cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("remote: dial %s: %w", c.cfg.Addr, err)
 	}
-	conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
-	if _, err := io.WriteString(conn, Handshake); err != nil {
+	conn.SetDeadline(deadline)
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
+	err = handshake(conn)
+	// A stop that comes too late means ctx is done and the deadline is, or
+	// is about to be, poisoned: the connection is unusable either way.
+	if !stop() || err != nil {
 		conn.Close()
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			err = ctxErr
+		}
 		return nil, fmt.Errorf("remote: handshake %s: %w", c.cfg.Addr, err)
+	}
+	conn.SetDeadline(time.Time{})
+	return &clientConn{Conn: conn, codec: newCodec()}, nil
+}
+
+// handshake sends the banner and checks the echo. A peer that reads the
+// banner and hangs up without one (what a server that predates this
+// version does) does not speak the protocol either.
+func handshake(conn net.Conn) error {
+	if _, err := io.WriteString(conn, Handshake); err != nil {
+		return err
 	}
 	banner := make([]byte, len(Handshake))
 	if _, err := io.ReadFull(conn, banner); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("remote: handshake %s: %w", c.cfg.Addr, err)
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return fmt.Errorf("%w: peer hung up", ErrBadHandshake)
+		}
+		return err
 	}
 	if string(banner) != Handshake {
-		conn.Close()
-		return nil, fmt.Errorf("remote: %s: %w", c.cfg.Addr, ErrBadHandshake)
+		return fmt.Errorf("%w: peer answered %q", ErrBadHandshake, banner)
 	}
-	conn.SetDeadline(time.Time{})
-	return conn, nil
+	return nil
 }
 
 // status fetches the shard's combined staleness/gauge snapshot, falling

@@ -26,10 +26,10 @@ import (
 	"uniask/internal/trace"
 )
 
-// startStub serves the wire protocol with a caller-supplied reply function,
-// standing in for shard servers that misbehave in ways the real one never
-// does. A nil reply leaves the RPC unanswered until the test ends.
-func startStub(t *testing.T, reply func(*request) *response) string {
+// startListener accepts loopback connections and hands each to serve on its
+// own goroutine. At the end of the test it stops accepting, closes every
+// accepted connection, closes done and waits for the serve calls.
+func startListener(t *testing.T, serve func(conn net.Conn, done <-chan struct{})) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -51,35 +51,6 @@ func startStub(t *testing.T, reply func(*request) *response) string {
 		mu.Unlock()
 		wg.Wait()
 	})
-	serve := func(conn net.Conn) {
-		defer conn.Close()
-		banner := make([]byte, len(Handshake))
-		if _, err := io.ReadFull(conn, banner); err != nil || string(banner) != Handshake {
-			return
-		}
-		if _, err := io.WriteString(conn, Handshake); err != nil {
-			return
-		}
-		for {
-			payload, err := ReadFrame(conn, 0)
-			if err != nil {
-				return
-			}
-			req, err := decodeRequest(payload)
-			if err != nil {
-				return
-			}
-			resp := reply(req)
-			if resp == nil {
-				<-done
-				return
-			}
-			out, err := encodeFrame(resp)
-			if err != nil || WriteFrame(conn, out) != nil {
-				return
-			}
-		}
-	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -94,11 +65,49 @@ func startStub(t *testing.T, reply func(*request) *response) string {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				serve(conn)
+				defer conn.Close()
+				serve(conn, done)
 			}()
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// startStub serves the current wire protocol (one codec per connection)
+// with a caller-supplied reply function, standing in for shard servers
+// that misbehave in ways the real one never does. A nil reply leaves the
+// RPC unanswered until the test ends.
+func startStub(t *testing.T, reply func(*request) *response) string {
+	t.Helper()
+	return startListener(t, func(conn net.Conn, done <-chan struct{}) {
+		banner := make([]byte, len(Handshake))
+		if _, err := io.ReadFull(conn, banner); err != nil || string(banner) != Handshake {
+			return
+		}
+		if _, err := io.WriteString(conn, Handshake); err != nil {
+			return
+		}
+		c := newCodec()
+		for {
+			payload, err := ReadFrame(conn, 0)
+			if err != nil {
+				return
+			}
+			var req request
+			if err := c.decode(payload, &req); err != nil {
+				return
+			}
+			resp := reply(&req)
+			if resp == nil {
+				<-done
+				return
+			}
+			out, err := c.encode(resp)
+			if err != nil || WriteFrame(conn, out) != nil {
+				return
+			}
+		}
+	})
 }
 
 // TestDocsByIDCarriesRequestContext: the batched fetch rides the caller's
@@ -268,6 +277,19 @@ func TestDocsByIDRejectsMalformed(t *testing.T) {
 	}
 }
 
+// embeddedDocs is n test documents whose vectors emb computed from their
+// text, so a searcher embedding queries with emb finds them.
+func embeddedDocs(emb *embedding.Synth, n int) []index.Document {
+	docs := make([]index.Document, n)
+	for i := range docs {
+		d := testDoc(i)
+		d.Vectors["titleVector"] = emb.Embed(d.Fields["title"])
+		d.Vectors["contentVector"] = emb.Embed(d.Fields["content"])
+		docs[i] = d
+	}
+	return docs
+}
+
 // TestDocsByIDOldServerIsShardDown pins the mixed-version behaviour: a
 // shard server that predates opDocsByID answers "unknown op", and the
 // frontend treats that shard as down for the fetch — a degraded, uncached
@@ -297,14 +319,7 @@ func TestDocsByIDOldServerIsShardDown(t *testing.T) {
 	defer facade.Close()
 
 	emb := embedding.NewSynth(8, nil)
-	var docs []index.Document
-	for i := 0; i < 40; i++ {
-		d := testDoc(i)
-		d.Vectors["titleVector"] = emb.Embed(d.Fields["title"])
-		d.Vectors["contentVector"] = emb.Embed(d.Fields["content"])
-		docs = append(docs, d)
-	}
-	if err := facade.AddBulk(docs); err != nil {
+	if err := facade.AddBulk(embeddedDocs(emb, 40)); err != nil {
 		t.Fatal(err)
 	}
 	facade.Publish()

@@ -68,18 +68,28 @@ func TestClientIsNotABackend(t *testing.T) {
 	}
 }
 
+// idleConns returns the client's pooled connections.
+func idleConns(c *Client) []*clientConn {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]*clientConn(nil), c.idle...)
+}
+
 // TestEveryOpRoundTrips walks the op constants and requires of each one a
 // name, a server-side dispatch case, and a round trip through a one-replica
 // group that returns what a local segmented store returns for the same
 // call: the wire layer must be a transparent transport, adding no behavior
 // of its own. Both stores first take the same writes; a case that writes
-// applies its write to both.
+// applies its write to both. The walk runs forward and then backward, each
+// time over one pooled connection, so the codec state one op leaves behind
+// must serve every other op in either order.
 func TestEveryOpRoundTrips(t *testing.T) {
 	cfg := testConfig()
 	seg := index.SegmentConfig{MemtableMaxDocs: 8, CompactionFanIn: 2}
 	srv := startServer(t, ServerConfig{Index: cfg, Segment: seg})
+	// g is reassigned per pass; the cases below read it when they run.
 	g := single(srv.Addr(), 3)
-	defer g.Close()
+	defer func() { g.Close() }()
 	local := index.NewSegmented(cfg, seg)
 	ctx := context.Background()
 	// quiesce settles both compactors, so both sides hold the same
@@ -216,6 +226,7 @@ func TestEveryOpRoundTrips(t *testing.T) {
 	// The dispatch probe runs against a server of its own: a bare request
 	// must be recognised, whatever else the handler then says about it.
 	probe := NewServer(ServerConfig{Index: cfg})
+	var forward, backward []op
 	for o := opPing; o < opEnd; o++ {
 		if strings.HasPrefix(o.String(), "op(") {
 			t.Errorf("op %d has no name in String()", uint8(o))
@@ -223,15 +234,32 @@ func TestEveryOpRoundTrips(t *testing.T) {
 		if resp := probe.handle(&request{Op: o}); strings.Contains(resp.Err, "unknown op") {
 			t.Errorf("%s: Server.handle has no case: %s", o, resp.Err)
 		}
-		run, ok := cases[o]
-		if !ok {
-			t.Errorf("%s has no round-trip case", o)
-			continue
-		}
-		quiesce()
-		got, want := run()
-		if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
-			t.Errorf("%s: remote %s\nlocal  %s", o, g, w)
+		forward = append(forward, o)
+		backward = append([]op{o}, backward...)
+	}
+	for _, pass := range []struct {
+		name string
+		ops  []op
+	}{{"forward", forward}, {"backward", backward}} {
+		g.Close()
+		g = single(srv.Addr(), 3)
+		var conn *clientConn
+		for _, o := range pass.ops {
+			run, ok := cases[o]
+			if !ok {
+				t.Errorf("%s has no round-trip case", o)
+				continue
+			}
+			quiesce()
+			got, want := run()
+			if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
+				t.Errorf("%s %s: remote %s\nlocal  %s", pass.name, o, g, w)
+			}
+			idle := idleConns(g.Replicas()[0])
+			if len(idle) != 1 || (conn != nil && idle[0] != conn) {
+				t.Fatalf("%s %s: the pool holds %d connections, want the pass's one connection", pass.name, o, len(idle))
+			}
+			conn = idle[0]
 		}
 	}
 }

@@ -191,10 +191,8 @@ func (s *Server) accept(ln net.Listener) {
 	}
 }
 
-// handleConn validates the handshake and serves request frames until the
-// connection errors or closes. Requests on one connection are sequential
-// (the client pools connections for concurrency), so responses never
-// interleave.
+// handleConn validates the handshake, echoing the banner of whichever
+// version the client speaks, and serves the connection.
 func (s *Server) handleConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -203,40 +201,49 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	banner := make([]byte, len(Handshake))
-	if _, err := io.ReadFull(conn, banner); err != nil || string(banner) != Handshake {
+	if _, err := io.ReadFull(conn, banner); err != nil {
 		return
 	}
-	if _, err := io.WriteString(conn, Handshake); err != nil {
+	v1 := string(banner) == handshakeV1
+	if !v1 && string(banner) != Handshake {
 		return
 	}
+	if _, err := conn.Write(banner); err != nil {
+		return
+	}
+	s.serve(conn, v1)
+}
+
+// serve answers request frames until the stream fails or the peer hangs
+// up. Requests on one connection are sequential (the client pools
+// connections for concurrency), so responses never interleave. A version 1
+// peer encodes every frame as a standalone gob stream and decodes every
+// reply as one, so it gets a fresh codec per frame.
+func (s *Server) serve(rw io.ReadWriter, v1 bool) {
+	c := newCodec()
 	for {
-		payload, err := ReadFrame(conn, s.cfg.MaxFrame)
+		if v1 {
+			c = newCodec()
+		}
+		var req request
+		payload, err := ReadFrame(rw, s.cfg.MaxFrame)
+		if err == nil {
+			err = c.decode(payload, &req)
+		} else if !errors.Is(err, ErrFrameTooLarge) {
+			return
+		}
 		if err != nil {
-			if errors.Is(err, ErrFrameTooLarge) {
-				// Tell the peer why before hanging up; the stream position
-				// is poisoned so the connection cannot be reused.
-				if out, encErr := encodeFrame(&response{Err: err.Error()}); encErr == nil {
-					WriteFrame(conn, out)
-				}
+			// Tell the peer why before hanging up: an oversized frame left
+			// the stream mid-payload, and an undecodable one left the
+			// decoder's type state unknown.
+			if out, encErr := c.encode(&response{Err: err.Error()}); encErr == nil {
+				WriteFrame(rw, out)
 			}
 			return
 		}
-		req, err := decodeRequest(payload)
-		var resp *response
-		if err != nil {
-			resp = &response{Err: err.Error()}
-		} else {
-			resp = s.handle(req)
-		}
-		out, err := encodeFrame(resp)
-		if err != nil {
+		out, err := c.encode(s.handle(&req))
+		if err != nil || WriteFrame(rw, out) != nil {
 			return
-		}
-		if err := WriteFrame(conn, out); err != nil {
-			return
-		}
-		if resp.Err != "" && req == nil {
-			return // undecodable stream: do not try to resynchronize
 		}
 	}
 }

@@ -14,20 +14,41 @@ import (
 // Wire format. A connection opens with a fixed handshake line in each
 // direction, then carries length-prefixed frames:
 //
-//	"uniask-remote/1\n"                  (client → server, echoed back)
+//	"uniask-remote/2\n"                  (client → server, echoed back)
 //	frame := u32 big-endian payload length | payload
-//	payload := gob(request) or gob(response)
+//	payload := the gob messages of one request or one response
 //
-// Each payload is a self-contained gob stream (encoder state never spans
-// frames), so a connection returned to the pool mid-conversation can never
-// desynchronize the codec. The decoder enforces a frame-length cap BEFORE
-// allocating: an adversarial or corrupt length prefix is refused with
-// ErrFrameTooLarge and at most 4 header bytes read, never a giant
-// allocation or a panic (FuzzRemoteWire pins this).
+// Each end of a connection keeps one gob encoder and one gob decoder for
+// the connection's lifetime (a codec), so a type descriptor crosses once
+// per connection, in the first frame that carries a value of that type.
+// A frame holds exactly one value: bytes left after it are an error. Any
+// encode, decode or transport error retires the connection on that side,
+// because the two ends' type state can no longer be trusted to agree. The
+// frame reader enforces a length cap BEFORE allocating: an adversarial or
+// corrupt length prefix is refused with ErrFrameTooLarge and at most 4
+// header bytes read, never a giant allocation or a panic (FuzzRemoteWire
+// pins this).
+//
+// Version 1 encoded every frame as a standalone gob stream. The server
+// still accepts its banner and answers such a connection with a fresh
+// codec per frame, so shard servers can be upgraded before the frontends;
+// the client speaks only version 2.
 
 // Handshake is the connection-opening protocol banner; the version digit
 // bumps on any incompatible wire change.
-const Handshake = "uniask-remote/1\n"
+const Handshake = "uniask-remote/2\n"
+
+// handshakeV1 is the banner of the per-frame encoding the server still
+// serves.
+const handshakeV1 = "uniask-remote/1\n"
+
+// maxPooledFrame is the payload size, in either direction, above which a
+// client retires a connection instead of pooling it: a gob encoder keeps
+// the buffer of its largest message for its lifetime, so a pooled
+// connection that once carried a bulk batch would pin that memory on both
+// ends. 256 KiB sits above every query frame (a docsByID reply is at most
+// about 100 KB) and below an ingest batch.
+const maxPooledFrame = 256 << 10
 
 // DefaultMaxFrame bounds a frame payload (64 MiB): far above any query or
 // stats frame, sized for bulk-ingest batches and snapshot transfers.
@@ -41,6 +62,9 @@ var ErrFrameTooLarge = errors.New("remote: frame length exceeds cap")
 // ErrBadHandshake is returned when the peer does not speak the protocol
 // (wrong banner or wrong version).
 var ErrBadHandshake = errors.New("remote: bad protocol handshake")
+
+// errTrailingBytes reports a frame whose payload continues past its value.
+var errTrailingBytes = errors.New("remote: trailing bytes after the frame's value")
 
 // WriteFrame writes one length-prefixed frame.
 func WriteFrame(w io.Writer, payload []byte) error {
@@ -72,6 +96,49 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// codec is one end's gob state for one connection. Values are encoded and
+// decoded in frame order; after any error the codec, like its connection,
+// is discarded. Not safe for concurrent use (a connection carries one RPC
+// at a time).
+type codec struct {
+	out bytes.Buffer
+	enc *gob.Encoder
+	in  bytes.Reader
+	dec *gob.Decoder
+}
+
+func newCodec() *codec {
+	c := &codec{}
+	c.enc = gob.NewEncoder(&c.out)
+	// A bytes.Reader is an io.ByteReader, so the decoder reads it directly
+	// instead of through a read-ahead buffer: it never sees past the frame.
+	c.dec = gob.NewDecoder(&c.in)
+	return c
+}
+
+// encode returns the payload of the frame carrying v. The slice is valid
+// until the next encode.
+func (c *codec) encode(v any) ([]byte, error) {
+	c.out.Reset()
+	if err := c.enc.Encode(v); err != nil {
+		return nil, fmt.Errorf("remote: encode %T: %w", v, err)
+	}
+	return c.out.Bytes(), nil
+}
+
+// decode decodes one frame's payload into v; the payload must hold exactly
+// the gob messages of one value. It never panics on adversarial bytes.
+func (c *codec) decode(payload []byte, v any) error {
+	c.in.Reset(payload)
+	if err := c.dec.Decode(v); err != nil {
+		return fmt.Errorf("remote: decode %T: %w", v, err)
+	}
+	if n := c.in.Len(); n > 0 {
+		return fmt.Errorf("%w: %d bytes", errTrailingBytes, n)
+	}
+	return nil
 }
 
 // op identifies one RPC.
@@ -202,32 +269,4 @@ type response struct {
 	IDs      []string
 	Status   *shardStatus
 	Snapshot []byte
-}
-
-// encodeFrame gob-encodes v into a standalone frame payload.
-func encodeFrame(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeRequest decodes one request payload. It never panics on
-// adversarial bytes: gob decoding of a corrupt stream returns an error.
-func decodeRequest(payload []byte) (*request, error) {
-	var req request
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&req); err != nil {
-		return nil, fmt.Errorf("remote: decode request: %w", err)
-	}
-	return &req, nil
-}
-
-// decodeResponse decodes one response payload.
-func decodeResponse(payload []byte) (*response, error) {
-	var resp response
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("remote: decode response: %w", err)
-	}
-	return &resp, nil
 }

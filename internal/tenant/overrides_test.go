@@ -62,13 +62,13 @@ func TestParseFileOverlayAndClass(t *testing.T) {
 
 func TestParseFileRejectsBadInput(t *testing.T) {
 	cases := map[string]string{
-		"unknown key":      `{"defaults": {"rait": 50}}`,
-		"unknown class":    `{"tenants": {"a": {"class": "platinum"}}}`,
-		"negative burst":   `{"defaults": {"burst": -1}}`,
-		"bad sample rate":  `{"tenants": {"a": {"traceSampleRate": 2}}}`,
-		"bad tenant id":    `{"tenants": {"no spaces": {}}}`,
-		"not even json":    `{defaults}`,
-		"unknown top key":  `{"defaultz": {}}`,
+		"unknown key":     `{"defaults": {"rait": 50}}`,
+		"unknown class":   `{"tenants": {"a": {"class": "platinum"}}}`,
+		"negative burst":  `{"defaults": {"burst": -1}}`,
+		"bad sample rate": `{"tenants": {"a": {"traceSampleRate": 2}}}`,
+		"bad tenant id":   `{"tenants": {"no spaces": {}}}`,
+		"not even json":   `{defaults}`,
+		"unknown top key": `{"defaultz": {}}`,
 	}
 	for name, input := range cases {
 		if _, err := ParseFile([]byte(input)); err == nil {

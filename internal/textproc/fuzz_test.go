@@ -32,14 +32,14 @@ var crashers = []string{
 	"à",
 	"l'iban",
 	"dell'IBAN",
-	"\xff\xfe",         // invalid UTF-8
-	"a\xffb",           // invalid byte inside a word
-	"é\x80",            // truncated multi-byte rune
-	"à̀",     // combining diacritics
-	"𝒜𝓃𝒸𝒽",             // astral-plane letters
-	"ᏣᎳᎩ",              // non-Latin letters
-	"1/2.3-4_5",        // connector soup
-	"card--number",     // doubled connector must split
+	"\xff\xfe",                      // invalid UTF-8
+	"a\xffb",                        // invalid byte inside a word
+	"é\x80",                         // truncated multi-byte rune
+	"à̀",                            // combining diacritics
+	"𝒜𝓃𝒸𝒽",                          // astral-plane letters
+	"ᏣᎳᎩ",                           // non-Latin letters
+	"1/2.3-4_5",                     // connector soup
+	"card--number",                  // doubled connector must split
 	strings.Repeat("a-", 500) + "a", // long identifier chain
 }
 
