@@ -70,11 +70,14 @@ chaos:
 # Short fuzzing pass over the parsers that consume untrusted / fault-injected
 # bytes: the tokenizer+analyzer (arbitrary document text), the citation
 # parser (raw LLM output), the TraceQL-lite query parser (the
-# /api/traces?q= input), the segment-container snapshot decoder (bytes
-# read back from disk) and the remote-shard wire frame/envelope decoders
-# (bytes read off the network) — plus the compaction pick, a pure function
-# of the segment size list held to its specification on arbitrary lists.
-# Seeds include the checked-in crasher corpora.
+# /api/traces?q= input), the segmented and sharded snapshot container
+# decoders (bytes read back from disk) and the remote-shard wire
+# frame/envelope decoders (bytes read off the network) — plus the
+# compaction pick, a pure function of the segment size list held to its
+# specification on arbitrary lists. Seeds include the checked-in crasher
+# corpora. A sharded container seed is kilobytes long, and the default
+# minimization of each new input it yields (up to 60s) would eat the whole
+# short run, so that target caps it.
 FUZZTIME ?= 5s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME) ./internal/textproc/
@@ -83,6 +86,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzTraceQL -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentedManifest -fuzztime $(FUZZTIME) ./internal/index/
 	$(GO) test -run '^$$' -fuzz FuzzCompactionPick -fuzztime $(FUZZTIME) ./internal/index/
+	$(GO) test -run '^$$' -fuzz FuzzShardedSnapshot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzRemoteWire -fuzztime $(FUZZTIME) ./internal/remote/
 	$(GO) test -run '^$$' -fuzz FuzzSSEParser -fuzztime $(FUZZTIME) ./internal/sse/
 

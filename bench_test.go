@@ -14,10 +14,10 @@ import (
 	"testing"
 
 	"uniask/internal/chunker"
+	"uniask/internal/core"
 	"uniask/internal/eval"
 	"uniask/internal/experiments"
 	"uniask/internal/guardrails"
-	"uniask/internal/index"
 	"uniask/internal/kb"
 	"uniask/internal/rouge"
 	"uniask/internal/search"
@@ -445,8 +445,9 @@ func BenchmarkIndexPersistence(b *testing.B) {
 		}
 	})
 	b.Run("load", func(b *testing.B) {
+		eng := core.New(core.Config{Lexicon: env.Corpus.Lexicon()})
 		for i := 0; i < b.N; i++ {
-			if _, err := index.Read(bytes.NewReader(data), index.Config{}); err != nil {
+			if err := eng.LoadIndex(bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -379,10 +379,11 @@ func (e *Engine) CacheStats() (search.CacheStats, bool) {
 
 // LoadIndex replaces the engine's index with one restored from a snapshot,
 // honoring the engine's shard configuration: a sharded engine accepts the
-// sharded container and whatever a single-store engine wrote (the segmented
-// container or a legacy single-file snapshot, migrated by re-routing every
-// live document), while a single-store engine accepts those two and rejects
-// sharded containers with index.ErrShardedSnapshot. The store is rebuilt
+// sharded container and the segmented container a single-store engine
+// wrote (migrated by re-routing every live document), while a single-store
+// engine accepts the segmented container and rejects sharded containers
+// with index.ErrShardedSnapshot. Anything older than the previous release
+// wrote is refused with index.ErrUnsupportedSnapshot. The store is rebuilt
 // with the configuration New used. The searcher is repointed and the query cache
 // purged — the restored index's stats key may collide with the old one's,
 // so stale entries could otherwise look current.

@@ -205,8 +205,8 @@ func TestSegmentedSeqForgetsDroppedIDs(t *testing.T) {
 		if err := s.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		m, err := decodeSegManifest(bytes.NewReader(buf.Bytes()[len(SegmentedSnapshotMagic):]))
-		if err != nil {
+		var m segManifest
+		if err := OpenContainer(&buf).ReadManifest(SegmentedSnapshotMagic, segManifestVersion, &m, func() (int, int) { return m.Version, m.Segments + 1 }); err != nil {
 			t.Fatal(err)
 		}
 		return len(m.Seq)

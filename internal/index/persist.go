@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
 	"errors"
@@ -12,9 +11,10 @@ import (
 )
 
 // Persistence: Save serializes the whole index — documents, inverted
-// postings, filters and the HNSW graphs — so Read restores it without
+// postings, filters and the HNSW graphs — so read restores it without
 // re-analyzing documents or rebuilding the ANN structure (the expensive
-// part of index construction). The format is a single gob stream.
+// part of index construction). The format is a single gob stream, carried
+// as a section of the containers in container.go.
 
 // postingSnapshot mirrors the unexported posting type.
 type postingSnapshot struct {
@@ -43,8 +43,10 @@ type indexSnapshot struct {
 	Deleted []int32
 }
 
-// Save serializes the index. It holds the read lock for the duration, so a
-// snapshot taken under live traffic is internally consistent.
+// Save serializes the index as one section of a snapshot container; on its
+// own the stream is no loadable snapshot (ReadSegmented refuses it). It
+// holds the read lock for the duration, so a snapshot taken under live
+// traffic is internally consistent.
 func (ix *Index) Save(w io.Writer) error {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -91,52 +93,20 @@ func (ix *Index) Save(w io.Writer) error {
 	return nil
 }
 
-// ShardedSnapshotMagic is the byte prefix of the multi-shard snapshot
-// container written by the shard facade's Save. It lives here (not in the
-// shard package) so Read can recognize a sharded stream and refuse it with
-// a pointed error instead of a cryptic gob decode failure.
-const ShardedSnapshotMagic = "uniask-sharded-snapshot/"
-
-// ErrShardedSnapshot is returned by Read when given a sharded snapshot
-// container, which only shard.Load (or an engine configured with
-// ShardCount > 1) can restore.
-var ErrShardedSnapshot = errors.New(
-	"index: stream is a sharded snapshot container, not a single-index snapshot; " +
-		"load it with shard.Load or an engine configured with ShardCount > 1")
-
-// streamName names a snapshot source in wrong-container errors: the file
-// path when the reader carries one (*os.File does), "stream" otherwise.
-func streamName(r io.Reader) string {
-	if n, ok := r.(interface{ Name() string }); ok {
-		if name := n.Name(); name != "" {
-			return name
-		}
+// read restores one index from a container section written by Save. The
+// provided Config supplies the non-serializable parts (analyzer,
+// vector-index constructor); its Schema and BM25 params are overridden by
+// the snapshot's.
+func read(r io.Reader, cfg Config) (*Index, error) {
+	// Non-nil maps, so gob cannot size them by a corrupt element count
+	// (see Container.ReadManifest).
+	snap := indexSnapshot{
+		Schema:  make(Schema),
+		Fields:  make(map[string]fieldSnapshot),
+		Filters: make(map[string]map[string][]int32),
+		Vectors: make(map[string][]byte),
 	}
-	return "stream"
-}
-
-// wrongContainer builds the refusal error for a recognizably wrong snapshot
-// container: it names the source and the detected format and wraps the
-// sentinel, so callers branch with errors.Is while the operator reading the
-// log sees which file was pointed at the wrong loader and what it actually
-// holds.
-func wrongContainer(r io.Reader, format string, sentinel error) error {
-	return fmt.Errorf("index: %s: detected a %s container: %w", streamName(r), format, sentinel)
-}
-
-// Read restores an index written by Save. The provided Config supplies
-// the non-serializable parts (analyzer, vector-index constructor); its
-// Schema and BM25 params are overridden by the snapshot's.
-func Read(r io.Reader, cfg Config) (*Index, error) {
-	br := bufio.NewReader(r)
-	if peek, err := br.Peek(len(ShardedSnapshotMagic)); err == nil && string(peek) == ShardedSnapshotMagic {
-		return nil, wrongContainer(r, "sharded snapshot", ErrShardedSnapshot)
-	}
-	if peek, err := br.Peek(len(SegmentedSnapshotMagic)); err == nil && string(peek) == SegmentedSnapshotMagic {
-		return nil, wrongContainer(r, "segmented snapshot", ErrSegmentedSnapshot)
-	}
-	var snap indexSnapshot
-	if err := gob.NewDecoder(br).Decode(&snap); err != nil {
+	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("index: decode: %w", err)
 	}
 	cfg.Schema = snap.Schema
@@ -172,23 +142,20 @@ func Read(r io.Reader, cfg Config) (*Index, error) {
 		ix.fields[name] = fi
 	}
 	ix.filters = snap.Filters
-	if ix.filters == nil {
-		ix.filters = make(map[string]map[string][]int32)
-	}
 	for name := range ix.vecs {
 		if data, ok := snap.Vectors[name]; ok {
 			h, err := vector.ReadHNSW(bytes.NewReader(data))
-			if err == nil {
-				ix.vecs[name] = h
-				continue
+			if errors.Is(err, errors.ErrUnsupported) {
+				return nil, unsupported(streamName(r), fmt.Sprintf("vector field %q: %v", name, err))
 			}
-			// A pre-arena graph snapshot cannot be adopted in place, but the
-			// documents still carry their vectors — fall through and rebuild.
-			if !errors.Is(err, vector.ErrLegacyHNSWSnapshot) {
+			if err != nil {
 				return nil, fmt.Errorf("index: vector field %q: %w", name, err)
 			}
+			ix.vecs[name] = h
+			continue
 		}
-		// No serialized graph: rebuild from stored document vectors.
+		// Not an HNSW, so never serialized: rebuild from stored document
+		// vectors.
 		for i, d := range ix.docs {
 			if v, ok := d.Vectors[name]; ok {
 				if err := ix.vecs[name].Add(i, v); err != nil {

@@ -12,7 +12,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Read(&buf, Config{})
+	restored, err := read(&buf, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestPersistEmptyIndex(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Read(&buf, Config{})
+	restored, err := read(&buf, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPersistEmptyIndex(t *testing.T) {
 }
 
 func TestReadGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a gob stream")), Config{}); err == nil {
+	if _, err := read(bytes.NewReader([]byte("not a gob stream")), Config{}); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -168,7 +168,7 @@ func TestPersistPreservesTombstones(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Read(&buf, Config{})
+	restored, err := read(&buf, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,41 +1,18 @@
 package index
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 )
 
-// Segmented snapshot container. The layout mirrors the sharded container:
-// a magic prefix, a gob-encoded manifest, then one single-index snapshot
-// per sealed segment (oldest first) and a final one for the memtable, each
-// section length-prefixed so the frame boundaries never depend on the gob
-// decoder stopping in the right place:
+// Segmented snapshot container (framing in container.go): a manifest,
+// then one single-index snapshot per sealed segment (oldest first) and a
+// final one for the memtable:
 //
 //	"uniask-segmented-snapshot/"          (SegmentedSnapshotMagic)
-//	u64 big-endian manifest length, manifest gob
-//	per sealed segment: u64 big-endian length, index snapshot (Save format)
-//	memtable: u64 big-endian length, index snapshot (Save format)
-//
-// The magic lets Read reject a segmented stream with a pointed error, and
-// lets ReadSegmented accept a legacy single-file snapshot by adopting the
-// whole monolithic index as one sealed segment — a migration that costs no
-// re-analysis and changes no statistics (tombstones ride along).
-
-// SegmentedSnapshotMagic is the byte prefix of the segmented snapshot
-// container written by Segmented.Save.
-const SegmentedSnapshotMagic = "uniask-segmented-snapshot/"
-
-// ErrSegmentedSnapshot is returned by Read when given a segmented snapshot
-// container, which ReadSegmented (or any engine, all of which hold
-// segmented stores) restores.
-var ErrSegmentedSnapshot = errors.New(
-	"index: stream is a segmented snapshot container, not a single-index snapshot; " +
-		"load it with index.ReadSegmented")
+//	u64 big-endian length, manifest gob
+//	per sealed segment: u64 big-endian length, index snapshot (Index.Save)
+//	memtable: u64 big-endian length, index snapshot (Index.Save)
 
 // segManifest is the gob-encoded container header.
 type segManifest struct {
@@ -49,60 +26,12 @@ type segManifest struct {
 	NextSeq uint64
 	Seq     map[string]uint64
 	// StatsKey carries the published-snapshot key across restarts so its
-	// monotonicity holds process-wide. (Containers written before the
-	// mutation epoch was removed also carry an Epoch field; gob skips it.)
+	// monotonicity holds process-wide.
 	StatsKey uint64
 }
 
 // segManifestVersion is the current container layout version.
 const segManifestVersion = 1
-
-// maxSegmentSections bounds how many sections a manifest may declare —
-// far above any real store, low enough that a corrupt count cannot drive
-// unbounded allocation.
-const maxSegmentSections = 1 << 20
-
-// writeSegSection writes one length-prefixed container section.
-func writeSegSection(w io.Writer, b []byte) error {
-	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], uint64(len(b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
-}
-
-// readSegSection frames one length-prefixed container section.
-func readSegSection(r io.Reader) (io.Reader, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	return io.LimitReader(r, int64(binary.BigEndian.Uint64(hdr[:]))), nil
-}
-
-// decodeSegManifest frames and decodes the manifest section, validating
-// every field a later allocation or loop trusts. Corrupt or truncated input
-// must come back as an error, never a panic — the fuzz target in
-// segpersist_test.go holds it to that.
-func decodeSegManifest(r io.Reader) (segManifest, error) {
-	sec, err := readSegSection(r)
-	if err != nil {
-		return segManifest{}, fmt.Errorf("index: read segmented manifest: %w", err)
-	}
-	var m segManifest
-	if err := gob.NewDecoder(sec).Decode(&m); err != nil {
-		return segManifest{}, fmt.Errorf("index: decode segmented manifest: %w", err)
-	}
-	if m.Version != segManifestVersion {
-		return segManifest{}, fmt.Errorf("index: unsupported segmented container version %d (want %d)", m.Version, segManifestVersion)
-	}
-	if m.Segments < 0 || m.Segments > maxSegmentSections {
-		return segManifest{}, fmt.Errorf("index: corrupt segmented manifest: %d segments", m.Segments)
-	}
-	return m, nil
-}
 
 // Save serializes the store as a segmented snapshot container. The store
 // read lock is held for the duration, which also excludes a concurrent
@@ -112,9 +41,6 @@ func decodeSegManifest(r io.Reader) (segManifest, error) {
 func (s *Segmented) Save(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if _, err := io.WriteString(w, SegmentedSnapshotMagic); err != nil {
-		return fmt.Errorf("index: write segmented magic: %w", err)
-	}
 	s.seqMu.RLock()
 	m := segManifest{
 		Version:  segManifestVersion,
@@ -127,107 +53,54 @@ func (s *Segmented) Save(w io.Writer) error {
 		m.Seq[id] = sq
 	}
 	s.seqMu.RUnlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return fmt.Errorf("index: encode segmented manifest: %w", err)
-	}
-	if err := writeSegSection(w, buf.Bytes()); err != nil {
-		return fmt.Errorf("index: write segmented manifest: %w", err)
-	}
-	for i, part := range append(append([]*Index{}, s.sealed...), s.mem) {
-		buf.Reset()
-		if err := part.Save(&buf); err != nil {
-			return fmt.Errorf("index: snapshot segment %d: %w", i, err)
-		}
-		if err := writeSegSection(w, buf.Bytes()); err != nil {
-			return fmt.Errorf("index: write segment %d: %w", i, err)
-		}
+	parts := append(append([]*Index{}, s.sealed...), s.mem)
+	if err := WriteContainer(w, SegmentedSnapshotMagic, m, len(parts), func(i int, w io.Writer) error {
+		return parts[i].Save(w)
+	}); err != nil {
+		return fmt.Errorf("index: segmented container: %w", err)
 	}
 	return nil
 }
 
-// ReadSegmented restores a segmented store from either snapshot format:
-//
-//   - A segmented container restores every sealed segment and the memtable
-//     directly (no re-analysis, HNSW graphs restored from their streams).
-//   - A legacy single-file snapshot written by Index.Save is migrated by
-//     adopting the whole index as one sealed segment: the document set,
-//     tombstones and statistics are exactly what the monolithic index held,
-//     so rankings are unchanged and the migration costs one decode.
-//
-// Sharded containers are refused with ErrShardedSnapshot — shard.Load owns
-// that format.
+// ReadSegmented restores a segmented store from the container Save writes:
+// every sealed segment and the memtable come back directly (no
+// re-analysis, HNSW graphs restored from their streams). A sharded
+// container is refused with ErrShardedSnapshot — shard.Load owns that
+// format — and anything older than the previous release wrote (a stream
+// without the container magic, such as a single-file Index.Save snapshot)
+// with ErrUnsupportedSnapshot.
 func ReadSegmented(r io.Reader, cfg Config, scfg SegmentConfig) (*Segmented, error) {
-	br := bufio.NewReader(r)
-	if peek, err := br.Peek(len(ShardedSnapshotMagic)); err == nil && string(peek) == ShardedSnapshotMagic {
-		return nil, wrongContainer(r, "sharded snapshot", ErrShardedSnapshot)
+	c := OpenContainer(r)
+	switch {
+	case c.Holds(ShardedSnapshotMagic):
+		return nil, fmt.Errorf("index: %s: detected a sharded snapshot container: %w", c.Name(), ErrShardedSnapshot)
+	case !c.Holds(SegmentedSnapshotMagic):
+		return nil, unsupported(c.Name(), "no segmented container magic (a single-file snapshot, or not a snapshot)")
 	}
-	if peek, err := br.Peek(len(SegmentedSnapshotMagic)); err != nil || string(peek) != SegmentedSnapshotMagic {
-		// Legacy single-file snapshot: adopt it as one sealed segment.
-		ix, err := Read(br, cfg)
+	m := segManifest{Seq: make(map[string]uint64)}
+	header := func() (int, int) { return m.Version, m.Segments + 1 }
+	if err := c.ReadManifest(SegmentedSnapshotMagic, segManifestVersion, &m, header); err != nil {
+		return nil, fmt.Errorf("index: %w", err)
+	}
+	var parts []*Index
+	for i := 0; i <= m.Segments; i++ {
+		sec, err := c.Section()
 		if err != nil {
-			return nil, fmt.Errorf("index: load legacy snapshot into segmented store: %w", err)
+			return nil, fmt.Errorf("index: %s: read section %d: %w", c.Name(), i, err)
 		}
-		s := NewSegmented(cfg, scfg)
-		// The snapshot's schema and BM25 params override the provided
-		// config (mirroring Read); rebuild the memtable to match so every
-		// future part is built against the restored schema.
-		s.cfg = ix.cfg
-		s.mem = New(s.cfg)
-		s.adoptSegment(ix)
-		return s, nil
-	}
-	if _, err := io.CopyN(io.Discard, br, int64(len(SegmentedSnapshotMagic))); err != nil {
-		return nil, fmt.Errorf("index: read segmented magic: %w", err)
-	}
-	m, err := decodeSegManifest(br)
-	if err != nil {
-		return nil, err
+		part, err := read(sec, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("index: restore section %d: %w", i, err)
+		}
+		parts = append(parts, part)
 	}
 	s := NewSegmented(cfg, scfg)
-	for i := 0; i < m.Segments; i++ {
-		sec, err := readSegSection(br)
-		if err != nil {
-			return nil, fmt.Errorf("index: read segment %d: %w", i, err)
-		}
-		seg, err := Read(sec, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("index: restore segment %d: %w", i, err)
-		}
-		s.sealed = append(s.sealed, seg)
-	}
-	sec, err := readSegSection(br)
-	if err != nil {
-		return nil, fmt.Errorf("index: read memtable section: %w", err)
-	}
-	mem, err := Read(sec, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("index: restore memtable: %w", err)
-	}
-	s.mem = mem
+	s.sealed, s.mem = parts[:m.Segments:m.Segments], parts[m.Segments]
 	// Adopt the restored schema/BM25 params (every section carries the
 	// same ones) so memtables sealed after the load are built identically.
-	s.cfg = mem.cfg
+	s.cfg = s.mem.cfg
 	s.seq = m.Seq
-	if s.seq == nil {
-		s.seq = make(map[string]uint64)
-	}
 	s.nextSeq = m.NextSeq
 	s.statsKey.Store(m.StatsKey)
 	return s, nil
-}
-
-// adoptSegment installs ix as the newest sealed segment, stamping its live
-// documents with arrival sequences in insertion order — the migration path
-// for snapshots that predate the segmented container.
-func (s *Segmented) adoptSegment(ix *Index) {
-	if ix.Len() == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.sealed = append(s.sealed, ix)
-	s.mu.Unlock()
-	for _, d := range ix.LiveDocs() {
-		s.assignSeq(d.ID)
-	}
 }

@@ -115,53 +115,13 @@ func TestSegmentedPersistQuantizedVectorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentedPersistLegacyMigration loads a snapshot written by the plain
-// Index.Save into a segmented store: the whole index is adopted as one
-// sealed segment, preserving documents, tombstones and rankings.
-func TestSegmentedPersistLegacyMigration(t *testing.T) {
-	ix, _ := newTestIndex(t)
-	ix.Delete("d2#0")
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	seg, err := ReadSegmented(&buf, Config{}, SegmentConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg.Len() != ix.Len() || seg.LiveLen() != ix.LiveLen() || seg.Tombstones() != ix.Tombstones() {
-		t.Fatalf("migrated %d/%d/%d, want %d/%d/%d",
-			seg.Len(), seg.LiveLen(), seg.Tombstones(), ix.Len(), ix.LiveLen(), ix.Tombstones())
-	}
-	if st := seg.SegmentStats(); st.Segments != 1 || st.MemtableDocs != 0 {
-		t.Fatalf("migration should adopt one sealed segment: %+v", st)
-	}
-	q := "bloccare la carta di credito"
-	a := ix.SearchText(q, 10, TextOptions{})
-	b := seg.SearchText(q, 10, TextOptions{})
-	if len(a) != len(b) {
-		t.Fatalf("%d hits after migration, want %d", len(b), len(a))
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Score != b[i].Score {
-			t.Fatalf("migrated hit %d = {%s %v}, want {%s %v}", i, b[i].ID, b[i].Score, a[i].ID, a[i].Score)
-		}
-	}
-	// The migrated store keeps the snapshot's schema for future memtables.
-	if err := seg.Add(Document{ID: "post#0", ParentID: "post", Fields: map[string]string{"title": "dopo la migrazione"}}); err != nil {
-		t.Fatal(err)
-	}
-	if hits := seg.SearchText("dopo la migrazione", 5, TextOptions{}); len(hits) == 0 || hits[0].ID != "post#0" {
-		t.Fatalf("post-migration write not searchable: %v", hits)
-	}
-}
-
-// TestSegmentedPersistPreEpochRemovalFixture loads a container written by
-// segStore at the last commit whose manifest still carried the mutation
-// epoch (testdata/segmented_pr13.snap): gob must skip the field the manifest
-// no longer declares, and the restored store must equal a fresh segStore.
-func TestSegmentedPersistPreEpochRemovalFixture(t *testing.T) {
-	f, err := os.Open(filepath.Join("testdata", "segmented_pr13.snap"))
+// TestSegmentedPersistPreviousReleaseFixture loads a container the
+// previous release wrote (testdata/segmented_pr25.snap, generated at commit
+// aa9d873 by saving segStore(t) to the file): the restored store must equal
+// a fresh segStore. A change to the container format must keep this
+// loading, and regenerates the fixture from its parent commit.
+func TestSegmentedPersistPreviousReleaseFixture(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "segmented_pr25.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,105 +140,43 @@ func TestSegmentedPersistPreEpochRemovalFixture(t *testing.T) {
 	assertVectorParity(t, "fixture", want, restored, segQueryVec())
 }
 
-// TestSegmentedReadRejectsWrongContainer pins the wrong-container refusals
-// of Read and ReadSegmented: the sentinel must survive errors.Is for
+// TestSegmentedReadRejectsWrongContainer pins the wrong-container refusal
+// of ReadSegmented: the sentinel must survive errors.Is for
 // programmatic branching, and the message must name the source (the file
 // path when one is available, "stream" otherwise) and the detected format so
 // the operator reading the log knows which file went to the wrong loader.
 func TestSegmentedReadRejectsWrongContainer(t *testing.T) {
-	seg := segStore(t)
-	var segStream bytes.Buffer
-	if err := seg.Save(&segStream); err != nil {
-		t.Fatal(err)
-	}
 	shardedStream := []byte(ShardedSnapshotMagic + "garbage")
-
 	// A file-backed source must be named by path in the error.
 	shardedPath := filepath.Join(t.TempDir(), "cluster.snap")
 	if err := os.WriteFile(shardedPath, shardedStream, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	segmentedPath := filepath.Join(t.TempDir(), "store.snap")
-	if err := os.WriteFile(segmentedPath, segStream.Bytes(), 0o644); err != nil {
+	f, err := os.Open(shardedPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	openFile := func(path string) io.Reader {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { f.Close() })
-		return f
-	}
+	defer f.Close()
 
 	tests := []struct {
 		name     string
-		read     func(io.Reader) error
 		src      io.Reader
-		sentinel error
 		wantName string
-		wantKind string
 	}{
-		{
-			name:     "Read refuses a sharded stream",
-			read:     func(r io.Reader) error { _, err := Read(r, Config{}); return err },
-			src:      bytes.NewReader(shardedStream),
-			sentinel: ErrShardedSnapshot,
-			wantName: "stream",
-			wantKind: "sharded snapshot",
-		},
-		{
-			name:     "Read refuses a segmented stream",
-			read:     func(r io.Reader) error { _, err := Read(r, Config{}); return err },
-			src:      bytes.NewReader(segStream.Bytes()),
-			sentinel: ErrSegmentedSnapshot,
-			wantName: "stream",
-			wantKind: "segmented snapshot",
-		},
-		{
-			name:     "Read refuses a sharded file by path",
-			read:     func(r io.Reader) error { _, err := Read(r, Config{}); return err },
-			src:      openFile(shardedPath),
-			sentinel: ErrShardedSnapshot,
-			wantName: shardedPath,
-			wantKind: "sharded snapshot",
-		},
-		{
-			name:     "Read refuses a segmented file by path",
-			read:     func(r io.Reader) error { _, err := Read(r, Config{}); return err },
-			src:      openFile(segmentedPath),
-			sentinel: ErrSegmentedSnapshot,
-			wantName: segmentedPath,
-			wantKind: "segmented snapshot",
-		},
-		{
-			name:     "ReadSegmented refuses a sharded stream",
-			read:     func(r io.Reader) error { _, err := ReadSegmented(r, Config{}, SegmentConfig{}); return err },
-			src:      bytes.NewReader(shardedStream),
-			sentinel: ErrShardedSnapshot,
-			wantName: "stream",
-			wantKind: "sharded snapshot",
-		},
-		{
-			name:     "ReadSegmented refuses a sharded file by path",
-			read:     func(r io.Reader) error { _, err := ReadSegmented(r, Config{}, SegmentConfig{}); return err },
-			src:      openFile(shardedPath),
-			sentinel: ErrShardedSnapshot,
-			wantName: shardedPath,
-			wantKind: "sharded snapshot",
-		},
+		{name: "ReadSegmented refuses a sharded stream", src: bytes.NewReader(shardedStream), wantName: "stream"},
+		{name: "ReadSegmented refuses a sharded file by path", src: f, wantName: shardedPath},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.read(tc.src)
-			if !errors.Is(err, tc.sentinel) {
-				t.Fatalf("err = %v, want errors.Is(%v)", err, tc.sentinel)
+			_, err := ReadSegmented(tc.src, Config{}, SegmentConfig{})
+			if !errors.Is(err, ErrShardedSnapshot) {
+				t.Fatalf("err = %v, want errors.Is(%v)", err, ErrShardedSnapshot)
 			}
 			if !strings.Contains(err.Error(), tc.wantName) {
 				t.Errorf("error %q does not name the source %q", err, tc.wantName)
 			}
-			if !strings.Contains(err.Error(), "detected a "+tc.wantKind) {
-				t.Errorf("error %q does not name the detected format %q", err, tc.wantKind)
+			if !strings.Contains(err.Error(), "detected a sharded snapshot") {
+				t.Errorf("error %q does not name the detected format", err)
 			}
 		})
 	}

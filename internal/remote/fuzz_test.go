@@ -142,7 +142,7 @@ func checkStream(t *testing.T, data []byte, frameCap int) {
 	srv.serve(struct {
 		io.Reader
 		io.Writer
-	}{in, &out}, false)
+	}{in, &out})
 	consumed := len(data) - in.Len()
 
 	// Walk the frames the server read: all complete and within the cap,

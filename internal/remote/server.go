@@ -191,8 +191,9 @@ func (s *Server) accept(ln net.Listener) {
 	}
 }
 
-// handleConn validates the handshake, echoing the banner of whichever
-// version the client speaks, and serves the connection.
+// handleConn validates the handshake, echoing the banner, and serves the
+// connection. Any other banner, an older version's included, gets no echo
+// and a closed connection.
 func (s *Server) handleConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -201,30 +202,21 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	banner := make([]byte, len(Handshake))
-	if _, err := io.ReadFull(conn, banner); err != nil {
-		return
-	}
-	v1 := string(banner) == handshakeV1
-	if !v1 && string(banner) != Handshake {
+	if _, err := io.ReadFull(conn, banner); err != nil || string(banner) != Handshake {
 		return
 	}
 	if _, err := conn.Write(banner); err != nil {
 		return
 	}
-	s.serve(conn, v1)
+	s.serve(conn)
 }
 
 // serve answers request frames until the stream fails or the peer hangs
 // up. Requests on one connection are sequential (the client pools
-// connections for concurrency), so responses never interleave. A version 1
-// peer encodes every frame as a standalone gob stream and decodes every
-// reply as one, so it gets a fresh codec per frame.
-func (s *Server) serve(rw io.ReadWriter, v1 bool) {
+// connections for concurrency), so responses never interleave.
+func (s *Server) serve(rw io.ReadWriter) {
 	c := newCodec()
 	for {
-		if v1 {
-			c = newCodec()
-		}
 		var req request
 		payload, err := ReadFrame(rw, s.cfg.MaxFrame)
 		if err == nil {

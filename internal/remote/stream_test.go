@@ -2,8 +2,8 @@ package remote
 
 // The lifetime of a connection's gob stream: one codec per connection on
 // both ends, a connection retired by any error on it or by a large frame,
-// a handshake bounded by the caller's deadline, and the version 1 peers
-// the server still serves.
+// a handshake bounded by the caller's deadline, and version 1 peers
+// refused in either direction.
 
 import (
 	"context"
@@ -202,50 +202,25 @@ func TestLargeFrameIsNotPooled(t *testing.T) {
 	}
 }
 
-// TestServerStillServesV1: a version 1 client, which encodes every frame
-// as a standalone gob stream and decodes every reply as one, gets
-// consecutive answers on one connection.
-func TestServerStillServesV1(t *testing.T) {
+// v1Banner is the handshake of the wire version before this one, which a
+// server no longer speaks.
+const v1Banner = "uniask-remote/1\n"
+
+// TestServerRefusesV1: a version 1 client's banner gets no echo and a
+// closed connection.
+func TestServerRefusesV1(t *testing.T) {
 	srv := startServer(t, ServerConfig{Index: testConfig()})
-	if err := srv.Store(0).Add(testDoc(1)); err != nil {
-		t.Fatal(err)
-	}
 	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := io.WriteString(conn, handshakeV1); err != nil {
+	if _, err := io.WriteString(conn, v1Banner); err != nil {
 		t.Fatal(err)
 	}
-	banner := make([]byte, len(handshakeV1))
-	if _, err := io.ReadFull(conn, banner); err != nil || string(banner) != handshakeV1 {
-		t.Fatalf("banner %q, %v: want the version 1 banner echoed", banner, err)
-	}
-	for i, req := range []*request{
-		{Op: opSearchText, Query: "documento", N: 5},
-		{Op: opSearchText, Query: "conto", N: 5},
-		{Op: opPing},
-	} {
-		out, err := newCodec().encode(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteFrame(conn, out); err != nil {
-			t.Fatal(err)
-		}
-		payload, err := ReadFrame(conn, 0)
-		if err != nil {
-			t.Fatalf("answer %d: %v", i, err)
-		}
-		var resp response
-		if err := newCodec().decode(payload, &resp); err != nil {
-			t.Fatalf("answer %d is not a standalone stream: %v", i, err)
-		}
-		if resp.Err != "" || (req.Op == opPing) != resp.OK || (req.Op == opSearchText) != (len(resp.Hits) == 1) {
-			t.Fatalf("answer %d to %s: %+v", i, req.Op, resp)
-		}
+	if n, err := conn.Read(make([]byte, len(v1Banner))); n != 0 || err != io.EOF {
+		t.Fatalf("read after a version 1 banner: %d bytes, %v; want the connection closed unanswered", n, err)
 	}
 }
 
@@ -257,14 +232,11 @@ func TestServerStillServesV1(t *testing.T) {
 func TestV2FrontendRefusedByV1Server(t *testing.T) {
 	cfg := testConfig()
 	current := startServer(t, ServerConfig{Index: cfg})
-	old := NewServer(ServerConfig{Index: cfg})
+	// A version 1 server hangs up on any banner but its own.
 	oldAddr := startListener(t, func(conn net.Conn, _ <-chan struct{}) {
-		banner := make([]byte, len(handshakeV1))
-		if _, err := io.ReadFull(conn, banner); err != nil || string(banner) != handshakeV1 {
-			return
-		}
-		if _, err := conn.Write(banner); err == nil {
-			old.serve(conn, true)
+		banner := make([]byte, len(v1Banner))
+		if _, err := io.ReadFull(conn, banner); err == nil && string(banner) == v1Banner {
+			conn.Write(banner)
 		}
 	})
 	ctx := context.Background()

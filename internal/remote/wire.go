@@ -29,18 +29,14 @@ import (
 // header bytes read, never a giant allocation or a panic (FuzzRemoteWire
 // pins this).
 //
-// Version 1 encoded every frame as a standalone gob stream. The server
-// still accepts its banner and answers such a connection with a fresh
-// codec per frame, so shard servers can be upgraded before the frontends;
-// the client speaks only version 2.
+// Both ends speak only version 2, the previous release's wire version too
+// (docs/OPERATIONS.md, "Compatibility"). A server hangs up on any other
+// banner without echoing it, so a client of another version sees
+// ErrBadHandshake.
 
 // Handshake is the connection-opening protocol banner; the version digit
 // bumps on any incompatible wire change.
 const Handshake = "uniask-remote/2\n"
-
-// handshakeV1 is the banner of the per-frame encoding the server still
-// serves.
-const handshakeV1 = "uniask-remote/1\n"
 
 // maxPooledFrame is the payload size, in either direction, above which a
 // client retires a connection instead of pooling it: a gob encoder keeps

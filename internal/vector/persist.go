@@ -12,17 +12,10 @@ import (
 // raw byte I/O rather than graph reconstruction.
 
 // hnswSnapshotVersion identifies the arena snapshot layout. Version 2 is
-// the first flat-arena format; version 1 (implicit, no Version field) was
-// the per-node format, which ReadHNSW refuses with ErrLegacyHNSWSnapshot
-// so callers can fall back to rebuilding from source vectors instead of
-// silently loading an empty graph.
+// the first flat-arena format; any other version (the per-node format was
+// an implicit 1) is refused with an error wrapping errors.ErrUnsupported,
+// never decoded into an empty graph.
 const hnswSnapshotVersion = 2
-
-// ErrLegacyHNSWSnapshot is returned by ReadHNSW for pre-arena snapshots.
-// Callers that still hold the original vectors (the index layer does)
-// should rebuild the graph from them.
-var ErrLegacyHNSWSnapshot = errors.New(
-	"vector: legacy per-node hnsw snapshot; rebuild the graph from source vectors")
 
 // hnswSnapshot is the gob-serializable image of the flat graph.
 type hnswSnapshot struct {
@@ -81,7 +74,7 @@ func ReadHNSW(r io.Reader) (*HNSW, error) {
 		return nil, fmt.Errorf("vector: decode hnsw: %w", err)
 	}
 	if snap.Version != hnswSnapshotVersion {
-		return nil, ErrLegacyHNSWSnapshot
+		return nil, fmt.Errorf("vector: hnsw snapshot version %d (want %d): %w", snap.Version, hnswSnapshotVersion, errors.ErrUnsupported)
 	}
 	h := NewHNSW(snap.Cfg)
 	h.dim = snap.Dim

@@ -193,9 +193,9 @@ func int8Bytes(s []int8) []byte {
 	return out
 }
 
-// TestReadHNSWLegacySnapshot ensures a pre-arena snapshot is refused with
-// the sentinel error (gob would otherwise decode it into an empty graph
-// silently), so index.Read can fall back to rebuilding from documents.
+// TestReadHNSWLegacySnapshot ensures a pre-arena snapshot is refused as
+// unsupported (gob would otherwise decode it into an empty graph
+// silently), which the index layer reports as an unsupported snapshot.
 func TestReadHNSWLegacySnapshot(t *testing.T) {
 	// The v1 on-disk shape, reconstructed locally.
 	type hnswNodeSnapshot struct {
@@ -220,8 +220,8 @@ func TestReadHNSWLegacySnapshot(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadHNSW(&buf); !errors.Is(err, ErrLegacyHNSWSnapshot) {
-		t.Fatalf("err = %v, want ErrLegacyHNSWSnapshot", err)
+	if _, err := ReadHNSW(&buf); !errors.Is(err, errors.ErrUnsupported) {
+		t.Fatalf("err = %v, want errors.ErrUnsupported", err)
 	}
 }
 
