@@ -14,6 +14,7 @@
 package adapter
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 
@@ -191,14 +192,18 @@ func (ad *Adapter) Train(triplets []Triplet, cfg TrainConfig) (float64, error) {
 // embedded with the base model (the index is not re-built), which is the
 // whole point of an adapter.
 type Embedder struct {
-	Base    embedding.Embedder
+	Base    embedding.CtxEmbedder
 	Adapter *Adapter
 }
 
-// Embed implements embedding.Embedder.
-func (e *Embedder) Embed(text string) vector.Vector {
-	return e.Adapter.Apply(e.Base.Embed(text))
+// EmbedCtx implements embedding.CtxEmbedder.
+func (e *Embedder) EmbedCtx(ctx context.Context, text string) (vector.Vector, error) {
+	v, err := e.Base.EmbedCtx(ctx, text)
+	if err != nil {
+		return nil, err
+	}
+	return e.Adapter.Apply(v), nil
 }
 
-// Dim implements embedding.Embedder.
+// Dim implements embedding.CtxEmbedder.
 func (e *Embedder) Dim() int { return e.Base.Dim() }

@@ -1,6 +1,7 @@
 package adapter
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -120,9 +121,9 @@ func TestEmbedderWrapping(t *testing.T) {
 	if e.Dim() != 32 {
 		t.Fatalf("dim = %d", e.Dim())
 	}
-	v := e.Embed("bonifico estero")
-	if len(v) != 32 {
-		t.Fatalf("embedding len = %d", len(v))
+	v, err := e.EmbedCtx(context.Background(), "bonifico estero")
+	if err != nil || len(v) != 32 {
+		t.Fatalf("embedding len = %d, err = %v", len(v), err)
 	}
 	// At init, wrapping is a no-op.
 	raw := base.Embed("bonifico estero")

@@ -33,7 +33,6 @@ import (
 	"uniask/internal/search"
 	"uniask/internal/shard"
 	"uniask/internal/trace"
-	"uniask/internal/vector"
 )
 
 // ResilienceConfig parameterizes the fault-tolerance layer wrapped around
@@ -42,9 +41,6 @@ import (
 // defaults: 3 attempts with jittered capped-exponential backoff, and a
 // per-dependency circuit breaker (5 consecutive failures open it for 5s).
 type ResilienceConfig struct {
-	// Disable turns the layer off: raw clients, no retries, no breakers
-	// (the pre-resilience behavior, used by determinism-sensitive tests).
-	Disable bool
 	// LLMPolicy is the retry policy for chat completions.
 	LLMPolicy resilience.Policy
 	// LLMBreaker configures the LLM circuit breaker (Name forced to "llm").
@@ -66,8 +62,6 @@ type Config struct {
 	// LLM is the chat-completion backend (defaults to the simulator with
 	// Table-5 calibration).
 	LLM llm.Client
-	// EmbeddingDim defaults to embedding.DefaultDim.
-	EmbeddingDim int
 	// Lexicon is the term→concept mapping for the synthetic embedder and
 	// the simulator (nil is allowed). BuildFromCorpus and
 	// uniask.NewFromCorpus fill it from the corpus when unset.
@@ -81,9 +75,6 @@ type Config struct {
 	// SearchOptions is the default retrieval configuration (zero value =
 	// the deployed HSS configuration).
 	SearchOptions search.Options
-	// Observer receives per-stage pipeline reports (nil = discard). A
-	// server replaces it with its metrics registry (see SetObserver).
-	Observer pipeline.Observer
 	// SearchWorkers bounds the retrieval fan-out: BM25 plus one ANN search
 	// per vector field, and the per-shard scatter (0 = one per CPU, 1 =
 	// fully sequential).
@@ -187,8 +178,7 @@ type Engine struct {
 	Embedder  *embedding.Synth
 	Client    llm.Client
 
-	// LLMBreaker and EmbedBreaker guard the two remote-shaped dependencies
-	// (nil when Resilience.Disable is set).
+	// LLMBreaker and EmbedBreaker guard the two remote-shaped dependencies.
 	LLMBreaker   *resilience.Breaker
 	EmbedBreaker *resilience.Breaker
 
@@ -214,7 +204,7 @@ func New(cfg Config) *Engine {
 	if cfg.M <= 0 {
 		cfg.M = generation.DefaultM
 	}
-	emb := embedding.NewSynth(cfg.EmbeddingDim, cfg.Lexicon)
+	emb := embedding.NewSynth(0, cfg.Lexicon)
 	eng := &Engine{
 		cfg:      cfg,
 		Embedder: emb,
@@ -239,7 +229,7 @@ func New(cfg Config) *Engine {
 		ix = index.NewSegmented(store.Index, store.Segment)
 	}
 	eng.Index = ix
-	eng.obs = eng.composeObserver(cfg.Observer)
+	eng.obs = eng.composeObserver(nil)
 
 	// Assemble the LLM and query-embedder stacks: optional fault-injection
 	// middleware innermost, then the resilience decorator (retry + breaker)
@@ -248,31 +238,25 @@ func New(cfg Config) *Engine {
 	if cfg.LLMMiddleware != nil {
 		client = cfg.LLMMiddleware(client)
 	}
-	var queryEmbedder embedding.Embedder = emb
-	ce := embedding.AsCtx(emb)
+	var queryEmbedder embedding.CtxEmbedder = emb
 	if cfg.EmbedderMiddleware != nil {
-		ce = cfg.EmbedderMiddleware(ce)
+		queryEmbedder = cfg.EmbedderMiddleware(queryEmbedder)
 	}
-	if !cfg.Resilience.Disable {
-		lbc := cfg.Resilience.LLMBreaker
-		lbc.Name = "llm"
-		lbc.OnStateChange = eng.fireBreakerNotify
-		eng.LLMBreaker = resilience.NewBreaker(lbc)
-		client = &llm.ResilientClient{Inner: client, Policy: cfg.Resilience.LLMPolicy, Breaker: eng.LLMBreaker}
-
-		ebc := cfg.Resilience.EmbedBreaker
-		ebc.Name = "embedding"
-		ebc.OnStateChange = eng.fireBreakerNotify
-		eng.EmbedBreaker = resilience.NewBreaker(ebc)
-		queryEmbedder = &embedding.Resilient{Inner: ce, Policy: cfg.Resilience.EmbedPolicy, Breaker: eng.EmbedBreaker}
-	} else if cfg.EmbedderMiddleware != nil {
-		queryEmbedder = ctxOnly{ce}
-	}
+	lbc := cfg.Resilience.LLMBreaker
+	lbc.Name = "llm"
+	lbc.OnStateChange = eng.fireBreakerNotify
+	eng.LLMBreaker = resilience.NewBreaker(lbc)
+	client = &llm.ResilientClient{Inner: client, Policy: cfg.Resilience.LLMPolicy, Breaker: eng.LLMBreaker}
 	eng.Client = client
+
+	ebc := cfg.Resilience.EmbedBreaker
+	ebc.Name = "embedding"
+	ebc.OnStateChange = eng.fireBreakerNotify
+	eng.EmbedBreaker = resilience.NewBreaker(ebc)
 
 	eng.Searcher = &search.Searcher{
 		Index:    ix,
-		Embedder: queryEmbedder,
+		Embedder: &embedding.Resilient{Inner: queryEmbedder, Policy: cfg.Resilience.EmbedPolicy, Breaker: eng.EmbedBreaker},
 		Reranker: rerank.New(),
 		LLM:      client,
 		Observer: eng.obs,
@@ -286,19 +270,6 @@ func New(cfg Config) *Engine {
 	eng.Generator = &generation.Generator{Client: client, M: cfg.M}
 	eng.Guards = guardrails.New(cfg.Guardrails)
 	return eng
-}
-
-// ctxOnly lifts a CtxEmbedder back to the plain Embedder interface for the
-// middleware-without-resilience configuration; errors degrade to the zero
-// vector on the legacy path (the searcher uses EmbedCtx and sees them).
-type ctxOnly struct{ embedding.CtxEmbedder }
-
-func (c ctxOnly) Embed(text string) vector.Vector {
-	v, err := c.EmbedCtx(context.Background(), text)
-	if err != nil {
-		return make(vector.Vector, c.Dim())
-	}
-	return v
 }
 
 // fireBreakerNotify forwards breaker transitions to the installed notify
@@ -321,15 +292,10 @@ func (e *Engine) SetBreakerNotify(fn func(name, from, to string)) {
 }
 
 // Breakers snapshots the engine's circuit breakers for health reporting:
-// the LLM and embedding breakers (absent when resilience is disabled) plus
-// one breaker per remote shard endpoint (absent for local topologies).
+// the LLM and embedding breakers plus one breaker per remote shard endpoint
+// (absent for local topologies).
 func (e *Engine) Breakers() []resilience.BreakerStatus {
-	var out []resilience.BreakerStatus
-	for _, b := range []*resilience.Breaker{e.LLMBreaker, e.EmbedBreaker} {
-		if b != nil {
-			out = append(out, b.Status())
-		}
-	}
+	out := []resilience.BreakerStatus{e.LLMBreaker.Status(), e.EmbedBreaker.Status()}
 	if s := e.Sharded(); s != nil {
 		out = append(out, s.Breakers()...)
 	}

@@ -18,6 +18,7 @@ import (
 	"uniask/internal/kb"
 	"uniask/internal/llm"
 	"uniask/internal/pipeline"
+	"uniask/internal/resilience"
 	"uniask/internal/search"
 )
 
@@ -324,11 +325,12 @@ func TestPollerAppliesEditsAndDeletions(t *testing.T) {
 }
 
 // failingLLMEngine enriches every page with an LLM summary and scripts the
-// outcome of each summary call.
+// outcome of each summary call. One attempt per call: a scripted fault is
+// one failed summary, and a script fails too rarely to open the breaker.
 func failingLLMEngine(script ...faulty.Kind) *Engine {
 	return New(Config{
 		Indexer:    indexer.Config{EnrichSummary: true},
-		Resilience: ResilienceConfig{Disable: true},
+		Resilience: ResilienceConfig{LLMPolicy: resilience.Policy{MaxAttempts: -1}},
 		LLMMiddleware: func(c llm.Client) llm.Client {
 			return &faulty.Client{Inner: c, Sched: faulty.Script(script...)}
 		},

@@ -17,6 +17,7 @@
 package embedding
 
 import (
+	"context"
 	"hash/fnv"
 	"math/rand"
 	"strings"
@@ -171,6 +172,15 @@ func (s *Synth) Embed(text string) vector.Vector {
 		}
 	}
 	return vector.Normalize(acc)
+}
+
+// EmbedCtx implements CtxEmbedder: Embed, refused once ctx is done. The
+// synthetic embedder runs in process and never fails otherwise.
+func (s *Synth) EmbedCtx(ctx context.Context, text string) (vector.Vector, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.Embed(text), nil
 }
 
 // Mean returns the unit-normalized mean of the given embeddings (used by

@@ -26,30 +26,7 @@ type CtxEmbedder interface {
 	Dim() int
 }
 
-// ctxAdapter lifts an infallible in-process Embedder to CtxEmbedder.
-type ctxAdapter struct{ e Embedder }
-
-func (a ctxAdapter) EmbedCtx(ctx context.Context, text string) (vector.Vector, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return a.e.Embed(text), nil
-}
-
-func (a ctxAdapter) Dim() int { return a.e.Dim() }
-
-// AsCtx adapts a plain Embedder to CtxEmbedder. If e already implements
-// CtxEmbedder it is returned as-is.
-func AsCtx(e Embedder) CtxEmbedder {
-	if ce, ok := e.(CtxEmbedder); ok {
-		return ce
-	}
-	return ctxAdapter{e: e}
-}
-
-// Resilient decorates a CtxEmbedder with the resilience layer. It also
-// implements the plain Embedder interface so it can slot into existing
-// call sites; the no-context Embed degrades errors to the zero vector.
+// Resilient decorates a CtxEmbedder with the resilience layer.
 type Resilient struct {
 	// Inner is the wrapped embedder.
 	Inner CtxEmbedder
@@ -98,15 +75,5 @@ func (r *Resilient) embedCtx(ctx context.Context, text string) (vector.Vector, e
 	})
 }
 
-// Embed implements Embedder for legacy call sites that cannot fail; errors
-// degrade to the zero vector (callers on the resilient path use EmbedCtx).
-func (r *Resilient) Embed(text string) vector.Vector {
-	v, err := r.EmbedCtx(context.Background(), text)
-	if err != nil {
-		return make(vector.Vector, r.Inner.Dim())
-	}
-	return v
-}
-
-// Dim implements Embedder and CtxEmbedder.
+// Dim implements CtxEmbedder.
 func (r *Resilient) Dim() int { return r.Inner.Dim() }

@@ -95,7 +95,7 @@ func TestClientFaults(t *testing.T) {
 }
 
 func TestEmbedderFaults(t *testing.T) {
-	inner := embedding.AsCtx(embedding.NewSynth(32, nil))
+	inner := embedding.NewSynth(32, nil)
 	e := &Embedder{Inner: inner, Sched: Script(Error, Malformed, OK)}
 
 	if _, err := e.EmbedCtx(context.Background(), "carta di credito"); !errors.Is(err, ErrInjected) {

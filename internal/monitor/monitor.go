@@ -42,12 +42,6 @@ type Metrics struct {
 	breakerTransitions map[string]int
 	degradedQueries    int
 	degradedParts      map[string]int
-	shardSource        func() []ShardGauge
-	segmentSource      func() []SegmentGauge
-	cacheSource        func() (CacheGauge, bool)
-	tenantSource       func() []TenantGauge
-	sessionSource      func() (SessionGauge, bool)
-	rerankSource       func() []RerankGauge
 
 	stageMu sync.Mutex
 	stages  map[string]*stageAgg
@@ -125,15 +119,6 @@ type ShardGauge struct {
 	AvgQueryLatency time.Duration
 }
 
-// SetShardSource installs a provider polled at Snapshot time for per-shard
-// gauges (nil when no engine is sharded). The server wires every active
-// engine's sharded facade's ShardStats here.
-func (m *Metrics) SetShardSource(fn func() []ShardGauge) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.shardSource = fn
-}
-
 // SegmentGauge is one segmented store's dashboard row: how much live
 // ingestion sits unpublished in the memtable, how many immutable segments
 // back queries, and how far the background compactor has to go.
@@ -163,15 +148,6 @@ type SegmentGauge struct {
 	StatsKey uint64
 }
 
-// SetSegmentSource installs a provider polled at Snapshot time for
-// per-store segment gauges. The server wires every active engine's
-// SegmentStats here.
-func (m *Metrics) SetSegmentSource(fn func() []SegmentGauge) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.segmentSource = fn
-}
-
 // CacheGauge is the query cache's dashboard row. HitRate is the headline
 // number for live-ingestion health: with snapshot-keyed invalidation it
 // should stay high while writes land on other shards' memtables.
@@ -181,14 +157,6 @@ type CacheGauge struct {
 	HitRate         float64
 	Entries         int
 	DeleteEvictions uint64
-}
-
-// SetCacheSource installs a provider polled at Snapshot time for the query
-// cache gauge; ok=false (caching disabled) leaves the dashboard row empty.
-func (m *Metrics) SetCacheSource(fn func() (CacheGauge, bool)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cacheSource = fn
 }
 
 // TenantGauge is one tenant's dashboard row in multi-tenant serving: the
@@ -223,15 +191,6 @@ type TenantGauge struct {
 	HasCache     bool
 }
 
-// SetTenantSource installs a provider polled at Snapshot time for
-// per-tenant admission gauges. The server wires the admission controller's
-// Stats (joined with the cache pool's partition stats) here.
-func (m *Metrics) SetTenantSource(fn func() []TenantGauge) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.tenantSource = fn
-}
-
 // SessionGauge is the conversational layer's dashboard row: live session
 // and stream population plus the counters the stuck-streams runbook reads
 // (heartbeats prove the server side is alive; disconnects say clients are
@@ -254,14 +213,6 @@ type SessionGauge struct {
 	Disconnects uint64
 }
 
-// SetSessionSource installs a provider polled at Snapshot time for the
-// session gauge; ok=false (no session store) leaves the row empty.
-func (m *Metrics) SetSessionSource(fn func() (SessionGauge, bool)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sessionSource = fn
-}
-
 // RerankGauge is one reranker's click-recalibration dashboard row (one per
 // active tenant).
 type RerankGauge struct {
@@ -274,14 +225,6 @@ type RerankGauge struct {
 	// Drift is the largest parameter excursion from the factory
 	// calibration in envelope units (1.0 = pinned at the clamp).
 	Drift float64
-}
-
-// SetRerankSource installs a provider polled at Snapshot time for the
-// rerank recalibration gauges.
-func (m *Metrics) SetRerankSource(fn func() []RerankGauge) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rerankSource = fn
 }
 
 // RecordQuery logs one user query: who asked, how long the request took,
@@ -410,44 +353,11 @@ type Dashboard struct {
 	Rerank []RerankGauge
 }
 
-// Snapshot reads the current dashboard.
+// Snapshot reads what the registry records: the query, feedback and
+// degradation counters, the per-stage aggregates and the breaker states.
+// The gauge rows (shards, segments, cache, tenants, sessions, rerank) are
+// the caller's to fill — the server reads them from its engines in one pass.
 func (m *Metrics) Snapshot() Dashboard {
-	m.mu.Lock()
-	src := m.shardSource
-	segSrc := m.segmentSource
-	cacheSrc := m.cacheSource
-	tenantSrc := m.tenantSource
-	sessionSrc := m.sessionSource
-	rerankSrc := m.rerankSource
-	m.mu.Unlock()
-	var shards []ShardGauge
-	if src != nil {
-		// Poll outside the registry lock: the source reads the shards' own
-		// locks and must not nest under m.mu.
-		shards = src()
-	}
-	var segments []SegmentGauge
-	if segSrc != nil {
-		segments = segSrc()
-	}
-	var cache CacheGauge
-	var hasCache bool
-	if cacheSrc != nil {
-		cache, hasCache = cacheSrc()
-	}
-	var tenants []TenantGauge
-	if tenantSrc != nil {
-		tenants = tenantSrc()
-	}
-	var sessions SessionGauge
-	var hasSessions bool
-	if sessionSrc != nil {
-		sessions, hasSessions = sessionSrc()
-	}
-	var rerankRows []RerankGauge
-	if rerankSrc != nil {
-		rerankRows = rerankSrc()
-	}
 	stages := m.stageStats() // under stageMu only, never nested in m.mu
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -487,12 +397,6 @@ func (m *Metrics) Snapshot() Dashboard {
 		}
 		return d.Stages[i].Stage < d.Stages[j].Stage
 	})
-	d.Shards = shards
-	d.Segments = segments
-	d.Cache, d.HasCache = cache, hasCache
-	d.Tenants = tenants
-	d.Sessions, d.HasSessions = sessions, hasSessions
-	d.Rerank = rerankRows
 	return d
 }
 

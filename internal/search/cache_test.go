@@ -13,7 +13,7 @@ import (
 	"uniask/internal/vector"
 )
 
-// embedCounter counts Embed calls: the embed stage runs exactly once per
+// embedCounter counts EmbedCtx calls: the embed stage runs exactly once per
 // uncached search, so the counter measures how many searches actually
 // executed versus were served from cache.
 type embedCounter struct {
@@ -21,9 +21,9 @@ type embedCounter struct {
 	n     atomic.Int64
 }
 
-func (c *embedCounter) Embed(text string) vector.Vector {
+func (c *embedCounter) EmbedCtx(ctx context.Context, text string) (vector.Vector, error) {
 	c.n.Add(1)
-	return c.inner.Embed(text)
+	return c.inner.EmbedCtx(ctx, text)
 }
 
 func (c *embedCounter) Dim() int { return c.inner.Dim() }

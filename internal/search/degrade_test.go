@@ -19,12 +19,11 @@ import (
 	"uniask/internal/vector"
 )
 
-// brokenEmbedder implements both Embedder and CtxEmbedder; EmbedCtx always
-// fails, the way a down remote embedding API would.
+// brokenEmbedder's EmbedCtx always fails, the way a down remote embedding
+// API would.
 type brokenEmbedder struct{ dim int }
 
-func (b brokenEmbedder) Embed(text string) vector.Vector { return make(vector.Vector, b.dim) }
-func (b brokenEmbedder) Dim() int                        { return b.dim }
+func (b brokenEmbedder) Dim() int { return b.dim }
 func (b brokenEmbedder) EmbedCtx(ctx context.Context, text string) (vector.Vector, error) {
 	return nil, errors.New("embedding service down")
 }
@@ -248,15 +247,11 @@ func (f *flakyEmbedder) EmbedCtx(ctx context.Context, text string) (vector.Vecto
 	}
 	return f.inner.EmbedCtx(ctx, text)
 }
-func (f *flakyEmbedder) Embed(text string) vector.Vector {
-	v, _ := f.inner.EmbedCtx(context.Background(), text)
-	return v
-}
 
 func TestResilientEmbedderHealsTransientFailure(t *testing.T) {
 	s, emb := buildSearcher(t)
 	s.Embedder = &embedding.Resilient{
-		Inner: &flakyEmbedder{inner: embedding.AsCtx(emb), failuresLeft: 1},
+		Inner: &flakyEmbedder{inner: emb, failuresLeft: 1},
 	}
 	res, deg, err := s.SearchDegraded(context.Background(), "bloccare la carta di credito", Options{})
 	if err != nil {

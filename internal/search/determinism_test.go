@@ -89,7 +89,7 @@ func seqSearch(s *Searcher, ctx context.Context, query string, opts Options) ([]
 		}
 		expanded := query + " " + resp.Content
 		opts.Expansion = NoExpansion
-		return seqOnce(s, expanded, s.Embedder.Embed(expanded), opts), nil
+		return seqOnce(s, expanded, seqEmbed(s, expanded), opts), nil
 	case MQ1:
 		queries, err := seqRelated(s, ctx, query, opts.RelatedQueries)
 		if err != nil {
@@ -98,13 +98,13 @@ func seqSearch(s *Searcher, ctx context.Context, query string, opts Options) ([]
 		queries = append([]string{query}, queries...)
 		var rankings []fusion.Ranking
 		for _, q := range queries {
-			rankings = append(rankings, seqComponents(s, q, s.Embedder.Embed(q), opts)...)
+			rankings = append(rankings, seqComponents(s, q, seqEmbed(s, q), opts)...)
 		}
 		fused := fusion.RRF(rankings, opts.RRFC)
 		if len(fused) > opts.FinalN {
 			fused = fused[:opts.FinalN]
 		}
-		return seqFinalize(s, query, s.Embedder.Embed(query), fused, opts), nil
+		return seqFinalize(s, query, seqEmbed(s, query), fused, opts), nil
 	case MQ2:
 		queries, err := seqRelated(s, ctx, query, opts.RelatedQueries)
 		if err != nil {
@@ -118,13 +118,20 @@ func seqSearch(s *Searcher, ctx context.Context, query string, opts Options) ([]
 				concat += " "
 			}
 			concat += q
-			vecs = append(vecs, s.Embedder.Embed(q))
+			vecs = append(vecs, seqEmbed(s, q))
 		}
 		qvec := embedding.Mean(vecs, s.Embedder.Dim())
 		opts.Expansion = NoExpansion
 		return seqOnce(s, concat, qvec, opts), nil
 	}
-	return seqOnce(s, query, s.Embedder.Embed(query), opts), nil
+	return seqOnce(s, query, seqEmbed(s, query), opts), nil
+}
+
+// seqEmbed is the reference path's query embedding: the in-process
+// embedder never fails.
+func seqEmbed(s *Searcher, query string) vector.Vector {
+	v, _ := s.Embedder.EmbedCtx(context.Background(), query)
+	return v
 }
 
 func seqOnce(s *Searcher, query string, qvec vector.Vector, opts Options) []Result {
@@ -441,7 +448,7 @@ func (r *recordingObserver) byStage(stage string) []pipeline.StageInfo {
 // component searches and the final rerank.
 func TestMQ1EmbedsOriginalQueryOnce(t *testing.T) {
 	s := buildLargeSearcher(t)
-	ce := &countingEmbedder{Embedder: s.Embedder}
+	ce := &countingEmbedder{CtxEmbedder: s.Embedder}
 	s.Embedder = ce
 	if _, err := s.Search(context.Background(), "bloccare la carta", Options{Expansion: MQ1}); err != nil {
 		t.Fatal(err)
@@ -452,19 +459,19 @@ func TestMQ1EmbedsOriginalQueryOnce(t *testing.T) {
 }
 
 type countingEmbedder struct {
-	embedding.Embedder
+	embedding.CtxEmbedder
 	mu     sync.Mutex
 	counts map[string]int
 }
 
-func (c *countingEmbedder) Embed(text string) vector.Vector {
+func (c *countingEmbedder) EmbedCtx(ctx context.Context, text string) (vector.Vector, error) {
 	c.mu.Lock()
 	if c.counts == nil {
 		c.counts = map[string]int{}
 	}
 	c.counts[text]++
 	c.mu.Unlock()
-	return c.Embedder.Embed(text)
+	return c.CtxEmbedder.EmbedCtx(ctx, text)
 }
 
 func (c *countingEmbedder) count(text string) int {

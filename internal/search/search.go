@@ -204,8 +204,9 @@ type Searcher struct {
 	// publishes new BM25 statistics, and the delete journal (DeletesSince)
 	// carries tombstoned chunk ids for precise eviction in between.
 	Index index.Queryable
-	// Embedder produces query embeddings for vector search.
-	Embedder embedding.Embedder
+	// Embedder produces query embeddings for vector search; an error sheds
+	// the vector legs.
+	Embedder embedding.CtxEmbedder
 	// Reranker is the semantic reranking model (nil disables reranking).
 	Reranker *rerank.Reranker
 	// LLM serves the query-expansion prompts (required only when an
@@ -336,20 +337,13 @@ func (s *Searcher) searchPlain(ctx context.Context, query string, opts Options) 
 	return res, deg, err
 }
 
-// ctxEmbedder returns the searcher's embedder as a fallible, cancellable
-// CtxEmbedder (in-process embedders are adapted and never fail).
-func (s *Searcher) ctxEmbedder() embedding.CtxEmbedder {
-	return embedding.AsCtx(s.Embedder)
-}
-
 // embed runs one query embedding as an observed stage. Failures are
 // returned for the caller to classify (degrade or abort).
 func (s *Searcher) embed(ctx context.Context, query string) (vector.Vector, error) {
 	var qvec vector.Vector
-	ce := s.ctxEmbedder()
 	err := pipeline.Run(ctx, s.obs(), pipeline.StageEmbed, 1, func(ctx context.Context) (int, error) {
 		var err error
-		qvec, err = ce.EmbedCtx(ctx, query)
+		qvec, err = s.Embedder.EmbedCtx(ctx, query)
 		return 1, err
 	})
 	if err != nil {
@@ -738,14 +732,13 @@ type embedOutcome struct {
 // marked skipped.
 func (s *Searcher) embedMany(ctx context.Context, queries []string) ([]vector.Vector, Degradation, error) {
 	var deg Degradation
-	ce := s.ctxEmbedder()
 	vecs := make([]vector.Vector, len(queries))
 	err := pipeline.Run(ctx, s.obs(), pipeline.StageEmbed, len(queries), func(ctx context.Context) (int, error) {
 		outcomes, err := pipeline.Map(ctx, s.workers(), len(queries), func(ctx context.Context, i int) (embedOutcome, error) {
 			if err := ctx.Err(); err != nil {
 				return embedOutcome{}, err
 			}
-			v, err := ce.EmbedCtx(ctx, queries[i])
+			v, err := s.Embedder.EmbedCtx(ctx, queries[i])
 			if err != nil && ctx.Err() != nil {
 				return embedOutcome{}, ctx.Err()
 			}
@@ -794,7 +787,6 @@ func (s *Searcher) searchMQ2(ctx context.Context, query string, opts Options) ([
 	}
 	queries = append([]string{query}, queries...)
 	concat := strings.Join(queries, " ")
-	ce := s.ctxEmbedder()
 	var qvec vector.Vector
 	err = pipeline.Run(ctx, s.obs(), pipeline.StageEmbed, len(queries), func(ctx context.Context) (int, error) {
 		vecs := make([]vector.Vector, 0, len(queries))
@@ -802,7 +794,7 @@ func (s *Searcher) searchMQ2(ctx context.Context, query string, opts Options) ([
 			if err := ctx.Err(); err != nil {
 				return 0, err
 			}
-			v, err := ce.EmbedCtx(ctx, q)
+			v, err := s.Embedder.EmbedCtx(ctx, q)
 			if err != nil {
 				if ctxErr := ctx.Err(); ctxErr != nil {
 					return 0, ctxErr
@@ -817,7 +809,7 @@ func (s *Searcher) searchMQ2(ctx context.Context, query string, opts Options) ([
 			qvec = nil
 			return 0, nil
 		}
-		qvec = embedding.Mean(vecs, ce.Dim())
+		qvec = embedding.Mean(vecs, s.Embedder.Dim())
 		return 1, nil
 	})
 	if err != nil {

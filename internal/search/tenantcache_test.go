@@ -54,7 +54,7 @@ func TestCachePoolPartitionIsolation(t *testing.T) {
 	pool := NewCachePool(0, 4)
 
 	// Two tenants, two engines: same corpus shape, disjoint cache partitions.
-	sA, _ := buildSearcher(t)
+	sA, embA := buildSearcher(t)
 	sA.Cache = pool.Partition("bank-a", 4)
 	sB, embB := buildSearcher(t)
 	ceB := &embedCounter{inner: embB}
@@ -78,8 +78,8 @@ func TestCachePoolPartitionIsolation(t *testing.T) {
 			ID: fmt.Sprintf("churn%d#0", i), ParentID: fmt.Sprintf("churn%d", i),
 			Fields: map[string]string{"title": "Nuova circolare", "content": fmt.Sprintf("Aggiornamento numero %d alla procedura operativa.", i)},
 			Vectors: map[string]vector.Vector{
-				"titleVector":   sA.Embedder.Embed("Nuova circolare"),
-				"contentVector": sA.Embedder.Embed("procedura operativa"),
+				"titleVector":   embA.Embed("Nuova circolare"),
+				"contentVector": embA.Embed("procedura operativa"),
 			},
 		})
 		if err != nil {

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"uniask/internal/core"
-	"uniask/internal/eventlog"
 	"uniask/internal/llm"
 	"uniask/internal/search"
 	"uniask/internal/session"
@@ -139,18 +138,16 @@ func (q *query) close() {
 	q.release(time.Since(q.start))
 }
 
-// finish is the one accounting step of a query: root-span status, the
-// Figure-3 query and degradation counters, and the service log. A degraded
-// outcome marks the whole trace degraded, which tail sampling always
-// retains. answer is nil for a bare search, which has no guardrail verdict
-// to count or log.
+// finish is the one accounting step of a query: root-span status and the
+// Figure-3 query and degradation counters. A degraded outcome marks the
+// whole trace degraded, which tail sampling always retains. answer is nil
+// for a bare search, which has no guardrail verdict to count.
 func (q *query) finish(err error, degradedParts []string, answer *core.Response) {
 	latency := time.Since(q.start)
 	root := q.treq.Root()
 	if err != nil {
 		root.SetError(err)
 		q.s.Metrics.RecordQuery(q.user, latency, "", true)
-		q.s.Log.Append(eventlog.Event{At: time.Now(), Service: "backend", Type: "error", User: q.user})
 		return
 	}
 	if len(degradedParts) > 0 {
@@ -158,22 +155,11 @@ func (q *query) finish(err error, degradedParts []string, answer *core.Response)
 		root.SetAttr("degradedParts", strings.Join(degradedParts, ","))
 	}
 	q.s.Metrics.RecordDegraded(degradedParts)
-	if answer == nil {
-		q.s.Metrics.RecordQuery(q.user, latency, "", false)
-		return
+	guardrail := ""
+	if answer != nil {
+		guardrail = answer.Guardrail.String()
 	}
-	q.s.Metrics.RecordQuery(q.user, latency, answer.Guardrail.String(), false)
-	fields := map[string]string{
-		"guardrail": answer.Guardrail.String(),
-		"valid":     strconv.FormatBool(answer.AnswerValid),
-	}
-	if q.sess != nil {
-		fields["session"] = q.sess.ID
-	}
-	q.s.Log.Append(eventlog.Event{
-		At: time.Now(), Service: "backend", Type: "query", User: q.user,
-		DurationMS: latency.Milliseconds(), Fields: fields,
-	})
+	q.s.Metrics.RecordQuery(q.user, latency, guardrail, false)
 }
 
 type docResponse struct {

@@ -21,9 +21,9 @@ import (
 	"time"
 
 	"uniask/internal/core"
-	"uniask/internal/eventlog"
 	"uniask/internal/monitor"
 	"uniask/internal/resilience"
+	"uniask/internal/search"
 	"uniask/internal/session"
 	"uniask/internal/tenant"
 	"uniask/internal/trace"
@@ -99,8 +99,6 @@ const DefaultRequestTimeout = 10 * time.Second
 type Server struct {
 	Metrics  *monitor.Metrics
 	Feedback *FeedbackStore
-	// Log is the structured service log the §9 dashboard queries.
-	Log *eventlog.Log
 	// RequestTimeout is the per-request deadline for the query endpoints
 	// (0 = DefaultRequestTimeout; negative disables the deadline). SSE
 	// session streams are exempt — they use per-write deadlines instead.
@@ -127,6 +125,10 @@ type Server struct {
 	// Tracer is the tracer whose store answers /api/traces: the one every
 	// engine of the registry records into.
 	Tracer *trace.Tracer
+
+	// cachePool, when set, is the shared query-cache pool whose partition
+	// stats join the dashboard's tenant rows.
+	cachePool *search.CachePool
 
 	mu       sync.Mutex
 	sessions map[string]string // token -> user
@@ -197,14 +199,36 @@ func (s *Server) routes() []route {
 	}
 }
 
+// maxBodyBytes caps the body of every POST route. Every payload the API
+// takes is a small JSON object; a larger one is refused, not buffered.
+const maxBodyBytes = 1 << 20
+
+// capBody bounds a POST handler's body: a declared Content-Length over
+// maxBodyBytes is a 413 before the handler runs, and a chunked body is cut
+// off at the cap, so the handler's decode fails and it answers its own 400.
+func capBody(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength > maxBodyBytes {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", maxBodyBytes))
+			return
+		}
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		h(w, r)
+	}
+}
+
 // Handler returns the HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range s.routes() {
-		mux.HandleFunc(rt.method+" "+rt.path, rt.handler)
+		h := rt.handler
+		if rt.method == "POST" {
+			h = capBody(h)
+		}
+		mux.HandleFunc(rt.method+" "+rt.path, h)
 		// Path-scoped alias: /t/{tenant}/api/... pins the tenant without a
 		// header, so per-tenant dashboards and traces are plain links.
-		mux.HandleFunc(rt.method+" /t/{tenant}"+rt.path, rt.handler)
+		mux.HandleFunc(rt.method+" /t/{tenant}"+rt.path, h)
 	}
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -271,15 +295,11 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.Metrics.RecordFeedback(f.Positive())
-	s.Log.Append(eventlog.Event{
-		At: time.Now(), Service: "backend", Type: "feedback", User: user,
-		Fields: map[string]string{"positive": strconv.FormatBool(f.Positive())},
-	})
 	w.WriteHeader(http.StatusCreated)
 }
 
 func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
-	snap := s.Metrics.Snapshot()
+	snap := s.dashboard()
 	if id := requestTenant(r); id != tenant.Default {
 		s.writeTenantDashboard(w, snap, id)
 		return

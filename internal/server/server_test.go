@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"uniask/internal/core"
-	"uniask/internal/eventlog"
 	"uniask/internal/kb"
 	"uniask/internal/monitor"
 	"uniask/internal/pipeline"
@@ -203,9 +202,12 @@ func TestFeedbackValidation(t *testing.T) {
 }
 
 func TestDashboardReflectsTraffic(t *testing.T) {
-	srv, _ := setup(t)
+	srv, api := setup(t)
 	token := login(t, srv.URL, "dash.user")
+	before := api.Metrics.Snapshot()
 	resp := authedReq(t, "POST", srv.URL+"/api/ask", token, map[string]string{"question": corpus.Docs[2].Title + "?"})
+	resp.Body.Close()
+	resp = authedReq(t, "POST", srv.URL+"/api/feedback", token, Feedback{Query: "x", Rating: 5})
 	resp.Body.Close()
 	resp = authedReq(t, "GET", srv.URL+"/api/dashboard", token, nil)
 	defer resp.Body.Close()
@@ -213,8 +215,12 @@ func TestDashboardReflectsTraffic(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
 		t.Fatal(err)
 	}
-	if d.Queries == 0 || d.Users == 0 {
-		t.Fatalf("dashboard empty: %+v", d)
+	if d.Queries != before.Queries+1 || d.Users == 0 {
+		t.Fatalf("dashboard queries = %d (was %d), users = %d", d.Queries, before.Queries, d.Users)
+	}
+	if d.Feedbacks != before.Feedbacks+1 || d.PositiveFeedbacks != before.PositiveFeedbacks+1 {
+		t.Fatalf("dashboard feedbacks = %d/%d positive, want %d/%d",
+			d.Feedbacks, d.PositiveFeedbacks, before.Feedbacks+1, before.PositiveFeedbacks+1)
 	}
 	// The store's write-amplification counters reach the segment row.
 	if len(d.Segments) == 0 || d.Segments[0].ChunksSealed == 0 {
@@ -244,6 +250,49 @@ func TestDashboardRecordsPipelineStages(t *testing.T) {
 		if !ok || s.Count == 0 {
 			t.Errorf("stage %q not recorded in dashboard: %+v", stage, d.Stages)
 		}
+	}
+}
+
+// TestOversizedFeedbackIs413: a feedback whose declared length is over the
+// body cap is refused before its handler runs, so nothing is stored.
+func TestOversizedFeedbackIs413(t *testing.T) {
+	srv, api := setup(t)
+	token := login(t, srv.URL, "big.feedback")
+	before := len(api.Feedback.All())
+	body, _ := json.Marshal(Feedback{Query: "conto", Rating: 4, Comments: strings.Repeat("x", 2*maxBodyBytes)})
+	req := httptest.NewRequest(http.MethodPost, "/api/feedback", bytes.NewReader(body))
+	req.Header.Set("Authorization", "Bearer "+token)
+	rec := httptest.NewRecorder()
+	api.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized feedback status = %d, want 413", rec.Code)
+	}
+	if got := len(api.Feedback.All()); got != before {
+		t.Fatalf("oversized feedback stored: %d entries, want %d", got, before)
+	}
+}
+
+// TestOversizedChunkedAskIs400: a chunked body declares no length, so the
+// cap cuts it off mid-read; the ask handler's decode fails and it answers
+// its own 400 without running or counting a query.
+func TestOversizedChunkedAskIs400(t *testing.T) {
+	srv, api := setup(t)
+	token := login(t, srv.URL, "big.ask")
+	before := api.Metrics.Snapshot().Queries
+	body := io.MultiReader(strings.NewReader(`{"question":"`),
+		strings.NewReader(strings.Repeat("a", 2*maxBodyBytes)), strings.NewReader(`"}`))
+	req := httptest.NewRequest(http.MethodPost, "/api/ask", body)
+	if req.ContentLength != -1 {
+		t.Fatalf("request declares ContentLength %d, want a chunked (unknown-length) body", req.ContentLength)
+	}
+	req.Header.Set("Authorization", "Bearer "+token)
+	rec := httptest.NewRecorder()
+	api.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("oversized chunked ask status = %d, want 400", rec.Code)
+	}
+	if got := api.Metrics.Snapshot().Queries; got != before {
+		t.Fatalf("oversized ask counted: %d queries, want %d", got, before)
 	}
 }
 
@@ -323,22 +372,6 @@ func TestNegativeFeedbackQueries(t *testing.T) {
 	neg := store.NegativeFeedbackQueries(tenant.Default)
 	if len(neg) != 1 || neg[0] != "q3" {
 		t.Fatalf("negative = %v", neg)
-	}
-}
-
-func TestEventLogRecordsTraffic(t *testing.T) {
-	srv, api := setup(t)
-	token := login(t, srv.URL, "log.user")
-	before := api.Log.Count(eventlog.Query{Type: "query"})
-	resp := authedReq(t, "POST", srv.URL+"/api/ask", token, map[string]string{"question": corpus.Docs[4].Title + "?"})
-	resp.Body.Close()
-	if got := api.Log.Count(eventlog.Query{Type: "query"}); got != before+1 {
-		t.Fatalf("query events = %d, want %d", got, before+1)
-	}
-	resp = authedReq(t, "POST", srv.URL+"/api/feedback", token, Feedback{Query: "x", Rating: 5})
-	resp.Body.Close()
-	if got := api.Log.Count(eventlog.Query{Type: "feedback", User: "log.user"}); got != 1 {
-		t.Fatalf("feedback events = %d", got)
 	}
 }
 

@@ -19,9 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"uniask/internal/embedding"
-	"uniask/internal/eventlog"
-	"uniask/internal/monitor"
 	"uniask/internal/rerank"
 	"uniask/internal/session"
 	"uniask/internal/sse"
@@ -30,21 +27,6 @@ import (
 // DefaultSSEHeartbeat is how often an idle stream gets a keep-alive comment
 // so intermediaries don't reap the connection between token bursts.
 const DefaultSSEHeartbeat = 15 * time.Second
-
-// sessionGauge is the dashboard's session row. It reads s.Sessions at poll
-// time, so swapping the store after construction is safe.
-func (s *Server) sessionGauge() (monitor.SessionGauge, bool) {
-	st := s.Sessions.Stats()
-	return monitor.SessionGauge{
-		Live: st.Live, Turns: st.Turns,
-		Expired: st.Expired, Evicted: st.Evicted,
-		OpenStreams:   st.Streams.Open,
-		StreamsOpened: st.Streams.Opened,
-		StreamsClosed: st.Streams.Closed,
-		Heartbeats:    st.Streams.Heartbeats,
-		Disconnects:   st.Streams.Disconnects,
-	}, true
-}
 
 // tenantSessionCap resolves the per-tenant live-session cap for Create from
 // the tenant's limits: maxSessions when set, session.DefaultTenantSessions
@@ -107,7 +89,7 @@ func sessionView(sess session.Session) sessionResponse {
 
 // handleSessionCreate opens a conversation: POST /api/sessions.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	user, tenantID, ok := s.identify(w, r, true, "")
+	_, tenantID, ok := s.identify(w, r, true, "")
 	if !ok {
 		return
 	}
@@ -123,10 +105,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.Log.Append(eventlog.Event{
-		At: time.Now(), Service: "backend", Type: "session", User: user,
-		Fields: map[string]string{"session": sess.ID, "event": "created"},
-	})
 	w.WriteHeader(http.StatusCreated)
 	json.NewEncoder(w).Encode(sessionView(sess))
 }
@@ -284,14 +262,10 @@ func (s *Server) handleSessionFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.Metrics.RecordFeedback(true)
-	s.Log.Append(eventlog.Event{
-		At: time.Now(), Service: "backend", Type: "feedback", User: q.user,
-		Fields: map[string]string{"session": sess.ID, "chunk": req.ChunkID},
-	})
 
 	rr := q.eng.Searcher.Reranker
 	if rr == nil {
-		// No reranker on this engine: the click is logged but cannot move
+		// No reranker on this engine: the click is counted but cannot move
 		// any weights.
 		writeJSON(w, sessionFeedbackResponse{Applied: false})
 		return
@@ -305,7 +279,7 @@ func (s *Server) handleSessionFeedback(w http.ResponseWriter, r *http.Request) {
 	// embedder queries use, under the same deadline. A shed embed leaves the
 	// vector nil: the click still counts, with semantic feature 0.
 	inputs := clickInputs(q, turn.Documents[:clickedAt+1])
-	queryVec, err := embedding.AsCtx(q.eng.Searcher.Embedder).EmbedCtx(q.ctx, queryText)
+	queryVec, err := q.eng.Searcher.Embedder.EmbedCtx(q.ctx, queryText)
 	if err != nil {
 		queryVec = nil
 	}

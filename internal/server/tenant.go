@@ -17,7 +17,6 @@ import (
 	"net/http"
 
 	"uniask/internal/core"
-	"uniask/internal/eventlog"
 	"uniask/internal/index"
 	"uniask/internal/monitor"
 	"uniask/internal/search"
@@ -34,100 +33,99 @@ const TenantHeader = "X-Uniask-Tenant"
 // server's metrics registry becomes the pipeline observer and
 // breaker-transition hook of every engine the registry holds, now or once
 // built — installed once per engine, so an observer a caller composes on top
-// afterwards stays — and the dashboard's index, cache and rerank gauges
-// (GET /api/dashboard) read whichever engines are active when polled. ctrl
-// is the admission front door (nil = no admission control); tracer is the
-// trace store all engines record into; pool, when non-nil, contributes
-// per-tenant cache-partition gauges to the dashboard.
+// afterwards stays. ctrl is the admission front door (nil = no admission
+// control); tracer is the trace store all engines record into; pool, when
+// non-nil, contributes per-tenant cache-partition gauges to the dashboard.
 func NewMultiTenant(reg *tenant.Registry, ctrl *tenant.Controller, tracer *trace.Tracer, pool *search.CachePool) *Server {
 	s := &Server{
 		Metrics:   monitor.New(),
 		Feedback:  &FeedbackStore{},
-		Log:       eventlog.New(),
 		Sessions:  session.NewStore(session.Config{}),
 		sessions:  make(map[string]string),
 		Tenants:   reg,
 		Admission: ctrl,
 		Tracer:    tracer,
+		cachePool: pool,
 	}
 	reg.Observe(func(_ string, eng *core.Engine) {
 		eng.SetObserver(s.Metrics)
 		eng.SetBreakerNotify(s.Metrics.RecordBreakerTransition)
 	})
-	if ctrl != nil {
-		s.Metrics.SetTenantSource(func() []monitor.TenantGauge { return tenantGauges(ctrl, pool) })
-	}
-	s.Metrics.SetSessionSource(s.sessionGauge)
-	s.Metrics.SetShardSource(func() (out []monitor.ShardGauge) {
-		for _, t := range reg.Active() {
-			if sh := t.Engine.Sharded(); sh != nil {
-				for _, st := range sh.ShardStats() {
-					out = append(out, monitor.ShardGauge{
-						Tenant: t.ID, Shard: st.Shard, Docs: st.Docs, Live: st.Live,
-						Tombstones: st.Tombstones, Postings: st.Postings,
-						Queries: st.Queries, AvgQueryLatency: st.AvgQueryLatency,
-					})
-				}
-			}
-		}
-		return out
-	})
-	s.Metrics.SetSegmentSource(func() (out []monitor.SegmentGauge) {
-		for _, t := range reg.Active() {
-			for i, st := range t.Engine.SegmentStats() {
-				out = append(out, monitor.SegmentGauge{
-					Tenant: t.ID, Shard: i, MemtableDocs: st.MemtableDocs,
-					Segments: st.Segments, Backlog: st.Backlog,
-					Seals: st.Seals, Compactions: st.Compactions,
-					ChunksSealed: st.ChunksSealed, ChunksRewritten: st.ChunksRewritten,
-					StatsKey: st.StatsKey,
+	return s
+}
+
+// dashboard is the full Figure-3 page behind GET /api/dashboard: the metrics
+// registry's counters, stages and breakers, then one pass over the active
+// engines for the shard, segment, cache and rerank rows — so a tenant built
+// mid-poll is in every section or in none — then the tenant and session rows.
+func (s *Server) dashboard() monitor.Dashboard {
+	d := s.Metrics.Snapshot()
+	// The cache gauge is the sum over the active engines' caches; the
+	// per-tenant split is on the tenant rows.
+	var cache search.CacheStats
+	for _, t := range s.Tenants.Active() {
+		eng := t.Engine
+		if sh := eng.Sharded(); sh != nil {
+			for _, st := range sh.ShardStats() {
+				d.Shards = append(d.Shards, monitor.ShardGauge{
+					Tenant: t.ID, Shard: st.Shard, Docs: st.Docs, Live: st.Live,
+					Tombstones: st.Tombstones, Postings: st.Postings,
+					Queries: st.Queries, AvgQueryLatency: st.AvgQueryLatency,
 				})
 			}
 		}
-		return out
-	})
-	// The cache gauge is the sum over the active engines' caches; the
-	// per-tenant split is on the tenant rows.
-	s.Metrics.SetCacheSource(func() (monitor.CacheGauge, bool) {
-		var sum search.CacheStats
-		cached := false
-		for _, t := range reg.Active() {
-			if cs, ok := t.Engine.CacheStats(); ok {
-				cached = true
-				sum.Hits += cs.Hits
-				sum.Misses += cs.Misses
-				sum.Entries += cs.Entries
-				sum.DeleteEvictions += cs.DeleteEvictions
-			}
+		for i, st := range eng.SegmentStats() {
+			d.Segments = append(d.Segments, monitor.SegmentGauge{
+				Tenant: t.ID, Shard: i, MemtableDocs: st.MemtableDocs,
+				Segments: st.Segments, Backlog: st.Backlog,
+				Seals: st.Seals, Compactions: st.Compactions,
+				ChunksSealed: st.ChunksSealed, ChunksRewritten: st.ChunksRewritten,
+				StatsKey: st.StatsKey,
+			})
 		}
-		return monitor.CacheGauge{
-			Hits: sum.Hits, Misses: sum.Misses, HitRate: sum.HitRate(),
-			Entries: sum.Entries, DeleteEvictions: sum.DeleteEvictions,
-		}, cached
-	})
-	s.Metrics.SetRerankSource(func() (out []monitor.RerankGauge) {
-		for _, t := range reg.Active() {
-			if t.Engine.Searcher == nil || t.Engine.Searcher.Reranker == nil {
-				continue
-			}
-			st := t.Engine.Searcher.Reranker.Stats()
-			out = append(out, monitor.RerankGauge{
+		if cs, ok := eng.CacheStats(); ok {
+			d.HasCache = true
+			cache.Hits += cs.Hits
+			cache.Misses += cs.Misses
+			cache.Entries += cs.Entries
+			cache.DeleteEvictions += cs.DeleteEvictions
+		}
+		if rr := eng.Searcher.Reranker; rr != nil {
+			st := rr.Stats()
+			d.Rerank = append(d.Rerank, monitor.RerankGauge{
 				Tenant: t.ID, Clicks: st.Clicks,
 				Version: st.Version, Drift: st.Drift,
 			})
 		}
-		return out
-	})
-	return s
+	}
+	d.Cache = monitor.CacheGauge{
+		Hits: cache.Hits, Misses: cache.Misses, HitRate: cache.HitRate(),
+		Entries: cache.Entries, DeleteEvictions: cache.DeleteEvictions,
+	}
+	if s.Admission != nil {
+		d.Tenants = s.tenantGauges()
+	}
+	st := s.Sessions.Stats()
+	d.HasSessions = true
+	d.Sessions = monitor.SessionGauge{
+		Live: st.Live, Turns: st.Turns,
+		Expired: st.Expired, Evicted: st.Evicted,
+		OpenStreams:   st.Streams.Open,
+		StreamsOpened: st.Streams.Opened,
+		StreamsClosed: st.Streams.Closed,
+		Heartbeats:    st.Streams.Heartbeats,
+		Disconnects:   st.Streams.Disconnects,
+	}
+	return d
 }
 
 // tenantGauges joins the admission controller's stats with the cache
 // pool's partition stats into dashboard rows.
-func tenantGauges(ctrl *tenant.Controller, pool *search.CachePool) []monitor.TenantGauge {
-	stats := ctrl.Stats()
+func (s *Server) tenantGauges() []monitor.TenantGauge {
+	stats := s.Admission.Stats()
 	var parts map[string]search.PartitionStats
-	if pool != nil {
-		ps := pool.Stats()
+	if s.cachePool != nil {
+		ps := s.cachePool.Stats()
 		parts = make(map[string]search.PartitionStats, len(ps))
 		for _, p := range ps {
 			parts[p.Tenant] = p

@@ -57,7 +57,7 @@ func extractCorpus(t testing.TB, corpus *kb.Corpus) []ingest.Extracted {
 
 // buildSearcher indexes the extracted docs into repo and wraps it in the
 // full retrieval stack.
-func buildSearcher(t testing.TB, repo index.Repository, docs []ingest.Extracted, emb embedding.Embedder, client llm.Client) *search.Searcher {
+func buildSearcher(t testing.TB, repo index.Repository, docs []ingest.Extracted, emb *embedding.Synth, client llm.Client) *search.Searcher {
 	t.Helper()
 	in := indexer.New(repo, emb, client, indexer.Config{})
 	if _, err := in.Index(context.Background(), docs); err != nil {

@@ -22,12 +22,10 @@ package uniask
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"time"
 
 	"uniask/internal/core"
-	"uniask/internal/eventlog"
 	"uniask/internal/ingest"
 	"uniask/internal/kb"
 	"uniask/internal/search"
@@ -165,9 +163,8 @@ type MultiTenantConfig struct {
 	// onboarding (first request). Nil tenants start empty.
 	Corpus func(tenantID string) *Corpus
 	// Log, when non-nil, receives overrides reload diagnostics ("reloaded",
-	// "keeping last good config: ...") in addition to the server event log
-	// — the binary points it at stderr so a rejected config push is visible
-	// to the operator who made it.
+	// "keeping last good config: ...") — the binary points it at stderr so a
+	// rejected config push is visible to the operator who made it.
 	Log func(format string, args ...any)
 }
 
@@ -199,15 +196,7 @@ func NewMultiTenantServer(ctx context.Context, cfg MultiTenantConfig) (*server.S
 
 	reg := tenant.NewRegistry(ov, tenantFactory(ctx, cfg.Base, pool, tracer, cfg.Corpus))
 	srv := server.NewMultiTenant(reg, tenant.NewController(cfg.Admission, ov), tracer, pool)
-	ov.Log = func(format string, args ...any) {
-		srv.Log.Append(eventlog.Event{
-			At: time.Now(), Service: "tenant-overrides", Type: "reload",
-			Fields: map[string]string{"msg": fmt.Sprintf(format, args...)},
-		})
-		if cfg.Log != nil {
-			cfg.Log(format, args...)
-		}
-	}
+	ov.Log = cfg.Log
 	if cfg.ReloadInterval >= 0 {
 		go ov.Watch(ctx, cfg.ReloadInterval)
 	}
@@ -241,16 +230,10 @@ func tenantFactory(ctx context.Context, base Config, pool *search.CachePool, tra
 	}
 }
 
-// LoadIndex replaces the system's index with one previously written by
-// SaveIndex. The embedder configuration must match the one used when the
-// index was built. Segmented containers, sharded containers and legacy
-// single-file snapshots all load: a system configured with ShardCount > 1
-// accepts what a single-store system saved (segmented container or legacy
-// single file) and sharded containers of any shard count, migrating by
-// re-routing every document when the layout differs; a single-store system
-// loads a segmented container directly, adopts a legacy single-file
-// snapshot as one sealed segment, and rejects sharded snapshots with a
-// descriptive error.
+// LoadIndex replaces the system's index with a snapshot SaveIndex wrote at
+// this release or the previous one, under the same embedder configuration
+// (anything older fails with index.ErrUnsupportedSnapshot); see
+// core.Engine.LoadIndex for which layouts each shard configuration accepts.
 func (s *System) LoadIndex(r io.Reader) error {
 	return s.engine.LoadIndex(r)
 }
