@@ -95,13 +95,17 @@ fuzz-short:
 # the compactor's counted write amplification under a trickle of edits,
 # admission-control overhead, the noisy-neighbor p99 delta and the
 # document-fetch RPCs one search costs on remote shards) with allocation
-# stats, recorded as BENCH_query.json via cmd/benchjson.
+# stats, recorded as BENCH_query.json via cmd/benchjson. make's /bin/sh has
+# no pipefail, so the pipeline's status is benchjson's: it exits 1 and
+# writes nothing when go test reports a FAIL or panic, and the report goes
+# to a temp file that replaces BENCH_query.json only on success.
 bench:
 	$(GO) test -bench 'BenchmarkSearchText|BenchmarkSearchVector|BenchmarkFilterSet|BenchmarkQueryCache|BenchmarkTrace|BenchmarkIngest|BenchmarkCompaction|BenchmarkTenant|BenchmarkSession|BenchmarkSSE|BenchmarkFinalize' \
 		-benchmem -run '^$$' ./internal/index/ ./internal/search/ ./internal/shard/ ./internal/trace/ ./internal/tenant/ ./internal/server/ \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_query_baseline.json \
 			-note "SearchVector* run the int8 quantized arena: traversal orders candidates by int8 dot products, then every surviving candidate (<= ef) is rescored with exact float32 dots before final ranking, so reported latencies include the rescoring pass and scores match the *Float32 control benchmarks exactly." \
-			> BENCH_query.json
+			> BENCH_query.json.tmp || { rm -f BENCH_query.json.tmp; exit 1; }
+	mv BENCH_query.json.tmp BENCH_query.json
 	@echo "wrote BENCH_query.json"
 
 # Paper-scale end-to-end benchmark (Tables 1-3 reproduction).

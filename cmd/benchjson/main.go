@@ -3,16 +3,23 @@
 // machine-readable BENCH_query.json next to the human-readable log.
 //
 //	go test -bench . -benchmem ./internal/index/ | benchjson > BENCH_query.json
+//
+// A transcript with a FAIL or panic: line is a broken run: benchjson then
+// writes nothing to stdout and exits 1, so a failing benchmark cannot pass
+// for a short report (a shell pipeline reports the last command's status).
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strconv"
+	"strings"
 )
 
 // Result is one parsed benchmark line.
@@ -50,19 +57,53 @@ func main() {
 		"free-text annotation embedded under \"note\" (methodology caveats, measurement context)")
 	flag.Parse()
 
-	var results []Result
-	sc := bufio.NewScanner(os.Stdin)
+	results, err := parse(os.Stdin, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	out := map[string]any{"benchmarks": results}
+	if *note != "" {
+		out["note"] = *note
+	}
+	if *baselinePath != "" {
+		if raw, err := os.ReadFile(*baselinePath); err == nil {
+			var baseline any
+			if err := json.Unmarshal(raw, &baseline); err != nil {
+				fmt.Fprintln(os.Stderr, "benchjson: baseline:", err)
+				os.Exit(1)
+			}
+			out["baseline"] = baseline
+		}
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(out); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
+
+// parse reads a `go test -bench` transcript, echoing every line to echo so
+// the terminal still shows the usual go test chatter, and returns the
+// benchmark results. It errors when the transcript reports a failure.
+func parse(in io.Reader, echo io.Writer) ([]Result, error) {
+	var (
+		results []Result
+		failed  error
+	)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
+		fmt.Fprintln(echo, line)
+		if failed == nil && (strings.HasPrefix(line, "FAIL") || strings.HasPrefix(line, "--- FAIL") || strings.HasPrefix(line, "panic:")) {
+			failed = fmt.Errorf("benchmark run failed: %s", line)
+		}
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
-			// Pass non-benchmark lines through to stderr so the terminal
-			// still shows the usual go test chatter.
-			fmt.Fprintln(os.Stderr, line)
 			continue
 		}
-		fmt.Fprintln(os.Stderr, line)
 		iters, _ := strconv.ParseInt(m[2], 10, 64)
 		ns, _ := strconv.ParseFloat(m[3], 64)
 		r := Result{Name: m[1], Iterations: iters, NsPerOp: ns}
@@ -87,28 +128,5 @@ func main() {
 		}
 		results = append(results, r)
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	out := map[string]any{"benchmarks": results}
-	if *note != "" {
-		out["note"] = *note
-	}
-	if *baselinePath != "" {
-		if raw, err := os.ReadFile(*baselinePath); err == nil {
-			var baseline any
-			if err := json.Unmarshal(raw, &baseline); err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson: baseline:", err)
-				os.Exit(1)
-			}
-			out["baseline"] = baseline
-		}
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
+	return results, errors.Join(sc.Err(), failed)
 }

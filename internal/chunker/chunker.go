@@ -39,15 +39,16 @@ const DefaultChunkTokens = 512
 // Recursive character splitter (Langchain-style).
 
 // RecursiveSplitter reproduces Langchain's RecursiveCharacterTextSplitter:
-// it tries each separator in order, splitting the text and recursively
-// re-splitting any piece that is still too large with the next separator.
+// it tries each of recursiveSeparators in order, splitting the text and
+// recursively re-splitting any piece that is still too large with the next
+// separator.
 type RecursiveSplitter struct {
 	// MaxTokens is the chunk-size limit (DefaultChunkTokens when zero).
 	MaxTokens int
-	// Separators is the ordered separator list; the Langchain default
-	// ["\n\n", "\n", " ", ""] is used when empty.
-	Separators []string
 }
+
+// recursiveSeparators is Langchain's default separator list, coarsest first.
+var recursiveSeparators = []string{"\n\n", "\n", " ", ""}
 
 func (r *RecursiveSplitter) maxTokens() int {
 	if r.MaxTokens > 0 {
@@ -56,16 +57,9 @@ func (r *RecursiveSplitter) maxTokens() int {
 	return DefaultChunkTokens
 }
 
-func (r *RecursiveSplitter) separators() []string {
-	if len(r.Separators) > 0 {
-		return r.Separators
-	}
-	return []string{"\n\n", "\n", " ", ""}
-}
-
 // Split chunks text with the recursive strategy.
 func (r *RecursiveSplitter) Split(text string) []Chunk {
-	pieces := r.split(text, r.separators())
+	pieces := r.split(text, recursiveSeparators)
 	// Greedily merge adjacent pieces below the limit, mimicking Langchain's
 	// merge step.
 	var out []Chunk

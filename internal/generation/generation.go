@@ -51,9 +51,6 @@ type Generator struct {
 	M int
 	// MaxTokens caps the completion (0 = client default).
 	MaxTokens int
-	// DisableFallback turns the extractive fallback off: LLM-unavailability
-	// errors then propagate instead of degrading.
-	DisableFallback bool
 }
 
 // Generate builds the prompt for question over chunks and returns the
@@ -98,7 +95,7 @@ func (g *Generator) GenerateStream(ctx context.Context, question string, chunks 
 	}
 	resp, err := llm.CompleteStream(ctx, g.Client, req, wrapped)
 	if err != nil {
-		if g.fallbackEligible(ctx, err) || (started && !g.DisableFallback && ctx.Err() == nil) {
+		if ctx.Err() == nil && (started || llmUnavailable(err)) {
 			return Extractive(question, chunks), nil
 		}
 		return Answer{}, fmt.Errorf("generation: %w", err)
@@ -113,14 +110,11 @@ func (g *Generator) GenerateStream(ctx context.Context, question string, chunks 
 	return ans, nil
 }
 
-// fallbackEligible decides whether a generation error degrades to the
-// extractive answer: the LLM must be unavailable (open breaker or exhausted
-// retry budget) while the caller is still waiting — a cancelled caller gets
-// its cancellation back.
-func (g *Generator) fallbackEligible(ctx context.Context, err error) bool {
-	if g.DisableFallback || ctx.Err() != nil {
-		return false
-	}
+// llmUnavailable reports whether a generation error means the LLM is
+// unavailable (open breaker or exhausted retry budget): with the caller
+// still waiting, such an error degrades to the extractive answer — a
+// cancelled caller gets its cancellation back.
+func llmUnavailable(err error) bool {
 	return errors.Is(err, resilience.ErrBreakerOpen) || errors.Is(err, resilience.ErrBudgetExhausted)
 }
 

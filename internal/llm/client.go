@@ -23,9 +23,8 @@ type Role string
 
 // Chat roles.
 const (
-	System    Role = "system"
-	User      Role = "user"
-	Assistant Role = "assistant"
+	System Role = "system"
+	User   Role = "user"
 )
 
 // Message is one chat-completion message.
@@ -40,9 +39,6 @@ type Request struct {
 	Messages []Message
 	// MaxTokens caps the completion length (0 = default 1024).
 	MaxTokens int
-	// Temperature is accepted for interface fidelity; SimLLM is
-	// deterministic regardless.
-	Temperature float64
 }
 
 // Response is a chat-completion response.

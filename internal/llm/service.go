@@ -21,8 +21,6 @@ type ServiceConfig struct {
 	BurstTokens int
 	// BaseLatency is the fixed per-request inference latency.
 	BaseLatency time.Duration
-	// PerTokenLatency is the additional latency per prompt+completion token.
-	PerTokenLatency time.Duration
 	// Clock defaults to the real clock.
 	Clock vclock.Clock
 }
@@ -109,9 +107,9 @@ func (s *Service) Complete(ctx context.Context, req Request) (Response, error) {
 	if err != nil {
 		return Response{}, err
 	}
-	if d := s.cfg.BaseLatency + time.Duration(resp.PromptTokens+resp.CompletionTokens)*s.cfg.PerTokenLatency; d > 0 {
+	if s.cfg.BaseLatency > 0 {
 		select {
-		case <-s.cfg.Clock.After(d):
+		case <-s.cfg.Clock.After(s.cfg.BaseLatency):
 		case <-ctx.Done():
 			return Response{}, ctx.Err()
 		}

@@ -93,10 +93,9 @@ type Policy struct {
 	MaxAttempts int
 	// BaseDelay is the backoff before the second attempt (default 25ms).
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff growth (default 1s).
+	// MaxDelay caps the backoff growth (default 1s); each delay doubles the
+	// one before it until then.
 	MaxDelay time.Duration
-	// Multiplier is the exponential growth factor (default 2).
-	Multiplier float64
 	// Jitter is the fraction of each delay that is randomized, in [0, 1]
 	// (default 0.2): the delay is scaled by a factor drawn uniformly from
 	// [1-Jitter/2, 1+Jitter/2].
@@ -157,10 +156,6 @@ func (p Policy) Delays(n int) []time.Duration {
 	if maxd <= 0 {
 		maxd = time.Second
 	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
 	jitter := p.Jitter
 	if jitter < 0 {
 		jitter = 0
@@ -185,7 +180,7 @@ func (p Policy) Delays(n int) []time.Duration {
 			jittered = maxd
 		}
 		out = append(out, jittered)
-		d *= mult
+		d *= 2
 		if d > float64(maxd) {
 			d = float64(maxd)
 		}

@@ -4,23 +4,28 @@
 // vector field, Reciprocal Rank Fusion merges the rankings, and the final
 // relevance score adds a semantic-reranker score to the RRF score.
 //
-// The retrieval legs are independent, so the Searcher runs them as a
-// concurrent fan-out over a bounded worker pool (see internal/pipeline):
-// BM25 and the per-field ANN searches — and, under MQ1 expansion, the
-// per-query searches — execute in parallel and join before RRF. The join
-// preserves component order, so the fused ranking is byte-identical to a
-// sequential execution. Every stage honors context cancellation and
-// reports latency and sizes through a pipeline.Observer.
+// Every query runs one plan: expand → embed → legs → fuse → rerank. The
+// expansion (Table 3) only decides the texts the plan retrieves with — the
+// query alone (HSS), the query plus a context-free LLM answer (QGA), or the
+// query plus LLM-generated related queries (MQ1; MQ2 folds them into their
+// concatenation and mean embedding). Each (text, vector) pair contributes
+// its BM25 and per-field ANN legs, and the legs run as one concurrent
+// fan-out over a bounded worker pool (see internal/pipeline) that joins
+// before RRF in component order, so the fused ranking is byte-identical to
+// a sequential execution. Every stage honors context cancellation, reports
+// latency and sizes through a pipeline.Observer, and sheds a failed
+// dependency (expansion, embedding, one leg) instead of failing the query.
 //
-// The package also implements every retrieval variant the paper ablates in
-// Tables 2-4: text-only and vector-only modes, the QGA/MQ1/MQ2 query
-// expansions, multiplicative title boosting (T5/T50/T500), and searching
-// over the LLM-keyword enrichment fields (HSS-KT/HSS-KTC).
+// The plan covers every retrieval variant the paper ablates in Tables 2-4:
+// text-only and vector-only modes, the QGA/MQ1/MQ2 query expansions,
+// multiplicative title boosting (T5/T50/T500), and searching over the
+// LLM-keyword enrichment fields (HSS-KT/HSS-KTC).
 package search
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -302,54 +307,153 @@ func (s *Searcher) rerankVersion(opts Options) uint64 {
 }
 
 // run executes one search with already-defaulted options, bypassing the
-// cache.
+// cache. Every expansion is the same plan: expand the query into texts,
+// embed them, run one set of retrieval legs per (text, vector) pair, fuse
+// every leg with RRF, and rerank against the first text and its vector.
+// MQ2 differs only in folding its texts into one: their concatenation,
+// paired with the mean of the vectors that survived embedding.
 func (s *Searcher) run(ctx context.Context, query string, opts Options) ([]Result, Degradation, error) {
-	switch opts.Expansion {
-	case QGA:
-		return s.searchQGA(ctx, query, opts)
-	case MQ1:
-		return s.searchMQ1(ctx, query, opts)
-	case MQ2:
-		return s.searchMQ2(ctx, query, opts)
+	texts, deg, err := s.expand(ctx, query, opts)
+	if err != nil {
+		return nil, deg, err
 	}
-	return s.searchPlain(ctx, query, opts)
+	vecs, d, err := s.embedMany(ctx, texts, opts)
+	deg.merge(d)
+	if err != nil {
+		return nil, deg, err
+	}
+	// A failed MQ2 expansion runs the plain query as is: Mean renormalizes,
+	// so folding even a single vector would perturb the plain ranking.
+	if opts.Expansion == MQ2 && !deg.ExpansionSkipped {
+		var mean vector.Vector
+		if live := slices.DeleteFunc(vecs, func(v vector.Vector) bool { return v == nil }); len(live) > 0 {
+			mean = embedding.Mean(live, s.Embedder.Dim())
+		}
+		texts, vecs = []string{strings.Join(texts, " ")}, []vector.Vector{mean}
+	}
+	var comps []component
+	for i := range texts {
+		comps = append(comps, s.components(texts[i], vecs[i], opts)...)
+	}
+	rankings, d, err := s.runComponents(ctx, comps)
+	deg.merge(d)
+	if err != nil {
+		return nil, deg, err
+	}
+	fused, err := s.fuse(ctx, rankings, opts)
+	if err != nil {
+		return nil, deg, err
+	}
+	res, d, err := s.finalize(ctx, texts[0], vecs[0], fused, opts)
+	deg.merge(d)
+	return res, deg, err
 }
 
-// searchPlain is the no-expansion path: embed (degrading to BM25-only when
-// embedding fails) and run one hybrid pass.
-func (s *Searcher) searchPlain(ctx context.Context, query string, opts Options) ([]Result, Degradation, error) {
+// expand returns the texts the plan retrieves with: the query alone, the
+// query extended by a context-free LLM answer (QGA), or the query followed
+// by LLM-generated related queries (MQ1, MQ2). A failed expansion call,
+// while the caller is still alive, is shed and the plan runs on the plain
+// query instead of aborting.
+func (s *Searcher) expand(ctx context.Context, query string, opts Options) ([]string, Degradation, error) {
 	var deg Degradation
-	qvec, err := s.embed(ctx, query)
+	var req llm.Request
+	out := 1
+	switch opts.Expansion {
+	case QGA:
+		req = llm.BuildDirectAnswerPrompt(query)
+	case MQ1, MQ2:
+		req, out = llm.BuildRelatedQueriesPrompt(query, opts.RelatedQueries), opts.RelatedQueries
+	default:
+		return []string{query}, deg, nil
+	}
+	var resp llm.Response
+	err := pipeline.Run(ctx, s.obs(), pipeline.StageExpand, 1, func(ctx context.Context) (int, error) {
+		var err error
+		resp, err = s.LLM.Complete(ctx, req)
+		return out, err
+	})
+	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, deg, ctxErr
+		}
+		s.shed(ctx, "expansion", 1, err)
+		deg.ExpansionSkipped = true
+		return []string{query}, deg, nil
+	}
+	if opts.Expansion == QGA {
+		return []string{query + " " + resp.Content}, deg, nil
+	}
+	texts := []string{query}
+	for _, line := range strings.Split(resp.Content, "\n") {
+		if line = strings.TrimSpace(line); line != "" {
+			texts = append(texts, line)
+		}
+	}
+	return texts, deg, nil
+}
+
+// embedOutcome carries one text's embedding result through the tolerant
+// fan-out: the error rides in the value so a failed embedding does not
+// abort its siblings.
+type embedOutcome struct {
+	vec vector.Vector
+	err error
+}
+
+// embedMany embeds the texts as one observed stage, tolerating per-text
+// failures: a failed embedding yields a nil vector (that text then
+// contributes text legs only) and is shed. When every embedding fails the
+// stage reports the first error and the vector side is skipped — or, for
+// vector-only retrieval, which has nothing to degrade to, the search errors.
+// Caller cancellation always errors.
+func (s *Searcher) embedMany(ctx context.Context, texts []string, opts Options) ([]vector.Vector, Degradation, error) {
+	var (
+		deg      Degradation
+		outcomes []embedOutcome
+	)
+	err := pipeline.Run(ctx, s.obs(), pipeline.StageEmbed, len(texts), func(ctx context.Context) (int, error) {
+		var err error
+		outcomes, err = pipeline.Map(ctx, s.workers(), len(texts), func(ctx context.Context, i int) (embedOutcome, error) {
+			v, err := s.Embedder.EmbedCtx(ctx, texts[i])
+			if err != nil && ctx.Err() != nil {
+				return embedOutcome{}, ctx.Err()
+			}
+			return embedOutcome{vec: v, err: err}, nil
+		})
+		if err != nil {
+			return 0, err
+		}
+		ok, firstErr := 0, error(nil)
+		for _, o := range outcomes {
+			if o.err == nil {
+				ok++
+			} else if firstErr == nil {
+				firstErr = o.err
+			}
+		}
+		if ok == 0 {
+			return 0, firstErr
+		}
+		return ok, nil
+	})
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, deg, ctxErr
 		}
 		if opts.Mode == VectorOnly {
-			// Nothing to degrade to: vector-only retrieval needs the vector.
 			return nil, deg, fmt.Errorf("search: embed: %w", err)
 		}
-		s.shed(ctx, pipeline.StageEmbed, 1, err)
 		deg.VectorSkipped = true
-		qvec = nil
 	}
-	res, d, err := s.searchOnce(ctx, query, qvec, opts)
-	deg.merge(d)
-	return res, deg, err
-}
-
-// embed runs one query embedding as an observed stage. Failures are
-// returned for the caller to classify (degrade or abort).
-func (s *Searcher) embed(ctx context.Context, query string) (vector.Vector, error) {
-	var qvec vector.Vector
-	err := pipeline.Run(ctx, s.obs(), pipeline.StageEmbed, 1, func(ctx context.Context) (int, error) {
-		var err error
-		qvec, err = s.Embedder.EmbedCtx(ctx, query)
-		return 1, err
-	})
-	if err != nil {
-		return nil, err
+	vecs := make([]vector.Vector, len(texts))
+	for i, o := range outcomes {
+		if o.err != nil {
+			s.shed(ctx, "embedding "+strconv.Itoa(i), 1, o.err)
+			continue
+		}
+		vecs[i] = o.vec
 	}
-	return qvec, nil
+	return vecs, deg, nil
 }
 
 // shed reports n dropped units of work to the observer under the synthetic
@@ -390,22 +494,6 @@ func (s *Searcher) searchVector(ctx context.Context, field string, q vector.Vect
 		return pq.SearchVectorPartial(ctx, field, q, k, filters)
 	}
 	return s.Index.SearchVector(field, q, k, filters), 0
-}
-
-// searchOnce runs one text+vector+RRF+rerank pass with the given query text
-// and query vector. A nil qvec sheds the vector legs (BM25-only).
-func (s *Searcher) searchOnce(ctx context.Context, query string, qvec vector.Vector, opts Options) ([]Result, Degradation, error) {
-	rankings, deg, err := s.runComponents(ctx, s.components(query, qvec, opts))
-	if err != nil {
-		return nil, deg, err
-	}
-	fused, err := s.fuse(ctx, rankings, opts)
-	if err != nil {
-		return nil, deg, err
-	}
-	res, d, err := s.finalize(ctx, query, qvec, fused, opts)
-	deg.merge(d)
-	return res, deg, err
 }
 
 // component is one independent retrieval leg: BM25 full-text search or one
@@ -641,206 +729,6 @@ func (s *Searcher) finalize(ctx context.Context, query string, qvec vector.Vecto
 		return nil, deg, err
 	}
 	return results, deg, nil
-}
-
-// searchQGA expands the query with a context-free LLM answer. When the
-// expansion call fails (and the caller is still alive) the search degrades
-// to the unexpanded query instead of aborting.
-func (s *Searcher) searchQGA(ctx context.Context, query string, opts Options) ([]Result, Degradation, error) {
-	var deg Degradation
-	var resp llm.Response
-	err := pipeline.Run(ctx, s.obs(), pipeline.StageExpand, 1, func(ctx context.Context) (int, error) {
-		var err error
-		resp, err = s.LLM.Complete(ctx, llm.BuildDirectAnswerPrompt(query))
-		return 1, err
-	})
-	expanded := query
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, deg, ctxErr
-		}
-		s.shed(ctx, "QGA expansion", 1, err)
-		deg.ExpansionSkipped = true
-	} else {
-		expanded = query + " " + resp.Content
-	}
-	opts.Expansion = NoExpansion
-	res, d, err := s.searchPlain(ctx, expanded, opts)
-	deg.merge(d)
-	return res, deg, err
-}
-
-// searchMQ1 fuses one hybrid search per generated related query (plus the
-// original). The per-query component searches form one flat fan-out over
-// the shared worker pool; the original query's embedding is computed once
-// and reused for its component searches and for reranking. A failed
-// expansion degrades to the plain search; a failed per-query embedding
-// sheds that query's vector legs only.
-func (s *Searcher) searchMQ1(ctx context.Context, query string, opts Options) ([]Result, Degradation, error) {
-	var deg Degradation
-	queries, err := s.relatedQueries(ctx, query, opts.RelatedQueries)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, deg, ctxErr
-		}
-		s.shed(ctx, "MQ1 expansion", 1, err)
-		deg.ExpansionSkipped = true
-		opts.Expansion = NoExpansion
-		res, d, err := s.searchPlain(ctx, query, opts)
-		deg.merge(d)
-		return res, deg, err
-	}
-	queries = append([]string{query}, queries...)
-
-	vecs, d, err := s.embedMany(ctx, queries)
-	if err != nil {
-		return nil, deg, err
-	}
-	deg.merge(d)
-
-	var comps []component
-	for qi := range queries {
-		comps = append(comps, s.components(queries[qi], vecs[qi], opts)...)
-	}
-	rankings, d, err := s.runComponents(ctx, comps)
-	deg.merge(d)
-	if err != nil {
-		return nil, deg, err
-	}
-	fused, err := s.fuse(ctx, rankings, opts)
-	if err != nil {
-		return nil, deg, err
-	}
-	// vecs[0] is the original query's embedding — reused, not re-embedded.
-	res, d, err := s.finalize(ctx, query, vecs[0], fused, opts)
-	deg.merge(d)
-	return res, deg, err
-}
-
-// embedOutcome carries one query's embedding result through the tolerant
-// fan-out: the error rides in the value so a failed embedding does not
-// abort its siblings.
-type embedOutcome struct {
-	vec vector.Vector
-	err error
-}
-
-// embedMany embeds the given queries as one observed stage, tolerating
-// per-query failures: a failed embedding yields a nil vector (that query
-// then contributes text legs only) and is shed. Only caller cancellation
-// errors the stage; if every embedding fails the whole vector side is
-// marked skipped.
-func (s *Searcher) embedMany(ctx context.Context, queries []string) ([]vector.Vector, Degradation, error) {
-	var deg Degradation
-	vecs := make([]vector.Vector, len(queries))
-	err := pipeline.Run(ctx, s.obs(), pipeline.StageEmbed, len(queries), func(ctx context.Context) (int, error) {
-		outcomes, err := pipeline.Map(ctx, s.workers(), len(queries), func(ctx context.Context, i int) (embedOutcome, error) {
-			if err := ctx.Err(); err != nil {
-				return embedOutcome{}, err
-			}
-			v, err := s.Embedder.EmbedCtx(ctx, queries[i])
-			if err != nil && ctx.Err() != nil {
-				return embedOutcome{}, ctx.Err()
-			}
-			return embedOutcome{vec: v, err: err}, nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		ok := 0
-		for i, o := range outcomes {
-			if o.err != nil {
-				s.shed(ctx, "embedding "+strconv.Itoa(i), 1, o.err)
-				continue
-			}
-			vecs[i] = o.vec
-			ok++
-		}
-		if ok == 0 {
-			deg.VectorSkipped = true
-		}
-		return ok, nil
-	})
-	if err != nil {
-		return nil, deg, err
-	}
-	return vecs, deg, err
-}
-
-// searchMQ2 runs a single hybrid search over the concatenated text and the
-// averaged embedding of all queries. A failed expansion degrades to the
-// plain search; failed per-query embeddings are skipped from the mean (all
-// failing sheds the vector legs entirely).
-func (s *Searcher) searchMQ2(ctx context.Context, query string, opts Options) ([]Result, Degradation, error) {
-	var deg Degradation
-	queries, err := s.relatedQueries(ctx, query, opts.RelatedQueries)
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, deg, ctxErr
-		}
-		s.shed(ctx, "MQ2 expansion", 1, err)
-		deg.ExpansionSkipped = true
-		opts.Expansion = NoExpansion
-		res, d, err := s.searchPlain(ctx, query, opts)
-		deg.merge(d)
-		return res, deg, err
-	}
-	queries = append([]string{query}, queries...)
-	concat := strings.Join(queries, " ")
-	var qvec vector.Vector
-	err = pipeline.Run(ctx, s.obs(), pipeline.StageEmbed, len(queries), func(ctx context.Context) (int, error) {
-		vecs := make([]vector.Vector, 0, len(queries))
-		for _, q := range queries {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			v, err := s.Embedder.EmbedCtx(ctx, q)
-			if err != nil {
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					return 0, ctxErr
-				}
-				s.shed(ctx, "MQ2 embedding", 1, err)
-				deg.VectorSkipped = true
-				continue
-			}
-			vecs = append(vecs, v)
-		}
-		if len(vecs) == 0 {
-			qvec = nil
-			return 0, nil
-		}
-		qvec = embedding.Mean(vecs, s.Embedder.Dim())
-		return 1, nil
-	})
-	if err != nil {
-		return nil, deg, err
-	}
-	if qvec != nil {
-		deg.VectorSkipped = false
-	}
-	opts.Expansion = NoExpansion
-	res, d, err := s.searchOnce(ctx, concat, qvec, opts)
-	deg.merge(d)
-	return res, deg, err
-}
-
-func (s *Searcher) relatedQueries(ctx context.Context, query string, n int) ([]string, error) {
-	var resp llm.Response
-	err := pipeline.Run(ctx, s.obs(), pipeline.StageExpand, 1, func(ctx context.Context) (int, error) {
-		var err error
-		resp, err = s.LLM.Complete(ctx, llm.BuildRelatedQueriesPrompt(query, n))
-		return n, err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("search: related-query expansion: %w", err)
-	}
-	var out []string
-	for _, line := range strings.Split(resp.Content, "\n") {
-		if line = strings.TrimSpace(line); line != "" {
-			out = append(out, line)
-		}
-	}
-	return out, nil
 }
 
 func hitsToRanking(hits []index.Hit) fusion.Ranking {

@@ -61,13 +61,20 @@ type Feedback struct {
 // Positive reports whether the rating counts as positive (3-5 per §8).
 func (f Feedback) Positive() bool { return f.Rating >= 3 }
 
-// FeedbackStore accumulates feedback submissions.
+// maxFeedback bounds the retained feedback, the same 4096 entries the index
+// delete journal keeps: /api/feedback is open to any logged-in user, so an
+// unbounded store would let one client grow the heap without limit.
+const maxFeedback = 4096
+
+// FeedbackStore accumulates feedback submissions, retaining the newest
+// maxFeedback of them.
 type FeedbackStore struct {
 	mu    sync.Mutex
 	items []Feedback
 }
 
-// Add validates and stores a feedback entry.
+// Add validates and stores a feedback entry, dropping the oldest one once
+// the store is full.
 func (s *FeedbackStore) Add(f Feedback) error {
 	if f.Rating < 1 || f.Rating > 5 {
 		return fmt.Errorf("server: rating %d out of range 1-5", f.Rating)
@@ -78,10 +85,13 @@ func (s *FeedbackStore) Add(f Feedback) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.items = append(s.items, f)
+	if len(s.items) > maxFeedback {
+		s.items = s.items[len(s.items)-maxFeedback:]
+	}
 	return nil
 }
 
-// All returns a copy of the stored feedback.
+// All returns a copy of the retained feedback, oldest first.
 func (s *FeedbackStore) All() []Feedback {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -110,9 +120,6 @@ type Server struct {
 	// SSEHeartbeat is the keep-alive comment interval on idle session
 	// streams (0 = DefaultSSEHeartbeat; negative disables heartbeats).
 	SSEHeartbeat time.Duration
-	// SSEWriteTimeout is the per-write deadline on session streams
-	// (0 = sse.DefaultWriteTimeout; negative disables it).
-	SSEWriteTimeout time.Duration
 
 	// Tenants holds the engines the server routes to. A query names its
 	// tenant (X-Uniask-Tenant header or /t/{tenant}/api/... path) or, naming

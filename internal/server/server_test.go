@@ -375,6 +375,30 @@ func TestNegativeFeedbackQueries(t *testing.T) {
 	}
 }
 
+// Any logged-in user can post feedback, so the store keeps only the newest
+// maxFeedback entries, and every reader sees just those.
+func TestFeedbackStoreKeepsNewest(t *testing.T) {
+	store := &FeedbackStore{}
+	for i := 0; i <= maxFeedback; i++ {
+		if err := store.Add(Feedback{User: "u", Query: fmt.Sprintf("q%d", i), Rating: 1, Links: []string{"kb00001"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := store.All()
+	if len(all) != maxFeedback {
+		t.Fatalf("retained %d entries, want %d", len(all), maxFeedback)
+	}
+	if last := fmt.Sprintf("q%d", maxFeedback); all[0].Query != "q1" || all[len(all)-1].Query != last {
+		t.Fatalf("retained %s..%s, want q1..%s", all[0].Query, all[len(all)-1].Query, last)
+	}
+	if neg := store.NegativeFeedbackQueries(tenant.Default); len(neg) != maxFeedback || neg[0] != "q1" {
+		t.Fatalf("negative queries: %d, starting %v", len(neg), neg[:min(1, len(neg))])
+	}
+	if ds := store.HarvestGroundTruth(tenant.Default); len(ds.Queries) != maxFeedback || ds.Queries[0].Text != "q1" {
+		t.Fatalf("harvested queries: %d, starting %v", len(ds.Queries), ds.Queries[:min(1, len(ds.Queries))])
+	}
+}
+
 func TestFrontendPage(t *testing.T) {
 	srv, _ := setup(t)
 	resp, err := http.Get(srv.URL + "/")

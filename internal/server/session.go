@@ -188,7 +188,7 @@ func (s *Server) handleSessionAsk(w http.ResponseWriter, r *http.Request) {
 	}
 	defer q.close()
 
-	sw := sse.NewWriter(w, s.SSEWriteTimeout)
+	sw := sse.NewWriter(w, sse.DefaultWriteTimeout)
 	s.Sessions.StreamOpened()
 	disconnected := false
 	defer func() { s.Sessions.StreamClosed(disconnected) }()

@@ -26,8 +26,9 @@ import (
 // tenant's corpus. See StandardFactory.
 type EngineFactory func(id string, lim Limits) (*core.Engine, error)
 
-// ErrUnknownTenant is returned for tenants without an overrides entry when
-// the registry is closed to unknown tenants.
+// ErrUnknownTenant is returned for tenants without an overrides entry:
+// onboarding a bank is an explicit config change, not a side effect of a
+// typoed header.
 var ErrUnknownTenant = fmt.Errorf("tenant: unknown tenant")
 
 // ErrNoTenant is returned when a request names no tenant and the registry
@@ -38,10 +39,6 @@ var ErrNoTenant = errors.New("tenant: no tenant named")
 type Registry struct {
 	ov      *Overrides
 	factory EngineFactory
-	// AllowUnknown admits tenants without an overrides entry, built with
-	// the defaults block. Off by default: onboarding a bank is an explicit
-	// config change, not a side effect of a typoed header.
-	AllowUnknown bool
 
 	// def is the default tenant's engine (nil = the registry has no default
 	// tenant). Set once by Single, so reading it takes no lock.
@@ -82,7 +79,7 @@ func (r *Registry) Overrides() *Overrides { return r.ov }
 // Check is the single tenant validation: nil when the registry serves id,
 // ErrNoTenant when id is Default and there is no default tenant, the
 // ValidateID error for a malformed id, ErrUnknownTenant for a well-formed
-// one without an overrides entry (unless AllowUnknown is set).
+// one without an overrides entry.
 func (r *Registry) Check(id string) error {
 	if id == Default {
 		if r.def == nil {
@@ -93,7 +90,7 @@ func (r *Registry) Check(id string) error {
 	if err := ValidateID(id); err != nil {
 		return err
 	}
-	if !r.AllowUnknown && (r.ov == nil || !r.ov.Known(id)) {
+	if r.ov == nil || !r.ov.Known(id) {
 		return fmt.Errorf("%w %q (add it to the overrides file to onboard)", ErrUnknownTenant, id)
 	}
 	return nil
