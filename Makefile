@@ -74,8 +74,9 @@ chaos:
 # decoders (bytes read back from disk) and the remote-shard wire
 # frame/envelope decoders (bytes read off the network) — plus the
 # compaction pick, a pure function of the segment size list held to its
-# specification on arbitrary lists. Seeds include the checked-in crasher
-# corpora. A sharded container seed is kilobytes long, and the default
+# specification on arbitrary lists, and the four-way float dot kernel held
+# bit-identical to the one-at-a-time dot. Seeds include the checked-in
+# crasher corpora. A sharded container seed is kilobytes long, and the default
 # minimization of each new input it yields (up to 60s) would eat the whole
 # short run, so that target caps it.
 FUZZTIME ?= 5s
@@ -89,19 +90,21 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzShardedSnapshot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzRemoteWire -fuzztime $(FUZZTIME) ./internal/remote/
 	$(GO) test -run '^$$' -fuzz FuzzSSEParser -fuzztime $(FUZZTIME) ./internal/sse/
+	$(GO) test -run '^$$' -fuzz FuzzDotKernel -fuzztime $(FUZZTIME) ./internal/vector/
 
 # Query hot-path micro-benchmarks (BM25, ANN, filter bitsets, query cache,
 # shard-count scaling, tracing overhead, ingest-while-query steady state,
 # the compactor's counted write amplification under a trickle of edits,
-# admission-control overhead, the noisy-neighbor p99 delta and the
-# document-fetch RPCs one search costs on remote shards) with allocation
-# stats, recorded as BENCH_query.json via cmd/benchjson. make's /bin/sh has
+# admission-control overhead, the noisy-neighbor p99 delta, the
+# document-fetch RPCs one search costs on remote shards and HNSW graph
+# construction) with allocation stats, recorded as BENCH_query.json via
+# cmd/benchjson. make's /bin/sh has
 # no pipefail, so the pipeline's status is benchjson's: it exits 1 and
 # writes nothing when go test reports a FAIL or panic, and the report goes
 # to a temp file that replaces BENCH_query.json only on success.
 bench:
-	$(GO) test -bench 'BenchmarkSearchText|BenchmarkSearchVector|BenchmarkFilterSet|BenchmarkQueryCache|BenchmarkTrace|BenchmarkIngest|BenchmarkCompaction|BenchmarkTenant|BenchmarkSession|BenchmarkSSE|BenchmarkFinalize' \
-		-benchmem -run '^$$' ./internal/index/ ./internal/search/ ./internal/shard/ ./internal/trace/ ./internal/tenant/ ./internal/server/ \
+	$(GO) test -bench 'BenchmarkSearchText|BenchmarkSearchVector|BenchmarkFilterSet|BenchmarkQueryCache|BenchmarkTrace|BenchmarkIngest|BenchmarkCompaction|BenchmarkTenant|BenchmarkSession|BenchmarkSSE|BenchmarkFinalize|BenchmarkHNSWBuild' \
+		-benchmem -run '^$$' ./internal/index/ ./internal/search/ ./internal/shard/ ./internal/trace/ ./internal/tenant/ ./internal/server/ ./internal/vector/ \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_query_baseline.json \
 			-note "SearchVector* run the int8 quantized arena: traversal orders candidates by int8 dot products, then every surviving candidate (<= ef) is rescored with exact float32 dots before final ranking, so reported latencies include the rescoring pass and scores match the *Float32 control benchmarks exactly." \
 			> BENCH_query.json.tmp || { rm -f BENCH_query.json.tmp; exit 1; }

@@ -75,13 +75,15 @@ func TestConcurrentSearchWithLiveWriter(t *testing.T) {
 	})
 	reader(func() { ix.SearchVector("contentVector", q, 10, nil) })
 	reader(func() { ix.SearchVector("contentVector", q, 10, filters) })
+	reader(func() { ix.SearchVector("titleVector", q, 10, nil) })
 	reader(func() {
 		ix.DocByID("c005#0")
 		ix.LiveLen()
 		ix.Tombstones()
 	})
 
-	// Writer: interleave adds, deletes and parent deletes.
+	// Writer: interleave adds, deletes and parent deletes. Added pages carry
+	// both vector fields, so each Add inserts into two graphs at once.
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 150; i++ {
 		switch i % 3 {
@@ -98,7 +100,7 @@ func TestConcurrentSearchWithLiveWriter(t *testing.T) {
 					"content": "Aggiornamento della procedura per il conto corrente.",
 					"domain":  "prodotti",
 				},
-				Vectors: map[string]vector.Vector{"contentVector": v},
+				Vectors: map[string]vector.Vector{"contentVector": v, "titleVector": v},
 			})
 			if err != nil {
 				t.Error(err)

@@ -123,6 +123,7 @@ type Index struct {
 	deleted  map[int32]bool     // tombstoned ordinals
 	fields   map[string]*fieldIndex
 	vecs     map[string]vector.Index
+	dims     map[string]int                // vector field -> established dimension
 	filters  map[string]map[string][]int32 // field -> value -> docs
 
 	// searchNames and vecNames are the sorted searchable / vector field
@@ -178,6 +179,7 @@ func New(cfg Config) *Index {
 		byParent:    make(map[string][]int32),
 		fields:      make(map[string]*fieldIndex),
 		vecs:        make(map[string]vector.Index),
+		dims:        make(map[string]int),
 		filters:     make(map[string]map[string][]int32),
 		filterCache: make(map[filterKey][]uint64),
 	}
@@ -232,7 +234,9 @@ func (ix *Index) Schema() Schema { return ix.cfg.Schema }
 func (ix *Index) Analyzer() *textproc.Analyzer { return ix.cfg.Analyzer }
 
 // Add indexes a document. Vector fields present in the schema but missing
-// from the document are skipped; unknown fields are an error.
+// from the document are skipped; unknown fields are an error, and so is a
+// vector whose length differs from the first one its field stored
+// (vector.ErrDimensionMismatch) — both refused before anything is stored.
 func (ix *Index) Add(doc Document) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -249,8 +253,10 @@ func (ix *Index) Add(doc Document) error {
 			return fmt.Errorf("index: vector field %q not in schema", f)
 		}
 	}
-	// Bump before the first mutation: even a failed vector insert below has
-	// already changed index state, and a too-early bump only costs a cache
+	if err := checkDims(ix.dims, doc.Vectors); err != nil {
+		return err
+	}
+	// Bump before the first mutation: a too-early bump only costs a cache
 	// miss while a missed bump would serve stale results — on a mutable
 	// index every Add shifts the idf curve at once.
 	ix.statsKey.Add(1)
@@ -258,6 +264,7 @@ func (ix *Index) Add(doc Document) error {
 	ix.docs = append(ix.docs, doc)
 	ix.byID[doc.ID] = id
 	ix.byParent[doc.ParentID] = append(ix.byParent[doc.ParentID], id)
+	noteDims(ix.dims, doc.Vectors)
 
 	for name, fi := range ix.fields {
 		text := doc.Fields[name]
@@ -280,11 +287,70 @@ func (ix *Index) Add(doc Document) error {
 			ix.fcMu.Unlock()
 		}
 	}
-	for name, vx := range ix.vecs {
-		if v, ok := doc.Vectors[name]; ok {
-			if err := vx.Add(int(id), v); err != nil {
-				return fmt.Errorf("index: vector field %q: %w", name, err)
-			}
+	return ix.addVectors(id, doc.Vectors)
+}
+
+// checkDims refuses a vector whose length differs from its field's
+// established dimension in dims; a field with none yet accepts any.
+func checkDims(dims map[string]int, vecs map[string]vector.Vector) error {
+	for name, v := range vecs {
+		if d := dims[name]; d != 0 && len(v) != d {
+			return fmt.Errorf("index: vector field %q: %d-d vector, field holds %d-d: %w",
+				name, len(v), d, vector.ErrDimensionMismatch)
+		}
+	}
+	return nil
+}
+
+// noteDims establishes the dimension of every field in vecs that has none
+// yet — the same first-vector rule the vector indexes apply.
+func noteDims(dims map[string]int, vecs map[string]vector.Vector) {
+	for name, v := range vecs {
+		if dims[name] == 0 {
+			dims[name] = len(v)
+		}
+	}
+}
+
+// acceptsDims is checkDims against this index's established dimensions,
+// under the read lock.
+func (ix *Index) acceptsDims(vecs map[string]vector.Vector) error {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return checkDims(ix.dims, vecs)
+}
+
+// addVectors inserts a document's vectors under ordinal id, one goroutine
+// per vector field beyond the first, joined before it returns (still under
+// the caller's write lock). The fields' graphs share nothing, and each
+// still receives documents in ordinal order from its own seeded generator,
+// so every graph is the one a sequential insert builds.
+func (ix *Index) addVectors(id int32, vecs map[string]vector.Vector) error {
+	errs := make([]error, len(ix.vecNames))
+	var wg sync.WaitGroup
+	inline := -1
+	for i, name := range ix.vecNames {
+		v, ok := vecs[name]
+		switch {
+		case !ok:
+		case inline < 0:
+			inline = i
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = ix.vecs[name].Add(int(id), v)
+			}()
+		}
+	}
+	if inline >= 0 {
+		name := ix.vecNames[inline]
+		errs[inline] = ix.vecs[name].Add(int(id), vecs[name])
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("index: vector field %q: %w", ix.vecNames[i], err)
 		}
 	}
 	return nil

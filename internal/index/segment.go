@@ -185,13 +185,24 @@ func (s *Segmented) assignSeq(id string) {
 }
 
 // Add indexes a document into the memtable, sealing it first when full.
-// Duplicate ids are rejected across every part, not just the memtable.
+// Duplicate ids and vectors of another dimension than their field's are
+// rejected across every part, not just the memtable: a fresh memtable has
+// no dimension of its own yet.
 func (s *Segmented) Add(doc Document) error {
 	s.mu.RLock()
 	dup, mem := liveInAny(s.sealed, doc.ID), s.mem
+	var dimErr error
+	for _, seg := range s.sealed {
+		if dimErr = seg.acceptsDims(doc.Vectors); dimErr != nil {
+			break
+		}
+	}
 	s.mu.RUnlock()
 	if dup {
 		return fmt.Errorf("%w: %s", ErrDuplicateID, doc.ID)
+	}
+	if dimErr != nil {
+		return dimErr
 	}
 	if err := mem.Add(doc); err != nil {
 		return err

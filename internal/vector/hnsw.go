@@ -119,15 +119,36 @@ func NewHNSW(cfg HNSWConfig) *HNSW {
 // Len implements Index.
 func (h *HNSW) Len() int { return len(h.ids) }
 
-// Arena views.
+// Arena views. A view's capacity ends with its slot, so reslicing it past
+// dim (as dotF4 and dotQ do to match a longer query) panics rather than
+// reading the next node's vector.
 func (h *HNSW) vec(n int32) []float32 {
 	s := int(n) * h.dim
-	return h.vecs[s : s+h.dim]
+	return h.vecs[s : s+h.dim : s+h.dim]
+}
+
+// dists appends the cosine distance 1 - dot(q, vec(n)) of every node in
+// nodes to dst, in order, four nodes per pass of dotF4 — each value
+// bit-identical to 1 - dotF(q, vec(n)). A short last pass repeats its last
+// node: the spare chains run beside the real ones for about the latency of
+// a single dotF, and their results are dropped.
+func (h *HNSW) dists(dst, q []float32, nodes []int32) []float32 {
+	for i := 0; i < len(nodes); i += 4 {
+		var quad [4]int32
+		k := copy(quad[:], nodes[i:])
+		for j := k; j < 4; j++ {
+			quad[j] = quad[k-1]
+		}
+		a, b, c, d := dotF4(q, h.vec(quad[0]), h.vec(quad[1]), h.vec(quad[2]), h.vec(quad[3]))
+		ds := [4]float32{1 - a, 1 - b, 1 - c, 1 - d}
+		dst = append(dst, ds[:k]...)
+	}
+	return dst
 }
 
 func (h *HNSW) qvec(n int32) []int8 {
 	s := int(n) * h.dim
-	return h.qvecs[s : s+h.dim]
+	return h.qvecs[s : s+h.dim : s+h.dim]
 }
 
 func (h *HNSW) neighbors0(n int32) []int32 {
@@ -260,7 +281,7 @@ func (h *HNSW) Add(id int, v Vector) error {
 	ep := h.entry
 	// Greedy descent through layers above the new node's level.
 	for l := h.maxLvl; l > level; l-- {
-		ep = h.greedyF(q, ep, l)
+		ep = h.greedyF(&h.cst, q, ep, l)
 	}
 	// Insert with neighbor selection from min(level, maxLvl) down to 0.
 	top := level
@@ -292,15 +313,19 @@ func (h *HNSW) maxM(layer int) int {
 }
 
 // greedyF walks layer l greedily from ep toward q over the float32 arena
-// and returns the local minimum.
-func (h *HNSW) greedyF(q []float32, ep int32, l int) int32 {
+// and returns the local minimum. Each step computes the distances of the
+// whole neighbour list first (st.dist is the scratch), then scans them in
+// list order for strict improvements.
+func (h *HNSW) greedyF(st *searchState, q []float32, ep int32, l int) int32 {
 	best := ep
 	bestD := 1 - dotF(q, h.vec(ep))
 	for {
 		improved := false
-		for _, n := range h.layerNeighbors(best, l) {
-			if d := 1 - dotF(q, h.vec(n)); d < bestD {
-				best, bestD = n, d
+		nbrs := h.layerNeighbors(best, l)
+		st.dist = h.dists(st.dist[:0], q, nbrs)
+		for i, d := range st.dist {
+			if d < bestD {
+				best, bestD = nbrs[i], d
 				improved = true
 			}
 		}
@@ -333,29 +358,27 @@ func (h *HNSW) greedyQ(qq []int8, ep int32, l int) int32 {
 // beam search with candidate list size ef at layer l, starting from entry
 // points eps. It returns up to ef node ordinals ordered from closest to
 // farthest, valid until the next construction call (shared scratch).
+//
+// Each expansion marks its unseen neighbours in list order, computes their
+// distances as one batch, then pushes them in that same order under the
+// same conditions as the one-at-a-time loop — so the heaps, and the links
+// built from them, are unchanged.
 func (h *HNSW) searchLayerF(q []float32, eps []int32, ef, l int) []int32 {
 	st := &h.cst
 	st.begin(len(h.ids))
-	for _, ep := range eps {
-		if st.seen(ep) {
-			continue
-		}
-		st.mark(ep)
-		d := 1 - dotF(q, h.vec(ep))
-		pushMin(&st.cand, qItem{ep, d})
-		pushMax(&st.res, qItem{ep, d})
+	st.dist = h.dists(st.dist[:0], q, st.markUnseen(eps))
+	for i, ep := range st.nodes {
+		pushMin(&st.cand, qItem{ep, st.dist[i]})
+		pushMax(&st.res, qItem{ep, st.dist[i]})
 	}
 	for len(st.cand) > 0 {
 		c := popMin(&st.cand)
 		if len(st.res) >= ef && c.key > st.res[0].key {
 			break
 		}
-		for _, n := range h.layerNeighbors(c.node, l) {
-			if st.seen(n) {
-				continue
-			}
-			st.mark(n)
-			d := 1 - dotF(q, h.vec(n))
+		st.dist = h.dists(st.dist[:0], q, st.markUnseen(h.layerNeighbors(c.node, l)))
+		for i, n := range st.nodes {
+			d := st.dist[i]
 			if len(st.res) < ef || d < st.res[0].key {
 				pushMin(&st.cand, qItem{n, d})
 				pushMax(&st.res, qItem{n, d})
@@ -384,10 +407,16 @@ func (h *HNSW) selectHeuristicInto(dst []int32, q []float32, cand []int32, m int
 	if len(cand) <= m {
 		return append(dst, cand...)
 	}
+	st := &h.cst
+	st.dist = h.dists(st.dist[:0], q, cand)
 	h.cds = h.cds[:0]
-	for _, c := range cand {
-		h.cds = append(h.cds, candDist{c, 1 - dotF(q, h.vec(c))})
+	for i, c := range cand {
+		h.cds = append(h.cds, candDist{c, st.dist[i]})
 	}
+	// sort.Slice, not a stable sort or an id tiebreak: exact distance ties
+	// are common (every chunk of a page shares its title vector), and the
+	// order sort.Slice leaves them in is part of the graph
+	// (TestHNSWGraphPinned).
 	sort.Slice(h.cds, func(i, j int) bool { return h.cds[i].dist < h.cds[j].dist })
 
 	selected := dst
@@ -396,14 +425,7 @@ func (h *HNSW) selectHeuristicInto(dst []int32, q []float32, cand []int32, m int
 		if len(selected) >= m {
 			break
 		}
-		good := true
-		for _, s := range selected {
-			if 1-dotF(h.vec(c.node), h.vec(s)) < c.dist {
-				good = false
-				break
-			}
-		}
-		if good {
+		if h.diverse(c, selected) {
 			selected = append(selected, c.node)
 		} else {
 			h.disc = append(h.disc, c.node)
@@ -417,6 +439,25 @@ func (h *HNSW) selectHeuristicInto(dst []int32, q []float32, cand []int32, m int
 		selected = append(selected, c)
 	}
 	return selected
+}
+
+// diverse reports whether candidate c is no closer to any already-selected
+// neighbour than to the node being linked — the heuristic's keep test. It
+// checks the selection four neighbours per batch, so a rejected candidate
+// may cost up to three distances past the one that rejects it; the
+// decision is the same.
+func (h *HNSW) diverse(c candDist, selected []int32) bool {
+	st := &h.cst
+	vc := h.vec(c.node)
+	for i := 0; i < len(selected); i += 4 {
+		st.dist = h.dists(st.dist[:0], vc, selected[i:min(i+4, len(selected))])
+		for _, d := range st.dist {
+			if d < c.dist {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // getState checks a pooled search state out for one query.
@@ -457,7 +498,7 @@ func (h *HNSW) SearchUnit(q Vector, k int, accept Accept) []Result {
 	if h.cfg.DisableQuantization {
 		ep := h.entry
 		for l := h.maxLvl; l > 0; l-- {
-			ep = h.greedyF(q, ep, l)
+			ep = h.greedyF(st, q, ep, l)
 		}
 		h.beamF(st, q, ep, ef, accept)
 	} else {
@@ -469,9 +510,13 @@ func (h *HNSW) SearchUnit(q Vector, k int, accept Accept) []Result {
 		h.beamQ(st, ep, ef, accept)
 	}
 	// Rescore the survivors with exact float32 distances.
+	st.nodes = st.nodes[:0]
 	for _, it := range st.res {
-		n := it.node
-		st.rescore = append(st.rescore, Result{ID: int(h.ids[n]), Distance: 1 - dotF(q, h.vec(n))})
+		st.nodes = append(st.nodes, it.node)
+	}
+	st.dist = h.dists(st.dist[:0], q, st.nodes)
+	for i, n := range st.nodes {
+		st.rescore = append(st.rescore, Result{ID: int(h.ids[n]), Distance: st.dist[i]})
 	}
 	sortResultsInPlace(st.rescore)
 	if k > len(st.rescore) {
@@ -517,7 +562,8 @@ func (h *HNSW) beamQ(st *searchState, ep int32, ef int, accept Accept) {
 	}
 }
 
-// beamF is beamQ over the float32 arena (exact traversal distances).
+// beamF is beamQ over the float32 arena (exact traversal distances), each
+// expansion's distances batched as in searchLayerF.
 func (h *HNSW) beamF(st *searchState, q Vector, ep int32, ef int, accept Accept) {
 	st.mark(ep)
 	d := 1 - dotF(q, h.vec(ep))
@@ -530,12 +576,9 @@ func (h *HNSW) beamF(st *searchState, q Vector, ep int32, ef int, accept Accept)
 		if len(st.res) >= ef && c.key > st.res[0].key {
 			break
 		}
-		for _, n := range h.neighbors0(c.node) {
-			if st.seen(n) {
-				continue
-			}
-			st.mark(n)
-			d := 1 - dotF(q, h.vec(n))
+		st.dist = h.dists(st.dist[:0], q, st.markUnseen(h.neighbors0(c.node)))
+		for i, n := range st.nodes {
+			d := st.dist[i]
 			if len(st.res) < ef || d < st.res[0].key {
 				pushMin(&st.cand, qItem{n, d})
 				if accept == nil || accept(h.ids[n]) {

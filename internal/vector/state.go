@@ -1,10 +1,10 @@
 package vector
 
 // Pooled search state. Every HNSW search needs a visited set, a frontier
-// min-heap, a bounded result max-heap, a quantized query buffer and a
-// rescoring scratch. All five live in one searchState recycled through a
-// sync.Pool per index, so a steady-state search allocates nothing beyond
-// the caller-visible result slice.
+// min-heap, a bounded result max-heap, a quantized query buffer, a
+// rescoring scratch and a distance batch. All six live in one searchState
+// recycled through a sync.Pool per index, so a steady-state search
+// allocates nothing beyond the caller-visible result slice.
 //
 // The visited set is an epoch-stamped []uint32 indexed by node ordinal:
 // visited[n] == epoch means "seen this search". Bumping the epoch resets
@@ -28,6 +28,11 @@ type searchState struct {
 	res     []qItem // best ef so far: max-heap, farthest at root
 	qq      []int8  // quantized query
 	rescore []Result
+	// nodes and dist are one batch for HNSW.dists: the nodes whose float
+	// distances are due (an expansion's unseen neighbours, the survivors
+	// being rescored) and those distances, index for index.
+	nodes []int32
+	dist  []float32
 }
 
 // begin prepares the state for a search over n nodes.
@@ -50,6 +55,19 @@ func (st *searchState) begin(n int) {
 
 func (st *searchState) seen(n int32) bool { return st.visited[n] == st.epoch }
 func (st *searchState) mark(n int32)      { st.visited[n] = st.epoch }
+
+// markUnseen marks every node of list not yet seen this search, in list
+// order, and returns them as st.nodes.
+func (st *searchState) markUnseen(list []int32) []int32 {
+	st.nodes = st.nodes[:0]
+	for _, n := range list {
+		if !st.seen(n) {
+			st.mark(n)
+			st.nodes = append(st.nodes, n)
+		}
+	}
+	return st.nodes
+}
 
 // pushMin/popMin maintain the frontier min-heap (smallest key at root).
 func pushMin(h *[]qItem, it qItem) {

@@ -38,6 +38,24 @@ func dotF(a, b []float32) float32 {
 	return s
 }
 
+// dotF4 returns dotF(q, a), dotF(q, b), dotF(q, c) and dotF(q, d) bit for
+// bit: each accumulator sums q[i]*x[i] in index order exactly as dotF does,
+// but the four dependency chains are independent, so they overlap in the
+// pipeline instead of waiting on one another. Every operand must hold at
+// least len(q) components; the reslices below panic otherwise (arena views
+// are capped at their own slot, see HNSW.vec) and lift the bounds checks
+// out of the loop.
+func dotF4(q, a, b, c, d []float32) (sa, sb, sc, sd float32) {
+	a, b, c, d = a[:len(q)], b[:len(q)], c[:len(q)], d[:len(q)]
+	for i := range q {
+		sa += q[i] * a[i]
+		sb += q[i] * b[i]
+		sc += q[i] * c[i]
+		sd += q[i] * d[i]
+	}
+	return sa, sb, sc, sd
+}
+
 // Norm returns the Euclidean norm of v.
 func Norm(v Vector) float32 {
 	return float32(math.Sqrt(float64(Dot(v, v))))
