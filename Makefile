@@ -74,11 +74,12 @@ chaos:
 # decoders (bytes read back from disk) and the remote-shard wire
 # frame/envelope decoders (bytes read off the network) — plus the
 # compaction pick, a pure function of the segment size list held to its
-# specification on arbitrary lists, and the four-way float dot kernel held
-# bit-identical to the one-at-a-time dot. Seeds include the checked-in
-# crasher corpora. A sharded container seed is kilobytes long, and the default
-# minimization of each new input it yields (up to 60s) would eat the whole
-# short run, so that target caps it.
+# specification on arbitrary lists, the four-way float dot kernel held
+# bit-identical to the one-at-a-time dot, and HNSW construction held to the
+# same saved graph with and without its pair-distance cache. Seeds include
+# the checked-in crasher corpora. A sharded container seed is kilobytes
+# long, and the default minimization of each new input it yields (up to
+# 60s) would eat the whole short run, so that target caps it.
 FUZZTIME ?= 5s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzTokenize -fuzztime $(FUZZTIME) ./internal/textproc/
@@ -91,6 +92,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzRemoteWire -fuzztime $(FUZZTIME) ./internal/remote/
 	$(GO) test -run '^$$' -fuzz FuzzSSEParser -fuzztime $(FUZZTIME) ./internal/sse/
 	$(GO) test -run '^$$' -fuzz FuzzDotKernel -fuzztime $(FUZZTIME) ./internal/vector/
+	$(GO) test -run '^$$' -fuzz FuzzBuildCache -fuzztime $(FUZZTIME) ./internal/vector/
 
 # Query hot-path micro-benchmarks (BM25, ANN, filter bitsets, query cache,
 # shard-count scaling, tracing overhead, ingest-while-query steady state,

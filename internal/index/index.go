@@ -123,7 +123,7 @@ type Index struct {
 	deleted  map[int32]bool     // tombstoned ordinals
 	fields   map[string]*fieldIndex
 	vecs     map[string]vector.Index
-	dims     map[string]int                // vector field -> established dimension
+	dims     Dims                          // vector field -> established dimension
 	filters  map[string]map[string][]int32 // field -> value -> docs
 
 	// searchNames and vecNames are the sorted searchable / vector field
@@ -179,7 +179,7 @@ func New(cfg Config) *Index {
 		byParent:    make(map[string][]int32),
 		fields:      make(map[string]*fieldIndex),
 		vecs:        make(map[string]vector.Index),
-		dims:        make(map[string]int),
+		dims:        make(Dims),
 		filters:     make(map[string]map[string][]int32),
 		filterCache: make(map[filterKey][]uint64),
 	}
@@ -253,7 +253,7 @@ func (ix *Index) Add(doc Document) error {
 			return fmt.Errorf("index: vector field %q not in schema", f)
 		}
 	}
-	if err := checkDims(ix.dims, doc.Vectors); err != nil {
+	if err := ix.dims.Check(doc.Vectors); err != nil {
 		return err
 	}
 	// Bump before the first mutation: a too-early bump only costs a cache
@@ -264,7 +264,7 @@ func (ix *Index) Add(doc Document) error {
 	ix.docs = append(ix.docs, doc)
 	ix.byID[doc.ID] = id
 	ix.byParent[doc.ParentID] = append(ix.byParent[doc.ParentID], id)
-	noteDims(ix.dims, doc.Vectors)
+	ix.dims.Note(doc.Vectors)
 
 	for name, fi := range ix.fields {
 		text := doc.Fields[name]
@@ -290,9 +290,14 @@ func (ix *Index) Add(doc Document) error {
 	return ix.addVectors(id, doc.Vectors)
 }
 
-// checkDims refuses a vector whose length differs from its field's
-// established dimension in dims; a field with none yet accepts any.
-func checkDims(dims map[string]int, vecs map[string]vector.Vector) error {
+// Dims maps each vector field to its established dimension: the length of
+// the first vector the field accepted. An index keeps one for its own
+// vectors; the sharded facade keeps one across its shards.
+type Dims map[string]int
+
+// Check refuses a vector whose length differs from its field's established
+// dimension; a field with none yet accepts any.
+func (dims Dims) Check(vecs map[string]vector.Vector) error {
 	for name, v := range vecs {
 		if d := dims[name]; d != 0 && len(v) != d {
 			return fmt.Errorf("index: vector field %q: %d-d vector, field holds %d-d: %w",
@@ -302,9 +307,9 @@ func checkDims(dims map[string]int, vecs map[string]vector.Vector) error {
 	return nil
 }
 
-// noteDims establishes the dimension of every field in vecs that has none
-// yet — the same first-vector rule the vector indexes apply.
-func noteDims(dims map[string]int, vecs map[string]vector.Vector) {
+// Note establishes the dimension of every field in vecs that has none yet —
+// the same first-vector rule the vector indexes apply.
+func (dims Dims) Note(vecs map[string]vector.Vector) {
 	for name, v := range vecs {
 		if dims[name] == 0 {
 			dims[name] = len(v)
@@ -312,12 +317,12 @@ func noteDims(dims map[string]int, vecs map[string]vector.Vector) {
 	}
 }
 
-// acceptsDims is checkDims against this index's established dimensions,
+// acceptsDims is Dims.Check against this index's established dimensions,
 // under the read lock.
 func (ix *Index) acceptsDims(vecs map[string]vector.Vector) error {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return checkDims(ix.dims, vecs)
+	return ix.dims.Check(vecs)
 }
 
 // addVectors inserts a document's vectors under ordinal id, one goroutine
@@ -354,6 +359,20 @@ func (ix *Index) addVectors(id int32, vecs map[string]vector.Vector) error {
 		}
 	}
 	return nil
+}
+
+// releaseBuildCaches frees what the part's HNSW graphs keep only for
+// construction (their pair-distance caches), under the part's write lock.
+// The segmented store calls it on a part that receives no more Adds: a
+// sealed memtable and a merge's result.
+func (ix *Index) releaseBuildCaches() {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	for _, vx := range ix.vecs {
+		if h, ok := vx.(*vector.HNSW); ok {
+			h.ReleaseBuildCache()
+		}
+	}
 }
 
 // Doc returns the stored document at the given internal ordinal.

@@ -120,7 +120,7 @@ func read(r io.Reader, cfg Config) (*Index, error) {
 		ix.deleted[ord] = true
 	}
 	for i, d := range snap.Docs {
-		noteDims(ix.dims, d.Vectors) // tombstoned chunks are in the graphs too
+		ix.dims.Note(d.Vectors) // tombstoned chunks are in the graphs too
 		if ix.isDeleted(int32(i)) {
 			continue
 		}

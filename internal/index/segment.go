@@ -308,17 +308,20 @@ func (s *Segmented) Publish() {
 // installs a fresh memtable. The sealed *Index is the same object the
 // memtable was — no data moves, so a concurrent search observes identical
 // documents and statistics through either topology and a torn stats
-// snapshot is structurally impossible.
+// snapshot is structurally impossible. The sealed part never receives
+// another Add, so its graphs' construction caches go.
 func (s *Segmented) seal() {
 	s.mu.Lock()
 	if s.mem.Len() == 0 {
 		s.mu.Unlock()
 		return
 	}
-	s.chunksSealed.Add(uint64(s.mem.Len()))
-	s.sealed = append(s.sealed, s.mem)
+	out := s.mem
+	s.chunksSealed.Add(uint64(out.Len()))
+	s.sealed = append(s.sealed, out)
 	s.mem = New(s.cfg)
 	s.mu.Unlock()
+	out.releaseBuildCaches()
 	s.seals.Add(1)
 	// Publication: the sealed documents' contribution to the idf curve is
 	// now permanent, so snapshots scored before them are stale.
@@ -518,6 +521,7 @@ func (s *Segmented) merge(ctx context.Context, start int, window []*Index) error
 			}
 		}
 	}
+	merged.releaseBuildCaches()
 
 	s.mu.Lock()
 	if start+len(window) > len(s.sealed) || s.sealed[start] != window[0] {

@@ -371,3 +371,54 @@ func TestSegmentedBackgroundCompactionKeepsUp(t *testing.T) {
 		}
 	}
 }
+
+// buildCacheEntries sums the pair-cache entries part's HNSW graphs hold.
+func buildCacheEntries(part *Index) int {
+	n := 0
+	for _, vx := range part.vecs {
+		n += vx.(*vector.HNSW).BuildCacheEntries()
+	}
+	return n
+}
+
+// TestSealDropsBuildCache: a graph keeps its construction cache only while
+// it can still grow. Sealing drops the outgoing memtable's, a merge drops
+// its result's, and a later Add to the fresh memtable builds as before.
+func TestSealDropsBuildCache(t *testing.T) {
+	s := NewSegmented(Config{}, SegmentConfig{MemtableMaxDocs: -1, CompactionFanIn: -1})
+	docs := segCorpus(61)
+	sealedClean := func(when string) {
+		t.Helper()
+		for i, seg := range s.sealed {
+			if n := buildCacheEntries(seg); n != 0 {
+				t.Fatalf("%s: sealed segment %d holds %d cache entries", when, i, n)
+			}
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for _, d := range docs[round*30 : (round+1)*30] {
+			if err := s.Add(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if buildCacheEntries(s.mem) == 0 {
+			t.Fatal("a memtable being built holds no pair cache")
+		}
+		s.Publish()
+		sealedClean("after Publish")
+	}
+	if err := s.CompactAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.sealed) != 1 {
+		t.Fatalf("CompactAll left %d sealed segments, want 1", len(s.sealed))
+	}
+	sealedClean("after a merge")
+	last := docs[60]
+	if err := s.Add(last); err != nil {
+		t.Fatal(err)
+	}
+	if hits := s.SearchVector("contentVector", last.Vectors["contentVector"], 1, nil); len(hits) != 1 || hits[0].ID != last.ID {
+		t.Fatalf("nearest neighbour of the chunk added after the merge = %+v, want %s", hits, last.ID)
+	}
+}

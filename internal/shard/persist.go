@@ -108,6 +108,7 @@ func Load(r io.Reader, cfg Config) (*Sharded, error) {
 	loaded := NewWithBackends(Config{Shards: m.Shards, Index: cfg.Index, Segment: cfg.Segment, Workers: cfg.Workers}, backends)
 	loaded.nextSeq, loaded.seq = m.NextSeq, m.Seq
 	if m.Shards == cfg.Shards {
+		loaded.deriveDims()
 		return loaded, nil
 	}
 	// Shard-count change: re-route every live document through a fresh

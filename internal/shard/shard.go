@@ -96,6 +96,14 @@ type Sharded struct {
 	seq     map[string]uint64
 	nextSeq uint64
 
+	// dims holds each vector field's dimension across every shard: the
+	// length of the first vector the facade accepted, re-derived from the
+	// shards on Load. A shard only knows its own, so one still empty of a
+	// field would take any length. dimMu guards dims and is held across a
+	// write, so the check and the note are one step.
+	dimMu sync.Mutex
+	dims  index.Dims
+
 	// journal aggregates the shards' deletes into one stream so the query
 	// cache keeps a single cursor against the facade (see index.Queryable).
 	journal *index.DeleteJournal
@@ -128,6 +136,7 @@ func NewWithBackends(cfg Config, backends []Backend) *Sharded {
 		shards:  backends,
 		tmpl:    index.New(cfg.Index),
 		seq:     make(map[string]uint64),
+		dims:    make(index.Dims),
 		journal: index.NewDeleteJournal(),
 		stats:   make([]queryStat, len(backends)),
 	}
@@ -209,34 +218,78 @@ func (s *Sharded) assignSeq(id string) {
 	s.seqMu.Unlock()
 }
 
+// deriveDims re-establishes dims from the shards' documents: per field, the
+// first vector found (tombstoned chunks count, their vectors are in the
+// graphs too). The scan stops once every vector field has one.
+func (s *Sharded) deriveDims() {
+	s.dimMu.Lock()
+	defer s.dimMu.Unlock()
+	fields := len(s.VectorFields())
+	for _, sh := range s.shards {
+		for ord, n := 0, sh.Len(); ord < n && len(s.dims) < fields; ord++ {
+			s.dims.Note(sh.Doc(ord).Vectors)
+		}
+	}
+}
+
 // Add routes the document to its shard. Duplicate-id detection works
-// unchanged: equal ids always hash to the same shard.
+// unchanged: equal ids always hash to the same shard. A vector of another
+// dimension than its field's is refused before routing, and the arrival
+// sequence is stamped only once the shard has accepted the document, so a
+// rejected duplicate leaves its live copy's place in vector ties alone.
 func (s *Sharded) Add(doc index.Document) error {
+	s.dimMu.Lock()
+	defer s.dimMu.Unlock()
+	if err := s.dims.Check(doc.Vectors); err != nil {
+		return err
+	}
+	if err := s.shards[s.ShardFor(doc.ID)].Add(doc); err != nil {
+		return err
+	}
+	s.dims.Note(doc.Vectors)
 	s.assignSeq(doc.ID)
-	return s.shards[s.ShardFor(doc.ID)].Add(doc)
+	return nil
 }
 
 // AddBulk partitions docs by owning shard (preserving relative order, so
 // each shard's insertion order — and therefore its HNSW graph — is
 // deterministic) and feeds the shards in parallel. On error the index may
-// be partially updated, exactly like a stopped sequential loop.
+// be partially updated, exactly like a stopped sequential loop. A document
+// whose vector has another dimension than its field's (established before
+// or earlier in docs) stops the batch there: the documents before it are
+// added, then that refusal is returned.
 func (s *Sharded) AddBulk(docs []index.Document) error {
+	s.dimMu.Lock()
+	defer s.dimMu.Unlock()
+	var dimErr error
+	for i, d := range docs {
+		if dimErr = s.dims.Check(d.Vectors); dimErr != nil {
+			docs = docs[:i]
+			break
+		}
+		s.dims.Note(d.Vectors)
+	}
+	var err error
 	if len(s.shards) == 1 {
 		for _, d := range docs {
 			s.assignSeq(d.ID)
 		}
-		return s.shards[0].AddBulk(docs)
+		err = s.shards[0].AddBulk(docs)
+	} else {
+		parts := make([][]index.Document, len(s.shards))
+		for _, d := range docs {
+			s.assignSeq(d.ID)
+			i := s.ShardFor(d.ID)
+			parts[i] = append(parts[i], d)
+		}
+		_, err = pipeline.Map(context.Background(), s.cfg.Workers, len(s.shards),
+			func(_ context.Context, i int) (struct{}, error) {
+				return struct{}{}, s.shards[i].AddBulk(parts[i])
+			})
 	}
-	parts := make([][]index.Document, len(s.shards))
-	for _, d := range docs {
-		s.assignSeq(d.ID)
-		i := s.ShardFor(d.ID)
-		parts[i] = append(parts[i], d)
+	if err == nil {
+		err = dimErr
 	}
-	_, err := pipeline.Map(context.Background(), s.cfg.Workers, len(s.shards),
-		func(_ context.Context, i int) (struct{}, error) {
-			return struct{}{}, s.shards[i].AddBulk(parts[i])
-		})
 	return err
 }
 

@@ -1,6 +1,8 @@
 package shard_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -168,5 +170,100 @@ func TestSingleShardFacadeMatchesIndex(t *testing.T) {
 	b := fmt.Sprintf("%#v", facade.SearchText("contenuto carta", 5, index.TextOptions{}))
 	if a != b {
 		t.Fatalf("single-shard facade diverged:\nindex:  %s\nfacade: %s", a, b)
+	}
+}
+
+// idsOnShards returns two chunk ids the facade routes to different shards.
+func idsOnShards(s *shard.Sharded) (a, b string) {
+	a = "v000#0"
+	for i := 1; ; i++ {
+		b = fmt.Sprintf("v%03d#0", i)
+		if s.ShardFor(b) != s.ShardFor(a) {
+			return a, b
+		}
+	}
+}
+
+// vecDoc is a chunk carrying one contentVector.
+func vecDoc(id string, v vector.Vector) index.Document {
+	d := doc(id, id, "titolo", "contenuto")
+	d.Vectors = map[string]vector.Vector{"contentVector": v}
+	return d
+}
+
+// TestRejectedDuplicateKeepsTieOrder: re-adding a live chunk id is refused
+// and must not move that chunk in vector ties. The facade used to stamp the
+// arrival sequence before the shard refused the duplicate, so A tied
+// behind B on two shards while one index ranks A first.
+func TestRejectedDuplicateKeepsTieOrder(t *testing.T) {
+	exact := index.Config{VectorIndex: func(string) vector.Index { return vector.NewExhaustive() }}
+	s := shard.New(shard.Config{Shards: 2, Index: exact})
+	mono := index.New(exact)
+	a, b := idsOnShards(s)
+	v := vector.Vector{1, 0, 0, 0}
+	for _, r := range []index.Repository{s, mono} {
+		for _, id := range []string{a, b} {
+			if err := r.Add(vecDoc(id, v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.Add(vecDoc(a, v)); !errors.Is(err, index.ErrDuplicateID) {
+			t.Fatalf("re-adding %s: err = %v, want ErrDuplicateID", a, err)
+		}
+	}
+	ids := func(hits []index.Hit) (out []string) {
+		for _, h := range hits {
+			out = append(out, h.ID)
+		}
+		return out
+	}
+	want := fmt.Sprint(ids(mono.SearchVector("contentVector", v, 2, nil)))
+	if got := fmt.Sprint(ids(s.SearchVector("contentVector", v, 2, nil))); got != want {
+		t.Fatalf("sharded ties = %s, monolithic %s", got, want)
+	}
+}
+
+// TestFacadeRefusesOtherDimension: a field's dimension holds across shards.
+// A 3-d chunk routed to a shard that has no vector yet used to be taken
+// there, and a 4-d query then panicked inside the fan-out. Add, AddBulk and
+// a reloaded facade refuse it before routing.
+func TestFacadeRefusesOtherDimension(t *testing.T) {
+	s := shard.New(shard.Config{Shards: 2})
+	a, b := idsOnShards(s)
+	four := vector.Vector{1, 0, 0, 0}
+	if err := s.Add(vecDoc(a, four)); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(f *shard.Sharded, when string) {
+		t.Helper()
+		if err := f.Add(vecDoc(b, vector.Vector{0, 1, 0})); !errors.Is(err, vector.ErrDimensionMismatch) {
+			t.Fatalf("%s: 3-d Add: err = %v, want ErrDimensionMismatch", when, err)
+		}
+		if f.Len() != 1 {
+			t.Fatalf("%s: the refused chunk was stored (%d chunks)", when, f.Len())
+		}
+		if hits := f.SearchVector("contentVector", four, 5, nil); len(hits) != 1 || hits[0].ID != a {
+			t.Fatalf("%s: 4-d search = %+v, want [%s]", when, hits, a)
+		}
+	}
+	refused(s, "live")
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := shard.Load(&buf, shard.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused(loaded, "reloaded")
+
+	bulk := shard.New(shard.Config{Shards: 2})
+	c := "v999#0"
+	err = bulk.AddBulk([]index.Document{vecDoc(b, vector.Vector{0, 1, 0}), vecDoc(c, vector.Vector{0, 0, 1}), vecDoc(a, four)})
+	if !errors.Is(err, vector.ErrDimensionMismatch) {
+		t.Fatalf("AddBulk 3-d, 3-d, 4-d: err = %v, want ErrDimensionMismatch", err)
+	}
+	if bulk.Len() != 2 {
+		t.Fatalf("AddBulk stored %d chunks, want the 2 before the refused one", bulk.Len())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -29,7 +30,15 @@ func titleStyleVectors(n, dim int, seed int64) []Vector {
 // buildHNSW inserts vs under ids 0..n-1 in order.
 func buildHNSW(tb testing.TB, vs []Vector, cfg HNSWConfig) *HNSW {
 	tb.Helper()
+	return buildWithCache(tb, vs, cfg, pairCacheMax)
+}
+
+// buildWithCache is buildHNSW with the pair cache capped at max entries (a
+// power of two; 0 builds without one).
+func buildWithCache(tb testing.TB, vs []Vector, cfg HNSWConfig, max int) *HNSW {
+	tb.Helper()
 	h := NewHNSW(cfg)
+	h.pcMax = max
 	for i, v := range vs {
 		if err := h.Add(i, v); err != nil {
 			tb.Fatal(err)
@@ -72,18 +81,7 @@ func graphDigest(tb testing.TB, h *HNSW) string {
 // link, and so the digest. A change that means to alter the graph re-pins
 // these digests and says why.
 func TestHNSWGraphPinned(t *testing.T) {
-	cases := []struct {
-		name       string
-		n, dim     int
-		cfg        HNSWConfig
-		wantSHA256 string
-	}{
-		{"dim64-M8", 600, 64, HNSWConfig{M: 8, EfConstruction: 80, Seed: 29},
-			"fc959fe07d1e981e7c590698a27bdc2116e5b79f6b92c5116e3dde5a24446ae7"},
-		{"dim256", 300, 256, HNSWConfig{EfConstruction: 80, Seed: 31},
-			"4ee3c9a97f33966e11a7c3430ed5352f36d548916f43dbebea0088da8e31c305"},
-	}
-	for _, c := range cases {
+	for _, c := range pinnedGraphs {
 		t.Run(c.name, func(t *testing.T) {
 			h := buildHNSW(t, titleStyleVectors(c.n, c.dim, int64(c.dim)), c.cfg)
 			if got := graphDigest(t, h); got != c.wantSHA256 {
@@ -93,15 +91,99 @@ func TestHNSWGraphPinned(t *testing.T) {
 	}
 }
 
+// pinnedGraphs are TestHNSWGraphPinned's seeded graphs and their digests.
+var pinnedGraphs = []struct {
+	name       string
+	n, dim     int
+	cfg        HNSWConfig
+	wantSHA256 string
+}{
+	{"dim64-M8", 600, 64, HNSWConfig{M: 8, EfConstruction: 80, Seed: 29},
+		"fc959fe07d1e981e7c590698a27bdc2116e5b79f6b92c5116e3dde5a24446ae7"},
+	{"dim256", 300, 256, HNSWConfig{EfConstruction: 80, Seed: 31},
+		"4ee3c9a97f33966e11a7c3430ed5352f36d548916f43dbebea0088da8e31c305"},
+}
+
+// TestBuildCacheKeepsGraph: the pair cache only ever returns a distance
+// bit-identical to the one it saves, so the pinned graphs come out the same
+// with the smallest cache, one bucket of pcWays entries (pairs evict each
+// other all the time), and with no cache at all.
+func TestBuildCacheKeepsGraph(t *testing.T) {
+	for _, c := range pinnedGraphs {
+		for _, max := range []int{pcWays, 0} {
+			t.Run(fmt.Sprintf("%s/cache=%d", c.name, max), func(t *testing.T) {
+				h := buildWithCache(t, titleStyleVectors(c.n, c.dim, int64(c.dim)), c.cfg, max)
+				if got := graphDigest(t, h); got != c.wantSHA256 {
+					t.Fatalf("graph digest = %s, want %s", got, c.wantSHA256)
+				}
+				if got := h.BuildCacheEntries(); got != max {
+					t.Fatalf("cache holds %d entries, want %d", got, max)
+				}
+			})
+		}
+	}
+}
+
+// buildDistanceBudget is the ceiling on the distances BenchmarkHNSWBuild's
+// graph costs to construct: the 1 588 622 measured with the pair cache,
+// plus 10 %. Without the cache construction computes 9 744 370.
+const buildDistanceBudget = 1_747_484
+
+// TestHNSWBuildDistanceBudget is the counted guard on construction work:
+// building BenchmarkHNSWBuild's graph stays within buildDistanceBudget
+// distance evaluations.
+func TestHNSWBuildDistanceBudget(t *testing.T) {
+	h := buildHNSW(t, titleStyleVectors(1000, 256, 37), HNSWConfig{EfConstruction: 80, Seed: 41})
+	t.Logf("%d distances to build 1 000 × 256-d", h.cst.evals)
+	if h.cst.evals > buildDistanceBudget {
+		t.Errorf("%d distances to build 1 000 × 256-d, ceiling %d", h.cst.evals, buildDistanceBudget)
+	}
+}
+
 // BenchmarkHNSWBuild times graph construction alone: 1 000 vectors of 256
 // dimensions with title-style duplicates, default M and the index layer's
-// EfConstruction of 80.
+// EfConstruction of 80. dists/op counts the distances computed.
 func BenchmarkHNSWBuild(b *testing.B) {
 	vs := titleStyleVectors(1000, 256, 37)
 	cfg := HNSWConfig{EfConstruction: 80, Seed: 41}
 	b.ReportAllocs()
 	b.ResetTimer()
+	evals := 0
 	for i := 0; i < b.N; i++ {
-		buildHNSW(b, vs, cfg)
+		evals += buildHNSW(b, vs, cfg).cst.evals
 	}
+	b.ReportMetric(float64(evals)/float64(b.N), "dists/op")
+}
+
+// FuzzBuildCache builds a small random vector set — drawn with repeats and
+// zero components, so distances tie — with the smallest pair cache and
+// with none, and requires the two graphs to save the same bytes.
+func FuzzBuildCache(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(8), uint8(4), uint8(16))
+	f.Add(int64(2), uint8(64), uint8(3), uint8(2), uint8(4))
+	f.Add(int64(3), uint8(9), uint8(1), uint8(3), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, n, dim, m, ef uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		vs := make([]Vector, 1+int(n)%80)
+		for i := range vs {
+			if i > 0 && rng.Intn(3) == 0 {
+				vs[i] = vs[rng.Intn(i)]
+				continue
+			}
+			vs[i] = make(Vector, 1+int(dim)%16)
+			for j := range vs[i] {
+				vs[i][j] = float32(rng.Intn(5) - 2)
+			}
+		}
+		cfg := HNSWConfig{M: 2 + int(m)%6, EfConstruction: 1 + int(ef)%40, Seed: seed}
+		var saved [2]bytes.Buffer
+		for i, max := range []int{pcWays, 0} {
+			if err := buildWithCache(t, vs, cfg, max).Save(&saved[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(saved[0].Bytes(), saved[1].Bytes()) {
+			t.Fatalf("%d vectors of %d-d, %+v: the graph built with a cache differs from the one built without", len(vs), len(vs[0]), cfg)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package vector
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -93,6 +94,17 @@ type HNSW struct {
 	cds       []candDist
 	disc      []int32
 
+	// pc memoizes node-to-node distances for construction (see pairDists);
+	// pcMax caps its entries, and 0 turns it off (a test seam). missAt,
+	// missNodes and missDist are one pairDists call's misses; pending is
+	// diverse's uncached neighbours.
+	pc        pairCache
+	pcMax     int
+	missAt    []int32
+	missNodes []int32
+	missDist  []float32
+	pending   []int32
+
 	statePool sync.Pool
 }
 
@@ -113,6 +125,7 @@ func NewHNSW(cfg HNSWConfig) *HNSW {
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		levelM: 1 / math.Log(float64(cfg.M)),
 		m0:     2 * cfg.M,
+		pcMax:  pairCacheMax,
 	}
 }
 
@@ -145,6 +158,136 @@ func (h *HNSW) dists(dst, q []float32, nodes []int32) []float32 {
 	}
 	return dst
 }
+
+// pairDists is dists(dst, h.vec(a), nodes) through the pair cache: every
+// pair is looked up first, only the misses are computed (one dists batch)
+// and they are remembered. A remembered distance is bit-identical to a
+// recomputed one — a float product does not depend on operand order and
+// dotF4 sums the products in index order whichever operand is the query,
+// so dist(a, b) == dist(b, a) to the bit — and every decision built on it,
+// hence the graph, is the same. Misses count in h.cst.evals.
+func (h *HNSW) pairDists(dst []float32, a int32, nodes []int32) []float32 {
+	if len(h.pc.slots) == 0 {
+		h.cst.evals += len(nodes)
+		return h.dists(dst, h.vec(a), nodes)
+	}
+	base := len(dst)
+	h.missAt, h.missNodes = h.missAt[:0], h.missNodes[:0]
+	for i, n := range nodes {
+		if d, ok := h.pc.get(pairKey(a, n)); ok {
+			dst = append(dst, d)
+			continue
+		}
+		dst = append(dst, 0)
+		h.missAt = append(h.missAt, int32(base+i))
+		h.missNodes = append(h.missNodes, n)
+	}
+	h.missDist = h.dists(h.missDist[:0], h.vec(a), h.missNodes)
+	for j, d := range h.missDist {
+		dst[h.missAt[j]] = d
+		h.pc.put(pairKey(a, h.missNodes[j]), d)
+	}
+	h.cst.evals += len(h.missNodes)
+	return dst
+}
+
+// pairCacheMax caps a graph's pair cache at 2^16 entries (1 MiB): about 64
+// per node of a full memtable (index.DefaultMemtableMaxDocs, 1 024).
+const pairCacheMax = 1 << 16
+
+// pcWays is the pair cache's associativity: a bucket of four 16-byte
+// entries is one 64-byte cache line.
+const pcWays = 4
+
+// pairCache is a table of node-to-node distances, kept only while the
+// graph is being built: most of construction's distances are repeats,
+// chiefly addLink re-selecting a full node's links among the same ≤ 2M+1
+// neighbours every time one more arrives. A pair hashes to one bucket of
+// pcWays entries, most recently used first; a new pair evicts the bucket's
+// least recently used one.
+type pairCache struct {
+	slots []pairEntry
+	shift uint // 64 - log2(number of buckets)
+}
+
+// pairEntry is one slot: the pair's key and its distance. Key 0 marks an
+// empty slot (pairKey is never 0), so a new table needs no initialisation
+// pass.
+type pairEntry struct {
+	key  uint64
+	dist float32
+}
+
+// pairKey is the cache key of the unordered node pair {a, b}: the ordered
+// ordinals packed into 64 bits, plus one.
+func pairKey(a, b int32) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return (uint64(a)<<32 | uint64(b)) + 1
+}
+
+// bucket is the bucket key maps to (Fibonacci hashing onto the table).
+func (c *pairCache) bucket(key uint64) []pairEntry {
+	b := int((key*0x9E3779B97F4A7C15)>>c.shift) * pcWays
+	return c.slots[b : b+pcWays : b+pcWays]
+}
+
+// get returns the remembered distance of key's pair and moves it to the
+// front of its bucket.
+func (c *pairCache) get(key uint64) (float32, bool) {
+	if len(c.slots) == 0 {
+		return 0, false
+	}
+	b := c.bucket(key)
+	for i := range b {
+		if b[i].key == key {
+			e := b[i]
+			copy(b[1:i+1], b[:i])
+			b[0] = e
+			return e.dist, true
+		}
+	}
+	return 0, false
+}
+
+// put remembers a pair not in the table at the front of its bucket.
+func (c *pairCache) put(key uint64, d float32) {
+	b := c.bucket(key)
+	copy(b[1:], b[:pcWays-1])
+	b[0] = pairEntry{key: key, dist: d}
+}
+
+// fit sizes the table for a graph of n nodes: the power of two that holds
+// all n(n-1)/2 pairs, at least one bucket and at most max entries (a power
+// of two, at least pcWays; 0 keeps the cache off), so a five-chunk memtable
+// holds 16 entries, not 2^16. Growing re-inserts the remembered pairs.
+func (c *pairCache) fit(n, max int) {
+	want := pcWays
+	for want < n*(n-1)/2 && want < max {
+		want <<= 1
+	}
+	if max == 0 || want <= len(c.slots) {
+		return
+	}
+	old := c.slots
+	c.slots = make([]pairEntry, want)
+	c.shift = uint(64 - bits.TrailingZeros(uint(want/pcWays)))
+	for _, e := range old {
+		if e.key != 0 {
+			c.put(e.key, e.dist)
+		}
+	}
+}
+
+// ReleaseBuildCache frees the construction-only pair cache. The index
+// layer calls it when a segment is sealed and will receive no more Adds;
+// an Add after it simply starts a new cache, so the graph is unaffected.
+func (h *HNSW) ReleaseBuildCache() { h.pc = pairCache{} }
+
+// BuildCacheEntries reports the pair cache's size in entries, 0 when none
+// is held (diagnostics).
+func (h *HNSW) BuildCacheEntries() int { return len(h.pc.slots) }
 
 func (h *HNSW) qvec(n int32) []int8 {
 	s := int(n) * h.dim
@@ -201,7 +344,7 @@ func (h *HNSW) addLink(n int32, l int, nb int32) {
 	}
 	h.linkBuf = append(h.linkBuf[:0], h.layerNeighbors(n, l)...)
 	h.linkBuf = append(h.linkBuf, nb)
-	h.shrinkSel = h.selectHeuristicInto(h.shrinkSel[:0], h.vec(n), h.linkBuf, maxM)
+	h.shrinkSel = h.selectHeuristicInto(h.shrinkSel[:0], n, h.linkBuf, maxM)
 	h.setLinks(n, l, h.shrinkSel)
 }
 
@@ -270,6 +413,7 @@ func (h *HNSW) Add(id int, v Vector) error {
 		h.upOff = append(h.upOff, -1)
 	}
 	h.byID[id] = idx
+	h.pc.fit(len(h.ids), h.pcMax)
 
 	if h.entry < 0 {
 		h.entry = idx
@@ -290,8 +434,8 @@ func (h *HNSW) Add(id int, v Vector) error {
 	}
 	h.eps = append(h.eps[:0], ep)
 	for l := top; l >= 0; l-- {
-		cand := h.searchLayerF(q, h.eps, h.cfg.EfConstruction, l)
-		h.nbrSel = h.selectHeuristicInto(h.nbrSel[:0], q, cand, h.maxM(l))
+		cand := h.searchLayerF(idx, h.eps, h.cfg.EfConstruction, l)
+		h.nbrSel = h.selectHeuristicInto(h.nbrSel[:0], idx, cand, h.maxM(l))
 		h.setLinks(idx, l, h.nbrSel)
 		for _, n := range h.nbrSel {
 			h.addLink(n, l, idx)
@@ -319,10 +463,12 @@ func (h *HNSW) maxM(layer int) int {
 func (h *HNSW) greedyF(st *searchState, q []float32, ep int32, l int) int32 {
 	best := ep
 	bestD := 1 - dotF(q, h.vec(ep))
+	st.evals++
 	for {
 		improved := false
 		nbrs := h.layerNeighbors(best, l)
 		st.dist = h.dists(st.dist[:0], q, nbrs)
+		st.evals += len(nbrs)
 		for i, d := range st.dist {
 			if d < bestD {
 				best, bestD = nbrs[i], d
@@ -355,18 +501,19 @@ func (h *HNSW) greedyQ(qq []int8, ep int32, l int) int32 {
 }
 
 // searchLayerF is Algorithm 2 of the HNSW paper over the float32 arena:
-// beam search with candidate list size ef at layer l, starting from entry
-// points eps. It returns up to ef node ordinals ordered from closest to
-// farthest, valid until the next construction call (shared scratch).
+// beam search for node idx's neighbours with candidate list size ef at
+// layer l, starting from entry points eps. It returns up to ef node
+// ordinals ordered from closest to farthest, valid until the next
+// construction call (shared scratch).
 //
 // Each expansion marks its unseen neighbours in list order, computes their
 // distances as one batch, then pushes them in that same order under the
 // same conditions as the one-at-a-time loop — so the heaps, and the links
 // built from them, are unchanged.
-func (h *HNSW) searchLayerF(q []float32, eps []int32, ef, l int) []int32 {
+func (h *HNSW) searchLayerF(idx int32, eps []int32, ef, l int) []int32 {
 	st := &h.cst
 	st.begin(len(h.ids))
-	st.dist = h.dists(st.dist[:0], q, st.markUnseen(eps))
+	st.dist = h.pairDists(st.dist[:0], idx, st.markUnseen(eps))
 	for i, ep := range st.nodes {
 		pushMin(&st.cand, qItem{ep, st.dist[i]})
 		pushMax(&st.res, qItem{ep, st.dist[i]})
@@ -376,7 +523,7 @@ func (h *HNSW) searchLayerF(q []float32, eps []int32, ef, l int) []int32 {
 		if len(st.res) >= ef && c.key > st.res[0].key {
 			break
 		}
-		st.dist = h.dists(st.dist[:0], q, st.markUnseen(h.layerNeighbors(c.node, l)))
+		st.dist = h.pairDists(st.dist[:0], idx, st.markUnseen(h.layerNeighbors(c.node, l)))
 		for i, n := range st.nodes {
 			d := st.dist[i]
 			if len(st.res) < ef || d < st.res[0].key {
@@ -400,15 +547,15 @@ func (h *HNSW) searchLayerF(q []float32, eps []int32, ef, l int) []int32 {
 }
 
 // selectHeuristicInto is Algorithm 4 (select-neighbors-heuristic): it keeps
-// a candidate only if it is closer to q than to every already-selected
+// a candidate only if it is closer to node a than to every already-selected
 // neighbor, producing diverse links that preserve graph navigability. The
 // selection is appended to dst (typically a reused scratch slice).
-func (h *HNSW) selectHeuristicInto(dst []int32, q []float32, cand []int32, m int) []int32 {
+func (h *HNSW) selectHeuristicInto(dst []int32, a int32, cand []int32, m int) []int32 {
 	if len(cand) <= m {
 		return append(dst, cand...)
 	}
 	st := &h.cst
-	st.dist = h.dists(st.dist[:0], q, cand)
+	st.dist = h.pairDists(st.dist[:0], a, cand)
 	h.cds = h.cds[:0]
 	for i, c := range cand {
 		h.cds = append(h.cds, candDist{c, st.dist[i]})
@@ -442,15 +589,25 @@ func (h *HNSW) selectHeuristicInto(dst []int32, q []float32, cand []int32, m int
 }
 
 // diverse reports whether candidate c is no closer to any already-selected
-// neighbour than to the node being linked — the heuristic's keep test. It
-// checks the selection four neighbours per batch, so a rejected candidate
-// may cost up to three distances past the one that rejects it; the
-// decision is the same.
+// neighbour than to the node being linked — the heuristic's keep test. Any
+// one closer neighbour rejects, so the order of the checks cannot change
+// the decision: remembered distances go first, and a candidate one of them
+// rejects costs no dot product. The rest are computed four per batch, so a
+// rejected candidate may cost up to three distances past the one that
+// rejects it.
 func (h *HNSW) diverse(c candDist, selected []int32) bool {
 	st := &h.cst
-	vc := h.vec(c.node)
+	h.pending = h.pending[:0]
+	for _, s := range selected {
+		if d, ok := h.pc.get(pairKey(c.node, s)); !ok {
+			h.pending = append(h.pending, s)
+		} else if d < c.dist {
+			return false
+		}
+	}
+	selected = h.pending
 	for i := 0; i < len(selected); i += 4 {
-		st.dist = h.dists(st.dist[:0], vc, selected[i:min(i+4, len(selected))])
+		st.dist = h.pairDists(st.dist[:0], c.node, selected[i:min(i+4, len(selected))])
 		for _, d := range st.dist {
 			if d < c.dist {
 				return false

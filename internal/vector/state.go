@@ -33,6 +33,9 @@ type searchState struct {
 	// being rescored) and those distances, index for index.
 	nodes []int32
 	dist  []float32
+	// evals counts the distances computed on this state; only the
+	// construction state's count is read (BenchmarkHNSWBuild's dists/op).
+	evals int
 }
 
 // begin prepares the state for a search over n nodes.
