@@ -319,7 +319,7 @@ func TestPollerAppliesEditsAndDeletions(t *testing.T) {
 	if n, err := sync(); err != nil || n != 1 {
 		t.Fatalf("delete sync = %d, %v", n, err)
 	}
-	if eng.Index.HasParent("p1") {
+	if p, _ := eng.Index.HasParents([]string{"p1"}); p[0] {
 		t.Fatal("deleted page still live")
 	}
 }
@@ -351,7 +351,7 @@ func TestFailedPassReoffersThePage(t *testing.T) {
 	if _, err := sync(); !errors.Is(err, faulty.ErrInjected) {
 		t.Fatalf("pass 1 err = %v; want the injected LLM error", err)
 	}
-	if eng.Index.HasParent("p1") {
+	if p, _ := eng.Index.HasParents([]string{"p1"}); p[0] {
 		t.Fatal("pass 1 indexed a page whose enrichment failed")
 	}
 	if n, err := sync(); err != nil || n != 1 {

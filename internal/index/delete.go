@@ -88,6 +88,18 @@ func (ix *Index) HasParent(parentID string) bool {
 	return len(ix.byParent[parentID]) > 0
 }
 
+// HasParents implements Writer: present[i] reports whether any live chunk of
+// KB document ids[i] remains. A local index cannot fail to answer.
+func (ix *Index) HasParents(ids []string) (present []bool, err error) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	present = make([]bool, len(ids))
+	for i, id := range ids {
+		present[i] = len(ix.byParent[id]) > 0
+	}
+	return present, nil
+}
+
 // LiveLen reports the number of live (non-tombstoned) chunks.
 func (ix *Index) LiveLen() int {
 	ix.mu.RLock()

@@ -56,7 +56,11 @@ type Writer interface {
 	AddBulk(docs []Document) error
 	Delete(chunkID string) bool
 	DeleteParent(parentID string) int
-	HasParent(parentID string) bool
+	// HasParents reports, aligned with ids, whether a live chunk of each KB
+	// document is indexed: one question for a whole change set. An error
+	// means the store could not be asked (a sharded store with a shard
+	// down); no answer is then given for any id.
+	HasParents(ids []string) (present []bool, err error)
 }
 
 // Repository is the full index surface the engine holds: queries, writes,

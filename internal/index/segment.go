@@ -219,12 +219,19 @@ func (s *Segmented) Add(doc Document) error {
 // purpose: memtable seals must interleave at deterministic document
 // boundaries so a bulk load always produces the same segment layout.
 func (s *Segmented) AddBulk(docs []Document) error {
-	for _, d := range docs {
+	_, err := s.AddBulkCounted(docs)
+	return err
+}
+
+// AddBulkCounted is AddBulk that also reports how many documents, from the
+// front of docs, it applied before stopping.
+func (s *Segmented) AddBulkCounted(docs []Document) (applied int, err error) {
+	for i, d := range docs {
 		if err := s.Add(d); err != nil {
-			return err
+			return i, err
 		}
 	}
-	return nil
+	return len(docs), nil
 }
 
 // Delete tombstones a chunk in whichever part holds it. Sealed segments
@@ -291,6 +298,18 @@ func (s *Segmented) HasParent(parentID string) bool {
 		}
 	}
 	return false
+}
+
+// HasParents implements Writer over one view of the parts: present[i]
+// reports whether any part holds a live chunk of KB document ids[i].
+func (s *Segmented) HasParents(ids []string) (present []bool, err error) {
+	present = make([]bool, len(ids))
+	for _, part := range s.parts() {
+		for i, id := range ids {
+			present[i] = present[i] || part.HasParent(id)
+		}
+	}
+	return present, nil
 }
 
 // Publish seals the memtable (when non-empty) and schedules background

@@ -102,7 +102,11 @@ type batchItem struct {
 //
 // It returns how many leading docs were applied in full. On error the rest
 // were not: pages of a failed bulk write may be partly indexed, and offering
-// docs[applied:] again replaces them.
+// docs[applied:] again replaces them. Which pages are already indexed is one
+// HasParents question for the whole change set, asked before the first
+// write; when the store cannot answer it, nothing is written. A page fed or
+// deleted earlier in the same call is asked about again when it comes up,
+// so a change set naming one page twice applies both in order.
 //
 // Runs of pure additions (no deletions, no replacements of already-indexed
 // parents) feed the index through AddBulk, which a sharded index turns into
@@ -129,8 +133,13 @@ func (in *Indexer) Index(ctx context.Context, docs []ingest.Extracted) (applied 
 	close(jobs)
 	wg.Wait()
 
+	present, err := in.presence(items)
+	if err != nil {
+		return 0, err
+	}
 	var pending []index.Document
 	pendingParents := make(map[string]bool)
+	touched := make(map[string]bool) // pages written earlier in this call
 	flush := func() error {
 		if len(pending) == 0 {
 			return nil
@@ -151,23 +160,67 @@ func (in *Indexer) Index(ctx context.Context, docs []ingest.Extracted) (applied 
 			}
 			return applied, it.err
 		}
+		id := it.doc.ID
+		if !it.doc.Deleted && touched[id] {
+			// The batch answer predates this call's own writes to the page.
+			if pendingParents[id] {
+				if err := flush(); err != nil {
+					return applied, err
+				}
+			}
+			again, err := in.index.HasParents([]string{id})
+			if err != nil {
+				return applied, fmt.Errorf("indexer: presence: %w", err)
+			}
+			present[i] = again[0]
+		}
+		touched[id] = true
 		// Deletions, replacements of indexed parents, and replacements of
 		// parents still sitting in the pending bulk all need the sequential
 		// delete-then-add path.
-		if it.doc.Deleted || pendingParents[it.doc.ID] || in.index.HasParent(it.doc.ID) {
+		if it.doc.Deleted || present[i] {
 			if err := flush(); err != nil {
 				return applied, err
 			}
-			if err := in.feed(it); err != nil {
+			if err := in.feed(it, present[i]); err != nil {
 				return applied, err
 			}
 			applied++
 			continue
 		}
 		pending = append(pending, in.chunkDocs(it)...)
-		pendingParents[it.doc.ID] = true
+		pendingParents[id] = true
 	}
 	return applied, flush()
+}
+
+// presence asks the index, once, which of the prepared pages it holds:
+// present is aligned with items. Deletions need no answer, and neither do
+// the pages from the first failed preparation on, which are not written.
+func (in *Indexer) presence(items []batchItem) ([]bool, error) {
+	present := make([]bool, len(items))
+	var ids []string
+	var at []int
+	for i, it := range items {
+		if it.err != nil {
+			break
+		}
+		if !it.doc.Deleted {
+			ids = append(ids, it.doc.ID)
+			at = append(at, i)
+		}
+	}
+	if len(ids) == 0 {
+		return present, nil
+	}
+	answers, err := in.index.HasParents(ids)
+	if err != nil {
+		return nil, fmt.Errorf("indexer: presence: %w", err)
+	}
+	for j, i := range at {
+		present[i] = answers[j]
+	}
+	return present, nil
 }
 
 // prepare runs the parallelizable stage for one document.
@@ -217,19 +270,18 @@ func (in *Indexer) prepare(ctx context.Context, doc ingest.Extracted) batchItem 
 	return it
 }
 
-// feed applies one prepared document to the index (single-threaded).
-func (in *Indexer) feed(it *batchItem) error {
+// feed applies one prepared document to the index (single-threaded):
+// present says whether the page is indexed and its chunks must go first.
+func (in *Indexer) feed(it *batchItem, present bool) error {
 	if it.doc.Deleted {
 		in.index.DeleteParent(it.doc.ID)
 		return nil
 	}
-	if in.index.HasParent(it.doc.ID) {
+	if present {
 		in.index.DeleteParent(it.doc.ID)
 	}
-	for _, d := range in.chunkDocs(it) {
-		if err := in.index.Add(d); err != nil {
-			return fmt.Errorf("indexer: add %s: %w", it.doc.ID, err)
-		}
+	if err := in.index.AddBulk(in.chunkDocs(it)); err != nil {
+		return fmt.Errorf("indexer: add %s: %w", it.doc.ID, err)
 	}
 	return nil
 }

@@ -61,8 +61,11 @@ type parityCluster struct {
 	searcher *search.Searcher
 	facade   *shard.Sharded
 	groups   []*Group
+	indexer  *indexer.Indexer
+	pages    ingest.StaticSource
 	queries  []string
-	wire     atomic.Int64 // bytes read and written by the servers
+	wire     atomic.Int64        // bytes read and written by the servers
+	rpcs     [opEnd]atomic.Int64 // requests the servers answered, by op
 }
 
 func newParityCluster(t *testing.T) *parityCluster {
@@ -75,6 +78,11 @@ func newParityCluster(t *testing.T) *parityCluster {
 			t.Fatal(err)
 		}
 		srv := NewServer(ServerConfig{Index: testConfig()})
+		srv.seen = func(o op) {
+			if o < opEnd {
+				pc.rpcs[o].Add(1)
+			}
+		}
 		served := make(chan struct{})
 		go func() {
 			defer close(served)
@@ -101,14 +109,15 @@ func newParityCluster(t *testing.T) *parityCluster {
 
 	const seed = 7
 	corpus := kb.Generate(kb.GenConfig{Docs: 120, Seed: seed})
-	pages := make(ingest.StaticSource, len(corpus.Docs))
+	pc.pages = make(ingest.StaticSource, len(corpus.Docs))
 	for i, d := range corpus.Docs {
-		pages[i] = ingest.Page{ID: d.ID, HTML: d.HTML}
+		pc.pages[i] = ingest.Page{ID: d.ID, HTML: d.HTML}
 	}
 	emb := embedding.NewSynth(64, corpus.Lexicon())
 	client := llm.NewSim(llm.DefaultBehavior())
 	ctx := context.Background()
-	if _, err := indexer.New(pc.facade, emb, client, indexer.Config{}).Index(ctx, (&ingest.Ingester{Source: pages}).Changes()); err != nil {
+	pc.indexer = indexer.New(pc.facade, emb, client, indexer.Config{})
+	if _, err := pc.indexer.Index(ctx, (&ingest.Ingester{Source: pc.pages}).Changes()); err != nil {
 		t.Fatal(err)
 	}
 	pc.facade.Publish()
@@ -199,5 +208,53 @@ func TestQueryFetchIsPooled(t *testing.T) {
 			}
 			fresh.Close()
 		}
+	}
+}
+
+// editPass re-indexes three pages of the corpus, each with another page's
+// body, and returns what the indexer returned.
+func (pc *parityCluster) editPass() (int, error) {
+	edits := ingest.StaticSource{
+		{ID: pc.pages[0].ID, HTML: pc.pages[50].HTML},
+		{ID: pc.pages[1].ID, HTML: pc.pages[51].HTML},
+		{ID: pc.pages[2].ID, HTML: pc.pages[52].HTML},
+	}
+	return pc.indexer.Index(context.Background(), (&ingest.Ingester{Source: edits}).Changes())
+}
+
+// editPassRPCs is the ceiling on the RPCs a pass that edits three pages of
+// the parity cluster sends: the 28 measured when presence became one batch
+// per shard, plus 10 %. Asking the shards about each page in turn, and
+// again before replacing it, the same pass sent 38.
+const editPassRPCs = 30
+
+// TestIngestRPCBudget is the counted guard on the sharded write path. The
+// 120-page bulk load asks each shard once whether its pages are indexed
+// (it used to ask each shard about each page: 480 presence RPCs), and an
+// edit pass stays within editPassRPCs.
+func TestIngestRPCBudget(t *testing.T) {
+	pc := newParityCluster(t)
+	presence := pc.rpcs[opHasParents].Load() + pc.rpcs[opHasParent].Load()
+	t.Logf("bulk load of %d pages: %d presence RPCs", len(pc.pages), presence)
+	if presence > int64(len(pc.groups)) {
+		t.Errorf("bulk load of %d pages sent %d presence RPCs, ceiling %d (one per shard)", len(pc.pages), presence, len(pc.groups))
+	}
+
+	before := make([]int64, opEnd)
+	for o := range before {
+		before[o] = pc.rpcs[o].Load()
+	}
+	if applied, err := pc.editPass(); err != nil || applied != 3 {
+		t.Fatalf("edit pass: applied %d of 3, %v", applied, err)
+	}
+	var total int64
+	for o := opPing; o < opEnd; o++ {
+		if n := pc.rpcs[o].Load() - before[o]; n > 0 {
+			t.Logf("edit pass: %d %s", n, o)
+			total += n
+		}
+	}
+	if total > editPassRPCs {
+		t.Errorf("a pass editing 3 pages sent %d RPCs, ceiling %d", total, editPassRPCs)
 	}
 }

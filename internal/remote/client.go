@@ -93,10 +93,12 @@ func (c *Client) Close() error {
 }
 
 // call runs one RPC: breaker admission, transport, breaker outcome, then
-// application-error unwrapping. The span is the client half of the
-// cross-process trace; the server stamps the propagated id on its own span.
-// The request arrives by value and is stamped here, so concurrent attempts
-// of one hedged read never share a mutable envelope.
+// application-error unwrapping. An application error comes back beside the
+// reply that carried it (a refused bulk add still says how many documents
+// it applied); a transport error comes back alone. The span is the client
+// half of the cross-process trace; the server stamps the propagated id on
+// its own span. The request arrives by value and is stamped here, so
+// concurrent attempts of one hedged read never share a mutable envelope.
 func (c *Client) call(ctx context.Context, req request) (*response, error) {
 	ctx, sp := trace.Start(ctx, "remote.rpc",
 		trace.A("endpoint", c.cfg.Addr),
@@ -116,12 +118,14 @@ func (c *Client) call(ctx context.Context, req request) (*response, error) {
 	if b := c.cfg.Breaker; b != nil {
 		b.RecordCtx(ctx, err)
 	}
-	if err == nil && resp.Err != "" {
-		err = fmt.Errorf("remote: %s %s: %s", c.cfg.Addr, req.Op, resp.Err)
-	}
 	if err != nil {
 		sp.SetError(err)
 		return nil, err
+	}
+	if resp.Err != "" {
+		err = fmt.Errorf("remote: %s %s: %s", c.cfg.Addr, req.Op, resp.Err)
+		sp.SetError(err)
+		return resp, err
 	}
 	return resp, nil
 }

@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -49,18 +50,27 @@ func FuzzRemoteWire(f *testing.F) {
 	// Seeds: a tiny valid frame, a zero-length frame, a truncated header, a
 	// huge length prefix with no payload, a cap-boundary prefix, and real
 	// encoded request/response envelopes prefixed by their true length
-	// (a search pair, and the batched document fetch whose reply carries
-	// zero Documents for the ids it did not find).
+	// (a search pair, the batched document fetch whose reply carries zero
+	// Documents for the ids it did not find, and a presence batch of 100
+	// page ids with its aligned reply).
 	f.Add([]byte{0, 0, 0, 1, 'x'})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0, 0, 4, 1})
+	pages := make([]string, 100)
+	present := make([]bool, len(pages))
+	for i := range pages {
+		pages[i] = fmt.Sprintf("kb%05d", i)
+		present[i] = i%3 == 0
+	}
 	for _, envelope := range []any{
 		&request{Op: opSearchText, Query: "blocco carta", N: 5},
 		&response{Err: "boom", OK: true},
 		&request{Op: opDocsByID, Shard: 2, IDs: []string{"kb00001#0", "nope#0", "kb00001#0"}},
 		&response{Docs: []index.Document{testDoc(1), {}, testDoc(1)}},
+		&request{Op: opHasParents, Shard: 1, IDs: pages},
+		&response{Present: present},
 	} {
 		f.Add(frameStream(envelope))
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,10 +34,10 @@ var errNoReplicas = errors.New("remote: no replicas configured")
 //     cancels the losers. The query only fails when every replica has
 //     failed — a single healthy replica means 100% availability for the
 //     shard.
-//   - Writes fan out to every replica synchronously, so replicas stay
-//     byte-identical (same documents in the same order) and any replica can
-//     serve any read. A write error is reported after all replicas were
-//     attempted.
+//   - Writes go to every replica at once and return when all have
+//     answered, so replicas stay byte-identical (same documents in the same
+//     order) and any replica can serve any read. A write error is reported
+//     after all replicas were attempted.
 //
 // Replica preference rotates per call (spreading load) and demotes
 // endpoints whose breaker is not closed, so a dead or hung replica stops
@@ -170,21 +171,33 @@ func (g *Group) readDetached(req request) (*response, error) {
 	return g.read(ctx, req)
 }
 
-// write applies one RPC to every replica in turn and returns the replies of
-// those that answered, plus the first error after all were attempted (a
-// partially failed write leaves the failing replica behind; the error
-// travels to the ingest caller).
+// write applies one RPC to every replica at once and returns, once all
+// have finished, the replies of those that answered (an application error
+// is an answer) and the first error, both in replica order: which replica
+// finished first decides nothing. A partially failed write leaves the
+// failing replica behind; the error travels to the ingest caller.
 func (g *Group) write(req request) ([]*response, error) {
+	replies := make([]*response, len(g.replicas))
+	errs := make([]error, len(g.replicas))
+	var wg sync.WaitGroup
+	for i, c := range g.replicas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := g.background()
+			defer cancel()
+			replies[i], errs[i] = c.call(ctx, req)
+		}()
+	}
+	wg.Wait()
 	var first error
 	resps := make([]*response, 0, len(g.replicas))
-	for _, c := range g.replicas {
-		ctx, cancel := g.background()
-		resp, err := c.call(ctx, req)
-		cancel()
-		if err == nil {
+	for i, resp := range replies {
+		if resp != nil {
 			resps = append(resps, resp)
-		} else if first == nil {
-			first = err
+		}
+		if first == nil {
+			first = errs[i]
 		}
 	}
 	return resps, first
@@ -198,13 +211,17 @@ func (g *Group) Add(doc index.Document) error {
 	return err
 }
 
-// AddBulk implements shard.Backend.
-func (g *Group) AddBulk(docs []index.Document) error {
+// AddBulk implements shard.Backend: applied is the max per-replica count
+// (all replicas take the same documents; max tolerates one being down).
+func (g *Group) AddBulk(docs []index.Document) (applied int, err error) {
 	if len(docs) == 0 {
-		return nil
+		return 0, nil
 	}
-	_, err := g.write(request{Op: opAddBulk, Docs: docs})
-	return err
+	resps, err := g.write(request{Op: opAddBulk, Docs: docs})
+	for _, resp := range resps {
+		applied = max(applied, resp.N)
+	}
+	return applied, err
 }
 
 // Delete implements shard.Backend: true when any replica deleted the chunk
@@ -304,10 +321,22 @@ func (g *Group) ParentChunkIDs(parentID string) []string {
 	return resp.IDs
 }
 
-// HasParent implements shard.Backend.
-func (g *Group) HasParent(parentID string) bool {
-	resp, err := g.readDetached(request{Op: opHasParent, ID: parentID})
-	return err == nil && resp.OK
+// HasParents implements shard.Backend with one hedged read for the whole
+// batch. Unlike the other reads without a caller context it reports an
+// unreachable shard as an error: the indexer must not take such a shard for
+// one that lacks the page.
+func (g *Group) HasParents(ids []string) ([]bool, error) {
+	if len(ids) == 0 {
+		return nil, nil
+	}
+	resp, err := g.readDetached(request{Op: opHasParents, IDs: ids})
+	if err != nil {
+		return nil, err
+	}
+	if len(resp.Present) != len(ids) {
+		return nil, fmt.Errorf("remote: hasParents: %d answers for %d ids", len(resp.Present), len(ids))
+	}
+	return resp.Present, nil
 }
 
 // DocByID implements shard.Backend.

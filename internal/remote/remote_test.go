@@ -104,7 +104,7 @@ func TestEveryOpRoundTrips(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		docs = append(docs, testDoc(i))
 	}
-	if err := g.AddBulk(docs); err != nil {
+	if _, err := g.AddBulk(docs); err != nil {
 		t.Fatal(err)
 	}
 	if err := local.AddBulk(docs); err != nil {
@@ -164,8 +164,18 @@ func TestEveryOpRoundTrips(t *testing.T) {
 			return got, []bool{local.Add(testDoc(40)) == nil, local.Add(testDoc(40)) == nil}
 		},
 		opAddBulk: func() (any, any) {
+			// The second batch stops at its duplicate on both sides, having
+			// applied the one document before it.
 			more := []index.Document{testDoc(41), testDoc(42), testDoc(43)}
-			return g.AddBulk(more) == nil, local.AddBulk(more) == nil
+			dup := []index.Document{testDoc(44), testDoc(41), testDoc(45)}
+			var got, want []any
+			for _, batch := range [][]index.Document{more, dup} {
+				n, err := g.AddBulk(batch)
+				got = append(got, n, err == nil)
+				n, err = local.AddBulkCounted(batch)
+				want = append(want, n, err == nil)
+			}
+			return got, want
 		},
 		opDelete: func() (any, any) {
 			return []bool{g.Delete("kb00008#0"), g.Delete("kb00007#0")}, []bool{local.Delete("kb00008#0"), local.Delete("kb00007#0")}
@@ -176,7 +186,19 @@ func TestEveryOpRoundTrips(t *testing.T) {
 				[][]string{local.ParentChunkIDs("kb00005"), local.ParentChunkIDs("kb00011")}
 		},
 		opHasParent: func() (any, any) {
-			return []bool{g.HasParent("kb00005"), g.HasParent("kb00011")}, []bool{local.HasParent("kb00005"), local.HasParent("kb00011")}
+			// Only frontends of the previous release still send it.
+			var got []bool
+			for _, id := range []string{"kb00005", "kb00011"} {
+				resp, err := g.readDetached(request{Op: opHasParent, ID: id})
+				got = append(got, err == nil && resp.OK)
+			}
+			return got, []bool{local.HasParent("kb00005"), local.HasParent("kb00011")}
+		},
+		opHasParents: func() (any, any) {
+			batch := []string{"kb00005", "kb00011", "missing", "kb00005"}
+			got, err := g.HasParents(batch)
+			want, _ := local.HasParents(batch)
+			return []any{got, err}, []any{want, error(nil)}
 		},
 		opDocByID: func() (any, any) {
 			live, ok := g.DocByID("kb00005#0")
@@ -308,7 +330,7 @@ func TestOnlyWritesCreateStores(t *testing.T) {
 	}
 	g := single(srv.Addr(), 17)
 	defer g.Close()
-	if err := g.AddBulk([]index.Document{testDoc(1)}); err != nil {
+	if _, err := g.AddBulk([]index.Document{testDoc(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Shards(); len(got) != 1 || got[0] != 17 {
@@ -348,7 +370,7 @@ func TestGroupFailover(t *testing.T) {
 		"dead-first": NewGroup([]*Client{dead, live}, time.Millisecond),
 		"live-first": NewGroup([]*Client{live, dead}, time.Millisecond),
 	} {
-		if err := g.AddBulk([]index.Document{testDoc(0), testDoc(1)}); err == nil {
+		if _, err := g.AddBulk([]index.Document{testDoc(0), testDoc(1)}); err == nil {
 			t.Errorf("%s: write fan-out hid the dead replica", name)
 		}
 		hits, err := g.SearchText(context.Background(), "documento", 5, index.TextOptions{})

@@ -47,6 +47,10 @@ type Server struct {
 	closed bool
 
 	wg sync.WaitGroup
+
+	// seen is a test seam: when set, handle reports every request's op to
+	// it first.
+	seen func(op)
 }
 
 // NewServer creates an idle server; call Start (or Serve) to accept
@@ -59,19 +63,15 @@ func NewServer(cfg ServerConfig) *Server {
 // first reference.
 func (s *Server) Store(shard int) *index.Segmented { return s.store(shard, true) }
 
-// store resolves a logical shard id. An id the server does not host gets a
-// fresh empty store, which is hosted from then on only when create is set;
-// otherwise it serves the one call and is dropped, so the caller is answered
-// exactly as by an empty shard and nothing is registered.
+// store resolves a logical shard id. An id the server does not host is
+// hosted from then on when create is set; otherwise store returns nil.
 func (s *Server) store(shard int, create bool) *index.Segmented {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.stores[shard]
-	if !ok {
+	if !ok && create {
 		st = index.NewSegmented(s.cfg.Index, s.cfg.Segment)
-		if create {
-			s.stores[shard] = st
-		}
+		s.stores[shard] = st
 	}
 	return st
 }
@@ -262,10 +262,29 @@ func (s *Server) handle(req *request) (resp *response) {
 	if req.Shard < 0 {
 		return &response{Err: fmt.Sprintf("remote: negative shard id %d", req.Shard)}
 	}
+	if s.seen != nil {
+		s.seen(req.Op)
+	}
 	if req.Op == opPing {
 		return &response{OK: true}
 	}
 	st := s.store(req.Shard, req.Op == opAdd || req.Op == opAddBulk)
+	if st == nil {
+		// A shard the server does not host. Presence, which a set-up asks
+		// of every shard before its first write, and status are answered as
+		// an empty store answers them, without building one (the shard id
+		// is network input); any other read is served by a throwaway empty
+		// store.
+		switch req.Op {
+		case opHasParent:
+			return &response{}
+		case opHasParents:
+			return &response{Present: make([]bool, len(req.IDs))}
+		case opStatus:
+			return &response{Status: &shardStatus{}}
+		}
+		st = index.NewSegmented(s.cfg.Index, s.cfg.Segment)
+	}
 	switch req.Op {
 	case opCollectStats:
 		cs := st.CollectStats(req.Fields, req.Terms)
@@ -289,10 +308,11 @@ func (s *Server) handle(req *request) (resp *response) {
 		}
 		return &response{OK: true}
 	case opAddBulk:
-		if err := st.AddBulk(req.Docs); err != nil {
-			return &response{Err: err.Error()}
+		n, err := st.AddBulkCounted(req.Docs)
+		if err != nil {
+			return &response{Err: err.Error(), N: n}
 		}
-		return &response{OK: true, N: len(req.Docs)}
+		return &response{OK: true, N: n}
 	case opDelete:
 		return &response{OK: st.Delete(req.ID)}
 	case opDeleteParent:
@@ -301,6 +321,9 @@ func (s *Server) handle(req *request) (resp *response) {
 		return &response{IDs: st.ParentChunkIDs(req.ID)}
 	case opHasParent:
 		return &response{OK: st.HasParent(req.ID)}
+	case opHasParents:
+		present, _ := st.HasParents(req.IDs)
+		return &response{Present: present}
 	case opDocByID:
 		doc, ok := st.DocByID(req.ID)
 		if !ok {

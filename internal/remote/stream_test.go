@@ -188,7 +188,7 @@ func TestLargeFrameIsNotPooled(t *testing.T) {
 		size += len(d.Fields["content"])
 		batch = append(batch, d)
 	}
-	if err := g.AddBulk(batch); err != nil {
+	if _, err := g.AddBulk(batch); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(idleConns(c)); n != 0 {

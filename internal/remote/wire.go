@@ -162,6 +162,10 @@ const (
 	opWaitCompaction
 	opSnapshot
 	opDocsByID
+	// opHasParents is the batched opHasParent. The server keeps answering
+	// opHasParent for frontends of the previous release; release K+1
+	// deletes it.
+	opHasParents
 	// opEnd is one past the last op. It is never sent; the op-table test
 	// walks [opPing, opEnd).
 	opEnd
@@ -207,6 +211,8 @@ func (o op) String() string {
 		return "snapshot"
 	case opDocsByID:
 		return "docsByID"
+	case opHasParents:
+		return "hasParents"
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -234,7 +240,8 @@ type request struct {
 	Docs    []index.Document
 	ID      string
 	Ord     int
-	// IDs is the opDocsByID batch; the reply's Docs align with it.
+	// IDs is the opDocsByID or opHasParents batch; the reply's Docs or
+	// Present align with it.
 	IDs []string
 }
 
@@ -265,4 +272,6 @@ type response struct {
 	IDs      []string
 	Status   *shardStatus
 	Snapshot []byte
+	// Present answers opHasParents, aligned with the request's IDs.
+	Present []bool
 }

@@ -21,13 +21,15 @@ import (
 // repository signatures: a failed remote write surfaces as an ingest error,
 // exactly like a full disk would on a local shard.
 type Backend interface {
-	// Writes (routed by the facade's chunk-id hash).
+	// Writes (routed by the facade's chunk-id hash). AddBulk adds docs in
+	// order up to the first refusal and reports how many it applied, so the
+	// facade stamps arrival sequences on exactly those.
 	Add(doc index.Document) error
-	AddBulk(docs []index.Document) error
+	AddBulk(docs []index.Document) (applied int, err error)
 	Delete(chunkID string) bool
 	DeleteParent(parentID string) int
 	ParentChunkIDs(parentID string) []string
-	HasParent(parentID string) bool
+	HasParents(ids []string) (present []bool, err error)
 
 	// Queries. CollectStats and SearchTextGlobal are the two-wave global
 	// BM25 protocol; SearchText is the single-shard fast path.
@@ -85,6 +87,11 @@ var _ Backend = (*Local)(nil)
 
 // Segmented exposes the wrapped store (tests and diagnostics).
 func (l *Local) Store() *index.Segmented { return l.Segmented }
+
+// AddBulk implements Backend.
+func (l *Local) AddBulk(docs []index.Document) (applied int, err error) {
+	return l.Segmented.AddBulkCounted(docs)
+}
 
 // CollectStats implements Backend.
 func (l *Local) CollectStats(ctx context.Context, fields, terms []string) (index.CorpusStats, error) {

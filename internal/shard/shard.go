@@ -257,7 +257,10 @@ func (s *Sharded) Add(doc index.Document) error {
 // be partially updated, exactly like a stopped sequential loop. A document
 // whose vector has another dimension than its field's (established before
 // or earlier in docs) stops the batch there: the documents before it are
-// added, then that refusal is returned.
+// added, then that refusal is returned. Arrival sequences are stamped after
+// the shards answer, in input order, on the documents each shard applied:
+// one a shard refused (a duplicate of a live chunk) leaves its live copy's
+// place in vector ties alone, as in Add.
 func (s *Sharded) AddBulk(docs []index.Document) error {
 	s.dimMu.Lock()
 	defer s.dimMu.Unlock()
@@ -269,28 +272,40 @@ func (s *Sharded) AddBulk(docs []index.Document) error {
 		}
 		s.dims.Note(d.Vectors)
 	}
-	var err error
-	if len(s.shards) == 1 {
-		for _, d := range docs {
+	owner := make([]int, len(docs))
+	parts := make([][]index.Document, len(s.shards))
+	for j, d := range docs {
+		i := s.ShardFor(d.ID)
+		owner[j] = i
+		parts[i] = append(parts[i], d)
+	}
+	applied := make([]int, len(s.shards))
+	errs := make([]error, len(s.shards))
+	// A failing shard does not stop the others, so every count below is its
+	// own shard's. The fan-out stays bounded by Workers: feeding all shards
+	// at once built no faster on two cores and left more pooled build
+	// state behind.
+	pipeline.Map(context.Background(), s.cfg.Workers, len(s.shards),
+		func(_ context.Context, i int) (struct{}, error) {
+			if len(parts[i]) > 0 {
+				applied[i], errs[i] = s.shards[i].AddBulk(parts[i])
+			}
+			return struct{}{}, nil
+		})
+	seen := make([]int, len(s.shards))
+	for j, d := range docs {
+		i := owner[j]
+		if seen[i] < applied[i] {
 			s.assignSeq(d.ID)
 		}
-		err = s.shards[0].AddBulk(docs)
-	} else {
-		parts := make([][]index.Document, len(s.shards))
-		for _, d := range docs {
-			s.assignSeq(d.ID)
-			i := s.ShardFor(d.ID)
-			parts[i] = append(parts[i], d)
+		seen[i]++
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		_, err = pipeline.Map(context.Background(), s.cfg.Workers, len(s.shards),
-			func(_ context.Context, i int) (struct{}, error) {
-				return struct{}{}, s.shards[i].AddBulk(parts[i])
-			})
 	}
-	if err == nil {
-		err = dimErr
-	}
-	return err
+	return dimErr
 }
 
 // Delete tombstones a chunk on its owning shard and journals the id for
@@ -305,16 +320,22 @@ func (s *Sharded) Delete(chunkID string) bool {
 
 // DeleteParent tombstones every chunk of a KB document. Chunks of one
 // parent hash by their own chunk ids and may live on any shard, so the
-// delete fans out to all of them; every removed chunk id lands in the
-// facade journal.
+// delete fans out to all of them at once; after the join every removed
+// chunk id lands in the facade journal in shard order, so the journal does
+// not depend on which shard answered first.
 func (s *Sharded) DeleteParent(parentID string) int {
+	counts := make([]int, len(s.shards))
+	removed, _ := pipeline.Map(context.Background(), len(s.shards), len(s.shards),
+		func(_ context.Context, i int) ([]string, error) {
+			ids := s.shards[i].ParentChunkIDs(parentID)
+			if len(ids) > 0 {
+				counts[i] = s.shards[i].DeleteParent(parentID)
+			}
+			return ids, nil
+		})
 	n := 0
-	for _, sh := range s.shards {
-		ids := sh.ParentChunkIDs(parentID)
-		if len(ids) == 0 {
-			continue
-		}
-		n += sh.DeleteParent(parentID)
+	for i, ids := range removed {
+		n += counts[i]
 		for _, id := range ids {
 			s.journal.Record(id)
 		}
@@ -322,15 +343,29 @@ func (s *Sharded) DeleteParent(parentID string) int {
 	return n
 }
 
-// HasParent reports whether any shard holds a live chunk of the KB
-// document.
-func (s *Sharded) HasParent(parentID string) bool {
-	for _, sh := range s.shards {
-		if sh.HasParent(parentID) {
-			return true
+// HasParents asks every shard at once about the whole batch and ORs the
+// answers: a parent's chunks hash by their own ids, so any shard may hold
+// one. A shard that cannot be asked fails the batch; reading it as "absent"
+// would make the indexer add a second copy of a page it should replace.
+func (s *Sharded) HasParents(ids []string) ([]bool, error) {
+	answers, err := pipeline.Map(context.Background(), len(s.shards), len(s.shards),
+		func(_ context.Context, i int) ([]bool, error) {
+			present, err := s.shards[i].HasParents(ids)
+			if err != nil {
+				return nil, fmt.Errorf("shard %d: presence: %w", i, err)
+			}
+			return present, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	present := make([]bool, len(ids))
+	for _, a := range answers {
+		for j, p := range a {
+			present[j] = present[j] || p
 		}
 	}
-	return false
+	return present, nil
 }
 
 // StatsKey returns the sum of the shard stats snapshot keys. Each shard's

@@ -85,14 +85,14 @@ func TestDeleteRoutesAndParentFansOut(t *testing.T) {
 
 	// doc003 has two chunks which may live on different shards; the parent
 	// delete must reach both.
-	if !s.HasParent("doc003") {
-		t.Fatal("HasParent(doc003) = false before delete")
+	if p, err := s.HasParents([]string{"doc003", "nodoc"}); err != nil || !p[0] || p[1] {
+		t.Fatalf("HasParents(doc003, nodoc) = %v, %v before delete", p, err)
 	}
 	if n := s.DeleteParent("doc003"); n != 2 {
 		t.Fatalf("DeleteParent removed %d chunks, want 2", n)
 	}
-	if s.HasParent("doc003") {
-		t.Fatal("HasParent(doc003) = true after DeleteParent")
+	if p, err := s.HasParents([]string{"doc003"}); err != nil || p[0] {
+		t.Fatalf("HasParents(doc003) = %v, %v after DeleteParent", p, err)
 	}
 	if s.LiveLen() != len(ids)-3 {
 		t.Fatalf("live=%d, want %d", s.LiveLen(), len(ids)-3)
@@ -219,6 +219,38 @@ func TestRejectedDuplicateKeepsTieOrder(t *testing.T) {
 	}
 	want := fmt.Sprint(ids(mono.SearchVector("contentVector", v, 2, nil)))
 	if got := fmt.Sprint(ids(s.SearchVector("contentVector", v, 2, nil))); got != want {
+		t.Fatalf("sharded ties = %s, monolithic %s", got, want)
+	}
+}
+
+// TestRejectedDuplicateInBulkKeepsTieOrder is the bulk counterpart: a batch
+// adds a new chunk C and then re-adds the live A, which its shard refuses.
+// Only C may be stamped. The facade used to stamp every document of a batch
+// before routing it, so A moved behind B and C in vector ties while one
+// index keeps A, B, C.
+func TestRejectedDuplicateInBulkKeepsTieOrder(t *testing.T) {
+	exact := index.Config{VectorIndex: func(string) vector.Index { return vector.NewExhaustive() }}
+	s := shard.New(shard.Config{Shards: 2, Index: exact})
+	mono := index.New(exact)
+	a, b := idsOnShards(s)
+	c := "v999#0"
+	v := vector.Vector{1, 0, 0, 0}
+	for _, r := range []index.Repository{s, mono} {
+		if err := r.AddBulk([]index.Document{vecDoc(a, v), vecDoc(b, v)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.AddBulk([]index.Document{vecDoc(c, v), vecDoc(a, v)}); !errors.Is(err, index.ErrDuplicateID) {
+			t.Fatalf("re-adding %s in a batch: err = %v, want ErrDuplicateID", a, err)
+		}
+	}
+	ids := func(hits []index.Hit) (out []string) {
+		for _, h := range hits {
+			out = append(out, h.ID)
+		}
+		return out
+	}
+	want := fmt.Sprint(ids(mono.SearchVector("contentVector", v, 3, nil)))
+	if got := fmt.Sprint(ids(s.SearchVector("contentVector", v, 3, nil))); got != want {
 		t.Fatalf("sharded ties = %s, monolithic %s", got, want)
 	}
 }
