@@ -75,8 +75,10 @@ chaos:
 # frame/envelope decoders (bytes read off the network) — plus the
 # compaction pick, a pure function of the segment size list held to its
 # specification on arbitrary lists, the four-way float dot kernel held
-# bit-identical to the one-at-a-time dot, and HNSW construction held to the
-# same saved graph with and without its pair-distance cache. Seeds include
+# bit-identical to the one-at-a-time dot, HNSW construction held to the
+# same saved graph with and without its pair-distance cache, and a bulk
+# write held to the loop of single adds (ids, vector dimensions and batch
+# cuts drawn from the input). Seeds include
 # the checked-in crasher corpora. A sharded container seed is kilobytes
 # long, and the default minimization of each new input it yields (up to
 # 60s) would eat the whole short run, so that target caps it.
@@ -88,6 +90,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzTraceQL -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentedManifest -fuzztime $(FUZZTIME) ./internal/index/
 	$(GO) test -run '^$$' -fuzz FuzzCompactionPick -fuzztime $(FUZZTIME) ./internal/index/
+	$(GO) test -run '^$$' -fuzz FuzzAddBulk -fuzztime $(FUZZTIME) ./internal/index/
 	$(GO) test -run '^$$' -fuzz FuzzShardedSnapshot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzRemoteWire -fuzztime $(FUZZTIME) ./internal/remote/
 	$(GO) test -run '^$$' -fuzz FuzzSSEParser -fuzztime $(FUZZTIME) ./internal/sse/
@@ -98,14 +101,14 @@ fuzz-short:
 # shard-count scaling, tracing overhead, ingest-while-query steady state,
 # the compactor's counted write amplification under a trickle of edits,
 # admission-control overhead, the noisy-neighbor p99 delta, the
-# document-fetch RPCs one search costs on remote shards and HNSW graph
-# construction) with allocation stats, recorded as BENCH_query.json via
+# document-fetch RPCs one search costs on remote shards, HNSW graph
+# construction and a bulk load beside one reader) with allocation stats, recorded as BENCH_query.json via
 # cmd/benchjson. make's /bin/sh has
 # no pipefail, so the pipeline's status is benchjson's: it exits 1 and
 # writes nothing when go test reports a FAIL or panic, and the report goes
 # to a temp file that replaces BENCH_query.json only on success.
 bench:
-	$(GO) test -bench 'BenchmarkSearchText|BenchmarkSearchVector|BenchmarkFilterSet|BenchmarkQueryCache|BenchmarkTrace|BenchmarkIngest|BenchmarkCompaction|BenchmarkTenant|BenchmarkSession|BenchmarkSSE|BenchmarkFinalize|BenchmarkHNSWBuild' \
+	$(GO) test -bench 'BenchmarkSearchText|BenchmarkSearchVector|BenchmarkFilterSet|BenchmarkQueryCache|BenchmarkTrace|BenchmarkIngest|BenchmarkBulkLoad|BenchmarkCompaction|BenchmarkTenant|BenchmarkSession|BenchmarkSSE|BenchmarkFinalize|BenchmarkHNSWBuild' \
 		-benchmem -run '^$$' ./internal/index/ ./internal/search/ ./internal/shard/ ./internal/trace/ ./internal/tenant/ ./internal/server/ ./internal/vector/ \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_query_baseline.json \
 			-note "SearchVector* run the int8 quantized arena: traversal orders candidates by int8 dot products, then every surviving candidate (<= ef) is rescored with exact float32 dots before final ranking, so reported latencies include the rescoring pass and scores match the *Float32 control benchmarks exactly." \

@@ -160,19 +160,9 @@ func (ix *Index) isDeleted(ord int32) bool {
 // Compact rebuilds the index without tombstoned chunks, reclaiming posting
 // and graph space. It returns the rebuilt index; the receiver is unchanged.
 func (ix *Index) Compact() (*Index, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
 	out := New(ix.cfg)
-	for ord, doc := range ix.docs {
-		if ix.isDeleted(int32(ord)) {
-			continue
-		}
-		if _, live := ix.byID[doc.ID]; !live {
-			continue
-		}
-		if err := out.Add(doc); err != nil {
-			return nil, err
-		}
+	if err := out.AddBulk(ix.LiveDocs()); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

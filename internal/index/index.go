@@ -140,6 +140,10 @@ type Index struct {
 
 	// accPool recycles the flat score accumulators of the BM25 hot path.
 	accPool sync.Pool
+
+	// writeHolds counts the write-lock holds addBatch has taken; the bulk
+	// load benchmark reports it per load.
+	writeHolds int
 }
 
 // ErrDuplicateID is returned when a document id is added twice.
@@ -233,14 +237,100 @@ func (ix *Index) Schema() Schema { return ix.cfg.Schema }
 // Analyzer returns the analyzer used for searchable fields and queries.
 func (ix *Index) Analyzer() *textproc.Analyzer { return ix.cfg.Analyzer }
 
-// Add indexes a document. Vector fields present in the schema but missing
-// from the document are skipped; unknown fields are an error, and so is a
-// vector whose length differs from the first one its field stored
-// (vector.ErrDimensionMismatch) — both refused before anything is stored.
+// Add indexes a document: a batch of one (see addBatch). Vector fields
+// present in the schema but missing from the document are skipped; unknown
+// fields are an error, and so is a vector whose length differs from the
+// first one its field stored, or an empty one (vector.ErrDimensionMismatch)
+// — all refused before anything is stored.
 func (ix *Index) Add(doc Document) error {
+	_, err := ix.addBatch([]Document{doc})
+	return err
+}
+
+// maxBatch bounds the documents one addBatch takes under one write-lock
+// hold, so a reader racing a bulk load waits for at most one slice.
+const maxBatch = 256
+
+// addBatch indexes docs in order under one write-lock hold — the one write
+// path every Add, bulk load and rebuild goes through. It first checks every
+// document (duplicate id in the index or earlier in docs, schema fields,
+// vector dimensions); the first refused one ends the batch, so applied is
+// the length of the accepted prefix and err the refusal. The prefix is then
+// stored: each vector field's graph takes the whole prefix in ordinal order
+// on its own goroutine while the postings are built beside them. Every
+// graph receives the same vectors in the same order from its own seeded
+// generator, so it is the graph one-at-a-time inserts build.
+func (ix *Index) addBatch(docs []Document) (applied int, err error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if _, dup := ix.byID[doc.ID]; dup {
+	ix.writeHolds++
+	seen := make(map[string]bool, len(docs))
+	for _, doc := range docs {
+		if err = ix.refuses(doc, seen); err != nil {
+			break
+		}
+		seen[doc.ID] = true
+		ix.dims.Note(doc.Vectors)
+		applied++
+	}
+	docs = docs[:applied]
+	if applied == 0 {
+		return 0, err
+	}
+	// Bump before the first mutation: a too-early bump only costs a cache
+	// miss while a missed bump would serve stale results — on a mutable
+	// index every Add shifts the idf curve at once.
+	ix.statsKey.Add(uint64(applied))
+	base := int32(len(ix.docs))
+	ix.docs = append(ix.docs, docs...)
+	ix.fcMu.Lock()
+	for i, doc := range docs {
+		id := base + int32(i)
+		ix.byID[doc.ID] = id
+		ix.byParent[doc.ParentID] = append(ix.byParent[doc.ParentID], id)
+		for name, vals := range ix.filters {
+			if v, ok := doc.Fields[name]; ok && v != "" {
+				vals[v] = append(vals[v], id)
+				delete(ix.filterCache, filterKey{field: name, value: v})
+			}
+		}
+	}
+	ix.fcMu.Unlock()
+
+	// One task per vector field any document carries, plus the postings;
+	// all but the last run on their own goroutines, the last inline. The
+	// checks above leave a graph nothing to refuse, so an error here is a
+	// broken invariant: the prefix is stored, and the error reported.
+	tasks := []func() error{func() error { ix.addPostings(base, docs); return nil }}
+	for _, name := range ix.vecNames {
+		for _, doc := range docs {
+			if _, ok := doc.Vectors[name]; ok {
+				tasks = append(tasks, func() error { return ix.addGraph(name, base, docs) })
+				break
+			}
+		}
+	}
+	errs := make([]error, len(tasks))
+	var wg sync.WaitGroup
+	for i, task := range tasks[:len(tasks)-1] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = task()
+		}()
+	}
+	errs[len(tasks)-1] = tasks[len(tasks)-1]()
+	wg.Wait()
+	if e := errors.Join(errs...); e != nil {
+		return applied, e
+	}
+	return applied, err
+}
+
+// refuses reports why doc may not join the index after the batch documents
+// in seen, or nil. The caller holds ix.mu for writing.
+func (ix *Index) refuses(doc Document, seen map[string]bool) error {
+	if _, dup := ix.byID[doc.ID]; dup || seen[doc.ID] {
 		return fmt.Errorf("%w: %s", ErrDuplicateID, doc.ID)
 	}
 	for f := range doc.Fields {
@@ -253,41 +343,42 @@ func (ix *Index) Add(doc Document) error {
 			return fmt.Errorf("index: vector field %q not in schema", f)
 		}
 	}
-	if err := ix.dims.Check(doc.Vectors); err != nil {
-		return err
-	}
-	// Bump before the first mutation: a too-early bump only costs a cache
-	// miss while a missed bump would serve stale results — on a mutable
-	// index every Add shifts the idf curve at once.
-	ix.statsKey.Add(1)
-	id := int32(len(ix.docs))
-	ix.docs = append(ix.docs, doc)
-	ix.byID[doc.ID] = id
-	ix.byParent[doc.ParentID] = append(ix.byParent[doc.ParentID], id)
-	ix.dims.Note(doc.Vectors)
+	return ix.dims.Check(doc.Vectors)
+}
 
-	for name, fi := range ix.fields {
-		text := doc.Fields[name]
-		terms := ix.cfg.Analyzer.AnalyzeTerms(text)
-		fi.docLens = append(fi.docLens, len(terms))
-		fi.totalLen += len(terms)
-		counts := make(map[string]int32, len(terms))
-		for _, t := range terms {
-			counts[t]++
-		}
-		for t, c := range counts {
-			fi.postings[t] = append(fi.postings[t], posting{doc: id, tf: c})
-		}
-	}
-	for name, vals := range ix.filters {
-		if v, ok := doc.Fields[name]; ok && v != "" {
-			vals[v] = append(vals[v], id)
-			ix.fcMu.Lock()
-			delete(ix.filterCache, filterKey{field: name, value: v})
-			ix.fcMu.Unlock()
+// addPostings analyzes the searchable fields of docs, stored from ordinal
+// base on, into the inverted indexes.
+func (ix *Index) addPostings(base int32, docs []Document) {
+	for i, doc := range docs {
+		id := base + int32(i)
+		for name, fi := range ix.fields {
+			terms := ix.cfg.Analyzer.AnalyzeTerms(doc.Fields[name])
+			fi.docLens = append(fi.docLens, len(terms))
+			fi.totalLen += len(terms)
+			counts := make(map[string]int32, len(terms))
+			for _, t := range terms {
+				counts[t]++
+			}
+			for t, c := range counts {
+				fi.postings[t] = append(fi.postings[t], posting{doc: id, tf: c})
+			}
 		}
 	}
-	return ix.addVectors(id, doc.Vectors)
+}
+
+// addGraph inserts the field's vector of each of docs, stored from ordinal
+// base on, into the field's graph in ordinal order, stopping at the first
+// insert the graph refuses.
+func (ix *Index) addGraph(field string, base int32, docs []Document) error {
+	vx := ix.vecs[field]
+	for i, doc := range docs {
+		if v, ok := doc.Vectors[field]; ok {
+			if err := vx.Add(int(base)+i, v); err != nil {
+				return fmt.Errorf("index: vector field %q: %w", field, err)
+			}
+		}
+	}
+	return nil
 }
 
 // Dims maps each vector field to its established dimension: the length of
@@ -295,10 +386,13 @@ func (ix *Index) Add(doc Document) error {
 // vectors; the sharded facade keeps one across its shards.
 type Dims map[string]int
 
-// Check refuses a vector whose length differs from its field's established
-// dimension; a field with none yet accepts any.
+// Check refuses an empty vector, and a vector whose length differs from its
+// field's established dimension; a field with none yet accepts any other.
 func (dims Dims) Check(vecs map[string]vector.Vector) error {
 	for name, v := range vecs {
+		if len(v) == 0 {
+			return fmt.Errorf("index: vector field %q: empty vector: %w", name, vector.ErrDimensionMismatch)
+		}
 		if d := dims[name]; d != 0 && len(v) != d {
 			return fmt.Errorf("index: vector field %q: %d-d vector, field holds %d-d: %w",
 				name, len(v), d, vector.ErrDimensionMismatch)
@@ -323,42 +417,6 @@ func (ix *Index) acceptsDims(vecs map[string]vector.Vector) error {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.dims.Check(vecs)
-}
-
-// addVectors inserts a document's vectors under ordinal id, one goroutine
-// per vector field beyond the first, joined before it returns (still under
-// the caller's write lock). The fields' graphs share nothing, and each
-// still receives documents in ordinal order from its own seeded generator,
-// so every graph is the one a sequential insert builds.
-func (ix *Index) addVectors(id int32, vecs map[string]vector.Vector) error {
-	errs := make([]error, len(ix.vecNames))
-	var wg sync.WaitGroup
-	inline := -1
-	for i, name := range ix.vecNames {
-		v, ok := vecs[name]
-		switch {
-		case !ok:
-		case inline < 0:
-			inline = i
-		default:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[i] = ix.vecs[name].Add(int(id), v)
-			}()
-		}
-	}
-	if inline >= 0 {
-		name := ix.vecNames[inline]
-		errs[inline] = ix.vecs[name].Add(int(id), vecs[name])
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("index: vector field %q: %w", ix.vecNames[i], err)
-		}
-	}
-	return nil
 }
 
 // releaseBuildCaches frees what the part's HNSW graphs keep only for

@@ -81,14 +81,16 @@ type Repository interface {
 
 var _ Repository = (*Index)(nil)
 
-// AddBulk indexes docs in order, stopping at the first error. On a
-// monolithic index it is a plain sequential loop; the sharded facade
-// overrides it with a parallel per-shard build.
+// AddBulk indexes docs in order, stopping at the first error: one addBatch
+// per slice of at most maxBatch documents. The sharded facade overrides it
+// with a parallel per-shard build.
 func (ix *Index) AddBulk(docs []Document) error {
-	for _, d := range docs {
-		if err := ix.Add(d); err != nil {
+	for len(docs) > 0 {
+		n := min(len(docs), maxBatch)
+		if _, err := ix.addBatch(docs[:n]); err != nil {
 			return err
 		}
+		docs = docs[n:]
 	}
 	return nil
 }

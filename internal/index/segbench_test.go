@@ -202,3 +202,52 @@ func BenchmarkCompactionTrickle(b *testing.B) {
 	}
 	b.ReportMetric(float64(rewritten)/float64(b.N), "chunks-rewritten/op")
 }
+
+// BenchmarkBulkLoad measures one 1 000-chunk bulk load into a fresh store
+// (two vector fields, default memtable) while one reader keeps querying it:
+// docs/sec is the load's throughput, p99-ns the reader's tail — what it
+// waits for the write lock — and lock-holds/op the write-lock holds one load
+// takes (one per slice of at most maxBatch chunks).
+func BenchmarkBulkLoad(b *testing.B) {
+	const n = 1000
+	vecs := benchVecPool(2*n, 64, 13)
+	docs := make([]Document, n)
+	for i := range docs {
+		docs[i] = benchSegDoc(i, vecs)
+		docs[i].Vectors["titleVector"] = vecs[n+i]
+	}
+	var lat []int64
+	holds := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seg := NewSegmented(Config{}, SegmentConfig{})
+		stop := make(chan struct{})
+		done := make(chan []int64)
+		go func() {
+			var l []int64
+			for {
+				select {
+				case <-stop:
+					done <- l
+					return
+				default:
+				}
+				t0 := time.Now()
+				seg.SearchText("bloccare la carta di credito", 10, TextOptions{})
+				l = append(l, int64(time.Since(t0)))
+			}
+		}()
+		if err := seg.AddBulk(docs); err != nil {
+			b.Fatal(err)
+		}
+		close(stop)
+		lat = append(lat, <-done...)
+		holds += seg.mem.writeHolds
+	}
+	b.StopTimer()
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "docs/sec")
+	b.ReportMetric(float64(lat[len(lat)*99/100]), "p99-ns")
+	b.ReportMetric(float64(holds)/float64(b.N), "lock-holds/op")
+}

@@ -184,54 +184,77 @@ func (s *Segmented) assignSeq(id string) {
 	s.seqMu.Unlock()
 }
 
-// Add indexes a document into the memtable, sealing it first when full.
-// Duplicate ids and vectors of another dimension than their field's are
-// rejected across every part, not just the memtable: a fresh memtable has
-// no dimension of its own yet.
+// Add indexes a document into the memtable: a bulk load of one.
 func (s *Segmented) Add(doc Document) error {
-	s.mu.RLock()
-	dup, mem := liveInAny(s.sealed, doc.ID), s.mem
-	var dimErr error
-	for _, seg := range s.sealed {
-		if dimErr = seg.acceptsDims(doc.Vectors); dimErr != nil {
-			break
-		}
-	}
-	s.mu.RUnlock()
-	if dup {
-		return fmt.Errorf("%w: %s", ErrDuplicateID, doc.ID)
-	}
-	if dimErr != nil {
-		return dimErr
-	}
-	if err := mem.Add(doc); err != nil {
-		return err
-	}
-	s.assignSeq(doc.ID)
-	if max := s.scfg.memtableMax(); max > 0 && mem.Len() >= max {
-		s.seal()
-		s.maybeCompact()
-	}
-	return nil
+	_, err := s.AddBulkCounted([]Document{doc})
+	return err
 }
 
-// AddBulk indexes docs in order, stopping at the first error. Sequential on
-// purpose: memtable seals must interleave at deterministic document
-// boundaries so a bulk load always produces the same segment layout.
+// AddBulk indexes docs in order, stopping at the first error (see
+// AddBulkCounted).
 func (s *Segmented) AddBulk(docs []Document) error {
 	_, err := s.AddBulkCounted(docs)
 	return err
 }
 
-// AddBulkCounted is AddBulk that also reports how many documents, from the
-// front of docs, it applied before stopping.
+// AddBulkCounted indexes docs in order, stopping at the first error, and
+// reports how many documents, from the front of docs, it applied. docs is
+// cut into runs that end where the memtable fills (it seals there, so a
+// bulk load always produces the segment layout one-at-a-time Adds produce)
+// or after maxBatch documents. Each run is checked against the sealed
+// segments — a duplicate id, or a vector of another dimension than its
+// field's, is refused across every part, not just the memtable, since a
+// fresh memtable has no dimension of its own yet — and its accepted prefix
+// goes to the memtable in one addBatch.
 func (s *Segmented) AddBulkCounted(docs []Document) (applied int, err error) {
-	for i, d := range docs {
-		if err := s.Add(d); err != nil {
-			return i, err
+	limit := s.scfg.memtableMax()
+	for applied < len(docs) && err == nil {
+		s.mu.RLock()
+		mem := s.mem
+		n := min(len(docs)-applied, maxBatch)
+		if limit > 0 {
+			n = min(n, max(1, limit-mem.Len()))
+		}
+		run := docs[applied : applied+n]
+		for i, d := range run {
+			if err = sealedRefuses(s.sealed, d); err != nil {
+				run = run[:i]
+				break
+			}
+		}
+		s.mu.RUnlock()
+		if len(run) == 0 {
+			break
+		}
+		k, memErr := mem.addBatch(run)
+		if memErr != nil {
+			err = memErr
+		}
+		for _, d := range run[:k] {
+			s.assignSeq(d.ID)
+		}
+		applied += k
+		if limit > 0 && mem.Len() >= limit {
+			s.seal()
+			s.maybeCompact()
 		}
 	}
-	return len(docs), nil
+	return applied, err
+}
+
+// sealedRefuses reports why doc may not join the store given its sealed
+// segments (a live copy of its id, or a vector of another dimension), or
+// nil. The caller holds s.mu.
+func sealedRefuses(sealed []*Index, doc Document) error {
+	if liveInAny(sealed, doc.ID) {
+		return fmt.Errorf("%w: %s", ErrDuplicateID, doc.ID)
+	}
+	for _, seg := range sealed {
+		if err := seg.acceptsDims(doc.Vectors); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Delete tombstones a chunk in whichever part holds it. Sealed segments
@@ -469,8 +492,8 @@ func (s *Segmented) WaitCompaction() { s.wg.Wait() }
 //   - deterministic: documents re-add in arrival order (segment order,
 //     then ordinal order), so the merged segment's postings, ordinals and
 //     HNSW graphs are reproducible;
-//   - cancelable: ctx is checked between documents, and a canceled merge
-//     leaves the store untouched;
+//   - cancelable: ctx is checked between slices of at most maxBatch
+//     documents, and a canceled merge leaves the store untouched;
 //   - off the query path: the rebuild runs without store locks; only the
 //     final splice takes the write lock, and it re-applies deletes only
 //     from segments whose tombstone count moved during the rebuild.
@@ -529,15 +552,17 @@ func (s *Segmented) merge(ctx context.Context, start int, window []*Index) error
 		live, dead := seg.liveAndDead()
 		tombstones[i] = len(dead)
 		dropped = append(dropped, dead...)
-		for _, d := range live {
+		for len(live) > 0 {
 			if err := ctx.Err(); err != nil {
 				sp.SetError(err)
 				return err
 			}
-			if err := merged.Add(d); err != nil {
+			n := min(len(live), maxBatch)
+			if _, err := merged.addBatch(live[:n]); err != nil {
 				sp.SetError(err)
 				return fmt.Errorf("index: compact: %w", err)
 			}
+			live = live[n:]
 		}
 	}
 	merged.releaseBuildCaches()

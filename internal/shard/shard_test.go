@@ -255,6 +255,32 @@ func TestRejectedDuplicateInBulkKeepsTieOrder(t *testing.T) {
 	}
 }
 
+// TestFacadeRefusesEmptyVector: a 0-length vector is refused before routing,
+// by Add and AddBulk. The facade used to take it as the field's dimension
+// (0, so none), the owning shard then took the next real vector too, and
+// its graph panicked striding it past the empty slot.
+func TestFacadeRefusesEmptyVector(t *testing.T) {
+	s := shard.New(shard.Config{Shards: 2})
+	a, b := idsOnShards(s)
+	if err := s.Add(vecDoc(a, vector.Vector{})); !errors.Is(err, vector.ErrDimensionMismatch) {
+		t.Fatalf("empty vector: err = %v, want ErrDimensionMismatch", err)
+	}
+	four := vector.Vector{1, 0, 0, 0}
+	err := s.AddBulk([]index.Document{vecDoc(a, four), vecDoc(b, vector.Vector{}), vecDoc("v999#0", four)})
+	if !errors.Is(err, vector.ErrDimensionMismatch) {
+		t.Fatalf("AddBulk real, empty, real: err = %v, want ErrDimensionMismatch", err)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("AddBulk stored %d chunks, want the 1 before the refused one", s.Len())
+	}
+	if err := s.Add(vecDoc(b, vector.Vector{0, 1, 0, 0})); err != nil {
+		t.Fatal(err)
+	}
+	if hits := s.SearchVector("contentVector", four, 5, nil); len(hits) != 2 || hits[0].ID != a {
+		t.Fatalf("4-d search = %+v, want %s first of 2", hits, a)
+	}
+}
+
 // TestFacadeRefusesOtherDimension: a field's dimension holds across shards.
 // A 3-d chunk routed to a shard that has no vector yet used to be taken
 // there, and a 4-d query then panicked inside the fan-out. Add, AddBulk and

@@ -370,6 +370,9 @@ func (h *HNSW) Add(id int, v Vector) error {
 	if _, dup := h.byID[id]; dup {
 		return ErrDuplicateID
 	}
+	if len(v) == 0 {
+		return errEmptyVector
+	}
 	if h.dim == 0 {
 		h.dim = len(v)
 	} else if len(v) != h.dim {

@@ -14,6 +14,7 @@ package vector
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -104,7 +105,9 @@ type Accept func(id int32) bool
 
 // Index is the interface shared by the exhaustive scanner and HNSW.
 type Index interface {
-	// Add inserts a vector under id. Adding an existing id is an error.
+	// Add inserts a vector under id. Adding an existing id is an error,
+	// and so is an empty vector or one of another length than the first
+	// (ErrDimensionMismatch).
 	Add(id int, v Vector) error
 	// Search returns the k nearest neighbors of q, closest first. q is
 	// copied and normalized internally.
@@ -125,6 +128,11 @@ var ErrDuplicateID = errors.New("vector: duplicate id")
 // ErrDimensionMismatch is returned when a vector's dimensionality differs
 // from the first inserted vector's.
 var ErrDimensionMismatch = errors.New("vector: dimension mismatch")
+
+// errEmptyVector refuses a 0-length vector: as a field's first it would
+// leave the dimension unset, and the next vector's arena stride would then
+// disagree with the empty slot already stored.
+var errEmptyVector = fmt.Errorf("vector: empty vector: %w", ErrDimensionMismatch)
 
 // ErrIDOutOfRange is returned when Add is called with an id outside the
 // int32 range the arena-backed indexes (and the Accept predicate) use.
@@ -153,6 +161,9 @@ func (e *Exhaustive) Add(id int, v Vector) error {
 	}
 	if e.seen[int32(id)] {
 		return ErrDuplicateID
+	}
+	if len(v) == 0 {
+		return errEmptyVector
 	}
 	if e.dim == 0 {
 		e.dim = len(v)

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -86,6 +87,26 @@ func TestExhaustiveDimensionMismatch(t *testing.T) {
 	}
 	if err := e.Add(2, Vector{1}); err != ErrDimensionMismatch {
 		t.Fatalf("err = %v, want ErrDimensionMismatch", err)
+	}
+}
+
+// TestEmptyVectorRefused: neither index takes a 0-length vector, first or
+// later. As the first it left the dimension unset, and the HNSW then
+// panicked striding the next vector past the empty slot.
+func TestEmptyVectorRefused(t *testing.T) {
+	for _, ix := range []Index{NewExhaustive(), NewHNSW(HNSWConfig{Seed: 1})} {
+		if err := ix.Add(0, Vector{}); !errors.Is(err, ErrDimensionMismatch) {
+			t.Fatalf("%T: empty first vector: err = %v, want ErrDimensionMismatch", ix, err)
+		}
+		if err := ix.Add(1, Vector{1, 0}); err != nil {
+			t.Fatalf("%T: %v", ix, err)
+		}
+		if err := ix.Add(2, nil); !errors.Is(err, ErrDimensionMismatch) {
+			t.Fatalf("%T: empty later vector: err = %v, want ErrDimensionMismatch", ix, err)
+		}
+		if got := ix.Search(Vector{1, 0}, 3); ix.Len() != 1 || len(got) != 1 || got[0].ID != 1 {
+			t.Fatalf("%T: Len = %d, search = %+v, want only id 1", ix, ix.Len(), got)
+		}
 	}
 }
 
