@@ -40,8 +40,9 @@ check: vet build race shardparity doccheck fuzz-short
 shardparity:
 	$(GO) test -race -count=1 -timeout 20m -run TestShardParity ./internal/shard/
 
-# Every internal package must carry a package doc comment ("// Package <name>
-# ..."), so godoc renders an operator-readable overview of each subsystem.
+# Every internal package, nested ones such as internal/experiments/* too,
+# must carry a package doc comment ("// Package <name> ..."), so godoc
+# renders an operator-readable overview of each subsystem.
 # Then cmd/doccheck walks README.md, DESIGN.md, OPERATIONS.md and docs/*.md
 # and fails on dead intra-repo links (files moved or renamed without their
 # references following), on any cmd/* or internal/* directory that
@@ -50,9 +51,9 @@ shardparity:
 # cmd/doccheck/detached_contexts.txt does not list with a reason (or a
 # listed one that is gone).
 doccheck:
-	@set -e; for d in internal/*/; do \
+	@set -e; for d in $$(find internal -name testdata -prune -o -name '*.go' -printf '%h\n' | sort -u); do \
 		pkg=$$(basename $$d); \
-		grep -l "^// Package $$pkg " $$d*.go >/dev/null || { echo "doccheck: package $$pkg lacks a '// Package $$pkg' doc comment"; exit 1; }; \
+		grep -l "^// Package $$pkg " $$d/*.go >/dev/null || { echo "doccheck: package $$d lacks a '// Package $$pkg' doc comment"; exit 1; }; \
 	done; echo "doccheck: every internal package is documented"
 	$(GO) run ./cmd/doccheck README.md DESIGN.md docs/*.md
 

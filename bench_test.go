@@ -2,7 +2,7 @@
 // plus ablation benches for the design choices called out in DESIGN.md.
 // Shape numbers (MRR, rates, failure counts) are attached to each benchmark
 // through b.ReportMetric, so `go test -bench . -benchmem` both times the
-// pipelines and reproduces the experiment outcomes. cmd/uniask-bench prints
+// pipelines and reproduces the experiment outcomes. cmd/uniask-repro prints
 // the same results as formatted tables.
 package uniask_test
 

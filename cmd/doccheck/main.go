@@ -7,9 +7,9 @@
 //
 // For a file named DESIGN.md it also checks the "Repository layout" section
 // against the tree, both ways: every directory under cmd/ and internal/
-// (next to the file) must be listed there, and every directory listed there
-// must exist, so the package map can neither fall behind the packages nor
-// keep one that was deleted.
+// (next to the file), nested ones included, must be listed there, and every
+// directory listed there must exist, so the package map can neither fall
+// behind the packages nor keep one that was deleted.
 //
 // Next to DESIGN.md it also runs the deadline audit: every
 // context.Background() / context.TODO() call in non-test code under
@@ -102,14 +102,16 @@ func main() {
 // layoutHeading opens the section of DESIGN.md that maps the repository.
 const layoutHeading = "Repository layout"
 
-// layoutDrift compares the cmd/* and internal/* directories under root with
-// the ones the layout section of doc names: unlisted exist but are not
-// named, gone are named but do not exist. The section is a tree with one
-// directory per line as "name/": top-level directories indented two spaces,
-// their children deeper; it ends at the next "## " heading.
+// layoutDrift compares the directories under root's cmd/ and internal/
+// (nested ones included, testdata trees excepted) with the ones the layout
+// section of doc names: unlisted exist but are not named, gone are named but
+// do not exist. The section is a tree with one directory per line as
+// "name/", each level indented two spaces deeper than its parent's; it ends
+// at the next "## " heading.
 func layoutDrift(root, doc string) (unlisted, gone []string) {
 	listed := map[string]bool{}
-	inSection, parent := false, ""
+	inSection := false
+	var path []string // the directory named at each depth of the tree so far
 	for _, line := range strings.Split(doc, "\n") {
 		if strings.HasPrefix(line, "## ") {
 			inSection = strings.Contains(line, layoutHeading)
@@ -119,27 +121,34 @@ func layoutDrift(root, doc string) (unlisted, gone []string) {
 		if !inSection || len(fields) == 0 || !strings.HasSuffix(fields[0], "/") {
 			continue
 		}
-		if indent := len(line) - len(strings.TrimLeft(line, " ")); indent <= 2 {
-			parent = fields[0]
-		} else if parent == "cmd/" || parent == "internal/" {
-			listed[parent+strings.TrimSuffix(fields[0], "/")] = true
-		}
-	}
-	for _, parent := range []string{"cmd", "internal"} {
-		entries, err := os.ReadDir(filepath.Join(root, parent))
-		if err != nil {
+		depth := (len(line) - len(strings.TrimLeft(line, " "))) / 2
+		if depth < 1 {
 			continue
 		}
-		for _, e := range entries {
-			if !e.IsDir() {
-				continue
-			}
-			dir := parent + "/" + e.Name()
-			if !listed[dir] {
-				unlisted = append(unlisted, dir)
-			}
-			delete(listed, dir)
+		path = append(path[:min(depth-1, len(path))], strings.TrimSuffix(fields[0], "/"))
+		if len(path) > 1 && (path[0] == "cmd" || path[0] == "internal") {
+			listed[strings.Join(path, "/")] = true
 		}
+	}
+	for _, top := range []string{"cmd", "internal"} {
+		// A tree without top lists nothing under it; the walk's error says
+		// no more than that.
+		_ = filepath.WalkDir(filepath.Join(root, top), func(p string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			rel, _ := filepath.Rel(root, p)
+			if dir := filepath.ToSlash(rel); dir != top {
+				if !listed[dir] {
+					unlisted = append(unlisted, dir)
+				}
+				delete(listed, dir)
+			}
+			return nil
+		})
 	}
 	for dir := range listed {
 		gone = append(gone, dir)

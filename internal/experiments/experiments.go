@@ -3,8 +3,13 @@
 // previous engine), Table 2 (hybrid-search ablation), Table 3 (query
 // expansion and title boosting), Table 4 (keyword enrichment), Table 5
 // (guardrail distribution), the pilot phases of §8, the Figure 2 load test
-// and the Figure 3 monitoring snapshot. cmd/uniask-bench and the root
+// and the Figure 3 monitoring snapshot. cmd/uniask-repro and the root
 // benchmark suite are thin wrappers over this package.
+//
+// The packages beneath it serve only these experiments: baseline (the
+// previous exact-keyword engine of Table 1), tickets (the post-launch
+// ticket model), loadtest (the Figure 2 arrival simulator), and adapter
+// and kgraph (the §11 future-work prototypes).
 package experiments
 
 import (
@@ -12,9 +17,9 @@ import (
 	"fmt"
 	"strings"
 
-	"uniask/internal/baseline"
 	"uniask/internal/core"
 	"uniask/internal/eval"
+	"uniask/internal/experiments/baseline"
 	"uniask/internal/kb"
 	"uniask/internal/search"
 )
@@ -30,9 +35,6 @@ type Scale struct {
 
 // DefaultScale is the fast configuration used by tests and benches.
 var DefaultScale = Scale{Docs: 6000, Human: 600, Keyword: 300, Seed: 1}
-
-// PaperScale matches the dataset sizes reported in the paper.
-var PaperScale = Scale{Docs: 59308, Human: 2700, Keyword: 800, Seed: 1}
 
 // Env is a fully prepared experimental environment: corpus, UniAsk engine,
 // previous-engine baseline, and the validation/test splits of both query
@@ -51,7 +53,7 @@ type Env struct {
 // baseline engine, and builds the query datasets with their 2/3-1/3 splits.
 func Setup(ctx context.Context, s Scale) (*Env, error) {
 	if s.Docs <= 0 {
-		s = DefaultScale
+		return nil, fmt.Errorf("experiments: a scale needs at least one document, got %d", s.Docs)
 	}
 	corpus := kb.Generate(kb.GenConfig{Docs: s.Docs, Seed: s.Seed})
 	engine, err := core.BuildFromCorpus(ctx, corpus, core.Config{})

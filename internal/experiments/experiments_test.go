@@ -47,6 +47,14 @@ func TestSetupShape(t *testing.T) {
 	}
 }
 
+// TestSetupRefusesNoDocs: a scale without documents is an error, not a
+// silent swap to DefaultScale (seed and dataset sizes included).
+func TestSetupRefusesNoDocs(t *testing.T) {
+	if env, err := Setup(context.Background(), Scale{Human: 10, Keyword: 10, Seed: 7}); err == nil {
+		t.Fatalf("Setup without docs built %d docs at seed %d", len(env.Corpus.Docs), env.Scale.Seed)
+	}
+}
+
 // TestTable1Shape checks the headline claims of Table 1: the previous
 // engine serves only ~1/5 of natural-language questions while UniAsk serves
 // all of them; UniAsk's recall and MRR improvements on the human dataset

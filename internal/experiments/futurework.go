@@ -6,10 +6,10 @@ import (
 	"math/rand"
 	"strings"
 
-	"uniask/internal/adapter"
 	"uniask/internal/eval"
+	"uniask/internal/experiments/adapter"
+	"uniask/internal/experiments/kgraph"
 	"uniask/internal/guardrails"
-	"uniask/internal/kgraph"
 	"uniask/internal/search"
 )
 

@@ -108,13 +108,14 @@ func (r GroundednessResult) MeaningfulRate() float64 {
 	return float64(r.Meaningful) / float64(r.Total)
 }
 
-// String renders the evaluation summary.
+// String renders the evaluation summary, newline-terminated like the
+// tables'.
 func (r GroundednessResult) String() string {
 	return fmt.Sprintf(
 		"Groundedness (LLM-as-judge, §7): %d answers judged, %.0f%% meaningful scores (mean %.1f)\n"+
 			"  -> reproduces the paper's finding that groundedness \"failed to return\n"+
 			"     meaningful results in the large majority of cases\"; generation quality\n"+
-			"     was therefore assessed with real users (§8).",
+			"     was therefore assessed with real users (§8).\n",
 		r.Total, 100*r.MeaningfulRate(), r.MeanScore)
 }
 

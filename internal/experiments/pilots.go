@@ -9,10 +9,10 @@ import (
 	"time"
 
 	"uniask/internal/core"
+	"uniask/internal/experiments/loadtest"
 	"uniask/internal/guardrails"
 	"uniask/internal/kb"
 	"uniask/internal/llm"
-	"uniask/internal/loadtest"
 	"uniask/internal/monitor"
 	"uniask/internal/vclock"
 )
@@ -258,11 +258,24 @@ func (r PilotsResult) String() string {
 // ---------------------------------------------------------------------------
 // Figure 2 — LLM-service load test.
 
+// Figure2Result is the load-test report plus the monitor the requests
+// reported into: its stage table carries each llm call's count, rejections
+// and wall-clock latency.
+type Figure2Result struct {
+	loadtest.Report
+	Monitor monitor.Dashboard
+}
+
+// String renders the report followed by the llm stage line.
+func (r Figure2Result) String() string {
+	return r.Report.String() + "\n" + r.Monitor.StagesString()
+}
+
 // Figure2 runs the paper's load test: 60 virtual minutes, arrival ramp 1→3
 // users/s, 7200 tokens per request, against a token quota calibrated like
 // the deployment's (sized so a small share of peak-load requests is
 // rejected — the paper saw 267 failures out of 7200 requests).
-func Figure2() loadtest.Report {
+func Figure2() Figure2Result {
 	clk := vclock.NewVirtual(time.Date(2025, 1, 1, 9, 0, 0, 0, time.UTC))
 	// The quota is sized so that only the ramp's final minutes overflow:
 	// the paper's test saw 267 failed queries out of 7200 (3.7%), all at
@@ -272,7 +285,9 @@ func Figure2() loadtest.Report {
 		BurstTokens:     1_020_000,
 		Clock:           clk,
 	})
-	return loadtest.Run(svc, clk, loadtest.Config{MaxRequests: 7200})
+	m := monitor.New()
+	rep := loadtest.Run(svc, clk, loadtest.Config{MaxRequests: 7200, Observer: m})
+	return Figure2Result{Report: rep, Monitor: m.Snapshot()}
 }
 
 // ---------------------------------------------------------------------------

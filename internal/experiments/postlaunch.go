@@ -3,8 +3,8 @@ package experiments
 import (
 	"context"
 
+	"uniask/internal/experiments/tickets"
 	"uniask/internal/kb"
-	"uniask/internal/tickets"
 )
 
 // StreamMix describes the production query stream used for the post-launch

@@ -313,16 +313,6 @@ func (s *Segmented) ParentChunkIDs(parentID string) []string {
 	return ids
 }
 
-// HasParent reports whether any part holds a live chunk of the KB document.
-func (s *Segmented) HasParent(parentID string) bool {
-	for _, part := range s.parts() {
-		if part.HasParent(parentID) {
-			return true
-		}
-	}
-	return false
-}
-
 // HasParents implements Writer over one view of the parts: present[i]
 // reports whether any part holds a live chunk of KB document ids[i].
 func (s *Segmented) HasParents(ids []string) (present []bool, err error) {

@@ -310,7 +310,7 @@ func TestSegmentedDeleteParentAcrossParts(t *testing.T) {
 	if n := seg.DeleteParent("p1"); n != 3 {
 		t.Fatalf("DeleteParent removed %d chunks, want 3", n)
 	}
-	if seg.HasParent("p1") {
+	if present, _ := seg.HasParents([]string{"p1"}); present[0] {
 		t.Fatal("parent still visible after DeleteParent")
 	}
 	ids, _, ok := seg.DeletesSince(0)

@@ -234,7 +234,7 @@ const editPassRPCs = 30
 // edit pass stays within editPassRPCs.
 func TestIngestRPCBudget(t *testing.T) {
 	pc := newParityCluster(t)
-	presence := pc.rpcs[opHasParents].Load() + pc.rpcs[opHasParent].Load()
+	presence := pc.rpcs[opHasParents].Load()
 	t.Logf("bulk load of %d pages: %d presence RPCs", len(pc.pages), presence)
 	if presence > int64(len(pc.groups)) {
 		t.Errorf("bulk load of %d pages sent %d presence RPCs, ceiling %d (one per shard)", len(pc.pages), presence, len(pc.groups))

@@ -46,7 +46,7 @@ func TestUnhostedReadsBuildNoStore(t *testing.T) {
 // not host gets, once through the wire codec, the reply a hosted empty
 // store gives. Left out are add and addBulk, which host the shard, and
 // snapshot, which both serve from an empty store and gob encodes with its
-// maps in random order.
+// maps in random order. The retired op 11 is unknown to both.
 func TestUnhostedAnswersAsEmptyStore(t *testing.T) {
 	cfg := testConfig()
 	unhosted, hosted := NewServer(ServerConfig{Index: cfg}), NewServer(ServerConfig{Index: cfg})
@@ -70,6 +70,9 @@ func TestUnhostedAnswersAsEmptyStore(t *testing.T) {
 		req := request{Op: o, Shard: 5, Query: "conto corrente", N: 5, Fields: []string{"title"}, Terms: []string{"conto"},
 			Field: "titleVector", Vector: testDoc(1).Vectors["titleVector"], K: 5, ID: "kb00001", IDs: []string{"kb00001#0", "kb00002"}}
 		want := wire(hosted.handle(&req))
+		if o == opRetiredHasParent && want.Err != "remote: unknown op 11" {
+			t.Errorf("retired op 11: a hosted store answers %+v, want remote: unknown op 11", want)
+		}
 		if got := wire(unhosted.handle(&req)); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: unhosted shard answers %+v, an empty one %+v", o, got, want)
 		}

@@ -87,8 +87,14 @@ func TestEveryOpRoundTrips(t *testing.T) {
 	cfg := testConfig()
 	seg := index.SegmentConfig{MemtableMaxDocs: 8, CompactionFanIn: 2}
 	srv := startServer(t, ServerConfig{Index: cfg, Segment: seg})
-	// g is reassigned per pass; the cases below read it when they run.
-	g := single(srv.Addr(), 3)
+	// g is reassigned per pass; the cases below read it when they run. Every
+	// pass goes through one endpoint breaker, so the retired op's case can
+	// check that an unknown-op answer leaves it closed.
+	breaker := resilience.NewBreaker(resilience.BreakerConfig{Name: "remote:" + srv.Addr()})
+	dial := func() *Group {
+		return NewGroup([]*Client{NewClient(ClientConfig{Addr: srv.Addr(), Shard: 3, Breaker: breaker})}, 0)
+	}
+	g := dial()
 	defer func() { g.Close() }()
 	local := index.NewSegmented(cfg, seg)
 	ctx := context.Background()
@@ -185,14 +191,12 @@ func TestEveryOpRoundTrips(t *testing.T) {
 			return [][]string{g.ParentChunkIDs("kb00005"), g.ParentChunkIDs("kb00011")},
 				[][]string{local.ParentChunkIDs("kb00005"), local.ParentChunkIDs("kb00011")}
 		},
-		opHasParent: func() (any, any) {
-			// Only frontends of the previous release still send it.
-			var got []bool
-			for _, id := range []string{"kb00005", "kb00011"} {
-				resp, err := g.readDetached(request{Op: opHasParent, ID: id})
-				got = append(got, err == nil && resp.OK)
-			}
-			return got, []bool{local.HasParent("kb00005"), local.HasParent("kb00011")}
+		opRetiredHasParent: func() (any, any) {
+			// Retired: the server answers it as an op it does not know, an
+			// application error that leaves the endpoint's breaker closed.
+			_, err := g.readDetached(request{Op: opRetiredHasParent, ID: "kb00005"})
+			unknown := err != nil && strings.HasSuffix(err.Error(), ": remote: unknown op 11")
+			return []any{unknown, g.Breakers()[0].State}, []any{true, "closed"}
 		},
 		opHasParents: func() (any, any) {
 			batch := []string{"kb00005", "kb00011", "missing", "kb00005"}
@@ -250,21 +254,28 @@ func TestEveryOpRoundTrips(t *testing.T) {
 	probe := NewServer(ServerConfig{Index: cfg})
 	var forward, backward []op
 	for o := opPing; o < opEnd; o++ {
+		forward = append(forward, o)
+		backward = append([]op{o}, backward...)
+		resp := probe.handle(&request{Op: o})
+		if o == opRetiredHasParent {
+			if resp.Err != "remote: unknown op 11" {
+				t.Errorf("retired op 11 answered %+v, want remote: unknown op 11", resp)
+			}
+			continue
+		}
 		if strings.HasPrefix(o.String(), "op(") {
 			t.Errorf("op %d has no name in String()", uint8(o))
 		}
-		if resp := probe.handle(&request{Op: o}); strings.Contains(resp.Err, "unknown op") {
+		if strings.Contains(resp.Err, "unknown op") {
 			t.Errorf("%s: Server.handle has no case: %s", o, resp.Err)
 		}
-		forward = append(forward, o)
-		backward = append([]op{o}, backward...)
 	}
 	for _, pass := range []struct {
 		name string
 		ops  []op
 	}{{"forward", forward}, {"backward", backward}} {
 		g.Close()
-		g = single(srv.Addr(), 3)
+		g = dial()
 		var conn *clientConn
 		for _, o := range pass.ops {
 			run, ok := cases[o]

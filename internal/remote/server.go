@@ -276,8 +276,6 @@ func (s *Server) handle(req *request) (resp *response) {
 		// is network input); any other read is served by a throwaway empty
 		// store.
 		switch req.Op {
-		case opHasParent:
-			return &response{}
 		case opHasParents:
 			return &response{Present: make([]bool, len(req.IDs))}
 		case opStatus:
@@ -319,8 +317,6 @@ func (s *Server) handle(req *request) (resp *response) {
 		return &response{N: st.DeleteParent(req.ID)}
 	case opParentChunkIDs:
 		return &response{IDs: st.ParentChunkIDs(req.ID)}
-	case opHasParent:
-		return &response{OK: st.HasParent(req.ID)}
 	case opHasParents:
 		present, _ := st.HasParents(req.IDs)
 		return &response{Present: present}

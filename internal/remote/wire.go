@@ -153,7 +153,10 @@ const (
 	opDelete
 	opDeleteParent
 	opParentChunkIDs
-	opHasParent
+	// opRetiredHasParent was the single-id presence question. Servers
+	// stopped answering it one release after opHasParents arrived; the
+	// value stays reserved and is never reused.
+	opRetiredHasParent
 	opDocByID
 	opDoc
 	opLiveDocs
@@ -162,9 +165,7 @@ const (
 	opWaitCompaction
 	opSnapshot
 	opDocsByID
-	// opHasParents is the batched opHasParent. The server keeps answering
-	// opHasParent for frontends of the previous release; release K+1
-	// deletes it.
+	// opHasParents asks about a batch of KB documents at once.
 	opHasParents
 	// opEnd is one past the last op. It is never sent; the op-table test
 	// walks [opPing, opEnd).
@@ -193,8 +194,6 @@ func (o op) String() string {
 		return "deleteParent"
 	case opParentChunkIDs:
 		return "parentChunkIDs"
-	case opHasParent:
-		return "hasParent"
 	case opDocByID:
 		return "docByID"
 	case opDoc:

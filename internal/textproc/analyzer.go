@@ -3,8 +3,8 @@ package textproc
 // Analyzer composes the full analysis pipeline applied to both indexed
 // fields and queries: tokenize -> strip elision -> lowercase -> fold
 // diacritics -> drop stop words -> stem. Each stage can be disabled, which
-// the baseline engine (internal/baseline) uses to reproduce the previous
-// system's raw exact matching.
+// the baseline engine (internal/experiments/baseline) uses to reproduce
+// the previous system's raw exact matching.
 type Analyzer struct {
 	// Language selects the stop-word list and stemmer (default Italian,
 	// the paper's deployment language).
