@@ -112,7 +112,7 @@ bench:
 	$(GO) test -bench 'BenchmarkSearchText|BenchmarkSearchVector|BenchmarkFilterSet|BenchmarkQueryCache|BenchmarkTrace|BenchmarkIngest|BenchmarkBulkLoad|BenchmarkCompaction|BenchmarkTenant|BenchmarkSession|BenchmarkSSE|BenchmarkFinalize|BenchmarkHNSWBuild' \
 		-benchmem -run '^$$' ./internal/index/ ./internal/search/ ./internal/shard/ ./internal/trace/ ./internal/tenant/ ./internal/server/ ./internal/vector/ \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_query_baseline.json \
-			-note "SearchVector* run the int8 quantized arena: traversal orders candidates by int8 dot products, then every surviving candidate (<= ef) is rescored with exact float32 dots before final ranking, so reported latencies include the rescoring pass and scores match the *Float32 control benchmarks exactly." \
+			-note "SearchVector* time one contentVector ANN leg (k=15): greedy descent plus a layer-0 beam over the float32 arena the graph was built over; the returned distances are the beam's own exact 1 - dot values, so there is no rescoring pass." \
 			> BENCH_query.json.tmp || { rm -f BENCH_query.json.tmp; exit 1; }
 	mv BENCH_query.json.tmp BENCH_query.json
 	@echo "wrote BENCH_query.json"

@@ -73,7 +73,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&o.engine.Trace.Capacity, "trace-capacity", 0, "trace store size (0 = 2048 retained traces, negative disables tracing)")
 	fs.Float64Var(&o.engine.Trace.SampleRate, "trace-sample", 0, "head-sampling rate in (0,1] (0 = trace every request)")
 	fs.DurationVar(&o.engine.Trace.SlowThreshold, "trace-slow", 0, "always-retain latency threshold (0 = 250ms)")
-	fs.BoolVar(&o.engine.DisableVectorQuantization, "no-vector-quantization", false, "ANN search over full float32 vectors instead of the int8 quantized arena (recall debugging)")
 
 	fs.StringVar(&o.tenantsFile, "tenants", "", "tenant overrides JSON file; when set the server hosts the tenants it lists (see docs/MULTITENANCY.md)")
 	fs.DurationVar(&o.tenantsReload, "tenants-reload", 0, "overrides hot-reload poll interval (0 = 5s, negative disables)")

@@ -39,13 +39,12 @@ func TestFlagsBindOntoOneConfig(t *testing.T) {
 
 	o = parse(t, "-workers", "3", "-shards", "4", "-shard-endpoints", "a:1, b:2,", "-shard-replication", "1",
 		"-memtable-max-docs", "32", "-compaction-fanin", "-1", "-trace-capacity", "-1", "-trace-sample", "0.5",
-		"-trace-slow", "2s", "-no-vector-quantization", "-session-ttl", "1m", "-admission-capacity", "7")
+		"-trace-slow", "2s", "-session-ttl", "1m", "-admission-capacity", "7")
 	cfg = o.engine
 	if cfg.SearchWorkers != 3 || cfg.ShardCount != 4 || cfg.RemoteReplication != 1 ||
 		strings.Join(cfg.RemoteShards, "|") != "a:1|b:2" ||
 		cfg.Segment.MemtableMaxDocs != 32 || cfg.Segment.CompactionFanIn != -1 ||
-		cfg.Trace.Capacity != -1 || cfg.Trace.SampleRate != 0.5 || cfg.Trace.SlowThreshold != 2*time.Second ||
-		!cfg.DisableVectorQuantization {
+		cfg.Trace.Capacity != -1 || cfg.Trace.SampleRate != 0.5 || cfg.Trace.SlowThreshold != 2*time.Second {
 		t.Fatalf("engine config = %+v", cfg)
 	}
 	if o.session.TTL != time.Minute || o.admission.Capacity != 7 {

@@ -109,11 +109,6 @@ type Config struct {
 	// search.CachePool here, so one tenant's traffic cannot evict
 	// another's entries.
 	QueryCache *search.QueryCache
-	// DisableVectorQuantization makes ANN search traverse full float32
-	// vectors instead of the int8 quantized arena — exact traversal
-	// distances at ~4× the memory bandwidth. The default (quantized) is
-	// the right call everywhere except recall debugging.
-	DisableVectorQuantization bool
 	// Resilience configures retries and circuit breakers around the LLM and
 	// embedding dependencies (zero value = enabled with defaults).
 	Resilience ResilienceConfig
@@ -153,11 +148,8 @@ func (cfg Config) NewTracer() *trace.Tracer {
 // whole value.
 func (cfg Config) storeConfig() shard.Config {
 	return shard.Config{
-		Shards: cfg.ShardCount,
-		Index: index.Config{
-			Schema:                    indexer.Schema(),
-			DisableVectorQuantization: cfg.DisableVectorQuantization,
-		},
+		Shards:  cfg.ShardCount,
+		Index:   index.Config{Schema: indexer.Schema()},
 		Segment: cfg.Segment,
 		Workers: cfg.SearchWorkers,
 	}
@@ -400,7 +392,9 @@ func (e *Engine) SetObserver(obs pipeline.Observer) {
 
 // BuildFromCorpus creates an engine and indexes a generated corpus through
 // the full ingestion pipeline (HTML extraction → chunking → enrichment →
-// index).
+// index). It returns a quiescent engine: the background compaction the
+// load scheduled has finished, so what it serves does not depend on when a
+// merge ends.
 func BuildFromCorpus(ctx context.Context, corpus *kb.Corpus, cfg Config) (*Engine, error) {
 	if cfg.Lexicon == nil {
 		cfg.Lexicon = corpus.Lexicon()
@@ -408,6 +402,9 @@ func BuildFromCorpus(ctx context.Context, corpus *kb.Corpus, cfg Config) (*Engin
 	eng := New(cfg)
 	if err := eng.IndexCorpus(ctx, corpus); err != nil {
 		return nil, err
+	}
+	if p, ok := eng.Index.(index.Publisher); ok {
+		p.WaitCompaction()
 	}
 	return eng, nil
 }

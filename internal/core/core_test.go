@@ -429,6 +429,44 @@ func TestIndexCorpusIsFirstPollerPass(t *testing.T) {
 	}
 }
 
+// TestBuildFromCorpusIsQuiescent: the memtable bound makes the load seal
+// three segments on its own and the closing publication a fourth, which
+// owes one merge at the default fan-in — started in the background as the
+// load returns. BuildFromCorpus returns only once that merge is done, so
+// two builds of one corpus hold the same segment layout and give the same
+// retrievals.
+func TestBuildFromCorpusIsQuiescent(t *testing.T) {
+	corpus := kb.Generate(kb.GenConfig{Docs: 160, Seed: 7})
+	cfg := Config{Segment: index.SegmentConfig{MemtableMaxDocs: 64}}
+	ctx := context.Background()
+	build := func() *Engine {
+		t.Helper()
+		e, err := BuildFromCorpus(ctx, corpus, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := e.SegmentStats()[0]
+		if st.Backlog != 0 || st.Compactions == 0 {
+			t.Fatalf("built engine: %d merges owed after %d compactions, want 0 owed after at least one", st.Backlog, st.Compactions)
+		}
+		return e
+	}
+	a, b := build(), build()
+	if sa, sb := a.SegmentStats(), b.SegmentStats(); !reflect.DeepEqual(sa, sb) {
+		t.Fatalf("segment stats differ:\n%+v\n%+v", sa, sb)
+	}
+	for _, q := range corpus.HumanDataset(12, 3).Queries {
+		ra, _, errA := a.Search(ctx, q.Text)
+		rb, _, errB := b.Search(ctx, q.Text)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if fmt.Sprintf("%#v", ra) != fmt.Sprintf("%#v", rb) {
+			t.Fatalf("rankings differ for %q", q.Text)
+		}
+	}
+}
+
 // TestShardedEngineLoadsSingleStoreSnapshot is the 1 → N migration: what a
 // single-store engine saves (the segmented container) loads into a sharded
 // engine, every live document re-routed, text rankings unchanged.

@@ -129,49 +129,6 @@ func BenchmarkSearchVectorFiltered(b *testing.B) {
 	}
 }
 
-// benchIndexFloat32 loads the benchCorpus with vector quantization off, so
-// the Float32 benchmark variants time exact float32 graph traversal against
-// the default int8 path on identical data.
-func benchIndexFloat32(tb testing.TB) (*Index, vector.Vector) {
-	tb.Helper()
-	docs, q := benchCorpus()
-	ix := New(Config{DisableVectorQuantization: true})
-	for _, doc := range docs {
-		if err := ix.Add(doc); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return ix, q
-}
-
-// BenchmarkSearchVectorFloat32 is the control for BenchmarkSearchVector:
-// the same graph walked with exact float32 dots instead of int8 dots (and
-// without the rescoring pass). On this in-cache corpus the pair should run
-// at rough latency parity — the quantized path trades rescoring overhead
-// for cheaper dots and a 4x-smaller arena; final scores are identical
-// either way because the quantized path rescores its candidates with exact
-// float32 dots before ranking.
-func BenchmarkSearchVectorFloat32(b *testing.B) {
-	ix, q := benchIndexFloat32(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.SearchVector("contentVector", q, 15, nil)
-	}
-}
-
-// BenchmarkSearchVectorFilteredFloat32 is the float32 control for the
-// filtered ANN leg.
-func BenchmarkSearchVectorFilteredFloat32(b *testing.B) {
-	ix, q := benchIndexFloat32(b)
-	filters := []Filter{{Field: "domain", Value: "pagamenti"}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.SearchVector("contentVector", q, 15, filters)
-	}
-}
-
 // BenchmarkFilterSet times resolving a two-term conjunctive filter to the
 // allowed-document set (cached bitsets intersected by AND).
 func BenchmarkFilterSet(b *testing.B) {

@@ -98,10 +98,6 @@ type Config struct {
 	// VectorIndex constructs the ANN index for a vector field; defaults to
 	// HNSW with a seed derived from the field name.
 	VectorIndex func(field string) vector.Index
-	// DisableVectorQuantization makes the default HNSW traverse float32
-	// vectors instead of the int8 quantized arena (see vector.HNSWConfig).
-	// It has no effect when VectorIndex is set explicitly.
-	DisableVectorQuantization bool
 }
 
 // Index is the searchable chunk store.
@@ -169,11 +165,7 @@ func New(cfg Config) *Index {
 			// EfConstruction 80 trades a little graph quality for much
 			// faster bulk indexing; recall parity with exhaustive k-NN at
 			// the K values UniAsk uses is verified in the ablation benches.
-			return vector.NewHNSW(vector.HNSWConfig{
-				Seed:                seed,
-				EfConstruction:      80,
-				DisableQuantization: cfg.DisableVectorQuantization,
-			})
+			return vector.NewHNSW(vector.HNSWConfig{Seed: seed, EfConstruction: 80})
 		}
 	}
 	ix := &Index{

@@ -44,10 +44,12 @@ type Queryable interface {
 // memtable(s) into immutable segments, rotating the stats snapshot key and
 // scheduling background compaction. The ingestion layer calls it at the end
 // of each bulk load / poll cycle, mirroring a search engine's
-// refresh-after-bulk. Stores whose writes publish immediately (the plain
-// *Index) simply do not implement it.
+// refresh-after-bulk. WaitCompaction blocks until that compaction is idle.
+// Stores whose writes publish immediately (the plain *Index) simply do not
+// implement it.
 type Publisher interface {
 	Publish()
+	WaitCompaction()
 }
 
 // Writer is the mutation surface the ingestion layer needs.

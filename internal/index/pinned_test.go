@@ -25,14 +25,11 @@ type hnswArena struct {
 	Cfg     struct {
 		M, EfConstruction, EfSearch int
 		Seed                        int64
-		DisableQuantization         bool
 	}
 	Dim, MaxLvl                                     int
 	Entry                                           int32
 	IDs, Levels, Links0, Cnt0, UpOff, UpNbrs, UpCnt []int32
 	Vecs                                            []float32
-	QVecs                                           []int8
-	QScale, MaxAbs                                  float32
 }
 
 // TestIndexSnapshotPinned pins the graphs the index builds through the real
@@ -43,7 +40,7 @@ type hnswArena struct {
 // binary layout, in field-name order: gob's own bytes vary with map order
 // and with the process-wide type numbers gob assigns on first use.
 func TestIndexSnapshotPinned(t *testing.T) {
-	const want = "f90ce07da1ec1fad4de16b55e0ba736696300ce17d3de32c17c4c261c11f4ef9"
+	const want = "273fef1e18c683dbf0c5d88084c72079a36ef102f7e812e886bb085d3b999ded"
 	corpus := kb.Generate(kb.GenConfig{Docs: 300, Seed: 5})
 	ix := index.New(index.Config{Schema: indexer.Schema()})
 	in := indexer.New(ix, embedding.NewSynth(0, corpus.Lexicon()), llm.NewSim(llm.DefaultBehavior()), indexer.Config{})
@@ -78,8 +75,8 @@ func TestIndexSnapshotPinned(t *testing.T) {
 		}
 		for _, v := range []any{
 			[]byte(name), int64(g.Version), int64(g.Cfg.M), int64(g.Cfg.EfConstruction), int64(g.Cfg.EfSearch),
-			g.Cfg.Seed, g.Cfg.DisableQuantization, int64(g.Dim), g.Entry, int64(g.MaxLvl), g.QScale, g.MaxAbs,
-			g.IDs, g.Levels, g.Vecs, g.QVecs, g.Links0, g.Cnt0, g.UpOff, g.UpNbrs, g.UpCnt,
+			g.Cfg.Seed, int64(g.Dim), g.Entry, int64(g.MaxLvl),
+			g.IDs, g.Levels, g.Vecs, g.Links0, g.Cnt0, g.UpOff, g.UpNbrs, g.UpCnt,
 		} {
 			if err := binary.Write(d, binary.LittleEndian, v); err != nil {
 				t.Fatal(err)

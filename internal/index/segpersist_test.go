@@ -74,11 +74,11 @@ func TestSegmentedPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentedPersistQuantizedVectorRoundTrip pins the quantized ANN path
-// across the segmented container: the int8 arena travels inside each
-// part's HNSW stream, so a restored store must reproduce vector rankings
-// (ids, scores, order) exactly — sealed segments, live memtable and
-// tombstones included — without requantizing or rebuilding any graph.
+// TestSegmentedPersistQuantizedVectorRoundTrip pins the HNSW path across
+// the segmented container: the float32 arena and the adjacency travel
+// inside each part's HNSW stream, so a restored store must reproduce
+// vector rankings (ids, scores, order) exactly — sealed segments, live
+// memtable and tombstones included — without rebuilding any graph.
 func TestSegmentedPersistQuantizedVectorRoundTrip(t *testing.T) {
 	seg := segStore(t)
 	rng := rand.New(rand.NewSource(29))
@@ -116,12 +116,13 @@ func TestSegmentedPersistQuantizedVectorRoundTrip(t *testing.T) {
 }
 
 // TestSegmentedPersistPreviousReleaseFixture loads a container the
-// previous release wrote (testdata/segmented_pr25.snap, generated at commit
-// aa9d873 by saving segStore(t) to the file): the restored store must equal
-// a fresh segStore. A change to the container format must keep this
-// loading, and regenerates the fixture from its parent commit.
+// previous release wrote (testdata/segmented_354f2dc.snap, generated at
+// commit 354f2dc by saving segStore(t) to the file; its graphs still carry
+// the int8 arena copy that release kept): the restored store must equal a
+// fresh segStore. A change to the container format must keep this loading,
+// and regenerates the fixture from its parent commit.
 func TestSegmentedPersistPreviousReleaseFixture(t *testing.T) {
-	f, err := os.Open(filepath.Join("testdata", "segmented_pr25.snap"))
+	f, err := os.Open(filepath.Join("testdata", "segmented_354f2dc.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}

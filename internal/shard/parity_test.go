@@ -322,15 +322,15 @@ func TestShardParityMatchesMonolithic(t *testing.T) {
 }
 
 // TestShardParityQuantizedReplay extends the byte-parity harness to the
-// quantized vector path. Cross-topology parity (above) runs the exhaustive
+// HNSW vector path. Cross-topology parity (above) runs the exhaustive
 // backend because per-shard HNSW graphs are legitimately different graphs;
-// the quantized guarantee is *replay* parity: a facade running the default
-// int8-quantized HNSW must, after a save/load round trip of its
-// sharded-segmented container, reproduce every vector ranking — ids,
-// scores, order — exactly, at every shard count, with sealed segments,
-// live memtables and tombstones all in play. That holds only if the
-// quantized arena survives the snapshot bit-for-bit (a requantized or
-// rebuilt graph would walk different beams).
+// the HNSW guarantee is *replay* parity: a facade running the default
+// HNSW must, after a save/load round trip of its sharded-segmented
+// container, reproduce every vector ranking — ids, scores, order — exactly,
+// at every shard count, with sealed segments, live memtables and
+// tombstones all in play. That holds only if the arena and the adjacency
+// survive the snapshot bit-for-bit (a rebuilt graph would walk different
+// beams).
 func TestShardParityQuantizedReplay(t *testing.T) {
 	emb := embedding.NewSynth(32, nil)
 	domains := []string{"prodotti", "pagamenti", "errori"}
@@ -392,7 +392,7 @@ func TestShardParityQuantizedReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := fingerprint(loaded); got != want {
-				t.Fatalf("replayed quantized rankings diverged\nwant: %s\ngot:  %s", want, got)
+				t.Fatalf("replayed HNSW rankings diverged\nwant: %s\ngot:  %s", want, got)
 			}
 		})
 	}

@@ -189,7 +189,7 @@ func TestTruncatedContainerErrors(t *testing.T) {
 	}
 }
 
-// fixtureConfig and fixtureFacade build the facade testdata/sharded_pr25.snap
+// fixtureConfig and fixtureFacade build the facade testdata/sharded_354f2dc.snap
 // holds: two shards with sealed segments, live memtables and tombstones.
 func fixtureConfig(shards int) shard.Config {
 	return shard.Config{Shards: shards, Index: vecConfig(), Segment: index.SegmentConfig{MemtableMaxDocs: 8, CompactionFanIn: -1}}
@@ -206,8 +206,9 @@ func fixtureFacade(t testing.TB) (*shard.Sharded, *embedding.Synth) {
 }
 
 // TestShardedPersistPreviousReleaseFixture loads a container the previous
-// release wrote (testdata/sharded_pr25.snap, generated at commit aa9d873 by
-// saving fixtureFacade(t) to the file). At two shards it must equal a fresh
+// release wrote (testdata/sharded_354f2dc.snap, generated at commit 354f2dc
+// by saving fixtureFacade(t) to the file; its graphs still carry the int8
+// arena copy that release kept). At two shards it must equal a fresh
 // fixtureFacade; at four it must migrate exactly as a fresh container does.
 // A change to the container format must keep this loading, and regenerates
 // the fixture from its parent commit.
@@ -223,7 +224,7 @@ func TestShardedPersistPreviousReleaseFixture(t *testing.T) {
 	}
 	fixture := func(shards int) *shard.Sharded {
 		t.Helper()
-		f, err := os.Open(filepath.Join("testdata", "sharded_pr25.snap"))
+		f, err := os.Open(filepath.Join("testdata", "sharded_354f2dc.snap"))
 		if err != nil {
 			t.Fatal(err)
 		}

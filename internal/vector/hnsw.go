@@ -22,11 +22,6 @@ type HNSWConfig struct {
 	// Seed drives the level generator so index construction is
 	// deterministic.
 	Seed int64
-	// DisableQuantization makes search traverse the float32 arena instead
-	// of the int8 quantized one. Traversal distances are then exact, at
-	// ~4× the memory bandwidth; the rescoring pass still runs so results
-	// are identical in format and tie order.
-	DisableQuantization bool
 }
 
 func (c HNSWConfig) withDefaults() HNSWConfig {
@@ -48,8 +43,7 @@ func (c HNSWConfig) withDefaults() HNSWConfig {
 // The graph is stored flat, hnswlib-style, with no per-node heap objects:
 //
 //   - vecs is one contiguous float32 arena (node n's unit vector occupies
-//     vecs[n*dim : (n+1)*dim]); qvecs is its int8 scalar-quantized shadow
-//     (see quantize.go).
+//     vecs[n*dim : (n+1)*dim]), which construction and search both walk.
 //   - Layer-0 adjacency is a fixed-stride arena: node n owns the 2M-slot
 //     block links0[n*2M : (n+1)*2M], of which the first cnt0[n] are live.
 //   - Upper-layer adjacency is allocated per node on insert: a node of
@@ -73,9 +67,6 @@ type HNSW struct {
 	ids    []int32 // node ordinal -> external id
 	levels []int32
 	vecs   []float32
-	qvecs  []int8
-	qscale float32 // 127/maxAbs; 0 until a nonzero vector is stored
-	maxAbs float32
 
 	links0 []int32
 	cnt0   []int32
@@ -132,8 +123,8 @@ func NewHNSW(cfg HNSWConfig) *HNSW {
 // Len implements Index.
 func (h *HNSW) Len() int { return len(h.ids) }
 
-// Arena views. A view's capacity ends with its slot, so reslicing it past
-// dim (as dotF4 and dotQ do to match a longer query) panics rather than
+// vec is node n's arena view. Its capacity ends with its slot, so reslicing
+// it past dim (as dotF4 does to match a longer query) panics rather than
 // reading the next node's vector.
 func (h *HNSW) vec(n int32) []float32 {
 	s := int(n) * h.dim
@@ -289,11 +280,6 @@ func (h *HNSW) ReleaseBuildCache() { h.pc = pairCache{} }
 // is held (diagnostics).
 func (h *HNSW) BuildCacheEntries() int { return len(h.pc.slots) }
 
-func (h *HNSW) qvec(n int32) []int8 {
-	s := int(n) * h.dim
-	return h.qvecs[s : s+h.dim : s+h.dim]
-}
-
 func (h *HNSW) neighbors0(n int32) []int32 {
 	s := int(n) * h.m0
 	return h.links0[s : s+int(h.cnt0[n])]
@@ -361,8 +347,6 @@ func (h *HNSW) randomLevel() int {
 // Add implements Index. The vector is copied into the arena and normalized
 // on insertion: cosine distance is invariant to scaling, and unit-length
 // storage turns every distance evaluation into a single dot product.
-// Construction walks the float32 arena (exact distances, off the query hot
-// path); only searches use the quantized shadow.
 func (h *HNSW) Add(id int, v Vector) error {
 	if int64(id) != int64(int32(id)) {
 		return ErrIDOutOfRange
@@ -383,20 +367,7 @@ func (h *HNSW) Add(id int, v Vector) error {
 
 	start := len(h.vecs)
 	h.vecs = append(h.vecs, v...)
-	nv := h.vecs[start:]
-	normalizeF(nv)
-	if m := maxAbsF(nv); m > h.maxAbs {
-		// A new largest component: requantize the arena under the new
-		// scale so the quantized shadow stays a pure function of the
-		// stored vector set (insertion-order independent).
-		h.maxAbs = m
-		h.qscale = quantMax / m
-		h.qvecs = h.qvecs[:0]
-		for i := 0; i < len(h.ids); i++ {
-			h.qvecs = quantizeInto(h.qvecs, h.vec(int32(i)), h.qscale)
-		}
-	}
-	h.qvecs = quantizeInto(h.qvecs, nv, h.qscale)
+	normalizeF(h.vecs[start:])
 
 	h.ids = append(h.ids, int32(id))
 	h.levels = append(h.levels, int32(level))
@@ -475,25 +446,6 @@ func (h *HNSW) greedyF(st *searchState, q []float32, ep int32, l int) int32 {
 		for i, d := range st.dist {
 			if d < bestD {
 				best, bestD = nbrs[i], d
-				improved = true
-			}
-		}
-		if !improved {
-			return best
-		}
-	}
-}
-
-// greedyQ is greedyF over the quantized arena (int32 keys, no float
-// conversion needed for a strict descent).
-func (h *HNSW) greedyQ(qq []int8, ep int32, l int) int32 {
-	best := ep
-	bestD := -dotQ(qq, h.qvec(ep))
-	for {
-		improved := false
-		for _, n := range h.layerNeighbors(best, l) {
-			if d := -dotQ(qq, h.qvec(n)); d < bestD {
-				best, bestD = n, d
 				improved = true
 			}
 		}
@@ -639,91 +591,36 @@ func (h *HNSW) Search(q Vector, k int) []Result {
 	return h.SearchUnit(q, k, nil)
 }
 
-// SearchUnit implements Index. The quantized path descends the upper
-// layers and runs the layer-0 beam over int8 dot products, then rescores
-// every surviving candidate (at most ef) against the float32 arena and
-// returns the top k under exact (distance, id) order — so quantization can
-// only cost recall at the beam edge, never final-ranking precision among
-// the survivors. Nodes rejected by accept still feed the frontier (the
-// graph stays navigable through them) but never enter the result heap.
+// SearchUnit implements Index: it descends the upper layers greedily, runs
+// the layer-0 beam with candidate list size max(EfSearch, k) and returns
+// the k closest survivors under (distance, id) order. The beam keys its
+// result heap on the exact distance 1 - dot(q, vec(n)) (see dists), so the
+// survivors are returned with the distances the beam ranked them by.
 func (h *HNSW) SearchUnit(q Vector, k int, accept Accept) []Result {
 	if k <= 0 || h.entry < 0 {
 		return nil
 	}
 	st := h.getState()
-	ef := h.cfg.EfSearch
-	if ef < k {
-		ef = k
+	ep := h.entry
+	for l := h.maxLvl; l > 0; l-- {
+		ep = h.greedyF(st, q, ep, l)
 	}
-	if h.cfg.DisableQuantization {
-		ep := h.entry
-		for l := h.maxLvl; l > 0; l-- {
-			ep = h.greedyF(st, q, ep, l)
-		}
-		h.beamF(st, q, ep, ef, accept)
-	} else {
-		st.qq = quantizeInto(st.qq[:0], q, h.qscale)
-		ep := h.entry
-		for l := h.maxLvl; l > 0; l-- {
-			ep = h.greedyQ(st.qq, ep, l)
-		}
-		h.beamQ(st, ep, ef, accept)
-	}
-	// Rescore the survivors with exact float32 distances.
-	st.nodes = st.nodes[:0]
+	h.beamF(st, q, ep, max(h.cfg.EfSearch, k), accept)
 	for _, it := range st.res {
-		st.nodes = append(st.nodes, it.node)
+		st.hits = append(st.hits, Result{ID: int(h.ids[it.node]), Distance: it.key})
 	}
-	st.dist = h.dists(st.dist[:0], q, st.nodes)
-	for i, n := range st.nodes {
-		st.rescore = append(st.rescore, Result{ID: int(h.ids[n]), Distance: st.dist[i]})
-	}
-	sortResultsInPlace(st.rescore)
-	if k > len(st.rescore) {
-		k = len(st.rescore)
-	}
-	out := make([]Result, k)
-	copy(out, st.rescore[:k])
+	sortResultsInPlace(st.hits)
+	out := make([]Result, min(k, len(st.hits)))
+	copy(out, st.hits)
 	h.statePool.Put(st)
 	return out
 }
 
-// beamQ runs the layer-0 beam over the quantized arena. The result heap
-// keys are negated int8 dot products widened to float32 (exact for any
-// realistic dimension, see qItem).
-func (h *HNSW) beamQ(st *searchState, ep int32, ef int, accept Accept) {
-	st.mark(ep)
-	d := float32(-dotQ(st.qq, h.qvec(ep)))
-	pushMin(&st.cand, qItem{ep, d})
-	if accept == nil || accept(h.ids[ep]) {
-		pushMax(&st.res, qItem{ep, d})
-	}
-	for len(st.cand) > 0 {
-		c := popMin(&st.cand)
-		if len(st.res) >= ef && c.key > st.res[0].key {
-			break
-		}
-		for _, n := range h.neighbors0(c.node) {
-			if st.seen(n) {
-				continue
-			}
-			st.mark(n)
-			d := float32(-dotQ(st.qq, h.qvec(n)))
-			if len(st.res) < ef || d < st.res[0].key {
-				pushMin(&st.cand, qItem{n, d})
-				if accept == nil || accept(h.ids[n]) {
-					pushMax(&st.res, qItem{n, d})
-					if len(st.res) > ef {
-						popMax(&st.res)
-					}
-				}
-			}
-		}
-	}
-}
-
-// beamF is beamQ over the float32 arena (exact traversal distances), each
-// expansion's distances batched as in searchLayerF.
+// beamF runs the layer-0 search with candidate list size ef from ep, each
+// expansion's distances batched as in searchLayerF, and leaves the best ef
+// accepted nodes in st.res. Nodes rejected by accept still feed the
+// frontier (the graph stays navigable through them) but never enter the
+// result heap.
 func (h *HNSW) beamF(st *searchState, q Vector, ep int32, ef int, accept Accept) {
 	st.mark(ep)
 	d := 1 - dotF(q, h.vec(ep))

@@ -27,9 +27,6 @@ type hnswSnapshot struct {
 	IDs     []int32
 	Levels  []int32
 	Vecs    []float32
-	QVecs   []int8
-	QScale  float32
-	MaxAbs  float32
 	Links0  []int32
 	Cnt0    []int32
 	UpOff   []int32
@@ -37,9 +34,8 @@ type hnswSnapshot struct {
 	UpCnt   []int32
 }
 
-// Save serializes the graph, including its adjacency structure and the
-// quantized arena, so that loading skips both reconstruction and
-// requantization.
+// Save serializes the graph, including its adjacency structure, so that
+// loading skips reconstruction.
 func (h *HNSW) Save(w io.Writer) error {
 	snap := hnswSnapshot{
 		Version: hnswSnapshotVersion,
@@ -50,9 +46,6 @@ func (h *HNSW) Save(w io.Writer) error {
 		IDs:     h.ids,
 		Levels:  h.levels,
 		Vecs:    h.vecs,
-		QVecs:   h.qvecs,
-		QScale:  h.qscale,
-		MaxAbs:  h.maxAbs,
 		Links0:  h.links0,
 		Cnt0:    h.cnt0,
 		UpOff:   h.upOff,
@@ -67,7 +60,9 @@ func (h *HNSW) Save(w io.Writer) error {
 
 // ReadHNSW deserializes a graph written by Save, validating the arena
 // invariants so corrupted bytes surface as errors rather than panics on
-// the first search.
+// the first search. A snapshot the previous release wrote also carries an
+// int8 copy of the arena and a traversal switch in its config; gob skips
+// fields the target struct lacks, so it loads as the same graph.
 func ReadHNSW(r io.Reader) (*HNSW, error) {
 	var snap hnswSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -83,9 +78,6 @@ func ReadHNSW(r io.Reader) (*HNSW, error) {
 	h.ids = snap.IDs
 	h.levels = snap.Levels
 	h.vecs = snap.Vecs
-	h.qvecs = snap.QVecs
-	h.qscale = snap.QScale
-	h.maxAbs = snap.MaxAbs
 	h.links0 = snap.Links0
 	h.cnt0 = snap.Cnt0
 	h.upOff = snap.UpOff
@@ -110,8 +102,8 @@ func (h *HNSW) validate() error {
 		return fmt.Errorf("arena lengths disagree: %d ids, %d levels, %d cnt0, %d upOff",
 			n, len(h.levels), len(h.cnt0), len(h.upOff))
 	}
-	if len(h.vecs) != n*h.dim || len(h.qvecs) != n*h.dim {
-		return fmt.Errorf("vector arenas sized %d/%d, want %d", len(h.vecs), len(h.qvecs), n*h.dim)
+	if len(h.vecs) != n*h.dim {
+		return fmt.Errorf("vector arena sized %d, want %d", len(h.vecs), n*h.dim)
 	}
 	if len(h.links0) != n*h.m0 {
 		return fmt.Errorf("layer-0 arena sized %d, want %d", len(h.links0), n*h.m0)

@@ -1,21 +1,18 @@
 package vector
 
 // Pooled search state. Every HNSW search needs a visited set, a frontier
-// min-heap, a bounded result max-heap, a quantized query buffer, a
-// rescoring scratch and a distance batch. All six live in one searchState
-// recycled through a sync.Pool per index, so a steady-state search
-// allocates nothing beyond the caller-visible result slice.
+// min-heap, a bounded result max-heap, a result scratch and a distance
+// batch. All five live in one searchState recycled through a sync.Pool per
+// index, so a steady-state search allocates nothing beyond the
+// caller-visible result slice.
 //
 // The visited set is an epoch-stamped []uint32 indexed by node ordinal:
 // visited[n] == epoch means "seen this search". Bumping the epoch resets
 // the whole set in O(1); the array is only zeroed when the uint32 epoch
 // wraps (once per ~4 billion searches on one pooled state).
 
-// qItem is one heap entry: a node ordinal and its sort key. The key is the
-// traversal distance — exact float32 cosine distance on the float path, or
-// the negated int8 dot product on the quantized path (an int32 dot of
-// unit-scale int8 vectors stays below 2^24 for dims up to ~1000, so it is
-// exactly representable as a float32).
+// qItem is one heap entry: a node ordinal and its sort key, the exact
+// float32 cosine distance 1 - dot(q, vec(node)).
 type qItem struct {
 	node int32
 	key  float32
@@ -24,13 +21,12 @@ type qItem struct {
 type searchState struct {
 	visited []uint32
 	epoch   uint32
-	cand    []qItem // frontier: min-heap, closest first
-	res     []qItem // best ef so far: max-heap, farthest at root
-	qq      []int8  // quantized query
-	rescore []Result
-	// nodes and dist are one batch for HNSW.dists: the nodes whose float
-	// distances are due (an expansion's unseen neighbours, the survivors
-	// being rescored) and those distances, index for index.
+	cand    []qItem  // frontier: min-heap, closest first
+	res     []qItem  // best ef so far: max-heap, farthest at root
+	hits    []Result // res as Results, sorted before the top-k cut
+	// nodes and dist are one batch for HNSW.dists: the nodes whose
+	// distances are due (an expansion's unseen neighbours) and those
+	// distances, index for index.
 	nodes []int32
 	dist  []float32
 	// evals counts the distances computed on this state; only the
@@ -53,7 +49,7 @@ func (st *searchState) begin(n int) {
 	}
 	st.cand = st.cand[:0]
 	st.res = st.res[:0]
-	st.rescore = st.rescore[:0]
+	st.hits = st.hits[:0]
 }
 
 func (st *searchState) seen(n int32) bool { return st.visited[n] == st.epoch }
@@ -152,7 +148,7 @@ func popMax(h *[]qItem) qItem {
 	return top
 }
 
-// sortResultsInPlace orders rescored results by (distance asc, id asc)
+// sortResultsInPlace orders results by (distance asc, id asc)
 // with an allocation-free insertion sort; the slice never exceeds ef
 // elements, where insertion sort beats the sort package's overhead.
 func sortResultsInPlace(rs []Result) {

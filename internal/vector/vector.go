@@ -5,9 +5,8 @@
 // reports HNSW and exhaustive search yield similar retrieval performance;
 // the tests here verify that recall parity on synthetic workloads.
 //
-// Both indexes store vectors in one contiguous float32 arena (the HNSW
-// additionally keeps an int8 scalar-quantized copy it traverses, rescoring
-// the survivors in float32), and both accept an optional per-id Accept
+// Both indexes store vectors in one contiguous float32 arena, which their
+// searches read directly, and both accept an optional per-id Accept
 // predicate so callers can push tombstone/filter checks into the scan
 // instead of over-fetching and re-filtering.
 package vector
