@@ -74,12 +74,12 @@ func TestSegmentedPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentedPersistQuantizedVectorRoundTrip pins the HNSW path across
+// TestSegmentedPersistHNSWRoundTrip pins the HNSW path across
 // the segmented container: the float32 arena and the adjacency travel
 // inside each part's HNSW stream, so a restored store must reproduce
 // vector rankings (ids, scores, order) exactly — sealed segments, live
 // memtable and tombstones included — without rebuilding any graph.
-func TestSegmentedPersistQuantizedVectorRoundTrip(t *testing.T) {
+func TestSegmentedPersistHNSWRoundTrip(t *testing.T) {
 	seg := segStore(t)
 	rng := rand.New(rand.NewSource(29))
 	queries := make([]vector.Vector, 10)

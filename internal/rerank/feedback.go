@@ -70,11 +70,11 @@ func (r *Reranker) Recalibrate(c Click) Weights {
 	defer r.mu.Unlock()
 	cur := r.cur.Load()
 	w := cur.w
+	qTerms := r.analyzer.AnalyzeUnique(c.Query)
 
 	step := func(in Input, label float64) {
-		sem, lex, title := r.features(c.Query, c.QueryVec, in)
-		z := w.Semantic*sem + w.Lexical*lex + w.Title*title + w.Bias
-		p := 1 / (1 + math.Exp(-z))
+		sem, lex, title := r.features(qTerms, c.QueryVec, in)
+		p := w.prob(sem, lex, title)
 		g := learnRate * (label - p)
 		w.Semantic += g * sem
 		w.Lexical += g * lex

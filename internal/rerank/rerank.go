@@ -18,6 +18,7 @@
 package rerank
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -99,9 +100,9 @@ func (r *Reranker) Weights() Weights { return r.cur.Load().w }
 // ranking) whose validity depends on the parameters.
 func (r *Reranker) Version() uint64 { return r.cur.Load().version }
 
-// features computes the three evidence channels for one candidate.
-func (r *Reranker) features(query string, qvec vector.Vector, in Input) (sem, lex, title float64) {
-	qTerms := r.analyzer.AnalyzeUnique(query)
+// features computes the three evidence channels for one candidate against
+// the query's analyzed term set.
+func (r *Reranker) features(qTerms map[string]struct{}, qvec vector.Vector, in Input) (sem, lex, title float64) {
 	if qvec != nil && in.ContentVector != nil {
 		sem = float64(vector.Cosine(qvec, in.ContentVector))
 		if sem < 0 {
@@ -113,23 +114,34 @@ func (r *Reranker) features(query string, qvec vector.Vector, in Input) (sem, le
 	return sem, lex, title
 }
 
-// Score re-scores a single candidate against the query (and its embedding,
-// which may be nil).
-func (r *Reranker) Score(query string, qvec vector.Vector, in Input) float64 {
-	sem, lex, title := r.features(query, qvec, in)
-	w := r.cur.Load().w
+// prob is the calibrated logistic over the three evidence channels.
+func (w Weights) prob(sem, lex, title float64) float64 {
 	z := w.Semantic*sem + w.Lexical*lex + w.Title*title + w.Bias
 	return 1 / (1 + math.Exp(-z))
 }
 
-// Rerank scores every candidate; it does not reorder — UniAsk adds the
-// semantic score to the RRF score, so combination happens in the caller.
-func (r *Reranker) Rerank(query string, qvec vector.Vector, ins []Input) []Scored {
+// Score re-scores a single candidate against the query (and its embedding,
+// which may be nil).
+func (r *Reranker) Score(query string, qvec vector.Vector, in Input) float64 {
+	return r.cur.Load().w.prob(r.features(r.analyzer.AnalyzeUnique(query), qvec, in))
+}
+
+// Rerank scores every candidate exactly as Score would, analyzing the query
+// once and reading one weight snapshot for the whole batch. It does not
+// reorder — UniAsk adds the semantic score to the RRF score, so combination
+// happens in the caller. It checks ctx before each candidate and returns
+// ctx's error, and no scores, once the caller has gone.
+func (r *Reranker) Rerank(ctx context.Context, query string, qvec vector.Vector, ins []Input) ([]Scored, error) {
+	qTerms := r.analyzer.AnalyzeUnique(query)
+	w := r.cur.Load().w
 	out := make([]Scored, len(ins))
 	for i, in := range ins {
-		out[i] = Scored{ID: in.ID, Score: r.Score(query, qvec, in)}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		out[i] = Scored{ID: in.ID, Score: w.prob(r.features(qTerms, qvec, in))}
 	}
-	return out
+	return out, nil
 }
 
 // identifierWeight up-weights identifier-like query terms (error codes,

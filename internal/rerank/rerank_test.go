@@ -1,9 +1,15 @@
 package rerank
 
 import (
+	"context"
+	"errors"
+	"math"
 	"testing"
 
+	"uniask/internal/chunker"
 	"uniask/internal/embedding"
+	"uniask/internal/kb"
+	"uniask/internal/vector"
 )
 
 func TestScoreBounds(t *testing.T) {
@@ -65,9 +71,9 @@ func TestNilVectorSkipsSemantic(t *testing.T) {
 func TestRerankPreservesOrderAndIDs(t *testing.T) {
 	r := New()
 	ins := []Input{{ID: "a", Content: "x"}, {ID: "b", Content: "y"}}
-	out := r.Rerank("x", nil, ins)
-	if len(out) != 2 || out[0].ID != "a" || out[1].ID != "b" {
-		t.Fatalf("Rerank reordered or lost ids: %v", out)
+	out, err := r.Rerank(context.Background(), "x", nil, ins)
+	if err != nil || len(out) != 2 || out[0].ID != "a" || out[1].ID != "b" {
+		t.Fatalf("Rerank reordered or lost ids: %v (err %v)", out, err)
 	}
 }
 
@@ -88,5 +94,76 @@ func TestDeterministic(t *testing.T) {
 	qv := emb.Embed(q)
 	if r.Score(q, qv, in) != r.Score(q, qv, in) {
 		t.Fatal("nondeterministic score")
+	}
+}
+
+// corpusCandidates chunks pages of the 600-page benchmark corpus into n
+// rerank inputs with content embeddings, and returns human questions
+// about the same corpus with the embedder.
+func corpusCandidates(tb testing.TB, n int) ([]Input, []string, *embedding.Synth) {
+	tb.Helper()
+	corpus := kb.Generate(kb.GenConfig{Docs: 600, Seed: 1})
+	emb := embedding.NewSynth(64, corpus.Lexicon())
+	var ins []Input
+	splitter := &chunker.HTMLSplitter{}
+	for _, d := range corpus.Docs {
+		for _, c := range splitter.SplitHTML(d.HTML) {
+			if len(ins) == n {
+				break
+			}
+			ins = append(ins, Input{ID: d.ID, Title: d.Title, Content: c.Text, ContentVector: emb.Embed(c.Text)})
+		}
+	}
+	var queries []string
+	for _, q := range corpus.HumanDataset(20, 7).Queries {
+		queries = append(queries, q.Text)
+	}
+	return ins, queries, emb
+}
+
+// TestRerankEqualsScoreLoop proves the batch pass (query analyzed once,
+// one weight snapshot) and the single-candidate API agree bit for bit.
+func TestRerankEqualsScoreLoop(t *testing.T) {
+	r := New()
+	ins, queries, emb := corpusCandidates(t, 50)
+	for _, q := range queries {
+		for _, qv := range []vector.Vector{emb.Embed(q), nil} {
+			got, err := r.Rerank(context.Background(), q, qv, ins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, in := range ins {
+				want := r.Score(q, qv, in)
+				if got[i].ID != in.ID || math.Float64bits(got[i].Score) != math.Float64bits(want) {
+					t.Fatalf("%q candidate %d: Rerank %v %v, Score %v", q, i, got[i].ID, got[i].Score, want)
+				}
+			}
+		}
+	}
+}
+
+func TestRerankStopsOnCancel(t *testing.T) {
+	r := New()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, err := r.Rerank(ctx, "carta", nil, []Input{{ID: "a", Content: "carta"}})
+	if !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("out=%v err=%v, want nil and context.Canceled", out, err)
+	}
+}
+
+// BenchmarkRerank scores one ask's worth of fused candidates (45 chunks of
+// the benchmark corpus) against one question.
+func BenchmarkRerank(b *testing.B) {
+	r := New()
+	ins, queries, emb := corpusCandidates(b, 45)
+	qv := emb.Embed(queries[0])
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Rerank(ctx, queries[i%len(queries)], qv, ins); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -18,24 +18,25 @@ type Score struct {
 
 // tokenize lower-cases and splits on non-alphanumeric runes. ROUGE operates
 // on raw word overlap; no stemming or stop-word removal is applied, matching
-// the reference implementation.
+// the reference implementation. Tokens are substrings of the lower-cased
+// text: the only allocations are that text and the token slice.
 func tokenize(text string) []string {
+	lower := strings.ToLower(text)
 	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-	}
-	for _, r := range strings.ToLower(text) {
+	start := -1
+	for i, r := range lower {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			cur.WriteRune(r)
-		} else {
-			flush()
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			out = append(out, lower[start:i])
+			start = -1
 		}
 	}
-	flush()
+	if start >= 0 {
+		out = append(out, lower[start:])
+	}
 	return out
 }
 
@@ -68,8 +69,11 @@ func lcsLength(a, b []string) int {
 
 // L computes ROUGE-L between a candidate text and a reference text.
 func L(candidate, reference string) Score {
-	c := tokenize(candidate)
-	r := tokenize(reference)
+	return lTokens(tokenize(candidate), tokenize(reference))
+}
+
+// lTokens is ROUGE-L over tokenized texts.
+func lTokens(c, r []string) Score {
 	if len(c) == 0 || len(r) == 0 {
 		return Score{}
 	}
@@ -125,11 +129,13 @@ func f1(p, r float64) float64 {
 
 // MaxLAgainst returns the highest ROUGE-L F1 of candidate against any of
 // the references — the guardrail's aggregation: the answer is compared to
-// every retrieved chunk and the maximum similarity is kept.
+// every retrieved chunk and the maximum similarity is kept. The candidate
+// is tokenized once.
 func MaxLAgainst(candidate string, references []string) float64 {
+	c := tokenize(candidate)
 	best := 0.0
 	for _, ref := range references {
-		if s := L(candidate, ref).F1; s > best {
+		if s := lTokens(c, tokenize(ref)).F1; s > best {
 			best = s
 		}
 	}

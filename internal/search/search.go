@@ -669,7 +669,7 @@ func (s *Searcher) fuse(ctx context.Context, rankings []fusion.Ranking, opts Opt
 // final score is the RRF score plus the reranker score, re-sorted. The hits
 // are fetched once, in one batched read (on a sharded index: one round trip
 // per shard, under the request's deadline), and each hit's content vector
-// rides along into the rerank loop. An id the index no longer holds (deleted
+// rides along into the one rerank pass. An id the index no longer holds (deleted
 // since retrieval) is skipped quietly; a shard that cannot be reached for
 // the fetch is reported as Degradation.ShardsDown, because the ranking is
 // then missing that shard's hits and must not be cached as complete.
@@ -710,17 +710,16 @@ func (s *Searcher) finalize(ctx context.Context, query string, qvec vector.Vecto
 		return results, deg, nil
 	}
 	err := pipeline.Run(ctx, s.obs(), pipeline.StageRerank, len(results), func(ctx context.Context) (int, error) {
-		for i := range results {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			in := rerank.Input{
-				ID:            results[i].ChunkID,
-				Title:         results[i].Title,
-				Content:       results[i].Content,
-				ContentVector: contentVecs[i],
-			}
-			results[i].Score += s.Reranker.Score(query, qvec, in)
+		ins := make([]rerank.Input, len(results))
+		for i, r := range results {
+			ins[i] = rerank.Input{ID: r.ChunkID, Title: r.Title, Content: r.Content, ContentVector: contentVecs[i]}
+		}
+		scored, err := s.Reranker.Rerank(ctx, query, qvec, ins)
+		if err != nil {
+			return 0, err
+		}
+		for i, sc := range scored {
+			results[i].Score += sc.Score
 		}
 		sortResults(results)
 		return len(results), nil

@@ -321,7 +321,7 @@ func TestShardParityMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestShardParityQuantizedReplay extends the byte-parity harness to the
+// TestShardParityHNSWReplay extends the byte-parity harness to the
 // HNSW vector path. Cross-topology parity (above) runs the exhaustive
 // backend because per-shard HNSW graphs are legitimately different graphs;
 // the HNSW guarantee is *replay* parity: a facade running the default
@@ -331,7 +331,7 @@ func TestShardParityMatchesMonolithic(t *testing.T) {
 // tombstones all in play. That holds only if the arena and the adjacency
 // survive the snapshot bit-for-bit (a rebuilt graph would walk different
 // beams).
-func TestShardParityQuantizedReplay(t *testing.T) {
+func TestShardParityHNSWReplay(t *testing.T) {
 	emb := embedding.NewSynth(32, nil)
 	domains := []string{"prodotti", "pagamenti", "errori"}
 	queryTexts := []string{

@@ -43,18 +43,35 @@ type AnalyzedToken struct {
 // Analyze runs the pipeline over text and returns the surviving normalized
 // tokens in order.
 func (a *Analyzer) Analyze(text string) []AnalyzedToken {
-	raw := Tokenize(text)
-	out := make([]AnalyzedToken, 0, len(raw))
-	pos := 0
-	for _, tok := range raw {
-		term, ok := a.normalizeTerm(tok.Text)
-		if !ok {
-			continue
+	out := make([]AnalyzedToken, 0, len(text)/8+1)
+	for i, src := 0, 0; ; src++ {
+		start, end := nextToken(text, i)
+		if start == end {
+			return out
 		}
-		out = append(out, AnalyzedToken{Term: term, Source: tok, Position: pos})
-		pos++
+		i = end
+		if term, ok := a.normalizeTerm(text[start:end]); ok {
+			tok := Token{Text: text[start:end], Start: start, End: end, Position: src}
+			out = append(out, AnalyzedToken{Term: term, Source: tok, Position: len(out)})
+		}
 	}
-	return out
+}
+
+// nextTerm returns the first normalized term of the tokens at or after
+// byte offset i, and the offset to resume from; ok is false once the text
+// holds no further term. It is the one token walk AnalyzeTerms and
+// AnalyzeUnique share: it reads text in place and builds no token slice.
+func (a *Analyzer) nextTerm(text string, i int) (term string, next int, ok bool) {
+	for {
+		start, end := nextToken(text, i)
+		if start == end {
+			return "", end, false
+		}
+		if term, ok := a.normalizeTerm(text[start:end]); ok {
+			return term, end, true
+		}
+		i = end
+	}
 }
 
 // normalizeTerm runs one token through strip-elision -> lowercase -> fold ->
@@ -105,12 +122,9 @@ func (a *Analyzer) stem(term string) string {
 // hot path's entry point, so it skips the AnalyzedToken materialization
 // Analyze performs.
 func (a *Analyzer) AnalyzeTerms(text string) []string {
-	raw := Tokenize(text)
-	terms := make([]string, 0, len(raw))
-	for _, tok := range raw {
-		if term, ok := a.normalizeTerm(tok.Text); ok {
-			terms = append(terms, term)
-		}
+	terms := make([]string, 0, len(text)/8+1)
+	for term, i, ok := a.nextTerm(text, 0); ok; term, i, ok = a.nextTerm(text, i) {
+		terms = append(terms, term)
 	}
 	return terms
 }
@@ -118,8 +132,8 @@ func (a *Analyzer) AnalyzeTerms(text string) []string {
 // AnalyzeUnique returns the set of distinct normalized terms.
 func (a *Analyzer) AnalyzeUnique(text string) map[string]struct{} {
 	set := make(map[string]struct{})
-	for _, t := range a.Analyze(text) {
-		set[t.Term] = struct{}{}
+	for term, i, ok := a.nextTerm(text, 0); ok; term, i, ok = a.nextTerm(text, i) {
+		set[term] = struct{}{}
 	}
 	return set
 }

@@ -5,9 +5,11 @@ package textproc
 // regression cases. The invariants fuzzed here are the contracts chunking
 // and indexing rely on: token offsets address the input, positions are
 // strictly increasing, token text matches its span, and analysis never
-// panics on arbitrary UTF-8 or invalid bytes.
+// panics on arbitrary UTF-8 or invalid bytes. Both targets also require
+// the analyzer to agree exactly with the oracle in oracle_test.go.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -43,6 +45,21 @@ var crashers = []string{
 	strings.Repeat("a-", 500) + "a", // long identifier chain
 }
 
+// oracleSeeds aim at the paths the oracle comparison guards: the
+// typographic apostrophe and its fragments, accented and quoted stemmer
+// suffixes, a connector before a multi-byte letter, and an invalid byte
+// between token runes.
+var oracleSeeds = []string{
+	"l’iban",
+	"dell’",
+	"\xe2\x80l’a",
+	"\xe2\x80\x99a",
+	"Città qualità ita'",
+	"L'AZIONE dell'Operazione",
+	"ERR-à v2.é",
+	"carte\x80ità",
+}
+
 func checkTokens(t *testing.T, text string, tokens []Token) {
 	t.Helper()
 	lastPos := -1
@@ -66,17 +83,20 @@ func checkTokens(t *testing.T, text string, tokens []Token) {
 }
 
 func FuzzTokenize(f *testing.F) {
-	for _, c := range crashers {
+	for _, c := range append(crashers, oracleSeeds...) {
 		f.Add(c)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		tokens := Tokenize(text)
 		checkTokens(t, text, tokens)
+		if want := oracleTokenize(text); !reflect.DeepEqual(tokens, want) {
+			t.Fatalf("Tokenize(%q) = %+v, oracle %+v", text, tokens, want)
+		}
 	})
 }
 
 func FuzzAnalyze(f *testing.F) {
-	for _, c := range crashers {
+	for _, c := range append(crashers, oracleSeeds...) {
 		f.Add(c)
 	}
 	it := ItalianFull()
@@ -96,6 +116,15 @@ func FuzzAnalyze(f *testing.F) {
 			if got, want := len(a.AnalyzeTerms(text)), len(a.Analyze(text)); got != want {
 				t.Fatalf("AnalyzeTerms len %d != Analyze len %d for %q", got, want, text)
 			}
+		}
+		if diff := DiffOracle(text); diff != "" {
+			t.Fatal(diff)
+		}
+		if got, want := StripElision(text), oracleStripElision(text); got != want {
+			t.Fatalf("StripElision(%q) = %q, oracle %q", text, got, want)
+		}
+		if got, want := StemItalian(text), oracleStemItalian(text); got != want {
+			t.Fatalf("StemItalian(%q) = %q, oracle %q", text, got, want)
 		}
 	})
 }

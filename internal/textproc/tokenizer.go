@@ -31,61 +31,86 @@ func isTokenRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
-// isConnector reports whether r may join two token runs (it must be
-// surrounded by token runes on both sides to be kept).
-func isConnector(r rune) bool {
-	switch r {
+// asciiToken is isTokenRune for the ASCII runes: the letters and digits.
+var asciiToken = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = isTokenRune(rune(c))
+	}
+	return t
+}()
+
+// isConnector reports whether c may join two token runs (it must be
+// surrounded by token runes on both sides to be kept). Every connector is
+// ASCII, so a byte that starts a multi-byte rune never is one.
+func isConnector(c byte) bool {
+	switch c {
 	case '-', '_', '.', '/':
 		return true
 	}
 	return false
 }
 
+// tokenRuneAt decodes the rune starting at byte offset i of text and
+// reports whether it is a token rune, and its width in bytes. An invalid
+// byte decodes to utf8.RuneError with width 1 (not a token rune), so
+// offsets stay anchored to the input byte for byte.
+func tokenRuneAt(text string, i int) (bool, int) {
+	if c := text[i]; c < utf8.RuneSelf {
+		return asciiToken[c], 1
+	}
+	r, w := utf8.DecodeRuneInString(text[i:])
+	return isTokenRune(r), w
+}
+
+// nextToken returns the byte span [start, end) of the first token at or
+// after byte offset i; start == end == len(text) when none is left. A
+// connector is kept only when a token rune follows it.
+func nextToken(text string, i int) (start, end int) {
+	for i < len(text) {
+		ok, w := tokenRuneAt(text, i)
+		if ok {
+			break
+		}
+		i += w
+	}
+	start = i
+	for i < len(text) {
+		if ok, w := tokenRuneAt(text, i); ok {
+			i += w
+			continue
+		}
+		if isConnector(text[i]) && i+1 < len(text) {
+			if ok, w := tokenRuneAt(text, i+1); ok {
+				i += 1 + w
+				continue
+			}
+		}
+		break
+	}
+	return start, i
+}
+
 // Tokenize splits text into tokens. It is Unicode-aware and keeps
 // identifier-style tokens (error codes, procedure codes, versions) intact
 // when letters/digits are joined by -, _, . or /. Token texts are
 // substrings of the input (no per-token copy), so they share its memory.
+// The text is walked in place twice, once to count the tokens and once to
+// fill a slice of exactly that length: the result is the only allocation.
 func Tokenize(text string) []Token {
-	tokens := make([]Token, 0, len(text)/8+1)
-	// Decode runes and their byte offsets by ranging over the string
-	// itself: offsets stay anchored to the input even for invalid UTF-8,
-	// where a bad byte decodes to the 3-byte replacement rune but occupies
-	// a single byte in the source (re-encoding would overrun the text).
-	runes := make([]rune, 0, len(text))
-	byteOff := make([]int, 0, len(text)+1)
-	for i, r := range text {
-		byteOff = append(byteOff, i)
-		runes = append(runes, r)
-	}
-	byteOff = append(byteOff, len(text))
-
-	pos := 0
-	i := 0
-	for i < len(runes) {
-		if !isTokenRune(runes[i]) {
-			i++
-			continue
-		}
-		start := i
-		for i < len(runes) {
-			if isTokenRune(runes[i]) {
-				i++
-				continue
-			}
-			// Admit a connector only if flanked by token runes.
-			if isConnector(runes[i]) && i+1 < len(runes) && isTokenRune(runes[i+1]) {
-				i += 2
-				continue
-			}
+	n := 0
+	for i := 0; ; n++ {
+		start, end := nextToken(text, i)
+		if start == end {
 			break
 		}
-		tokens = append(tokens, Token{
-			Text:     text[byteOff[start]:byteOff[i]],
-			Start:    byteOff[start],
-			End:      byteOff[i],
-			Position: pos,
-		})
-		pos++
+		i = end
+	}
+	tokens := make([]Token, n)
+	i := 0
+	for pos := range tokens {
+		start, end := nextToken(text, i)
+		tokens[pos] = Token{Text: text[start:end], Start: start, End: end, Position: pos}
+		i = end
 	}
 	return tokens
 }
@@ -105,7 +130,7 @@ func Terms(text string) []string {
 // "operazione". Lucene's Italian analyzer applies the same filter before
 // stemming.
 func StripElision(term string) string {
-	idx := strings.IndexAny(term, "'’")
+	idx := apostrophe(term)
 	if idx <= 0 || idx == len(term)-1 {
 		return term
 	}
@@ -121,6 +146,23 @@ func StripElision(term string) string {
 		return rest[len("’"):]
 	}
 	return term
+}
+
+// apostrophe returns the byte offset of the first ASCII (') or typographic
+// (’, U+2019) apostrophe in term, or -1. Neither byte sequence can start
+// inside another rune, so a byte scan finds what a rune scan would.
+func apostrophe(term string) int {
+	for i := 0; i < len(term); i++ {
+		switch term[i] {
+		case '\'':
+			return i
+		case 0xE2:
+			if strings.HasPrefix(term[i+1:], "\x80\x99") {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // Lowercase normalizes a term to lower case, Unicode-aware.
