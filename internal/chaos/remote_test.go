@@ -149,11 +149,12 @@ func TestChaosRemoteReplicaKillMidStorm(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < queriesPerWorker; i++ {
 				q := queries[(w*queriesPerWorker+i)%len(queries)]
-				_, deg, err := searcher.SearchDegraded(context.Background(), q, search.Options{})
+				hits, err := searcher.SearchDegraded(context.Background(), q, search.Options{})
 				if err != nil {
 					failures.Add(1)
 					firstErr.CompareAndSwap(nil, fmt.Errorf("worker %d query %q: %w", w, q, err))
 				}
+				deg := hits.Degradation
 				if deg.ShardsDown > 0 {
 					degraded.Add(1)
 				}
@@ -194,7 +195,8 @@ func TestChaosRemoteShardBlackout(t *testing.T) {
 	searcher, queries := loadRemoteCluster(t, c, chaosSeed(t)+1)
 
 	// Sanity before the blackout: healthy cluster, complete results.
-	res, deg, err := searcher.SearchDegraded(context.Background(), queries[0], search.Options{})
+	hits, err := searcher.SearchDegraded(context.Background(), queries[0], search.Options{})
+	res, deg := hits.Results, hits.Degradation
 	if err != nil || deg.Degraded() {
 		t.Fatalf("healthy cluster: err=%v degradation=%v", err, deg.Parts())
 	}
@@ -207,10 +209,11 @@ func TestChaosRemoteShardBlackout(t *testing.T) {
 
 	sawResults := false
 	for _, q := range queries {
-		res, deg, err := searcher.SearchDegraded(context.Background(), q, search.Options{})
+		hits, err := searcher.SearchDegraded(context.Background(), q, search.Options{})
 		if err != nil {
 			t.Fatalf("blackout of shard 0 must degrade, not fail: query %q: %v", q, err)
 		}
+		res, deg := hits.Results, hits.Degradation
 		if deg.ShardsDown != 1 {
 			t.Errorf("query %q: ShardsDown = %d, want 1 (shards 1 and 2 keep a live replica on server 2)", q, deg.ShardsDown)
 		}

@@ -452,8 +452,9 @@ type Response struct {
 }
 
 // Search runs retrieval only, with the engine's default options. Like Ask it
-// reports what was shed (shards down, vector legs) instead of hiding it.
-func (e *Engine) Search(ctx context.Context, query string) ([]search.Result, search.Degradation, error) {
+// reports what was shed (shards down, vector legs) instead of hiding it. On
+// a cache hit the results are the cache's own: see search.Hits.
+func (e *Engine) Search(ctx context.Context, query string) (search.Hits, error) {
 	return e.Searcher.SearchDegraded(ctx, query, e.cfg.SearchOptions)
 }
 
@@ -539,10 +540,11 @@ func (e *Engine) AskConversational(ctx context.Context, question string, history
 	// 3. Retrieval (the searcher reports its own retrieval/fusion/rerank
 	// stages). Degradation — shed vector legs, skipped expansion — is a
 	// normal outcome carried on the response, not an error.
-	results, deg, err := e.Searcher.SearchDegraded(ctx, retrieveQuery, e.cfg.SearchOptions)
+	hits, err := e.Searcher.SearchDegraded(ctx, retrieveQuery, e.cfg.SearchOptions)
 	if err != nil {
 		return resp, fmt.Errorf("core: search: %w", err)
 	}
+	results, deg := hits.Own(), hits.Degradation
 	deg.RewriteSkipped = deg.RewriteSkipped || rewriteShed
 	resp.Documents = results
 	resp.DegradedParts = deg.Parts()

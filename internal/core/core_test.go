@@ -115,10 +115,11 @@ func TestAskContentFilterBlocksBeforeRetrieval(t *testing.T) {
 
 func TestSearchReturnsParentableResults(t *testing.T) {
 	e, c := engine(t)
-	results, _, err := e.Search(context.Background(), c.Docs[0].Title)
+	hits, err := e.Search(context.Background(), c.Docs[0].Title)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := hits.Results
 	if len(results) == 0 {
 		t.Fatal("no results")
 	}
@@ -135,14 +136,40 @@ func TestSearchReturnsParentableResults(t *testing.T) {
 	}
 }
 
+// TestAskDocumentsAreCopies: an ask served from the query cache hands out
+// its own document list, so a caller that edits it leaves the cache intact.
+func TestAskDocumentsAreCopies(t *testing.T) {
+	e, c := engine(t)
+	ctx := context.Background()
+	q := c.Docs[0].Title
+	for i := 0; i < 2; i++ { // the second ask is a cache hit
+		resp, err := e.Ask(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Documents) == 0 {
+			t.Fatal("no documents")
+		}
+		resp.Documents[0].ChunkID = "corrupted"
+	}
+	hits, err := e.Search(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits.Results[0].ChunkID == "corrupted" {
+		t.Fatal("editing an ask's documents corrupted the query cache")
+	}
+}
+
 func TestSearchFindsTargetDocument(t *testing.T) {
 	e, c := engine(t)
 	// Query with a document's exact title: its parent must rank first.
 	d := c.Docs[5]
-	results, _, err := e.Search(context.Background(), d.Title)
+	hits, err := e.Search(context.Background(), d.Title)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := hits.Results
 	parents := search.ParentRanking(results)
 	found := false
 	for i, p := range parents {
@@ -287,7 +314,7 @@ func TestPollerAppliesEditsAndDeletions(t *testing.T) {
 	if n, err := sync(); err != nil || n != 1 {
 		t.Fatalf("initial sync = %d, %v", n, err)
 	}
-	if res, _, _ := eng.Search(context.Background(), "unicaoriginale"); len(res) == 0 {
+	if hits, _ := eng.Search(context.Background(), "unicaoriginale"); len(hits.Results) == 0 {
 		t.Fatal("initial content not indexed")
 	}
 
@@ -301,13 +328,14 @@ func TestPollerAppliesEditsAndDeletions(t *testing.T) {
 	if n, err := sync(); err != nil || n != 1 {
 		t.Fatalf("edit sync = %d, %v", n, err)
 	}
-	if res, _, _ := eng.Search(context.Background(), "unicanuova"); len(res) == 0 {
+	if hits, _ := eng.Search(context.Background(), "unicanuova"); len(hits.Results) == 0 {
 		t.Fatal("edited content not searchable")
 	}
 	// Vector search still returns the nearest (new) chunk for any query —
 	// UniAsk always shows a document list — but no result may carry the
 	// stale text.
-	res, _, _ := eng.Search(context.Background(), "unicaoriginale")
+	hits, _ := eng.Search(context.Background(), "unicaoriginale")
+	res := hits.Results
 	for _, r := range res {
 		if strings.Contains(r.Content, "unicaoriginale") {
 			t.Fatalf("stale content still searchable: %v", r)
@@ -418,8 +446,9 @@ func TestIndexCorpusIsFirstPollerPass(t *testing.T) {
 		t.Fatalf("segment stats differ or the store never sealed:\n%+v\n%+v", sa, sb)
 	}
 	for _, q := range corpus.HumanDataset(10, 3).Queries {
-		ra, _, errA := bulk.Search(ctx, q.Text)
-		rb, _, errB := polled.Search(ctx, q.Text)
+		ha, errA := bulk.Search(ctx, q.Text)
+		hb, errB := polled.Search(ctx, q.Text)
+		ra, rb := ha.Results, hb.Results
 		if errA != nil || errB != nil {
 			t.Fatal(errA, errB)
 		}
@@ -456,8 +485,9 @@ func TestBuildFromCorpusIsQuiescent(t *testing.T) {
 		t.Fatalf("segment stats differ:\n%+v\n%+v", sa, sb)
 	}
 	for _, q := range corpus.HumanDataset(12, 3).Queries {
-		ra, _, errA := a.Search(ctx, q.Text)
-		rb, _, errB := b.Search(ctx, q.Text)
+		ha, errA := a.Search(ctx, q.Text)
+		hb, errB := b.Search(ctx, q.Text)
+		ra, rb := ha.Results, hb.Results
 		if errA != nil || errB != nil {
 			t.Fatal(errA, errB)
 		}

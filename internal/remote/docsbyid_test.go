@@ -325,10 +325,11 @@ func TestDocsByIDOldServerIsShardDown(t *testing.T) {
 	facade.Publish()
 	s := &search.Searcher{Index: facade, Embedder: emb, Reranker: rerank.New(), Cache: search.NewQueryCache(8)}
 	const query = "istruzioni operative conto corrente"
-	res, deg, err := s.SearchDegraded(context.Background(), query, search.Options{})
+	hits, err := s.SearchDegraded(context.Background(), query, search.Options{})
 	if err != nil {
 		t.Fatalf("search against an old shard server errored: %v", err)
 	}
+	res, deg := hits.Results, hits.Degradation
 	if deg.ShardsDown != 1 {
 		t.Fatalf("old shard server not reported as a shard outage: %+v", deg)
 	}
@@ -351,7 +352,8 @@ func TestDocsByIDOldServerIsShardDown(t *testing.T) {
 	// The shard server is upgraded: same query, full result, not a replay
 	// of the degraded one.
 	upgraded.Store(true)
-	full, deg, err := s.SearchDegraded(context.Background(), query, search.Options{})
+	hits, err = s.SearchDegraded(context.Background(), query, search.Options{})
+	full, deg := hits.Results, hits.Degradation
 	if err != nil || deg.Degraded() {
 		t.Fatalf("after the upgrade: deg=%+v err=%v", deg, err)
 	}

@@ -256,10 +256,11 @@ func TestV2FrontendRefusedByV1Server(t *testing.T) {
 	}
 	cache := search.NewQueryCache(8)
 	s := &search.Searcher{Index: facade, Embedder: emb, Reranker: rerank.New(), Cache: cache}
-	res, deg, err := s.SearchDegraded(ctx, "istruzioni operative conto corrente", search.Options{})
+	hits, err := s.SearchDegraded(ctx, "istruzioni operative conto corrente", search.Options{})
 	if err != nil {
 		t.Fatalf("search with one shard on a version 1 server errored: %v", err)
 	}
+	res, deg := hits.Results, hits.Degradation
 	if deg.ShardsDown != 1 {
 		t.Fatalf("version 1 server not reported as a shard outage: %+v", deg)
 	}

@@ -32,6 +32,13 @@ package search
 // until the next publication (the ingestion layer publishes at the end of
 // every bulk load and poll cycle), the near-real-time semantics of a
 // Lucene/Elasticsearch refresh interval.
+//
+// A hit hands out the entry's own results, read-only, and the entry carries
+// one render-once slot (Hits.Render): the server encodes a hot query's
+// /api/search body on its first hit and writes the same bytes on every
+// later one. The body lives and dies with its entry — LRU eviction, a
+// delete-journal eviction, a stats-key rotation, a refresh of the key and
+// Purge all drop it — so no second map of bodies exists to invalidate.
 
 import (
 	"container/list"
@@ -63,11 +70,20 @@ type QueryCache struct {
 	delEvictions uint64
 }
 
+// cacheEntry is one cached ranking. Nothing in it changes after it is
+// stored except its render-once slot: a refresh of the key replaces the
+// whole entry, so a hit that still holds the old one keeps a consistent
+// pair of results and body.
 type cacheEntry struct {
 	key     string
-	snap    uint64 // stats snapshot key the results were scored under
-	results []Result
+	snap    uint64   // stats snapshot key the results were scored under
+	results []Result // shared, read-only, by every hit on the entry
 	deg     Degradation
+
+	// rendered and body are the render-once slot behind Hits.Render: the
+	// first hit that asks renders the results, later hits share the bytes.
+	rendered sync.Once
+	body     []byte
 }
 
 // flightKey includes the stats snapshot key so a flight started against a
@@ -100,27 +116,27 @@ func NewQueryCache(capacity int) *QueryCache {
 	}
 }
 
-// lookup returns a copy of the results cached under key at the given stats
-// snapshot, with the degradation they were computed under. A key cached at
-// any other snapshot counts as a miss and is evicted.
-func (c *QueryCache) lookup(key string, snap uint64) ([]Result, Degradation, bool) {
+// lookup returns the entry cached under key at the given stats snapshot.
+// Its results are shared with every other hit: the caller must not modify
+// them. A key cached at any other snapshot counts as a miss and is evicted.
+func (c *QueryCache) lookup(key string, snap uint64) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return nil, Degradation{}, false
+		return nil, false
 	}
 	e := el.Value.(*cacheEntry)
 	if e.snap != snap {
 		c.lru.Remove(el)
 		delete(c.entries, key)
 		c.misses++
-		return nil, Degradation{}, false
+		return nil, false
 	}
 	c.lru.MoveToFront(el)
 	c.hits++
-	return copyResults(e.results), e.deg, true
+	return e, true
 }
 
 // SyncDeletes advances the cache's cursor through the store's delete
@@ -190,15 +206,16 @@ func (c *QueryCache) complete(key string, snap uint64, f *flight, results []Resu
 	close(f.done)
 }
 
-// storeLocked inserts or refreshes an entry; the caller holds c.mu.
+// storeLocked inserts or refreshes an entry; the caller holds c.mu. A
+// refresh installs a new entry, so it starts with an empty render slot.
 func (c *QueryCache) storeLocked(key string, snap uint64, results []Result, deg Degradation) {
+	e := &cacheEntry{key: key, snap: snap, results: results, deg: deg}
 	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.snap, e.results, e.deg = snap, results, deg
+		el.Value = e
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, snap: snap, results: results, deg: deg})
+	c.entries[key] = c.lru.PushFront(e)
 	for c.lru.Len() > c.cap {
 		back := c.lru.Back()
 		c.lru.Remove(back)

@@ -219,8 +219,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCacheReturnsCopies verifies callers can mutate returned slices without
-// corrupting the cached entry.
+// TestCacheReturnsCopies verifies callers can mutate returned slices, from a
+// miss or a hit, without corrupting the cached entry.
 func TestCacheReturnsCopies(t *testing.T) {
 	s, _ := cachedSearcher(t, 0)
 	ctx := context.Background()
@@ -238,6 +238,15 @@ func TestCacheReturnsCopies(t *testing.T) {
 	}
 	if second[0].ChunkID == "corrupted" {
 		t.Fatal("mutating a returned slice corrupted the cache")
+	}
+	// The second search was a hit: its slice must not be the entry's either.
+	second[0].ChunkID = "corrupted"
+	third, err := s.Search(ctx, "bloccare la carta di credito", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third[0].ChunkID == "corrupted" {
+		t.Fatal("mutating a slice returned by a cache hit corrupted the cache")
 	}
 }
 

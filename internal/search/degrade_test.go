@@ -32,10 +32,11 @@ func TestEmbedErrorDegradesToTextOnly(t *testing.T) {
 	s, _ := buildSearcher(t)
 	s.Embedder = brokenEmbedder{dim: 64}
 
-	res, deg, err := s.SearchDegraded(context.Background(), "bloccare la carta di credito", Options{})
+	hits, err := s.SearchDegraded(context.Background(), "bloccare la carta di credito", Options{})
 	if err != nil {
 		t.Fatalf("hybrid search with broken embedder errored: %v", err)
 	}
+	res, deg := hits.Results, hits.Degradation
 	if !deg.VectorSkipped || !deg.Degraded() {
 		t.Fatalf("degradation not reported: %+v", deg)
 	}
@@ -61,7 +62,7 @@ func TestEmbedErrorDegradesToTextOnly(t *testing.T) {
 func TestEmbedErrorVectorOnlyStillAborts(t *testing.T) {
 	s, _ := buildSearcher(t)
 	s.Embedder = brokenEmbedder{dim: 64}
-	_, _, err := s.SearchDegraded(context.Background(), "sospendere la tessera", Options{Mode: VectorOnly})
+	_, err := s.SearchDegraded(context.Background(), "sospendere la tessera", Options{Mode: VectorOnly})
 	if err == nil {
 		t.Fatal("vector-only search with broken embedder should error: there is nothing to degrade to")
 	}
@@ -76,7 +77,7 @@ func TestEmbedErrorDegradationObserved(t *testing.T) {
 			shed = append(shed, info)
 		}
 	})
-	if _, _, err := s.SearchDegraded(context.Background(), "carta", Options{}); err != nil {
+	if _, err := s.SearchDegraded(context.Background(), "carta", Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(shed) == 0 {
@@ -175,7 +176,8 @@ func TestDegradedResultsNotCached(t *testing.T) {
 	good := s.Embedder
 
 	s.Embedder = broken
-	_, deg, err := s.SearchDegraded(context.Background(), "bloccare la carta", Options{})
+	hits, err := s.SearchDegraded(context.Background(), "bloccare la carta", Options{})
+	deg := hits.Degradation
 	if err != nil || !deg.Degraded() {
 		t.Fatalf("degraded search: deg=%+v err=%v", deg, err)
 	}
@@ -183,16 +185,18 @@ func TestDegradedResultsNotCached(t *testing.T) {
 	// Dependency recovers: the same query must be recomputed at full
 	// fidelity, not served degraded from the cache.
 	s.Embedder = good
-	_, deg, err = s.SearchDegraded(context.Background(), "bloccare la carta", Options{})
+	hits, err = s.SearchDegraded(context.Background(), "bloccare la carta", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	deg = hits.Degradation
 	if deg.Degraded() {
 		t.Fatalf("cache pinned a degraded result: %+v", deg)
 	}
 
 	// Healthy results do cache, and replay their (empty) degradation.
-	_, deg, err = s.SearchDegraded(context.Background(), "bloccare la carta", Options{})
+	hits, err = s.SearchDegraded(context.Background(), "bloccare la carta", Options{})
+	deg = hits.Degradation
 	if err != nil || deg.Degraded() {
 		t.Fatalf("cached healthy result: deg=%+v err=%v", deg, err)
 	}
@@ -204,10 +208,11 @@ func TestDegradedResultsNotCached(t *testing.T) {
 func TestMQ2EmbedErrorDegrades(t *testing.T) {
 	s, _ := buildSearcher(t)
 	s.Embedder = brokenEmbedder{dim: 64}
-	res, deg, err := s.SearchDegraded(context.Background(), "bloccare la carta", Options{Expansion: MQ2})
+	hits, err := s.SearchDegraded(context.Background(), "bloccare la carta", Options{Expansion: MQ2})
 	if err != nil {
 		t.Fatalf("MQ2 with broken embedder errored: %v", err)
 	}
+	res, deg := hits.Results, hits.Degradation
 	if !deg.VectorSkipped {
 		t.Fatalf("MQ2 degradation = %+v, want VectorSkipped", deg)
 	}
@@ -219,10 +224,11 @@ func TestMQ2EmbedErrorDegrades(t *testing.T) {
 func TestMQ1EmbedErrorDegrades(t *testing.T) {
 	s, _ := buildSearcher(t)
 	s.Embedder = brokenEmbedder{dim: 64}
-	res, deg, err := s.SearchDegraded(context.Background(), "bloccare la carta", Options{Expansion: MQ1})
+	hits, err := s.SearchDegraded(context.Background(), "bloccare la carta", Options{Expansion: MQ1})
 	if err != nil {
 		t.Fatalf("MQ1 with broken embedder errored: %v", err)
 	}
+	res, deg := hits.Results, hits.Degradation
 	if !deg.VectorSkipped {
 		t.Fatalf("MQ1 degradation = %+v, want VectorSkipped", deg)
 	}
@@ -253,10 +259,11 @@ func TestResilientEmbedderHealsTransientFailure(t *testing.T) {
 	s.Embedder = &embedding.Resilient{
 		Inner: &flakyEmbedder{inner: emb, failuresLeft: 1},
 	}
-	res, deg, err := s.SearchDegraded(context.Background(), "bloccare la carta di credito", Options{})
+	hits, err := s.SearchDegraded(context.Background(), "bloccare la carta di credito", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, deg := hits.Results, hits.Degradation
 	if deg.Degraded() {
 		t.Fatalf("retry should have healed the transient failure, got %+v", deg)
 	}
@@ -303,10 +310,11 @@ func TestFetchOutageDegradesAndIsNotCached(t *testing.T) {
 	s := &Searcher{Index: facade, Embedder: mono.Embedder, Reranker: mono.Reranker, Cache: NewQueryCache(8)}
 
 	owner.down.Store(true)
-	res, deg, err := s.SearchDegraded(context.Background(), query, Options{})
+	hits, err := s.SearchDegraded(context.Background(), query, Options{})
 	if err != nil {
 		t.Fatalf("fetch outage must degrade, not error: %v", err)
 	}
+	res, deg := hits.Results, hits.Degradation
 	if deg.ShardsDown != 1 || !deg.Degraded() {
 		t.Fatalf("fetch outage not reported: %+v", deg)
 	}
@@ -319,7 +327,8 @@ func TestFetchOutageDegradesAndIsNotCached(t *testing.T) {
 	// The shard recovers: the query is recomputed in full, not replayed
 	// shortened from the cache.
 	owner.down.Store(false)
-	res, deg, err = s.SearchDegraded(context.Background(), query, Options{})
+	hits, err = s.SearchDegraded(context.Background(), query, Options{})
+	res, deg = hits.Results, hits.Degradation
 	if err != nil || deg.Degraded() {
 		t.Fatalf("after recovery: deg=%+v err=%v", deg, err)
 	}

@@ -76,7 +76,8 @@ func TestExpansionPlansPinned(t *testing.T) {
 					continue
 				}
 				for _, q := range planQueries {
-					res, deg, err := s.SearchDegraded(context.Background(), q, Options{Mode: m.m, Expansion: x.x})
+					hits, err := s.SearchDegraded(context.Background(), q, Options{Mode: m.m, Expansion: x.x})
+					res, deg := hits.Results, hits.Degradation
 					errText := ""
 					if err != nil {
 						errText = err.Error()
@@ -94,7 +95,8 @@ func TestExpansionPlansPinned(t *testing.T) {
 		s := searcher("embedder-down")
 		for _, x := range []Expansion{MQ1, MQ2} {
 			for _, q := range planQueries {
-				res, _, err := s.SearchDegraded(context.Background(), q, Options{Mode: VectorOnly, Expansion: x})
+				hits, err := s.SearchDegraded(context.Background(), q, Options{Mode: VectorOnly, Expansion: x})
+				res := hits.Results
 				if err == nil || !strings.Contains(err.Error(), "embedding service down") {
 					t.Fatalf("expansion %d, query %q: err = %v, want the embedding failure", x, q, err)
 				}

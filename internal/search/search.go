@@ -238,20 +238,58 @@ func (s *Searcher) workers() int {
 
 // Search retrieves the chunks most relevant to query. With a Cache set,
 // repeated queries at an unchanged stats snapshot are served from memory, and
-// concurrent identical queries collapse into one execution.
+// concurrent identical queries collapse into one execution. The returned
+// slice is the caller's to modify.
 func (s *Searcher) Search(ctx context.Context, query string, opts Options) ([]Result, error) {
-	res, _, err := s.SearchDegraded(ctx, query, opts)
-	return res, err
+	hits, err := s.SearchDegraded(ctx, query, opts)
+	return hits.Own(), err
 }
 
-// SearchDegraded is Search plus the degradation report: which parts of the
+// Hits is one search's outcome: the ranking, the degradation it was
+// computed under and, on a query-cache hit, the cache entry it came from.
+type Hits struct {
+	// Results is the ranking. On a cache hit it is the cache entry's own
+	// slice, shared with every other hit on it: read it, never modify it.
+	// Own returns a slice the caller may modify.
+	Results []Result
+	// Degradation reports what was shed; cached entries replay the
+	// degradation they were computed under.
+	Degradation Degradation
+	entry       *cacheEntry // nil unless Results is a cache entry's
+}
+
+// Own returns the results as a slice the caller may modify: a copy on a
+// cache hit, Results itself otherwise.
+func (h Hits) Own() []Result {
+	if h.entry == nil {
+		return h.Results
+	}
+	return copyResults(h.Results)
+}
+
+// Render returns render(h.Results). On a cache hit the bytes are rendered
+// once per cache entry, by the first hit that asks, and shared by every
+// later hit on the entry until it is evicted, refreshed or purged; a miss,
+// an uncached searcher and a degraded result render per call. The slot
+// holds one rendering, so every caller must pass the same render function
+// (the server's /api/search body), and nobody may modify the bytes.
+func (h Hits) Render(render func([]Result) []byte) []byte {
+	e := h.entry
+	if e == nil {
+		return render(h.Results)
+	}
+	e.rendered.Do(func() { e.body = render(e.results) })
+	return e.body
+}
+
+// SearchDegraded is Search plus the degradation report — which parts of the
 // query (vector legs, expansion, individual retrieval components) were shed
-// to keep it available. Cached entries replay the degradation they were
-// computed under.
-func (s *Searcher) SearchDegraded(ctx context.Context, query string, opts Options) ([]Result, Degradation, error) {
+// to keep it available — without the defensive copy: see Hits.
+func (s *Searcher) SearchDegraded(ctx context.Context, query string, opts Options) (Hits, error) {
 	opts = opts.withDefaults()
 	if s.Cache == nil {
-		return s.run(ctx, query, opts)
+		res, deg, err := s.run(ctx, query, opts)
+		return Hits{Results: res, Degradation: deg}, err
 	}
 	// Drain the delete journal first so a tombstoned chunk is never served
 	// from cache, then key the lookup on the published stats snapshot. The
@@ -263,8 +301,8 @@ func (s *Searcher) SearchDegraded(ctx context.Context, query string, opts Option
 	_, delMark, _ := s.Index.DeletesSince(^uint64(0))
 	rv := s.rerankVersion(opts)
 	key := cacheKey(query, opts) + "\x00" + strconv.FormatUint(rv, 10)
-	if res, deg, ok := s.Cache.lookup(key, snap); ok {
-		return res, deg, nil
+	if e, ok := s.Cache.lookup(key, snap); ok {
+		return Hits{Results: e.results, Degradation: e.deg, entry: e}, nil
 	}
 	f, leader := s.Cache.join(key, snap)
 	if leader {
@@ -281,19 +319,20 @@ func (s *Searcher) SearchDegraded(ctx context.Context, query string, opts Option
 		s.Cache.complete(key, snap, f, res, deg, err,
 			err == nil && !deg.Degraded() && s.Index.StatsKey() == snap &&
 				delNow == delMark && s.rerankVersion(opts) == rv)
-		return res, deg, err
+		return Hits{Results: res, Degradation: deg}, err
 	}
 	select {
 	case <-f.done:
 	case <-ctx.Done():
-		return nil, Degradation{}, ctx.Err()
+		return Hits{}, ctx.Err()
 	}
 	if f.err != nil {
 		// The leader failed (possibly on its own canceled context); run
 		// independently rather than propagating a foreign error.
-		return s.run(ctx, query, opts)
+		res, deg, err := s.run(ctx, query, opts)
+		return Hits{Results: res, Degradation: deg}, err
 	}
-	return copyResults(f.results), f.deg, nil
+	return Hits{Results: copyResults(f.results), Degradation: f.deg}, nil
 }
 
 // rerankVersion is the reranker weight version a query's ranking depends

@@ -174,10 +174,11 @@ func TestExpansionErrorDegrades(t *testing.T) {
 	s, _ := buildSearcher(t)
 	s.LLM = failingClient{}
 	for _, exp := range []Expansion{QGA, MQ1, MQ2} {
-		res, deg, err := s.SearchDegraded(context.Background(), "bloccare la carta", Options{Expansion: exp})
+		hits, err := s.SearchDegraded(context.Background(), "bloccare la carta", Options{Expansion: exp})
 		if err != nil {
 			t.Fatalf("expansion %d with failing LLM errored: %v", exp, err)
 		}
+		res, deg := hits.Results, hits.Degradation
 		if !deg.ExpansionSkipped {
 			t.Fatalf("expansion %d: degradation not reported: %+v", exp, deg)
 		}

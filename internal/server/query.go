@@ -5,6 +5,7 @@ package server
 // conversational — and one finish step that accounts for it.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -193,13 +194,25 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer q.close()
-	results, deg, err := q.eng.Search(q.ctx, text)
-	q.finish(err, deg.Parts(), nil)
+	hits, err := q.eng.Search(q.ctx, text)
+	q.finish(err, hits.Degradation.Parts(), nil)
 	if err != nil {
 		httpErrorTraced(w, queryErrorStatus(err), "search failed", q.treq.TraceID())
 		return
 	}
-	writeJSON(w, docViews(results, 20))
+	body := hits.Render(searchBody)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
+}
+
+// searchBody is the /api/search body for a ranking: its first 20 results,
+// encoded as writeJSON encodes them (trailing newline included). A cached
+// ranking renders it once, on the query-cache entry (search.Hits.Render).
+func searchBody(results []search.Result) []byte {
+	var buf bytes.Buffer
+	json.NewEncoder(&buf).Encode(docViews(results, 20))
+	return buf.Bytes()
 }
 
 // askRequest is the question payload of both ask endpoints.

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"uniask/internal/core"
 	"uniask/internal/monitor"
@@ -557,10 +558,14 @@ func httpErrorTraced(w http.ResponseWriter, code int, msg, traceID string) {
 	writeJSONStatus(w, code, body)
 }
 
-// snippet truncates text on a word boundary.
+// snippet truncates text to at most max bytes, on a word boundary when
+// there is one past the first byte, and never inside a UTF-8 rune.
 func snippet(text string, max int) string {
 	if len(text) <= max {
 		return text
+	}
+	for max > 0 && !utf8.RuneStart(text[max]) {
+		max--
 	}
 	cut := text[:max]
 	if i := strings.LastIndexByte(cut, ' '); i > 0 {

@@ -111,8 +111,8 @@ func (s *System) Ask(ctx context.Context, question string) (Response, error) {
 
 // Search runs retrieval only and returns the ranked chunks.
 func (s *System) Search(ctx context.Context, query string) ([]Result, error) {
-	results, _, err := s.engine.Search(ctx, query)
-	return results, err
+	hits, err := s.engine.Search(ctx, query)
+	return hits.Own(), err
 }
 
 // SearchWith runs retrieval with explicit options (modes, expansions,
