@@ -104,14 +104,15 @@ fuzz-short:
 # admission-control overhead, the noisy-neighbor p99 delta, the
 # document-fetch RPCs one search costs on remote shards, HNSW graph
 # construction, a bulk load beside one reader, the analyzer and reranker
-# over corpus pages, and one /api/search cache hit through the handler) with
+# over corpus pages, one /api/search cache hit through the handler, and the
+# bytes a sealed store keeps resident per chunk) with
 # allocation stats, recorded as BENCH_query.json via
 # cmd/benchjson. make's /bin/sh has
 # no pipefail, so the pipeline's status is benchjson's: it exits 1 and
 # writes nothing when go test reports a FAIL or panic, and the report goes
 # to a temp file that replaces BENCH_query.json only on success.
 bench:
-	$(GO) test -bench 'BenchmarkSearchText|BenchmarkSearchVector|BenchmarkFilterSet|BenchmarkQueryCache|BenchmarkTrace|BenchmarkIngest|BenchmarkBulkLoad|BenchmarkCompaction|BenchmarkTenant|BenchmarkSession|BenchmarkSSE|BenchmarkServeSearchHit|BenchmarkFinalize|BenchmarkHNSWBuild|BenchmarkAnalyzeUnique|BenchmarkTokenize|BenchmarkRerank' \
+	$(GO) test -bench 'BenchmarkSearchText|BenchmarkSearchVector|BenchmarkFilterSet|BenchmarkQueryCache|BenchmarkTrace|BenchmarkIngest|BenchmarkBulkLoad|BenchmarkCompaction|BenchmarkTenant|BenchmarkSession|BenchmarkSSE|BenchmarkServeSearchHit|BenchmarkFinalize|BenchmarkHNSWBuild|BenchmarkAnalyzeUnique|BenchmarkTokenize|BenchmarkRerank|BenchmarkResidentBytes' \
 		-benchmem -run '^$$' ./internal/index/ ./internal/search/ ./internal/shard/ ./internal/trace/ ./internal/tenant/ ./internal/server/ ./internal/vector/ ./internal/textproc/ ./internal/rerank/ \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_query_baseline.json \
 			-note "SearchVector* time one contentVector ANN leg (k=15): greedy descent plus a layer-0 beam over the float32 arena the graph was built over; the returned distances are the beam's own exact 1 - dot values, so there is no rescoring pass." \

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"uniask/internal/vector"
@@ -144,4 +145,67 @@ func BenchmarkFilterSet(b *testing.B) {
 		ix.filterBits(filters)
 		ix.mu.RUnlock()
 	}
+}
+
+// residentDim is the production embedding width (embedding.DefaultDim).
+const residentDim = 256
+
+// residentChunks builds n two-field chunks the way the indexer does: every
+// chunk gets its own content vector, and the chunks of one page share one
+// title vector slice (every fourth chunk is its page's second).
+func residentChunks(n int, rng *rand.Rand) []Document {
+	vec := func() vector.Vector {
+		v := make(vector.Vector, residentDim)
+		for j := range v {
+			v[j] = float32(rng.NormFloat64())
+		}
+		return v
+	}
+	docs := make([]Document, n)
+	page, title := 0, vector.Vector(nil)
+	for i := range docs {
+		if i%4 != 1 {
+			page, title = page+1, vec()
+		}
+		docs[i] = Document{
+			ID:       fmt.Sprintf("r%05d#%d", page, i),
+			ParentID: fmt.Sprintf("r%05d", page),
+			Fields: map[string]string{
+				"title":   fmt.Sprintf("Procedura %d per il conto corrente", page),
+				"content": fmt.Sprintf("La procedura operativa %d prevede controlli sul conto e la verifica del codice PRC-%04d.", i, i%97),
+			},
+			Vectors: map[string]vector.Vector{"titleVector": title, "contentVector": vec()},
+		}
+	}
+	return docs
+}
+
+// BenchmarkResidentBytes reports what a sealed store keeps resident per
+// chunk: the live heap after a forced GC, with the store alive and the
+// caller's documents dropped, less the heap before the documents were made
+// — postings, graphs, documents and every vector the store still holds.
+func BenchmarkResidentBytes(b *testing.B) {
+	const chunks = 1000
+	rng := rand.New(rand.NewSource(7))
+	var resident float64
+	for i := 0; i < b.N; i++ {
+		base := liveHeap()
+		s := NewSegmented(Config{}, SegmentConfig{CompactionFanIn: -1})
+		if err := s.AddBulk(residentChunks(chunks, rng)); err != nil {
+			b.Fatal(err)
+		}
+		s.Publish()
+		resident = float64(liveHeap() - base)
+		runtime.KeepAlive(s)
+	}
+	b.ReportMetric(resident/chunks, "B-resident/chunk")
+}
+
+// liveHeap is HeapAlloc after two forced collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

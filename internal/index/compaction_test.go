@@ -254,19 +254,19 @@ func TestSegmentedSeqForgetsDroppedIDs(t *testing.T) {
 	assertVectorParity(t, "after-forget", mono, s, same)
 }
 
-// hookedVectors is an exact vector index whose Add first runs a hook — the
-// seam the mid-merge test uses to land a delete between a merge's rebuild
-// and its splice.
+// hookedVectors is an exact vector index whose AddUnit — the insert a
+// merge's rebuild makes — first runs a hook: the seam the mid-merge test
+// uses to land a delete between a merge's rebuild and its splice.
 type hookedVectors struct {
 	vector.Index
 	hook *func()
 }
 
-func (h hookedVectors) Add(id int, v vector.Vector) error {
+func (h hookedVectors) AddUnit(id int, v vector.Vector) error {
 	if *h.hook != nil {
 		(*h.hook)()
 	}
-	return h.Index.Add(id, v)
+	return h.Index.AddUnit(id, v)
 }
 
 // TestCompactionReappliesMidMergeDeletes lands deletes while the merged
@@ -502,7 +502,8 @@ func (m *policyModel) publish() {
 // checkRankings is (a): the store ranks like a monolithic index rebuilt
 // from the store's own documents in arrival order — live ones added,
 // still-tombstoned ones added then deleted, so both sides count the same
-// tombstones in N, average length and document frequency.
+// tombstones in N, average length and document frequency. The documents'
+// vectors are arena views, so they are re-added verbatim, as a merge does.
 func (m *policyModel) checkRankings() {
 	mono := New(policyCfg())
 	for _, part := range m.store.parts() {
@@ -514,7 +515,7 @@ func (m *policyModel) checkRankings() {
 		}
 		part.mu.RUnlock()
 		for ord, d := range docs {
-			if err := mono.Add(d); err != nil {
+			if _, err := mono.addBatch([]Document{d}, true); err != nil {
 				m.t.Fatal(err)
 			}
 			if dead[ord] {

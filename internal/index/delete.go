@@ -158,11 +158,13 @@ func (ix *Index) isDeleted(ord int32) bool {
 }
 
 // Compact rebuilds the index without tombstoned chunks, reclaiming posting
-// and graph space. It returns the rebuilt index; the receiver is unchanged.
+// and graph space; the live vectors go into the new graphs verbatim. It
+// returns the rebuilt index; the receiver is unchanged.
 func (ix *Index) Compact() (*Index, error) {
 	out := New(ix.cfg)
-	if err := out.AddBulk(ix.LiveDocs()); err != nil {
+	if err := out.addBulk(ix.LiveDocs(), true); err != nil {
 		return nil, err
 	}
+	out.releaseBuildState()
 	return out, nil
 }

@@ -61,7 +61,12 @@ type Document struct {
 	ParentID string
 	// Fields holds the textual field values.
 	Fields map[string]string
-	// Vectors holds the embedding field values.
+	// Vectors holds the embedding field values. A document read back from
+	// an index carries read-only views of the vector index's unit-length
+	// arena here — the index keeps no other copy of an embedding — and a
+	// re-insert of it (a compaction merge, Compact, a shard migration)
+	// goes through a path that copies those bits verbatim (addBatch's
+	// stored flag, Segmented.AddStored).
 	Vectors map[string]vector.Vector
 }
 
@@ -235,7 +240,7 @@ func (ix *Index) Analyzer() *textproc.Analyzer { return ix.cfg.Analyzer }
 // first one its field stored, or an empty one (vector.ErrDimensionMismatch)
 // — all refused before anything is stored.
 func (ix *Index) Add(doc Document) error {
-	_, err := ix.addBatch([]Document{doc})
+	_, err := ix.addBatch([]Document{doc}, false)
 	return err
 }
 
@@ -252,7 +257,11 @@ const maxBatch = 256
 // on its own goroutine while the postings are built beside them. Every
 // graph receives the same vectors in the same order from its own seeded
 // generator, so it is the graph one-at-a-time inserts build.
-func (ix *Index) addBatch(docs []Document) (applied int, err error) {
+//
+// stored says the documents were read back from an index, so their
+// vectors are arena views already of unit length: the graphs copy them
+// verbatim (vector.Index.AddUnit) instead of normalizing them again.
+func (ix *Index) addBatch(docs []Document, stored bool) (applied int, err error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.writeHolds++
@@ -297,7 +306,7 @@ func (ix *Index) addBatch(docs []Document) (applied int, err error) {
 	for _, name := range ix.vecNames {
 		for _, doc := range docs {
 			if _, ok := doc.Vectors[name]; ok {
-				tasks = append(tasks, func() error { return ix.addGraph(name, base, docs) })
+				tasks = append(tasks, func() error { return ix.addGraph(name, base, docs, stored) })
 				break
 			}
 		}
@@ -313,6 +322,7 @@ func (ix *Index) addBatch(docs []Document) (applied int, err error) {
 	}
 	errs[len(tasks)-1] = tasks[len(tasks)-1]()
 	wg.Wait()
+	ix.pointViews(int(base))
 	if e := errors.Join(errs...); e != nil {
 		return applied, e
 	}
@@ -360,17 +370,70 @@ func (ix *Index) addPostings(base int32, docs []Document) {
 
 // addGraph inserts the field's vector of each of docs, stored from ordinal
 // base on, into the field's graph in ordinal order, stopping at the first
-// insert the graph refuses.
-func (ix *Index) addGraph(field string, base int32, docs []Document) error {
+// insert the graph refuses. Vectors read back from an index (stored) go in
+// verbatim, a caller's are normalized.
+func (ix *Index) addGraph(field string, base int32, docs []Document, stored bool) error {
 	vx := ix.vecs[field]
+	add := vx.Add
+	if stored {
+		add = vx.AddUnit
+	}
 	for i, doc := range docs {
-		if v, ok := doc.Vectors[field]; ok {
-			if err := vx.Add(int(base)+i, v); err != nil {
-				return fmt.Errorf("index: vector field %q: %w", field, err)
-			}
+		v, ok := doc.Vectors[field]
+		if !ok {
+			continue
+		}
+		if err := add(int(base)+i, v); err != nil {
+			return fmt.Errorf("index: vector field %q: %w", field, err)
 		}
 	}
 	return nil
+}
+
+// pointViews sets the Vectors of every document stored from ordinal from on
+// to views of the graphs' arenas, and re-points every earlier document when
+// an arena has left its views behind (it grew past its capacity, or gave
+// the spare capacity back). A document's map is replaced, never written: a
+// reader may still hold the old one, whose views stay valid. The caller
+// holds ix.mu for writing.
+func (ix *Index) pointViews(from int) {
+	for _, name := range ix.vecNames {
+		if ix.arenaMoved(name, from) {
+			from = 0
+			break
+		}
+	}
+	for ord := from; ord < len(ix.docs); ord++ {
+		ix.docs[ord].Vectors = ix.views(ord)
+	}
+}
+
+// arenaMoved reports whether field's arena no longer backs the views held by
+// the documents before ordinal end. One arena backs them all, so the first
+// document carrying the field is checked against a fresh view.
+func (ix *Index) arenaMoved(field string, end int) bool {
+	for ord := 0; ord < end; ord++ {
+		if v, ok := ix.docs[ord].Vectors[field]; ok {
+			w := ix.vecs[field].Vec(ord)
+			return len(w) == 0 || &v[0] != &w[0]
+		}
+	}
+	return false
+}
+
+// views returns ordinal ord's vectors as views of the graphs' arenas, in a
+// new map; nil when no graph holds ord.
+func (ix *Index) views(ord int) map[string]vector.Vector {
+	var out map[string]vector.Vector
+	for _, name := range ix.vecNames {
+		if v := ix.vecs[name].Vec(ord); v != nil {
+			if out == nil {
+				out = make(map[string]vector.Vector, len(ix.vecNames))
+			}
+			out[name] = v
+		}
+	}
+	return out
 }
 
 // Dims maps each vector field to its established dimension: the length of
@@ -411,18 +474,20 @@ func (ix *Index) acceptsDims(vecs map[string]vector.Vector) error {
 	return ix.dims.Check(vecs)
 }
 
-// releaseBuildCaches frees what the part's HNSW graphs keep only for
-// construction (their pair-distance caches), under the part's write lock.
-// The segmented store calls it on a part that receives no more Adds: a
-// sealed memtable and a merge's result.
-func (ix *Index) releaseBuildCaches() {
+// releaseBuildState frees what the part's vector indexes keep only for
+// construction (HNSW pair-distance caches, spare arena capacity), under
+// the part's write lock, and re-points the documents' views at the
+// trimmed arenas. The segmented store calls it on a part that receives no
+// more Adds: a sealed memtable and a merge's result; Compact on its result.
+func (ix *Index) releaseBuildState() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for _, vx := range ix.vecs {
-		if h, ok := vx.(*vector.HNSW); ok {
-			h.ReleaseBuildCache()
+		if r, ok := vx.(interface{ ReleaseBuildState() }); ok {
+			r.ReleaseBuildState()
 		}
 	}
+	ix.pointViews(len(ix.docs))
 }
 
 // Doc returns the stored document at the given internal ordinal.

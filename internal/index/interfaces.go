@@ -86,10 +86,13 @@ var _ Repository = (*Index)(nil)
 // AddBulk indexes docs in order, stopping at the first error: one addBatch
 // per slice of at most maxBatch documents. The sharded facade overrides it
 // with a parallel per-shard build.
-func (ix *Index) AddBulk(docs []Document) error {
+func (ix *Index) AddBulk(docs []Document) error { return ix.addBulk(docs, false) }
+
+// addBulk is AddBulk; stored is addBatch's.
+func (ix *Index) addBulk(docs []Document, stored bool) error {
 	for len(docs) > 0 {
 		n := min(len(docs), maxBatch)
-		if _, err := ix.addBatch(docs[:n]); err != nil {
+		if _, err := ix.addBatch(docs[:n], stored); err != nil {
 			return err
 		}
 		docs = docs[n:]

@@ -11,10 +11,11 @@ import (
 )
 
 // Persistence: Save serializes the whole index — documents, inverted
-// postings, filters and the HNSW graphs — so read restores it without
+// postings, filters and the vector indexes — so read restores it without
 // re-analyzing documents or rebuilding the ANN structure (the expensive
 // part of index construction). The format is a single gob stream, carried
-// as a section of the containers in container.go.
+// as a section of the containers in container.go. Embeddings are written
+// once, in the vector indexes' arenas; documents carry none.
 
 // postingSnapshot mirrors the unexported posting type.
 type postingSnapshot struct {
@@ -31,14 +32,20 @@ type fieldSnapshot struct {
 
 // indexSnapshot is the gob-serializable image of the index.
 type indexSnapshot struct {
-	Schema  Schema
-	BM25    BM25Params
+	Schema Schema
+	BM25   BM25Params
+	// Docs are the stored documents without their vectors. The previous
+	// release wrote each document's raw vectors here too; read ignores
+	// them wherever a vector field has a serialized index.
 	Docs    []Document
 	Fields  map[string]fieldSnapshot
 	Filters map[string]map[string][]int32
-	// Vectors holds one serialized HNSW stream per vector field; fields
-	// whose index is not an HNSW are rebuilt from document vectors.
+	// Vectors holds one serialized HNSW stream per HNSW vector field, and
+	// Exact one vector.Exhaustive stream per exact one. A field in neither
+	// (an exact field the previous release wrote) is rebuilt from the raw
+	// document vectors.
 	Vectors map[string][]byte
+	Exact   map[string][]byte
 	// Deleted lists tombstoned ordinals.
 	Deleted []int32
 }
@@ -53,10 +60,15 @@ func (ix *Index) Save(w io.Writer) error {
 	snap := indexSnapshot{
 		Schema:  ix.cfg.Schema,
 		BM25:    ix.cfg.BM25,
-		Docs:    ix.docs,
+		Docs:    make([]Document, len(ix.docs)),
 		Fields:  make(map[string]fieldSnapshot, len(ix.fields)),
 		Filters: ix.filters,
 		Vectors: make(map[string][]byte, len(ix.vecs)),
+		Exact:   make(map[string][]byte),
+	}
+	for i, doc := range ix.docs {
+		doc.Vectors = nil
+		snap.Docs[i] = doc
 	}
 	for ord := range ix.deleted {
 		snap.Deleted = append(snap.Deleted, ord)
@@ -77,15 +89,21 @@ func (ix *Index) Save(w io.Writer) error {
 		snap.Fields[name] = fs
 	}
 	for name, vx := range ix.vecs {
-		h, ok := vx.(*vector.HNSW)
-		if !ok {
-			continue // rebuilt from document vectors on load
-		}
 		var buf bytes.Buffer
-		if err := h.Save(&buf); err != nil {
+		var err error
+		switch vx := vx.(type) {
+		case *vector.HNSW:
+			err = vx.Save(&buf)
+			snap.Vectors[name] = buf.Bytes()
+		case *vector.Exhaustive:
+			err = vx.Save(&buf)
+			snap.Exact[name] = buf.Bytes()
+		default:
+			err = fmt.Errorf("%T cannot be saved", vx)
+		}
+		if err != nil {
 			return fmt.Errorf("index: serialize vector field %q: %w", name, err)
 		}
-		snap.Vectors[name] = buf.Bytes()
 	}
 	if err := gob.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("index: encode: %w", err)
@@ -105,6 +123,7 @@ func read(r io.Reader, cfg Config) (*Index, error) {
 		Fields:  make(map[string]fieldSnapshot),
 		Filters: make(map[string]map[string][]int32),
 		Vectors: make(map[string][]byte),
+		Exact:   make(map[string][]byte),
 	}
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("index: decode: %w", err)
@@ -120,7 +139,6 @@ func read(r io.Reader, cfg Config) (*Index, error) {
 		ix.deleted[ord] = true
 	}
 	for i, d := range snap.Docs {
-		ix.dims.Note(d.Vectors) // tombstoned chunks are in the graphs too
 		if ix.isDeleted(int32(i)) {
 			continue
 		}
@@ -144,19 +162,19 @@ func read(r io.Reader, cfg Config) (*Index, error) {
 	}
 	ix.filters = snap.Filters
 	for name := range ix.vecs {
-		if data, ok := snap.Vectors[name]; ok {
-			h, err := vector.ReadHNSW(bytes.NewReader(data))
-			if errors.Is(err, errors.ErrUnsupported) {
-				return nil, unsupported(streamName(r), fmt.Sprintf("vector field %q: %v", name, err))
-			}
-			if err != nil {
-				return nil, fmt.Errorf("index: vector field %q: %w", name, err)
-			}
-			ix.vecs[name] = h
+		vx, err := readVectors(snap, name)
+		if errors.Is(err, errors.ErrUnsupported) {
+			return nil, unsupported(streamName(r), fmt.Sprintf("vector field %q: %v", name, err))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("index: vector field %q: %w", name, err)
+		}
+		if vx != nil {
+			ix.vecs[name] = vx
 			continue
 		}
-		// Not an HNSW, so never serialized: rebuild from stored document
-		// vectors.
+		// An exact field the previous release wrote: rebuild it from the
+		// raw document vectors, normalized as their first insert did.
 		for i, d := range ix.docs {
 			if v, ok := d.Vectors[name]; ok {
 				if err := ix.vecs[name].Add(i, v); err != nil {
@@ -165,5 +183,24 @@ func read(r io.Reader, cfg Config) (*Index, error) {
 			}
 		}
 	}
+	// Documents read their vectors from the arenas from here on (tombstoned
+	// chunks are in the graphs too); raw vectors a previous-release
+	// snapshot carried are dropped.
+	ix.pointViews(0)
+	for _, d := range ix.docs {
+		ix.dims.Note(d.Vectors)
+	}
 	return ix, nil
+}
+
+// readVectors decodes the serialized index of vector field name, or returns
+// nil when the snapshot holds none for it.
+func readVectors(snap indexSnapshot, name string) (vector.Index, error) {
+	if data, ok := snap.Vectors[name]; ok {
+		return vector.ReadHNSW(bytes.NewReader(data))
+	}
+	if data, ok := snap.Exact[name]; ok {
+		return vector.ReadExhaustive(bytes.NewReader(data))
+	}
+	return nil, nil
 }

@@ -207,6 +207,20 @@ func (s *Segmented) AddBulk(docs []Document) error {
 // fresh memtable has no dimension of its own yet — and its accepted prefix
 // goes to the memtable in one addBatch.
 func (s *Segmented) AddBulkCounted(docs []Document) (applied int, err error) {
+	return s.addBulk(docs, false)
+}
+
+// AddStored is AddBulkCounted for documents read back from a store (Doc,
+// DocsByID, LiveDocs of this or another one), whose vectors are views of
+// a vector index's unit-length arena: they go into the graphs verbatim, so
+// re-adding a store's documents — a shard-count migration — rebuilds the
+// graphs their first insert built.
+func (s *Segmented) AddStored(docs []Document) (applied int, err error) {
+	return s.addBulk(docs, true)
+}
+
+// addBulk is AddBulkCounted; stored is addBatch's.
+func (s *Segmented) addBulk(docs []Document, stored bool) (applied int, err error) {
 	limit := s.scfg.memtableMax()
 	for applied < len(docs) && err == nil {
 		s.mu.RLock()
@@ -226,7 +240,7 @@ func (s *Segmented) AddBulkCounted(docs []Document) (applied int, err error) {
 		if len(run) == 0 {
 			break
 		}
-		k, memErr := mem.addBatch(run)
+		k, memErr := mem.addBatch(run, stored)
 		if memErr != nil {
 			err = memErr
 		}
@@ -341,7 +355,7 @@ func (s *Segmented) Publish() {
 // memtable was — no data moves, so a concurrent search observes identical
 // documents and statistics through either topology and a torn stats
 // snapshot is structurally impossible. The sealed part never receives
-// another Add, so its graphs' construction caches go.
+// another Add, so its graphs' construction state goes.
 func (s *Segmented) seal() {
 	s.mu.Lock()
 	if s.mem.Len() == 0 {
@@ -353,7 +367,7 @@ func (s *Segmented) seal() {
 	s.sealed = append(s.sealed, out)
 	s.mem = New(s.cfg)
 	s.mu.Unlock()
-	out.releaseBuildCaches()
+	out.releaseBuildState()
 	s.seals.Add(1)
 	// Publication: the sealed documents' contribution to the idf curve is
 	// now permanent, so snapshots scored before them are stale.
@@ -548,14 +562,14 @@ func (s *Segmented) merge(ctx context.Context, start int, window []*Index) error
 				return err
 			}
 			n := min(len(live), maxBatch)
-			if _, err := merged.addBatch(live[:n]); err != nil {
+			if _, err := merged.addBatch(live[:n], true); err != nil {
 				sp.SetError(err)
 				return fmt.Errorf("index: compact: %w", err)
 			}
 			live = live[n:]
 		}
 	}
-	merged.releaseBuildCaches()
+	merged.releaseBuildState()
 
 	s.mu.Lock()
 	if start+len(window) > len(s.sealed) || s.sealed[start] != window[0] {

@@ -260,10 +260,43 @@ func (c *Corpus) Lexicon() embedding.MapLexicon { return c.Vocab.Lexicon() }
 // Seed returns the generation seed (query generators derive theirs from it).
 func (c *Corpus) Seed() int64 { return c.seed }
 
-// fill renders a template, substituting %A/%E/%F/%P/%P2/%C slots.
+// fill renders a template, substituting %A/%E/%F/%P/%P2/%C slots in one
+// left-to-right pass: at each '%' the slots are tried in that order, %P2
+// before %P, a substituted value is not scanned again, and a '%' that
+// starts no slot is kept — what a strings.Replacer over the same pairs
+// does, without building one per template.
 func fill(tpl string, a, e, f, p, p2, code string) string {
-	r := strings.NewReplacer("%A", a, "%E", e, "%F", f, "%P2", p2, "%P", p, "%C", code)
-	s := r.Replace(tpl)
+	var b strings.Builder
+	b.Grow(len(tpl) + len(a) + len(e) + len(f) + len(p) + len(p2) + len(code))
+	for {
+		i := strings.IndexByte(tpl, '%')
+		if i < 0 {
+			b.WriteString(tpl)
+			break
+		}
+		b.WriteString(tpl[:i])
+		tpl = tpl[i:]
+		slot, val := 2, ""
+		switch {
+		case strings.HasPrefix(tpl, "%A"):
+			val = a
+		case strings.HasPrefix(tpl, "%E"):
+			val = e
+		case strings.HasPrefix(tpl, "%F"):
+			val = f
+		case strings.HasPrefix(tpl, "%P2"):
+			slot, val = 3, p2
+		case strings.HasPrefix(tpl, "%P"):
+			val = p
+		case strings.HasPrefix(tpl, "%C"):
+			val = code
+		default:
+			slot, val = 1, "%"
+		}
+		b.WriteString(val)
+		tpl = tpl[slot:]
+	}
+	s := b.String()
 	// Collapse doubled spaces left by empty facets.
 	for strings.Contains(s, "  ") {
 		s = strings.ReplaceAll(s, "  ", " ")

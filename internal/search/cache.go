@@ -43,7 +43,6 @@ package search
 import (
 	"container/list"
 	"strconv"
-	"strings"
 	"sync"
 
 	"uniask/internal/index"
@@ -119,10 +118,10 @@ func NewQueryCache(capacity int) *QueryCache {
 // lookup returns the entry cached under key at the given stats snapshot.
 // Its results are shared with every other hit: the caller must not modify
 // them. A key cached at any other snapshot counts as a miss and is evicted.
-func (c *QueryCache) lookup(key string, snap uint64) (*cacheEntry, bool) {
+func (c *QueryCache) lookup(key []byte, snap uint64) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	el, ok := c.entries[string(key)] // no allocation: the compiler reads key in place
 	if !ok {
 		c.misses++
 		return nil, false
@@ -130,7 +129,7 @@ func (c *QueryCache) lookup(key string, snap uint64) (*cacheEntry, bool) {
 	e := el.Value.(*cacheEntry)
 	if e.snap != snap {
 		c.lru.Remove(el)
-		delete(c.entries, key)
+		delete(c.entries, e.key)
 		c.misses++
 		return nil, false
 	}
@@ -270,43 +269,44 @@ func copyResults(rs []Result) []Result {
 	return out
 }
 
-// cacheKey canonicalizes a (query, options) pair. Every Options field that
-// can change the ranking participates; filters are keyed in the order given
-// (conjunction is order-insensitive semantically, so differently ordered
-// but equal filter sets merely cache twice).
-func cacheKey(query string, o Options) string {
-	var b strings.Builder
-	b.Grow(len(query) + len(o.SearchKeywordsField) + 64)
-	b.WriteString(query)
-	b.WriteByte(0)
-	b.WriteString(strconv.Itoa(o.TextN))
-	b.WriteByte(0)
-	b.WriteString(strconv.Itoa(o.VectorK))
-	b.WriteByte(0)
-	b.WriteString(strconv.Itoa(o.FinalN))
-	b.WriteByte(0)
-	b.WriteString(strconv.Itoa(o.RRFC))
-	b.WriteByte(0)
-	b.WriteString(strconv.Itoa(int(o.Mode)))
-	b.WriteByte(0)
+// appendCacheKey appends the canonical key of a (query, options) pair under
+// a reranker weight version to dst, in one buffer: a caller that passes a
+// stack array builds and looks up a hit's key without allocating. Every
+// Options field that can change the ranking participates; filters are
+// keyed in the order given (conjunction is order-insensitive semantically,
+// so differently ordered but equal filter sets merely cache twice).
+func appendCacheKey(dst []byte, query string, o Options, rerankVersion uint64) []byte {
+	dst = append(dst, query...)
+	dst = append(dst, 0)
+	dst = strconv.AppendInt(dst, int64(o.TextN), 10)
+	dst = append(dst, 0)
+	dst = strconv.AppendInt(dst, int64(o.VectorK), 10)
+	dst = append(dst, 0)
+	dst = strconv.AppendInt(dst, int64(o.FinalN), 10)
+	dst = append(dst, 0)
+	dst = strconv.AppendInt(dst, int64(o.RRFC), 10)
+	dst = append(dst, 0)
+	dst = strconv.AppendInt(dst, int64(o.Mode), 10)
+	dst = append(dst, 0)
 	if o.DisableSemanticRerank {
-		b.WriteByte('1')
+		dst = append(dst, '1')
 	} else {
-		b.WriteByte('0')
+		dst = append(dst, '0')
 	}
-	b.WriteByte(0)
-	b.WriteString(strconv.FormatFloat(o.TitleBoost, 'g', -1, 64))
-	b.WriteByte(0)
-	b.WriteString(strconv.Itoa(int(o.Expansion)))
-	b.WriteByte(0)
-	b.WriteString(strconv.Itoa(o.RelatedQueries))
-	b.WriteByte(0)
-	b.WriteString(o.SearchKeywordsField)
+	dst = append(dst, 0)
+	dst = strconv.AppendFloat(dst, o.TitleBoost, 'g', -1, 64)
+	dst = append(dst, 0)
+	dst = strconv.AppendInt(dst, int64(o.Expansion), 10)
+	dst = append(dst, 0)
+	dst = strconv.AppendInt(dst, int64(o.RelatedQueries), 10)
+	dst = append(dst, 0)
+	dst = append(dst, o.SearchKeywordsField...)
 	for _, f := range o.Filters {
-		b.WriteByte(1)
-		b.WriteString(f.Field)
-		b.WriteByte(0)
-		b.WriteString(f.Value)
+		dst = append(dst, 1)
+		dst = append(dst, f.Field...)
+		dst = append(dst, 0)
+		dst = append(dst, f.Value...)
 	}
-	return b.String()
+	dst = append(dst, 0)
+	return strconv.AppendUint(dst, rerankVersion, 10)
 }

@@ -33,10 +33,17 @@ var planQueries = []string{
 	"",
 }
 
-// expansionPlansDigest is the SHA-256 of every cell of the matrix below,
-// except vector-only MQ1/MQ2 with the embedder down, as computed by the
+// expansionRankingsDigest is the SHA-256 of the rankings of every cell of
+// the matrix below — chunk ids in order, degradation report and error text
+// — except vector-only MQ1/MQ2 with the embedder down, as computed by the
 // per-expansion search functions the single plan replaced.
-const expansionPlansDigest = "e804dce1e9f78fa5ce3ef79c54e152a87556ba5e7b599dbdd87d89f75d12cb69"
+const expansionRankingsDigest = "7b6cf2fbaec4e9e659b2f560d4edf57c808e976b7aea3aa076850c13f97a9f43"
+
+// expansionPlansDigest is the SHA-256 of the same cells with every result
+// field, scores included. The reranker reads each chunk's unit-length
+// content vector from the vector index's arena, so scores carry the
+// arena's bits; rankings are pinned above, scores here.
+const expansionPlansDigest = "8ba6d06792a5673b9915c970fe09bceffb1d30e2e54c070a0d3bbb985e767d3a"
 
 func TestExpansionPlansPinned(t *testing.T) {
 	expansions := []struct {
@@ -67,7 +74,7 @@ func TestExpansionPlansPinned(t *testing.T) {
 		return fault == "embedder-down" && m == VectorOnly && (x == MQ1 || x == MQ2)
 	}
 
-	h := sha256.New()
+	h, rankings := sha256.New(), sha256.New()
 	for _, fault := range faults {
 		s := searcher(fault)
 		for _, x := range expansions {
@@ -83,9 +90,17 @@ func TestExpansionPlansPinned(t *testing.T) {
 						errText = err.Error()
 					}
 					fmt.Fprintf(h, "%s/%s/%s/%q\n%#v\n%#v\n%q\n", fault, x.name, m.name, q, res, deg, errText)
+					ids := make([]string, len(res))
+					for i, r := range res {
+						ids[i] = r.ChunkID
+					}
+					fmt.Fprintf(rankings, "%s/%s/%s/%q\n%q\n%#v\n%q\n", fault, x.name, m.name, q, ids, deg, errText)
 				}
 			}
 		}
+	}
+	if got := fmt.Sprintf("%x", rankings.Sum(nil)); got != expansionRankingsDigest {
+		t.Errorf("expansion plan rankings changed: digest %s, want %s", got, expansionRankingsDigest)
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != expansionPlansDigest {
 		t.Errorf("expansion plan outcomes changed: digest %s, want %s", got, expansionPlansDigest)

@@ -151,7 +151,7 @@ func TestRenderedBodySameKeyRefresh(t *testing.T) {
 		c.complete("k", snap, f, []Result{{ChunkID: id}}, Degradation{}, nil, true)
 	}
 	hit := func(snap uint64) Hits {
-		e, ok := c.lookup("k", snap)
+		e, ok := c.lookup([]byte("k"), snap)
 		if !ok {
 			t.Fatalf("no entry at snapshot %d", snap)
 		}

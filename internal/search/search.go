@@ -300,10 +300,12 @@ func (s *Searcher) SearchDegraded(ctx context.Context, query string, opts Option
 	snap := s.Index.StatsKey()
 	_, delMark, _ := s.Index.DeletesSince(^uint64(0))
 	rv := s.rerankVersion(opts)
-	key := cacheKey(query, opts) + "\x00" + strconv.FormatUint(rv, 10)
-	if e, ok := s.Cache.lookup(key, snap); ok {
+	var keyBuf [256]byte
+	kb := appendCacheKey(keyBuf[:0], query, opts, rv)
+	if e, ok := s.Cache.lookup(kb, snap); ok {
 		return Hits{Results: e.results, Degradation: e.deg, entry: e}, nil
 	}
+	key := string(kb)
 	f, leader := s.Cache.join(key, snap)
 	if leader {
 		res, deg, err := s.run(ctx, query, opts)
@@ -707,7 +709,8 @@ func (s *Searcher) fuse(ctx context.Context, rankings []fusion.Ranking, opts Opt
 // finalize materializes the fused hits and applies semantic reranking: the
 // final score is the RRF score plus the reranker score, re-sorted. The hits
 // are fetched once, in one batched read (on a sharded index: one round trip
-// per shard, under the request's deadline), and each hit's content vector
+// per shard, under the request's deadline), and each hit's content vector —
+// the unit-length view of the vector index's arena the document carries —
 // rides along into the one rerank pass. An id the index no longer holds (deleted
 // since retrieval) is skipped quietly; a shard that cannot be reached for
 // the fetch is reported as Degradation.ShardsDown, because the ranking is

@@ -196,7 +196,7 @@ func BenchmarkServeSearchHit(b *testing.B) {
 
 // searchHitAllocCeiling is the measured allocation count of one
 // /api/search cache hit through the handler into a recorder, plus 10 %.
-const searchHitAllocCeiling = 38
+const searchHitAllocCeiling = 35
 
 // TestServeSearchHitAllocs holds the cache-hit path of /api/search to its
 // measured allocation count: a change that puts a per-hit render or copy

@@ -295,7 +295,8 @@ func (s *Server) handleSessionFeedback(w http.ResponseWriter, r *http.Request) {
 }
 
 // clickInputs resolves cited turn documents into the reranker's feature
-// inputs, re-reading the live chunks for their text and embeddings. A chunk
+// inputs, re-reading the live chunks for their text and embeddings (the
+// unit-length arena views the store hands out, as the ask scored). A chunk
 // deleted since the turn (or on a shard that cannot be reached right now)
 // degrades to the title recorded at answer time.
 func clickInputs(q *query, cited []session.TurnDoc) []rerank.Input {

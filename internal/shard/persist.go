@@ -65,7 +65,7 @@ func (s *Sharded) Save(w io.Writer) error {
 //     container a single-store engine saves, is migrated: every live
 //     document is re-added through the configured facade in its original
 //     arrival order, which re-routes it to its new shard and rebuilds the
-//     per-shard structures. Migration costs a re-index but keeps rankings
+//     per-shard structures (its vectors copied verbatim, see migrate). Migration costs a re-index but keeps rankings
 //     deterministic, because per-shard insertion order is preserved.
 //
 // Anything older than the previous release wrote is refused with
@@ -82,8 +82,8 @@ func Load(r io.Reader, cfg Config) (*Sharded, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard: load single-store snapshot: %w", err)
 		}
-		s := New(cfg)
-		if err := s.AddBulk(ix.LiveDocs()); err != nil {
+		s, err := migrate(cfg, ix.LiveDocs())
+		if err != nil {
 			return nil, fmt.Errorf("shard: migrate single-store snapshot: %w", err)
 		}
 		return s, nil
@@ -117,11 +117,24 @@ func Load(r io.Reader, cfg Config) (*Sharded, error) {
 	docs := loaded.LiveDocs()
 	seqOf := loaded.seq
 	sortDocsBySeq(docs, seqOf)
-	s := New(cfg)
-	if err := s.AddBulk(docs); err != nil {
+	s, err := migrate(cfg, docs)
+	if err != nil {
 		return nil, fmt.Errorf("shard: migrate from %d to %d shards: %w", m.Shards, cfg.Shards, err)
 	}
 	return s, nil
+}
+
+// migrate re-adds docs, read back from another store, through a fresh
+// facade: routed, sequenced and checked as AddBulk does, with their vectors
+// — the old graphs' unit-length arena views — copied into the new graphs
+// verbatim (index.Segmented.AddStored), so each shard's graphs are the ones
+// its first inserts would have built.
+func migrate(cfg Config, docs []index.Document) (*Sharded, error) {
+	s := New(cfg)
+	err := s.addBulk(docs, func(b Backend, part []index.Document) (int, error) {
+		return b.(*Local).AddStored(part) // New builds local shards only
+	})
+	return s, err
 }
 
 // sortDocsBySeq orders docs by their recorded global arrival sequence,

@@ -113,11 +113,12 @@ func TestSingleStoreSnapshotMigratesIntoFacade(t *testing.T) {
 		t.Fatalf("migrated live=%d tombstones=%d, want live=%d tombstones=0",
 			loaded.LiveLen(), loaded.Tombstones(), store.LiveLen())
 	}
-	// The parity baseline is a monolithic index rebuilt from the live docs:
+	// The parity baseline is one unsealed store rebuilt from the live docs:
 	// migration drops tombstones, which legitimately shifts BM25 corpus
-	// statistics relative to the tombstone-carrying source.
-	ref := index.New(vecConfig())
-	if err := ref.AddBulk(store.LiveDocs()); err != nil {
+	// statistics relative to the tombstone-carrying source. The docs'
+	// vectors are arena views, re-added verbatim as the migration does.
+	ref := index.NewSegmented(vecConfig(), index.SegmentConfig{MemtableMaxDocs: -1, CompactionFanIn: -1})
+	if _, err := ref.AddStored(store.LiveDocs()); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := searchFingerprint(loaded, emb), searchFingerprint(ref, emb); got != want {

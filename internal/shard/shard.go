@@ -262,6 +262,11 @@ func (s *Sharded) Add(doc index.Document) error {
 // one a shard refused (a duplicate of a live chunk) leaves its live copy's
 // place in vector ties alone, as in Add.
 func (s *Sharded) AddBulk(docs []index.Document) error {
+	return s.addBulk(docs, Backend.AddBulk)
+}
+
+// addBulk is AddBulk with add as each shard's bulk write.
+func (s *Sharded) addBulk(docs []index.Document, add func(Backend, []index.Document) (int, error)) error {
 	s.dimMu.Lock()
 	defer s.dimMu.Unlock()
 	var dimErr error
@@ -288,7 +293,7 @@ func (s *Sharded) AddBulk(docs []index.Document) error {
 	pipeline.Map(context.Background(), s.cfg.Workers, len(s.shards),
 		func(_ context.Context, i int) (struct{}, error) {
 			if len(parts[i]) > 0 {
-				applied[i], errs[i] = s.shards[i].AddBulk(parts[i])
+				applied[i], errs[i] = add(s.shards[i], parts[i])
 			}
 			return struct{}{}, nil
 		})

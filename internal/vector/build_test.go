@@ -8,6 +8,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -186,4 +188,37 @@ func FuzzBuildCache(f *testing.F) {
 			t.Fatalf("%d vectors of %d-d, %+v: the graph built with a cache differs from the one built without", len(vs), len(vs[0]), cfg)
 		}
 	})
+}
+
+// TestSortByDistMatchesSortSlice: sortByDist must leave tied candidates in
+// exactly the order sort.Slice left them in, since that order is part of
+// every graph built. The slices are tie-heavy (distances drawn from a few
+// values) and span the lengths where pdqsort switches strategy: insertion
+// sort up to 12, median-of-three, Tukey's ninther from 50, and the
+// pattern-breaking shuffles of long unbalanced runs.
+func TestSortByDistMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for _, n := range []int{0, 1, 2, 5, 12, 13, 33, 49, 50, 51, 64, 100, 129, 257, 600} {
+		for _, distinct := range []int{1, 2, 3, 7, 40} {
+			for trial := 0; trial < 20; trial++ {
+				cds := make([]candDist, n)
+				for i := range cds {
+					cds[i] = candDist{node: int32(i), dist: float32(rng.Intn(distinct)) / 8}
+				}
+				if trial%4 == 1 { // presorted runs with ties
+					sort.Slice(cds, func(i, j int) bool { return cds[i].dist < cds[j].dist })
+				}
+				if trial%4 == 2 { // reversed runs with ties
+					sort.Slice(cds, func(i, j int) bool { return cds[i].dist > cds[j].dist })
+				}
+				want := slices.Clone(cds)
+				sort.Slice(want, func(i, j int) bool { return want[i].dist < want[j].dist })
+				got := slices.Clone(cds)
+				sortByDist(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d distinct=%d trial=%d: sortByDist left %v, sort.Slice %v", n, distinct, trial, got, want)
+				}
+			}
+		}
+	}
 }

@@ -4,7 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -271,10 +271,19 @@ func (c *pairCache) fit(n, max int) {
 	}
 }
 
-// ReleaseBuildCache frees the construction-only pair cache. The index
-// layer calls it when a segment is sealed and will receive no more Adds;
-// an Add after it simply starts a new cache, so the graph is unaffected.
-func (h *HNSW) ReleaseBuildCache() { h.pc = pairCache{} }
+// ReleaseBuildState frees what the graph keeps only for further inserts:
+// the construction pair cache and the spare capacity of every arena (each
+// is copied into an array of its exact length, so views taken through Vec
+// before the call keep the old array alive until they are re-read). The
+// index layer calls it when a segment is sealed and will receive no more
+// Adds; an Add after it simply starts a new cache and regrows the arenas,
+// so the graph is unaffected.
+func (h *HNSW) ReleaseBuildState() {
+	h.pc = pairCache{}
+	h.ids, h.levels, h.vecs = clip(h.ids), clip(h.levels), clip(h.vecs)
+	h.links0, h.cnt0 = clip(h.links0), clip(h.cnt0)
+	h.upOff, h.upNbrs, h.upCnt = clip(h.upOff), clip(h.upNbrs), clip(h.upCnt)
+}
 
 // BuildCacheEntries reports the pair cache's size in entries, 0 when none
 // is held (diagnostics).
@@ -347,7 +356,23 @@ func (h *HNSW) randomLevel() int {
 // Add implements Index. The vector is copied into the arena and normalized
 // on insertion: cosine distance is invariant to scaling, and unit-length
 // storage turns every distance evaluation into a single dot product.
-func (h *HNSW) Add(id int, v Vector) error {
+func (h *HNSW) Add(id int, v Vector) error { return h.add(id, v, false) }
+
+// AddUnit implements Index: the vector is copied into the arena verbatim,
+// so a graph rebuilt from another graph's arena (a compaction merge, a
+// migration) is the graph the first inserts built.
+func (h *HNSW) AddUnit(id int, v Vector) error { return h.add(id, v, true) }
+
+// Vec implements Index.
+func (h *HNSW) Vec(id int) Vector {
+	n, ok := h.byID[id]
+	if !ok {
+		return nil
+	}
+	return h.vec(n)
+}
+
+func (h *HNSW) add(id int, v Vector, unit bool) error {
 	if int64(id) != int64(int32(id)) {
 		return ErrIDOutOfRange
 	}
@@ -366,8 +391,10 @@ func (h *HNSW) Add(id int, v Vector) error {
 	idx := int32(len(h.ids))
 
 	start := len(h.vecs)
-	h.vecs = append(h.vecs, v...)
-	normalizeF(h.vecs[start:])
+	h.vecs = appendArena(h.vecs, v)
+	if !unit {
+		normalizeF(h.vecs[start:])
+	}
 
 	h.ids = append(h.ids, int32(id))
 	h.levels = append(h.levels, int32(level))
@@ -515,11 +542,7 @@ func (h *HNSW) selectHeuristicInto(dst []int32, a int32, cand []int32, m int) []
 	for i, c := range cand {
 		h.cds = append(h.cds, candDist{c, st.dist[i]})
 	}
-	// sort.Slice, not a stable sort or an id tiebreak: exact distance ties
-	// are common (every chunk of a page shares its title vector), and the
-	// order sort.Slice leaves them in is part of the graph
-	// (TestHNSWGraphPinned).
-	sort.Slice(h.cds, func(i, j int) bool { return h.cds[i].dist < h.cds[j].dist })
+	sortByDist(h.cds)
 
 	selected := dst
 	h.disc = h.disc[:0]
@@ -541,6 +564,25 @@ func (h *HNSW) selectHeuristicInto(dst []int32, a int32, cand []int32, m int) []
 		selected = append(selected, c)
 	}
 	return selected
+}
+
+// sortByDist orders cds by ascending distance with the unstable pdqsort
+// sort.Slice ran here before, which slices.SortFunc shares — without the
+// reflection-built swapper and closure sort.Slice allocates per call. Not
+// a stable sort or an id tiebreak: exact distance ties are common (every
+// chunk of a page shares its title vector), and the order the pdqsort
+// leaves them in is part of the graph (TestHNSWGraphPinned,
+// TestSortByDistMatchesSortSlice).
+func sortByDist(cds []candDist) {
+	slices.SortFunc(cds, func(a, b candDist) int {
+		switch {
+		case a.dist < b.dist:
+			return -1
+		case a.dist > b.dist:
+			return 1
+		}
+		return 0
+	})
 }
 
 // diverse reports whether candidate c is no closer to any already-selected

@@ -162,3 +162,51 @@ func (h *HNSW) validate() error {
 	}
 	return nil
 }
+
+// exhaustiveSnapshotVersion identifies the exact index's snapshot layout.
+const exhaustiveSnapshotVersion = 1
+
+// exhaustiveSnapshot is the gob-serializable image of an Exhaustive: its
+// ids in insertion order and its unit-length arena.
+type exhaustiveSnapshot struct {
+	Version int
+	Dim     int
+	IDs     []int32
+	Vecs    []float32
+}
+
+// Save serializes the index's arena, so loading copies no vector through
+// Add (whose normalization would move the stored unit vectors' bits).
+func (e *Exhaustive) Save(w io.Writer) error {
+	snap := exhaustiveSnapshot{Version: exhaustiveSnapshotVersion, Dim: e.dim, IDs: e.ids, Vecs: e.vecs}
+	if err := gob.NewEncoder(w).Encode(snap); err != nil {
+		return fmt.Errorf("vector: encode exhaustive: %w", err)
+	}
+	return nil
+}
+
+// ReadExhaustive deserializes an index written by Exhaustive.Save, refusing
+// an arena that disagrees with its ids or dimension and a repeated id.
+func ReadExhaustive(r io.Reader) (*Exhaustive, error) {
+	var snap exhaustiveSnapshot
+	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+		return nil, fmt.Errorf("vector: decode exhaustive: %w", err)
+	}
+	if snap.Version != exhaustiveSnapshotVersion {
+		return nil, fmt.Errorf("vector: exhaustive snapshot version %d (want %d): %w", snap.Version, exhaustiveSnapshotVersion, errors.ErrUnsupported)
+	}
+	n := len(snap.IDs)
+	// Divided, not multiplied: a corrupt dimension must not wrap n*dim
+	// round to the arena's length.
+	if n == 0 && len(snap.Vecs) != 0 || n > 0 && (snap.Dim <= 0 || len(snap.Vecs)%n != 0 || len(snap.Vecs)/n != snap.Dim) {
+		return nil, fmt.Errorf("vector: exhaustive snapshot: arena sized %d for %d %d-d vectors", len(snap.Vecs), n, snap.Dim)
+	}
+	e := &Exhaustive{ids: snap.IDs, vecs: snap.Vecs, dim: snap.Dim, pos: make(map[int32]int32, n)}
+	for i, id := range snap.IDs {
+		if _, dup := e.pos[id]; dup {
+			return nil, fmt.Errorf("vector: exhaustive snapshot: id %d repeated: %w", id, ErrDuplicateID)
+		}
+		e.pos[id] = int32(i)
+	}
+	return e, nil
+}

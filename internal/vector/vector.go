@@ -106,8 +106,20 @@ type Accept func(id int32) bool
 type Index interface {
 	// Add inserts a vector under id. Adding an existing id is an error,
 	// and so is an empty vector or one of another length than the first
-	// (ErrDimensionMismatch).
+	// (ErrDimensionMismatch). v is copied into the index's arena and
+	// normalized there; the caller's slice is never modified.
 	Add(id int, v Vector) error
+	// AddUnit is Add for a vector already in the unit-length form an arena
+	// holds — a view read back through Vec, from this index or another:
+	// its bits are copied verbatim. Normalizing them a second time would
+	// move the last bit of some components, and with them the distances a
+	// graph is built from.
+	AddUnit(id int, v Vector) error
+	// Vec returns the stored unit vector of id, nil when id is not held: a
+	// read-only view of the arena, its capacity capped at its own length,
+	// valid for as long as the caller keeps it (the arena never changes a
+	// stored vector, and a view keeps the array it points into alive).
+	Vec(id int) Vector
 	// Search returns the k nearest neighbors of q, closest first. q is
 	// copied and normalized internally.
 	Search(q Vector, k int) []Result
@@ -143,22 +155,27 @@ var ErrIDOutOfRange = errors.New("vector: id outside int32 range")
 type Exhaustive struct {
 	ids  []int32
 	vecs []float32 // len(ids) * dim, unit-normalized
-	seen map[int32]bool
+	pos  map[int32]int32
 	dim  int
 }
 
 // NewExhaustive returns an empty exact index.
 func NewExhaustive() *Exhaustive {
-	return &Exhaustive{seen: make(map[int32]bool)}
+	return &Exhaustive{pos: make(map[int32]int32)}
 }
 
 // Add implements Index. The vector is copied into the arena and normalized
 // so that every distance evaluation during search is a single dot product.
-func (e *Exhaustive) Add(id int, v Vector) error {
+func (e *Exhaustive) Add(id int, v Vector) error { return e.add(id, v, false) }
+
+// AddUnit implements Index: the vector is copied into the arena verbatim.
+func (e *Exhaustive) AddUnit(id int, v Vector) error { return e.add(id, v, true) }
+
+func (e *Exhaustive) add(id int, v Vector, unit bool) error {
 	if int64(id) != int64(int32(id)) {
 		return ErrIDOutOfRange
 	}
-	if e.seen[int32(id)] {
+	if _, dup := e.pos[int32(id)]; dup {
 		return ErrDuplicateID
 	}
 	if len(v) == 0 {
@@ -169,12 +186,55 @@ func (e *Exhaustive) Add(id int, v Vector) error {
 	} else if len(v) != e.dim {
 		return ErrDimensionMismatch
 	}
-	e.seen[int32(id)] = true
+	e.pos[int32(id)] = int32(len(e.ids))
 	e.ids = append(e.ids, int32(id))
 	start := len(e.vecs)
-	e.vecs = append(e.vecs, v...)
-	normalizeF(e.vecs[start:])
+	e.vecs = appendArena(e.vecs, v)
+	if !unit {
+		normalizeF(e.vecs[start:])
+	}
 	return nil
+}
+
+// Vec implements Index.
+func (e *Exhaustive) Vec(id int) Vector {
+	if int64(id) != int64(int32(id)) {
+		return nil
+	}
+	n, ok := e.pos[int32(id)]
+	if !ok {
+		return nil
+	}
+	s := int(n) * e.dim
+	return e.vecs[s : s+e.dim : s+e.dim]
+}
+
+// ReleaseBuildState gives the arena's spare capacity back (see
+// HNSW.ReleaseBuildState).
+func (e *Exhaustive) ReleaseBuildState() {
+	e.ids, e.vecs = clip(e.ids), clip(e.vecs)
+}
+
+// appendArena appends v to an arena. A full arena doubles, so it moves
+// O(log n) times while it grows — and a caller holding views into it (see
+// Index.Vec) re-points them as rarely. ReleaseBuildState gives the spare
+// capacity back once no more vectors arrive.
+func appendArena(arena, v []float32) []float32 {
+	if len(arena)+len(v) > cap(arena) {
+		grown := make([]float32, len(arena), 2*cap(arena)+len(v))
+		copy(grown, arena)
+		arena = grown
+	}
+	return append(arena, v...)
+}
+
+// clip returns s in an array of exactly its length: a copy when s has spare
+// capacity, s itself otherwise.
+func clip[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // normalizeF scales an arena view to unit length in place (zero stays zero).
