@@ -198,7 +198,10 @@ func BenchmarkPilot_UAT(b *testing.B) {
 	var r experiments.PilotsResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r = env.Pilots(context.Background())
+		var err error
+		if r, err = env.Pilots(context.Background()); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(100*r.UAT.Correct, "uat-correct-%")
 	b.ReportMetric(100*r.UAT.GuardrailsOK, "uat-guardrails-ok-%")

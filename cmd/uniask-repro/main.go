@@ -177,7 +177,7 @@ func (t *tables) run(ctx context.Context, stdout, stderr io.Writer) error {
 		{table(3), "table 3", func(e *experiments.Env) (fmt.Stringer, error) { return e.Table3(), nil }},
 		{table(4), "table 4", func(e *experiments.Env) (fmt.Stringer, error) { return e.Table4(ctx) }},
 		{table(5), "table 5", func(e *experiments.Env) (fmt.Stringer, error) { return e.Table5(ctx) }},
-		{all || t.pilot, "pilots", func(e *experiments.Env) (fmt.Stringer, error) { return e.Pilots(ctx), nil }},
+		{all || t.pilot, "pilots", func(e *experiments.Env) (fmt.Stringer, error) { return e.Pilots(ctx) }},
 		{table(5), "groundedness", func(e *experiments.Env) (fmt.Stringer, error) { return e.Groundedness(ctx) }},
 		{all || t.post, "post-launch", func(e *experiments.Env) (fmt.Stringer, error) { return e.PostLaunch(ctx, 600) }},
 		{all || t.future, "adapter experiment", func(e *experiments.Env) (fmt.Stringer, error) { return e.FutureWorkAdapter(ctx) }},

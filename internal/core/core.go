@@ -70,11 +70,6 @@ type Config struct {
 	Indexer indexer.Config
 	// Guardrails configures the answer-validation pipeline.
 	Guardrails guardrails.Config
-	// M is the number of context chunks passed to the LLM (default 4).
-	M int
-	// SearchOptions is the default retrieval configuration (zero value =
-	// the deployed HSS configuration).
-	SearchOptions search.Options
 	// SearchWorkers bounds the retrieval fan-out: BM25 plus one ANN search
 	// per vector field, and the per-shard scatter (0 = one per CPU, 1 =
 	// fully sequential).
@@ -193,9 +188,6 @@ func New(cfg Config) *Engine {
 		b.Lexicon = cfg.Lexicon
 		cfg.LLM = llm.NewSim(b)
 	}
-	if cfg.M <= 0 {
-		cfg.M = generation.DefaultM
-	}
 	emb := embedding.NewSynth(0, cfg.Lexicon)
 	eng := &Engine{
 		cfg:      cfg,
@@ -259,7 +251,7 @@ func New(cfg Config) *Engine {
 	} else if cfg.QueryCacheCapacity >= 0 {
 		eng.Searcher.Cache = search.NewQueryCache(cfg.QueryCacheCapacity)
 	}
-	eng.Generator = &generation.Generator{Client: client, M: cfg.M}
+	eng.Generator = &generation.Generator{Client: client}
 	eng.Guards = guardrails.New(cfg.Guardrails)
 	return eng
 }
@@ -451,11 +443,12 @@ type Response struct {
 	DegradedParts []string
 }
 
-// Search runs retrieval only, with the engine's default options. Like Ask it
-// reports what was shed (shards down, vector legs) instead of hiding it. On
-// a cache hit the results are the cache's own: see search.Hits.
+// Search runs retrieval only, with the deployed options (the zero
+// search.Options). Like Ask it reports what was shed (shards down, vector
+// legs) instead of hiding it. On a cache hit the results are the cache's
+// own: see search.Hits.
 func (e *Engine) Search(ctx context.Context, query string) (search.Hits, error) {
-	return e.Searcher.SearchDegraded(ctx, query, e.cfg.SearchOptions)
+	return e.Searcher.SearchDegraded(ctx, query, search.Options{})
 }
 
 // Ask runs the full user query flow of Figure 1 as an instrumented stage
@@ -540,7 +533,7 @@ func (e *Engine) AskConversational(ctx context.Context, question string, history
 	// 3. Retrieval (the searcher reports its own retrieval/fusion/rerank
 	// stages). Degradation — shed vector legs, skipped expansion — is a
 	// normal outcome carried on the response, not an error.
-	hits, err := e.Searcher.SearchDegraded(ctx, retrieveQuery, e.cfg.SearchOptions)
+	hits, err := e.Searcher.SearchDegraded(ctx, retrieveQuery, search.Options{})
 	if err != nil {
 		return resp, fmt.Errorf("core: search: %w", err)
 	}
@@ -556,10 +549,9 @@ func (e *Engine) AskConversational(ctx context.Context, question string, history
 	// raw question when no rewrite ran). With an OnToken callback the
 	// answer streams chunk by chunk; a stream that dies mid-answer degrades
 	// to the extractive fallback exactly like an unavailable LLM.
-	m := e.cfg.M
 	top := results
-	if len(top) > m {
-		top = top[:m]
+	if len(top) > generation.DefaultM {
+		top = top[:generation.DefaultM]
 	}
 	chunks := make([]generation.RetrievedChunk, len(top))
 	contexts := make([]string, len(top))

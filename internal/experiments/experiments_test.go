@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -174,11 +175,28 @@ func TestTable5Shape(t *testing.T) {
 	}
 }
 
+// TestPilotsReportsFailure: a simulation that cannot ask its questions
+// returns the error instead of rows of zeros.
+func TestPilotsReportsFailure(t *testing.T) {
+	small, err := Setup(context.Background(), Scale{Docs: 60, Human: 20, Keyword: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := small.Pilots(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
 // TestPilotsShape checks the §8 dynamics: the guardrail bug depresses
 // release 1, the fix restores ~90% proper answers, positive feedback lands
 // in the high-70s/80s, and the UAT blocks all out-of-scope questions.
 func TestPilotsShape(t *testing.T) {
-	r := env(t).Pilots(context.Background())
+	r, err := env(t).Pilots(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Phase1R1.ProperAnswers >= r.Phase1R2.ProperAnswers {
 		t.Errorf("release 1 (%.2f) should be worse than release 2 (%.2f)",
 			r.Phase1R1.ProperAnswers, r.Phase1R2.ProperAnswers)

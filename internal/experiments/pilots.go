@@ -96,7 +96,7 @@ func runPhase(ctx context.Context, eng *core.Engine, name string, queries []kb.Q
 	for _, q := range queries {
 		resp, err := eng.Ask(ctx, q.Text)
 		if err != nil {
-			return res, err
+			return res, fmt.Errorf("%s: %w", name, err)
 		}
 		res.Questions++
 		if !resp.AnswerValid {
@@ -135,9 +135,10 @@ func ratio(a, b int) float64 {
 // ~90%. SMEs initially query keyword-style out of habit, so their question
 // mix includes keyword queries. Phase 2 (branch users) runs with trained
 // users asking natural-language questions. The UAT runs the 210-question
-// mix and scores correctness and guardrail behavior.
-func (e *Env) Pilots(ctx context.Context) PilotsResult {
-	out := PilotsResult{}
+// mix and scores correctness and guardrail behavior. A failed build or ask
+// fails the whole simulation, with the phase named in the error.
+func (e *Env) Pilots(ctx context.Context) (PilotsResult, error) {
+	var out PilotsResult
 	seed := e.Scale.Seed
 
 	// Phase 1 question mix: SMEs' habits -> 40% keyword-style.
@@ -150,24 +151,27 @@ func (e *Env) Pilots(ctx context.Context) PilotsResult {
 		Lexicon:    e.Corpus.Lexicon(),
 		Guardrails: guardrails.Config{RougeThreshold: 0.27},
 	})
-	if err := buggy.IndexCorpus(ctx, e.Corpus); err == nil {
-		if r, err := runPhase(ctx, buggy, "Phase 1 / release 1 (SMEs, guardrail bug)", p1, 0.5, seed+502); err == nil {
-			out.Phase1R1 = r
-		}
+	if err := buggy.IndexCorpus(ctx, e.Corpus); err != nil {
+		return PilotsResult{}, fmt.Errorf("release 1 index: %w", err)
+	}
+	var err error
+	if out.Phase1R1, err = runPhase(ctx, buggy, "Phase 1 / release 1 (SMEs, guardrail bug)", p1, 0.5, seed+502); err != nil {
+		return PilotsResult{}, err
 	}
 	// Release 2: fixed guardrails, same questions.
-	if r, err := runPhase(ctx, e.Engine, "Phase 1 / release 2 (SMEs, fixed)", p1, 0.5, seed+503); err == nil {
-		out.Phase1R2 = r
+	if out.Phase1R2, err = runPhase(ctx, e.Engine, "Phase 1 / release 2 (SMEs, fixed)", p1, 0.5, seed+503); err != nil {
+		return PilotsResult{}, err
 	}
 	// Phase 2: branch users, trained, natural-language questions, higher
 	// feedback propensity (they were picked for it).
 	p2 := e.Corpus.HumanDataset(400, seed+510).Queries
-	if r, err := runPhase(ctx, e.Engine, "Phase 2 (branch users)", p2, 0.9, seed+511); err == nil {
-		out.Phase2 = r
+	if out.Phase2, err = runPhase(ctx, e.Engine, "Phase 2 (branch users)", p2, 0.9, seed+511); err != nil {
+		return PilotsResult{}, err
 	}
-
-	out.UAT = e.runUAT(ctx, seed+520)
-	return out
+	if out.UAT, err = e.runUAT(ctx, seed+520); err != nil {
+		return PilotsResult{}, err
+	}
+	return out, nil
 }
 
 // citesSameTopic reports whether doc id covers the same operation (entity
@@ -182,14 +186,14 @@ func citesSameTopic(c *kb.Corpus, id string, truth []string) bool {
 }
 
 // runUAT executes the 210-question user-acceptance test.
-func (e *Env) runUAT(ctx context.Context, seed int64) UATResult {
+func (e *Env) runUAT(ctx context.Context, seed int64) (UATResult, error) {
 	ds := e.Corpus.UATDataset(210, seed)
 	var res UATResult
 	var answerable, correct, shouldBlock, blockedOK, wellRetrieved, improper int
 	for _, q := range ds.Queries {
 		resp, err := e.Engine.Ask(ctx, q.Text)
 		if err != nil {
-			continue
+			return res, fmt.Errorf("UAT: %w", err)
 		}
 		res.Questions++
 		relevant := make(map[string]bool, len(q.Relevant))
@@ -239,7 +243,7 @@ func (e *Env) runUAT(ctx context.Context, seed int64) UATResult {
 	res.Correct = ratio(correct, answerable)
 	res.GuardrailsOK = ratio(blockedOK, shouldBlock)
 	res.ImproperGuardrails = ratio(improper, wellRetrieved)
-	return res
+	return res, nil
 }
 
 // String renders the pilot simulation summary.

@@ -47,10 +47,6 @@ const DefaultM = 4
 type Generator struct {
 	// Client is the chat-completion backend.
 	Client llm.Client
-	// M caps the number of chunks placed in the prompt (DefaultM if 0).
-	M int
-	// MaxTokens caps the completion (0 = client default).
-	MaxTokens int
 }
 
 // Generate builds the prompt for question over chunks and returns the
@@ -60,7 +56,7 @@ func (g *Generator) Generate(ctx context.Context, question string, chunks []Retr
 }
 
 // GenerateStream builds the prompt for question over chunks (chunks beyond
-// M are dropped, matching the deployment), delivers answer chunks through
+// DefaultM are dropped, matching the deployment), delivers answer chunks through
 // emit as the LLM produces them (nil emit = no streaming) and returns the
 // parsed answer whole. Once emit has run the fallback contract widens — a
 // stream that dies after its first byte cannot be retried (the consumer
@@ -69,12 +65,8 @@ func (g *Generator) Generate(ctx context.Context, question string, chunks []Retr
 // responsible for telling its consumer to discard the partial tokens
 // (the SSE layer's terminal `fallback` event).
 func (g *Generator) GenerateStream(ctx context.Context, question string, chunks []RetrievedChunk, emit func(chunk string) error) (Answer, error) {
-	m := g.M
-	if m <= 0 {
-		m = DefaultM
-	}
-	if len(chunks) > m {
-		chunks = chunks[:m]
+	if len(chunks) > DefaultM {
+		chunks = chunks[:DefaultM]
 	}
 	ctxChunks := make([]llm.ContextChunk, len(chunks))
 	keyToID := make(map[string]string, len(chunks))
@@ -84,7 +76,6 @@ func (g *Generator) GenerateStream(ctx context.Context, question string, chunks 
 		keyToID[key] = ch.ID
 	}
 	req := llm.BuildAnswerPrompt(question, ctxChunks)
-	req.MaxTokens = g.MaxTokens
 	started := false
 	wrapped := emit
 	if wrapped != nil {

@@ -3,6 +3,7 @@ package generation
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -42,19 +43,21 @@ func TestGenerateCapsContextToM(t *testing.T) {
 	g := &Generator{Client: clientFunc(func(ctx context.Context, req llm.Request) (llm.Response, error) {
 		captured = req
 		return llm.Response{Content: "ok [doc1]"}, nil
-	}), M: 1}
-	many := append([]RetrievedChunk{}, chunks...)
-	many = append(many, RetrievedChunk{ID: "x", Title: "t", Content: "c"})
+	})}
+	var many []RetrievedChunk
+	for len(many) <= DefaultM {
+		many = append(many, chunks...)
+	}
 	if _, err := g.Generate(context.Background(), "q", many); err != nil {
 		t.Fatal(err)
 	}
-	// Only doc1 should be in the prompt.
+	// Only doc1 .. docM should be in the prompt.
 	joined := ""
 	for _, m := range captured.Messages {
 		joined += m.Content
 	}
-	if strings.Contains(joined, "doc2") {
-		t.Fatalf("more than M chunks in prompt")
+	if !strings.Contains(joined, fmt.Sprintf("doc%d", DefaultM)) || strings.Contains(joined, fmt.Sprintf("doc%d", DefaultM+1)) {
+		t.Fatalf("prompt does not hold exactly DefaultM chunks")
 	}
 }
 

@@ -56,11 +56,6 @@ const DefaultRougeThreshold = 0.15
 type Config struct {
 	// RougeThreshold defaults to DefaultRougeThreshold.
 	RougeThreshold float64
-	// DisableRouge, DisableCitation, DisableClarification switch individual
-	// guardrails off (ablation experiments).
-	DisableRouge         bool
-	DisableCitation      bool
-	DisableClarification bool
 }
 
 // Pipeline applies the guardrails in order.
@@ -112,16 +107,14 @@ var clarificationMarkers = []string{
 // guardrail (the paper found that answers without citations were reliably
 // hallucinated); then the ROUGE-L topical guardrail.
 func (p *Pipeline) CheckAnswer(answer string, citations []string, contexts []string) Trigger {
-	if !p.cfg.DisableClarification && endsWithClarification(answer) {
+	if endsWithClarification(answer) {
 		return Clarification
 	}
-	if !p.cfg.DisableCitation && len(citations) == 0 {
+	if len(citations) == 0 {
 		return Citation
 	}
-	if !p.cfg.DisableRouge {
-		if rouge.MaxLAgainst(answer, contexts) < p.cfg.RougeThreshold {
-			return Rouge
-		}
+	if rouge.MaxLAgainst(answer, contexts) < p.cfg.RougeThreshold {
+		return Rouge
 	}
 	return None
 }

@@ -62,14 +62,6 @@ func TestGuardrailOrder(t *testing.T) {
 	}
 }
 
-func TestDisableFlags(t *testing.T) {
-	p := New(Config{DisableCitation: true, DisableRouge: true, DisableClarification: true})
-	answer := "Testo completamente scollegato dal contesto, senza citazioni. Potresti fornire maggiori dettagli sulla tua richiesta?"
-	if got := p.CheckAnswer(answer, nil, contexts); got != None {
-		t.Fatalf("disabled pipeline fired: %v", got)
-	}
-}
-
 func TestRougeThresholdConfigurable(t *testing.T) {
 	strict := New(Config{RougeThreshold: 0.9})
 	// A partially grounded answer passes the default but fails at 0.9.

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"uniask/internal/textproc"
 	"uniask/internal/vector"
 )
 
@@ -411,15 +410,6 @@ type policyModel struct {
 	peakLive int
 }
 
-// policyCfg is exhaustiveCfg on the tokenize-only analyzer: the property is
-// about which segments merge, not about stemming, and the reference index is
-// rebuilt after every merge.
-func policyCfg() Config {
-	cfg := exhaustiveCfg()
-	cfg.Analyzer = textproc.Raw()
-	return cfg
-}
-
 // policyVecs is a small vector pool: most vector scores tie, so the
 // exhaustive ranking rests on the arrival sequence.
 var policyVecs = benchVecPool(5, 8, 31)
@@ -505,7 +495,7 @@ func (m *policyModel) publish() {
 // tombstones in N, average length and document frequency. The documents'
 // vectors are arena views, so they are re-added verbatim, as a merge does.
 func (m *policyModel) checkRankings() {
-	mono := New(policyCfg())
+	mono := New(exhaustiveCfg())
 	for _, part := range m.store.parts() {
 		part.mu.RLock()
 		docs := append([]Document(nil), part.docs...)
@@ -627,7 +617,7 @@ func TestCompactionPolicyProperty(t *testing.T) {
 		fan := []int{4, 4, 3, 2}[seed%4]
 		m := &policyModel{
 			t: t, rng: rand.New(rand.NewSource(seed)), fan: fan, pages: make(map[int]int),
-			store: NewSegmented(policyCfg(), SegmentConfig{MemtableMaxDocs: -1, CompactionFanIn: fan}),
+			store: NewSegmented(exhaustiveCfg(), SegmentConfig{MemtableMaxDocs: -1, CompactionFanIn: fan}),
 		}
 		for i, bulk := 0, 24+m.rng.Intn(24); i < bulk; i++ {
 			m.addPage()

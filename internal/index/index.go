@@ -96,8 +96,6 @@ var DefaultBM25 = BM25Params{K1: 1.2, B: 0.75}
 type Config struct {
 	// Schema defaults to DefaultSchema().
 	Schema Schema
-	// Analyzer defaults to the full Italian analyzer.
-	Analyzer *textproc.Analyzer
 	// BM25 defaults to DefaultBM25.
 	BM25 BM25Params
 	// VectorIndex constructs the ANN index for a vector field; defaults to
@@ -147,6 +145,15 @@ type Index struct {
 	writeHolds int
 }
 
+// analyzer is the analysis every index applies to its searchable fields
+// and to queries: Lucene's it-analyzer-lucene-full, as deployed.
+var analyzer = textproc.ItalianFull()
+
+// QueryTerms analyzes query as every index analyzes its searchable fields,
+// so a caller that gathers term statistics across indexes asks for the
+// terms they store.
+func QueryTerms(query string) []string { return analyzer.AnalyzeTerms(query) }
+
 // ErrDuplicateID is returned when a document id is added twice.
 var ErrDuplicateID = errors.New("index: duplicate document id")
 
@@ -154,9 +161,6 @@ var ErrDuplicateID = errors.New("index: duplicate document id")
 func New(cfg Config) *Index {
 	if cfg.Schema == nil {
 		cfg.Schema = DefaultSchema()
-	}
-	if cfg.Analyzer == nil {
-		cfg.Analyzer = textproc.ItalianFull()
 	}
 	if cfg.BM25.K1 == 0 && cfg.BM25.B == 0 {
 		cfg.BM25 = DefaultBM25
@@ -230,9 +234,6 @@ func (ix *Index) Len() int {
 
 // Schema returns the index schema.
 func (ix *Index) Schema() Schema { return ix.cfg.Schema }
-
-// Analyzer returns the analyzer used for searchable fields and queries.
-func (ix *Index) Analyzer() *textproc.Analyzer { return ix.cfg.Analyzer }
 
 // Add indexes a document: a batch of one (see addBatch). Vector fields
 // present in the schema but missing from the document are skipped; unknown
@@ -354,7 +355,7 @@ func (ix *Index) addPostings(base int32, docs []Document) {
 	for i, doc := range docs {
 		id := base + int32(i)
 		for name, fi := range ix.fields {
-			terms := ix.cfg.Analyzer.AnalyzeTerms(doc.Fields[name])
+			terms := analyzer.AnalyzeTerms(doc.Fields[name])
 			fi.docLens = append(fi.docLens, len(terms))
 			fi.totalLen += len(terms)
 			counts := make(map[string]int32, len(terms))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 
-	"uniask/internal/textproc"
 	"uniask/internal/vector"
 )
 
@@ -75,7 +74,6 @@ type Repository interface {
 	LiveLen() int
 	Tombstones() int
 	Schema() Schema
-	Analyzer() *textproc.Analyzer
 	SearchableFields() []string
 	LiveDocs() []Document
 	Save(w io.Writer) error

@@ -112,9 +112,9 @@ func (ix *Index) Save(w io.Writer) error {
 }
 
 // read restores one index from a container section written by Save. The
-// provided Config supplies the non-serializable parts (analyzer,
-// vector-index constructor); its Schema and BM25 params are overridden by
-// the snapshot's.
+// provided Config supplies the non-serializable part (the vector-index
+// constructor); its Schema and BM25 params are overridden by the
+// snapshot's.
 func read(r io.Reader, cfg Config) (*Index, error) {
 	// Non-nil maps, so gob cannot size them by a corrupt element count
 	// (see Container.ReadManifest).

@@ -100,7 +100,7 @@ func (ix *Index) searchText(query string, n int, opts TextOptions, gs *CorpusSta
 	if n <= 0 {
 		return nil
 	}
-	terms := ix.cfg.Analyzer.AnalyzeTerms(query)
+	terms := analyzer.AnalyzeTerms(query)
 	if len(terms) == 0 {
 		return nil
 	}

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"uniask/internal/textproc"
 	"uniask/internal/trace"
 	"uniask/internal/vector"
 )
@@ -132,8 +131,8 @@ func NewSegmented(cfg Config, scfg SegmentConfig) *Segmented {
 		journal: NewDeleteJournal(),
 		seq:     make(map[string]uint64),
 	}
-	// Adopt the memtable's normalized config (schema, analyzer, BM25
-	// defaults filled in) so every future part is built identically.
+	// Adopt the memtable's normalized config (schema and BM25 defaults
+	// filled in) so every future part is built identically.
 	s.cfg = s.mem.cfg
 	return s
 }
@@ -709,9 +708,6 @@ func (s *Segmented) DocsByID(_ context.Context, ids []string) ([]Document, int) 
 // Schema returns the shared part schema.
 func (s *Segmented) Schema() Schema { return s.cfg.Schema }
 
-// Analyzer returns the shared part analyzer.
-func (s *Segmented) Analyzer() *textproc.Analyzer { return s.cfg.Analyzer }
-
 // VectorFields lists the vector fields (schema-derived, identical in every
 // part). The store lock covers the memtable pointer read — seal swaps it.
 func (s *Segmented) VectorFields() []string {
@@ -776,7 +772,7 @@ func (s *Segmented) SearchText(query string, n int, opts TextOptions) []Hit {
 	if n <= 0 {
 		return nil
 	}
-	terms := s.cfg.Analyzer.AnalyzeTerms(query)
+	terms := analyzer.AnalyzeTerms(query)
 	if len(terms) == 0 {
 		return nil
 	}

@@ -20,10 +20,9 @@ import (
 	"uniask/internal/vector"
 )
 
-// Config controls indexing behavior.
+// Config controls indexing behavior. Chunks target
+// chunker.DefaultChunkTokens, as deployed.
 type Config struct {
-	// ChunkTokens is the chunk-size target (default 512, as deployed).
-	ChunkTokens int
 	// EnrichSummary asks the LLM for a document summary stored in the
 	// retrievable summary field.
 	EnrichSummary bool
@@ -56,15 +55,12 @@ func Schema() index.Schema {
 // New creates an indexer feeding ix — a monolithic *index.Index or the
 // sharded facade; the indexer only needs the write surface.
 func New(ix index.Writer, emb embedding.Embedder, client llm.Client, cfg Config) *Indexer {
-	if cfg.ChunkTokens <= 0 {
-		cfg.ChunkTokens = chunker.DefaultChunkTokens
-	}
 	return &Indexer{
 		cfg:      cfg,
 		index:    ix,
 		embedder: emb,
 		client:   client,
-		splitter: &chunker.HTMLSplitter{TargetTokens: cfg.ChunkTokens},
+		splitter: &chunker.HTMLSplitter{},
 	}
 }
 

@@ -247,33 +247,6 @@ func TestServiceRateLimit(t *testing.T) {
 	}
 }
 
-func TestServiceLatencyOnVirtualClock(t *testing.T) {
-	clk := vclock.NewVirtual(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
-	svc := NewService(sim(), ServiceConfig{
-		BaseLatency: 2 * time.Second,
-		Clock:       clk,
-	})
-	done := make(chan error, 1)
-	go func() {
-		_, err := svc.Complete(context.Background(), BuildAnswerPrompt("Come posso bloccare la carta?", testChunks))
-		done <- err
-	}()
-	select {
-	case <-done:
-		t.Fatal("completed before virtual latency elapsed")
-	case <-time.After(50 * time.Millisecond):
-	}
-	clk.Advance(5 * time.Second)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("never completed")
-	}
-}
-
 func TestServiceNoLimitPassthrough(t *testing.T) {
 	svc := NewService(sim(), ServiceConfig{})
 	resp, err := svc.Complete(context.Background(), BuildAnswerPrompt("Come posso bloccare la carta di credito?", testChunks))

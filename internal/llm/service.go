@@ -10,23 +10,20 @@ import (
 )
 
 // ServiceConfig configures the hosted-LLM service wrapper: a token-bucket
-// rate limit (the quota the paper sizes with the Figure-2 load test) and a
-// simulated inference latency, both driven by a Clock so load tests can run
-// on virtual time.
+// rate limit (the quota the paper sizes with the Figure-2 load test),
+// driven by a Clock so load tests can run on virtual time.
 type ServiceConfig struct {
 	// TokensPerMinute is the sustained token throughput the service grants.
 	// Zero disables rate limiting.
 	TokensPerMinute int
 	// BurstTokens is the bucket capacity (defaults to one minute's worth).
 	BurstTokens int
-	// BaseLatency is the fixed per-request inference latency.
-	BaseLatency time.Duration
 	// Clock defaults to the real clock.
 	Clock vclock.Clock
 }
 
-// Service wraps a Client with rate limiting and latency simulation — the
-// "LLM Hosting Service" resource of the deployment architecture.
+// Service wraps a Client with rate limiting — the "LLM Hosting Service"
+// resource of the deployment architecture.
 type Service struct {
 	cfg   ServiceConfig
 	inner Client
@@ -106,13 +103,6 @@ func (s *Service) Complete(ctx context.Context, req Request) (Response, error) {
 	resp, err := s.inner.Complete(ctx, req)
 	if err != nil {
 		return Response{}, err
-	}
-	if s.cfg.BaseLatency > 0 {
-		select {
-		case <-s.cfg.Clock.After(s.cfg.BaseLatency):
-		case <-ctx.Done():
-			return Response{}, ctx.Err()
-		}
 	}
 	return resp, nil
 }

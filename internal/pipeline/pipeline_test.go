@@ -148,21 +148,35 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
+// TestMapTaskErrorCancelsRest: once task 3 fails, the tasks after it see
+// their context end. They wait for that instead of racing it, so the other
+// worker cannot finish all 100 first on any schedule; a wait that outlives
+// the fallback means Map never cancelled.
 func TestMapTaskErrorCancelsRest(t *testing.T) {
 	boom := errors.New("task failed")
-	var ran atomic.Int32
+	fallback, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
+	var ran, uncancelled atomic.Int32
 	_, err := Map(context.Background(), 2, 100, func(ctx context.Context, i int) (int, error) {
 		ran.Add(1)
-		if i == 3 {
+		switch {
+		case i == 3:
 			return 0, boom
+		case i > 3:
+			select {
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			case <-fallback.Done():
+				uncancelled.Add(1)
+			}
 		}
 		return i, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if n := ran.Load(); n == 100 {
-		t.Fatal("error did not cancel remaining tasks")
+	if n := ran.Load(); n == 100 || uncancelled.Load() > 0 {
+		t.Fatalf("error did not cancel remaining tasks: %d ran, %d never saw their context end", n, uncancelled.Load())
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 
 // ServerConfig parameterizes a shard server.
 type ServerConfig struct {
-	// Index configures every hosted store (schema, analyzer, BM25, vector
-	// backend). It must match the facade's configuration — the wire carries
+	// Index configures every hosted store (schema, BM25, vector backend).
+	// It must match the facade's configuration — the wire carries
 	// documents and queries, not configuration.
 	Index index.Config
 	// Segment tunes the hosted stores' segmented write path.

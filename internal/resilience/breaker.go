@@ -44,6 +44,8 @@ func (s State) String() string {
 }
 
 // BreakerConfig configures a Breaker. The zero value gives the defaults.
+// Every non-nil error counts as a failure, and one successful half-open
+// probe closes the circuit.
 type BreakerConfig struct {
 	// Name identifies the guarded dependency ("llm", "embedding", ...) in
 	// health output and state-change notifications.
@@ -54,13 +56,6 @@ type BreakerConfig struct {
 	// Cooldown is how long the circuit stays open before admitting a
 	// half-open probe (default 5s).
 	Cooldown time.Duration
-	// SuccessesToClose is how many consecutive probe successes close a
-	// half-open circuit (default 1).
-	SuccessesToClose int
-	// IsFailure decides which errors count against the threshold (nil:
-	// every non-nil error). It is never asked about a cancelled call; see
-	// record.
-	IsFailure func(error) bool
 	// Clock drives the cooldown (nil = wall clock).
 	Clock vclock.Clock
 	// OnStateChange, when set, is called (outside the breaker lock) after
@@ -73,12 +68,11 @@ type BreakerConfig struct {
 type Breaker struct {
 	cfg BreakerConfig
 
-	mu        sync.Mutex
-	state     State
-	failures  int // consecutive failures while closed / probe failures observed
-	successes int // consecutive probe successes while half-open
-	openedAt  time.Time
-	probing   bool // a half-open probe is in flight
+	mu       sync.Mutex
+	state    State
+	failures int // consecutive failures while closed / probe failures observed
+	openedAt time.Time
+	probing  bool // a half-open probe is in flight
 }
 
 // NewBreaker creates a breaker with the given configuration.
@@ -89,14 +83,8 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 5 * time.Second
 	}
-	if cfg.SuccessesToClose <= 0 {
-		cfg.SuccessesToClose = 1
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real{}
-	}
-	if cfg.IsFailure == nil {
-		cfg.IsFailure = func(err error) bool { return err != nil }
 	}
 	return &Breaker{cfg: cfg}
 }
@@ -137,13 +125,10 @@ func (b *Breaker) transitionLocked(to State) func() {
 	case Open:
 		b.openedAt = b.cfg.Clock.Now()
 		b.probing = false
-		b.successes = 0
 	case HalfOpen:
 		b.probing = false
-		b.successes = 0
 	case Closed:
 		b.failures = 0
-		b.successes = 0
 		b.probing = false
 	}
 	if cb := b.cfg.OnStateChange; cb != nil {
@@ -210,7 +195,7 @@ func (b *Breaker) record(err error) (from, to State, changed bool) {
 		b.mu.Unlock()
 		return state, state, false
 	}
-	failed := b.cfg.IsFailure(err)
+	failed := err != nil
 	b.mu.Lock()
 	before := b.state
 	var notify func()
@@ -229,10 +214,7 @@ func (b *Breaker) record(err error) (from, to State, changed bool) {
 		if failed {
 			notify = b.transitionLocked(Open)
 		} else {
-			b.successes++
-			if b.successes >= b.cfg.SuccessesToClose {
-				notify = b.transitionLocked(Closed)
-			}
+			notify = b.transitionLocked(Closed)
 		}
 	case Open:
 		// A straggler from before the circuit opened; its outcome is stale.

@@ -282,8 +282,6 @@ func appendCacheKey(dst []byte, query string, o Options, rerankVersion uint64) [
 	dst = append(dst, 0)
 	dst = strconv.AppendInt(dst, int64(o.VectorK), 10)
 	dst = append(dst, 0)
-	dst = strconv.AppendInt(dst, int64(o.FinalN), 10)
-	dst = append(dst, 0)
 	dst = strconv.AppendInt(dst, int64(o.RRFC), 10)
 	dst = append(dst, 0)
 	dst = strconv.AppendInt(dst, int64(o.Mode), 10)
@@ -297,8 +295,6 @@ func appendCacheKey(dst []byte, query string, o Options, rerankVersion uint64) [
 	dst = strconv.AppendFloat(dst, o.TitleBoost, 'g', -1, 64)
 	dst = append(dst, 0)
 	dst = strconv.AppendInt(dst, int64(o.Expansion), 10)
-	dst = append(dst, 0)
-	dst = strconv.AppendInt(dst, int64(o.RelatedQueries), 10)
 	dst = append(dst, 0)
 	dst = append(dst, o.SearchKeywordsField...)
 	for _, f := range o.Filters {

@@ -131,7 +131,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 	query := "bonifico estero"
 	variants := []Options{
 		{},
-		{FinalN: 3},
 		{TitleBoost: 50},
 		{Mode: TextOnly},
 		{DisableSemanticRerank: true},
@@ -366,7 +365,7 @@ func TestCacheSurvivesUnpublishedShardWrites(t *testing.T) {
 
 	// The unpublished writes are still searchable right now: a fresh query
 	// (different cache key) finds a filler immediately.
-	fresh, err := s.Search(ctx, "rossa", Options{Mode: TextOnly, DisableSemanticRerank: true, FinalN: 12})
+	fresh, err := s.Search(ctx, "rossa", Options{Mode: TextOnly, DisableSemanticRerank: true})
 	if err != nil {
 		t.Fatal(err)
 	}

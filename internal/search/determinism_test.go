@@ -91,7 +91,7 @@ func seqSearch(s *Searcher, ctx context.Context, query string, opts Options) ([]
 		opts.Expansion = NoExpansion
 		return seqOnce(s, expanded, seqEmbed(s, expanded), opts), nil
 	case MQ1:
-		queries, err := seqRelated(s, ctx, query, opts.RelatedQueries)
+		queries, err := seqRelated(s, ctx, query, relatedQueries)
 		if err != nil {
 			return nil, err
 		}
@@ -101,12 +101,12 @@ func seqSearch(s *Searcher, ctx context.Context, query string, opts Options) ([]
 			rankings = append(rankings, seqComponents(s, q, seqEmbed(s, q), opts)...)
 		}
 		fused := fusion.RRF(rankings, opts.RRFC)
-		if len(fused) > opts.FinalN {
-			fused = fused[:opts.FinalN]
+		if len(fused) > finalN {
+			fused = fused[:finalN]
 		}
 		return seqFinalize(s, query, seqEmbed(s, query), fused, opts), nil
 	case MQ2:
-		queries, err := seqRelated(s, ctx, query, opts.RelatedQueries)
+		queries, err := seqRelated(s, ctx, query, relatedQueries)
 		if err != nil {
 			return nil, err
 		}
@@ -137,8 +137,8 @@ func seqEmbed(s *Searcher, query string) vector.Vector {
 func seqOnce(s *Searcher, query string, qvec vector.Vector, opts Options) []Result {
 	rankings := seqComponents(s, query, qvec, opts)
 	fused := fusion.RRF(rankings, opts.RRFC)
-	if len(fused) > opts.FinalN {
-		fused = fused[:opts.FinalN]
+	if len(fused) > finalN {
+		fused = fused[:finalN]
 	}
 	return seqFinalize(s, query, qvec, fused, opts)
 }
@@ -265,7 +265,6 @@ func TestConcurrentPipelineMatchesSequentialReference(t *testing.T) {
 		{"VectorOnly", Options{Mode: VectorOnly}},
 		{"HybridNoRerank", Options{DisableSemanticRerank: true}},
 		{"HybridTitleBoost", Options{TitleBoost: 50}},
-		{"HybridSmallFinalN", Options{FinalN: 7}},
 		{"QGA", Options{Expansion: QGA}},
 		{"MQ1", Options{Expansion: MQ1}},
 		{"MQ2", Options{Expansion: MQ2}},

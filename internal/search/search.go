@@ -136,6 +136,13 @@ const (
 	MQ2
 )
 
+// finalN is the fused ranking length, and relatedQueries how many related
+// queries MQ1/MQ2 request.
+const (
+	finalN         = 50
+	relatedQueries = 3
+)
+
 // Options configures a search call. The zero value gives the deployed HSS
 // configuration of §7.
 type Options struct {
@@ -144,8 +151,6 @@ type Options struct {
 	// VectorK is the ANN neighbor count per vector field (default 15; the
 	// paper swept K over {3,...,50} and picked 15).
 	VectorK int
-	// FinalN is the fused ranking length (default 50).
-	FinalN int
 	// RRFC is the RRF constant (default 60).
 	RRFC int
 	// Mode selects hybrid/text/vector retrieval.
@@ -157,8 +162,6 @@ type Options struct {
 	TitleBoost float64
 	// Expansion selects a query-expansion variant.
 	Expansion Expansion
-	// RelatedQueries is how many related queries MQ1/MQ2 request (default 3).
-	RelatedQueries int
 	// SearchKeywordsField includes the LLM-keyword enrichment field among
 	// the searchable text fields (HSS-KT / HSS-KTC; the field must exist in
 	// the index schema).
@@ -174,14 +177,8 @@ func (o Options) withDefaults() Options {
 	if o.VectorK <= 0 {
 		o.VectorK = 15
 	}
-	if o.FinalN <= 0 {
-		o.FinalN = 50
-	}
 	if o.RRFC <= 0 {
 		o.RRFC = fusion.DefaultC
-	}
-	if o.RelatedQueries <= 0 {
-		o.RelatedQueries = 3
 	}
 	return o
 }
@@ -403,7 +400,7 @@ func (s *Searcher) expand(ctx context.Context, query string, opts Options) ([]st
 	case QGA:
 		req = llm.BuildDirectAnswerPrompt(query)
 	case MQ1, MQ2:
-		req, out = llm.BuildRelatedQueriesPrompt(query, opts.RelatedQueries), opts.RelatedQueries
+		req, out = llm.BuildRelatedQueriesPrompt(query, relatedQueries), relatedQueries
 	default:
 		return []string{query}, deg, nil
 	}
@@ -685,7 +682,7 @@ func (s *Searcher) runComponents(ctx context.Context, comps []component) ([]fusi
 	return rankings, deg, nil
 }
 
-// fuse merges the component rankings with RRF and truncates to FinalN, as
+// fuse merges the component rankings with RRF and truncates to finalN, as
 // one observed "fusion" stage.
 func (s *Searcher) fuse(ctx context.Context, rankings []fusion.Ranking, opts Options) ([]fusion.Fused, error) {
 	in := 0
@@ -695,8 +692,8 @@ func (s *Searcher) fuse(ctx context.Context, rankings []fusion.Ranking, opts Opt
 	var fused []fusion.Fused
 	err := pipeline.Run(ctx, s.obs(), pipeline.StageFusion, in, func(context.Context) (int, error) {
 		fused = fusion.RRF(rankings, opts.RRFC)
-		if len(fused) > opts.FinalN {
-			fused = fused[:opts.FinalN]
+		if len(fused) > finalN {
+			fused = fused[:finalN]
 		}
 		return len(fused), nil
 	})

@@ -113,17 +113,6 @@ func TestCodeQueryRanksExactDocFirst(t *testing.T) {
 	}
 }
 
-func TestFinalNTruncates(t *testing.T) {
-	s, _ := buildSearcher(t)
-	res, err := s.Search(context.Background(), "carta bonifico conto", Options{FinalN: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) > 2 {
-		t.Fatalf("FinalN ignored: %d results", len(res))
-	}
-}
-
 func TestRerankingChangesScores(t *testing.T) {
 	s, _ := buildSearcher(t)
 	with, _ := s.Search(context.Background(), "bloccare la carta", Options{})
@@ -225,7 +214,7 @@ func TestDeterministicResults(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.TextN != 50 || o.VectorK != 15 || o.FinalN != 50 || o.RRFC != 60 || o.RelatedQueries != 3 {
+	if o.TextN != 50 || o.VectorK != 15 || finalN != 50 || o.RRFC != 60 || relatedQueries != 3 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }

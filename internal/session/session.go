@@ -114,9 +114,6 @@ type Config struct {
 	TTL time.Duration
 	// MaxSessions is the global LRU budget (0 = DefaultMaxSessions).
 	MaxSessions int
-	// MaxTurns bounds the retained history per session (0 =
-	// DefaultMaxTurns).
-	MaxTurns int
 	// Clock drives expiry (nil = the wall clock).
 	Clock vclock.Clock
 }
@@ -184,9 +181,6 @@ func NewStore(cfg Config) *Store {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
 	}
-	if cfg.MaxTurns <= 0 {
-		cfg.MaxTurns = DefaultMaxTurns
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real{}
 	}
@@ -251,8 +245,8 @@ func (s *Store) AppendTurn(tenantID, id string, t Turn) error {
 	}
 	t.At = s.cfg.Clock.Now()
 	e.sess.Turns = append(e.sess.Turns, t)
-	if len(e.sess.Turns) > s.cfg.MaxTurns {
-		e.sess.Turns = e.sess.Turns[len(e.sess.Turns)-s.cfg.MaxTurns:]
+	if len(e.sess.Turns) > DefaultMaxTurns {
+		e.sess.Turns = e.sess.Turns[len(e.sess.Turns)-DefaultMaxTurns:]
 	}
 	return nil
 }

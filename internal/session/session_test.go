@@ -158,19 +158,19 @@ func TestPerTenantBudgetFreesOnExpiry(t *testing.T) {
 }
 
 func TestMaxTurnsBounded(t *testing.T) {
-	s, _ := newVirtualStore(Config{MaxTurns: 3})
+	s, _ := newVirtualStore(Config{})
 	sess, _ := s.Create("banca", 0)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < DefaultMaxTurns+3; i++ {
 		if err := s.AppendTurn("banca", sess.ID, Turn{Question: fmt.Sprintf("q%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got, _ := s.Get("banca", sess.ID)
-	if len(got.Turns) != 3 {
-		t.Fatalf("retained %d turns, want 3", len(got.Turns))
+	if len(got.Turns) != DefaultMaxTurns {
+		t.Fatalf("retained %d turns, want %d", len(got.Turns), DefaultMaxTurns)
 	}
-	if got.Turns[2].Question != "q9" {
-		t.Fatalf("newest turn = %q", got.Turns[2].Question)
+	if got.Turns[0].Question != "q3" || got.Turns[DefaultMaxTurns-1].Question != fmt.Sprintf("q%d", DefaultMaxTurns+2) {
+		t.Fatalf("retained turns %q .. %q", got.Turns[0].Question, got.Turns[DefaultMaxTurns-1].Question)
 	}
 }
 

@@ -42,7 +42,6 @@ import (
 	"uniask/internal/index"
 	"uniask/internal/pipeline"
 	"uniask/internal/resilience"
-	"uniask/internal/textproc"
 	"uniask/internal/trace"
 	"uniask/internal/vector"
 )
@@ -51,8 +50,8 @@ import (
 type Config struct {
 	// Shards is the number of index shards; values < 1 mean 1.
 	Shards int
-	// Index configures each shard identically (schema, analyzer, BM25
-	// params, vector-index constructor).
+	// Index configures each shard identically (schema, BM25 params,
+	// vector-index constructor).
 	Index index.Config
 	// Segment tunes each shard's segmented write path (memtable bound,
 	// compaction fan-in).
@@ -83,9 +82,10 @@ type Sharded struct {
 	shards []Backend
 
 	// tmpl is an empty index built from cfg.Index whose only job is to
-	// answer schema/analyzer questions without a round trip: the schema and
-	// analyzer are configuration, identical on every shard by construction,
-	// so the facade answers locally even when every shard is remote.
+	// answer schema questions without a round trip: the schema is
+	// configuration, identical on every shard by construction, so the
+	// facade answers locally even when every shard is remote. Query
+	// analysis needs no shard either: it is index.QueryTerms.
 	tmpl *index.Index
 
 	// seqMu guards seq/nextSeq. seq maps a chunk id to its global arrival
@@ -520,9 +520,6 @@ func (s *Sharded) DocsByID(ctx context.Context, ids []string) (docs []index.Docu
 // Schema returns the shared shard schema.
 func (s *Sharded) Schema() index.Schema { return s.tmpl.Schema() }
 
-// Analyzer returns the shared shard analyzer.
-func (s *Sharded) Analyzer() *textproc.Analyzer { return s.tmpl.Analyzer() }
-
 // VectorFields lists the vector fields (shared, read-only).
 func (s *Sharded) VectorFields() []string { return s.tmpl.VectorFields() }
 
@@ -591,7 +588,7 @@ func (s *Sharded) SearchTextPartial(ctx context.Context, query string, n int, op
 	if n <= 0 {
 		return nil, 0
 	}
-	terms := s.Analyzer().AnalyzeTerms(query)
+	terms := index.QueryTerms(query)
 	if len(terms) == 0 {
 		return nil, 0
 	}

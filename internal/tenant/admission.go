@@ -44,8 +44,8 @@ const (
 	// DefaultMaxWait bounds how long an admitted-but-queued request waits
 	// for a slot before it is shed.
 	DefaultMaxWait = 500 * time.Millisecond
-	// DefaultInteractiveWeight and DefaultBestEffortWeight set the fair-
-	// queueing service ratio between the classes.
+	// DefaultInteractiveWeight and DefaultBestEffortWeight set the weighted-
+	// fair-queueing grant ratio between the classes.
 	DefaultInteractiveWeight = 4
 	// DefaultBestEffortWeight — see DefaultInteractiveWeight.
 	DefaultBestEffortWeight = 1
@@ -69,10 +69,6 @@ type AdmissionConfig struct {
 	// MaxWait is how long a queued request may wait for a slot before it
 	// is shed (0 = DefaultMaxWait).
 	MaxWait time.Duration
-	// InteractiveWeight / BestEffortWeight set the weighted-fair-queueing
-	// grant ratio (0 = defaults 4:1).
-	InteractiveWeight int
-	BestEffortWeight  int
 	// Clock supplies time for buckets and wait timers (nil = wall clock);
 	// tests inject a vclock.Virtual for deterministic refill.
 	Clock vclock.Clock
@@ -87,12 +83,6 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	}
 	if c.MaxWait <= 0 {
 		c.MaxWait = DefaultMaxWait
-	}
-	if c.InteractiveWeight <= 0 {
-		c.InteractiveWeight = DefaultInteractiveWeight
-	}
-	if c.BestEffortWeight <= 0 {
-		c.BestEffortWeight = DefaultBestEffortWeight
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.Real{}
@@ -343,7 +333,7 @@ func (c *Controller) grantNextLocked() {
 		}
 		w := c.queues[class][0]
 		c.queues[class] = c.queues[class][1:]
-		c.vtime[class] += 1 / float64(c.weight(class))
+		c.vtime[class] += 1 / float64(weight(class))
 		if w.gone {
 			continue // abandoned waiter: try the next one
 		}
@@ -355,11 +345,11 @@ func (c *Controller) grantNextLocked() {
 	}
 }
 
-func (c *Controller) weight(cl Class) int {
+func weight(cl Class) int {
 	if cl == Interactive {
-		return c.cfg.InteractiveWeight
+		return DefaultInteractiveWeight
 	}
-	return c.cfg.BestEffortWeight
+	return DefaultBestEffortWeight
 }
 
 // pickClassLocked returns the non-empty class queue with the least

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -188,8 +189,8 @@ func TestSaturationShedsBestEffortFirst(t *testing.T) {
 }
 
 // TestWFQGrantRatio queues both classes deep, then releases slots one by
-// one: grants must follow the configured weight ratio, and neither class
-// may starve.
+// one: grants must follow the 4:1 weight ratio, and neither class may
+// starve.
 func TestWFQGrantRatio(t *testing.T) {
 	ov := overridesFromJSON(t, `{
 		"defaults": {"rate": -1, "maxConcurrent": -1},
@@ -197,7 +198,6 @@ func TestWFQGrantRatio(t *testing.T) {
 	}`)
 	ctrl := NewController(AdmissionConfig{
 		Capacity: 1, QueueDepth: 32, MaxWait: time.Minute,
-		InteractiveWeight: 3, BestEffortWeight: 1,
 	}, ov)
 
 	holder, rej := ctrl.Admit(ctxb(t), "int")
@@ -205,7 +205,9 @@ func TestWFQGrantRatio(t *testing.T) {
 		t.Fatal(rej)
 	}
 
-	const perClass = 8
+	// More interactive waiters than a 4:1 window holds, so strict priority
+	// would starve best-effort for the whole window.
+	const perClass = 16
 	type grant struct {
 		class   Class
 		release func(time.Duration)
@@ -250,25 +252,26 @@ func TestWFQGrantRatio(t *testing.T) {
 	}
 	waitQueued("int", perClass)
 
-	// Drain: release the held slot, then each granted request in turn. The
-	// first 8 grants should split 6:2 by the 3:1 weights.
+	// Drain: release the held slot, then each granted request in turn. With
+	// 4:1 weights and ties going to interactive, the grants run
+	// I B IIII B IIII B IIII B until the interactive queue empties. Strict
+	// priority, or any other ratio, gives a different order.
 	holder(time.Millisecond)
-	classes := make([]Class, 0, 2*perClass)
+	var order strings.Builder
 	for i := 0; i < 2*perClass; i++ {
 		g := <-grants
-		classes = append(classes, g.class)
+		if g.class == Interactive {
+			order.WriteByte('I')
+		} else {
+			order.WriteByte('B')
+		}
 		g.release(time.Millisecond)
 	}
 	wg.Wait()
 
-	interactiveInFirst8 := 0
-	for _, cl := range classes[:8] {
-		if cl == Interactive {
-			interactiveInFirst8++
-		}
-	}
-	if interactiveInFirst8 != 6 {
-		t.Fatalf("first 8 grants: %d interactive, want 6 (3:1 weights); order %v", interactiveInFirst8, classes)
+	const want = "IBIIIIBIIIIBIIIIB" + "III" + "BBBBBBBBBBBB"
+	if got := order.String(); got != want {
+		t.Fatalf("grant order %s, want %s (4:1 weights)", got, want)
 	}
 	// Both queues fully drained: no starvation.
 	si, _ := ctrl.StatsFor("int")

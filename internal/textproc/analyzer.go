@@ -2,24 +2,17 @@ package textproc
 
 // Analyzer composes the full analysis pipeline applied to both indexed
 // fields and queries: tokenize -> strip elision -> lowercase -> fold
-// diacritics -> drop stop words -> stem. Each stage can be disabled, which
-// the baseline engine (internal/experiments/baseline) uses to reproduce
-// the previous system's raw exact matching.
+// diacritics -> drop stop words -> stem. Raw turns every stage but
+// tokenizing and lower-casing off, which the baseline engine
+// (internal/experiments/baseline) uses to reproduce the previous system's
+// raw exact matching.
 type Analyzer struct {
 	// Language selects the stop-word list and stemmer (default Italian,
 	// the paper's deployment language).
 	Language Language
-	// KeepStopwords disables stop-word removal.
-	KeepStopwords bool
-	// NoStem disables stemming.
-	NoStem bool
-	// UseSnowball selects the full Snowball stemmer instead of the light
-	// stemmer (Italian only).
-	UseSnowball bool
-	// NoElision disables elision stripping.
-	NoElision bool
-	// NoFold disables diacritics folding.
-	NoFold bool
+	// raw keeps stop words and skips elision stripping, folding and
+	// stemming.
+	raw bool
 }
 
 // ItalianFull returns the analyzer configuration equivalent to Lucene's
@@ -28,9 +21,7 @@ func ItalianFull() *Analyzer { return &Analyzer{} }
 
 // Raw returns an analyzer that only tokenizes and lower-cases, used by the
 // previous-generation keyword engine.
-func Raw() *Analyzer {
-	return &Analyzer{KeepStopwords: true, NoStem: true, NoElision: true, NoFold: true}
-}
+func Raw() *Analyzer { return &Analyzer{raw: true} }
 
 // AnalyzedToken is a normalized term together with the source token it was
 // derived from.
@@ -77,26 +68,16 @@ func (a *Analyzer) nextTerm(text string, i int) (term string, next int, ok bool)
 // normalizeTerm runs one token through strip-elision -> lowercase -> fold ->
 // stop-word check -> stem; ok is false when the token is dropped.
 func (a *Analyzer) normalizeTerm(term string) (_ string, ok bool) {
-	if !a.NoElision {
-		term = StripElision(term)
+	if a.raw {
+		term = Lowercase(term)
+		return term, term != ""
 	}
-	term = Lowercase(term)
-	if !a.NoFold {
-		term = FoldDiacritics(term)
-	}
-	if term == "" {
+	term = FoldDiacritics(Lowercase(StripElision(term)))
+	if term == "" || a.isStopword(term) {
 		return "", false
 	}
-	if !a.KeepStopwords && a.isStopword(term) {
-		return "", false
-	}
-	if !a.NoStem {
-		term = a.stem(term)
-	}
-	if term == "" {
-		return "", false
-	}
-	return term, true
+	term = a.stem(term)
+	return term, term != ""
 }
 
 // isStopword dispatches on the analyzer language.
@@ -107,13 +88,10 @@ func (a *Analyzer) isStopword(term string) bool {
 	return IsStopword(term)
 }
 
-// stem dispatches on the analyzer language and stemmer flavor.
+// stem dispatches on the analyzer language.
 func (a *Analyzer) stem(term string) string {
 	if a.Language == English {
 		return StemEnglish(term)
-	}
-	if a.UseSnowball {
-		return StemItalianSnowball(term)
 	}
 	return StemItalian(term)
 }

@@ -146,26 +146,23 @@ func oracleStemItalian(term string) string {
 // oracleNormalize is normalizeTerm over the oracle's elision check and
 // light stemmer.
 func oracleNormalize(a *Analyzer, term string) (string, bool) {
-	if !a.NoElision {
+	if !a.raw {
 		term = oracleStripElision(term)
 	}
 	term = Lowercase(term)
-	if !a.NoFold {
+	if !a.raw {
 		term = FoldDiacritics(term)
 	}
 	if term == "" {
 		return "", false
 	}
-	if !a.KeepStopwords && a.isStopword(term) {
+	if !a.raw && a.isStopword(term) {
 		return "", false
 	}
-	if !a.NoStem {
-		switch {
-		case a.Language == English:
+	if !a.raw {
+		if a.Language == English {
 			term = StemEnglish(term)
-		case a.UseSnowball:
-			term = StemItalianSnowball(term)
-		default:
+		} else {
 			term = oracleStemItalian(term)
 		}
 	}

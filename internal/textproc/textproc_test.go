@@ -346,82 +346,3 @@ func TestLanguageSelectionIndependent(t *testing.T) {
 		t.Errorf("English analyzer applied Italian stemming: %v", enTerms)
 	}
 }
-
-func TestSnowballConflation(t *testing.T) {
-	// Inflection families must share a stem; distinct families must not.
-	groups := [][]string{
-		{"abbandonata", "abbandonate", "abbandonati", "abbandonato", "abbandonare", "abbandonava"},
-		{"pagamento", "pagamenti"},
-		{"autorizzazione", "autorizzazioni"},
-		{"bloccare", "bloccato", "bloccata"},
-		{"operazione", "operazioni"},
-	}
-	stems := make([]string, len(groups))
-	for gi, g := range groups {
-		base := StemItalianSnowball(g[0])
-		stems[gi] = base
-		for _, w := range g[1:] {
-			if got := StemItalianSnowball(w); got != base {
-				t.Errorf("StemItalianSnowball(%q) = %q, want %q (family of %q)", w, got, base, g[0])
-			}
-		}
-	}
-	seen := map[string]int{}
-	for gi, s := range stems {
-		if prev, dup := seen[s]; dup {
-			t.Errorf("families %d and %d conflated to %q", prev, gi, s)
-		}
-		seen[s] = gi
-	}
-}
-
-func TestSnowballKnownStems(t *testing.T) {
-	// Reference outputs of the published Snowball Italian algorithm.
-	cases := map[string]string{
-		"abbandonata": "abbandon",
-		"pronto":      "pront",
-		"propaganda":  "propagand",
-	}
-	for in, want := range cases {
-		if got := StemItalianSnowball(in); got != want {
-			t.Errorf("StemItalianSnowball(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestSnowballPreservesIdentifiers(t *testing.T) {
-	for _, w := range []string{"err-4032", "proc118", "ab1"} {
-		if got := StemItalianSnowball(w); got != w {
-			t.Errorf("StemItalianSnowball(%q) = %q, want unchanged", w, got)
-		}
-	}
-}
-
-func TestSnowballNeverEmpty(t *testing.T) {
-	f := func(s string) bool {
-		w := strings.ToLower(strings.TrimSpace(s))
-		if w == "" {
-			return true
-		}
-		return len(StemItalianSnowball(w)) > 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAnalyzerSnowballOption(t *testing.T) {
-	light := ItalianFull()
-	snow := &Analyzer{UseSnowball: true}
-	lt := light.AnalyzeTerms("autorizzazione del pagamento")
-	st := snow.AnalyzeTerms("autorizzazione del pagamento")
-	if len(lt) != len(st) {
-		t.Fatalf("term counts differ: %v vs %v", lt, st)
-	}
-	// The snowball stems are at least as aggressive (never longer).
-	for i := range lt {
-		if len(st[i]) > len(lt[i]) {
-			t.Errorf("snowball stem longer than light: %q vs %q", st[i], lt[i])
-		}
-	}
-}

@@ -190,6 +190,37 @@ func FuzzBuildCache(f *testing.F) {
 	})
 }
 
+// FuzzReadHNSW holds ReadHNSW to its contract: any bytes it accepts make a
+// graph that answers SearchUnit without panicking. Seeds: a saved small
+// graph, a truncation of it and the snapshots whose arena sizes wrap.
+func FuzzReadHNSW(f *testing.F) {
+	var saved bytes.Buffer
+	h := buildHNSW(f, titleStyleVectors(40, 4, 3), HNSWConfig{M: 3, EfConstruction: 16, Seed: 3})
+	if err := h.Save(&saved); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved.Bytes())
+	f.Add(saved.Bytes()[:saved.Len()/2])
+	for _, snap := range corruptHNSWSnapshots() {
+		f.Add(encodeSnapshot(f, snap))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := ReadHNSW(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		q := make(Vector, h.dim)
+		if h.dim > 0 {
+			q[0] = 1
+		}
+		for _, k := range []int{1, h.Len() + 1} {
+			if got := h.SearchUnit(q, k, nil); len(got) > k {
+				t.Fatalf("SearchUnit(k=%d) returned %d results", k, len(got))
+			}
+		}
+	})
+}
+
 // TestSortByDistMatchesSortSlice: sortByDist must leave tied candidates in
 // exactly the order sort.Slice left them in, since that order is part of
 // every graph built. The slices are tie-heavy (distances drawn from a few

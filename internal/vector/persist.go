@@ -87,26 +87,52 @@ func ReadHNSW(r io.Reader) (*HNSW, error) {
 		return nil, fmt.Errorf("vector: hnsw snapshot: %w", err)
 	}
 	for i, id := range h.ids {
+		if _, dup := h.byID[int(id)]; dup {
+			return nil, fmt.Errorf("vector: hnsw snapshot: id %d repeated: %w", id, ErrDuplicateID)
+		}
 		h.byID[int(id)] = int32(i)
 	}
 	return h, nil
 }
 
-// validate checks the structural invariants of the loaded arenas.
+// maxSnapshotDim and maxSnapshotM bound a snapshot's dimension and degree
+// before validate sizes any arena by them: far above any embedding width
+// or HNSW degree in use, far below a product that could wrap.
+const (
+	maxSnapshotDim = 1 << 20
+	maxSnapshotM   = 1 << 12
+)
+
+// holds reports whether an arena of size entries is exactly n blocks of
+// stride. It divides rather than multiplies, so corrupt counts cannot wrap
+// n*stride round to size.
+func holds(size, n, stride int) bool {
+	if n == 0 {
+		return size == 0
+	}
+	return size%n == 0 && size/n == stride
+}
+
+// validate checks the structural invariants of the loaded arenas: every
+// one a search relies on, so a graph that passes answers SearchUnit (with
+// a query of its dimension) without slicing out of range.
 func (h *HNSW) validate() error {
 	n := len(h.ids)
-	if h.dim < 0 || (n > 0 && h.dim == 0) {
+	if h.dim < 0 || h.dim > maxSnapshotDim || (n > 0 && h.dim == 0) {
 		return fmt.Errorf("bad dimension %d for %d nodes", h.dim, n)
+	}
+	if h.cfg.M > maxSnapshotM {
+		return fmt.Errorf("degree M %d above %d", h.cfg.M, maxSnapshotM)
 	}
 	if len(h.levels) != n || len(h.cnt0) != n || len(h.upOff) != n {
 		return fmt.Errorf("arena lengths disagree: %d ids, %d levels, %d cnt0, %d upOff",
 			n, len(h.levels), len(h.cnt0), len(h.upOff))
 	}
-	if len(h.vecs) != n*h.dim {
-		return fmt.Errorf("vector arena sized %d, want %d", len(h.vecs), n*h.dim)
+	if !holds(len(h.vecs), n, h.dim) {
+		return fmt.Errorf("vector arena sized %d for %d %d-d vectors", len(h.vecs), n, h.dim)
 	}
-	if len(h.links0) != n*h.m0 {
-		return fmt.Errorf("layer-0 arena sized %d, want %d", len(h.links0), n*h.m0)
+	if !holds(len(h.links0), n, h.m0) {
+		return fmt.Errorf("layer-0 arena sized %d for %d nodes of %d slots", len(h.links0), n, h.m0)
 	}
 	if n == 0 {
 		if h.entry != -1 {
@@ -116,6 +142,10 @@ func (h *HNSW) validate() error {
 	}
 	if h.entry < 0 || int(h.entry) >= n {
 		return fmt.Errorf("entry %d out of range [0,%d)", h.entry, n)
+	}
+	// The descent starts at the entry on the top layer.
+	if int(h.levels[h.entry]) != h.maxLvl {
+		return fmt.Errorf("entry %d on level %d, top level %d", h.entry, h.levels[h.entry], h.maxLvl)
 	}
 	upSlots := 0
 	for i := 0; i < n; i++ {
@@ -135,11 +165,14 @@ func (h *HNSW) validate() error {
 				return fmt.Errorf("node %d upper offset %d, want %d", i, h.upOff[i], upSlots)
 			}
 			upSlots += lvl
+			if upSlots > len(h.upCnt) {
+				return fmt.Errorf("node %d needs upper slots past the %d stored", i, len(h.upCnt))
+			}
 		}
 	}
-	if len(h.upCnt) != upSlots || len(h.upNbrs) != upSlots*h.cfg.M {
-		return fmt.Errorf("upper arenas sized %d/%d, want %d/%d",
-			len(h.upCnt), len(h.upNbrs), upSlots, upSlots*h.cfg.M)
+	if len(h.upCnt) != upSlots || !holds(len(h.upNbrs), upSlots, h.cfg.M) {
+		return fmt.Errorf("upper arenas sized %d/%d for %d slots of %d",
+			len(h.upCnt), len(h.upNbrs), upSlots, h.cfg.M)
 	}
 	for i, c := range h.upCnt {
 		if c < 0 || int(c) > h.cfg.M {
@@ -153,10 +186,14 @@ func (h *HNSW) validate() error {
 			}
 		}
 	}
-	for i, t := range h.upNbrs {
-		if t < 0 || int(t) >= n {
-			if i%h.cfg.M < int(h.upCnt[i/h.cfg.M]) {
-				return fmt.Errorf("upper link %d targets %d outside [0,%d)", i, t, n)
+	// A layer-l link must reach a node that has layer l: the descent reads
+	// the target's own layer-l slot next.
+	for i := int32(0); int(i) < n; i++ {
+		for l := 1; l <= int(h.levels[i]); l++ {
+			for _, t := range h.neighborsUp(i, l) {
+				if t < 0 || int(t) >= n || int(h.levels[t]) < l {
+					return fmt.Errorf("node %d layer-%d link targets %d, not a node of that layer", i, l, t)
+				}
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"uniask"
 	"uniask/internal/chunker"
 	"uniask/internal/fusion"
+	"uniask/internal/generation"
 	"uniask/internal/guardrails"
 	"uniask/internal/index"
 	"uniask/internal/search"
@@ -94,9 +95,8 @@ func TestIndexHTMLHonorsConfig(t *testing.T) {
 		return sys
 	}
 
-	var enrich, small uniask.Config
+	var enrich uniask.Config
 	enrich.Indexer.EnrichSummary = true
-	small.Indexer.ChunkTokens = 32
 
 	sys := index(enrich)
 	res, err := sys.Search(context.Background(), "servizio speciale incrementi")
@@ -105,11 +105,6 @@ func TestIndexHTMLHonorsConfig(t *testing.T) {
 	}
 	if res[0].Summary == "" {
 		t.Fatal("EnrichSummary ignored: stored chunk has no summary")
-	}
-
-	whole, split := index(uniask.Config{}).IndexedChunks(), index(small).IndexedChunks()
-	if split <= whole {
-		t.Fatalf("ChunkTokens ignored: %d chunks at 32 tokens, %d at the default", split, whole)
 	}
 }
 
@@ -170,14 +165,22 @@ func min(a, b int) int {
 func TestZeroConfigIsThePaperDeployment(t *testing.T) {
 	corpus := uniask.SyntheticCorpus(200, 7)
 	ctx := context.Background()
-	build := func(cfg uniask.Config) (*uniask.System, string) {
+	// build indexes the corpus under cfg and records what it does; a nil
+	// opts searches through Search, which runs the zero search.Options.
+	build := func(cfg uniask.Config, opts *search.Options) string {
 		sys, err := uniask.NewFromCorpus(ctx, corpus, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		behaviour := fmt.Sprintf("chunks=%d\n", sys.IndexedChunks())
 		for _, q := range corpus.HumanDataset(5, 3).Queries {
-			res, err := sys.Search(ctx, q.Text)
+			var res []uniask.Result
+			var err error
+			if opts != nil {
+				res, err = sys.SearchWith(ctx, q.Text, *opts)
+			} else {
+				res, err = sys.Search(ctx, q.Text)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,17 +190,17 @@ func TestZeroConfigIsThePaperDeployment(t *testing.T) {
 			}
 			behaviour += fmt.Sprintf("%#v\n%q %v\n", res, resp.GeneratedAnswer, resp.Guardrail)
 		}
-		return sys, behaviour
+		return behaviour
 	}
-	zero, zeroBehaviour := build(uniask.Config{})
+	zeroBehaviour := build(uniask.Config{}, nil)
 
 	for _, row := range []struct {
 		knob      string
 		got, want any
 	}{
-		{"M", zero.Engine().Generator.M, 4},
+		{"M", generation.DefaultM, 4},
 		{"RRF c", fusion.DefaultC, 60},
-		{"Indexer.ChunkTokens", chunker.DefaultChunkTokens, 512},
+		{"chunk tokens", chunker.DefaultChunkTokens, 512},
 		{"Guardrails.RougeThreshold", guardrails.DefaultRougeThreshold, 0.15},
 		{"Segment.MemtableMaxDocs", index.DefaultMemtableMaxDocs, 1024},
 		{"Segment.CompactionFanIn", index.DefaultCompactionFanIn, 4},
@@ -209,13 +212,11 @@ func TestZeroConfigIsThePaperDeployment(t *testing.T) {
 	}
 
 	var paper uniask.Config
-	paper.SearchOptions = search.Options{TextN: 50, VectorK: 15, FinalN: 50, RRFC: 60}
-	paper.M = 4
-	paper.Indexer.ChunkTokens = 512
 	paper.Guardrails.RougeThreshold = 0.15
 	paper.Segment = index.SegmentConfig{MemtableMaxDocs: 1024, CompactionFanIn: 4}
 	paper.Trace.Capacity = 2048
-	if _, got := build(paper); got != zeroBehaviour {
-		t.Errorf("a Config spelling out n=50 K=15 c=60 m=4 chunk=512 rouge=0.15 behaves differently from the zero Config:\n got %s\nwant %s", got, zeroBehaviour)
+	paperOpts := search.Options{TextN: 50, VectorK: 15, RRFC: 60}
+	if got := build(paper, &paperOpts); got != zeroBehaviour {
+		t.Errorf("a Config and search.Options spelling out n=50 K=15 c=60 rouge=0.15 behave differently from the zero values:\n got %s\nwant %s", got, zeroBehaviour)
 	}
 }
