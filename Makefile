@@ -79,8 +79,10 @@ chaos:
 # bit-identical to the one-at-a-time dot, HNSW construction held to the
 # same saved graph with and without its pair-distance cache, a bulk
 # write held to the loop of single adds (ids, vector dimensions and batch
-# cuts drawn from the input), and the HNSW snapshot reader, whose every
-# accepted graph must answer a search without panicking. Seeds include
+# cuts drawn from the input), HNSW construction held to the same saved
+# graph and searches whether or not equal consecutive vectors share an
+# arena slot, and the HNSW snapshot reader, whose every accepted graph
+# must answer a search without panicking. Seeds include
 # the checked-in crasher corpora. A sharded container seed is kilobytes
 # long, and the default minimization of each new input it yields (up to
 # 60s) would eat the whole short run, so that target caps it.
@@ -99,6 +101,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDotKernel -fuzztime $(FUZZTIME) ./internal/vector/
 	$(GO) test -run '^$$' -fuzz FuzzBuildCache -fuzztime $(FUZZTIME) ./internal/vector/
 	$(GO) test -run '^$$' -fuzz FuzzReadHNSW -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/vector/
+	$(GO) test -run '^$$' -fuzz FuzzSharedSlots -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/vector/
 
 # Query hot-path micro-benchmarks (BM25, ANN, filter bitsets, query cache,
 # shard-count scaling, tracing overhead, ingest-while-query steady state,

@@ -498,9 +498,10 @@ func (m *policyModel) checkRankings() {
 	mono := New(exhaustiveCfg())
 	for _, part := range m.store.parts() {
 		part.mu.RLock()
-		docs := append([]Document(nil), part.docs...)
+		docs := make([]Document, len(part.docs))
 		dead := make([]bool, len(docs))
 		for ord := range docs {
+			docs[ord] = part.doc(int32(ord))
 			dead[ord] = part.isDeleted(int32(ord))
 		}
 		part.mu.RUnlock()

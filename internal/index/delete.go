@@ -145,7 +145,7 @@ func (ix *Index) liveAndDead() (live []Document, dead []string) {
 		if ix.isDeleted(int32(ord)) {
 			dead = append(dead, doc.ID)
 		} else {
-			live = append(live, doc)
+			live = append(live, ix.doc(int32(ord)))
 		}
 	}
 	return live, dead

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,12 +62,13 @@ type Document struct {
 	ParentID string
 	// Fields holds the textual field values.
 	Fields map[string]string
-	// Vectors holds the embedding field values. A document read back from
-	// an index carries read-only views of the vector index's unit-length
-	// arena here — the index keeps no other copy of an embedding — and a
-	// re-insert of it (a compaction merge, Compact, a shard migration)
-	// goes through a path that copies those bits verbatim (addBatch's
-	// stored flag, Segmented.AddStored).
+	// Vectors holds the embedding field values. The index stores documents
+	// without them; a document read back from it carries a map made for the
+	// read, of read-only views of the vector indexes' unit-length arenas —
+	// the index keeps no other copy of an embedding. A re-insert of it (a
+	// compaction merge, Compact, a shard migration) goes through a path
+	// that copies those bits verbatim (addBatch's stored flag,
+	// Segmented.AddStored).
 	Vectors map[string]vector.Vector
 }
 
@@ -284,7 +286,10 @@ func (ix *Index) addBatch(docs []Document, stored bool) (applied int, err error)
 	// index every Add shifts the idf curve at once.
 	ix.statsKey.Add(uint64(applied))
 	base := int32(len(ix.docs))
-	ix.docs = append(ix.docs, docs...)
+	for _, doc := range docs {
+		doc.Vectors = nil // read from the graphs (see views)
+		ix.docs = append(ix.docs, doc)
+	}
 	ix.fcMu.Lock()
 	for i, doc := range docs {
 		id := base + int32(i)
@@ -323,7 +328,6 @@ func (ix *Index) addBatch(docs []Document, stored bool) (applied int, err error)
 	}
 	errs[len(tasks)-1] = tasks[len(tasks)-1]()
 	wg.Wait()
-	ix.pointViews(int(base))
 	if e := errors.Join(errs...); e != nil {
 		return applied, e
 	}
@@ -391,39 +395,8 @@ func (ix *Index) addGraph(field string, base int32, docs []Document, stored bool
 	return nil
 }
 
-// pointViews sets the Vectors of every document stored from ordinal from on
-// to views of the graphs' arenas, and re-points every earlier document when
-// an arena has left its views behind (it grew past its capacity, or gave
-// the spare capacity back). A document's map is replaced, never written: a
-// reader may still hold the old one, whose views stay valid. The caller
-// holds ix.mu for writing.
-func (ix *Index) pointViews(from int) {
-	for _, name := range ix.vecNames {
-		if ix.arenaMoved(name, from) {
-			from = 0
-			break
-		}
-	}
-	for ord := from; ord < len(ix.docs); ord++ {
-		ix.docs[ord].Vectors = ix.views(ord)
-	}
-}
-
-// arenaMoved reports whether field's arena no longer backs the views held by
-// the documents before ordinal end. One arena backs them all, so the first
-// document carrying the field is checked against a fresh view.
-func (ix *Index) arenaMoved(field string, end int) bool {
-	for ord := 0; ord < end; ord++ {
-		if v, ok := ix.docs[ord].Vectors[field]; ok {
-			w := ix.vecs[field].Vec(ord)
-			return len(w) == 0 || &v[0] != &w[0]
-		}
-	}
-	return false
-}
-
 // views returns ordinal ord's vectors as views of the graphs' arenas, in a
-// new map; nil when no graph holds ord.
+// new map; nil when no graph holds ord. The caller holds ix.mu.
 func (ix *Index) views(ord int) map[string]vector.Vector {
 	var out map[string]vector.Vector
 	for _, name := range ix.vecNames {
@@ -475,11 +448,12 @@ func (ix *Index) acceptsDims(vecs map[string]vector.Vector) error {
 	return ix.dims.Check(vecs)
 }
 
-// releaseBuildState frees what the part's vector indexes keep only for
-// construction (HNSW pair-distance caches, spare arena capacity), under
-// the part's write lock, and re-points the documents' views at the
-// trimmed arenas. The segmented store calls it on a part that receives no
-// more Adds: a sealed memtable and a merge's result; Compact on its result.
+// releaseBuildState frees what the part keeps only for construction,
+// under the part's write lock: its vector indexes' build state and spare
+// arena capacity, and the slack that appends leave in its document list,
+// field lengths, posting lists and filter lists. The segmented store calls
+// it on a part that receives no more Adds: a sealed memtable and a merge's
+// result; Compact on its result.
 func (ix *Index) releaseBuildState() {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -488,14 +462,45 @@ func (ix *Index) releaseBuildState() {
 			r.ReleaseBuildState()
 		}
 	}
-	ix.pointViews(len(ix.docs))
+	ix.docs = slices.Clone(ix.docs)
+	for _, fi := range ix.fields {
+		fi.docLens = slices.Clone(fi.docLens)
+		packLists(fi.postings)
+	}
+	for _, vals := range ix.filters {
+		packLists(vals)
+	}
+}
+
+// packLists copies the lists into one array of their total length. Each
+// list is capped at its own end, so an append to it reallocates the list
+// rather than writing over the next one's entries.
+func packLists[T any](lists map[string][]T) {
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	arena := make([]T, 0, total)
+	for k, l := range lists {
+		start := len(arena)
+		arena = append(arena, l...)
+		lists[k] = arena[start:len(arena):len(arena)]
+	}
+}
+
+// doc is the stored document at ord with its vectors' views; the caller
+// holds ix.mu.
+func (ix *Index) doc(ord int32) Document {
+	d := ix.docs[ord]
+	d.Vectors = ix.views(int(ord))
+	return d
 }
 
 // Doc returns the stored document at the given internal ordinal.
 func (ix *Index) Doc(ord int) Document {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.docs[ord]
+	return ix.doc(int32(ord))
 }
 
 // DocByID returns a stored document by external id.
@@ -506,7 +511,15 @@ func (ix *Index) DocByID(id string) (Document, bool) {
 	if !ok {
 		return Document{}, false
 	}
-	return ix.docs[ord], true
+	return ix.doc(ord), true
+}
+
+// holdsLive reports whether id is a live chunk of the index.
+func (ix *Index) holdsLive(id string) bool {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	_, ok := ix.byID[id]
+	return ok
 }
 
 // DocsByID implements Queryable: one lock acquisition for the whole batch. A
@@ -528,7 +541,7 @@ func (ix *Index) fillDocsByID(ids []string, docs []Document) {
 			continue
 		}
 		if ord, ok := ix.byID[id]; ok {
-			docs[i] = ix.docs[ord]
+			docs[i] = ix.doc(ord)
 		}
 	}
 }

@@ -60,15 +60,11 @@ func (ix *Index) Save(w io.Writer) error {
 	snap := indexSnapshot{
 		Schema:  ix.cfg.Schema,
 		BM25:    ix.cfg.BM25,
-		Docs:    make([]Document, len(ix.docs)),
+		Docs:    ix.docs,
 		Fields:  make(map[string]fieldSnapshot, len(ix.fields)),
 		Filters: ix.filters,
 		Vectors: make(map[string][]byte, len(ix.vecs)),
 		Exact:   make(map[string][]byte),
-	}
-	for i, doc := range ix.docs {
-		doc.Vectors = nil
-		snap.Docs[i] = doc
 	}
 	for ord := range ix.deleted {
 		snap.Deleted = append(snap.Deleted, ord)
@@ -185,10 +181,18 @@ func read(r io.Reader, cfg Config) (*Index, error) {
 	}
 	// Documents read their vectors from the arenas from here on (tombstoned
 	// chunks are in the graphs too); raw vectors a previous-release
-	// snapshot carried are dropped.
-	ix.pointViews(0)
-	for _, d := range ix.docs {
-		ix.dims.Note(d.Vectors)
+	// snapshot carried are dropped. A field's dimension is that of the
+	// first vector its index holds.
+	for i := range ix.docs {
+		ix.docs[i].Vectors = nil
+	}
+	for _, name := range ix.vecNames {
+		for ord := range ix.docs {
+			if v := ix.vecs[name].Vec(ord); v != nil {
+				ix.dims[name] = len(v)
+				break
+			}
+		}
 	}
 	return ix, nil
 }

@@ -615,7 +615,7 @@ func (s *Segmented) merge(ctx context.Context, start int, window []*Index) error
 // liveInAny reports whether any of parts holds id live.
 func liveInAny(parts []*Index, id string) bool {
 	for _, part := range parts {
-		if _, ok := part.DocByID(id); ok {
+		if part.holdsLive(id) {
 			return true
 		}
 	}

@@ -110,8 +110,8 @@ func (ix *Index) Stats() Stats {
 }
 
 // LiveDocs returns the live (non-tombstoned) documents in insertion order.
-// The documents share storage with the index — callers must not mutate
-// them. The sharded facade uses it to migrate a snapshot across shard
+// Their fields and vectors share storage with the index — callers must not
+// mutate them. The sharded facade uses it to migrate a snapshot across shard
 // layouts by re-adding every live document.
 func (ix *Index) LiveDocs() []Document {
 	ix.mu.RLock()
@@ -124,7 +124,7 @@ func (ix *Index) LiveDocs() []Document {
 		if _, live := ix.byID[doc.ID]; !live {
 			continue
 		}
-		out = append(out, doc)
+		out = append(out, ix.doc(int32(ord)))
 	}
 	return out
 }

@@ -136,9 +136,9 @@ const buildDistanceBudget = 1_747_484
 // distance evaluations.
 func TestHNSWBuildDistanceBudget(t *testing.T) {
 	h := buildHNSW(t, titleStyleVectors(1000, 256, 37), HNSWConfig{EfConstruction: 80, Seed: 41})
-	t.Logf("%d distances to build 1 000 × 256-d", h.cst.evals)
-	if h.cst.evals > buildDistanceBudget {
-		t.Errorf("%d distances to build 1 000 × 256-d, ceiling %d", h.cst.evals, buildDistanceBudget)
+	t.Logf("%d distances to build 1 000 × 256-d", h.build.cst.evals)
+	if h.build.cst.evals > buildDistanceBudget {
+		t.Errorf("%d distances to build 1 000 × 256-d, ceiling %d", h.build.cst.evals, buildDistanceBudget)
 	}
 }
 
@@ -152,7 +152,7 @@ func BenchmarkHNSWBuild(b *testing.B) {
 	b.ResetTimer()
 	evals := 0
 	for i := 0; i < b.N; i++ {
-		evals += buildHNSW(b, vs, cfg).cst.evals
+		evals += buildHNSW(b, vs, cfg).build.cst.evals
 	}
 	b.ReportMetric(float64(evals)/float64(b.N), "dists/op")
 }
@@ -192,7 +192,8 @@ func FuzzBuildCache(f *testing.F) {
 
 // FuzzReadHNSW holds ReadHNSW to its contract: any bytes it accepts make a
 // graph that answers SearchUnit without panicking. Seeds: a saved small
-// graph, a truncation of it and the snapshots whose arena sizes wrap.
+// graph, a truncation of it, the snapshots whose arena sizes wrap and the
+// saved graph relabelled with degree M = 1.
 func FuzzReadHNSW(f *testing.F) {
 	var saved bytes.Buffer
 	h := buildHNSW(f, titleStyleVectors(40, 4, 3), HNSWConfig{M: 3, EfConstruction: 16, Seed: 3})
@@ -204,6 +205,12 @@ func FuzzReadHNSW(f *testing.F) {
 	for _, snap := range corruptHNSWSnapshots() {
 		f.Add(encodeSnapshot(f, snap))
 	}
+	var degreeOne hnswSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(saved.Bytes())).Decode(&degreeOne); err != nil {
+		f.Fatal(err)
+	}
+	degreeOne.Cfg.M = 1
+	f.Add(encodeSnapshot(f, degreeOne))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := ReadHNSW(bytes.NewReader(data))
 		if err != nil {

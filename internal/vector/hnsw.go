@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -42,8 +43,11 @@ func (c HNSWConfig) withDefaults() HNSWConfig {
 //
 // The graph is stored flat, hnswlib-style, with no per-node heap objects:
 //
-//   - vecs is one contiguous float32 arena (node n's unit vector occupies
-//     vecs[n*dim : (n+1)*dim]), which construction and search both walk.
+//   - vecs is one contiguous float32 arena of unit vectors, which
+//     construction and search both walk: node n's occupies slot slots[n],
+//     vecs[slots[n]*dim : (slots[n]+1)*dim]. A node whose vector equals the
+//     previous node's bit for bit shares its slot — every chunk of a page
+//     carries the page's title vector — so a page costs one title slot.
 //   - Layer-0 adjacency is a fixed-stride arena: node n owns the 2M-slot
 //     block links0[n*2M : (n+1)*2M], of which the first cnt0[n] are live.
 //   - Upper-layer adjacency is allocated per node on insert: a node of
@@ -59,13 +63,13 @@ type HNSW struct {
 	byID   map[int]int32 // external id -> node ordinal
 	entry  int32         // entry point ordinal (-1 when empty)
 	maxLvl int
-	rng    *rand.Rand
 	levelM float64 // 1/ln(M): the level-assignment normalizer from the paper
 	dim    int
 	m0     int // 2*M, the layer-0 block stride
 
 	ids    []int32 // node ordinal -> external id
 	levels []int32
+	slots  []int32 // node ordinal -> arena slot
 	vecs   []float32
 
 	links0 []int32
@@ -74,8 +78,25 @@ type HNSW struct {
 	upNbrs []int32
 	upCnt  []int32
 
-	// Construction scratch (Add is externally serialized, so these are
-	// plain fields rather than pooled).
+	// build is what only construction reads, nil until the first Add and
+	// again after ReleaseBuildState. draws counts the level generator's
+	// draws so far, so a build state made anew resumes its sequence.
+	build *buildState
+	draws int
+
+	// pcMax caps the pair cache's entries, and 0 turns it off; noShare
+	// gives every node its own arena slot. Both are test seams.
+	pcMax   int
+	noShare bool
+
+	statePool sync.Pool
+}
+
+// buildState is what a graph keeps only while it grows: the level
+// generator, the construction scratch (Add is externally serialized, so
+// these are plain fields rather than pooled) and the pair cache.
+type buildState struct {
+	rng       *rand.Rand
 	cst       searchState
 	eps       []int32
 	layerBuf  []int32
@@ -85,18 +106,14 @@ type HNSW struct {
 	cds       []candDist
 	disc      []int32
 
-	// pc memoizes node-to-node distances for construction (see pairDists);
-	// pcMax caps its entries, and 0 turns it off (a test seam). missAt,
-	// missNodes and missDist are one pairDists call's misses; pending is
-	// diverse's uncached neighbours.
+	// pc memoizes node-to-node distances (see pairDists). missAt, missNodes
+	// and missDist are one pairDists call's misses; pending is diverse's
+	// uncached neighbours.
 	pc        pairCache
-	pcMax     int
 	missAt    []int32
 	missNodes []int32
 	missDist  []float32
 	pending   []int32
-
-	statePool sync.Pool
 }
 
 // candDist pairs a candidate ordinal with its distance during neighbor
@@ -106,18 +123,36 @@ type candDist struct {
 	dist float32
 }
 
-// NewHNSW creates an empty HNSW index with the given configuration.
+// NewHNSW creates an empty HNSW index with the given configuration. It
+// panics on M = 1, whose level normalizer 1/ln(M) is infinite.
 func NewHNSW(cfg HNSWConfig) *HNSW {
 	cfg = cfg.withDefaults()
+	if cfg.M < 2 {
+		panic(fmt.Sprintf("vector: HNSW degree M = %d, want at least 2", cfg.M))
+	}
 	return &HNSW{
 		cfg:    cfg,
 		byID:   make(map[int]int32),
 		entry:  -1,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		levelM: 1 / math.Log(float64(cfg.M)),
 		m0:     2 * cfg.M,
 		pcMax:  pairCacheMax,
 	}
+}
+
+// builder returns the graph's build state, making it on the first Add and
+// on the first Add after ReleaseBuildState. A new level generator is
+// seeded afresh and skips the draws already made, so the levels it draws
+// are those a graph that never released its state would draw.
+func (h *HNSW) builder() *buildState {
+	if h.build == nil {
+		rng := rand.New(rand.NewSource(h.cfg.Seed))
+		for i := 0; i < h.draws; i++ {
+			rng.Float64()
+		}
+		h.build = &buildState{rng: rng}
+	}
+	return h.build
 }
 
 // Len implements Index.
@@ -125,10 +160,38 @@ func (h *HNSW) Len() int { return len(h.ids) }
 
 // vec is node n's arena view. Its capacity ends with its slot, so reslicing
 // it past dim (as dotF4 does to match a longer query) panics rather than
-// reading the next node's vector.
+// reading the next slot's vector.
 func (h *HNSW) vec(n int32) []float32 {
-	s := int(n) * h.dim
+	s := int(h.slots[n]) * h.dim
 	return h.vecs[s : s+h.dim : s+h.dim]
+}
+
+// storeVec copies v into a new arena slot, normalized unless unit, and
+// returns the slot — or drops the copy and returns the last slot when the
+// two hold the same bits, the last slot being the previous node's.
+func (h *HNSW) storeVec(v Vector, unit bool) int32 {
+	start := len(h.vecs)
+	h.vecs = appendArena(h.vecs, v)
+	if !unit {
+		normalizeF(h.vecs[start:])
+	}
+	if start > 0 && !h.noShare && sameBits(h.vecs[start-h.dim:start], h.vecs[start:]) {
+		h.vecs = h.vecs[:start]
+		return int32(start/h.dim - 1)
+	}
+	return int32(start / h.dim)
+}
+
+// sameBits reports whether a and b, of equal length, hold the same bits.
+// Float equality would not do: it equates 0 and -0, and no NaN equals
+// itself.
+func sameBits(a, b []float32) bool {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // dists appends the cosine distance 1 - dot(q, vec(n)) of every node in
@@ -156,29 +219,30 @@ func (h *HNSW) dists(dst, q []float32, nodes []int32) []float32 {
 // recomputed one — a float product does not depend on operand order and
 // dotF4 sums the products in index order whichever operand is the query,
 // so dist(a, b) == dist(b, a) to the bit — and every decision built on it,
-// hence the graph, is the same. Misses count in h.cst.evals.
+// hence the graph, is the same. Misses count in the build state's cst.evals.
 func (h *HNSW) pairDists(dst []float32, a int32, nodes []int32) []float32 {
-	if len(h.pc.slots) == 0 {
-		h.cst.evals += len(nodes)
+	b := h.build
+	if len(b.pc.slots) == 0 {
+		b.cst.evals += len(nodes)
 		return h.dists(dst, h.vec(a), nodes)
 	}
 	base := len(dst)
-	h.missAt, h.missNodes = h.missAt[:0], h.missNodes[:0]
+	b.missAt, b.missNodes = b.missAt[:0], b.missNodes[:0]
 	for i, n := range nodes {
-		if d, ok := h.pc.get(pairKey(a, n)); ok {
+		if d, ok := b.pc.get(pairKey(a, n)); ok {
 			dst = append(dst, d)
 			continue
 		}
 		dst = append(dst, 0)
-		h.missAt = append(h.missAt, int32(base+i))
-		h.missNodes = append(h.missNodes, n)
+		b.missAt = append(b.missAt, int32(base+i))
+		b.missNodes = append(b.missNodes, n)
 	}
-	h.missDist = h.dists(h.missDist[:0], h.vec(a), h.missNodes)
-	for j, d := range h.missDist {
-		dst[h.missAt[j]] = d
-		h.pc.put(pairKey(a, h.missNodes[j]), d)
+	b.missDist = h.dists(b.missDist[:0], h.vec(a), b.missNodes)
+	for j, d := range b.missDist {
+		dst[b.missAt[j]] = d
+		b.pc.put(pairKey(a, b.missNodes[j]), d)
 	}
-	h.cst.evals += len(h.missNodes)
+	b.cst.evals += len(b.missNodes)
 	return dst
 }
 
@@ -272,22 +336,31 @@ func (c *pairCache) fit(n, max int) {
 }
 
 // ReleaseBuildState frees what the graph keeps only for further inserts:
-// the construction pair cache and the spare capacity of every arena (each
-// is copied into an array of its exact length, so views taken through Vec
-// before the call keep the old array alive until they are re-read). The
-// index layer calls it when a segment is sealed and will receive no more
-// Adds; an Add after it simply starts a new cache and regrows the arenas,
-// so the graph is unaffected.
+// its build state (level generator, construction scratch, pair cache) and
+// the spare capacity of every arena (each is copied into an array of its
+// exact length; views taken through Vec before the call keep the old array
+// alive for as long as they are held). The index layer calls it when a
+// segment is sealed and will receive no more Adds; an Add after it makes a
+// new build state and regrows the arenas, so the graph is unaffected.
 func (h *HNSW) ReleaseBuildState() {
-	h.pc = pairCache{}
-	h.ids, h.levels, h.vecs = clip(h.ids), clip(h.levels), clip(h.vecs)
+	h.build = nil
+	h.ids, h.levels, h.slots, h.vecs = clip(h.ids), clip(h.levels), clip(h.slots), clip(h.vecs)
 	h.links0, h.cnt0 = clip(h.links0), clip(h.cnt0)
 	h.upOff, h.upNbrs, h.upCnt = clip(h.upOff), clip(h.upNbrs), clip(h.upCnt)
 }
 
 // BuildCacheEntries reports the pair cache's size in entries, 0 when none
 // is held (diagnostics).
-func (h *HNSW) BuildCacheEntries() int { return len(h.pc.slots) }
+func (h *HNSW) BuildCacheEntries() int {
+	if h.build == nil {
+		return 0
+	}
+	return len(h.build.pc.slots)
+}
+
+// HoldsBuildState reports whether the graph holds a build state: from its
+// first Add until ReleaseBuildState (diagnostics).
+func (h *HNSW) HoldsBuildState() bool { return h.build != nil }
 
 func (h *HNSW) neighbors0(n int32) []int32 {
 	s := int(n) * h.m0
@@ -337,18 +410,22 @@ func (h *HNSW) addLink(n int32, l int, nb int32) {
 			return
 		}
 	}
-	h.linkBuf = append(h.linkBuf[:0], h.layerNeighbors(n, l)...)
-	h.linkBuf = append(h.linkBuf, nb)
-	h.shrinkSel = h.selectHeuristicInto(h.shrinkSel[:0], n, h.linkBuf, maxM)
-	h.setLinks(n, l, h.shrinkSel)
+	b := h.build
+	b.linkBuf = append(b.linkBuf[:0], h.layerNeighbors(n, l)...)
+	b.linkBuf = append(b.linkBuf, nb)
+	b.shrinkSel = h.selectHeuristicInto(b.shrinkSel[:0], n, b.linkBuf, maxM)
+	h.setLinks(n, l, b.shrinkSel)
 }
 
 // randomLevel draws a node level from the exponential distribution of the
 // HNSW paper: floor(-ln(U) * mL).
 func (h *HNSW) randomLevel() int {
-	u := h.rng.Float64()
+	rng := h.build.rng
+	u := rng.Float64()
+	h.draws++
 	for u == 0 {
-		u = h.rng.Float64()
+		u = rng.Float64()
+		h.draws++
 	}
 	return int(-math.Log(u) * h.levelM)
 }
@@ -387,17 +464,13 @@ func (h *HNSW) add(id int, v Vector, unit bool) error {
 	} else if len(v) != h.dim {
 		return ErrDimensionMismatch
 	}
+	b := h.builder()
 	level := h.randomLevel()
 	idx := int32(len(h.ids))
 
-	start := len(h.vecs)
-	h.vecs = appendArena(h.vecs, v)
-	if !unit {
-		normalizeF(h.vecs[start:])
-	}
-
 	h.ids = append(h.ids, int32(id))
 	h.levels = append(h.levels, int32(level))
+	h.slots = append(h.slots, h.storeVec(v, unit))
 	for i := 0; i < h.m0; i++ {
 		h.links0 = append(h.links0, 0)
 	}
@@ -414,7 +487,7 @@ func (h *HNSW) add(id int, v Vector, unit bool) error {
 		h.upOff = append(h.upOff, -1)
 	}
 	h.byID[id] = idx
-	h.pc.fit(len(h.ids), h.pcMax)
+	b.pc.fit(len(h.ids), h.pcMax)
 
 	if h.entry < 0 {
 		h.entry = idx
@@ -426,22 +499,22 @@ func (h *HNSW) add(id int, v Vector, unit bool) error {
 	ep := h.entry
 	// Greedy descent through layers above the new node's level.
 	for l := h.maxLvl; l > level; l-- {
-		ep = h.greedyF(&h.cst, q, ep, l)
+		ep = h.greedyF(&b.cst, q, ep, l)
 	}
 	// Insert with neighbor selection from min(level, maxLvl) down to 0.
 	top := level
 	if top > h.maxLvl {
 		top = h.maxLvl
 	}
-	h.eps = append(h.eps[:0], ep)
+	b.eps = append(b.eps[:0], ep)
 	for l := top; l >= 0; l-- {
-		cand := h.searchLayerF(idx, h.eps, h.cfg.EfConstruction, l)
-		h.nbrSel = h.selectHeuristicInto(h.nbrSel[:0], idx, cand, h.maxM(l))
-		h.setLinks(idx, l, h.nbrSel)
-		for _, n := range h.nbrSel {
+		cand := h.searchLayerF(idx, b.eps, h.cfg.EfConstruction, l)
+		b.nbrSel = h.selectHeuristicInto(b.nbrSel[:0], idx, cand, h.maxM(l))
+		h.setLinks(idx, l, b.nbrSel)
+		for _, n := range b.nbrSel {
 			h.addLink(n, l, idx)
 		}
-		h.eps = append(h.eps[:0], cand...)
+		b.eps = append(b.eps[:0], cand...)
 	}
 	if level > h.maxLvl {
 		h.maxLvl = level
@@ -493,7 +566,8 @@ func (h *HNSW) greedyF(st *searchState, q []float32, ep int32, l int) int32 {
 // same conditions as the one-at-a-time loop — so the heaps, and the links
 // built from them, are unchanged.
 func (h *HNSW) searchLayerF(idx int32, eps []int32, ef, l int) []int32 {
-	st := &h.cst
+	b := h.build
+	st := &b.cst
 	st.begin(len(h.ids))
 	st.dist = h.pairDists(st.dist[:0], idx, st.markUnseen(eps))
 	for i, ep := range st.nodes {
@@ -518,14 +592,14 @@ func (h *HNSW) searchLayerF(idx int32, eps []int32, ef, l int) []int32 {
 		}
 	}
 	n := len(st.res)
-	if cap(h.layerBuf) < n {
-		h.layerBuf = make([]int32, n, n+n/2+8)
+	if cap(b.layerBuf) < n {
+		b.layerBuf = make([]int32, n, n+n/2+8)
 	}
-	h.layerBuf = h.layerBuf[:n]
+	b.layerBuf = b.layerBuf[:n]
 	for i := n - 1; i >= 0; i-- {
-		h.layerBuf[i] = popMax(&st.res).node
+		b.layerBuf[i] = popMax(&st.res).node
 	}
-	return h.layerBuf
+	return b.layerBuf
 }
 
 // selectHeuristicInto is Algorithm 4 (select-neighbors-heuristic): it keeps
@@ -536,28 +610,29 @@ func (h *HNSW) selectHeuristicInto(dst []int32, a int32, cand []int32, m int) []
 	if len(cand) <= m {
 		return append(dst, cand...)
 	}
-	st := &h.cst
+	b := h.build
+	st := &b.cst
 	st.dist = h.pairDists(st.dist[:0], a, cand)
-	h.cds = h.cds[:0]
+	b.cds = b.cds[:0]
 	for i, c := range cand {
-		h.cds = append(h.cds, candDist{c, st.dist[i]})
+		b.cds = append(b.cds, candDist{c, st.dist[i]})
 	}
-	sortByDist(h.cds)
+	sortByDist(b.cds)
 
 	selected := dst
-	h.disc = h.disc[:0]
-	for _, c := range h.cds {
+	b.disc = b.disc[:0]
+	for _, c := range b.cds {
 		if len(selected) >= m {
 			break
 		}
 		if h.diverse(c, selected) {
 			selected = append(selected, c.node)
 		} else {
-			h.disc = append(h.disc, c.node)
+			b.disc = append(b.disc, c.node)
 		}
 	}
 	// keepPruned: fill remaining slots with the closest discarded nodes.
-	for _, c := range h.disc {
+	for _, c := range b.disc {
 		if len(selected) >= m {
 			break
 		}
@@ -593,16 +668,17 @@ func sortByDist(cds []candDist) {
 // rejected candidate may cost up to three distances past the one that
 // rejects it.
 func (h *HNSW) diverse(c candDist, selected []int32) bool {
-	st := &h.cst
-	h.pending = h.pending[:0]
+	b := h.build
+	st := &b.cst
+	b.pending = b.pending[:0]
 	for _, s := range selected {
-		if d, ok := h.pc.get(pairKey(c.node, s)); !ok {
-			h.pending = append(h.pending, s)
+		if d, ok := b.pc.get(pairKey(c.node, s)); !ok {
+			b.pending = append(b.pending, s)
 		} else if d < c.dist {
 			return false
 		}
 	}
-	selected = h.pending
+	selected = b.pending
 	for i := 0; i < len(selected); i += 4 {
 		st.dist = h.pairDists(st.dist[:0], c.node, selected[i:min(i+4, len(selected))])
 		for _, d := range st.dist {

@@ -35,7 +35,8 @@ type hnswSnapshot struct {
 }
 
 // Save serializes the graph, including its adjacency structure, so that
-// loading skips reconstruction.
+// loading skips reconstruction. The snapshot holds one vector per node,
+// whether or not the node shares its arena slot.
 func (h *HNSW) Save(w io.Writer) error {
 	snap := hnswSnapshot{
 		Version: hnswSnapshotVersion,
@@ -45,7 +46,7 @@ func (h *HNSW) Save(w io.Writer) error {
 		MaxLvl:  h.maxLvl,
 		IDs:     h.ids,
 		Levels:  h.levels,
-		Vecs:    h.vecs,
+		Vecs:    h.nodeVecs(),
 		Links0:  h.links0,
 		Cnt0:    h.cnt0,
 		UpOff:   h.upOff,
@@ -56,6 +57,39 @@ func (h *HNSW) Save(w io.Writer) error {
 		return fmt.Errorf("vector: encode hnsw: %w", err)
 	}
 	return nil
+}
+
+// nodeVecs is the arena with one vector per node, as a snapshot holds it:
+// the arena itself when no node shares a slot, an expanded copy otherwise.
+func (h *HNSW) nodeVecs() []float32 {
+	if len(h.vecs) == len(h.ids)*h.dim {
+		return h.vecs
+	}
+	out := make([]float32, 0, len(h.ids)*h.dim)
+	for n := range h.ids {
+		out = append(out, h.vec(int32(n))...)
+	}
+	return out
+}
+
+// shareSlots turns a snapshot's one-vector-per-node arena into slots the
+// way Add fills them: a node whose vector equals the previous node's bit
+// for bit shares its slot. The arena is compacted in place and, when any
+// node shares, copied into an array of its exact length.
+func (h *HNSW) shareSlots() {
+	h.slots = make([]int32, len(h.ids))
+	kept := 0
+	for n := range h.ids {
+		v := h.vecs[n*h.dim : (n+1)*h.dim]
+		if kept > 0 && !h.noShare && sameBits(h.vecs[(kept-1)*h.dim:kept*h.dim], v) {
+			h.slots[n] = int32(kept - 1)
+			continue
+		}
+		copy(h.vecs[kept*h.dim:], v)
+		h.slots[n] = int32(kept)
+		kept++
+	}
+	h.vecs = clip(h.vecs[:kept*h.dim])
 }
 
 // ReadHNSW deserializes a graph written by Save, validating the arena
@@ -70,6 +104,11 @@ func ReadHNSW(r io.Reader) (*HNSW, error) {
 	}
 	if snap.Version != hnswSnapshotVersion {
 		return nil, fmt.Errorf("vector: hnsw snapshot version %d (want %d): %w", snap.Version, hnswSnapshotVersion, errors.ErrUnsupported)
+	}
+	// Save writes the configuration with its defaults applied, so its M is
+	// never below 2.
+	if snap.Cfg.M < 2 {
+		return nil, fmt.Errorf("vector: hnsw snapshot: degree M = %d, want at least 2", snap.Cfg.M)
 	}
 	h := NewHNSW(snap.Cfg)
 	h.dim = snap.Dim
@@ -86,6 +125,7 @@ func ReadHNSW(r io.Reader) (*HNSW, error) {
 	if err := h.validate(); err != nil {
 		return nil, fmt.Errorf("vector: hnsw snapshot: %w", err)
 	}
+	h.shareSlots()
 	for i, id := range h.ids {
 		if _, dup := h.byID[int(id)]; dup {
 			return nil, fmt.Errorf("vector: hnsw snapshot: id %d repeated: %w", id, ErrDuplicateID)

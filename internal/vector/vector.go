@@ -216,9 +216,9 @@ func (e *Exhaustive) ReleaseBuildState() {
 }
 
 // appendArena appends v to an arena. A full arena doubles, so it moves
-// O(log n) times while it grows — and a caller holding views into it (see
-// Index.Vec) re-points them as rarely. ReleaseBuildState gives the spare
-// capacity back once no more vectors arrive.
+// O(log n) times while it grows; a view taken before a move keeps the old
+// array alive (see Index.Vec). ReleaseBuildState gives the spare capacity
+// back once no more vectors arrive.
 func appendArena(arena, v []float32) []float32 {
 	if len(arena)+len(v) > cap(arena) {
 		grown := make([]float32, len(arena), 2*cap(arena)+len(v))
