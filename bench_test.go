@@ -18,6 +18,7 @@ import (
 	"uniask/internal/eval"
 	"uniask/internal/experiments"
 	"uniask/internal/guardrails"
+	"uniask/internal/htmlx"
 	"uniask/internal/kb"
 	"uniask/internal/rouge"
 	"uniask/internal/search"
@@ -245,10 +246,10 @@ func BenchmarkAblationANN(b *testing.B) {
 	hits, total := 0, 0
 	for _, q := range queries {
 		truth := map[int]bool{}
-		for _, r := range exact.Search(q, k) {
+		for _, r := range exact.SearchUnit(q, k, nil) {
 			truth[r.ID] = true
 		}
-		for _, r := range hnsw.Search(q, k) {
+		for _, r := range hnsw.SearchUnit(q, k, nil) {
 			if truth[r.ID] {
 				hits++
 			}
@@ -260,14 +261,14 @@ func BenchmarkAblationANN(b *testing.B) {
 	b.Run("hnsw", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			hnsw.Search(queries[i%len(queries)], k)
+			hnsw.SearchUnit(queries[i%len(queries)], k, nil)
 		}
 		b.ReportMetric(recall, "recall-vs-exact")
 	})
 	b.Run("exhaustive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			exact.Search(queries[i%len(queries)], k)
+			exact.SearchUnit(queries[i%len(queries)], k, nil)
 		}
 	})
 }
@@ -284,7 +285,7 @@ func BenchmarkAblationChunking(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			chunks = 0
 			for _, d := range corpus.Docs {
-				chunks += len(htmlSplit.SplitHTML(d.HTML))
+				chunks += len(htmlSplit.SplitDocument(htmlx.Extract(d.HTML)))
 			}
 		}
 		b.ReportMetric(float64(chunks)/float64(len(corpus.Docs)), "chunks/doc")
@@ -417,7 +418,7 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				chunks, tokens = 0, 0
 				for _, d := range corpus.Docs {
-					for _, c := range sp.SplitHTML(d.HTML) {
+					for _, c := range sp.SplitDocument(htmlx.Extract(d.HTML)) {
 						chunks++
 						tokens += c.Tokens
 					}

@@ -18,13 +18,23 @@
 // The comparison is two-way: a new site fails, and so does a listed site
 // that no longer exists.
 //
+// Next to DESIGN.md it also takes the caller census: it type-checks every
+// package of the module from its non-test files (go/types, with the
+// standard library's export data) and lists the exported functions,
+// methods and interface methods that no non-test code calls, bench/
+// counting as a caller but not audited. A method also counts as called
+// when an interface method of its name and signature is called, or when
+// it satisfies a standard-library interface. Each uncalled identifier must
+// be listed, with its reason, in cmd/doccheck/uncalled.txt, one identifier
+// or whole package per line; the comparison is two-way as well.
+//
 // Usage:
 //
 //	doccheck README.md DESIGN.md docs/*.md
 //
 // Exit status is nonzero if any link is dead, any package directory is
-// unlisted or listed but gone, or the detached-context list has drifted,
-// listing every offender.
+// unlisted or listed but gone, or the detached-context or uncalled list has
+// drifted, listing every offender.
 // `make doccheck` runs it over README.md, DESIGN.md, OPERATIONS.md and
 // docs/*.md.
 package main
@@ -86,6 +96,12 @@ func main() {
 				fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 				os.Exit(2)
 			}
+			uncalled, err := callerDrift(base)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+				os.Exit(2)
+			}
+			drift = append(drift, uncalled...)
 			for _, d := range drift {
 				fmt.Fprintf(os.Stderr, "doccheck: %s\n", d)
 			}
@@ -93,7 +109,7 @@ func main() {
 		}
 	}
 	if dead > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d dead intra-repo link(s), unlisted or vanished package(s), drifted detached-context site(s)\n", dead)
+		fmt.Fprintf(os.Stderr, "doccheck: %d dead intra-repo link(s), unlisted or vanished package(s), drifted detached-context site(s) or uncalled identifier(s)\n", dead)
 		os.Exit(1)
 	}
 	fmt.Printf("doccheck: %d intra-repo links resolve\n", checked)

@@ -89,3 +89,95 @@ internal/a/a.go:Bare
 		t.Errorf("drift:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// TestExportedIdentifiersHaveCallers is the caller census under plain
+// `go test ./...`: the tree's exported identifiers that no non-test code
+// calls and cmd/doccheck/uncalled.txt agree, both ways.
+func TestExportedIdentifiersHaveCallers(t *testing.T) {
+	drift, err := callerDrift("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range drift {
+		t.Error(d)
+	}
+}
+
+// TestCallerDriftIsTwoWay: on a module of its own, an exported function
+// whose only caller is a test, an allowlist line that covers nothing and a
+// line without a reason are reported; a method reached only through a
+// called interface method, Len/Less/Swap behind sort.Sort, a declaration
+// under bench/ and a listed package are not.
+func TestCallerDriftIsTwoWay(t *testing.T) {
+	root := t.TempDir()
+	write := func(path, content string) {
+		t.Helper()
+		full := filepath.Join(root, path)
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module tmpmod\n\ngo 1.22\n")
+	write("internal/a/a.go", `package a
+
+import "sort"
+
+type Shape interface{ Area() int }
+
+type Square struct{ side int }
+
+func (s Square) Area() int { return s.side * s.side }
+
+type bySide []Square
+
+func (b bySide) Len() int           { return len(b) }
+func (b bySide) Less(i, j int) bool { return b[i].side < b[j].side }
+func (b bySide) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
+
+func Total(shapes []Shape) int {
+	n := 0
+	for _, s := range shapes {
+		n += s.Area()
+	}
+	return n
+}
+
+func Sorted(sq []Square) []Square {
+	sort.Sort(bySide(sq))
+	return sq
+}
+
+func OnlyTested() int { return OnlyTested() + 1 }
+`)
+	write("internal/a/a_test.go", "package a\nimport \"testing\"\nfunc TestIt(t *testing.T) { _ = OnlyTested() }\n")
+	write("internal/b/b.go", "package b\n\nfunc Helper() {}\n")
+	write("bench/main.go", `package main
+
+import "tmpmod/internal/a"
+
+func Unused() {}
+
+func main() { _ = a.Total([]a.Shape{a.Square{}}); _ = a.Sorted(nil) }
+`)
+	write(callerAllowlist, `# comment
+tmpmod/internal/b           a harness other packages' tests import
+tmpmod/internal/a.Gone      deleted last PR
+tmpmod/internal/a.Bare
+`)
+	got, err := callerDrift(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		callerAllowlist + " lists tmpmod/internal/a.Bare, which is called or gone",
+		callerAllowlist + " lists tmpmod/internal/a.Gone, which is called or gone",
+		callerAllowlist + ": tmpmod/internal/a.Bare gives no reason",
+		"tmpmod/internal/a.OnlyTested has no caller outside tests and is not in " + callerAllowlist,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("drift:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

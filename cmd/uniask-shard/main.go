@@ -35,21 +35,32 @@ type options struct {
 	maxFrame int
 }
 
-// bindFlags registers the binary's flags on fs, each writing into the
-// returned options.
-func bindFlags(fs *flag.FlagSet) *options {
+// parseFlags registers the binary's flags on fs, each writing into the
+// returned options, parses args and refuses a store configuration the
+// index cannot honour.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	opts := &options{}
 	fs.StringVar(&opts.addr, "addr", ":9701", "listen address")
 	fs.StringVar(&opts.snapshot, "snapshot", "", "segmented snapshot restored as shard -shard before serving")
 	fs.IntVar(&opts.shard, "shard", 0, "logical shard id the -snapshot restores into")
 	opts.segment.BindFlags(fs)
 	fs.IntVar(&opts.maxFrame, "max-frame", 0, "request frame cap in bytes (0 = 64 MiB)")
-	return opts
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if err := opts.segment.Check(); err != nil {
+		return nil, err
+	}
+	return opts, nil
 }
 
 func main() {
-	opts := bindFlags(flag.CommandLine)
-	flag.Parse()
+	opts, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		// A parse error never gets here: flag.CommandLine exits 2 itself.
+		fmt.Fprintln(os.Stderr, "uniask-shard:", err)
+		os.Exit(2)
+	}
 
 	srv, err := run(*opts)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -57,9 +58,6 @@ func TestRunSmoke(t *testing.T) {
 	c := remote.NewClient(remote.ClientConfig{Addr: srv.Addr(), Shard: 3})
 	g := remote.NewGroup([]*remote.Client{c}, 0)
 	defer g.Close()
-	if err := c.Ping(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	if got, want := g.LiveLen(), store.LiveLen(); got != want {
 		t.Fatalf("restored shard holds %d live chunks, want %d", got, want)
 	}
@@ -92,8 +90,31 @@ func TestFlagTableMatchesOperationsDoc(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := flag.NewFlagSet("uniask-shard", flag.ContinueOnError)
-	bindFlags(fs)
+	if _, err := parseFlags(fs, nil); err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range flagdoc.Drift(fs, string(doc), "## Remote shard servers") {
 		t.Error(d)
+	}
+}
+
+// TestBadFlagsAreRefused: a flag value the store cannot honour is refused
+// before anything is built, and main exits 2 on it. -compaction-fanin 1
+// used to be accepted and left compaction off.
+func TestBadFlagsAreRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-compaction-fanin", "1"},
+		{"-compaction-fanin", "x"},
+		{"-no-such-flag"},
+	} {
+		fs := flag.NewFlagSet("uniask-shard", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if _, err := parseFlags(fs, args); err == nil {
+			t.Errorf("%q: accepted", args)
+		}
+	}
+	fs := flag.NewFlagSet("uniask-shard", flag.ContinueOnError)
+	if o, err := parseFlags(fs, []string{"-compaction-fanin", "2"}); err != nil || o.segment.CompactionFanIn != 2 {
+		t.Fatalf("-compaction-fanin 2: %+v, %v", o, err)
 	}
 }

@@ -57,7 +57,8 @@ type options struct {
 }
 
 // parseFlags registers the binary's flags on fs, each bound to the field
-// it configures, and parses args.
+// it configures, parses args and refuses a store configuration the index
+// cannot honour.
 func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	o := &options{}
 	o.engine.Indexer.EnrichSummary = true
@@ -87,6 +88,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	if err := o.engine.Segment.Check(); err != nil {
+		return nil, err
+	}
 	for _, ep := range strings.Split(endpoints, ",") {
 		if ep = strings.TrimSpace(ep); ep != "" {
 			o.engine.RemoteShards = append(o.engine.RemoteShards, ep)
@@ -98,7 +102,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 func main() {
 	o, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
-		os.Exit(2) // not reached: flag.CommandLine exits on a parse error itself
+		// A parse error never gets here: flag.CommandLine exits 2 itself.
+		fmt.Fprintln(os.Stderr, "uniask:", err)
+		os.Exit(2)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

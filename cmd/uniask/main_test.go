@@ -91,3 +91,23 @@ func TestFlagTableMatchesOperationsDoc(t *testing.T) {
 		t.Error(d)
 	}
 }
+
+// TestBadFlagsAreRefused: a flag value the store cannot honour is refused
+// before anything is built, and main exits 2 on it. -compaction-fanin 1
+// used to be accepted and left compaction off.
+func TestBadFlagsAreRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-compaction-fanin", "1"},
+		{"-compaction-fanin", "x"},
+		{"-no-such-flag"},
+	} {
+		fs := flag.NewFlagSet("uniask", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if _, err := parseFlags(fs, args); err == nil {
+			t.Errorf("%q: accepted", args)
+		}
+	}
+	if o := parse(t, "-compaction-fanin", "2"); o.engine.Segment.CompactionFanIn != 2 {
+		t.Fatalf("-compaction-fanin 2 read as %d", o.engine.Segment.CompactionFanIn)
+	}
+}

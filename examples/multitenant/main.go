@@ -17,11 +17,11 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
 	"uniask"
+	"uniask/internal/tenant"
 )
 
 const overrides = `{
@@ -113,7 +113,7 @@ func main() {
 
 	fmt.Println()
 	fmt.Printf("banca-alfa  (interactive): p99 solo %-8v p99 under flood %-8v shed %d\n",
-		p99(solo).Round(time.Microsecond), p99(noisy).Round(time.Microsecond), alfaShed)
+		tenant.P99(solo).Round(time.Microsecond), tenant.P99(noisy).Round(time.Microsecond), alfaShed)
 	fmt.Printf("banca-batch (best-effort): %d served, %d shed with 429 + Retry-After\n",
 		batchOK, batch429)
 
@@ -130,15 +130,6 @@ func main() {
 		fmt.Printf("  /t/%s/api/dashboard: admitted %d, shed %d %v\n",
 			id, dash.Gauges.Admitted, dash.Gauges.Shed, dash.Gauges.ShedByReason)
 	}
-}
-
-func p99(samples []time.Duration) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[int(0.99*float64(len(s)-1))]
 }
 
 func login(base string) string {

@@ -25,12 +25,6 @@ type Chunk struct {
 	Start int
 }
 
-// Splitter turns a document into chunks.
-type Splitter interface {
-	// Split chunks plain text.
-	Split(text string) []Chunk
-}
-
 // DefaultChunkTokens is the chunk-size target from the paper: 512 tokens,
 // chosen because text-embedding-ada-002 performs well at that length.
 const DefaultChunkTokens = 512
@@ -190,28 +184,9 @@ func (h *HTMLSplitter) target() int {
 	return DefaultChunkTokens
 }
 
-// SplitHTML chunks an HTML document. Headings are prepended to the following
-// paragraph so a chunk never begins with a dangling title line.
-func (h *HTMLSplitter) SplitHTML(doc string) []Chunk {
-	ex := htmlx.Extract(doc)
-	return h.splitParagraphs(ex.Paragraphs)
-}
-
 // SplitDocument chunks an already-extracted document.
 func (h *HTMLSplitter) SplitDocument(ex htmlx.Document) []Chunk {
 	return h.splitParagraphs(ex.Paragraphs)
-}
-
-// Split implements Splitter over plain text by treating newline-separated
-// blocks as paragraphs.
-func (h *HTMLSplitter) Split(text string) []Chunk {
-	var paras []htmlx.Paragraph
-	off := 0
-	for _, line := range splitKeepNonEmpty(text, "\n") {
-		paras = append(paras, htmlx.Paragraph{Text: line, Tag: "p", Start: off})
-		off += len(line) + 1
-	}
-	return h.splitParagraphs(paras)
 }
 
 func (h *HTMLSplitter) splitParagraphs(paras []htmlx.Paragraph) []Chunk {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"uniask/internal/htmlx"
 	"uniask/internal/textproc"
 )
 
@@ -83,7 +84,7 @@ const chunkHTML = `<html><head><title>Procedura bonifico estero</title></head><b
 
 func TestHTMLSplitterCoherentChunks(t *testing.T) {
 	h := &HTMLSplitter{TargetTokens: 60}
-	chunks := h.SplitHTML(chunkHTML)
+	chunks := h.SplitDocument(htmlx.Extract(chunkHTML))
 	if len(chunks) == 0 {
 		t.Fatal("no chunks")
 	}
@@ -100,7 +101,7 @@ func TestHTMLSplitterCoherentChunks(t *testing.T) {
 
 func TestHTMLSplitterHeadingGluedToBody(t *testing.T) {
 	h := &HTMLSplitter{TargetTokens: 25}
-	chunks := h.SplitHTML(chunkHTML)
+	chunks := h.SplitDocument(htmlx.Extract(chunkHTML))
 	// No chunk should consist solely of a heading when body text follows.
 	for _, c := range chunks {
 		if c.Text == "Bonifico estero" || c.Text == "Errori frequenti" {
@@ -111,7 +112,7 @@ func TestHTMLSplitterHeadingGluedToBody(t *testing.T) {
 
 func TestHTMLSplitterMergesSmallParagraphs(t *testing.T) {
 	h := &HTMLSplitter{TargetTokens: 512}
-	chunks := h.SplitHTML(chunkHTML)
+	chunks := h.SplitDocument(htmlx.Extract(chunkHTML))
 	if len(chunks) != 1 {
 		t.Fatalf("small doc should merge to 1 chunk, got %d", len(chunks))
 	}
@@ -125,7 +126,7 @@ func TestHTMLSplitterRespectsTarget(t *testing.T) {
 	}
 	b.WriteString("</body></html>")
 	h := &HTMLSplitter{TargetTokens: 64}
-	chunks := h.SplitHTML(b.String())
+	chunks := h.SplitDocument(htmlx.Extract(b.String()))
 	if len(chunks) < 4 {
 		t.Fatalf("expected several chunks, got %d", len(chunks))
 	}
@@ -140,7 +141,7 @@ func TestHTMLSplitterOversizedSingleParagraph(t *testing.T) {
 	text := repeatSentence("Frase ripetuta della procedura interna di verifica.", 80)
 	doc := "<html><body><p>" + text + "</p></body></html>"
 	h := &HTMLSplitter{TargetTokens: 50}
-	chunks := h.SplitHTML(doc)
+	chunks := h.SplitDocument(htmlx.Extract(doc))
 	if len(chunks) < 2 {
 		t.Fatalf("oversized paragraph not split: %d chunks", len(chunks))
 	}
@@ -148,14 +149,6 @@ func TestHTMLSplitterOversizedSingleParagraph(t *testing.T) {
 		if c.Tokens > 50 {
 			t.Errorf("chunk exceeds target after sentence split: %d", c.Tokens)
 		}
-	}
-}
-
-func TestHTMLSplitterPlainTextMode(t *testing.T) {
-	h := &HTMLSplitter{TargetTokens: 20}
-	chunks := h.Split("prima riga di testo\nseconda riga di testo\nterza riga di testo")
-	if len(chunks) == 0 {
-		t.Fatal("no chunks from plain text")
 	}
 }
 
@@ -175,8 +168,12 @@ func TestApproxTokens(t *testing.T) {
 // Property: chunk ordinals are dense and token counts accurate.
 func TestChunkOrdinalsProperty(t *testing.T) {
 	h := &HTMLSplitter{TargetTokens: 32}
-	f := func(s string) bool {
-		chunks := h.Split(s)
+	f := func(texts []string) bool {
+		var doc htmlx.Document
+		for _, text := range texts {
+			doc.Paragraphs = append(doc.Paragraphs, htmlx.Paragraph{Text: text, Tag: "p"})
+		}
+		chunks := h.SplitDocument(doc)
 		for i, c := range chunks {
 			if c.Ordinal != i {
 				return false

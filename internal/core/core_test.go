@@ -438,7 +438,10 @@ func TestIndexCorpusIsFirstPollerPass(t *testing.T) {
 		t.Fatalf("first pass = %d, %v", n, err)
 	}
 
-	if a, b := bulk.Index.LiveDocs(), polled.Index.LiveDocs(); !reflect.DeepEqual(a, b) {
+	liveDocs := func(e *Engine) []index.Document {
+		return e.Index.(interface{ LiveDocs() []index.Document }).LiveDocs()
+	}
+	if a, b := liveDocs(bulk), liveDocs(polled); !reflect.DeepEqual(a, b) {
 		t.Fatalf("live documents differ: %d vs %d", len(a), len(b))
 	}
 	sa, sb := bulk.SegmentStats(), polled.SegmentStats()

@@ -54,8 +54,6 @@ const DefaultDim = 256
 type Embedder interface {
 	// Embed returns the (unit-normalized) embedding of text.
 	Embed(text string) vector.Vector
-	// Dim reports the embedding dimensionality.
-	Dim() int
 }
 
 // Synth is the deterministic synthetic embedder.

@@ -43,9 +43,6 @@ func New(dim, rank int, seed int64) *Adapter {
 	return ad
 }
 
-// Dim returns the embedding dimensionality the adapter operates on.
-func (ad *Adapter) Dim() int { return ad.dim }
-
 // forward computes u = B·q (rank) and y = q + A·u (dim, unnormalized).
 func (ad *Adapter) forward(q vector.Vector) (u, y vector.Vector) {
 	u = make(vector.Vector, ad.rank)

@@ -55,9 +55,6 @@ func (e *Engine) Add(docID, text string) {
 	}
 }
 
-// Len reports the number of indexed documents.
-func (e *Engine) Len() int { return len(e.ids) }
-
 // legacyQueryStopwords are the generic Italian words the old engine's query
 // parser discarded before matching: articles/prepositions (via the standard
 // stop-word list) plus the interrogative scaffolding employees type in

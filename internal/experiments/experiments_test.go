@@ -36,9 +36,6 @@ func TestSetupShape(t *testing.T) {
 	if e.Engine.Index.Len() < 2500 {
 		t.Fatalf("index chunks = %d", e.Engine.Index.Len())
 	}
-	if e.Prev.Len() != 2500 {
-		t.Fatalf("baseline docs = %d", e.Prev.Len())
-	}
 	// 2/3 - 1/3 splits.
 	if len(e.HumanVal.Queries) != 300 || len(e.HumanTest.Queries) != 150 {
 		t.Fatalf("human split = %d/%d", len(e.HumanVal.Queries), len(e.HumanTest.Queries))

@@ -11,7 +11,6 @@
 package kgraph
 
 import (
-	"sort"
 	"strings"
 
 	"uniask/internal/embedding"
@@ -110,33 +109,6 @@ func (g *Graph) Nodes() int { return len(g.adj) }
 
 // EdgeWeight returns the co-occurrence count between two concepts.
 func (g *Graph) EdgeWeight(a, b string) int { return g.adj[a][b] }
-
-// Related returns up to n concepts most strongly co-occurring with c,
-// sorted by descending weight (ties by id).
-func (g *Graph) Related(c string, n int) []string {
-	type cw struct {
-		concept string
-		weight  int
-	}
-	var all []cw
-	for other, w := range g.adj[c] {
-		all = append(all, cw{other, w})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].weight != all[j].weight {
-			return all[i].weight > all[j].weight
-		}
-		return all[i].concept < all[j].concept
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].concept
-	}
-	return out
-}
 
 // Connected reports whether b is reachable from a within maxHops edges.
 func (g *Graph) Connected(a, b string, maxHops int) bool {

@@ -57,20 +57,6 @@ func TestEdgesFromCoOccurrence(t *testing.T) {
 	}
 }
 
-func TestRelatedOrdering(t *testing.T) {
-	g := testGraph()
-	rel := g.Related("card", 10)
-	if len(rel) == 0 || rel[0] != "block" {
-		t.Fatalf("Related(card) = %v", rel)
-	}
-	if got := g.Related("card", 1); len(got) != 1 {
-		t.Fatalf("Related cap failed: %v", got)
-	}
-	if got := g.Related("unknown", 5); len(got) != 0 {
-		t.Fatalf("Related(unknown) = %v", got)
-	}
-}
-
 func TestConnected(t *testing.T) {
 	g := testGraph()
 	if !g.Connected("block", "card", 1) {

@@ -56,15 +56,3 @@ func RRF(rankings []Ranking, c int) []Fused {
 	})
 	return out
 }
-
-// TopIDs returns the ids of the first n fused results.
-func TopIDs(fused []Fused, n int) []string {
-	if n > len(fused) {
-		n = len(fused)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = fused[i].ID
-	}
-	return out
-}

@@ -53,16 +53,6 @@ func TestRRFDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func TestTopIDs(t *testing.T) {
-	fused := RRF([]Ranking{{"a", "b", "c"}}, 60)
-	if got := TopIDs(fused, 2); len(got) != 2 || got[0] != "a" {
-		t.Fatalf("TopIDs = %v", got)
-	}
-	if got := TopIDs(fused, 10); len(got) != 3 {
-		t.Fatalf("TopIDs over-length = %v", got)
-	}
-}
-
 // Property: fused scores decrease monotonically and every input id appears
 // exactly once.
 func TestRRFProperties(t *testing.T) {

@@ -49,12 +49,6 @@ type Generator struct {
 	Client llm.Client
 }
 
-// Generate builds the prompt for question over chunks and returns the
-// parsed answer: GenerateStream with nobody listening.
-func (g *Generator) Generate(ctx context.Context, question string, chunks []RetrievedChunk) (Answer, error) {
-	return g.GenerateStream(ctx, question, chunks, nil)
-}
-
 // GenerateStream builds the prompt for question over chunks (chunks beyond
 // DefaultM are dropped, matching the deployment), delivers answer chunks through
 // emit as the LLM produces them (nil emit = no streaming) and returns the

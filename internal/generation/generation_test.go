@@ -7,11 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"uniask/internal/faulty"
 	"uniask/internal/llm"
-	"uniask/internal/resilience"
 )
 
 var chunks = []RetrievedChunk{
@@ -23,7 +20,7 @@ var chunks = []RetrievedChunk{
 
 func TestGenerateGroundedAnswer(t *testing.T) {
 	g := &Generator{Client: llm.NewSim(llm.DefaultBehavior())}
-	ans, err := g.Generate(context.Background(), "Come posso bloccare la carta di credito?", chunks)
+	ans, err := g.GenerateStream(context.Background(), "Come posso bloccare la carta di credito?", chunks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +45,7 @@ func TestGenerateCapsContextToM(t *testing.T) {
 	for len(many) <= DefaultM {
 		many = append(many, chunks...)
 	}
-	if _, err := g.Generate(context.Background(), "q", many); err != nil {
+	if _, err := g.GenerateStream(context.Background(), "q", many, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Only doc1 .. docM should be in the prompt.
@@ -66,7 +63,7 @@ func TestGenerateErrorPropagates(t *testing.T) {
 	g := &Generator{Client: clientFunc(func(ctx context.Context, req llm.Request) (llm.Response, error) {
 		return llm.Response{}, boom
 	})}
-	_, err := g.Generate(context.Background(), "q", chunks)
+	_, err := g.GenerateStream(context.Background(), "q", chunks, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -74,7 +71,7 @@ func TestGenerateErrorPropagates(t *testing.T) {
 
 func TestGenerateEmptyChunks(t *testing.T) {
 	g := &Generator{Client: llm.NewSim(llm.DefaultBehavior())}
-	ans, err := g.Generate(context.Background(), "Come posso bloccare la carta?", nil)
+	ans, err := g.GenerateStream(context.Background(), "Come posso bloccare la carta?", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +124,7 @@ func TestCitationsOnlyResolveKnownKeys(t *testing.T) {
 	g := &Generator{Client: clientFunc(func(ctx context.Context, req llm.Request) (llm.Response, error) {
 		return llm.Response{Content: "frase [doc1] e chiave inventata [doc9]"}, nil
 	})}
-	ans, err := g.Generate(context.Background(), "q", chunks)
+	ans, err := g.GenerateStream(context.Background(), "q", chunks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,42 +133,5 @@ func TestCitationsOnlyResolveKnownKeys(t *testing.T) {
 	}
 	if len(ans.CitedKeys) != 2 {
 		t.Fatalf("cited keys = %v", ans.CitedKeys)
-	}
-}
-
-// TestGenerateIsGenerateStreamNilEmit pins the delegation: over the same
-// fault script (transient errors retried, a garbled completion, an exhausted
-// retry budget that degrades to the extractive answer), Generate and
-// GenerateStream with a nil emit return the same answers and errors and make
-// the same number of LLM attempts.
-func TestGenerateIsGenerateStreamNilEmit(t *testing.T) {
-	script := []faulty.Kind{
-		faulty.OK, faulty.Error, faulty.OK, faulty.Malformed,
-		faulty.Error, faulty.Error, faulty.Error, faulty.OK,
-	}
-	newGen := func() (*Generator, *faulty.Schedule) {
-		sched := faulty.Script(script...)
-		return &Generator{Client: &llm.ResilientClient{
-			Inner:  &faulty.Client{Inner: llm.NewSim(llm.DefaultBehavior()), Sched: sched},
-			Policy: resilience.Policy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond},
-		}}, sched
-	}
-	plain, plainSched := newGen()
-	stream, streamSched := newGen()
-	sawFallback := false
-	for i := 0; i < 5; i++ {
-		q := "Come posso bloccare la carta di credito?"
-		a, aerr := plain.Generate(context.Background(), q, chunks)
-		b, berr := stream.GenerateStream(context.Background(), q, chunks, nil)
-		if !reflect.DeepEqual(a, b) || (aerr == nil) != (berr == nil) {
-			t.Fatalf("call %d: Generate = (%+v, %v), GenerateStream(nil) = (%+v, %v)", i, a, aerr, b, berr)
-		}
-		if plainSched.Calls() != streamSched.Calls() {
-			t.Fatalf("call %d: %d attempts via Generate, %d via GenerateStream(nil)", i, plainSched.Calls(), streamSched.Calls())
-		}
-		sawFallback = sawFallback || a.Degraded
-	}
-	if !sawFallback {
-		t.Fatal("the script never exhausted the retry budget: the fallback contract went uncompared")
 	}
 }

@@ -53,9 +53,3 @@ func (f *ContentFilter) Category(text string) (string, bool) {
 	}
 	return "", false
 }
-
-// AddTerm extends the lexicon (used by tests and deployments that maintain
-// their own lists).
-func (f *ContentFilter) AddTerm(category, term string) {
-	f.lexicon[strings.ToLower(term)] = category
-}

@@ -139,6 +139,3 @@ func endsWithClarification(answer string) bool {
 	}
 	return false
 }
-
-// RougeThreshold exposes the configured threshold (for reports).
-func (p *Pipeline) RougeThreshold() float64 { return p.cfg.RougeThreshold }

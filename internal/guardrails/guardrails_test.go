@@ -72,7 +72,7 @@ func TestRougeThresholdConfigurable(t *testing.T) {
 	if got := strict.CheckAnswer(answer, []string{"doc1"}, contexts); got != Rouge {
 		t.Fatalf("strict: %v, want Rouge", got)
 	}
-	if New(Config{}).RougeThreshold() != DefaultRougeThreshold {
+	if New(Config{}).cfg.RougeThreshold != DefaultRougeThreshold {
 		t.Fatal("default threshold not applied")
 	}
 }
@@ -109,14 +109,6 @@ func TestContentFilterCaseInsensitive(t *testing.T) {
 	f := NewContentFilter()
 	if !f.Blocked("MALEDETTO sistema") {
 		t.Fatal("upper-case profanity not blocked")
-	}
-}
-
-func TestContentFilterAddTerm(t *testing.T) {
-	f := NewContentFilter()
-	f.AddTerm("custom", "parolavietata")
-	if !f.Blocked("contiene una parolavietata qui") {
-		t.Fatal("added term not blocked")
 	}
 }
 

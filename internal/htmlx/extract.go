@@ -152,17 +152,6 @@ func (d Document) Text() string {
 	return strings.Join(parts, "\n")
 }
 
-// BodyParagraphs returns the non-heading paragraphs.
-func (d Document) BodyParagraphs() []Paragraph {
-	var out []Paragraph
-	for _, p := range d.Paragraphs {
-		if !p.Heading {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // NormalizeSpace collapses runs of whitespace to single spaces and trims.
 func NormalizeSpace(s string) string {
 	var b strings.Builder

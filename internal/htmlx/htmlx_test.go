@@ -86,9 +86,6 @@ func TestExtractHeadingFlag(t *testing.T) {
 	if !foundHeading {
 		t.Fatal("h1 not flagged as heading")
 	}
-	if len(d.BodyParagraphs()) != len(d.Paragraphs)-1 {
-		t.Fatalf("BodyParagraphs should drop exactly the heading")
-	}
 }
 
 func TestTitleFallsBackToH1(t *testing.T) {

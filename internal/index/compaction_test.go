@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -691,5 +692,26 @@ func TestCompactAllRacesBackgroundCompactor(t *testing.T) {
 		if want := docs[i+i/2+1].ID; d.ID != want {
 			t.Fatalf("arrival order broken at %d: %s, want %s", i, d.ID, want)
 		}
+	}
+}
+
+// TestSegmentedRefusesFanInOne: a fan-in of 1 never picks a run, so it
+// would leave compaction off while the flag help says only negative values
+// do that. The constructor refuses it, naming the fan-in; the default, the
+// disabled setting and 2 are accepted.
+func TestSegmentedRefusesFanInOne(t *testing.T) {
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "fan-in 1") {
+				t.Fatalf("NewSegmented(CompactionFanIn: 1) panicked with %q, want a message naming the fan-in", msg)
+			}
+		}()
+		NewSegmented(Config{}, SegmentConfig{CompactionFanIn: 1})
+	}()
+	for _, fan := range []int{0, -1, 2} {
+		if err := (SegmentConfig{CompactionFanIn: fan}).Check(); err != nil {
+			t.Fatalf("fan-in %d: %v", fan, err)
+		}
+		NewSegmented(Config{}, SegmentConfig{CompactionFanIn: fan})
 	}
 }

@@ -234,9 +234,6 @@ func (ix *Index) Len() int {
 	return len(ix.docs)
 }
 
-// Schema returns the index schema.
-func (ix *Index) Schema() Schema { return ix.cfg.Schema }
-
 // Add indexes a document: a batch of one (see addBatch). Vector fields
 // present in the schema but missing from the document are skipped; unknown
 // fields are an error, and so is a vector whose length differs from the
@@ -544,16 +541,4 @@ func (ix *Index) fillDocsByID(ids []string, docs []Document) {
 			docs[i] = ix.doc(ord)
 		}
 	}
-}
-
-// Retrievable projects doc onto its retrievable fields (what a search
-// result exposes).
-func (ix *Index) Retrievable(doc Document) map[string]string {
-	out := make(map[string]string)
-	for f, v := range doc.Fields {
-		if ix.cfg.Schema[f].Retrievable {
-			out[f] = v
-		}
-	}
-	return out
 }

@@ -197,21 +197,6 @@ func TestSearchVectorUnknownField(t *testing.T) {
 	}
 }
 
-func TestRetrievableProjection(t *testing.T) {
-	ix, _ := newTestIndex(t)
-	doc, ok := ix.DocByID("d1#0")
-	if !ok {
-		t.Fatal("DocByID failed")
-	}
-	r := ix.Retrievable(doc)
-	if _, ok := r["title"]; !ok {
-		t.Fatal("title not retrievable")
-	}
-	if _, ok := r["domain"]; ok {
-		t.Fatal("filterable-only field leaked into retrievable set")
-	}
-}
-
 func TestVectorFields(t *testing.T) {
 	ix, _ := newTestIndex(t)
 	vf := ix.VectorFields()
@@ -243,11 +228,8 @@ func TestBM25IDFOrdersRareTermsFirst(t *testing.T) {
 
 func TestTermStats(t *testing.T) {
 	ix, _ := newTestIndex(t)
-	if df := ix.TermStats("content", "bonific"); df != 2 {
+	if df := len(ix.fields["content"].postings["bonific"]); df != 2 {
 		t.Fatalf("df(bonific) = %d, want 2", df)
-	}
-	if df := ix.TermStats("nofield", "x"); df != 0 {
-		t.Fatalf("df on unknown field = %d", df)
 	}
 }
 

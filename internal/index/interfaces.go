@@ -72,10 +72,6 @@ type Repository interface {
 	Doc(ord int) Document
 	Len() int
 	LiveLen() int
-	Tombstones() int
-	Schema() Schema
-	SearchableFields() []string
-	LiveDocs() []Document
 	Save(w io.Writer) error
 }
 

@@ -355,15 +355,3 @@ func (ix *Index) VectorFields() []string { return ix.vecNames }
 
 // SearchableFields lists the searchable fields, sorted; shared, read-only.
 func (ix *Index) SearchableFields() []string { return ix.searchNames }
-
-// TermStats reports document frequency of an analyzed term in a field
-// (diagnostics and tests).
-func (ix *Index) TermStats(field, term string) (df int) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	fi, ok := ix.fields[field]
-	if !ok {
-		return 0
-	}
-	return len(fi.postings[term])
-}

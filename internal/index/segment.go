@@ -84,7 +84,8 @@ type SegmentConfig struct {
 	MemtableMaxDocs int
 	// CompactionFanIn is the number of adjacent sealed segments one
 	// compaction merges; 0 means DefaultCompactionFanIn, negative disables
-	// background compaction (CompactOnce still works when called).
+	// background compaction (CompactOnce still works when called). 1 is
+	// refused (see Check).
 	CompactionFanIn int
 }
 
@@ -94,6 +95,17 @@ type SegmentConfig struct {
 func (c *SegmentConfig) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.MemtableMaxDocs, "memtable-max-docs", 0, "chunks per memtable before auto-seal (0 = 1024, negative disables auto-seal)")
 	fs.IntVar(&c.CompactionFanIn, "compaction-fanin", 0, "sealed segments merged per compaction (0 = 4, negative disables compaction)")
+}
+
+// Check refuses a configuration the store cannot honour: a fan-in of 1
+// would merge one segment into itself, so no run is ever picked and
+// compaction is off without saying so. Both binaries run it on the parsed
+// flags and exit 2 on its error; NewSegmented panics with it.
+func (c SegmentConfig) Check() error {
+	if c.CompactionFanIn == 1 {
+		return fmt.Errorf("index: compaction fan-in %d merges nothing; want 0 (the default %d), at least 2, or a negative value to disable compaction", c.CompactionFanIn, DefaultCompactionFanIn)
+	}
+	return nil
 }
 
 // DefaultMemtableMaxDocs bounds the memtable at 1024 chunks — small enough
@@ -123,8 +135,12 @@ func (c SegmentConfig) fanIn() int {
 	return c.CompactionFanIn
 }
 
-// NewSegmented creates an empty segmented store.
+// NewSegmented creates an empty segmented store. It panics on a
+// configuration Check refuses.
 func NewSegmented(cfg Config, scfg SegmentConfig) *Segmented {
+	if err := scfg.Check(); err != nil {
+		panic(err.Error())
+	}
 	s := &Segmented{
 		scfg:    scfg,
 		mem:     New(cfg),
@@ -705,9 +721,6 @@ func (s *Segmented) DocsByID(_ context.Context, ids []string) ([]Document, int) 
 	return docs, 0
 }
 
-// Schema returns the shared part schema.
-func (s *Segmented) Schema() Schema { return s.cfg.Schema }
-
 // VectorFields lists the vector fields (schema-derived, identical in every
 // part). The store lock covers the memtable pointer read — seal swaps it.
 func (s *Segmented) VectorFields() []string {
@@ -724,17 +737,6 @@ func (s *Segmented) SearchableFields() []string {
 	mem := s.mem
 	s.mu.RUnlock()
 	return mem.SearchableFields()
-}
-
-// Retrievable projects doc onto its retrievable fields.
-func (s *Segmented) Retrievable(doc Document) map[string]string {
-	out := make(map[string]string)
-	for f, v := range doc.Fields {
-		if s.cfg.Schema[f].Retrievable {
-			out[f] = v
-		}
-	}
-	return out
 }
 
 // LiveDocs concatenates the parts' live documents in part order — which is

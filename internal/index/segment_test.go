@@ -372,13 +372,15 @@ func TestSegmentedBackgroundCompactionKeepsUp(t *testing.T) {
 	}
 }
 
-// buildCacheEntries sums the pair-cache entries part's HNSW graphs hold.
-func buildCacheEntries(part *Index) int {
-	n := 0
+// holdsBuildState reports whether any of part's HNSW graphs holds its
+// build state, the pair cache with it.
+func holdsBuildState(part *Index) bool {
 	for _, vx := range part.vecs {
-		n += vx.(*vector.HNSW).BuildCacheEntries()
+		if vx.(*vector.HNSW).HoldsBuildState() {
+			return true
+		}
 	}
-	return n
+	return false
 }
 
 // TestSealDropsBuildCache: a graph keeps its construction cache only while
@@ -390,8 +392,8 @@ func TestSealDropsBuildCache(t *testing.T) {
 	sealedClean := func(when string) {
 		t.Helper()
 		for i, seg := range s.sealed {
-			if n := buildCacheEntries(seg); n != 0 {
-				t.Fatalf("%s: sealed segment %d holds %d cache entries", when, i, n)
+			if holdsBuildState(seg) {
+				t.Fatalf("%s: sealed segment %d holds build state", when, i)
 			}
 		}
 	}
@@ -401,8 +403,8 @@ func TestSealDropsBuildCache(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if buildCacheEntries(s.mem) == 0 {
-			t.Fatal("a memtable being built holds no pair cache")
+		if !holdsBuildState(s.mem) {
+			t.Fatal("a memtable being built holds no build state")
 		}
 		s.Publish()
 		sealedClean("after Publish")

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 
 	"uniask/internal/chunker"
@@ -67,14 +66,6 @@ func New(ix index.Writer, emb embedding.Embedder, client llm.Client, cfg Config)
 // chunkID derives the chunk identifier from the parent document id.
 func chunkID(docID string, ordinal int) string {
 	return fmt.Sprintf("%s#%d", docID, ordinal)
-}
-
-// ParentOf recovers the KB document id from a chunk id.
-func ParentOf(chunkID string) string {
-	if i := strings.LastIndexByte(chunkID, '#'); i >= 0 {
-		return chunkID[:i]
-	}
-	return chunkID
 }
 
 // batchItem carries one document's precomputed artifacts from the parallel

@@ -101,12 +101,6 @@ func TestChunkIDRoundTrip(t *testing.T) {
 	if got := chunkID("kb00042", 3); got != "kb00042#3" {
 		t.Fatalf("chunkID = %q", got)
 	}
-	if got := ParentOf("kb00042#3"); got != "kb00042" {
-		t.Fatalf("ParentOf = %q", got)
-	}
-	if got := ParentOf("plain"); got != "plain" {
-		t.Fatalf("ParentOf(no #) = %q", got)
-	}
 }
 
 // TestIndexConsumesChangeSet: a whole change set is applied in one call, and

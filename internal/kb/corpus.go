@@ -60,7 +60,6 @@ type Corpus struct {
 
 	byID     map[string]int
 	clusters map[string][]string // cluster id -> doc ids
-	seed     int64
 }
 
 // GenConfig controls corpus generation.
@@ -183,7 +182,6 @@ func Generate(cfg GenConfig) *Corpus {
 		Vocab:    vocab,
 		byID:     make(map[string]int),
 		clusters: make(map[string][]string),
-		seed:     cfg.Seed,
 	}
 
 	codeSeq := 1000
@@ -256,9 +254,6 @@ func (c *Corpus) SameTopic(a, b string) bool {
 
 // Lexicon returns the embedding lexicon for the corpus vocabulary.
 func (c *Corpus) Lexicon() embedding.MapLexicon { return c.Vocab.Lexicon() }
-
-// Seed returns the generation seed (query generators derive theirs from it).
-func (c *Corpus) Seed() int64 { return c.seed }
 
 // fill renders a template, substituting %A/%E/%F/%P/%P2/%C slots in one
 // left-to-right pass: at each '%' the slots are tried in that order, %P2

@@ -307,21 +307,6 @@ func TestOutOfScopeDataset(t *testing.T) {
 	}
 }
 
-func TestCornerCaseDataset(t *testing.T) {
-	c := smallCorpus(t)
-	ds := c.CornerCaseDataset(100, 4)
-	if len(ds.Queries) < 90 || len(ds.Queries) > 110 {
-		t.Fatalf("corner cases = %d", len(ds.Queries))
-	}
-	kinds := map[QueryKind]int{}
-	for _, q := range ds.Queries {
-		kinds[q.Kind]++
-	}
-	if kinds[ErrorCodeQuery] == 0 || kinds[OutOfScopeQuery] == 0 {
-		t.Fatalf("kind mix = %v", kinds)
-	}
-}
-
 func TestUATDatasetComposition(t *testing.T) {
 	c := smallCorpus(t)
 	ds := c.UATDataset(210, 4)

@@ -264,27 +264,6 @@ func (c *Corpus) ErrorCodeDataset(n int, seed int64) Dataset {
 	return ds
 }
 
-// CornerCaseDataset mimics the SMEs' catalogue of questions for which a
-// wrong answer would be unacceptable: precise error codes, compliance
-// topics and out-of-scope traps (paper: 500 entries).
-func (c *Corpus) CornerCaseDataset(n int, seed int64) Dataset {
-	rng := rand.New(rand.NewSource(seed))
-	errs := c.ErrorCodeDataset(n/2, seed+1)
-	human := c.HumanDataset(n-n/2-n/10, seed+2)
-	oos := c.OutOfScopeDataset(n/10, seed+3)
-	ds := Dataset{Name: "corner-cases"}
-	ds.Queries = append(ds.Queries, errs.Queries...)
-	ds.Queries = append(ds.Queries, human.Queries...)
-	ds.Queries = append(ds.Queries, oos.Queries...)
-	rng.Shuffle(len(ds.Queries), func(i, j int) {
-		ds.Queries[i], ds.Queries[j] = ds.Queries[j], ds.Queries[i]
-	})
-	for i := range ds.Queries {
-		ds.Queries[i].ID = fmt.Sprintf("c%04d", i)
-	}
-	return ds
-}
-
 // UATDataset assembles the 210-question pre-deployment mix of §8:
 // 70 human questions close to frequent log queries, 50 SME questions,
 // 50 frequent keyword queries, 10 out-of-scope, 20 error codes and

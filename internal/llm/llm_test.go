@@ -236,10 +236,6 @@ func TestServiceRateLimit(t *testing.T) {
 	if failures == 0 {
 		t.Fatal("rate limit never triggered")
 	}
-	reqs, fails := svc.Stats()
-	if reqs != 10 || fails != int64(failures) {
-		t.Fatalf("stats = %d/%d", reqs, fails)
-	}
 	// Refill after virtual time passes.
 	clk.Advance(time.Minute)
 	if _, err := svc.Complete(context.Background(), req); err != nil {

@@ -31,10 +31,6 @@ type Service struct {
 	mu       sync.Mutex
 	tokens   float64
 	lastFill time.Time
-
-	// Counters for monitoring.
-	requests int64
-	failures int64
 }
 
 // NewService wraps inner with the given config.
@@ -89,14 +85,7 @@ func (s *Service) Complete(ctx context.Context, req Request) (Response, error) {
 	}
 	demand += maxTok / 4 // expected completion share, reserved up front
 
-	s.mu.Lock()
-	s.requests++
-	s.mu.Unlock()
-
 	if !s.acquire(demand) {
-		s.mu.Lock()
-		s.failures++
-		s.mu.Unlock()
 		return Response{}, ErrRateLimited
 	}
 
@@ -105,11 +94,4 @@ func (s *Service) Complete(ctx context.Context, req Request) (Response, error) {
 		return Response{}, err
 	}
 	return resp, nil
-}
-
-// Stats reports request/failure counters.
-func (s *Service) Stats() (requests, failures int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.requests, s.failures
 }

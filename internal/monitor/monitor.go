@@ -430,16 +430,6 @@ func (m *Metrics) stageStats() []StageStats {
 	return out
 }
 
-// StageByName returns the stats for one stage (zero value when absent).
-func (d Dashboard) StageByName(stage string) (StageStats, bool) {
-	for _, s := range d.Stages {
-		if s.Stage == stage {
-			return s, true
-		}
-	}
-	return StageStats{}, false
-}
-
 // String renders the dashboard page.
 func (d Dashboard) String() string {
 	var b strings.Builder

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -90,27 +89,15 @@ type CtxObserver interface {
 	ObserveStageCtx(ctx context.Context, info StageInfo)
 }
 
-// observerPanics counts observer panics swallowed by Observe. Observers
-// are bystanders: one that panics must not kill the query it is watching,
-// so the dispatch recovers, counts, and moves on.
-var observerPanics atomic.Uint64
-
-// ObserverPanics reports how many observer panics have been recovered
-// process-wide (monotonic; exposed for tests and health diagnostics).
-func ObserverPanics() uint64 { return observerPanics.Load() }
-
 // Observe dispatches one stage report to obs, preferring the context-aware
-// interface, and recovers (and counts) an observer panic instead of
-// letting it unwind into the stage that reported.
+// interface, and recovers an observer panic instead of letting it unwind
+// into the stage that reported: observers are bystanders, and one that
+// panics must not kill the query it is watching.
 func Observe(ctx context.Context, obs Observer, info StageInfo) {
 	if obs == nil {
 		return
 	}
-	defer func() {
-		if p := recover(); p != nil {
-			observerPanics.Add(1)
-		}
-	}()
+	defer func() { _ = recover() }()
 	if co, ok := obs.(CtxObserver); ok {
 		co.ObserveStageCtx(ctx, info)
 		return

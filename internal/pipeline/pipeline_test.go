@@ -306,12 +306,11 @@ func (panicObserver) ObserveStageCtx(context.Context, StageInfo) {
 }
 
 func TestObserveRecoversPanickingObserver(t *testing.T) {
-	before := ObserverPanics()
 	rec := &recorder{}
 	obs := Multi(panicObserver{}, rec)
 
 	// The stage must complete and its report must still reach the healthy
-	// sibling, with the panic counted instead of unwinding into the query.
+	// sibling, instead of the panic unwinding into the query.
 	err := Run(context.Background(), obs, StageRerank, 5, func(context.Context) (int, error) {
 		return 2, nil
 	})
@@ -320,9 +319,6 @@ func TestObserveRecoversPanickingObserver(t *testing.T) {
 	}
 	if got := rec.byStage(StageRerank); len(got) != 1 || got[0].Out != 2 {
 		t.Fatalf("healthy sibling reports = %+v, want one rerank report", got)
-	}
-	if ObserverPanics() <= before {
-		t.Fatal("recovered panic must be counted")
 	}
 
 	// A bare (non-Multi) panicking observer must not kill Run either.

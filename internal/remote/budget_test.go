@@ -197,7 +197,7 @@ func TestQueryFetchIsPooled(t *testing.T) {
 		if len(ids) == 0 {
 			continue
 		}
-		for _, c := range pc.groups[s].Replicas() {
+		for _, c := range pc.groups[s].replicas {
 			fresh := NewClient(c.cfg)
 			docs, err := NewGroup([]*Client{fresh}, 0).DocsByID(ctx, ids)
 			if err != nil {

@@ -298,12 +298,6 @@ func (c *Client) status() shardStatus {
 	return c.lastStatus
 }
 
-// Ping round-trips a no-op RPC (connectivity probes, smoke tests).
-func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.call(ctx, request{Op: opPing})
-	return err
-}
-
 // breakerState reports the endpoint breaker's current state (Closed when
 // unguarded); the replica group orders hedged attempts with it.
 func (c *Client) breakerState() resilience.State {

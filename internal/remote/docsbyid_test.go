@@ -256,7 +256,7 @@ func TestDocsByIDRejectsMalformed(t *testing.T) {
 	srv := startServer(t, ServerConfig{Index: testConfig()})
 	g := single(srv.Addr(), 0)
 	defer g.Close()
-	if _, err := g.Replicas()[0].call(ctx, request{Op: opDocsByID}); err == nil || !strings.Contains(err.Error(), "at least one id") {
+	if _, err := g.replicas[0].call(ctx, request{Op: opDocsByID}); err == nil || !strings.Contains(err.Error(), "at least one id") {
 		t.Errorf("empty IDs: got %v, want the server's 'at least one id' refusal", err)
 	}
 	// The group itself never sends an empty batch.

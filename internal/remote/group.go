@@ -68,9 +68,6 @@ func NewGroup(replicas []*Client, hedgeDelay time.Duration) *Group {
 	return &Group{replicas: replicas, hedgeDelay: hedgeDelay}
 }
 
-// Replicas exposes the member clients (tests, diagnostics).
-func (g *Group) Replicas() []*Client { return g.replicas }
-
 // order returns the replica attempt order for one read: rotated by a
 // per-group counter for load spreading, with endpoints whose breaker is not
 // closed demoted to the back (they still get attempted — as last resorts —

@@ -68,6 +68,12 @@ func TestClientIsNotABackend(t *testing.T) {
 	}
 }
 
+// ping round-trips the no-op RPC through c.
+func ping(ctx context.Context, c *Client) error {
+	_, err := c.call(ctx, request{Op: opPing})
+	return err
+}
+
 // idleConns returns the client's pooled connections.
 func idleConns(c *Client) []*clientConn {
 	c.mu.Lock()
@@ -137,7 +143,7 @@ func TestEveryOpRoundTrips(t *testing.T) {
 	// One case per op: what the group answers, and what the local store
 	// answers to the same call.
 	cases := map[op]func() (remote, want any){
-		opPing: func() (any, any) { return g.Replicas()[0].Ping(ctx), error(nil) },
+		opPing: func() (any, any) { return ping(ctx, g.replicas[0]), error(nil) },
 		opCollectStats: func() (any, any) {
 			got, err := g.CollectStats(ctx, []string{"title"}, []string{"conto", "carte"})
 			return []any{got, err}, []any{local.CollectStats([]string{"title"}, []string{"conto", "carte"}), error(nil)}
@@ -288,7 +294,7 @@ func TestEveryOpRoundTrips(t *testing.T) {
 			if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
 				t.Errorf("%s %s: remote %s\nlocal  %s", pass.name, o, g, w)
 			}
-			idle := idleConns(g.Replicas()[0])
+			idle := idleConns(g.replicas[0])
 			if len(idle) != 1 || (conn != nil && idle[0] != conn) {
 				t.Fatalf("%s %s: the pool holds %d connections, want the pass's one connection", pass.name, o, len(idle))
 			}
@@ -324,7 +330,7 @@ func TestOnlyWritesCreateStores(t *testing.T) {
 	ctx := context.Background()
 	for id := 0; id < 50; id++ {
 		g := single(srv.Addr(), id)
-		if err := g.Replicas()[0].Ping(ctx); err != nil {
+		if err := ping(ctx, g.replicas[0]); err != nil {
 			t.Fatal(err)
 		}
 		if got := g.Len(); got != 0 {
@@ -351,7 +357,7 @@ func TestOnlyWritesCreateStores(t *testing.T) {
 	b := resilience.NewBreaker(resilience.BreakerConfig{Name: "remote:" + srv.Addr(), FailureThreshold: 1})
 	neg := NewClient(ClientConfig{Addr: srv.Addr(), Shard: -1, Breaker: b})
 	defer neg.Close()
-	if err := neg.Ping(ctx); err == nil || !strings.Contains(err.Error(), "negative shard id") {
+	if err := ping(ctx, neg); err == nil || !strings.Contains(err.Error(), "negative shard id") {
 		t.Errorf("ping of shard -1: %v, want a negative-shard-id refusal", err)
 	}
 	if err := NewGroup([]*Client{neg}, 0).Add(testDoc(2)); err == nil {
@@ -430,7 +436,7 @@ func TestCancelledProbeDoesNotHealHungReplica(t *testing.T) {
 	})
 	clock := vclock.NewVirtual(time.Unix(0, 0))
 	b := resilience.NewBreaker(resilience.BreakerConfig{Name: "remote:" + hungAddr, FailureThreshold: 1, Cooldown: time.Minute, Clock: clock})
-	b.Do(func() error { return errors.New("status read timed out") })
+	b.RecordCtx(context.Background(), errors.New("status read timed out"))
 	clock.Advance(time.Minute)
 	hung := NewClient(ClientConfig{Addr: hungAddr, Shard: 0, Breaker: b})
 	g := NewGroup([]*Client{hung, NewClient(ClientConfig{Addr: liveAddr, Shard: 0})}, time.Millisecond)
@@ -451,7 +457,7 @@ func TestCancelledProbeDoesNotHealHungReplica(t *testing.T) {
 	if got := b.State(); got != resilience.HalfOpen {
 		t.Fatalf("hung endpoint's breaker is %s after a cancelled probe, want half-open", got)
 	}
-	b.Record(context.Canceled) // hand back the slot the wait took
+	b.RecordCtx(context.Background(), context.Canceled) // hand back the slot the wait took
 	for i := 0; i < 4; i++ {
 		if order := g.order(); order[len(order)-1] != hung {
 			t.Fatalf("read %d prefers the hung replica again", i)
@@ -507,7 +513,7 @@ func TestTopologyBackends(t *testing.T) {
 	seen := make(map[string]int)
 	for _, b := range backends {
 		g := b.(*Group)
-		for _, c := range g.Replicas() {
+		for _, c := range g.replicas {
 			if c.cfg.Breaker == nil {
 				t.Fatal("client missing endpoint breaker")
 			}

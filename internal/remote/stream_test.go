@@ -100,18 +100,18 @@ func TestFailedStreamRetiresConnection(t *testing.T) {
 		srv := startServer(t, ServerConfig{Index: testConfig()})
 		c := NewClient(ClientConfig{Addr: srv.Addr()})
 		defer c.Close()
-		if err := c.Ping(ctx); err != nil {
+		if err := ping(ctx, c); err != nil {
 			t.Fatal(err)
 		}
 		first := idleConns(c)[0]
 		first.codec.enc = gob.NewEncoder(failingWriter{})
-		if err := c.Ping(ctx); err == nil || !strings.Contains(err.Error(), "encode") {
+		if err := ping(ctx, c); err == nil || !strings.Contains(err.Error(), "encode") {
 			t.Fatalf("ping through a failing encoder: %v, want an encode error", err)
 		}
 		if n := len(idleConns(c)); n != 0 {
 			t.Fatalf("%d connections pooled after a failed encode", n)
 		}
-		if err := c.Ping(ctx); err != nil {
+		if err := ping(ctx, c); err != nil {
 			t.Fatal(err)
 		}
 		if idle := idleConns(c); len(idle) != 1 || idle[0] == first {
@@ -157,13 +157,13 @@ func TestFailedStreamRetiresConnection(t *testing.T) {
 			})
 			c := NewClient(ClientConfig{Addr: addr})
 			defer c.Close()
-			if err := c.Ping(ctx); err == nil {
+			if err := ping(ctx, c); err == nil {
 				t.Fatal("a bad reply was accepted")
 			}
 			if n := len(idleConns(c)); n != 0 {
 				t.Fatalf("%d connections pooled after a bad reply", n)
 			}
-			if err := c.Ping(ctx); err != nil {
+			if err := ping(ctx, c); err != nil {
 				t.Fatal(err)
 			}
 			if n := dials.Load(); n != 2 {
@@ -240,7 +240,7 @@ func TestV2FrontendRefusedByV1Server(t *testing.T) {
 		}
 	})
 	ctx := context.Background()
-	if err := single(oldAddr, 1).Replicas()[0].Ping(ctx); !errors.Is(err, ErrBadHandshake) {
+	if err := ping(ctx, single(oldAddr, 1).replicas[0]); !errors.Is(err, ErrBadHandshake) {
 		t.Fatalf("ping of a version 1 server: %v, want ErrBadHandshake", err)
 	}
 

@@ -99,10 +99,6 @@ func (r *Reranker) Recalibrate(c Click) Weights {
 func envelopeLo(base float64) float64 { lo, _ := envelope(base); return lo }
 func envelopeHi(base float64) float64 { _, hi := envelope(base); return hi }
 
-// Envelope reports the clamp bounds for a base parameter value — exported
-// so tests pin the exact guarantee Recalibrate enforces.
-func Envelope(base float64) (lo, hi float64) { return envelope(base) }
-
 // Stats is a point-in-time view of the online recalibration, for the
 // dashboard gauge.
 type Stats struct {

@@ -14,7 +14,7 @@ func clickFor(q string, clicked, skipped Input) Click {
 
 func TestRecalibrateMovesTowardClickedDocs(t *testing.T) {
 	r := New()
-	base := r.Weights()
+	base := r.cur.Load().w
 	// The clicked doc matches the query lexically, the skipped one does
 	// not: repeated clicks should not decrease the lexical weight.
 	clicked := Input{ID: "good", Title: "bonifico estero", Content: "come fare un bonifico estero dal conto"}
@@ -22,7 +22,7 @@ func TestRecalibrateMovesTowardClickedDocs(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		r.Recalibrate(clickFor("bonifico estero", clicked, skipped))
 	}
-	w := r.Weights()
+	w := r.cur.Load().w
 	if w.Lexical < base.Lexical {
 		t.Fatalf("lexical weight moved away from the clicked signal: %v -> %v", base.Lexical, w.Lexical)
 	}
@@ -54,7 +54,7 @@ func TestRecalibrateBoundedByEnvelope(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		r.Recalibrate(adversarial[i%len(adversarial)])
 	}
-	w := r.Weights()
+	w := r.cur.Load().w
 	for _, p := range []struct {
 		name      string
 		got, base float64
@@ -64,7 +64,7 @@ func TestRecalibrateBoundedByEnvelope(t *testing.T) {
 		{"title", w.Title, base.Title},
 		{"bias", w.Bias, base.Bias},
 	} {
-		lo, hi := Envelope(p.base)
+		lo, hi := envelope(p.base)
 		if p.got < lo || p.got > hi {
 			t.Fatalf("%s = %v escaped envelope [%v, %v]", p.name, p.got, lo, hi)
 		}

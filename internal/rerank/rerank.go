@@ -92,9 +92,6 @@ func New() *Reranker {
 	return r
 }
 
-// Weights returns the current parameter snapshot.
-func (r *Reranker) Weights() Weights { return r.cur.Load().w }
-
 // Version returns the current weight version. It changes exactly when a
 // recalibration publishes new weights, so it keys anything (a cached
 // ranking) whose validity depends on the parameters.

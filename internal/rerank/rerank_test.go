@@ -8,6 +8,7 @@ import (
 
 	"uniask/internal/chunker"
 	"uniask/internal/embedding"
+	"uniask/internal/htmlx"
 	"uniask/internal/kb"
 	"uniask/internal/vector"
 )
@@ -107,7 +108,7 @@ func corpusCandidates(tb testing.TB, n int) ([]Input, []string, *embedding.Synth
 	var ins []Input
 	splitter := &chunker.HTMLSplitter{}
 	for _, d := range corpus.Docs {
-		for _, c := range splitter.SplitHTML(d.HTML) {
+		for _, c := range splitter.SplitDocument(htmlx.Extract(d.HTML)) {
 			if len(ins) == n {
 				break
 			}

@@ -140,7 +140,7 @@ func (b *Breaker) transitionLocked(to State) func() {
 
 // Allow reports whether a call may proceed: nil in closed state, nil for
 // exactly one in-flight probe in half-open state, ErrBreakerOpen otherwise.
-// Every admitted call MUST be followed by exactly one Record.
+// Every admitted call MUST be followed by exactly one RecordCtx.
 func (b *Breaker) Allow() error {
 	b.mu.Lock()
 	notify := b.maybeHalfOpenLocked()
@@ -162,15 +162,10 @@ func (b *Breaker) Allow() error {
 	return err
 }
 
-// Record reports the outcome of an admitted call.
-func (b *Breaker) Record(err error) {
-	b.record(err)
-}
-
-// RecordCtx is Record plus tracing: when the outcome transitions the
-// breaker, the transition is attached as an event to the span active in
-// ctx — the request that tripped (or healed) the circuit carries the
-// evidence in its own trace.
+// RecordCtx applies one admitted call's outcome (see record). When the
+// outcome transitions the breaker, the transition is attached as an event
+// to the span active in ctx — the request that tripped (or healed) the
+// circuit carries the evidence in its own trace.
 func (b *Breaker) RecordCtx(ctx context.Context, err error) {
 	from, to, changed := b.record(err)
 	if changed && trace.Enabled(ctx) {
@@ -225,17 +220,6 @@ func (b *Breaker) record(err error) (from, to State, changed bool) {
 		notify()
 	}
 	return before, after, before != after
-}
-
-// Do runs op through the breaker: shed with ErrBreakerOpen when the circuit
-// is open, otherwise executed and its outcome recorded.
-func (b *Breaker) Do(op func() error) error {
-	if err := b.Allow(); err != nil {
-		return err
-	}
-	err := op()
-	b.Record(err)
-	return err
 }
 
 // BreakerStatus is a point-in-time view of one breaker, surfaced by the

@@ -188,19 +188,11 @@ func (p Policy) Delays(n int) []time.Duration {
 	return out
 }
 
-// Do runs op under the policy: it refuses when ctx is already done, bounds
-// each attempt with AttemptTimeout, retries Retryable failures with the
-// deterministic backoff, and stops on Terminal errors, caller cancellation,
-// or an exhausted attempt budget (then wrapping the last error in
-// ErrBudgetExhausted).
-func Do(ctx context.Context, p Policy, op func(context.Context) error) error {
-	_, err := DoValue(ctx, p, func(ctx context.Context) (struct{}, error) {
-		return struct{}{}, op(ctx)
-	})
-	return err
-}
-
-// DoValue is Do for operations that produce a value.
+// DoValue runs op under the policy: it refuses when ctx is already done,
+// bounds each attempt with AttemptTimeout, retries Retryable failures with
+// the deterministic backoff, and stops on Terminal errors, caller
+// cancellation, or an exhausted attempt budget (then wrapping the last
+// error in ErrBudgetExhausted).
 func DoValue[T any](ctx context.Context, p Policy, op func(context.Context) (T, error)) (T, error) {
 	var zero T
 	if err := ctx.Err(); err != nil {

@@ -262,7 +262,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 				// Hold the probe until every goroutine has tried Allow, so
 				// no late Allow can observe a re-closed breaker.
 				<-release
-				b.Record(nil)
+				b.record(nil)
 				close(done)
 			}
 		}()
@@ -312,7 +312,7 @@ func TestBreakerCancellationIsNeutral(t *testing.T) {
 	if err := b.Allow(); err != nil {
 		t.Fatalf("the cancelled probe kept the probe slot: %v", err)
 	}
-	b.Record(nil)
+	b.record(nil)
 	if b.State() != Closed {
 		t.Fatalf("state after the answered probe = %v, want Closed", b.State())
 	}

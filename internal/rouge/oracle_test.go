@@ -8,6 +8,7 @@ import (
 	"unicode"
 
 	"uniask/internal/chunker"
+	"uniask/internal/htmlx"
 	"uniask/internal/kb"
 )
 
@@ -61,7 +62,7 @@ func TestTokenizeAndMaxLMatchOracle(t *testing.T) {
 	splitter := &chunker.HTMLSplitter{}
 	chunks := make([][]string, len(corpus.Docs))
 	for i, d := range corpus.Docs {
-		for _, c := range splitter.SplitHTML(d.HTML) {
+		for _, c := range splitter.SplitDocument(htmlx.Extract(d.HTML)) {
 			chunks[i] = append(chunks[i], c.Text)
 		}
 	}

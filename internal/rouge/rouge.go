@@ -1,7 +1,8 @@
-// Package rouge implements the ROUGE family of summary-evaluation metrics
-// (Lin, 2004). UniAsk's primary guardrail scores a generated answer against
-// each retrieved context chunk with ROUGE-L and blocks the answer when the
-// best score falls below a threshold (0.15 in the deployment).
+// Package rouge implements ROUGE-L, the longest-common-subsequence member
+// of the ROUGE summary-evaluation metrics (Lin, 2004). UniAsk's primary
+// guardrail scores a generated answer against each retrieved context chunk
+// with ROUGE-L and blocks the answer when the best score falls below a
+// threshold (0.15 in the deployment).
 package rouge
 
 import (
@@ -67,11 +68,6 @@ func lcsLength(a, b []string) int {
 	return prev[len(b)]
 }
 
-// L computes ROUGE-L between a candidate text and a reference text.
-func L(candidate, reference string) Score {
-	return lTokens(tokenize(candidate), tokenize(reference))
-}
-
 // lTokens is ROUGE-L over tokenized texts.
 func lTokens(c, r []string) Score {
 	if len(c) == 0 || len(r) == 0 {
@@ -81,43 +77,6 @@ func lTokens(c, r []string) Score {
 	p := lcs / float64(len(c))
 	rec := lcs / float64(len(r))
 	return Score{Precision: p, Recall: rec, F1: f1(p, rec)}
-}
-
-// N computes ROUGE-N (n-gram overlap) between candidate and reference.
-func N(n int, candidate, reference string) Score {
-	if n < 1 {
-		n = 1
-	}
-	c := ngrams(tokenize(candidate), n)
-	r := ngrams(tokenize(reference), n)
-	if len(c) == 0 || len(r) == 0 {
-		return Score{}
-	}
-	refCounts := make(map[string]int, len(r))
-	for _, g := range r {
-		refCounts[g]++
-	}
-	match := 0
-	for _, g := range c {
-		if refCounts[g] > 0 {
-			refCounts[g]--
-			match++
-		}
-	}
-	p := float64(match) / float64(len(c))
-	rec := float64(match) / float64(len(r))
-	return Score{Precision: p, Recall: rec, F1: f1(p, rec)}
-}
-
-func ngrams(tokens []string, n int) []string {
-	if len(tokens) < n {
-		return nil
-	}
-	out := make([]string, 0, len(tokens)-n+1)
-	for i := 0; i+n <= len(tokens); i++ {
-		out = append(out, strings.Join(tokens[i:i+n], " "))
-	}
-	return out
 }
 
 func f1(p, r float64) float64 {

@@ -10,41 +10,41 @@ import (
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestIdenticalTexts(t *testing.T) {
-	s := L("la carta va bloccata subito", "la carta va bloccata subito")
+	s := rougeL("la carta va bloccata subito", "la carta va bloccata subito")
 	if !almost(s.Precision, 1) || !almost(s.Recall, 1) || !almost(s.F1, 1) {
 		t.Fatalf("identical texts: %+v", s)
 	}
 }
 
 func TestDisjointTexts(t *testing.T) {
-	s := L("alfa beta gamma", "uno due tre")
+	s := rougeL("alfa beta gamma", "uno due tre")
 	if s.F1 != 0 {
 		t.Fatalf("disjoint texts: %+v", s)
 	}
 }
 
 func TestEmptyTexts(t *testing.T) {
-	if s := L("", "qualcosa"); s.F1 != 0 {
+	if s := rougeL("", "qualcosa"); s.F1 != 0 {
 		t.Fatalf("empty candidate: %+v", s)
 	}
-	if s := L("qualcosa", ""); s.F1 != 0 {
+	if s := rougeL("qualcosa", ""); s.F1 != 0 {
 		t.Fatalf("empty reference: %+v", s)
 	}
-	if s := L("", ""); s.F1 != 0 {
+	if s := rougeL("", ""); s.F1 != 0 {
 		t.Fatalf("both empty: %+v", s)
 	}
 }
 
 func TestKnownLCS(t *testing.T) {
 	// candidate: "a b c d", reference: "a c d e" -> LCS = a c d = 3.
-	s := L("a b c d", "a c d e")
+	s := rougeL("a b c d", "a c d e")
 	if !almost(s.Precision, 3.0/4) || !almost(s.Recall, 3.0/4) {
 		t.Fatalf("known LCS: %+v", s)
 	}
 }
 
 func TestCaseAndPunctuationInsensitive(t *testing.T) {
-	a := L("La Carta, va bloccata!", "la carta va bloccata")
+	a := rougeL("La Carta, va bloccata!", "la carta va bloccata")
 	if !almost(a.F1, 1) {
 		t.Fatalf("case/punct: %+v", a)
 	}
@@ -52,7 +52,7 @@ func TestCaseAndPunctuationInsensitive(t *testing.T) {
 
 func TestSubsequenceNotSubstring(t *testing.T) {
 	// LCS respects order but allows gaps.
-	s := L("bloccare subito la carta", "bloccare immediatamente la carta di credito")
+	s := rougeL("bloccare subito la carta", "bloccare immediatamente la carta di credito")
 	// LCS = "bloccare la carta" = 3; |c| = 4, |r| = 6.
 	if !almost(s.Precision, 3.0/4) || !almost(s.Recall, 3.0/6) {
 		t.Fatalf("gap LCS: %+v", s)
@@ -60,29 +60,12 @@ func TestSubsequenceNotSubstring(t *testing.T) {
 }
 
 func TestOrderMatters(t *testing.T) {
-	s := L("carta la bloccare", "bloccare la carta")
+	s := rougeL("carta la bloccare", "bloccare la carta")
 	// LCS of reversed trigram is 1 ("la" pivot allows ["carta"]? compute:
 	// [carta la bloccare] vs [bloccare la carta] -> LCS length 1 ("la") or
 	// single word matches; must be < 3.
 	if s.F1 >= 0.99 {
 		t.Fatalf("order ignored: %+v", s)
-	}
-}
-
-func TestRougeN(t *testing.T) {
-	s := N(2, "la carta va bloccata", "la carta va sostituita")
-	// candidate bigrams: {la carta, carta va, va bloccata};
-	// reference: {la carta, carta va, va sostituita}; match = 2.
-	if !almost(s.Precision, 2.0/3) || !almost(s.Recall, 2.0/3) {
-		t.Fatalf("ROUGE-2: %+v", s)
-	}
-}
-
-func TestRougeNClipping(t *testing.T) {
-	// Repeated candidate n-grams must not double count.
-	s := N(1, "banca banca banca", "banca istituto")
-	if !almost(s.Precision, 1.0/3) || !almost(s.Recall, 1.0/2) {
-		t.Fatalf("clipping: %+v", s)
 	}
 }
 
@@ -92,7 +75,7 @@ func TestMaxLAgainst(t *testing.T) {
 		"la carta va bloccata chiamando il numero verde",
 	}
 	got := MaxLAgainst("la carta va bloccata subito", refs)
-	want := L("la carta va bloccata subito", refs[1]).F1
+	want := rougeL("la carta va bloccata subito", refs[1]).F1
 	if !almost(got, want) {
 		t.Fatalf("MaxLAgainst = %v, want %v", got, want)
 	}
@@ -105,11 +88,11 @@ func TestMaxLAgainst(t *testing.T) {
 // precision/recall swap).
 func TestRougeLBounds(t *testing.T) {
 	f := func(a, b string) bool {
-		s := L(a, b)
+		s := rougeL(a, b)
 		if s.F1 < 0 || s.F1 > 1 || s.Precision < 0 || s.Precision > 1 || s.Recall < 0 || s.Recall > 1 {
 			return false
 		}
-		sw := L(b, a)
+		sw := rougeL(b, a)
 		return almost(s.F1, sw.F1) && almost(s.Precision, sw.Recall) && almost(s.Recall, sw.Precision)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -124,7 +107,7 @@ func TestRougeLReflexive(t *testing.T) {
 		if len(tokenize(text)) == 0 {
 			return true
 		}
-		return almost(L(text, text).F1, 1)
+		return almost(rougeL(text, text).F1, 1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -136,6 +119,11 @@ func BenchmarkRougeL(b *testing.B) {
 	ref := strings.Repeat("per bloccare la carta di credito occorre chiamare il servizio clienti dedicato ", 8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		L(cand, ref)
+		rougeL(cand, ref)
 	}
+}
+
+// rougeL is ROUGE-L between a candidate text and a reference text.
+func rougeL(candidate, reference string) Score {
+	return lTokens(tokenize(candidate), tokenize(reference))
 }

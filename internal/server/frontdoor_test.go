@@ -190,8 +190,8 @@ func TestDefaultTenantFrontDoorIsFree(t *testing.T) {
 }
 
 // TestFeedbackIsTenantScoped: the feedback form passes the front door like
-// every other authenticated row, the stored entry carries its tenant, and a
-// tenant's ground-truth harvest holds its own links only.
+// every other authenticated row, and the stored entry carries its tenant and
+// its own links only.
 func TestFeedbackIsTenantScoped(t *testing.T) {
 	hs, srv := newTenantTestServer(t)
 	token := login(t, hs.URL, "mario")
@@ -221,12 +221,12 @@ func TestFeedbackIsTenantScoped(t *testing.T) {
 			t.Errorf("POST %s/api/feedback = %d, want %d", tc.prefix, got, tc.status)
 		}
 	}
-	if all := srv.Feedback.All(); len(all) != 2 || all[0].Tenant != "banca-alfa" || all[1].Tenant != "banca-batch" {
+	all := stored(srv.Feedback)
+	if len(all) != 2 || all[0].Tenant != "banca-alfa" || all[1].Tenant != "banca-batch" {
 		t.Fatalf("stored feedback = %+v, want one entry per served tenant, each carrying it", all)
 	}
-	ds := srv.Feedback.HarvestGroundTruth("banca-alfa")
-	if len(ds.Queries) != 1 || !slices.Equal(ds.Queries[0].Relevant, []string{"kb/t/banca-alfa"}) {
-		t.Fatalf("banca-alfa harvest = %+v, want its own link only", ds.Queries)
+	if !slices.Equal(all[0].Links, []string{"kb/t/banca-alfa"}) {
+		t.Fatalf("banca-alfa feedback links = %v, want its own link only", all[0].Links)
 	}
 }
 

@@ -127,7 +127,7 @@ func (s *Server) admit(w http.ResponseWriter, q *query) bool {
 		}
 		return false
 	}
-	q.eng, q.ctx = eng, tenant.WithID(q.ctx, q.tenant)
+	q.eng = eng
 	return true
 }
 

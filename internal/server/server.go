@@ -92,15 +92,6 @@ func (s *FeedbackStore) Add(f Feedback) error {
 	return nil
 }
 
-// All returns a copy of the retained feedback, oldest first.
-func (s *FeedbackStore) All() []Feedback {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Feedback, len(s.items))
-	copy(out, s.items)
-	return out
-}
-
 // DefaultRequestTimeout caps how long one /api/ask or /api/search request
 // may run before the server gives up with 503 (a hung dependency must not
 // wedge handler goroutines indefinitely).

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strconv"
 	"testing"
-	"time"
 
 	"uniask/internal/core"
 	"uniask/internal/kb"
@@ -347,41 +346,4 @@ func TestTenantTraceAttribute(t *testing.T) {
 		t.Fatalf("banca-batch filter matched %d traces, want 0", len(rows))
 	}
 	_ = srv
-}
-
-// TestTenantCtxCarriesID verifies the tenant ID is threaded onto the
-// request context alongside the trace context.
-func TestTenantCtxCarriesID(t *testing.T) {
-	f, _ := tenant.ParseFile([]byte(`{"tenants": {"banca-alfa": {"rate": -1}}}`))
-	ov := tenant.NewOverrides(f)
-	seen := make(chan string, 1)
-	reg := tenant.NewRegistry(ov, func(id string, lim tenant.Limits) (*core.Engine, error) {
-		eng := core.New(core.Config{})
-		return eng, nil
-	})
-	srv := NewMultiTenant(reg, tenant.NewController(tenant.AdmissionConfig{}, ov), nil, nil)
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := requestTenant(r)
-		if !srv.checkTenant(w, id) {
-			return
-		}
-		q := &query{tenant: id, ctx: r.Context(), release: func(time.Duration) {}}
-		if !srv.admit(w, q) {
-			return
-		}
-		defer q.close()
-		seen <- tenant.FromContext(q.ctx)
-	}))
-	defer hs.Close()
-
-	req, _ := http.NewRequest("GET", hs.URL+"/", nil)
-	req.Header.Set(TenantHeader, "banca-alfa")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := <-seen; got != "banca-alfa" {
-		t.Fatalf("tenant.FromContext = %q, want banca-alfa", got)
-	}
 }

@@ -85,9 +85,6 @@ func NewLocal(s *index.Segmented) *Local { return &Local{Segmented: s} }
 
 var _ Backend = (*Local)(nil)
 
-// Segmented exposes the wrapped store (tests and diagnostics).
-func (l *Local) Store() *index.Segmented { return l.Segmented }
-
 // AddBulk implements Backend.
 func (l *Local) AddBulk(docs []index.Document) (applied int, err error) {
 	return l.Segmented.AddBulkCounted(docs)

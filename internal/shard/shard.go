@@ -155,15 +155,6 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // Backend exposes one shard's backend (diagnostics and tests).
 func (s *Sharded) Backend(i int) Backend { return s.shards[i] }
 
-// Shard exposes one shard's in-process store, or nil when the shard is
-// remote (diagnostics and tests).
-func (s *Sharded) Shard(i int) *index.Segmented {
-	if l, ok := s.shards[i].(*Local); ok {
-		return l.Segmented
-	}
-	return nil
-}
-
 // Close releases every backend's resources (remote connection pools; local
 // shards are no-ops). The facade must not be queried after Close.
 func (s *Sharded) Close() error {
@@ -516,9 +507,6 @@ func (s *Sharded) DocsByID(ctx context.Context, ids []string) (docs []index.Docu
 	}
 	return docs, shardsDown
 }
-
-// Schema returns the shared shard schema.
-func (s *Sharded) Schema() index.Schema { return s.tmpl.Schema() }
 
 // VectorFields lists the vector fields (shared, read-only).
 func (s *Sharded) VectorFields() []string { return s.tmpl.VectorFields() }

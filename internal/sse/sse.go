@@ -104,13 +104,6 @@ func (sw *Writer) write(frame string) error {
 	return nil
 }
 
-// Err returns the writer's first error (nil while the stream is healthy).
-func (sw *Writer) Err() error {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.err
-}
-
 // MaxEventSize bounds one event's accumulated size in the Parser. A server
 // that streams an unbounded un-terminated frame (or an attacker feeding
 // garbage) cannot make the client buffer more than this.

@@ -20,14 +20,9 @@
 //     with its own index, searcher and query-cache partition, built lazily
 //     by the caller's factory. A one-bank deployment is the registry that
 //     holds one pre-built engine under the default tenant.
-//
-// The tenant ID travels on the request context (WithID/FromContext)
-// alongside the trace context, so spans, gauges and logs can attribute
-// work to the tenant that caused it.
 package tenant
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -38,25 +33,6 @@ import (
 // resolves to. A one-bank deployment serves it alone (Single); a registry
 // without a default tenant refuses such a request.
 const Default = ""
-
-// ctxKey carries the tenant ID on a request context.
-type ctxKey struct{}
-
-// WithID returns a context carrying the tenant ID, threaded through the
-// query path alongside the trace context. The default tenant is what an
-// untagged context already reads as, so tagging with it returns ctx itself.
-func WithID(ctx context.Context, id string) context.Context {
-	if id == Default {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, id)
-}
-
-// FromContext returns the context's tenant ID ("" when none was attached).
-func FromContext(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKey{}).(string)
-	return id
-}
 
 // ValidateID checks a tenant identifier: non-empty, at most 64 bytes, and
 // limited to letters, digits, '-', '_' and '.' so IDs are safe in URLs,
@@ -167,9 +143,9 @@ func (w *latencyWindow) quantile(q float64) time.Duration {
 	return s[idx]
 }
 
-// P99 of a latency sample — the helper examples and tests share so every
-// report computes the quantile the same way (nearest-rank on the sorted
-// sample).
+// P99 of a latency sample, nearest-rank on the sorted sample: the helper
+// the multitenant example and the noisy-neighbour benchmark share, so both
+// report the quantile the same way.
 func P99(samples []time.Duration) time.Duration {
 	if len(samples) == 0 {
 		return 0

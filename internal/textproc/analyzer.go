@@ -7,9 +7,6 @@ package textproc
 // (internal/experiments/baseline) uses to reproduce the previous system's
 // raw exact matching.
 type Analyzer struct {
-	// Language selects the stop-word list and stemmer (default Italian,
-	// the paper's deployment language).
-	Language Language
 	// raw keeps stop words and skips elision stripping, folding and
 	// stemming.
 	raw bool
@@ -22,31 +19,6 @@ func ItalianFull() *Analyzer { return &Analyzer{} }
 // Raw returns an analyzer that only tokenizes and lower-cases, used by the
 // previous-generation keyword engine.
 func Raw() *Analyzer { return &Analyzer{raw: true} }
-
-// AnalyzedToken is a normalized term together with the source token it was
-// derived from.
-type AnalyzedToken struct {
-	Term     string
-	Source   Token
-	Position int
-}
-
-// Analyze runs the pipeline over text and returns the surviving normalized
-// tokens in order.
-func (a *Analyzer) Analyze(text string) []AnalyzedToken {
-	out := make([]AnalyzedToken, 0, len(text)/8+1)
-	for i, src := 0, 0; ; src++ {
-		start, end := nextToken(text, i)
-		if start == end {
-			return out
-		}
-		i = end
-		if term, ok := a.normalizeTerm(text[start:end]); ok {
-			tok := Token{Text: text[start:end], Start: start, End: end, Position: src}
-			out = append(out, AnalyzedToken{Term: term, Source: tok, Position: len(out)})
-		}
-	}
-}
 
 // nextTerm returns the first normalized term of the tokens at or after
 // byte offset i, and the offset to resume from; ok is false once the text
@@ -73,32 +45,15 @@ func (a *Analyzer) normalizeTerm(term string) (_ string, ok bool) {
 		return term, term != ""
 	}
 	term = FoldDiacritics(Lowercase(StripElision(term)))
-	if term == "" || a.isStopword(term) {
+	if term == "" || IsStopword(term) {
 		return "", false
 	}
-	term = a.stem(term)
+	term = StemItalian(term)
 	return term, term != ""
 }
 
-// isStopword dispatches on the analyzer language.
-func (a *Analyzer) isStopword(term string) bool {
-	if a.Language == English {
-		return IsEnglishStopword(term)
-	}
-	return IsStopword(term)
-}
-
-// stem dispatches on the analyzer language.
-func (a *Analyzer) stem(term string) string {
-	if a.Language == English {
-		return StemEnglish(term)
-	}
-	return StemItalian(term)
-}
-
-// AnalyzeTerms returns only the normalized term strings. It is the query
-// hot path's entry point, so it skips the AnalyzedToken materialization
-// Analyze performs.
+// AnalyzeTerms returns the normalized terms in order. It is the query hot
+// path's entry point.
 func (a *Analyzer) AnalyzeTerms(text string) []string {
 	terms := make([]string, 0, len(text)/8+1)
 	for term, i, ok := a.nextTerm(text, 0); ok; term, i, ok = a.nextTerm(text, i) {

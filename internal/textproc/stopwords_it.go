@@ -65,7 +65,3 @@ func IsStopword(term string) bool {
 	_, ok := italianStopwords[term]
 	return ok
 }
-
-// StopwordCount returns the size of the stop-word list (useful for tests
-// and diagnostics).
-func StopwordCount() int { return len(italianStopwords) }

@@ -124,20 +124,6 @@ func (s *Store) Get(id string) (*TraceData, bool) {
 	return td, ok
 }
 
-// Len reports how many traces are retained.
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.byID)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // List returns the retained traces matching filter (nil = all), newest
 // first, truncated to limit (<= 0 = no limit). Stored traces are
 // immutable, so the returned pointers are safe to read without locks.

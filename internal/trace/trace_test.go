@@ -26,7 +26,7 @@ func endRequest(t *testing.T, tr *Tracer, req *Request) *TraceData {
 func TestStartRequestSampledRecordsSpans(t *testing.T) {
 	tr := New(Config{})
 	ctx, req := tr.StartRequest(context.Background(), "ask")
-	if !req.Sampled() {
+	if req.Root() == nil {
 		t.Fatal("default config must sample every request")
 	}
 	if req.TraceID() == "" {
@@ -80,9 +80,6 @@ func TestStartRequestSampledOut(t *testing.T) {
 	if req.TraceID() == "" {
 		t.Fatal("sampled-out request still needs an id for the header")
 	}
-	if req.Sampled() {
-		t.Fatal("Sampled() must be false")
-	}
 	if req.Root() != nil {
 		t.Fatal("Root() must be nil when unsampled")
 	}
@@ -113,7 +110,7 @@ func TestNilTracerAndNilRequest(t *testing.T) {
 	if ctx != base || req != nil {
 		t.Fatal("nil tracer must return ctx unchanged and a nil request")
 	}
-	if req.TraceID() != "" || req.Sampled() || req.Root() != nil {
+	if req.TraceID() != "" || req.Root() != nil {
 		t.Fatal("nil request accessors must be zero-valued")
 	}
 	req.End() // must not panic
@@ -134,7 +131,7 @@ func TestHeadSamplingDeterministic(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			_, req := tr.StartRequest(context.Background(), "ask")
 			ids = append(ids, req.TraceID())
-			if req.Sampled() {
+			if req.Root() != nil {
 				sampled++
 			}
 		}

@@ -185,9 +185,6 @@ func (r *Request) TraceID() string {
 	return r.id
 }
 
-// Sampled reports whether the request records spans.
-func (r *Request) Sampled() bool { return r != nil && r.rec != nil }
-
 // Root returns the root span (nil when unsampled) for status and attrs.
 func (r *Request) Root() *Span {
 	if r == nil {

@@ -118,7 +118,7 @@ func TestBuildCacheKeepsGraph(t *testing.T) {
 				if got := graphDigest(t, h); got != c.wantSHA256 {
 					t.Fatalf("graph digest = %s, want %s", got, c.wantSHA256)
 				}
-				if got := h.BuildCacheEntries(); got != max {
+				if got := cacheEntries(h); got != max {
 					t.Fatalf("cache holds %d entries, want %d", got, max)
 				}
 			})
@@ -220,7 +220,7 @@ func FuzzReadHNSW(f *testing.F) {
 		if h.dim > 0 {
 			q[0] = 1
 		}
-		for _, k := range []int{1, h.Len() + 1} {
+		for _, k := range []int{1, len(h.ids) + 1} {
 			if got := h.SearchUnit(q, k, nil); len(got) > k {
 				t.Fatalf("SearchUnit(k=%d) returned %d results", k, len(got))
 			}
@@ -259,4 +259,12 @@ func TestSortByDistMatchesSortSlice(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cacheEntries is the pair cache's size in entries, 0 when none is held.
+func cacheEntries(h *HNSW) int {
+	if h.build == nil {
+		return 0
+	}
+	return len(h.build.pc.slots)
 }

@@ -155,9 +155,6 @@ func (h *HNSW) builder() *buildState {
 	return h.build
 }
 
-// Len implements Index.
-func (h *HNSW) Len() int { return len(h.ids) }
-
 // vec is node n's arena view. Its capacity ends with its slot, so reslicing
 // it past dim (as dotF4 does to match a longer query) panics rather than
 // reading the next slot's vector.
@@ -347,15 +344,6 @@ func (h *HNSW) ReleaseBuildState() {
 	h.ids, h.levels, h.slots, h.vecs = clip(h.ids), clip(h.levels), clip(h.slots), clip(h.vecs)
 	h.links0, h.cnt0 = clip(h.links0), clip(h.cnt0)
 	h.upOff, h.upNbrs, h.upCnt = clip(h.upOff), clip(h.upNbrs), clip(h.upCnt)
-}
-
-// BuildCacheEntries reports the pair cache's size in entries, 0 when none
-// is held (diagnostics).
-func (h *HNSW) BuildCacheEntries() int {
-	if h.build == nil {
-		return 0
-	}
-	return len(h.build.pc.slots)
 }
 
 // HoldsBuildState reports whether the graph holds a build state: from its
@@ -700,15 +688,6 @@ func (h *HNSW) getState() *searchState {
 	return st
 }
 
-// Search implements Index: beam search from the top layer down.
-func (h *HNSW) Search(q Vector, k int) []Result {
-	if k <= 0 || h.entry < 0 {
-		return nil
-	}
-	q = Normalize(append(Vector(nil), q...))
-	return h.SearchUnit(q, k, nil)
-}
-
 // SearchUnit implements Index: it descends the upper layers greedily, runs
 // the layer-0 beam with candidate list size max(EfSearch, k) and returns
 // the k closest survivors under (distance, id) order. The beam keys its
@@ -765,19 +744,4 @@ func (h *HNSW) beamF(st *searchState, q Vector, ep int32, ef int, accept Accept)
 			}
 		}
 	}
-}
-
-// MaxLevel reports the current top layer of the graph (diagnostics).
-func (h *HNSW) MaxLevel() int { return h.maxLvl }
-
-// AvgDegree reports the mean layer-0 out-degree (diagnostics).
-func (h *HNSW) AvgDegree() float64 {
-	if len(h.ids) == 0 {
-		return 0
-	}
-	total := 0
-	for _, c := range h.cnt0 {
-		total += int(c)
-	}
-	return float64(total) / float64(len(h.ids))
 }

@@ -21,7 +21,7 @@ func TestReadExhaustiveRefusesBadArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := ReadExhaustive(&good)
-	if err != nil || !slices.Equal(got.Vec(2), e.Vec(2)) || got.Len() != 4 {
+	if err != nil || !slices.Equal(got.Vec(2), e.Vec(2)) || len(got.ids) != 4 {
 		t.Fatalf("round trip: %v", err)
 	}
 	for _, bad := range []exhaustiveSnapshot{

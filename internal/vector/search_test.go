@@ -200,8 +200,8 @@ func TestHNSWSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if g.Len() != h.Len() || len(g.byID) != len(h.byID) {
-		t.Fatalf("load dropped nodes: %d/%d ids, %d/%d byID", g.Len(), h.Len(), len(g.byID), len(h.byID))
+	if len(g.ids) != len(h.ids) || len(g.byID) != len(h.byID) {
+		t.Fatalf("load dropped nodes: %d/%d ids, %d/%d byID", len(g.ids), len(h.ids), len(g.byID), len(h.byID))
 	}
 }
 

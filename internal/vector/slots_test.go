@@ -63,7 +63,7 @@ func TestReleaseKeepsPinnedGraph(t *testing.T) {
 					}
 					if (i+1)%every == 0 {
 						h.ReleaseBuildState()
-						if h.HoldsBuildState() || h.BuildCacheEntries() != 0 {
+						if h.HoldsBuildState() {
 							t.Fatalf("after %d inserts: a released graph holds build state", i+1)
 						}
 					}

@@ -84,11 +84,6 @@ func Cosine(a, b Vector) float32 {
 	return Dot(a, b) / (na * nb)
 }
 
-// CosineDistance returns 1 - Cosine(a, b), the metric both the HNSW index
-// and the exhaustive scanner minimize (the ada-002 guidance is cosine
-// similarity over unit vectors).
-func CosineDistance(a, b Vector) float32 { return 1 - Cosine(a, b) }
-
 // Result is one nearest-neighbor hit.
 type Result struct {
 	// ID is the caller-assigned identifier of the vector.
@@ -120,17 +115,12 @@ type Index interface {
 	// valid for as long as the caller keeps it (the arena never changes a
 	// stored vector, and a view keeps the array it points into alive).
 	Vec(id int) Vector
-	// Search returns the k nearest neighbors of q, closest first. q is
-	// copied and normalized internally.
-	Search(q Vector, k int) []Result
-	// SearchUnit is Search for callers that already hold a unit-length
-	// query: q must be normalized, is never modified, and an optional
-	// accept predicate restricts which ids may appear in the results.
-	// Ties are broken by ascending id, so the result order is a pure
-	// function of the stored vector set.
+	// SearchUnit returns the k nearest neighbors of q, closest first: q
+	// must be normalized, is never modified, and an optional accept
+	// predicate restricts which ids may appear in the results. Ties are
+	// broken by ascending id, so the result order is a pure function of
+	// the stored vector set.
 	SearchUnit(q Vector, k int, accept Accept) []Result
-	// Len reports the number of indexed vectors.
-	Len() int
 }
 
 // ErrDuplicateID is returned when Add is called twice with the same id.
@@ -249,15 +239,6 @@ func normalizeF(v []float32) {
 	}
 }
 
-// Search implements Index with a full scan.
-func (e *Exhaustive) Search(q Vector, k int) []Result {
-	if k <= 0 || len(e.ids) == 0 {
-		return nil
-	}
-	q = Normalize(append(Vector(nil), q...))
-	return e.SearchUnit(q, k, nil)
-}
-
 // SearchUnit implements Index: a full scan feeding a bounded top-k heap
 // ordered by (distance, id), the same total order the previous full-sort
 // implementation produced.
@@ -326,9 +307,6 @@ func siftDownWorst(h []Result, i int) {
 		i = worst
 	}
 }
-
-// Len implements Index.
-func (e *Exhaustive) Len() int { return len(e.ids) }
 
 func min(a, b int) int {
 	if a < b {

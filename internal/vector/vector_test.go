@@ -58,7 +58,7 @@ func TestExhaustiveExactOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res := e.Search(Vector{1, 0}, 4)
+	res := search(e, Vector{1, 0}, 4)
 	if len(res) != 4 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -104,8 +104,8 @@ func TestEmptyVectorRefused(t *testing.T) {
 		if err := ix.Add(2, nil); !errors.Is(err, ErrDimensionMismatch) {
 			t.Fatalf("%T: empty later vector: err = %v, want ErrDimensionMismatch", ix, err)
 		}
-		if got := ix.Search(Vector{1, 0}, 3); ix.Len() != 1 || len(got) != 1 || got[0].ID != 1 {
-			t.Fatalf("%T: Len = %d, search = %+v, want only id 1", ix, ix.Len(), got)
+		if got := ix.SearchUnit(Vector{1, 0}, 3, nil); len(got) != 1 || got[0].ID != 1 {
+			t.Fatalf("%T: search = %+v, want only id 1", ix, got)
 		}
 	}
 }
@@ -113,28 +113,25 @@ func TestEmptyVectorRefused(t *testing.T) {
 func TestExhaustiveKLargerThanIndex(t *testing.T) {
 	e := NewExhaustive()
 	e.Add(1, Vector{1, 0})
-	if got := e.Search(Vector{1, 0}, 10); len(got) != 1 {
+	if got := search(e, Vector{1, 0}, 10); len(got) != 1 {
 		t.Fatalf("got %d results, want 1", len(got))
 	}
-	if got := e.Search(Vector{1, 0}, 0); got != nil {
+	if got := search(e, Vector{1, 0}, 0); got != nil {
 		t.Fatalf("k=0 should return nil")
 	}
 }
 
 func TestHNSWEmpty(t *testing.T) {
 	h := NewHNSW(HNSWConfig{Seed: 1})
-	if got := h.Search(Vector{1, 0}, 5); got != nil {
+	if got := search(h, Vector{1, 0}, 5); got != nil {
 		t.Fatalf("empty index returned %v", got)
-	}
-	if h.Len() != 0 {
-		t.Fatal("Len != 0")
 	}
 }
 
 func TestHNSWSingle(t *testing.T) {
 	h := NewHNSW(HNSWConfig{Seed: 1})
 	h.Add(42, Normalize(Vector{1, 2, 3}))
-	res := h.Search(Normalize(Vector{1, 2, 3}), 3)
+	res := search(h, Normalize(Vector{1, 2, 3}), 3)
 	if len(res) != 1 || res[0].ID != 42 {
 		t.Fatalf("res = %v", res)
 	}
@@ -177,8 +174,8 @@ func recallAtK(t *testing.T, n, dim, k, queries int, cfg HNSWConfig) float64 {
 	hits, total := 0, 0
 	for q := 0; q < queries; q++ {
 		qv := randVec(rng, dim)
-		truth := e.Search(qv, k)
-		approx := h.Search(qv, k)
+		truth := search(e, qv, k)
+		approx := search(h, qv, k)
 		truthSet := make(map[int]bool, k)
 		for _, r := range truth {
 			truthSet[r.ID] = true
@@ -208,7 +205,7 @@ func TestHNSWResultsSortedAndUnique(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		h.Add(i, randVec(rng, 16))
 	}
-	res := h.Search(randVec(rng, 16), 20)
+	res := search(h, randVec(rng, 16), 20)
 	seen := make(map[int]bool)
 	for i, r := range res {
 		if seen[r.ID] {
@@ -228,7 +225,7 @@ func TestHNSWDeterministic(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			h.Add(i, randVec(rng, 8))
 		}
-		return h.Search(randVec(rng, 8), 10)
+		return search(h, randVec(rng, 8), 10)
 	}
 	a, b := build(), build()
 	if len(a) != len(b) {
@@ -247,10 +244,14 @@ func TestHNSWGraphShape(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		h.Add(i, randVec(rng, 16))
 	}
-	if h.MaxLevel() < 1 {
-		t.Errorf("max level = %d, expected hierarchy", h.MaxLevel())
+	if h.maxLvl < 1 {
+		t.Errorf("max level = %d, expected hierarchy", h.maxLvl)
 	}
-	if d := h.AvgDegree(); d == 0 || d > 16.5 {
+	total := 0
+	for _, c := range h.cnt0 {
+		total += int(c)
+	}
+	if d := float64(total) / float64(len(h.ids)); d == 0 || d > 16.5 {
 		t.Errorf("layer-0 avg degree = %.1f, want in (0, 2*M]", d)
 	}
 }
@@ -266,7 +267,7 @@ func TestExhaustiveSortedProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			e.Add(i, randVec(rng, 8))
 		}
-		res := e.Search(randVec(rng, 8), n)
+		res := search(e, randVec(rng, 8), n)
 		for i := 1; i < len(res); i++ {
 			if res[i-1].Distance > res[i].Distance {
 				return false
@@ -285,11 +286,11 @@ func BenchmarkHNSWSearch(b *testing.B) {
 	for i := 0; i < 10000; i++ {
 		h.Add(i, randVec(rng, 64))
 	}
-	q := randVec(rng, 64)
+	q := Normalize(randVec(rng, 64))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Search(q, 15)
+		h.SearchUnit(q, 15, nil)
 	}
 }
 
@@ -299,10 +300,15 @@ func BenchmarkExhaustiveSearch(b *testing.B) {
 	for i := 0; i < 10000; i++ {
 		e.Add(i, randVec(rng, 64))
 	}
-	q := randVec(rng, 64)
+	q := Normalize(randVec(rng, 64))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Search(q, 15)
+		e.SearchUnit(q, 15, nil)
 	}
+}
+
+// search is SearchUnit over a normalized copy of q.
+func search(ix Index, q Vector, k int) []Result {
+	return ix.SearchUnit(Normalize(append(Vector(nil), q...)), k, nil)
 }

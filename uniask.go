@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"uniask/internal/core"
-	"uniask/internal/ingest"
 	"uniask/internal/kb"
 	"uniask/internal/search"
 	"uniask/internal/server"
@@ -61,8 +60,8 @@ type Corpus = kb.Corpus
 // queue depths, class weights) — see MultiTenantConfig.Admission.
 type AdmissionConfig = tenant.AdmissionConfig
 
-// New creates a System with an empty index. Feed it with IndexHTML or
-// IndexCorpus.
+// New creates a System with an empty index. Feed it with IndexCorpus, or
+// with a poller over any page source (Engine().NewPoller).
 func New(cfg Config) *System {
 	return &System{engine: core.New(cfg)}
 }
@@ -94,14 +93,6 @@ func (s *System) IndexCorpus(ctx context.Context, corpus *Corpus) error {
 	return s.engine.IndexCorpus(ctx, corpus)
 }
 
-// IndexHTML ingests and indexes a single HTML page under the given id: one
-// poller pass over a one-page source, so it runs the same extraction,
-// chunking and enrichment, under the same configuration, as bulk loads.
-func (s *System) IndexHTML(ctx context.Context, id, html string) error {
-	_, err := s.engine.NewPoller(ctx, ingest.StaticSource{{ID: id, HTML: html}})()
-	return err
-}
-
 // Ask runs the full RAG query flow: content filter, hybrid retrieval with
 // semantic reranking, grounded generation, guardrails. The document list in
 // the response is populated even when a guardrail invalidates the answer.
@@ -113,12 +104,6 @@ func (s *System) Ask(ctx context.Context, question string) (Response, error) {
 func (s *System) Search(ctx context.Context, query string) ([]Result, error) {
 	hits, err := s.engine.Search(ctx, query)
 	return hits.Own(), err
-}
-
-// SearchWith runs retrieval with explicit options (modes, expansions,
-// boosts — see the search package).
-func (s *System) SearchWith(ctx context.Context, query string, opts search.Options) ([]Result, error) {
-	return s.engine.Searcher.Search(ctx, query, opts)
 }
 
 // IndexedChunks reports how many chunks the index holds.

@@ -13,6 +13,7 @@ import (
 	"uniask/internal/generation"
 	"uniask/internal/guardrails"
 	"uniask/internal/index"
+	"uniask/internal/ingest"
 	"uniask/internal/search"
 	"uniask/internal/tenant"
 	"uniask/internal/trace"
@@ -64,9 +65,7 @@ func TestIndexHTMLIncremental(t *testing.T) {
 	sys := uniask.New(uniask.Config{})
 	html := `<html><head><title>Pagina incrementale</title></head><body>
 <p>Per attivare il servizio speciale degli incrementi chiamare il numero interno.</p></body></html>`
-	if err := sys.IndexHTML(context.Background(), "extra1", html); err != nil {
-		t.Fatal(err)
-	}
+	indexPage(t, sys, "extra1", html)
 	if sys.IndexedChunks() == 0 {
 		t.Fatal("nothing indexed")
 	}
@@ -76,6 +75,15 @@ func TestIndexHTMLIncremental(t *testing.T) {
 	}
 	if len(res) == 0 || res[0].ParentID != "extra1" {
 		t.Fatalf("results = %+v", res)
+	}
+}
+
+// indexPage indexes one HTML page under id: one poller pass over a
+// one-page source, the extraction, chunking and enrichment bulk loads run.
+func indexPage(t *testing.T, sys *uniask.System, id, html string) {
+	t.Helper()
+	if _, err := sys.Engine().NewPoller(context.Background(), ingest.StaticSource{{ID: id, HTML: html}})(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -89,9 +97,7 @@ func TestIndexHTMLHonorsConfig(t *testing.T) {
 	html := "<html><head><title>Pagina incrementale</title></head><body>" + body.String() + "</body></html>"
 	index := func(cfg uniask.Config) *uniask.System {
 		sys := uniask.New(cfg)
-		if err := sys.IndexHTML(context.Background(), "extra1", html); err != nil {
-			t.Fatal(err)
-		}
+		indexPage(t, sys, "extra1", html)
 		return sys
 	}
 
@@ -177,7 +183,7 @@ func TestZeroConfigIsThePaperDeployment(t *testing.T) {
 			var res []uniask.Result
 			var err error
 			if opts != nil {
-				res, err = sys.SearchWith(ctx, q.Text, *opts)
+				res, err = sys.Engine().Searcher.Search(ctx, q.Text, *opts)
 			} else {
 				res, err = sys.Search(ctx, q.Text)
 			}
