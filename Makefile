@@ -52,10 +52,15 @@ shardparity:
 # listed one that is gone), and on any exported function, method or
 # interface method that no non-test code calls (bench/ counts as a caller;
 # a method also counts as called through a called interface method of its
-# name and signature, or a standard-library interface it satisfies) and
-# that cmd/doccheck/uncalled.txt does not list with a reason (or a listed
-# one that now has a caller or is gone). The census type-checks the whole
-# module with go/types, about 3 s.
+# name and signature that its receiver type implements, or a
+# standard-library interface it satisfies) and that cmd/doccheck/uncalled.txt
+# does not list with a reason (or a listed one that now has a caller or is
+# gone), and on any struct field outside bench/ that non-test code only
+# writes (a json-tagged field, the fields its type reaches and a map key's
+# fields count as read) and that cmd/doccheck/unread.txt does not list with
+# a reason (or a listed one that is read or gone; the list also names the
+# types that reach an encoder untagged). Both censuses share one go/types
+# load of the whole module, about 3 s.
 doccheck:
 	@set -e; for d in $$(find internal -name testdata -prune -o -name '*.go' -printf '%h\n' | sort -u); do \
 		pkg=$$(basename $$d); \

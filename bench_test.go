@@ -22,6 +22,7 @@ import (
 	"uniask/internal/kb"
 	"uniask/internal/rouge"
 	"uniask/internal/search"
+	"uniask/internal/textproc"
 	"uniask/internal/vector"
 )
 
@@ -420,7 +421,7 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 				for _, d := range corpus.Docs {
 					for _, c := range sp.SplitDocument(htmlx.Extract(d.HTML)) {
 						chunks++
-						tokens += c.Tokens
+						tokens += textproc.ApproxTokens(c.Text)
 					}
 				}
 			}

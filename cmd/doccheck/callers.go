@@ -22,30 +22,19 @@ import (
 // or a bare import path that covers its whole package.
 const callerAllowlist = "cmd/doccheck/uncalled.txt"
 
-// callerDrift runs the caller census on the module at root and compares
+// callerDrift runs the caller census on the loaded module and compares
 // it with the allowlist, both ways: it returns one message per uncalled
 // identifier the allowlist does not cover, per allowlist line that covers
 // none, and per line that gives no reason.
-func callerDrift(root string) ([]string, error) {
-	found, err := uncalled(root)
+func callerDrift(c *census) ([]string, error) {
+	found := c.uncalled()
+	lines, drift, err := readAllowlist(c.root, callerAllowlist)
 	if err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(filepath.Join(root, callerAllowlist))
-	if err != nil {
-		return nil, err
-	}
-	var drift []string
 	covers := map[string]int{} // allowlisted identifier or package → uncalled identifiers it covers
-	for _, line := range strings.Split(string(data), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
-			continue
-		}
-		if len(fields) == 1 {
-			drift = append(drift, fmt.Sprintf("%s: %s gives no reason", callerAllowlist, fields[0]))
-		}
-		covers[fields[0]] = 0
+	for _, id := range lines {
+		covers[id] = 0
 	}
 	for _, id := range found {
 		slash := strings.LastIndex(id, "/") + 1
@@ -67,11 +56,10 @@ func callerDrift(root string) ([]string, error) {
 	return drift, nil
 }
 
-// uncalled type-checks every package of the module at root from its
-// non-test files, with importer.Default() for the standard library, and
-// returns the exported functions, methods and interface methods declared
-// outside bench/ that no non-test code uses, sorted. bench/ is a caller
-// like any other package; only its own declarations are not audited.
+// uncalled returns the exported functions, methods and interface methods
+// declared outside bench/ that no non-test code uses, sorted. bench/ is a
+// caller like any other package; only its own declarations are not
+// audited.
 //
 // A use inside the function's own body does not count. A method also
 // counts as used when an interface method of the same name and an
@@ -80,15 +68,7 @@ func callerDrift(root string) ([]string, error) {
 // standard library that has the method (sort.Interface, error,
 // http.Handler, the Unwrap that errors.Is follows, ...), since the library
 // calls it.
-func uncalled(root string) ([]string, error) {
-	c, err := newCensus(root)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.loadAll(); err != nil {
-		return nil, err
-	}
-
+func (c *census) uncalled() []string {
 	type decl struct {
 		id string
 		fn *types.Func
@@ -173,7 +153,7 @@ func uncalled(root string) ([]string, error) {
 		out = append(out, d.id)
 	}
 	sort.Strings(out)
-	return out, nil
+	return out
 }
 
 // isInterfaceMethod reports whether fn is declared in an interface.
@@ -183,13 +163,16 @@ func isInterfaceMethod(fn *types.Func) bool {
 }
 
 // matchesUsedInterface reports whether method fn has the name and the
-// signature of one of the used interface methods.
+// signature of one of the used interface methods, and its receiver type,
+// or a pointer to it, implements that method's interface.
 func matchesUsedInterface(fn *types.Func, used []*types.Func) bool {
-	if fn.Type().(*types.Signature).Recv() == nil {
-		return false
-	}
+	recv := fn.Type().(*types.Signature).Recv()
 	for _, m := range used {
-		if m.Name() == fn.Name() && types.Identical(m.Type(), fn.Type()) {
+		if recv == nil || m.Name() != fn.Name() || !types.Identical(m.Type(), fn.Type()) {
+			continue
+		}
+		iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		if types.Implements(recv.Type(), iface) || types.Implements(types.NewPointer(recv.Type()), iface) {
 			return true
 		}
 	}
@@ -213,7 +196,10 @@ type pkg struct {
 	types     *types.Package
 }
 
-func newCensus(root string) (*census, error) {
+// loadModule type-checks every package of the module at root from its
+// non-test files, with importer.Default() for the standard library: the
+// one load both censuses read.
+func loadModule(root string) (*census, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -227,13 +213,21 @@ func newCensus(root string) (*census, error) {
 	if module == "" {
 		return nil, fmt.Errorf("%s/go.mod names no module", root)
 	}
-	return &census{
+	c := &census{
 		root: root, module: module,
 		fset: token.NewFileSet(),
 		std:  importer.Default(),
-		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
 		pkgs: map[string]*pkg{},
-	}, nil
+	}
+	if err := c.loadAll(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // loadAll checks every directory of the module that holds non-test Go

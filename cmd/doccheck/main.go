@@ -23,18 +23,30 @@
 // standard library's export data) and lists the exported functions,
 // methods and interface methods that no non-test code calls, bench/
 // counting as a caller but not audited. A method also counts as called
-// when an interface method of its name and signature is called, or when
-// it satisfies a standard-library interface. Each uncalled identifier must
-// be listed, with its reason, in cmd/doccheck/uncalled.txt, one identifier
-// or whole package per line; the comparison is two-way as well.
+// when an interface method of its name and signature is called and its
+// receiver type implements that interface, or when it satisfies a
+// standard-library interface. Each uncalled identifier must be listed,
+// with its reason, in cmd/doccheck/uncalled.txt, one identifier or whole
+// package per line; the comparison is two-way as well.
+//
+// Over the same load it takes the field census: every struct field
+// declared outside bench/, exported or not, must have a reader in non-test
+// code. The selector on the left of a plain assignment and the key of a
+// composite literal write a field; any other use reads it, a promoted
+// access reading the embedded fields it passes through. A json-tagged
+// field reads every field its type reaches, as the encoder does, and so
+// does a map key's type. Each unread field must be listed, with its
+// reason, in cmd/doccheck/unread.txt, which also names the types that
+// reach an encoder untagged (every field they reach counts as read); the
+// comparison is two-way as well.
 //
 // Usage:
 //
 //	doccheck README.md DESIGN.md docs/*.md
 //
 // Exit status is nonzero if any link is dead, any package directory is
-// unlisted or listed but gone, or the detached-context or uncalled list has
-// drifted, listing every offender.
+// unlisted or listed but gone, or the detached-context, uncalled or unread
+// list has drifted, listing every offender.
 // `make doccheck` runs it over README.md, DESIGN.md, OPERATIONS.md and
 // docs/*.md.
 package main
@@ -91,17 +103,11 @@ func main() {
 			for _, dir := range gone {
 				fmt.Fprintf(os.Stderr, "doccheck: %s: the Repository layout section lists %s, which does not exist\n", path, dir)
 			}
-			drift, err := contextDrift(base)
+			drift, err := audits(base)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 				os.Exit(2)
 			}
-			uncalled, err := callerDrift(base)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-				os.Exit(2)
-			}
-			drift = append(drift, uncalled...)
 			for _, d := range drift {
 				fmt.Fprintf(os.Stderr, "doccheck: %s\n", d)
 			}
@@ -109,10 +115,30 @@ func main() {
 		}
 	}
 	if dead > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d dead intra-repo link(s), unlisted or vanished package(s), drifted detached-context site(s) or uncalled identifier(s)\n", dead)
+		fmt.Fprintf(os.Stderr, "doccheck: %d dead intra-repo link(s), unlisted or vanished package(s), drifted detached-context site(s), uncalled identifier(s) or unread field(s)\n", dead)
 		os.Exit(1)
 	}
 	fmt.Printf("doccheck: %d intra-repo links resolve\n", checked)
+}
+
+// audits runs the deadline audit, the caller census and the field census
+// on the module at root, the two censuses over one load, and returns their
+// drift.
+func audits(root string) ([]string, error) {
+	drift, err := contextDrift(root)
+	if err != nil {
+		return nil, err
+	}
+	c, err := loadModule(root)
+	if err != nil {
+		return nil, err
+	}
+	uncalled, err := callerDrift(c)
+	if err != nil {
+		return nil, err
+	}
+	unread, err := fieldDrift(c)
+	return append(append(drift, uncalled...), unread...), err
 }
 
 // layoutHeading opens the section of DESIGN.md that maps the repository.
@@ -187,21 +213,13 @@ func contextDrift(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(filepath.Join(root, contextAllowlist))
+	sites, drift, err := readAllowlist(root, contextAllowlist)
 	if err != nil {
 		return nil, err
 	}
-	var drift []string
 	allowed := map[string]int{}
-	for _, line := range strings.Split(string(data), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
-			continue
-		}
-		if len(fields) == 1 {
-			drift = append(drift, fmt.Sprintf("%s: %s gives no reason", contextAllowlist, fields[0]))
-		}
-		allowed[fields[0]]++
+	for _, site := range sites {
+		allowed[site]++
 	}
 	for _, site := range found {
 		if allowed[site] == 0 {

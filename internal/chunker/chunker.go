@@ -7,6 +7,8 @@
 package chunker
 
 import (
+	"strings"
+
 	"uniask/internal/htmlx"
 	"uniask/internal/textproc"
 )
@@ -17,12 +19,6 @@ type Chunk struct {
 	Text string
 	// Ordinal is the chunk's position within its document (0-based).
 	Ordinal int
-	// Tokens is the approximate LLM token count of Text.
-	Tokens int
-	// Start is the byte offset of the chunk within the source (paragraph
-	// splitting reports HTML offsets; character splitting reports text
-	// offsets).
-	Start int
 }
 
 // DefaultChunkTokens is the chunk-size target from the paper: 512 tokens,
@@ -58,13 +54,11 @@ func (r *RecursiveSplitter) Split(text string) []Chunk {
 	// merge step.
 	var out []Chunk
 	cur := ""
-	curStart := 0
-	offset := 0
 	flush := func() {
 		if cur == "" {
 			return
 		}
-		out = append(out, Chunk{Text: cur, Ordinal: len(out), Tokens: textproc.ApproxTokens(cur), Start: curStart})
+		out = append(out, Chunk{Text: cur, Ordinal: len(out)})
 		cur = ""
 	}
 	for _, p := range pieces {
@@ -77,15 +71,10 @@ func (r *RecursiveSplitter) Split(text string) []Chunk {
 		}
 		if textproc.ApproxTokens(joined) > r.maxTokens() && cur != "" {
 			flush()
-			curStart = offset
 			cur = p
 		} else {
-			if cur == "" {
-				curStart = offset
-			}
 			cur = joined
 		}
-		offset += len(p) + 1
 	}
 	flush()
 	return out
@@ -119,33 +108,12 @@ func (r *RecursiveSplitter) split(text string, seps []string) []string {
 
 func splitKeepNonEmpty(text, sep string) []string {
 	var parts []string
-	for {
-		i := indexOf(text, sep)
-		if i < 0 {
-			break
-		}
-		if p := text[:i]; p != "" {
+	for _, p := range strings.Split(text, sep) {
+		if p != "" {
 			parts = append(parts, p)
 		}
-		text = text[i+len(sep):]
-	}
-	if text != "" {
-		parts = append(parts, text)
 	}
 	return parts
-}
-
-func indexOf(s, sub string) int {
-	n := len(sub)
-	if n == 0 || len(s) < n {
-		return -1
-	}
-	for i := 0; i+n <= len(s); i++ {
-		if s[i:i+n] == sub {
-			return i
-		}
-	}
-	return -1
 }
 
 // hardSplit cuts text into pieces of at most maxTokens by rune count
@@ -192,41 +160,33 @@ func (h *HTMLSplitter) SplitDocument(ex htmlx.Document) []Chunk {
 func (h *HTMLSplitter) splitParagraphs(paras []htmlx.Paragraph) []Chunk {
 	// First pass: one fragment per paragraph; heading text is glued to the
 	// next body paragraph.
-	type frag struct {
-		text  string
-		start int
-	}
-	var frags []frag
+	var frags []string
 	pendingHeading := ""
-	pendingStart := -1
 	for _, p := range paras {
 		if p.Heading {
 			if pendingHeading != "" {
 				pendingHeading += " — " + p.Text
 			} else {
 				pendingHeading = p.Text
-				pendingStart = p.Start
 			}
 			continue
 		}
 		text := p.Text
-		start := p.Start
 		if pendingHeading != "" {
 			text = pendingHeading + ". " + text
-			start = pendingStart
 			pendingHeading = ""
 		}
-		frags = append(frags, frag{text: text, start: start})
+		frags = append(frags, text)
 	}
 	if pendingHeading != "" {
-		frags = append(frags, frag{text: pendingHeading, start: pendingStart})
+		frags = append(frags, pendingHeading)
 	}
 
 	// Recursive merge: repeatedly join the smallest adjacent pair while the
 	// merged fragment stays within the target.
 	tokens := make([]int, len(frags))
 	for i, f := range frags {
-		tokens[i] = textproc.ApproxTokens(f.text)
+		tokens[i] = textproc.ApproxTokens(f)
 	}
 	for len(frags) > 1 {
 		best := -1
@@ -240,7 +200,7 @@ func (h *HTMLSplitter) splitParagraphs(paras []htmlx.Paragraph) []Chunk {
 		if best < 0 {
 			break
 		}
-		frags[best].text = frags[best].text + "\n" + frags[best+1].text
+		frags[best] = frags[best] + "\n" + frags[best+1]
 		tokens[best] = bestSum
 		frags = append(frags[:best+1], frags[best+2:]...)
 		tokens = append(tokens[:best+1], tokens[best+2:]...)
@@ -250,23 +210,19 @@ func (h *HTMLSplitter) splitParagraphs(paras []htmlx.Paragraph) []Chunk {
 	// sentences.
 	var out []Chunk
 	for _, f := range frags {
-		if textproc.ApproxTokens(f.text) <= h.target() {
-			out = append(out, Chunk{Text: f.text, Start: f.start})
-			continue
+		pieces := []string{f}
+		if textproc.ApproxTokens(f) > h.target() {
+			pieces = h.splitOversized(f)
 		}
-		for _, piece := range h.splitOversized(f.text) {
-			out = append(out, Chunk{Text: piece, Start: f.start})
+		for _, piece := range pieces {
+			out = append(out, Chunk{Text: piece, Ordinal: len(out)})
 		}
-	}
-	for i := range out {
-		out[i].Ordinal = i
-		out[i].Tokens = textproc.ApproxTokens(out[i].Text)
 	}
 	return out
 }
 
 func (h *HTMLSplitter) splitOversized(text string) []string {
-	sentences := textproc.SentenceTexts(text)
+	sentences := textproc.SplitSentences(text)
 	if len(sentences) <= 1 {
 		return hardSplit(text, h.target())
 	}

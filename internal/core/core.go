@@ -414,8 +414,6 @@ func (e *Engine) IndexCorpus(ctx context.Context, corpus *kb.Corpus) error {
 
 // Response is the outcome of one Ask call.
 type Response struct {
-	// Query is the question as asked.
-	Query string
 	// RewrittenQuery is the standalone query retrieval actually ran, when a
 	// conversational turn was rewritten against its session history ("" for
 	// one-shot asks and when the rewrite was shed).
@@ -484,7 +482,7 @@ type StreamEvents struct {
 // rewrite. The optional StreamEvents callbacks stream citations and answer
 // tokens as they land.
 func (e *Engine) AskConversational(ctx context.Context, question string, history []llm.Exchange, ev StreamEvents) (Response, error) {
-	resp := Response{Query: question}
+	var resp Response
 
 	// 1. Content filter on the question. A firing guardrail is a normal
 	// outcome, not a stage error.

@@ -138,8 +138,6 @@ func (r Table1Result) String() string {
 type Table2Result struct {
 	HumanText, HumanVector     eval.Metrics
 	KeywordText, KeywordVector eval.Metrics
-	// Raw summaries for inspection.
-	HumanHSS, KeywordHSS eval.Summary
 }
 
 // Table2 runs the hybrid-search component ablation. The components are
@@ -154,8 +152,6 @@ func (e *Env) Table2() Table2Result {
 	hHSS := eval.Evaluate(e.HumanTest, hss)
 	kHSS := eval.Evaluate(e.KeywordTest, hss)
 	return Table2Result{
-		HumanHSS:      hHSS,
-		KeywordHSS:    kHSS,
 		HumanText:     eval.VarTable(hHSS, eval.Evaluate(e.HumanTest, text)),
 		HumanVector:   eval.VarTable(hHSS, eval.Evaluate(e.HumanTest, vec)),
 		KeywordText:   eval.VarTable(kHSS, eval.Evaluate(e.KeywordTest, text)),

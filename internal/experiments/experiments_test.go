@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"uniask/internal/experiments/tickets"
 )
 
 // The shape tests share one small environment; building it dominates the
@@ -271,8 +273,8 @@ func TestPostLaunchShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Reduction < 0.08 || r.Reduction > 0.45 {
-		t.Errorf("ticket reduction = %.1f%%, want ~20%%", 100*r.Reduction)
+	if red := tickets.Reduction(r.Prev, r.UniAsk); red < 0.08 || red > 0.45 {
+		t.Errorf("ticket reduction = %.1f%%, want ~20%%", 100*red)
 	}
 	// Tickets do not vanish: KB-gap queries keep generating them.
 	if r.UniAsk.ExpectedTkt <= 0 {

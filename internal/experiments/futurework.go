@@ -146,13 +146,13 @@ func (r OntologyResult) String() string {
 // evaluates the ontological guardrail against the deployed pipeline's
 // verdicts on the human test set.
 func (e *Env) FutureWorkKnowledgeGraph(ctx context.Context) (OntologyResult, error) {
-	var docs []kgraph.DocText
+	var docs []string
 	for _, d := range e.Corpus.Docs {
 		text := d.Title
 		for _, p := range d.Paragraphs {
 			text += " " + p
 		}
-		docs = append(docs, kgraph.DocText{ID: d.ID, Text: text})
+		docs = append(docs, text)
 	}
 	g := kgraph.Build(docs, e.Corpus.Lexicon())
 	g.StrictPrefixes = []string{"ent", "jar"} // the corpus' subject classes

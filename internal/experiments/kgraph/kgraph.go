@@ -44,15 +44,9 @@ func (g *Graph) isStrict(c string) bool {
 	return false
 }
 
-// DocText is one document's text handed to the builder.
-type DocText struct {
-	ID   string
-	Text string
-}
-
-// Build constructs the graph from the corpus text using the lexicon to map
-// terms to concepts.
-func Build(docs []DocText, lex embedding.Lexicon) *Graph {
+// Build constructs the graph from the corpus text, one string per
+// document, using the lexicon to map terms to concepts.
+func Build(docs []string, lex embedding.Lexicon) *Graph {
 	g := &Graph{
 		lex:      lex,
 		analyzer: textproc.ItalianFull(),
@@ -60,7 +54,7 @@ func Build(docs []DocText, lex embedding.Lexicon) *Graph {
 		docFreq:  make(map[string]int),
 	}
 	for _, d := range docs {
-		concepts := g.ConceptsOf(d.Text)
+		concepts := g.ConceptsOf(d)
 		g.docs++
 		for _, c := range concepts {
 			g.docFreq[c]++

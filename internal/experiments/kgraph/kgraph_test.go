@@ -21,11 +21,11 @@ func testLexicon() embedding.MapLexicon {
 }
 
 func testGraph() *Graph {
-	docs := []DocText{
-		{ID: "d1", Text: "Per bloccare la carta chiamare il numero verde."},
-		{ID: "d2", Text: "Il bonifico estero richiede il codice BIC."},
-		{ID: "d3", Text: "Il mutuo prevede un tasso agevolato."},
-		{ID: "d4", Text: "Bloccare la carta in caso di bonifico sospetto."},
+	docs := []string{
+		"Per bloccare la carta chiamare il numero verde.",
+		"Il bonifico estero richiede il codice BIC.",
+		"Il mutuo prevede un tasso agevolato.",
+		"Bloccare la carta in caso di bonifico sospetto.",
 	}
 	return Build(docs, testLexicon())
 }
@@ -123,13 +123,13 @@ func TestCheckAnswerAbstainsWithoutQuestionConcepts(t *testing.T) {
 
 func TestBuildFromGeneratedCorpus(t *testing.T) {
 	corpus := kb.Generate(kb.GenConfig{Docs: 200, Seed: 6})
-	var docs []DocText
+	var docs []string
 	for _, d := range corpus.Docs {
 		text := d.Title
 		for _, p := range d.Paragraphs {
 			text += " " + p
 		}
-		docs = append(docs, DocText{ID: d.ID, Text: text})
+		docs = append(docs, text)
 	}
 	g := Build(docs, corpus.Lexicon())
 	if g.Nodes() < 30 {

@@ -68,12 +68,10 @@ type Bucket struct {
 
 // Report is the outcome of a load test (the data behind Figure 2).
 type Report struct {
-	Config         Config
-	TotalRequests  int
-	TotalFailures  int
-	TotalTokens    int
-	Buckets        []Bucket
-	PeakRatePerSec float64
+	Config        Config
+	TotalRequests int
+	TotalFailures int
+	Buckets       []Bucket
 }
 
 // FailureRate is failures/requests.
@@ -116,7 +114,6 @@ func Run(svc *llm.Service, clk *vclock.Virtual, cfg Config) Report {
 			break
 		}
 	}
-	rep.PeakRatePerSec = rate(dur)
 
 	// Fixed-size request payload.
 	payload := strings.Repeat("tok ", cfg.TokensPerRequest)
@@ -138,7 +135,6 @@ func Run(svc *llm.Service, clk *vclock.Virtual, cfg Config) Report {
 		clk.Advance(time.Duration((at - prev) * float64(time.Second)))
 		prev = at
 		rep.TotalRequests++
-		rep.TotalTokens += cfg.TokensPerRequest
 		start := time.Now()
 		_, err := svc.Complete(context.Background(), req)
 		out := 1

@@ -117,9 +117,6 @@ func TestCustomRamp(t *testing.T) {
 	if rep.TotalRequests < 400 || rep.TotalRequests > 500 {
 		t.Fatalf("requests = %d, want ~450", rep.TotalRequests)
 	}
-	if rep.PeakRatePerSec != 1 {
-		t.Fatalf("peak rate = %v", rep.PeakRatePerSec)
-	}
 }
 
 func TestFailureRateEmpty(t *testing.T) {

@@ -15,8 +15,6 @@ package tickets
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"strings"
 )
 
@@ -87,12 +85,11 @@ func (p Propensities) For(o Outcome) float64 {
 	return p.Nothing
 }
 
-// Tally accumulates outcomes and expected/sampled tickets for one system.
+// Tally accumulates outcomes and expected tickets for one system.
 type Tally struct {
 	Name        string
 	Queries     int
 	ByOutcome   map[Outcome]int
-	Tickets     int     // sampled ticket count
 	ExpectedTkt float64 // expected ticket volume (sum of propensities)
 }
 
@@ -101,18 +98,11 @@ func NewTally(name string) *Tally {
 	return &Tally{Name: name, ByOutcome: make(map[Outcome]int)}
 }
 
-// Record adds one interaction. Sampling is deterministic per (seed, query).
-func (t *Tally) Record(query string, o Outcome, p Propensities, seed int64) {
+// Record adds one interaction.
+func (t *Tally) Record(o Outcome, p Propensities) {
 	t.Queries++
 	t.ByOutcome[o]++
-	prob := p.For(o)
-	t.ExpectedTkt += prob
-	h := fnv.New64a()
-	h.Write([]byte(query))
-	rng := rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
-	if rng.Float64() < prob {
-		t.Tickets++
-	}
+	t.ExpectedTkt += p.For(o)
 }
 
 // TicketRate is tickets per query (expected).

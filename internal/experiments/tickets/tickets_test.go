@@ -30,8 +30,8 @@ func TestOutcomeStrings(t *testing.T) {
 func TestTallyAccumulates(t *testing.T) {
 	p := DefaultPropensities()
 	tl := NewTally("x")
-	tl.Record("q1", AnsweredWell, p, 1)
-	tl.Record("q2", Nothing, p, 1)
+	tl.Record(AnsweredWell, p)
+	tl.Record(Nothing, p)
 	if tl.Queries != 2 {
 		t.Fatalf("queries = %d", tl.Queries)
 	}
@@ -47,29 +47,12 @@ func TestTallyAccumulates(t *testing.T) {
 	}
 }
 
-func TestRecordDeterministic(t *testing.T) {
-	p := DefaultPropensities()
-	a, b := NewTally("a"), NewTally("b")
-	for i := 0; i < 200; i++ {
-		q := "query" + string(rune('a'+i%26)) + string(rune('0'+i%10))
-		a.Record(q, Nothing, p, 7)
-		b.Record(q, Nothing, p, 7)
-	}
-	if a.Tickets != b.Tickets {
-		t.Fatalf("sampled tickets differ: %d vs %d", a.Tickets, b.Tickets)
-	}
-	// Sampled count should approximate expectation.
-	if a.Tickets < 70 || a.Tickets > 150 {
-		t.Fatalf("sampled tickets = %d, expected ~%d", a.Tickets, int(a.ExpectedTkt))
-	}
-}
-
 func TestReduction(t *testing.T) {
 	p := DefaultPropensities()
 	before, after := NewTally("before"), NewTally("after")
 	for i := 0; i < 100; i++ {
-		before.Record("q", Nothing, p, 1)
-		after.Record("q", AnsweredWell, p, 1)
+		before.Record(Nothing, p)
+		after.Record(AnsweredWell, p)
 	}
 	red := Reduction(before, after)
 	want := 1 - p.AnsweredWell/p.Nothing
@@ -90,8 +73,8 @@ func TestTicketRateEmpty(t *testing.T) {
 func TestReportRendering(t *testing.T) {
 	p := DefaultPropensities()
 	before, after := NewTally("previous"), NewTally("uniask")
-	before.Record("q", Nothing, p, 1)
-	after.Record("q", AnsweredWell, p, 1)
+	before.Record(Nothing, p)
+	after.Record(AnsweredWell, p)
 	out := Report(before, after)
 	for _, want := range []string{"Post-launch", "previous", "uniask", "ticket reduction"} {
 		if !strings.Contains(out, want) {

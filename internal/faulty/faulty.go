@@ -180,7 +180,6 @@ func (c *Client) Complete(ctx context.Context, req llm.Request) (llm.Response, e
 		// A truncated, citation-free burst of the kind a flaky gateway
 		// produces; downstream parsing must survive it.
 		resp.Content = "<<<!garbled upstream payload§ " + truncate(resp.Content, 12)
-		resp.FinishReason = "length"
 		return resp, nil
 	}
 	return c.Inner.Complete(ctx, req)
@@ -231,7 +230,6 @@ func (c *Client) CompleteStream(ctx context.Context, req llm.Request, emit func(
 			return resp, err
 		}
 		resp.Content = "<<<!garbled upstream payload§ " + truncate(resp.Content, 12)
-		resp.FinishReason = "length"
 		if emit != nil {
 			if err := emit(resp.Content); err != nil {
 				return llm.Response{}, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,7 +84,7 @@ func TestClientFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("malformed fault errored: %v", err)
 	}
-	if resp.FinishReason != "length" || resp.Content == "" {
+	if !strings.HasPrefix(resp.Content, "<<<!garbled") {
 		t.Fatalf("malformed response = %+v", resp)
 	}
 

@@ -19,8 +19,6 @@ type Fused struct {
 	ID string
 	// Score is the summed reciprocal-rank score.
 	Score float64
-	// Sources counts how many input rankings contained the document.
-	Sources int
 }
 
 // RRF fuses the given rankings with constant c (DefaultC when c < 1, since
@@ -41,7 +39,6 @@ func RRF(rankings []Ranking, c int) []Fused {
 			}
 			// The paper's formula is 1/(rank + c) with 1-based ranks.
 			f.Score += 1.0 / float64(rank+1+c)
-			f.Sources++
 		}
 	}
 	out := make([]Fused, 0, len(order))

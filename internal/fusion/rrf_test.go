@@ -23,9 +23,6 @@ func TestRRFAgreementWins(t *testing.T) {
 	if out[0].ID != "b" {
 		t.Fatalf("consensus doc should win: %v", out)
 	}
-	if out[0].Sources != 2 {
-		t.Fatalf("sources = %d", out[0].Sources)
-	}
 }
 
 func TestRRFDefaultConstant(t *testing.T) {

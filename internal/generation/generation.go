@@ -31,10 +31,6 @@ type Answer struct {
 	// Citations holds the chunk IDs the answer cites (resolved from the
 	// [docN] keys).
 	Citations []string
-	// CitedKeys holds the raw [key] identifiers found in the text.
-	CitedKeys []string
-	// Usage is the underlying LLM usage.
-	Usage llm.Response
 	// Degraded reports that the LLM was unavailable and this answer is the
 	// extractive fallback built from the top retrieved chunk.
 	Degraded bool
@@ -85,9 +81,8 @@ func (g *Generator) GenerateStream(ctx context.Context, question string, chunks 
 		}
 		return Answer{}, fmt.Errorf("generation: %w", err)
 	}
-	keys := ExtractCitationKeys(resp.Content)
-	ans := Answer{Text: resp.Content, CitedKeys: keys, Usage: resp}
-	for _, k := range keys {
+	ans := Answer{Text: resp.Content}
+	for _, k := range ExtractCitationKeys(resp.Content) {
 		if id, ok := keyToID[k]; ok {
 			ans.Citations = append(ans.Citations, id)
 		}
@@ -132,7 +127,6 @@ func Extractive(question string, chunks []RetrievedChunk) Answer {
 	return Answer{
 		Text:      b.String(),
 		Citations: []string{top.ID},
-		CitedKeys: []string{"doc1"},
 		Degraded:  true,
 	}
 }

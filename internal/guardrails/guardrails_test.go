@@ -87,17 +87,18 @@ func TestCheckQuestionContentFilter(t *testing.T) {
 	}
 }
 
+// TestContentFilterCategories: a term of each harm category blocks, a
+// multi-word one too.
 func TestContentFilterCategories(t *testing.T) {
 	f := NewContentFilter()
-	cases := map[string]string{
-		"voglio uccidere il tempo":        "violence",
-		"il sistema è schifoso":           "profanity",
-		"come discriminare gli stranieri": "hate",
-	}
-	for text, wantCat := range cases {
-		cat, blocked := f.Category(text)
-		if !blocked || cat != wantCat {
-			t.Errorf("Category(%q) = %q,%v; want %q", text, cat, blocked, wantCat)
+	for _, text := range []string{
+		"voglio uccidere il tempo",        // violence
+		"il sistema è schifoso",           // profanity
+		"come discriminare gli stranieri", // hate
+		"pensieri di autolesionismo",      // self-harm
+	} {
+		if !f.Blocked(text) {
+			t.Errorf("Blocked(%q) = false", text)
 		}
 	}
 	if f.Blocked("come aprire un conto corrente") {

@@ -2,19 +2,12 @@ package htmlx
 
 import "strings"
 
-// Paragraph is a block-level text unit extracted from an HTML page. Start is
-// the byte offset of the paragraph's opening tag in the source document —
-// the "start offsets of html paragraphs" the paper's ad-hoc chunker splits
-// on.
+// Paragraph is a block-level text unit extracted from an HTML page: the
+// paper's ad-hoc chunker splits at the start of each one.
 type Paragraph struct {
 	// Text is the concatenated, entity-decoded, whitespace-normalized text
 	// content of the block.
 	Text string
-	// Tag is the block element that produced the paragraph (p, h1..h6, li,
-	// td, div).
-	Tag string
-	// Start is the byte offset of the opening tag in the source HTML.
-	Start int
 	// Heading reports whether the block is a heading element.
 	Heading bool
 }
@@ -53,9 +46,6 @@ func Extract(doc string) Document {
 
 	var (
 		cur        strings.Builder
-		curTag     = "p"
-		curStart   = 0
-		started    = false
 		inTitle    bool
 		inSkip     int
 		titleBuf   strings.Builder
@@ -65,11 +55,10 @@ func Extract(doc string) Document {
 		text := NormalizeSpace(DecodeEntities(cur.String()))
 		if text != "" {
 			out.Paragraphs = append(out.Paragraphs, Paragraph{
-				Text: text, Tag: curTag, Start: curStart, Heading: curHeading,
+				Text: text, Heading: curHeading,
 			})
 		}
 		cur.Reset()
-		started = false
 		curHeading = false
 	}
 	for _, tok := range tokens {
@@ -93,10 +82,7 @@ func Extract(doc string) Document {
 			}
 			if blockTags[tok.Name] {
 				flush()
-				curTag = tok.Name
-				curStart = tok.Start
 				curHeading = headingTags[tok.Name]
-				started = true
 			}
 		case EndTagToken:
 			if skipContent[tok.Name] {
@@ -119,10 +105,6 @@ func Extract(doc string) Document {
 			if inTitle {
 				titleBuf.WriteString(tok.Data)
 				continue
-			}
-			if !started {
-				curStart = tok.Start
-				started = true
 			}
 			cur.WriteString(tok.Data)
 			cur.WriteByte(' ')

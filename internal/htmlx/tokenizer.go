@@ -1,7 +1,7 @@
 // Package htmlx implements the minimal HTML processing UniAsk's ingestion
 // service needs: a tokenizer, entity decoding, and a document extractor that
 // yields the title and the paragraph structure of an intranet page. The
-// paragraph start offsets it reports are the splitting points the ad-hoc
+// paragraph boundaries it reports are the splitting points the ad-hoc
 // chunking strategy of the paper uses.
 package htmlx
 
@@ -36,8 +36,6 @@ type HTMLToken struct {
 	Data string
 	// Attrs holds attribute key/value pairs for tag tokens.
 	Attrs map[string]string
-	// Start is the byte offset of the token in the input document.
-	Start int
 }
 
 // Tokenize scans an HTML document into a token stream. It is tolerant of
@@ -54,7 +52,7 @@ func Tokenize(doc string) []HTMLToken {
 			if j < 0 {
 				j = n - i
 			}
-			tokens = append(tokens, HTMLToken{Type: TextToken, Data: doc[i : i+j], Start: i})
+			tokens = append(tokens, HTMLToken{Type: TextToken, Data: doc[i : i+j]})
 			i += j
 			continue
 		}
@@ -62,10 +60,10 @@ func Tokenize(doc string) []HTMLToken {
 		if strings.HasPrefix(doc[i:], "<!--") {
 			end := strings.Index(doc[i+4:], "-->")
 			if end < 0 {
-				tokens = append(tokens, HTMLToken{Type: CommentToken, Data: doc[i+4:], Start: i})
+				tokens = append(tokens, HTMLToken{Type: CommentToken, Data: doc[i+4:]})
 				break
 			}
-			tokens = append(tokens, HTMLToken{Type: CommentToken, Data: doc[i+4 : i+4+end], Start: i})
+			tokens = append(tokens, HTMLToken{Type: CommentToken, Data: doc[i+4 : i+4+end]})
 			i += 4 + end + 3
 			continue
 		}
@@ -75,14 +73,14 @@ func Tokenize(doc string) []HTMLToken {
 			if end < 0 {
 				break
 			}
-			tokens = append(tokens, HTMLToken{Type: DoctypeToken, Data: doc[i+2 : i+end], Start: i})
+			tokens = append(tokens, HTMLToken{Type: DoctypeToken, Data: doc[i+2 : i+end]})
 			i += end + 1
 			continue
 		}
 		end := strings.IndexByte(doc[i:], '>')
 		if end < 0 {
 			// Unterminated tag: treat the rest as text.
-			tokens = append(tokens, HTMLToken{Type: TextToken, Data: doc[i:], Start: i})
+			tokens = append(tokens, HTMLToken{Type: TextToken, Data: doc[i:]})
 			break
 		}
 		raw := doc[i+1 : i+end]
@@ -97,9 +95,9 @@ func Tokenize(doc string) []HTMLToken {
 		name, attrs := parseTag(raw)
 		if name == "" {
 			// "< >" or similar garbage: keep as text.
-			tokens = append(tokens, HTMLToken{Type: TextToken, Data: doc[i : i+end+1], Start: i})
+			tokens = append(tokens, HTMLToken{Type: TextToken, Data: doc[i : i+end+1]})
 		} else {
-			tokens = append(tokens, HTMLToken{Type: tokType, Name: name, Attrs: attrs, Start: i})
+			tokens = append(tokens, HTMLToken{Type: tokType, Name: name, Attrs: attrs})
 		}
 		i += end + 1
 
@@ -111,7 +109,7 @@ func Tokenize(doc string) []HTMLToken {
 			if idx < 0 {
 				break
 			}
-			tokens = append(tokens, HTMLToken{Type: TextToken, Data: doc[i : i+idx], Start: i})
+			tokens = append(tokens, HTMLToken{Type: TextToken, Data: doc[i : i+idx]})
 			i += idx
 		}
 	}

@@ -418,8 +418,8 @@ func TestSearchVectorFillsKUnderSelectiveFilter(t *testing.T) {
 		t.Fatalf("got %d hits, want %d (filtered walk must keep traversing until k survivors)", len(hits), k)
 	}
 	for _, h := range hits {
-		if got := ix.Doc(h.Ord).Fields["domain"]; got != "raro" {
-			t.Fatalf("hit %s has domain %q, want raro", h.ID, got)
+		if doc, _ := ix.DocByID(h.ID); doc.Fields["domain"] != "raro" {
+			t.Fatalf("hit %s has domain %q, want raro", h.ID, doc.Fields["domain"])
 		}
 	}
 }

@@ -150,7 +150,7 @@ func TestFilters(t *testing.T) {
 		Filters: []Filter{{Field: "domain", Value: "prodotti"}},
 	})
 	for _, h := range hits {
-		doc := ix.Doc(h.Ord)
+		doc, _ := ix.DocByID(h.ID)
 		if doc.Fields["domain"] != "prodotti" {
 			t.Fatalf("filter leaked: %v", doc.Fields)
 		}
@@ -184,7 +184,7 @@ func TestSearchVectorWithFilter(t *testing.T) {
 	q := emb.Embed("carta di credito")
 	hits := ix.SearchVector("contentVector", q, 5, []Filter{{Field: "domain", Value: "pagamenti"}})
 	for _, h := range hits {
-		if ix.Doc(h.Ord).Fields["domain"] != "pagamenti" {
+		if doc, _ := ix.DocByID(h.ID); doc.Fields["domain"] != "pagamenti" {
 			t.Fatalf("vector filter leaked")
 		}
 	}

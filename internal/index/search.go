@@ -9,8 +9,6 @@ import (
 
 // Hit is one full-text search result.
 type Hit struct {
-	// Ord is the internal document ordinal (usable with Index.Doc).
-	Ord int
 	// ID is the external chunk id.
 	ID string
 	// Score is the BM25 relevance score.
@@ -234,14 +232,14 @@ func (ix *Index) selectTopN(scores []float64, touched []int32, n int) []Hit {
 	if len(touched) <= n {
 		hits := make([]Hit, 0, len(touched))
 		for _, ord := range touched {
-			hits = append(hits, Hit{Ord: int(ord), ID: ix.docs[ord].ID, Score: scores[ord]})
+			hits = append(hits, Hit{ID: ix.docs[ord].ID, Score: scores[ord]})
 		}
 		SortHits(hits)
 		return hits
 	}
 	hits := make([]Hit, 0, n)
 	for _, ord := range touched {
-		h := Hit{Ord: int(ord), ID: ix.docs[ord].ID, Score: scores[ord]}
+		h := Hit{ID: ix.docs[ord].ID, Score: scores[ord]}
 		if len(hits) < n {
 			hits = append(hits, h)
 			siftUp(hits, len(hits)-1)
@@ -343,7 +341,7 @@ func (ix *Index) SearchVectorUnit(field string, q vector.Vector, k int, filters 
 	res := vx.SearchUnit(q, k, accept)
 	hits := make([]Hit, 0, len(res))
 	for _, r := range res {
-		hits = append(hits, Hit{Ord: r.ID, ID: ix.docs[r.ID].ID, Score: 1 - float64(r.Distance)})
+		hits = append(hits, Hit{ID: ix.docs[r.ID].ID, Score: 1 - float64(r.Distance)})
 	}
 	return hits
 }

@@ -676,15 +676,6 @@ func (s *Segmented) LiveLen() int {
 	return n
 }
 
-// Tombstones counts tombstoned-but-unreclaimed chunks across all parts.
-func (s *Segmented) Tombstones() int {
-	n := 0
-	for _, part := range s.parts() {
-		n += part.Tombstones()
-	}
-	return n
-}
-
 // Doc returns the document at a global ordinal, where ordinals concatenate
 // the parts in order (sealed segments oldest-first, then the memtable). The
 // mapping is only stable between mutations and compactions; use DocByID to

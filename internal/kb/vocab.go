@@ -25,26 +25,11 @@ import (
 	"uniask/internal/textproc"
 )
 
-// ConceptKind classifies vocabulary concepts.
-type ConceptKind int
-
-const (
-	// Entity concepts are banking objects (accounts, cards, transfers).
-	Entity ConceptKind = iota
-	// Action concepts are operations performed on entities.
-	Action
-	// Facet concepts qualify a scenario (abroad, online, urgent...).
-	Facet
-	// Jargon concepts are internal application/product names.
-	Jargon
-)
-
 // Concept is one semantic unit of the vocabulary. Variants[0] is the
 // canonical surface form the document editors use; the remaining variants
 // are the colloquial synonyms employees use in questions.
 type Concept struct {
 	ID       string
-	Kind     ConceptKind
 	Variants []string
 }
 
@@ -60,7 +45,10 @@ func (c Concept) Synonym(rng *rand.Rand) string {
 	return c.Variants[1+rng.Intn(len(c.Variants)-1)]
 }
 
-// Vocabulary is the full concept inventory of a generated corpus.
+// Vocabulary is the full concept inventory of a generated corpus: banking
+// objects (accounts, cards, transfers), the operations performed on them,
+// the facets that qualify a scenario (abroad, online, urgent...) and the
+// internal application and product names.
 type Vocabulary struct {
 	Entities []Concept
 	Actions  []Concept
@@ -186,20 +174,19 @@ func BuildVocabulary(seed int64) *Vocabulary {
 	rng := rand.New(rand.NewSource(seed))
 	v := &Vocabulary{}
 	for i, d := range entityData {
-		v.Entities = append(v.Entities, Concept{ID: fmt.Sprintf("ent%02d", i), Kind: Entity, Variants: d})
+		v.Entities = append(v.Entities, Concept{ID: fmt.Sprintf("ent%02d", i), Variants: d})
 	}
 	for i, d := range actionData {
-		v.Actions = append(v.Actions, Concept{ID: fmt.Sprintf("act%02d", i), Kind: Action, Variants: d})
+		v.Actions = append(v.Actions, Concept{ID: fmt.Sprintf("act%02d", i), Variants: d})
 	}
 	for i, d := range facetData {
-		v.Facets = append(v.Facets, Concept{ID: fmt.Sprintf("fac%02d", i), Kind: Facet, Variants: d})
+		v.Facets = append(v.Facets, Concept{ID: fmt.Sprintf("fac%02d", i), Variants: d})
 	}
 	// Generated jargon: every root × a random type.
 	for i, root := range jargonRoots {
 		typ := jargonTypes[rng.Intn(len(jargonTypes))]
 		v.Jargon = append(v.Jargon, Concept{
-			ID:   fmt.Sprintf("jar%02d", i),
-			Kind: Jargon,
+			ID: fmt.Sprintf("jar%02d", i),
 			Variants: []string{
 				typ + " " + root, // canonical editorial form
 				root,             // colloquial bare name

@@ -45,11 +45,8 @@ type Request struct {
 type Response struct {
 	// Content is the generated text.
 	Content string
-	// PromptTokens and CompletionTokens report usage for rate limiting.
-	PromptTokens     int
-	CompletionTokens int
-	// FinishReason is "stop" or "length".
-	FinishReason string
+	// PromptTokens reports the prompt's size for rate limiting.
+	PromptTokens int
 }
 
 // Client is the chat-completion interface (the shape of the Azure OpenAI

@@ -127,20 +127,16 @@ func (s *SimLLM) Complete(ctx context.Context, req Request) (Response, error) {
 	default:
 		content = refusalAnswer
 	}
-	finish := "stop"
 	maxTok := req.MaxTokens
 	if maxTok <= 0 {
 		maxTok = 1024
 	}
 	if textproc.ApproxTokens(content) > maxTok {
 		content = truncateTokens(content, maxTok)
-		finish = "length"
 	}
 	return Response{
-		Content:          content,
-		PromptTokens:     textproc.ApproxTokens(promptText(req)),
-		CompletionTokens: textproc.ApproxTokens(content),
-		FinishReason:     finish,
+		Content:      content,
+		PromptTokens: textproc.ApproxTokens(promptText(req)),
 	}, nil
 }
 
@@ -233,7 +229,7 @@ func (s *SimLLM) collectEvidence(qTerms map[string]struct{}, chunks []ContextChu
 	for _, ch := range chunks {
 		titleTerms := s.conceptTerms(ch.Title)
 		titleBoost := 0.15 * setOverlap(qTerms, titleTerms)
-		sents := textproc.SentenceTexts(ch.Content)
+		sents := textproc.SplitSentences(ch.Content)
 		for i, sent := range sents {
 			sTerms := s.conceptTerms(sent)
 			matched := 0
@@ -338,7 +334,7 @@ func (s *SimLLM) summarize(req Request) string {
 			text = m.Content
 		}
 	}
-	sents := textproc.SentenceTexts(text)
+	sents := textproc.SplitSentences(text)
 	var parts []string
 	if title != "" {
 		parts = append(parts, title+".")

@@ -114,9 +114,12 @@ type ShardGauge struct {
 	// Postings counts inverted-index posting entries — the shard's dominant
 	// memory term.
 	Postings int
-	// Queries and AvgQueryLatency aggregate the shard-local search calls.
+	// Queries and AvgQueryLatency aggregate the shard-local search calls;
+	// Errors counts the ones that failed (a remote shard down or timing
+	// out).
 	Queries         uint64
 	AvgQueryLatency time.Duration
+	Errors          uint64
 }
 
 // SegmentGauge is one segmented store's dashboard row: how much live

@@ -402,9 +402,6 @@ func (g *Group) Len() int { return g.maxStatus().Len }
 // LiveLen implements shard.Backend.
 func (g *Group) LiveLen() int { return g.maxStatus().LiveLen }
 
-// Tombstones implements shard.Backend.
-func (g *Group) Tombstones() int { return g.maxStatus().Tombstones }
-
 // Stats implements shard.Backend.
 func (g *Group) Stats() index.Stats { return g.maxStatus().Stats }
 

@@ -342,12 +342,11 @@ func (s *Server) handle(req *request) (resp *response) {
 		return &response{Docs: st.LiveDocs()}
 	case opStatus:
 		return &response{Status: &shardStatus{
-			StatsKey:   st.StatsKey(),
-			Len:        st.Len(),
-			LiveLen:    st.LiveLen(),
-			Tombstones: st.Tombstones(),
-			Stats:      st.Stats(),
-			Segments:   st.SegmentStats(),
+			StatsKey: st.StatsKey(),
+			Len:      st.Len(),
+			LiveLen:  st.LiveLen(),
+			Stats:    st.Stats(),
+			Segments: st.SegmentStats(),
 		}}
 	case opPublish:
 		st.Publish()

@@ -117,8 +117,10 @@ func TestStressRemoteIngestWhileQuery(t *testing.T) {
 	if got, want := facade.LiveLen(), totalDocs-totalDocs/10; got != want {
 		t.Fatalf("after the storm: %d live chunks, want %d", got, want)
 	}
-	if facade.Tombstones() != 0 {
-		t.Fatalf("compaction left %d tombstones", facade.Tombstones())
+	for i := 0; i < facade.NumShards(); i++ {
+		if n := facade.Backend(i).Stats().Tombstones; n != 0 {
+			t.Fatalf("compaction left %d tombstones on shard %d", n, i)
+		}
 	}
 	if n := searches.Load(); n < int64(readWorkers) {
 		t.Fatalf("readers completed only %d operations", n)

@@ -247,12 +247,11 @@ type request struct {
 // shardStatus is the combined gauge/staleness snapshot of one hosted shard,
 // fetched in a single RPC.
 type shardStatus struct {
-	StatsKey   uint64
-	Len        int
-	LiveLen    int
-	Tombstones int
-	Stats      index.Stats
-	Segments   index.SegmentStats
+	StatsKey uint64
+	Len      int
+	LiveLen  int
+	Stats    index.Stats
+	Segments index.SegmentStats
 }
 
 // response is the reply envelope. Err carries an application-level error

@@ -106,15 +106,13 @@ type Stats struct {
 	Clicks uint64
 	// Version is the current weight version.
 	Version uint64
-	// Weights is the current parameter snapshot.
-	Weights Weights
 	// Drift is the largest relative excursion from the factory calibration
 	// across the four parameters, in units of the envelope half-width
 	// (1.0 = a parameter is pinned at its clamp).
 	Drift float64
 }
 
-// Stats reports the recalibration counters and current weights.
+// Stats reports the recalibration counters and the weights' drift.
 func (r *Reranker) Stats() Stats {
 	r.mu.Lock()
 	clicks := r.clicks
@@ -132,5 +130,5 @@ func (r *Reranker) Stats() Stats {
 			drift = d
 		}
 	}
-	return Stats{Clicks: clicks, Version: cur.version, Weights: cur.w, Drift: drift}
+	return Stats{Clicks: clicks, Version: cur.version, Drift: drift}
 }

@@ -17,8 +17,8 @@ func TestRecalibrateMovesTowardClickedDocs(t *testing.T) {
 	base := r.cur.Load().w
 	// The clicked doc matches the query lexically, the skipped one does
 	// not: repeated clicks should not decrease the lexical weight.
-	clicked := Input{ID: "good", Title: "bonifico estero", Content: "come fare un bonifico estero dal conto"}
-	skipped := Input{ID: "bad", Title: "carta di credito", Content: "limiti della carta di credito"}
+	clicked := Input{Title: "bonifico estero", Content: "come fare un bonifico estero dal conto"}
+	skipped := Input{Title: "carta di credito", Content: "limiti della carta di credito"}
 	for i := 0; i < 50; i++ {
 		r.Recalibrate(clickFor("bonifico estero", clicked, skipped))
 	}
@@ -40,15 +40,15 @@ func TestRecalibrateBoundedByEnvelope(t *testing.T) {
 	base := DefaultWeights
 	adversarial := []Click{
 		// Same doc clicked and skipped across calls: contradictory signal.
-		clickFor("bonifico", Input{ID: "a", Title: "bonifico", Content: "bonifico"}, Input{ID: "b"}),
-		clickFor("bonifico", Input{ID: "b"}, Input{ID: "a", Title: "bonifico", Content: "bonifico"}),
+		clickFor("bonifico", Input{Title: "bonifico", Content: "bonifico"}, Input{}),
+		clickFor("bonifico", Input{}, Input{Title: "bonifico", Content: "bonifico"}),
 		// Empty inputs: zero features, only the bias moves.
 		{Query: "", Clicked: Input{}},
 		// Vectors attached: the semantic feature participates.
 		{
 			Query: "carta", QueryVec: vector.Vector{1, 0, 0},
-			Clicked:      Input{ID: "v", ContentVector: vector.Vector{1, 0, 0}},
-			SkippedAbove: []Input{{ID: "w", ContentVector: vector.Vector{-1, 0, 0}}},
+			Clicked:      Input{ContentVector: vector.Vector{1, 0, 0}},
+			SkippedAbove: []Input{{ContentVector: vector.Vector{-1, 0, 0}}},
 		},
 	}
 	for i := 0; i < 2000; i++ {
@@ -84,7 +84,7 @@ func TestRecalibrateBoundedByEnvelope(t *testing.T) {
 func TestRecalibrateVersionGatesCachedRankings(t *testing.T) {
 	r := New()
 	v0 := r.Version()
-	r.Recalibrate(clickFor("q", Input{ID: "a", Title: "q", Content: "q"}, Input{ID: "b"}))
+	r.Recalibrate(clickFor("q", Input{Title: "q", Content: "q"}, Input{}))
 	if r.Version() != v0+1 {
 		t.Fatalf("version %d -> %d, want +1 per click", v0, r.Version())
 	}
@@ -94,7 +94,7 @@ func TestRecalibrateConcurrentWithScoring(t *testing.T) {
 	// Clicks land while queries score: the atomic snapshot must keep both
 	// sides consistent (run under -race in make check).
 	r := New()
-	in := Input{ID: "x", Title: "bonifico", Content: "bonifico estero"}
+	in := Input{Title: "bonifico", Content: "bonifico estero"}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -102,7 +102,7 @@ func TestRecalibrateConcurrentWithScoring(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				if w%2 == 0 {
-					r.Recalibrate(clickFor(fmt.Sprintf("q%d", i), in, Input{ID: "y"}))
+					r.Recalibrate(clickFor(fmt.Sprintf("q%d", i), in, Input{}))
 				} else {
 					r.Score("bonifico", nil, in)
 				}

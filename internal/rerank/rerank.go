@@ -30,21 +30,12 @@ import (
 
 // Input is one candidate to re-score.
 type Input struct {
-	// ID identifies the chunk.
-	ID string
 	// Title and Content are the chunk's retrievable text fields.
 	Title   string
 	Content string
 	// ContentVector is the chunk's content embedding (may be nil; the
 	// semantic component is then skipped).
 	ContentVector vector.Vector
-}
-
-// Scored is a reranked candidate.
-type Scored struct {
-	ID string
-	// Score is the semantic relevance score in (0, 1).
-	Score float64
 }
 
 // Weights is one immutable parameter snapshot of the scoring logistic:
@@ -124,19 +115,20 @@ func (r *Reranker) Score(query string, qvec vector.Vector, in Input) float64 {
 }
 
 // Rerank scores every candidate exactly as Score would, analyzing the query
-// once and reading one weight snapshot for the whole batch. It does not
+// once and reading one weight snapshot for the whole batch: the i-th score,
+// in (0, 1), is the semantic relevance of ins[i]. It does not
 // reorder — UniAsk adds the semantic score to the RRF score, so combination
 // happens in the caller. It checks ctx before each candidate and returns
 // ctx's error, and no scores, once the caller has gone.
-func (r *Reranker) Rerank(ctx context.Context, query string, qvec vector.Vector, ins []Input) ([]Scored, error) {
+func (r *Reranker) Rerank(ctx context.Context, query string, qvec vector.Vector, ins []Input) ([]float64, error) {
 	qTerms := r.analyzer.AnalyzeUnique(query)
 	w := r.cur.Load().w
-	out := make([]Scored, len(ins))
+	out := make([]float64, len(ins))
 	for i, in := range ins {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out[i] = Scored{ID: in.ID, Score: w.prob(r.features(qTerms, qvec, in))}
+		out[i] = w.prob(r.features(qTerms, qvec, in))
 	}
 	return out, nil
 }

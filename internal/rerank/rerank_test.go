@@ -18,7 +18,7 @@ func TestScoreBounds(t *testing.T) {
 	emb := embedding.NewSynth(64, nil)
 	q := "come bloccare la carta di credito"
 	s := r.Score(q, emb.Embed(q), Input{
-		ID: "x", Title: "Blocco carta", Content: "Per bloccare la carta chiamare il numero verde.",
+		Title: "Blocco carta", Content: "Per bloccare la carta chiamare il numero verde.",
 		ContentVector: emb.Embed("Per bloccare la carta chiamare il numero verde."),
 	})
 	if s <= 0 || s >= 1 {
@@ -31,10 +31,10 @@ func TestRelevantOutscoresIrrelevant(t *testing.T) {
 	emb := embedding.NewSynth(64, nil)
 	q := "come bloccare la carta di credito"
 	qv := emb.Embed(q)
-	rel := Input{ID: "rel", Title: "Blocco carta di credito",
+	rel := Input{Title: "Blocco carta di credito",
 		Content:       "Per bloccare la carta di credito chiamare il numero verde dedicato.",
 		ContentVector: emb.Embed("Per bloccare la carta di credito chiamare il numero verde dedicato.")}
-	irr := Input{ID: "irr", Title: "Mutuo prima casa",
+	irr := Input{Title: "Mutuo prima casa",
 		Content:       "Il mutuo prima casa offre un tasso agevolato ai giovani.",
 		ContentVector: emb.Embed("Il mutuo prima casa offre un tasso agevolato ai giovani.")}
 	sr := r.Score(q, qv, rel)
@@ -71,10 +71,10 @@ func TestNilVectorSkipsSemantic(t *testing.T) {
 
 func TestRerankPreservesOrderAndIDs(t *testing.T) {
 	r := New()
-	ins := []Input{{ID: "a", Content: "x"}, {ID: "b", Content: "y"}}
+	ins := []Input{{Content: "x"}, {Content: "y"}}
 	out, err := r.Rerank(context.Background(), "x", nil, ins)
-	if err != nil || len(out) != 2 || out[0].ID != "a" || out[1].ID != "b" {
-		t.Fatalf("Rerank reordered or lost ids: %v (err %v)", out, err)
+	if err != nil || len(out) != 2 || out[0] != r.Score("x", nil, ins[0]) || out[1] != r.Score("x", nil, ins[1]) {
+		t.Fatalf("Rerank reordered or lost candidates: %v (err %v)", out, err)
 	}
 }
 
@@ -89,7 +89,7 @@ func TestEmptyQuery(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	r := New()
 	emb := embedding.NewSynth(64, nil)
-	in := Input{ID: "a", Title: "Blocco carta", Content: "Per bloccare la carta",
+	in := Input{Title: "Blocco carta", Content: "Per bloccare la carta",
 		ContentVector: emb.Embed("Per bloccare la carta")}
 	q := "bloccare carta"
 	qv := emb.Embed(q)
@@ -112,7 +112,7 @@ func corpusCandidates(tb testing.TB, n int) ([]Input, []string, *embedding.Synth
 			if len(ins) == n {
 				break
 			}
-			ins = append(ins, Input{ID: d.ID, Title: d.Title, Content: c.Text, ContentVector: emb.Embed(c.Text)})
+			ins = append(ins, Input{Title: d.Title, Content: c.Text, ContentVector: emb.Embed(c.Text)})
 		}
 	}
 	var queries []string
@@ -135,8 +135,8 @@ func TestRerankEqualsScoreLoop(t *testing.T) {
 			}
 			for i, in := range ins {
 				want := r.Score(q, qv, in)
-				if got[i].ID != in.ID || math.Float64bits(got[i].Score) != math.Float64bits(want) {
-					t.Fatalf("%q candidate %d: Rerank %v %v, Score %v", q, i, got[i].ID, got[i].Score, want)
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("%q candidate %d: Rerank %v, Score %v", q, i, got[i], want)
 				}
 			}
 		}
@@ -147,7 +147,7 @@ func TestRerankStopsOnCancel(t *testing.T) {
 	r := New()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, err := r.Rerank(ctx, "carta", nil, []Input{{ID: "a", Content: "carta"}})
+	out, err := r.Rerank(ctx, "carta", nil, []Input{{Content: "carta"}})
 	if !errors.Is(err, context.Canceled) || out != nil {
 		t.Fatalf("out=%v err=%v, want nil and context.Canceled", out, err)
 	}

@@ -46,7 +46,10 @@ func oracleMaxLAgainst(candidate string, references []string) float64 {
 		lcs := float64(lcsLength(c, r))
 		p := lcs / float64(len(c))
 		rec := lcs / float64(len(r))
-		if s := f1(p, rec); s > best {
+		if p+rec == 0 {
+			continue
+		}
+		if s := 2 * p * rec / (p + rec); s > best {
 			best = s
 		}
 	}

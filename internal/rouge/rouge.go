@@ -10,13 +10,6 @@ import (
 	"unicode"
 )
 
-// Score holds precision, recall and F-measure for one ROUGE computation.
-type Score struct {
-	Precision float64
-	Recall    float64
-	F1        float64
-}
-
 // tokenize lower-cases and splits on non-alphanumeric runes. ROUGE operates
 // on raw word overlap; no stemming or stop-word removal is applied, matching
 // the reference implementation. Tokens are substrings of the lower-cased
@@ -68,22 +61,20 @@ func lcsLength(a, b []string) int {
 	return prev[len(b)]
 }
 
-// lTokens is ROUGE-L over tokenized texts.
-func lTokens(c, r []string) Score {
+// lTokens is the ROUGE-L F-measure over tokenized texts: the harmonic mean
+// of the LCS precision (over the candidate) and recall (over the
+// reference).
+func lTokens(c, r []string) float64 {
 	if len(c) == 0 || len(r) == 0 {
-		return Score{}
+		return 0
 	}
 	lcs := float64(lcsLength(c, r))
 	p := lcs / float64(len(c))
 	rec := lcs / float64(len(r))
-	return Score{Precision: p, Recall: rec, F1: f1(p, rec)}
-}
-
-func f1(p, r float64) float64 {
-	if p+r == 0 {
+	if p+rec == 0 {
 		return 0
 	}
-	return 2 * p * r / (p + r)
+	return 2 * p * rec / (p + rec)
 }
 
 // MaxLAgainst returns the highest ROUGE-L F1 of candidate against any of
@@ -94,7 +85,7 @@ func MaxLAgainst(candidate string, references []string) float64 {
 	c := tokenize(candidate)
 	best := 0.0
 	for _, ref := range references {
-		if s := lTokens(c, tokenize(ref)).F1; s > best {
+		if s := lTokens(c, tokenize(ref)); s > best {
 			best = s
 		}
 	}

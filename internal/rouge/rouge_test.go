@@ -11,51 +11,53 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestIdenticalTexts(t *testing.T) {
 	s := rougeL("la carta va bloccata subito", "la carta va bloccata subito")
-	if !almost(s.Precision, 1) || !almost(s.Recall, 1) || !almost(s.F1, 1) {
-		t.Fatalf("identical texts: %+v", s)
+	if !almost(s, 1) {
+		t.Fatalf("identical texts: %v", s)
 	}
 }
 
 func TestDisjointTexts(t *testing.T) {
 	s := rougeL("alfa beta gamma", "uno due tre")
-	if s.F1 != 0 {
-		t.Fatalf("disjoint texts: %+v", s)
+	if s != 0 {
+		t.Fatalf("disjoint texts: %v", s)
 	}
 }
 
 func TestEmptyTexts(t *testing.T) {
-	if s := rougeL("", "qualcosa"); s.F1 != 0 {
+	if s := rougeL("", "qualcosa"); s != 0 {
 		t.Fatalf("empty candidate: %+v", s)
 	}
-	if s := rougeL("qualcosa", ""); s.F1 != 0 {
+	if s := rougeL("qualcosa", ""); s != 0 {
 		t.Fatalf("empty reference: %+v", s)
 	}
-	if s := rougeL("", ""); s.F1 != 0 {
+	if s := rougeL("", ""); s != 0 {
 		t.Fatalf("both empty: %+v", s)
 	}
 }
 
 func TestKnownLCS(t *testing.T) {
-	// candidate: "a b c d", reference: "a c d e" -> LCS = a c d = 3.
+	// candidate: "a b c d", reference: "a c d e" -> LCS = a c d = 3:
+	// precision and recall 3/4, so F1 3/4.
 	s := rougeL("a b c d", "a c d e")
-	if !almost(s.Precision, 3.0/4) || !almost(s.Recall, 3.0/4) {
-		t.Fatalf("known LCS: %+v", s)
+	if !almost(s, 3.0/4) {
+		t.Fatalf("known LCS: %v", s)
 	}
 }
 
 func TestCaseAndPunctuationInsensitive(t *testing.T) {
 	a := rougeL("La Carta, va bloccata!", "la carta va bloccata")
-	if !almost(a.F1, 1) {
-		t.Fatalf("case/punct: %+v", a)
+	if !almost(a, 1) {
+		t.Fatalf("case/punct: %v", a)
 	}
 }
 
 func TestSubsequenceNotSubstring(t *testing.T) {
 	// LCS respects order but allows gaps.
 	s := rougeL("bloccare subito la carta", "bloccare immediatamente la carta di credito")
-	// LCS = "bloccare la carta" = 3; |c| = 4, |r| = 6.
-	if !almost(s.Precision, 3.0/4) || !almost(s.Recall, 3.0/6) {
-		t.Fatalf("gap LCS: %+v", s)
+	// LCS = "bloccare la carta" = 3; |c| = 4, |r| = 6: precision 3/4,
+	// recall 1/2, F1 = 2·(3/4)·(1/2)/(5/4) = 3/5.
+	if !almost(s, 3.0/5) {
+		t.Fatalf("gap LCS: %v", s)
 	}
 }
 
@@ -64,8 +66,8 @@ func TestOrderMatters(t *testing.T) {
 	// LCS of reversed trigram is 1 ("la" pivot allows ["carta"]? compute:
 	// [carta la bloccare] vs [bloccare la carta] -> LCS length 1 ("la") or
 	// single word matches; must be < 3.
-	if s.F1 >= 0.99 {
-		t.Fatalf("order ignored: %+v", s)
+	if s >= 0.99 {
+		t.Fatalf("order ignored: %v", s)
 	}
 }
 
@@ -75,7 +77,7 @@ func TestMaxLAgainst(t *testing.T) {
 		"la carta va bloccata chiamando il numero verde",
 	}
 	got := MaxLAgainst("la carta va bloccata subito", refs)
-	want := rougeL("la carta va bloccata subito", refs[1]).F1
+	want := rougeL("la carta va bloccata subito", refs[1])
 	if !almost(got, want) {
 		t.Fatalf("MaxLAgainst = %v, want %v", got, want)
 	}
@@ -89,11 +91,10 @@ func TestMaxLAgainst(t *testing.T) {
 func TestRougeLBounds(t *testing.T) {
 	f := func(a, b string) bool {
 		s := rougeL(a, b)
-		if s.F1 < 0 || s.F1 > 1 || s.Precision < 0 || s.Precision > 1 || s.Recall < 0 || s.Recall > 1 {
+		if s < 0 || s > 1 {
 			return false
 		}
-		sw := rougeL(b, a)
-		return almost(s.F1, sw.F1) && almost(s.Precision, sw.Recall) && almost(s.Recall, sw.Precision)
+		return almost(s, rougeL(b, a))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -107,7 +108,7 @@ func TestRougeLReflexive(t *testing.T) {
 		if len(tokenize(text)) == 0 {
 			return true
 		}
-		return almost(rougeL(text, text).F1, 1)
+		return almost(rougeL(text, text), 1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func BenchmarkRougeL(b *testing.B) {
 	}
 }
 
-// rougeL is ROUGE-L between a candidate text and a reference text.
-func rougeL(candidate, reference string) Score {
+// rougeL is the ROUGE-L F1 between a candidate text and a reference text.
+func rougeL(candidate, reference string) float64 {
 	return lTokens(tokenize(candidate), tokenize(reference))
 }

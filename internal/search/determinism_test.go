@@ -176,7 +176,6 @@ func seqFinalize(s *Searcher, query string, qvec vector.Vector, fused []fusion.F
 			ParentID: doc.ParentID,
 			Title:    doc.Fields["title"],
 			Content:  doc.Fields["content"],
-			Summary:  doc.Fields["summary"],
 			Score:    f.Score,
 		})
 	}
@@ -186,7 +185,6 @@ func seqFinalize(s *Searcher, query string, qvec vector.Vector, fused []fusion.F
 	for i := range results {
 		doc, _ := s.Index.DocByID(results[i].ChunkID)
 		in := rerank.Input{
-			ID:            results[i].ChunkID,
 			Title:         results[i].Title,
 			Content:       results[i].Content,
 			ContentVector: doc.Vectors["contentVector"],

@@ -42,8 +42,9 @@ const expansionRankingsDigest = "7b6cf2fbaec4e9e659b2f560d4edf57c808e976b7aea3aa
 // expansionPlansDigest is the SHA-256 of the same cells with every result
 // field, scores included. The reranker reads each chunk's unit-length
 // content vector from the vector index's arena, so scores carry the
-// arena's bits; rankings are pinned above, scores here.
-const expansionPlansDigest = "8ba6d06792a5673b9915c970fe09bceffb1d30e2e54c070a0d3bbb985e767d3a"
+// arena's bits; rankings are pinned above, scores here. The digest hashes
+// the results' Go syntax, so it also moves with Result's field list.
+const expansionPlansDigest = "ae6917ccb556d11bacf9f256f1fa958098388bf9922fa4307999da3c97063a3a"
 
 func TestExpansionPlansPinned(t *testing.T) {
 	expansions := []struct {

@@ -104,7 +104,7 @@ func TestRenderedBodyInvalidation(t *testing.T) {
 		}, 1},
 		{"rerank recalibration", 0, func(t *testing.T, s *Searcher, _ *embedCounter, cached []Result) {
 			s.Reranker.Recalibrate(rerank.Click{Query: query, Clicked: rerank.Input{
-				ID: cached[0].ChunkID, Title: cached[0].Title, Content: cached[0].Content,
+				Title: cached[0].Title, Content: cached[0].Content,
 			}})
 		}, 0},
 		{"lru eviction and re-store", 1, func(t *testing.T, s *Searcher, _ *embedCounter, _ []Result) {

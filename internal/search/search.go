@@ -189,10 +189,10 @@ type Result struct {
 	ChunkID string
 	// ParentID is the KB document the chunk belongs to.
 	ParentID string
-	// Title, Content and Summary are the retrievable fields.
+	// Title and Content are the retrievable fields the answer and the
+	// reranker read.
 	Title   string
 	Content string
-	Summary string
 	// Score is the final relevance score (RRF + semantic rerank for HSS).
 	Score float64
 }
@@ -740,7 +740,6 @@ func (s *Searcher) finalize(ctx context.Context, query string, qvec vector.Vecto
 			ParentID: doc.ParentID,
 			Title:    doc.Fields["title"],
 			Content:  doc.Fields["content"],
-			Summary:  doc.Fields["summary"],
 			Score:    fused[i].Score,
 		})
 		contentVecs = append(contentVecs, doc.Vectors["contentVector"])
@@ -751,14 +750,14 @@ func (s *Searcher) finalize(ctx context.Context, query string, qvec vector.Vecto
 	err := pipeline.Run(ctx, s.obs(), pipeline.StageRerank, len(results), func(ctx context.Context) (int, error) {
 		ins := make([]rerank.Input, len(results))
 		for i, r := range results {
-			ins[i] = rerank.Input{ID: r.ChunkID, Title: r.Title, Content: r.Content, ContentVector: contentVecs[i]}
+			ins[i] = rerank.Input{Title: r.Title, Content: r.Content, ContentVector: contentVecs[i]}
 		}
 		scored, err := s.Reranker.Rerank(ctx, query, qvec, ins)
 		if err != nil {
 			return 0, err
 		}
 		for i, sc := range scored {
-			results[i].Score += sc.Score
+			results[i].Score += sc
 		}
 		sortResults(results)
 		return len(results), nil

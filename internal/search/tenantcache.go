@@ -30,7 +30,6 @@ type CachePool struct {
 	remaining    int
 	defaultShare int
 	parts        map[string]*QueryCache
-	shares       map[string]int
 }
 
 // NewCachePool creates a pool with a total entry budget (<= 0 = unbounded)
@@ -44,7 +43,6 @@ func NewCachePool(total, defaultShare int) *CachePool {
 		remaining:    total,
 		defaultShare: defaultShare,
 		parts:        make(map[string]*QueryCache),
-		shares:       make(map[string]int),
 	}
 }
 
@@ -80,14 +78,12 @@ func (p *CachePool) Partition(tenant string, share int) *QueryCache {
 	}
 	c := NewQueryCache(share)
 	p.parts[tenant] = c
-	p.shares[tenant] = share
 	return c
 }
 
 // PartitionStats is one tenant partition's gauge row.
 type PartitionStats struct {
 	Tenant string
-	Share  int
 	CacheStats
 }
 
@@ -96,7 +92,7 @@ func (p *CachePool) Stats() []PartitionStats {
 	p.mu.Lock()
 	rows := make([]PartitionStats, 0, len(p.parts))
 	for id, c := range p.parts {
-		rows = append(rows, PartitionStats{Tenant: id, Share: p.shares[id], CacheStats: c.Stats()})
+		rows = append(rows, PartitionStats{Tenant: id, CacheStats: c.Stats()})
 	}
 	p.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Tenant < rows[j].Tenant })

@@ -40,8 +40,8 @@ func TestCachePoolPartitioning(t *testing.T) {
 		t.Fatalf("stats rows = %d, want %d (%+v)", len(rows), len(want), rows)
 	}
 	for _, r := range rows {
-		if want[r.Tenant] != r.Share {
-			t.Errorf("tenant %s share = %d, want %d", r.Tenant, r.Share, want[r.Tenant])
+		if got := p.parts[r.Tenant].cap; want[r.Tenant] != got {
+			t.Errorf("tenant %s share = %d, want %d", r.Tenant, got, want[r.Tenant])
 		}
 	}
 }

@@ -17,9 +17,12 @@ import (
 	"testing"
 
 	"uniask/internal/core"
+	"uniask/internal/index"
+	"uniask/internal/indexer"
 	"uniask/internal/ingest"
 	"uniask/internal/kb"
 	"uniask/internal/monitor"
+	"uniask/internal/remote"
 )
 
 // getDashboard decodes one GET /api/dashboard.
@@ -224,4 +227,57 @@ func getJSON(u string, out any) int {
 		return 0
 	}
 	return resp.StatusCode
+}
+
+// TestDashboardCountsShardErrors: a sharded engine whose shard 0 lives on a
+// shard server that goes down counts the failed searches on shard 0's
+// dashboard row, and only there.
+func TestDashboardCountsShardErrors(t *testing.T) {
+	// Placement hashes the endpoints' addresses, which the kernel picks: draw
+	// server pairs until the two shards land on different servers.
+	var srvs [2]*remote.Server
+	var addrs []string
+	for attempt := 0; ; attempt++ {
+		if attempt == 20 {
+			t.Fatal("no server pair places the two shards apart")
+		}
+		for i := range srvs {
+			srvs[i] = remote.NewServer(remote.ServerConfig{Index: index.Config{Schema: indexer.Schema()}})
+			if err := srvs[i].Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srvs[i].Close)
+		}
+		addrs = []string{srvs[0].Addr(), srvs[1].Addr()}
+		if p := remote.Placement(addrs, 2, 1); p[0][0] != p[1][0] {
+			break
+		}
+	}
+	c := kb.Generate(kb.GenConfig{Docs: 40, Seed: 5})
+	eng, err := core.BuildFromCorpus(context.Background(), c, core.Config{RemoteShards: addrs, RemoteReplication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Sharded().Close()
+	hs := httptest.NewServer(New(eng).Handler())
+	defer hs.Close()
+	token := login(t, hs.URL, "mario")
+
+	down := remote.Placement(addrs, 2, 1)[0][0]
+	for _, srv := range srvs {
+		if srv.Addr() == down {
+			srv.Close()
+		}
+	}
+	authedReq(t, http.MethodGet, hs.URL+"/api/search?q=conto+corrente", token, nil).Body.Close()
+
+	d := getDashboard(t, hs.URL)
+	if len(d.Shards) != 2 {
+		t.Fatalf("shard rows = %+v, want 2", d.Shards)
+	}
+	for _, row := range d.Shards {
+		if failed := row.Shard == 0; failed != (row.Errors > 0) {
+			t.Errorf("shard %d row counts %d errors, want errors only on the downed shard 0", row.Shard, row.Errors)
+		}
+	}
 }

@@ -36,13 +36,11 @@ import (
 const TraceIDHeader = "X-Uniask-Trace-Id"
 
 // Feedback is one granular feedback submission, mirroring the §8 pop-up
-// modal fields.
+// modal fields. The server validates it and counts it on the dashboard; it
+// keeps no submission.
 type Feedback struct {
 	// User is the session user that submitted the feedback.
 	User string `json:"user"`
-	// Tenant is the tenant whose knowledge base the feedback is about
-	// (tenant.Default on a one-bank deployment).
-	Tenant string `json:"tenant,omitempty"`
 	// Query is the question the feedback refers to.
 	Query string `json:"query"`
 	// Helpful answers "Was the answer helpful?".
@@ -55,39 +53,18 @@ type Feedback struct {
 	Links []string `json:"links,omitempty"`
 	// Comments is the free-text field.
 	Comments string `json:"comments,omitempty"`
-	// At is the submission time.
-	At time.Time `json:"at"`
 }
 
 // Positive reports whether the rating counts as positive (3-5 per §8).
 func (f Feedback) Positive() bool { return f.Rating >= 3 }
 
-// maxFeedback bounds the retained feedback, the same 4096 entries the index
-// delete journal keeps: /api/feedback is open to any logged-in user, so an
-// unbounded store would let one client grow the heap without limit.
-const maxFeedback = 4096
-
-// FeedbackStore accumulates feedback submissions, retaining the newest
-// maxFeedback of them.
-type FeedbackStore struct {
-	mu    sync.Mutex
-	items []Feedback
-}
-
-// Add validates and stores a feedback entry, dropping the oldest one once
-// the store is full.
-func (s *FeedbackStore) Add(f Feedback) error {
+// validate refuses a rating outside 1-5 and a submission without a user.
+func (f Feedback) validate() error {
 	if f.Rating < 1 || f.Rating > 5 {
 		return fmt.Errorf("server: rating %d out of range 1-5", f.Rating)
 	}
 	if f.User == "" {
 		return errors.New("server: feedback requires a user")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.items = append(s.items, f)
-	if len(s.items) > maxFeedback {
-		s.items = s.items[len(s.items)-maxFeedback:]
 	}
 	return nil
 }
@@ -99,8 +76,7 @@ const DefaultRequestTimeout = 10 * time.Second
 
 // Server is the REST backend.
 type Server struct {
-	Metrics  *monitor.Metrics
-	Feedback *FeedbackStore
+	Metrics *monitor.Metrics
 	// RequestTimeout is the per-request deadline for the query endpoints
 	// (0 = DefaultRequestTimeout; negative disables the deadline). SSE
 	// session streams are exempt — they use per-write deadlines instead.
@@ -284,12 +260,12 @@ func (s *Server) auth(r *http.Request) string {
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	var f Feedback
-	user, tenantID, ok := s.identify(w, r, json.NewDecoder(r.Body).Decode(&f) == nil, "invalid feedback")
+	user, _, ok := s.identify(w, r, json.NewDecoder(r.Body).Decode(&f) == nil, "invalid feedback")
 	if !ok {
 		return
 	}
-	f.User, f.Tenant, f.At = user, tenantID, time.Now()
-	if err := s.Feedback.Add(f); err != nil {
+	f.User = user
+	if err := f.validate(); err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"testing"
 
@@ -173,7 +172,7 @@ func TestSearchEndpoint(t *testing.T) {
 func TestFeedbackFlow(t *testing.T) {
 	srv, api := setup(t)
 	token := login(t, srv.URL, "feedback.user")
-	before := len(stored(api.Feedback))
+	before := api.Metrics.Snapshot()
 	resp := authedReq(t, "POST", srv.URL+"/api/feedback", token, Feedback{
 		Query: "come bloccare la carta", Helpful: true, RelevantDocs: true,
 		Rating: 4, Links: []string{"kb00001"}, Comments: "ottimo",
@@ -182,13 +181,9 @@ func TestFeedbackFlow(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("feedback status = %d", resp.StatusCode)
 	}
-	all := stored(api.Feedback)
-	if len(all) != before+1 {
-		t.Fatalf("feedback not stored")
-	}
-	last := all[len(all)-1]
-	if last.User != "feedback.user" || !last.Positive() || last.At.IsZero() {
-		t.Fatalf("stored feedback = %+v", last)
+	if d := api.Metrics.Snapshot(); d.Feedbacks != before.Feedbacks+1 || d.PositiveFeedbacks != before.PositiveFeedbacks+1 {
+		t.Fatalf("feedback counters = %d/%d positive, want %d/%d",
+			d.Feedbacks, d.PositiveFeedbacks, before.Feedbacks+1, before.PositiveFeedbacks+1)
 	}
 }
 
@@ -258,11 +253,11 @@ func TestDashboardRecordsPipelineStages(t *testing.T) {
 }
 
 // TestOversizedFeedbackIs413: a feedback whose declared length is over the
-// body cap is refused before its handler runs, so nothing is stored.
+// body cap is refused before its handler runs, so nothing is counted.
 func TestOversizedFeedbackIs413(t *testing.T) {
 	srv, api := setup(t)
 	token := login(t, srv.URL, "big.feedback")
-	before := len(stored(api.Feedback))
+	before := api.Metrics.Snapshot().Feedbacks
 	body, _ := json.Marshal(Feedback{Query: "conto", Rating: 4, Comments: strings.Repeat("x", 2*maxBodyBytes)})
 	req := httptest.NewRequest(http.MethodPost, "/api/feedback", bytes.NewReader(body))
 	req.Header.Set("Authorization", "Bearer "+token)
@@ -271,8 +266,8 @@ func TestOversizedFeedbackIs413(t *testing.T) {
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized feedback status = %d, want 413", rec.Code)
 	}
-	if got := len(stored(api.Feedback)); got != before {
-		t.Fatalf("oversized feedback stored: %d entries, want %d", got, before)
+	if got := api.Metrics.Snapshot().Feedbacks; got != before {
+		t.Fatalf("oversized feedback counted: %d feedbacks, want %d", got, before)
 	}
 }
 
@@ -344,24 +339,6 @@ func TestConcurrentAsk(t *testing.T) {
 	}
 }
 
-// Any logged-in user can post feedback, so the store keeps only the newest
-// maxFeedback entries.
-func TestFeedbackStoreKeepsNewest(t *testing.T) {
-	store := &FeedbackStore{}
-	for i := 0; i <= maxFeedback; i++ {
-		if err := store.Add(Feedback{User: "u", Query: fmt.Sprintf("q%d", i), Rating: 1, Links: []string{"kb00001"}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	all := stored(store)
-	if len(all) != maxFeedback {
-		t.Fatalf("retained %d entries, want %d", len(all), maxFeedback)
-	}
-	if last := fmt.Sprintf("q%d", maxFeedback); all[0].Query != "q1" || all[len(all)-1].Query != last {
-		t.Fatalf("retained %s..%s, want q1..%s", all[0].Query, all[len(all)-1].Query, last)
-	}
-}
-
 func TestFrontendPage(t *testing.T) {
 	srv, _ := setup(t)
 	resp, err := http.Get(srv.URL + "/")
@@ -404,11 +381,4 @@ func TestPprofEndpoints(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-}
-
-// stored returns a copy of the feedback s holds.
-func stored(s *FeedbackStore) []Feedback {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return slices.Clone(s.items)
 }

@@ -307,7 +307,7 @@ func clickInputs(q *query, cited []session.TurnDoc) []rerank.Input {
 	docs, _ := q.eng.Index.DocsByID(q.ctx, ids)
 	inputs := make([]rerank.Input, len(cited))
 	for i, d := range cited {
-		inputs[i] = rerank.Input{ID: d.ChunkID, Title: d.Title}
+		inputs[i] = rerank.Input{Title: d.Title}
 		if doc := docs[i]; doc.ID != "" {
 			inputs[i].Title = doc.Fields["title"]
 			inputs[i].Content = doc.Fields["content"]

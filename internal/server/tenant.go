@@ -39,7 +39,6 @@ const TenantHeader = "X-Uniask-Tenant"
 func NewMultiTenant(reg *tenant.Registry, ctrl *tenant.Controller, tracer *trace.Tracer, pool *search.CachePool) *Server {
 	s := &Server{
 		Metrics:   monitor.New(),
-		Feedback:  &FeedbackStore{},
 		Sessions:  session.NewStore(session.Config{}),
 		sessions:  make(map[string]string),
 		Tenants:   reg,
@@ -71,6 +70,7 @@ func (s *Server) dashboard() monitor.Dashboard {
 					Tenant: t.ID, Shard: st.Shard, Docs: st.Docs, Live: st.Live,
 					Tombstones: st.Tombstones, Postings: st.Postings,
 					Queries: st.Queries, AvgQueryLatency: st.AvgQueryLatency,
+					Errors: st.Errors,
 				})
 			}
 		}

@@ -75,8 +75,6 @@ type Turn struct {
 	// Degraded and DegradedParts mirror the engine response's flags.
 	Degraded      bool
 	DegradedParts []string
-	// At is the store-clock time the turn completed.
-	At time.Time
 }
 
 // Session is one conversation. Snapshot value — the store hands out copies,
@@ -243,7 +241,6 @@ func (s *Store) AppendTurn(tenantID, id string, t Turn) error {
 	if err != nil {
 		return err
 	}
-	t.At = s.cfg.Clock.Now()
 	e.sess.Turns = append(e.sess.Turns, t)
 	if len(e.sess.Turns) > DefaultMaxTurns {
 		e.sess.Turns = e.sess.Turns[len(e.sess.Turns)-DefaultMaxTurns:]
@@ -323,9 +320,8 @@ func (s Session) clone() Session {
 
 // Stats is a point-in-time view of the store for the dashboard gauge.
 type Stats struct {
-	// Live is the number of live sessions; PerTenant breaks it down.
-	Live      int
-	PerTenant map[string]int
+	// Live is the number of live sessions.
+	Live int
 	// Turns is the total retained turn count across live sessions.
 	Turns int
 	// Expired and Evicted count sessions dropped by TTL and by the global
@@ -342,13 +338,9 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	s.expireLocked(s.cfg.Clock.Now())
 	st := Stats{
-		Live:      len(s.entries),
-		PerTenant: make(map[string]int, len(s.perTenant)),
-		Expired:   s.expired,
-		Evicted:   s.evicted,
-	}
-	for t, n := range s.perTenant {
-		st.PerTenant[t] = n
+		Live:    len(s.entries),
+		Expired: s.expired,
+		Evicted: s.evicted,
 	}
 	for _, e := range s.entries {
 		st.Turns += len(e.sess.Turns)

@@ -212,7 +212,9 @@ func TestStatsSnapshot(t *testing.T) {
 	if st.Live != 2 || st.Turns != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if st.PerTenant["banca-a"] != 1 || st.PerTenant["banca-b"] != 1 {
-		t.Fatalf("per-tenant: %+v", st.PerTenant)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.perTenant["banca-a"] != 1 || s.perTenant["banca-b"] != 1 {
+		t.Fatalf("per-tenant: %+v", s.perTenant)
 	}
 }

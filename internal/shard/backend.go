@@ -51,7 +51,6 @@ type Backend interface {
 	StatsKey() uint64
 	Len() int
 	LiveLen() int
-	Tombstones() int
 	Stats() index.Stats
 	SegmentStats() index.SegmentStats
 

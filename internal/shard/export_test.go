@@ -10,3 +10,12 @@ func (s *Sharded) Shard(i int) *index.Segmented {
 	}
 	return nil
 }
+
+// Tombstones counts tombstoned chunks across shards.
+func (s *Sharded) Tombstones() int {
+	n := 0
+	for _, sh := range s.shards {
+		n += sh.Stats().Tombstones
+	}
+	return n
+}

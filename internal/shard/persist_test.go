@@ -48,9 +48,7 @@ func fillVec(t testing.TB, w index.Writer, emb *embedding.Synth, n int) {
 }
 
 // searchFingerprint captures a text and a vector ranking for parity checks.
-// It compares ids, scores and order; Hit.Ord is excluded because it is a
-// shard-local ordinal that legitimately differs across layouts (and is never
-// consumed by the search layer, which keys everything on the id).
+// It compares ids, scores and order.
 func searchFingerprint(q index.Queryable, emb *embedding.Synth) string {
 	var b strings.Builder
 	for _, h := range q.SearchText("contenuto carta istruzioni", 10, index.TextOptions{}) {

@@ -427,15 +427,6 @@ func (s *Sharded) LiveLen() int {
 	return n
 }
 
-// Tombstones counts tombstoned chunks across shards.
-func (s *Sharded) Tombstones() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.Tombstones()
-	}
-	return n
-}
-
 // Doc returns the document at a global ordinal, where ordinals concatenate
 // the shards in order: shard 0's documents first, then shard 1's, and so
 // on. The mapping is only stable between mutations; it exists for

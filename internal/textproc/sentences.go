@@ -5,13 +5,6 @@ import (
 	"unicode"
 )
 
-// Sentence is a sentence span within a text.
-type Sentence struct {
-	Text  string
-	Start int // byte offset
-	End   int // byte offset (exclusive)
-}
-
 // commonAbbreviations holds Italian abbreviations after which a period does
 // not terminate a sentence.
 var commonAbbreviations = map[string]struct{}{
@@ -23,17 +16,15 @@ var commonAbbreviations = map[string]struct{}{
 
 // SplitSentences splits text into sentences on ., !, ? and newlines, with
 // handling for Italian abbreviations, decimal numbers and identifier codes
-// (a period inside "v2.3" or "ERR.4032" never splits).
-func SplitSentences(text string) []Sentence {
-	var out []Sentence
+// (a period inside "v2.3" or "ERR.4032" never splits). Each sentence is
+// trimmed of surrounding space.
+func SplitSentences(text string) []string {
+	var out []string
 	start := 0
 	i := 0
 	flush := func(end int) {
-		seg := strings.TrimSpace(text[start:end])
-		if seg != "" {
-			// Recompute trimmed offsets.
-			lead := strings.Index(text[start:end], seg)
-			out = append(out, Sentence{Text: seg, Start: start + lead, End: start + lead + len(seg)})
+		if seg := strings.TrimSpace(text[start:end]); seg != "" {
+			out = append(out, seg)
 		}
 		start = end
 	}
@@ -92,14 +83,4 @@ func lastWord(s string) string {
 		i--
 	}
 	return s[i:end]
-}
-
-// SentenceTexts returns just the sentence strings.
-func SentenceTexts(text string) []string {
-	ss := SplitSentences(text)
-	out := make([]string, len(ss))
-	for i, s := range ss {
-		out[i] = s.Text
-	}
-	return out
 }

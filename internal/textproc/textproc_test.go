@@ -194,7 +194,7 @@ func TestAnalyzeUnique(t *testing.T) {
 }
 
 func TestSplitSentencesBasic(t *testing.T) {
-	ss := SentenceTexts("Prima frase. Seconda frase! Terza frase?")
+	ss := SplitSentences("Prima frase. Seconda frase! Terza frase?")
 	if len(ss) != 3 {
 		t.Fatalf("got %d sentences: %v", len(ss), ss)
 	}
@@ -202,7 +202,7 @@ func TestSplitSentencesBasic(t *testing.T) {
 
 func TestSplitSentencesAbbreviationsAndCodes(t *testing.T) {
 	text := "Contattare il dott. Rossi per il codice v2.3 della procedura. Fine."
-	ss := SentenceTexts(text)
+	ss := SplitSentences(text)
 	if len(ss) != 2 {
 		t.Fatalf("got %d sentences: %v", len(ss), ss)
 	}
@@ -212,18 +212,20 @@ func TestSplitSentencesAbbreviationsAndCodes(t *testing.T) {
 }
 
 func TestSplitSentencesNewlines(t *testing.T) {
-	ss := SentenceTexts("riga uno\nriga due\n\nriga tre")
+	ss := SplitSentences("riga uno\nriga due\n\nriga tre")
 	if len(ss) != 3 {
 		t.Fatalf("got %d sentences: %v", len(ss), ss)
 	}
 }
 
+// TestSplitSentencesOffsets: the sentences are trimmed spans of the text,
+// in order.
 func TestSplitSentencesOffsets(t *testing.T) {
-	text := "Alfa beta. Gamma delta."
-	for _, s := range SplitSentences(text) {
-		if text[s.Start:s.End] != s.Text {
-			t.Errorf("offsets wrong: %q vs %q", text[s.Start:s.End], s.Text)
-		}
+	text := " Alfa beta.  Gamma delta.\n"
+	want := []string{"Alfa beta.", "Gamma delta."}
+	got := SplitSentences(text)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %q, want %q", got, want)
 	}
 }
 

@@ -109,7 +109,7 @@ func TestIndexHTMLHonorsConfig(t *testing.T) {
 	if err != nil || len(res) == 0 {
 		t.Fatalf("results = %+v, %v", res, err)
 	}
-	if res[0].Summary == "" {
+	if doc, _ := sys.Engine().Index.DocByID(res[0].ChunkID); doc.Fields["summary"] == "" {
 		t.Fatal("EnrichSummary ignored: stored chunk has no summary")
 	}
 }
